@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate-topologies",
                        help="emit one JSON line per candidate topology")
     e.add_argument("--input", required=True)
-    e.add_argument("--max-branch", type=int, default=None)
     e.add_argument("--max-terminals", type=int, default=8)
 
     f = sub.add_parser("flat-norm", help="flat distance between two boundaries")
@@ -113,7 +112,7 @@ def _cmd_enumerate(args) -> int:
     n = len(inst.boundary.atoms)
     if n > args.max_terminals:
         raise ValueError(f"{n} atoms exceeds --max-terminals {args.max_terminals}")
-    for topo in enumerate_topologies(inst.boundary, args.max_branch):
+    for topo in enumerate_topologies(inst.boundary):
         sys.stdout.write(json.dumps({
             "n_terminals": topo.n_terminals,
             "n_branch": topo.n_branch,

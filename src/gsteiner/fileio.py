@@ -167,8 +167,6 @@ def build_solver_config(alpha: float, file_config: dict | None = None,
             cfg_kwargs[k] = float(merged[k])
     if "max_terminals" in merged:
         cfg_kwargs["max_terminals"] = int(merged["max_terminals"])
-    if "max_branch" in merged:
-        cfg_kwargs["max_branch"] = int(merged["max_branch"])
     return SolverConfig(alpha=alpha, optimize=OptimizeConfig(**opt_kwargs),
                         **cfg_kwargs)
 

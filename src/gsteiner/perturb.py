@@ -31,8 +31,7 @@ from .currents import (Boundary, PolyhedralChain, Point, Segment, alpha_mass,
 from .flat import flat_distance
 from .placement import OptimizeConfig, optimize_topology, realize_chain
 from .solver import SolveReport, SolverConfig, magic_points, solve
-from .topology import (InfeasibleTopologyError, assign_flows,
-                       enumerate_topologies)
+from .topology import InfeasibleTopologyError, _all_forests, assign_flows
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float,
     values: dict[str, float] = {}
     infeasible: list[str] = []
     evaluated: list[tuple[float, str, PolyhedralChain]] = []
-    for topo in enumerate_topologies(b, 2):
+    for topo in _all_forests(b, 2):
         case = _case_label(topo, roles)
         try:
             ft = assign_flows(topo, b)

@@ -1,8 +1,13 @@
 """Global branched-transport solver for atomic boundaries.
 
-Exhaustively enumerates candidate topologies, assigns the unique
-conservative flows, minimizes the convex location energy per topology,
+Exhaustively enumerates the full topologies over balanced partitions of
+the atoms (every other forest is a contraction of one of them, so no
+minimum is lost), assigns the unique conservative flows, drops duplicates
+by signature, minimizes the convex location energy per topology,
 canonicalizes the realized chains and clusters the near-optimal ones.
+The gap is the distance from the best value to the best strictly worse
+full-topology optimum; contractions of the best network are not
+competitors.
 Two co-minimal chains count as distinct minimizers when their difference,
 canonicalized with a coarse overlap tolerance, still carries mass above
 ``distinct_tol``: distinct minimizers must differ in support, so the
@@ -25,7 +30,7 @@ from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
                        support_difference_mass, vdot, vsub)
 from .placement import (OptimizeConfig, Placement, optimize_topology,
                         realize_chain)
-from .topology import (FlowedTopology, InfeasibleTopologyError,
+from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
                        assign_flows, enumerate_topologies)
 
 
@@ -39,7 +44,6 @@ class SolverConfig:
     value_tol: float = 1e-7
     distinct_tol: float = 1e-5
     max_terminals: int = 6
-    max_branch: int | None = None
     optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
 
     def __post_init__(self):
@@ -92,7 +96,7 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     stats = {"enumerated": 0, "infeasible": 0, "duplicates": 0, "optimized": 0}
     seen: set = set()
     candidates: list[tuple[float, str, MinimizerRecord]] = []
-    for topo in enumerate_topologies(b, cfg.max_branch):
+    for topo in enumerate_topologies(b):
         stats["enumerated"] += 1
         try:
             ft = assign_flows(topo, b)
@@ -284,11 +288,12 @@ def quantize_boundary(b: Boundary, eta: Fraction, cfg: SolverConfig) -> Boundary
 # independent grid oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_value(b: Boundary, alpha: float, grid_step: float = 1e-3,
-                      max_branch: int | None = None) -> float:
+def brute_force_value(b: Boundary, alpha: float,
+                      grid_step: float = 1e-3) -> float:
     """Grid-search oracle for the optimal cost, independent of the solver.
 
-    For every flowed topology the location energy is minimized over grid
+    For every flowed forest of the exhaustive generator (not the solver's
+    full-topology candidate set) the location energy is minimized over grid
     positions inside the bounding box of the atoms: an exhaustive coarse
     grid followed by a halving pattern search down to ``grid_step`` (the
     energy is convex, so grid descent reaches the global basin).  Collapsed
@@ -307,7 +312,7 @@ def brute_force_value(b: Boundary, alpha: float, grid_step: float = 1e-3,
 
     best = math.inf
     seen: set = set()
-    for topo in enumerate_topologies(b, max_branch):
+    for topo in _all_forests(b):
         try:
             ft = assign_flows(topo, b)
         except InfeasibleTopologyError:

@@ -1,16 +1,28 @@
-"""Exhaustive enumeration of network topologies for an atomic boundary.
+"""Enumeration of network topologies for an atomic boundary.
 
 A candidate topology is a forest on the labeled terminals (one per boundary
-atom) plus unlabeled auxiliary branch vertices of degree >= 3.  Flows on a
-forest are uniquely determined by mass conservation (leaf stripping), which
-also rejects forests whose components do not balance.  The number of branch
-vertices never exceeds n - 2 globally, and s - 2 per component with s
-terminals.
+atom) plus unlabeled auxiliary branch vertices.  Flows on a forest are
+uniquely determined by mass conservation (leaf stripping).
 
-Trees of a given shape (s terminals, m branch vertices) are generated from
-Pruefer sequences in which every branch symbol appears at least twice, then
-deduplicated up to permutations of the interchangeable branch labels.  The
-stream is deterministic.
+The solver's candidate set, :func:`enumerate_topologies`, holds only *full*
+topologies over *balanced* partitions: the terminals are split into blocks
+of total mass zero, and each block of s terminals spans a full Steiner tree
+(terminals are leaves, s - 2 branch vertices of degree 3).  The (2s - 5)!!
+full trees of a block come from Smith's insertion scheme (W. D. Smith,
+Algorithmica 7, 1992): terminal i is inserted on every edge of each full
+tree on the terminals before it, which yields every full tree exactly once
+up to branch relabeling.  Any other forest is a contraction of a full one,
+whose location-energy domain contains the contracted configuration, so the
+full optimum is never larger and collapses onto the same chain.  A full tree
+with a zero-flow edge normalizes, at flow assignment, to the full trees of
+a finer balanced partition, and the solver deduplicates it by signature.
+
+:func:`_all_forests` is the exhaustive generator it replaced: every forest
+whose branch vertices have degree >= 3, built from Pruefer sequences in
+which every branch symbol appears at least twice and deduplicated up to
+permutations of the branch labels.  It is kept for the 4-point local
+classification, which needs the non-full supports, and for the independent
+brute-force oracle.  Both streams are deterministic.
 
 Enumeration is exhaustive by design and intended for small n; callers guard
 instance size.
@@ -199,7 +211,64 @@ def _canonical_shape(edges: list[Edge], s: int, m: int) -> tuple[Edge, ...]:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_topologies(b: Boundary, max_branch: int | None = None) -> Iterator[SteinerTopology]:
+@lru_cache(maxsize=None)
+def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
+    """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots.
+
+    Smith insertion: each full tree on the first s - 1 terminals has its
+    branch slots shifted up by one, and terminal s - 1 is attached to a new
+    branch slot 2s - 3 that subdivides one of its 2s - 5 edges.
+    """
+    if s == 2:
+        return (((0, 1),),)
+    w = 2 * s - 3
+    shapes = []
+    for shape in _full_shapes(s - 1):
+        shifted = [(u if u < s - 1 else u + 1, v if v < s - 1 else v + 1)
+                   for u, v in shape]
+        for i, (u, v) in enumerate(shifted):
+            shapes.append(tuple(sorted(
+                shifted[:i] + shifted[i + 1:] + [(u, w), (v, w), (s - 1, w)])))
+    return tuple(shapes)
+
+
+def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
+    """Every full topology over a balanced partition of ``b``'s atoms.
+
+    Terminals are indexed by the canonical (sorted) atom order of ``b``.
+    Partitions with a block of nonzero total mass, or a singleton block,
+    are skipped before any tree is built, so every yielded topology carries
+    conservative flows.  The stream is deterministic.
+    """
+    n = len(b.atoms)
+    if n < 2:
+        raise ValueError("boundary must have at least 2 atoms")
+    masses = tuple(m for _, m in b.atoms)
+    for partition in _set_partitions(tuple(range(n))):
+        blocks = sorted(tuple(sorted(blk)) for blk in partition)
+        if any(len(blk) < 2 or sum(masses[i] for i in blk) != 0
+               for blk in blocks):
+            continue
+        n_branch = n - 2 * len(blocks)
+        for combo in itertools.product(*(_full_shapes(len(blk))
+                                         for blk in blocks)):
+            edges: list[Edge] = []
+            next_branch = n
+            for blk, shape in zip(blocks, combo):
+                mapping = list(blk) + list(range(next_branch,
+                                                 next_branch + len(blk) - 2))
+                next_branch += len(blk) - 2
+                edges.extend(tuple(sorted((mapping[u], mapping[v])))
+                             for u, v in shape)
+            yield SteinerTopology(
+                n_terminals=n,
+                n_branch=n_branch,
+                edges=tuple(sorted(edges)),
+                terminal_masses=masses,
+            )
+
+
+def _all_forests(b: Boundary, max_branch: int | None = None) -> Iterator[SteinerTopology]:
     """Every forest topology for the atoms of ``b``, deterministically.
 
     Terminals are indexed by the canonical (sorted) atom order of ``b``.

@@ -1,4 +1,4 @@
-"""Topology enumeration vs a brute-force oracle; flow assignment exactness."""
+"""Topology generators vs a brute-force oracle; flow assignment exactness."""
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,9 +7,10 @@ import pytest
 
 from gsteiner.currents import boundary, make_boundary
 from gsteiner.placement import Placement, realize_chain
+from gsteiner.solver import SolverConfig, solve
 from gsteiner.topology import (InfeasibleTopologyError, SteinerTopology,
-                               assign_flows, assign_flows_reversed,
-                               enumerate_topologies)
+                               _all_forests, _full_shapes, assign_flows,
+                               assign_flows_reversed, enumerate_topologies)
 
 
 def line_boundary(n):
@@ -17,17 +18,34 @@ def line_boundary(n):
     return make_boundary([((float(i), 0.0), m) for i, m in enumerate(masses)])
 
 
-def brute_force_count(n):
+def _canonical(edges, n, m):
+    """Smallest sorted edge list over all relabelings of the m branch vertices."""
+    return min(
+        tuple(sorted(
+            tuple(sorted((u if u < n else n + perm[u - n],
+                          v if v < n else n + perm[v - n])))
+            for u, v in edges))
+        for perm in itertools.permutations(range(m)))
+
+
+def brute_force_count(n, full=False):
     """Independent enumerator: all forests on n terminals + m branch vertices
     (m <= n - 2) with branch degree >= 3 and terminal degree >= 1, up to
-    branch relabeling."""
+    branch relabeling.  ``full`` keeps only the full trees: connected, with
+    n - 2 branch vertices of degree 3 and terminals as leaves."""
     total = 0
-    for m in range(0, max(0, n - 2) + 1):
+    for m in range(n - 2 if full else 0, max(0, n - 2) + 1):
         nv = n + m
         all_edges = list(itertools.combinations(range(nv), 2))
+        if full:
+            # a full tree has nv - 1 edges and joins no two terminals (n > 2)
+            subsets = itertools.combinations(
+                [e for e in all_edges if n == 2 or e[1] >= n], nv - 1)
+        else:
+            subsets = ([e for i, e in enumerate(all_edges) if bits >> i & 1]
+                       for bits in range(2 ** len(all_edges)))
         shapes = set()
-        for bits in range(2 ** len(all_edges)):
-            edges = [e for i, e in enumerate(all_edges) if bits >> i & 1]
+        for edges in subsets:
             deg = [0] * nv
             parent = list(range(nv))
 
@@ -52,30 +70,31 @@ def brute_force_count(n):
                 continue
             if any(deg[v] < 3 for v in range(n, nv)):
                 continue
-            key = min(
-                tuple(sorted(
-                    tuple(sorted((u if u < n else n + perm[u - n],
-                                  v if v < n else n + perm[v - n])))
-                    for u, v in edges))
-                for perm in itertools.permutations(range(m)))
-            shapes.add(key)
+            if full and (any(deg[v] != 1 for v in range(n))
+                         or any(deg[v] != 3 for v in range(n, nv))):
+                continue
+            shapes.add(_canonical(edges, n, m))
         total += len(shapes)
     return total
 
 
+# ---------------------------------------------------------------------------
+# exhaustive forests (_all_forests)
+# ---------------------------------------------------------------------------
+
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 4)])
 def test_small_counts(n, expected):
-    assert len(list(enumerate_topologies(line_boundary(n)))) == expected
+    assert len(list(_all_forests(line_boundary(n)))) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_counts_match_brute_force(n):
-    got = len(list(enumerate_topologies(line_boundary(n))))
+    got = len(list(_all_forests(line_boundary(n))))
     assert got == brute_force_count(n)
 
 
 def test_three_atom_structure():
-    tops = list(enumerate_topologies(line_boundary(3)))
+    tops = list(_all_forests(line_boundary(3)))
     stars = [t for t in tops if t.n_branch == 1]
     paths = [t for t in tops if t.n_branch == 0]
     assert len(stars) == 1 and len(paths) == 3
@@ -83,7 +102,7 @@ def test_three_atom_structure():
 
 
 def test_four_atom_double_y_present():
-    tops = list(enumerate_topologies(line_boundary(4), max_branch=2))
+    tops = list(_all_forests(line_boundary(4), max_branch=2))
     double_y = [t for t in tops if t.n_branch == 2]
     assert len(double_y) == 3  # the three terminal pairings
     for t in double_y:
@@ -93,16 +112,89 @@ def test_four_atom_double_y_present():
 
 
 def test_branch_budget_respected():
-    for t in enumerate_topologies(line_boundary(4)):
+    for t in _all_forests(line_boundary(4)):
         assert t.n_branch <= 2
-    for t in enumerate_topologies(line_boundary(4), max_branch=1):
+    for t in _all_forests(line_boundary(4), max_branch=1):
         assert t.n_branch <= 1
 
 
 def test_stream_deterministic():
-    a = [t.edges for t in enumerate_topologies(line_boundary(4))]
-    b = [t.edges for t in enumerate_topologies(line_boundary(4))]
+    a = [t.edges for t in _all_forests(line_boundary(4))]
+    b = [t.edges for t in _all_forests(line_boundary(4))]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# full topologies (enumerate_topologies)
+# ---------------------------------------------------------------------------
+
+def _is_full_tree(shape, s):
+    nv = 2 * s - 2
+    deg = [0] * nv
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in shape:
+        deg[u] += 1
+        deg[v] += 1
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return (len(shape) == nv - 1
+            and all(d == 1 for d in deg[:s])
+            and all(d == 3 for d in deg[s:]))
+
+
+@pytest.mark.parametrize("s,expected",
+                         [(2, 1), (3, 1), (4, 3), (5, 15), (6, 105), (7, 945)])
+def test_full_shape_counts(s, expected):
+    assert len(_full_shapes(s)) == expected
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
+def test_full_shapes_are_full_trees(s):
+    assert all(_is_full_tree(shape, s) for shape in _full_shapes(s))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+def test_full_shapes_distinct_up_to_branch_relabeling(s):
+    keys = {_canonical(shape, s, s - 2) for shape in _full_shapes(s)}
+    assert len(keys) == len(_full_shapes(s))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_full_shapes_match_brute_force(s):
+    assert len(_full_shapes(s)) == brute_force_count(s, full=True)
+
+
+def test_full_topologies_cover_balanced_partitions(square_boundary):
+    # (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1 -- the whole set spans 3 full
+    # trees, the two balanced pairings one matching each; {0,3}{1,2} is
+    # unbalanced and never built
+    tops = list(enumerate_topologies(square_boundary))
+    assert tops == list(enumerate_topologies(square_boundary))
+    assert len(tops) == 5
+    assert sorted(t.edges for t in tops if t.n_branch == 0) == [
+        ((0, 1), (2, 3)), ((0, 2), (1, 3))]
+    for t in tops:
+        assign_flows(t, square_boundary)  # never infeasible
+
+
+def test_no_infeasible_topologies_with_unbalanced_blocks():
+    b = line_boundary(5)  # the lone source balances no proper block
+    tops = list(enumerate_topologies(b))
+    assert len(tops) == 15 and all(t.n_branch == 3 for t in tops)
+    b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.2), F(1)),
+                       ((2.0, -0.1), F(-2)), ((0.5, 1.0), F(2)),
+                       ((1.5, 1.3), F(1)), ((0.3, 2.0), F(-1))])
+    report = solve(b, SolverConfig(alpha=0.7))
+    assert report.stats["infeasible"] == 0
+    assert report.stats["enumerated"] == len(list(enumerate_topologies(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +240,7 @@ def test_stripping_order_invariance():
     rng = random.Random(3)
     for _ in range(10):
         b = _random_balanced_boundary(rng, 4)
-        for t in enumerate_topologies(b):
+        for t in _all_forests(b):
             try:
                 f1 = assign_flows(t, b)
             except InfeasibleTopologyError:
@@ -164,7 +256,7 @@ def test_realized_boundary_exact():
     for _ in range(10):
         b = _random_balanced_boundary(rng, 4)
         terminals = tuple(p for p, _ in b.atoms)
-        for t in enumerate_topologies(b):
+        for t in _all_forests(b):
             try:
                 ft = assign_flows(t, b)
             except InfeasibleTopologyError:
