@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--value-tol", type=float, default=None)
     s.add_argument("--distinct-tol", type=float, default=None)
     s.add_argument("--verbose", action="store_true",
-                   help="stream optimizer diagnostics as JSON lines on stderr")
+                   help="stream optimizer diagnostics as JSON lines on stderr "
+                        '(records of bounding passes have "stage": "bound")')
 
     e = sub.add_parser("enumerate-topologies",
                        help="emit one JSON line per candidate topology")

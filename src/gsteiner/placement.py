@@ -16,11 +16,19 @@ configurations (the non-smooth minimizers these instances actually visit).
 Optimality is certified by the minimal-norm subgradient residual: edges of
 near-zero length contribute a ball of radius w_e to the subdifferential, so
 the residual at a collapsed vertex is max(0, |g| - sum of collapsed w_e).
+
+A lower bound on the minimum comes from weak duality (Xue & Ye, SIAM J.
+Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
+placement into a feasible point of the dual problem, and
+:func:`lower_bound` evaluates it after a short run of the same kernel.
+The solver prunes topologies with it; it is not a stopping rule for
+:func:`minimize`, because on some collapsing topologies it stays up to
+about 2e-2 (relative) below the value even at the smallest eps.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -34,9 +42,13 @@ from .topology import FlowedTopology, SteinerTopology, _normalize
 class OptimizeConfig:
     """Knobs for the smoothed Weiszfeld solve; all lengths in instance units.
 
+    ``max_iters`` caps the iterations over all smoothing stages; a run that
+    exhausts it returns its last smoothed iterate without the snap step.
+
     ``trace``, when set, receives one JSON-serializable record per smoothing
     stage (iteration count, eps, current energy) plus a final record with the
-    stationarity residual.
+    stationarity residual; :func:`lower_bound` sends one record with
+    ``"stage": "bound"`` instead.
     """
     tol_grad: float = 1e-8
     tol_collapse: float = 1e-7
@@ -157,47 +169,35 @@ def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float,
 # optimizer
 # ---------------------------------------------------------------------------
 
+def _incidence(t: SteinerTopology) -> np.ndarray:
+    """Vertex/edge incidence matrix: +1 at an edge's low end, -1 at its high end."""
+    a = np.zeros((t.n_terminals + t.n_branch, len(t.edges)))
+    for i, (u, v) in enumerate(t.edges):
+        a[u, i] = 1.0
+        a[v, i] = -1.0
+    return a
+
+
 def _barycentric_init(ft: FlowedTopology, terminals: tuple[Point, ...]) -> list[list[float]]:
-    """Each branch vertex at the fixed point of neighborhood averaging."""
-    t = ft.topology
-    n, m = t.n_terminals, t.n_branch
-    d = len(terminals[0])
-    a = np.zeros((m, m))
-    rhs = np.zeros((m, d))
-    for u, v in t.edges:
-        for here, there in ((u, v), (v, u)):
-            if here < n:
-                continue
-            i = here - n
-            a[i, i] += 1.0
-            if there < n:
-                rhs[i] += np.asarray(terminals[there])
-            else:
-                a[i, there - n] -= 1.0
-    x = np.linalg.solve(a, rhs)
+    """Each branch vertex at the fixed point of neighborhood averaging.
+
+    With A the incidence matrix split into branch rows A_b and terminal rows
+    A_t, the branch positions solve (A_b A_b^T) x = -(A_b A_t^T) p.
+    """
+    n = ft.topology.n_terminals
+    a = _incidence(ft.topology)
+    x = np.linalg.solve(a[n:] @ a[n:].T, -(a[n:] @ a[:n].T) @ np.asarray(terminals))
     return [list(row) for row in x]
 
 
-def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
-             cfg: OptimizeConfig | None = None) -> MinimizeResult:
-    """Minimize the location energy for a flowed topology over ``b``.
+def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
+                cfg: OptimizeConfig) -> tuple[list[list[float]], int, float]:
+    """Smoothed Weiszfeld from the barycentric start.
 
-    Deterministic given the config: barycentric initialization, smoothed
-    Weiszfeld sweeps with a geometric eps schedule, nearest-vertex snapping
-    when it strictly improves the exact energy.
+    Returns the positions, the iteration count and the last eps.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    cfg = cfg or OptimizeConfig()
     t = ft.topology
-    terminals = tuple(p for p, _ in b.atoms)
-    if len(terminals) != t.n_terminals:
-        raise ValueError("boundary does not match topology terminal count")
     n, m = t.n_terminals, t.n_branch
-    if m == 0:
-        pl = Placement(terminals, ())
-        return MinimizeResult(pl, energy(ft, pl, alpha), 0.0, 0, True)
-
     d = len(terminals[0])
     w = _weights(ft, alpha)
     scale = max(
@@ -214,10 +214,34 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
             incident[v - n].append((wi, u))
 
     if d == 2:
-        pos, iters = _weiszfeld_2d(t.edges, w, incident, terminals, pos, cfg, scale)
-    else:
-        pos, iters = _weiszfeld_nd(t.edges, w, incident, terminals, pos, cfg, scale, d)
+        return _weiszfeld_2d(t.edges, w, incident, terminals, pos, cfg, scale)
+    return _weiszfeld_nd(t.edges, w, incident, terminals, pos, cfg, scale, d)
 
+
+def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
+    terminals = tuple(p for p, _ in b.atoms)
+    if len(terminals) != ft.topology.n_terminals:
+        raise ValueError("boundary does not match topology terminal count")
+    return terminals
+
+
+def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
+             cfg: OptimizeConfig | None = None) -> MinimizeResult:
+    """Minimize the location energy for a flowed topology over ``b``.
+
+    Deterministic given the config: barycentric initialization, smoothed
+    Weiszfeld sweeps with a geometric eps schedule, nearest-vertex snapping
+    when it strictly improves the exact energy.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    cfg = cfg or OptimizeConfig()
+    terminals = _terminals_for(ft, b)
+    if ft.topology.n_branch == 0:
+        pl = Placement(terminals, ())
+        return MinimizeResult(pl, energy(ft, pl, alpha), 0.0, 0, True)
+
+    pos, iters, _ = _run_kernel(ft, terminals, alpha, cfg)
     pl = Placement(terminals, tuple(tuple(x) for x in pos))
     res = stationarity_residual(ft, pl, alpha, coincide_tol=cfg.tol_collapse)
     value = energy(ft, pl, alpha)
@@ -227,8 +251,84 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     return MinimizeResult(pl, value, res, iters, res <= cfg.tol_grad)
 
 
+# ---------------------------------------------------------------------------
+# lower bound by weak duality
+# ---------------------------------------------------------------------------
+
+# kernel iterations behind a bound: enough to point the edges, far fewer
+# than a full minimization
+_BOUND_ITERS = 50
+
+
+def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
+               eps: float = 0.0) -> float:
+    """Lower bound on the minimum of the location energy, by weak duality.
+
+    Since |z| = max over |y| <= 1 of y.z, the energy is
+    F(x) = max over |y_e| <= w_e of sum_e y_e.(x_u - x_v).  For every y with
+    zero divergence at the branch vertices that sum depends on the terminals
+    only, so it is <= min F in every dimension.  Such a y is built from
+    ``pl``:
+
+    * the smoothed edge directions y_e = w_e (x_u - x_v) / l_e, with
+      l_e = sqrt(|x_u - x_v|^2 + eps^2), which lie in the balls |y_e| <= w_e;
+    * projected onto div y = 0 at the branch vertices in the metric of the
+      Weiszfeld coefficients c_e = w_e / l_e: y <- y - C A^T (A C A^T)^-1 A y,
+      A the branch rows of the incidence matrix.  Short edges take most of
+      the correction, which is where the smoothed directions are least
+      reliable (collapsed edges);
+    * scaled back into the balls by s = min(1, min_e w_e / |y_e|).
+
+    The bound is tight at an optimum without collapsed edges as eps -> 0,
+    and equals the energy when the topology has no branch vertex.  A
+    zero-length edge needs ``eps`` > 0.
+    """
+    t = ft.topology
+    n = t.n_terminals
+    w = np.array(_weights(ft, alpha))
+    a = _incidence(t)
+    diff = a.T @ np.asarray(pl.terminals + pl.branch, dtype=float)
+    length = np.sqrt(np.einsum("ij,ij->i", diff, diff) + eps * eps)
+    if not length.all():
+        raise ValueError("a zero-length edge needs eps > 0")
+    c = w / length
+    y = c[:, None] * diff
+    if t.n_branch:
+        ab = a[n:]
+        y -= (c[:, None] * ab.T) @ np.linalg.solve((ab * c) @ ab.T, ab @ y)
+        norm = np.sqrt(np.einsum("ij,ij->i", y, y))
+        over = norm > w
+        if over.any():
+            y *= np.min(w[over] / norm[over])
+    return float(np.einsum("ij,ij->", y, diff))
+
+
+def lower_bound(ft: FlowedTopology, b: Boundary, alpha: float,
+                cfg: OptimizeConfig | None = None) -> float:
+    """:func:`dual_bound` at the placement reached by a short kernel run.
+
+    The kernel of :func:`minimize` runs for at most ``_BOUND_ITERS``
+    iterations, and the bound is taken at its last smoothing parameter.
+    ``cfg.trace`` receives one record with ``"stage": "bound"``.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    cfg = cfg or OptimizeConfig()
+    terminals = _terminals_for(ft, b)
+    pos, iters, eps = [], 0, 0.0
+    if ft.topology.n_branch:
+        pos, iters, eps = _run_kernel(
+            ft, terminals, alpha,
+            replace(cfg, max_iters=min(cfg.max_iters, _BOUND_ITERS), trace=None))
+    bound = dual_bound(ft, Placement(terminals, tuple(tuple(x) for x in pos)),
+                       alpha, eps)
+    if cfg.trace is not None:
+        cfg.trace({"stage": "bound", "iteration": iters, "bound": bound})
+    return bound
+
+
 def _weiszfeld_2d(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
-                  scale: float) -> tuple[list[list[float]], int]:
+                  scale: float) -> tuple[list[list[float]], int, float]:
     """Planar hot path: flat float arithmetic, no temporaries."""
     n = len(terminals)
     m = len(pos)
@@ -271,8 +371,10 @@ def _weiszfeld_2d(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
                     move = dy
                 pos[bi][0] = nx
                 pos[bi][1] = ny
-            if move <= stage_tol or iters >= cfg.max_iters:
+            if move <= stage_tol:
                 break
+            if iters >= cfg.max_iters:
+                return pos, iters, eps
         # snap to the nearest vertex when that strictly improves exact F
         current = exact_energy()
         for bi in range(m):
@@ -296,14 +398,14 @@ def _weiszfeld_2d(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
         if cfg.trace is not None:
             cfg.trace({"stage": "eps", "iteration": iters, "eps": eps,
                        "value": current})
-        if eps <= eps_floor or iters >= cfg.max_iters:
+        if eps <= eps_floor:
             break
         eps = max(eps * cfg.eps_decay, eps_floor)
-    return pos, iters
+    return pos, iters, eps
 
 
 def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
-                  scale: float, d: int) -> tuple[list[list[float]], int]:
+                  scale: float, d: int) -> tuple[list[list[float]], int, float]:
     n = len(terminals)
     m = len(pos)
 
@@ -342,8 +444,10 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
                 newx = [num[i] / den for i in range(d)]
                 move = max(move, max(abs(a - c) for a, c in zip(newx, x)))
                 pos[bi] = newx
-            if move <= stage_tol or iters >= cfg.max_iters:
+            if move <= stage_tol:
                 break
+            if iters >= cfg.max_iters:
+                return pos, iters, eps
         current = exact_energy()
         for bi in range(m):
             cands = sorted(
@@ -359,10 +463,10 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
         if cfg.trace is not None:
             cfg.trace({"stage": "eps", "iteration": iters, "eps": eps,
                        "value": current})
-        if eps <= eps_floor or iters >= cfg.max_iters:
+        if eps <= eps_floor:
             break
         eps = max(eps * cfg.eps_decay, eps_floor)
-    return pos, iters
+    return pos, iters, eps
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,42 @@
 Exhaustively enumerates the full topologies over balanced partitions of
 the atoms (every other forest is a contraction of one of them, so no
 minimum is lost), assigns the unique conservative flows, drops duplicates
-by signature, minimizes the convex location energy per topology,
-canonicalizes the realized chains and clusters the near-optimal ones.
+by signature, and then runs a branch-and-bound over the survivors:
+
+1. every topology T gets a lower bound LB(T) <= E(T), the minimum of its
+   location energy, from :func:`placement.lower_bound` (weak duality);
+2. topologies are visited in (LB, signature) order.  Each visited one is
+   minimized, its realized chain canonicalized, and its value v(T), the
+   alpha-mass of that chain, recorded.  The solver keeps ``second``, the
+   smallest recorded value above the current threshold
+   best + value_tol (1 + |best|);
+3. the first topology with LB(T) > second + value_tol (1 + |second|) is
+   retired unoptimized, and with it every later one (their bounds are no
+   smaller).  ``stats["pruned"]`` counts them; ``stats["optimized"]``
+   counts full optimizations.
+
+Why retiring keeps the minimizer set and the gap exact.  ``second`` only
+decreases as topologies finish: the best value can only drop, and with it
+the threshold, so the set of recorded values above the threshold only
+grows.  Hence a retired T has E(T) >= LB(T) > second >= the final second.
+When the realization of T has no overlapping edges, v(T) = E(T), so T would
+have been neither a minimizer (second lies above the threshold) nor the
+best strictly worse value: a topology whose optimum realizes a minimizer
+has LB <= v(T) <= threshold < second and is never retired.  Overlapping
+edges merge at canonicalization, and the concave cost makes the merged
+chain cheaper, so v(T) can lie below E(T), and even below LB(T).  When
+such a chain has no loop (no minimizer has one), it is also a realization
+of a contraction of another full topology T', so LB(T') <= E(T') <= v(T):
+T' is visited before T and is not retired while v(T) matters.  On the
+dented square (alpha 0.6, radius 0.1) two topologies of energy 2.047445
+canonicalize onto the 1.988884 minimizer, which a 2-branch topology of
+bound 1.988882 realizes directly.  One of them has no branch point, and
+its bound equals ``second`` exactly (the value of another 0-branch
+topology), which is why the test is strict and carries the ``value_tol``
+margin; the margin also absorbs the rounding of the bound.  The
+differential tests compare the pruned solve with the unpruned one on
+random and degenerate instances.
+
 The gap is the distance from the best value to the best strictly worse
 full-topology optimum; contractions of the best network are not
 competitors.
@@ -28,8 +62,8 @@ import numpy as np
 from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
                        branch_points, canonicalize, dist, lerp,
                        support_difference_mass, vdot, vsub)
-from .placement import (OptimizeConfig, Placement, optimize_topology,
-                        realize_chain)
+from .placement import (OptimizeConfig, Placement, lower_bound,
+                        optimize_topology, realize_chain)
 from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
                        assign_flows, enumerate_topologies)
 
@@ -93,9 +127,13 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
             f"{n} atoms exceeds the max_terminals guard ({cfg.max_terminals}); "
             "raise it explicitly to run anyway")
 
-    stats = {"enumerated": 0, "infeasible": 0, "duplicates": 0, "optimized": 0}
+    def margin(v: float) -> float:
+        return v + cfg.value_tol * (1.0 + abs(v))
+
+    stats = {"enumerated": 0, "infeasible": 0, "duplicates": 0,
+             "optimized": 0, "pruned": 0}
     seen: set = set()
-    candidates: list[tuple[float, str, MinimizerRecord]] = []
+    queue: list[tuple[float, str, FlowedTopology]] = []
     for topo in enumerate_topologies(b):
         stats["enumerated"] += 1
         try:
@@ -108,6 +146,17 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
             stats["duplicates"] += 1
             continue
         seen.add(sig)
+        queue.append((lower_bound(ft, b, cfg.alpha, cfg.optimize), repr(sig), ft))
+    queue.sort(key=lambda q: (q[0], q[1]))
+
+    candidates: list[tuple[float, str, MinimizerRecord]] = []
+    second = math.inf
+    for i, (bound, key, ft) in enumerate(queue):
+        if bound > margin(second):
+            # the queue is in bound order and ``second`` changes only when
+            # a topology is optimized, so every later topology goes too
+            stats["pruned"] = len(queue) - i
+            break
         opt = optimize_topology(ft, b, cfg.alpha, cfg.optimize)
         stats["optimized"] += 1
         chain = canonicalize(realize_chain(opt.flowed, opt.placement))
@@ -117,11 +166,14 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
                 "realized chain boundary differs from the input boundary")
         record = MinimizerRecord(chain, value, opt.residual, opt.placement,
                                  opt.flowed)
-        candidates.append((value, repr(sig), record))
+        candidates.append((value, key, record))
+        threshold = margin(min(v for v, _, _ in candidates))
+        second = min((v for v, _, _ in candidates if v > threshold),
+                     default=math.inf)
 
     candidates.sort(key=lambda c: (c[0], c[1]))
     best = candidates[0][0]
-    threshold = best + cfg.value_tol * (1.0 + abs(best))
+    threshold = margin(best)
 
     kept: list[MinimizerRecord] = []
     for value, _, record in candidates:

@@ -14,8 +14,8 @@ tree on the terminals before it, which yields every full tree exactly once
 up to branch relabeling.  Any other forest is a contraction of a full one,
 whose location-energy domain contains the contracted configuration, so the
 full optimum is never larger and collapses onto the same chain.  A full tree
-with a zero-flow edge normalizes, at flow assignment, to the full trees of
-a finer balanced partition, and the solver deduplicates it by signature.
+with a zero-flow edge is not built: without that edge it is a full topology
+of a finer balanced partition, which is enumerated anyway.
 
 :func:`_all_forests` is the exhaustive generator it replaced: every forest
 whose branch vertices have degree >= 3, built from Pruefer sequences in
@@ -104,7 +104,7 @@ class FlowedTopology:
 # ---------------------------------------------------------------------------
 
 def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
-    """All set partitions, in a deterministic refinement order."""
+    """All set partitions, each exactly once, in a deterministic order."""
     if not items:
         yield []
         return
@@ -232,13 +232,63 @@ def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
     return tuple(shapes)
 
 
+@lru_cache(maxsize=None)
+def _inner_sides(s: int) -> tuple[tuple[int, ...], ...]:
+    """Per shape of ``_full_shapes(s)``, one side of each branch-branch edge.
+
+    A side is the bitmask of the terminal slots the edge separates from the
+    rest (the other side is its complement).
+    """
+    out = []
+    for shape in _full_shapes(s):
+        adj: dict[int, list[int]] = {}
+        for u, v in shape:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        sides = []
+        for u, v in shape:
+            if u < s:
+                continue
+            mask, stack, seen = 0, [u], {u, v}
+            while stack:
+                x = stack.pop()
+                if x < s:
+                    mask |= 1 << x
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            sides.append(mask)
+        out.append(tuple(sides))
+    return tuple(out)
+
+
+def _flowing_shapes(masses: tuple[Fraction, ...]) -> list[tuple[Edge, ...]]:
+    """Full shapes on a balanced block in which every edge carries flow.
+
+    The flow on an edge is the total mass on one side of it, so an edge is
+    flowless exactly when it splits the block into two balanced parts.  A
+    leaf edge carries its atom's nonzero mass.
+    """
+    s = len(masses)
+    sums = [Fraction(0)] * (1 << s)
+    for mask in range(1, 1 << s):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
+    return [shape for shape, sides in zip(_full_shapes(s), _inner_sides(s))
+            if all(sums[side] != 0 for side in sides)]
+
+
 def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
     """Every full topology over a balanced partition of ``b``'s atoms.
 
     Terminals are indexed by the canonical (sorted) atom order of ``b``.
     Partitions with a block of nonzero total mass, or a singleton block,
-    are skipped before any tree is built, so every yielded topology carries
-    conservative flows.  The stream is deterministic.
+    are skipped before any tree is built, and so are the full trees with a
+    zero-flow edge: such an edge splits its block into two balanced parts,
+    and dropping it leaves a full topology of that finer partition, which is
+    yielded on its own.  Every yielded topology therefore carries nonzero
+    conservative flows on all its edges.  The stream is deterministic.
     """
     n = len(b.atoms)
     if n < 2:
@@ -250,8 +300,9 @@ def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
                for blk in blocks):
             continue
         n_branch = n - 2 * len(blocks)
-        for combo in itertools.product(*(_full_shapes(len(blk))
-                                         for blk in blocks)):
+        for combo in itertools.product(*(
+                _flowing_shapes(tuple(masses[i] for i in blk))
+                for blk in blocks)):
             edges: list[Edge] = []
             next_branch = n
             for blk, shape in zip(blocks, combo):
@@ -285,12 +336,8 @@ def _all_forests(b: Boundary, max_branch: int | None = None) -> Iterator[Steiner
         max_branch = cap
     max_branch = min(max_branch, cap)
 
-    seen_partitions: set[tuple[tuple[int, ...], ...]] = set()
     for partition in _set_partitions(tuple(range(n))):
         blocks = tuple(sorted(tuple(sorted(blk)) for blk in partition))
-        if blocks in seen_partitions:
-            continue
-        seen_partitions.add(blocks)
         if any(len(blk) < 2 for blk in blocks):
             continue
         # per-block choices: (m, shape) with m <= len(block) - 2

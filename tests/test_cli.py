@@ -50,6 +50,21 @@ def test_report_bodies_deterministic(square_file, tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_solve_verbose_stream(square_file, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert cli.main(["solve", "--input", square_file, "--verbose",
+                     "--report", str(report)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    records = [json.loads(ln) for ln in lines]  # one JSON object per line
+    assert all(isinstance(r, dict) for r in records)
+    stages = [r["stage"] for r in records]
+    stats = json.loads(report.read_text())["stats"]
+    # one bounding record per topology with branch points or not; the full
+    # runs of the optimized ones end with "done" (none for m = 0)
+    assert stages.count("bound") == stats["optimized"] + stats["pruned"]
+    assert "done" in stages and set(stages) <= {"bound", "eps", "done"}
+
+
 def test_flat_norm_cli(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -64,7 +79,9 @@ def test_flat_norm_cli(tmp_path, capsys):
 def test_enumerate_topologies_cli(square_file, capsys):
     assert cli.main(["enumerate-topologies", "--input", square_file]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5  # the square's full topologies
+    # the square's full topologies with flow on every edge: the two
+    # matchings and the tree pairing the sources and pairing the sinks
+    assert len(lines) == 3
     assert all("edges" in json.loads(ln) for ln in lines)
 
 

@@ -1,25 +1,29 @@
-"""Full-topology solve vs the exhaustive forest solve it replaced.
+"""The solver against unpruned exhaustive references.
 
-The reference below optimizes every forest of ``_all_forests`` with the
-same placement and clustering as ``solve``; the solver proper enumerates
-only full topologies over balanced partitions.  Both must find the same
-optimum and the same set of minimizers.  Rigid motions and relabelings of
-the atoms must leave the solve unchanged.
+``reference_solve`` optimizes every topology of a generator with the same
+placement and clustering as ``solve``, but prunes nothing.  Over the
+exhaustive forests of ``_all_forests`` it checks that full topologies over
+balanced partitions lose no optimum and no minimizer; over the solver's own
+candidate set it checks that branch-and-bound pruning changes neither the
+best value, nor the minimizer supports, nor the gap.  Rigid motions and
+relabelings of the atoms must leave the solve unchanged.
 """
 import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsteiner.currents import (alpha_mass, canonicalize, make_boundary,
                                support_difference_mass)
+from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import optimize_topology, realize_chain
-from gsteiner.solver import SolverConfig, solve
+from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (InfeasibleTopologyError, _all_forests,
-                               assign_flows)
+                               assign_flows, enumerate_topologies)
 
 # repeated and distinct masses for every size
 MASSES = {
@@ -30,11 +34,11 @@ MASSES = {
 }
 
 
-def exhaustive_solve(b, cfg):
-    """Best value and minimizer chains over every forest topology of ``b``."""
+def reference_solve(b, cfg, topologies):
+    """Best value, minimizer chains and gap over every topology, unpruned."""
     seen = set()
     candidates = []
-    for topo in _all_forests(b):
+    for topo in topologies(b):
         try:
             ft = assign_flows(topo, b)
         except InfeasibleTopologyError:
@@ -56,7 +60,8 @@ def exhaustive_solve(b, cfg):
         if all(support_difference_mass(chain, k, cfg.distinct_tol)
                > cfg.distinct_tol for k in kept):
             kept.append(chain)
-    return best, kept
+    above = [v for v, _, _ in candidates if v > threshold]
+    return best, kept, (min(above) - best) if above else math.inf
 
 
 def _random_instance(rng, n, dim, masses=None):
@@ -69,21 +74,69 @@ def _random_instance(rng, n, dim, masses=None):
     return make_boundary(zip(pts, masses)), rng.choice([0.5, 0.6, 0.75, 0.9])
 
 
-def test_full_topology_solve_matches_exhaustive_solve():
+def _random_cases():
     rng = random.Random(20261017)
-    cases = [(n, dim, masses) for dim in (2, 3) for n in (3, 4, 5)
-             for masses in MASSES[n]]
-    for n, dim, masses in cases:
-        b, alpha = _random_instance(rng, n, dim, masses)
+    for dim in (2, 3):
+        for n in (3, 4, 5):
+            for masses in MASSES[n]:
+                yield (f"n={n} dim={dim}",) + _random_instance(rng, n, dim, masses)
+
+
+def _assert_same_minimizers(report, best, chains, cfg, where):
+    assert abs(report.best_value - best) <= cfg.value_tol * (1.0 + best), where
+    assert len(report.minimizers) == len(chains), where
+    for rec in report.minimizers:
+        assert any(support_difference_mass(rec.chain, c, cfg.distinct_tol)
+                   <= cfg.distinct_tol for c in chains), where
+
+
+def test_full_topology_solve_matches_exhaustive_solve():
+    for where, b, alpha in _random_cases():
+        cfg = SolverConfig(alpha=alpha)
+        best, chains, _ = reference_solve(b, cfg, _all_forests)
+        _assert_same_minimizers(solve(b, cfg), best, chains, cfg,
+                                f"{where} alpha={alpha} atoms={b.atoms}")
+
+
+def _square():
+    return make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
+                          ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
+
+
+def _dented_square(radius, alpha=0.6):
+    base = solve(_square(), SolverConfig(alpha=alpha))
+    spec = PerturbationSpec(base.minimizers[0].chain, magic_points(base, 0),
+                            estimate_k0(alpha) + 1, radius)
+    return perturb(spec)[1]
+
+
+def _degenerate_cases():
+    for alpha in (0.3, 0.6, 0.9):
+        yield f"square alpha={alpha}", _square(), alpha
+    yield "4 collinear", make_boundary(
+        ((float(i), 0.0), F((-1) ** (i + 1))) for i in range(4)), 0.6
+    yield "2x3 grid", make_boundary(
+        ((float(i % 3), float(i // 3)), F((-1) ** (i + 1))) for i in range(6)), 0.6
+    for radius in (0.1, 0.05, 0.02):
+        yield f"dented square r={radius}", _dented_square(radius), 0.6
+
+
+@pytest.mark.parametrize("cases", [_random_cases, _degenerate_cases])
+def test_pruned_solve_matches_unpruned_solve(cases):
+    pruned = 0
+    for where, b, alpha in cases():
         cfg = SolverConfig(alpha=alpha)
         report = solve(b, cfg)
-        best, chains = exhaustive_solve(b, cfg)
-        where = f"n={n} dim={dim} alpha={alpha} atoms={b.atoms}"
-        assert abs(report.best_value - best) <= cfg.value_tol * (1.0 + best), where
-        assert len(report.minimizers) == len(chains), where
-        for rec in report.minimizers:
-            assert any(support_difference_mass(rec.chain, c, cfg.distinct_tol)
-                       <= cfg.distinct_tol for c in chains), where
+        best, chains, gap = reference_solve(b, cfg, enumerate_topologies)
+        where = f"{where} alpha={alpha} atoms={b.atoms}"
+        _assert_same_minimizers(report, best, chains, cfg, where)
+        assert report.gap == gap or abs(report.gap - gap) <= \
+            cfg.value_tol * (1.0 + best), where
+        stats = report.stats
+        assert stats["enumerated"] == (stats["infeasible"] + stats["duplicates"]
+                                       + stats["optimized"] + stats["pruned"])
+        pruned += stats["pruned"]
+    assert pruned > 0  # the comparison must exercise pruning
 
 
 # ---------------------------------------------------------------------------

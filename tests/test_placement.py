@@ -5,10 +5,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gsteiner.currents import make_boundary
-from gsteiner.placement import (Placement, detect_collapse, energy,
-                                minimize, optimize_topology, realize_chain,
+from gsteiner.placement import (OptimizeConfig, Placement, detect_collapse,
+                                dual_bound, energy, lower_bound, minimize,
+                                optimize_topology, realize_chain,
                                 smoothed_energy, stationarity_residual,
                                 subgradient)
 from gsteiner.topology import (InfeasibleTopologyError, assign_flows,
@@ -277,3 +280,68 @@ def test_energy_equals_alpha_mass_when_disjoint(v_boundary):
     res = minimize(ft, v_boundary, 0.75)
     chain = canonicalize(realize_chain(ft, res.placement))
     assert alpha_mass(chain, 0.75) == pytest.approx(res.value, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lower bound by weak duality
+# ---------------------------------------------------------------------------
+
+BOUND_MASSES = {
+    3: [(-2, 1, 1), (-3, 1, 2)],
+    4: [(-1, -1, 1, 1), (-3, F(1, 2), 2, F(1, 2))],
+    5: [(-2, 1, 1, -1, 1), (-3, F(-1, 2), 2, 1, F(1, 2))],
+    6: [(-1, -1, -1, 1, 1, 1), (-3, F(-1, 2), 2, 1, F(3, 2), -1)],
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([3, 4, 5, 6]),
+       dim=st.sampled_from([2, 3]),
+       alpha=st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+       pick=st.integers(0, 10 ** 6), eps=st.floats(1e-9, 1.0))
+def test_bound_below_minimum(seed, n, dim, alpha, pick, eps):
+    rng = random.Random(seed)
+    masses = rng.choice(BOUND_MASSES[n])
+    b = make_boundary(
+        (tuple(rng.uniform(0.0, 2.0) for _ in range(dim)), F(m))
+        for m in masses)
+    topologies = list(enumerate_topologies(b))
+    ft = assign_flows(topologies[pick % len(topologies)], b)
+    value = minimize(ft, b, alpha).value
+    bound = lower_bound(ft, b, alpha)
+    assert bound <= value + 1e-12 * (1.0 + value)
+    # the bound holds at any placement and smoothing, not just near optima
+    terminals = tuple(p for p, _ in b.atoms)
+    branch = tuple(tuple(rng.uniform(-1.0, 3.0) for _ in range(dim))
+                   for _ in range(ft.topology.n_branch))
+    anywhere = dual_bound(ft, Placement(terminals, branch), alpha, eps)
+    assert anywhere <= value + 1e-12 * (1.0 + value)
+    if ft.topology.n_branch == 0:
+        assert bound == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+def test_bound_tight_at_analytic_y(alpha):
+    # symmetric Y: source 2 at the origin, sinks 1 at (1, +-h); the angle law
+    # puts the branch point on the axis where each sink edge makes the angle
+    # phi with it, cos(phi) = 2^alpha / 2
+    h = 0.3
+    b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, h), F(1)),
+                       ((1.0, -h), F(1))])
+    ft = y_topology(b)
+    phi = math.acos(2.0 ** (alpha - 1.0))
+    pl = Placement(tuple(p for p, _ in b.atoms),
+                   ((1.0 - h / math.tan(phi), 0.0),))
+    value = energy(ft, pl, alpha)
+    assert stationarity_residual(ft, pl, alpha) < 1e-12
+    assert abs(dual_bound(ft, pl, alpha) - value) <= 1e-9 * value
+    assert value == pytest.approx(v_oracle(alpha)[0], abs=1e-9)
+
+
+def test_bound_pass_traces_one_record(v_boundary):
+    records = []
+    cfg = OptimizeConfig(trace=records.append)
+    bound = lower_bound(y_topology(v_boundary), v_boundary, 0.75, cfg)
+    assert [r["stage"] for r in records] == ["bound"]
+    assert records[0]["bound"] == bound and 0 < records[0]["iteration"] <= 50

@@ -9,8 +9,9 @@ from gsteiner.currents import boundary, make_boundary
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, solve
 from gsteiner.topology import (InfeasibleTopologyError, SteinerTopology,
-                               _all_forests, _full_shapes, assign_flows,
-                               assign_flows_reversed, enumerate_topologies)
+                               _all_forests, _full_shapes, _set_partitions,
+                               assign_flows, assign_flows_reversed,
+                               enumerate_topologies)
 
 
 def line_boundary(n):
@@ -173,16 +174,83 @@ def test_full_shapes_match_brute_force(s):
 
 
 def test_full_topologies_cover_balanced_partitions(square_boundary):
-    # (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1 -- the whole set spans 3 full
-    # trees, the two balanced pairings one matching each; {0,3}{1,2} is
-    # unbalanced and never built
+    # (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1 -- of the 3 full trees on the
+    # whole set only the one pairing the sources and pairing the sinks
+    # carries flow on its middle edge, the two balanced pairings give one
+    # matching each, and {0,3}{1,2} is unbalanced and never built
     tops = list(enumerate_topologies(square_boundary))
     assert tops == list(enumerate_topologies(square_boundary))
-    assert len(tops) == 5
+    assert len(tops) == 3
     assert sorted(t.edges for t in tops if t.n_branch == 0) == [
         ((0, 1), (2, 3)), ((0, 2), (1, 3))]
+    (tree,) = [t for t in tops if t.n_branch == 2]
+    assert {(0, 3), (1, 2)} == {
+        tuple(u for u, v in tree.edges if v == b and u < 4) for b in (4, 5)}
     for t in tops:
         assign_flows(t, square_boundary)  # never infeasible
+
+
+def _zero_flow_instances():
+    rng = random.Random(5)
+    yield line_boundary(6)
+    yield make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(1)),
+                         ((2.0, 0.0), F(-1)), ((0.0, 1.0), F(1)),
+                         ((1.0, 1.0), F(-1)), ((2.0, 1.0), F(1))])
+    for n in (4, 5, 6, 6):
+        # masses in {-1, 1, -2, 2} make many balanced sub-blocks
+        while True:
+            masses = [F(rng.choice((-2, -1, 1, 2))) for _ in range(n - 1)]
+            last = -sum(masses)
+            if last != 0:
+                break
+        pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(n)]
+        yield make_boundary(zip(pts, masses + [last]))
+
+
+def test_no_topology_with_a_zero_flow_edge():
+    for b in _zero_flow_instances():
+        for t in enumerate_topologies(b):
+            ft = assign_flows(t, b)
+            assert not ft.degenerate and ft.topology == t
+            assert all(f != 0 for f in ft.edge_flows)
+
+
+def _unskipped_full_topologies(b):
+    """Every full tree over every balanced partition, zero-flow ones too."""
+    masses = tuple(m for _, m in b.atoms)
+    n = len(masses)
+    for partition in _set_partitions(tuple(range(n))):
+        blocks = sorted(tuple(sorted(blk)) for blk in partition)
+        if any(len(blk) < 2 or sum(masses[i] for i in blk) != 0
+               for blk in blocks):
+            continue
+        for combo in itertools.product(*(_full_shapes(len(blk))
+                                         for blk in blocks)):
+            edges, nxt = [], n
+            for blk, shape in zip(blocks, combo):
+                slot = list(blk) + list(range(nxt, nxt + len(blk) - 2))
+                nxt += len(blk) - 2
+                edges += [tuple(sorted((slot[u], slot[v]))) for u, v in shape]
+            yield SteinerTopology(n, n - 2 * len(blocks), tuple(sorted(edges)),
+                                  masses)
+
+
+def test_zero_flow_skip_loses_no_flowed_topology():
+    for b in _zero_flow_instances():
+        kept = [assign_flows(t, b).signature() for t in enumerate_topologies(b)]
+        every = {assign_flows(t, b).signature()
+                 for t in _unskipped_full_topologies(b)}
+        assert len(kept) == len(set(kept)) == len(every)
+        assert set(kept) == every
+
+
+@pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52),
+                                    (6, 203), (7, 877)])
+def test_set_partitions_each_once(n, bell):
+    parts = [frozenset(frozenset(blk) for blk in p)
+             for p in _set_partitions(tuple(range(n)))]
+    assert len(parts) == bell == len(set(parts))
+    assert all(set().union(*p) == set(range(n)) for p in parts)
 
 
 def test_no_infeasible_topologies_with_unbalanced_blocks():
