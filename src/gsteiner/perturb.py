@@ -23,15 +23,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .currents import (Boundary, PolyhedralChain, Point, Segment, alpha_mass,
                        boundary, branch_points, canonicalize, dist,
                        make_boundary, scale_chain, support_difference_mass)
 from .flat import flat_distance
-from .placement import OptimizeConfig, optimize_topology, realize_chain
+from .placement import (OptimizeConfig, _sharing_minimizations,
+                        optimize_topology, realize_chain)
 from .solver import SolveReport, SolverConfig, magic_points, solve
-from .topology import InfeasibleTopologyError, _all_forests, assign_flows
+from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
+                       assign_flows)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,7 @@ class LocalClassification:
     infeasible: tuple[str, ...]     # cases admitting no all-active current
 
 
-def _case_label(topo, roles: dict[int, str]) -> str:
+def _case_label(topo, roles: tuple[str, ...]) -> str:
     t = topo
     n = t.n_terminals
     if t.n_branch == 0:
@@ -276,6 +279,31 @@ def _case_label(topo, roles: dict[int, str]) -> str:
     return _CASE3[frozenset(groups)]
 
 
+@lru_cache(maxsize=64)
+def _local4_candidates(masses: tuple[Fraction, ...], roles: tuple[str, ...]
+                       ) -> tuple[tuple[str, FlowedTopology | None], ...]:
+    """Every forest with at most two branch vertices, as (case, flowed
+    topology), the topology None when its forced flows cannot carry the
+    boundary with every segment active.
+
+    Forests and flows depend on the atom masses alone, in atom order, and
+    the case on the roles, so the list is built once per (masses, roles)
+    from a stand-in boundary with the same masses in the same order.
+    """
+    b = Boundary(tuple(((float(i),), m) for i, m in enumerate(masses)))
+    out = []
+    for topo in _all_forests(b, 2):
+        try:
+            ft = assign_flows(topo, b)
+        except InfeasibleTopologyError:
+            ft = None
+        # a degenerate one lost a forced multiplicity: not a current with
+        # this support
+        out.append((_case_label(topo, roles),
+                    None if ft is None or ft.degenerate else ft))
+    return tuple(out)
+
+
 def local4_solve(inst: LocalFourPointInstance, alpha: float,
                  cfg: OptimizeConfig | None = None,
                  match_tol: float = 1e-5) -> LocalClassification:
@@ -289,34 +317,25 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float,
     """
     cfg = cfg or OptimizeConfig()
     b = inst.boundary()
-    roles = {}
-    for i, (p, _) in enumerate(b.atoms):
-        roles[i] = {inst.a: "A", inst.b: "B", inst.c: "C", inst.d: "D"}[p]
+    where = {inst.a: "A", inst.b: "B", inst.c: "C", inst.d: "D"}
+    roles = tuple(where[p] for p, _ in b.atoms)
 
     values: dict[str, float] = {}
-    infeasible: list[str] = []
+    infeasible: set[str] = set()
     evaluated: list[tuple[float, str, PolyhedralChain]] = []
-    for topo in _all_forests(b, 2):
-        case = _case_label(topo, roles)
-        try:
-            ft = assign_flows(topo, b)
-        except InfeasibleTopologyError:
-            if case not in values and case not in infeasible:
-                infeasible.append(case)
-            continue
-        if ft.degenerate:
-            # some forced multiplicity vanished: not a current with this support
-            if case not in values and case not in infeasible:
-                infeasible.append(case)
-            continue
-        opt = optimize_topology(ft, b, alpha, cfg)
-        chain = canonicalize(realize_chain(opt.flowed, opt.placement))
-        value = alpha_mass(chain, alpha)
-        if case not in values or value < values[case]:
-            values[case] = value
-        evaluated.append((value, case, chain))
+    with _sharing_minimizations():
+        for case, ft in _local4_candidates(tuple(m for _, m in b.atoms), roles):
+            if ft is None:
+                infeasible.add(case)
+                continue
+            opt = optimize_topology(ft, b, alpha, cfg)
+            chain = canonicalize(realize_chain(opt.flowed, opt.placement))
+            value = alpha_mass(chain, alpha)
+            if case not in values or value < values[case]:
+                values[case] = value
+            evaluated.append((value, case, chain))
 
-    infeasible = [c for c in infeasible if c not in values]
+    infeasible -= values.keys()
     evaluated.sort(key=lambda e: (e[0], e[1]))
     best_value, winner_case, winner_chain = evaluated[0]
 
@@ -390,12 +409,23 @@ def four_point_instance(k: int, displacements: tuple[float, float, float, float]
 def estimate_rho(alpha: float, k: int, iters: int = 10,
                  rho_max: float = 0.5) -> float:
     """Largest sampled off-axis displacement for which every canonical
-    four-point instance still classifies as W or Z, found by bisection."""
+    four-point instance still classifies as W or Z, found by bisection.
+
+    Each step tries first the sample that failed last: near the threshold
+    one sample tends to fail step after step, and trying it first spares
+    solving the others.  The order cannot change rho, since a step passes
+    exactly when every sample classifies as W or Z.
+    """
+    first = 0   # index of the sample that failed last
 
     def ok(rho: float) -> bool:
-        for disp in _rho_samples(rho):
+        nonlocal first
+        samples = list(enumerate(_rho_samples(rho)))
+        samples.insert(0, samples.pop(first))
+        for i, disp in samples:
             cls = local4_solve(four_point_instance(k, disp), alpha)
             if cls.label not in ("W", "Z"):
+                first = i
                 return False
         return True
 

@@ -28,6 +28,8 @@ about 2e-2 (relative) below the value even at the smallest eps.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -604,20 +606,60 @@ class OptimizedTopology:
     converged: bool
 
 
+# minimize results shared by the optimize_topology calls of one solve; see
+# _sharing_minimizations
+_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
+
+
+@contextmanager
+def _sharing_minimizations():
+    """Let the :func:`optimize_topology` calls in this block reuse each
+    other's :func:`minimize` results.
+
+    Every call in the block must use the same boundary, alpha and config:
+    results are keyed on a flowed topology's edges and flows alone, which
+    spares hashing its rational terminal masses on every lookup.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
                       cfg: OptimizeConfig | None = None) -> OptimizedTopology:
-    """Minimize, then merge collapsed vertices and re-minimize until stable."""
+    """Minimize, then merge collapsed vertices and re-minimize until stable.
+
+    A re-minimization starts afresh from the barycentric start of the
+    contracted topology; the merged placement of :func:`detect_collapse` is
+    discarded.  Its result is therefore a function of the contracted
+    flowed topology alone, so reusing it is exact: inside
+    :func:`_sharing_minimizations`, a flowed topology that an earlier call
+    already minimized (several topologies can contract onto one) is not
+    minimized again.  The reported iterations include reused ones.
+    """
     cfg = cfg or OptimizeConfig()
+    memo = _shared.get()
+    if memo is None:
+        memo = {}
+
+    def run(ft: FlowedTopology) -> MinimizeResult:
+        key = (ft.topology.edges, ft.edge_flows)
+        if key not in memo:
+            memo[key] = minimize(ft, b, alpha, cfg)
+        return memo[key]
+
     iters = 0
     for _ in range(4):
-        res = minimize(ft, b, alpha, cfg)
+        res = run(ft)
         iters += res.iterations
         new_ft, new_pl = detect_collapse(ft, res.placement, cfg)
         if new_ft is ft:
             return OptimizedTopology(ft, res.placement, res.value,
                                      res.residual, iters, res.converged)
         ft = new_ft
-    res = minimize(ft, b, alpha, cfg)
+    res = run(ft)
     iters += res.iterations
     return OptimizedTopology(ft, res.placement, res.value, res.residual,
                              iters, res.converged)
