@@ -9,24 +9,15 @@ from .perturb import (LocalClassification, LocalFourPointInstance,
                       PerturbationSpec, build_wz, end_to_end_uniqueness,
                       estimate_k0, estimate_rho, four_point_instance,
                       local4_solve, perturb, verify_perturbation_bounds)
-from .placement import (MinimizeResult, OptimizeConfig, Placement,
-                        detect_collapse, energy, minimize, realize_chain,
-                        stationarity_residual, subgradient)
 from .solver import (InternalConsistencyError, MinimizerRecord, SolveReport,
                      SolverConfig, brute_force_value, is_in_A_C, magic_points,
                      quantize_boundary, quantize_chain, solve)
-from .topology import (FlowedTopology, InfeasibleTopologyError,
-                       SteinerTopology, assign_flows, enumerate_topologies)
 
 __all__ = [
     "Boundary", "PolyhedralChain", "Segment", "alpha_mass", "boundary",
     "branch_points", "canonicalize", "chain_of", "has_loop", "make_boundary",
     "mass", "restrict_ball", "restrict_outside", "support_difference_mass",
     "FlatWitness", "flat_distance", "flat_norm",
-    "SteinerTopology", "FlowedTopology", "InfeasibleTopologyError",
-    "assign_flows", "enumerate_topologies",
-    "OptimizeConfig", "Placement", "MinimizeResult", "energy", "minimize",
-    "subgradient", "stationarity_residual", "detect_collapse", "realize_chain",
     "SolverConfig", "SolveReport", "MinimizerRecord", "InternalConsistencyError",
     "solve", "is_in_A_C", "magic_points", "quantize_boundary", "quantize_chain",
     "brute_force_value",

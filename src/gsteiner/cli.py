@@ -95,7 +95,7 @@ def _cmd_solve(args) -> int:
     if args.verbose:
         def trace(rec):
             print(json.dumps(rec, sort_keys=True), file=sys.stderr)
-        cfg = replace(cfg, optimize=replace(cfg.optimize, trace=trace))
+        cfg = replace(cfg, trace=trace)
     report = solve(inst.boundary, cfg)
     obj = fileio.report_to_obj(report)
     text = fileio.dump_json(obj, args.report)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Point = tuple[float, ...]
 
@@ -35,10 +35,6 @@ GEOM_TOL = 1e-9
 
 def vsub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
-
-
-def vadd(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
 
 
 def vdot(p: Point, q: Point) -> float:
@@ -132,10 +128,6 @@ class PolyhedralChain:
         return self + (-other)
 
 
-def empty_chain(dim: int = 2) -> PolyhedralChain:
-    return PolyhedralChain((), canonical=True)
-
-
 def chain_of(segments: Iterable[tuple[Point, Point, Fraction | int]],
              canonical: bool = False) -> PolyhedralChain:
     return PolyhedralChain(
@@ -143,9 +135,8 @@ def chain_of(segments: Iterable[tuple[Point, Point, Fraction | int]],
 
 
 def scale_chain(chain: PolyhedralChain, c: Fraction | int) -> PolyhedralChain:
+    """Every multiplicity times the nonzero ``c``."""
     c = Fraction(c)
-    if c == 0:
-        return empty_chain(chain.dim)
     return PolyhedralChain(
         tuple(Segment(s.start, s.end, c * s.mult) for s in chain.segments),
         canonical=chain.canonical)
@@ -160,6 +151,8 @@ class Boundary:
         pts = [p for p, _ in self.atoms]
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate atom points")
+        if len({len(p) for p in pts}) > 1:
+            raise ValueError("atoms of mixed dimensions")
         if any(m == 0 for _, m in self.atoms):
             raise ValueError("zero-mass atom")
         object.__setattr__(self, "atoms", tuple(sorted(self.atoms, key=lambda a: a[0])))
@@ -523,11 +516,3 @@ def support_difference_mass(t1: PolyhedralChain, t2: PolyhedralChain,
     diff = canonicalize(t1 - t2, tol=tol)
     return mass(diff)
 
-
-def iter_vertices(chain: PolyhedralChain) -> Iterator[Point]:
-    seen = set()
-    for s in chain.segments:
-        for p in (s.start, s.end):
-            if p not in seen:
-                seen.add(p)
-                yield p

@@ -2,11 +2,12 @@
 
 Rational masses travel as strings "num/den" (or "num" when integral) so
 that files round-trip without float drift.  Instance files carry the
-boundary plus optional solver overrides:
+boundary plus optional solver overrides (these three keys only; any other
+is rejected):
 
     {"dim": 2, "alpha": 0.6,
      "atoms": [{"p": [0.0, 0.0], "m": "-1"}, ...],
-     "config": {"value_tol": 1e-7, ...},
+     "config": {"value_tol": 1e-7, "distinct_tol": 1e-5, "max_terminals": 6},
      "seed": 0}
 
 Chains use {"segments": [{"a": [...], "b": [...], "m": "num/den"}]}.
@@ -16,14 +17,12 @@ Report bodies are deterministic: identical inputs serialize byte-identically
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from .currents import Boundary, PolyhedralChain, Segment, make_boundary
 from .flat import FlatWitness
-from .placement import OptimizeConfig
 from .solver import SolveReport, SolverConfig
 
 SCHEMA_VERSION = "1"
@@ -100,24 +99,21 @@ class InstanceFile:
     seed: int
 
 
+# the solver settings an instance file or a flag may set, with their types
+_CONFIG_KEYS = {"value_tol": float, "distinct_tol": float, "max_terminals": int}
+
+
 def parse_instance(obj: dict) -> InstanceFile:
     b = obj_to_boundary(obj)
     alpha = float(obj["alpha"]) if "alpha" in obj else None
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    return InstanceFile(b, alpha, dict(obj.get("config", {})),
-                        int(obj.get("seed", 0)))
-
-
-def instance_to_obj(inst: InstanceFile) -> dict:
-    obj = boundary_to_obj(inst.boundary)
-    if inst.alpha is not None:
-        obj["alpha"] = inst.alpha
-    if inst.config:
-        obj["config"] = dict(inst.config)
-    if inst.seed:
-        obj["seed"] = inst.seed
-    return obj
+    config = dict(obj.get("config", {}))
+    unknown = sorted(set(config) - _CONFIG_KEYS.keys())
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}"
+                         f"; the keys are {', '.join(_CONFIG_KEYS)}")
+    return InstanceFile(b, alpha, config, int(obj.get("seed", 0)))
 
 
 def load_json(path: str) -> dict:
@@ -134,41 +130,17 @@ def dump_json(obj: dict, path: str | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# solver configuration: flags > file config > environment > defaults
+# solver configuration: flags > file config > defaults
 # ---------------------------------------------------------------------------
-
-_ENV_KEYS = {
-    "value_tol": "GSTEINER_VALUE_TOL",
-    "distinct_tol": "GSTEINER_DISTINCT_TOL",
-    "tol_grad": "GSTEINER_TOL_GRAD",
-    "tol_collapse": "GSTEINER_TOL_COLLAPSE",
-    "max_terminals": "GSTEINER_MAX_TERMINALS",
-}
-
 
 def build_solver_config(alpha: float, file_config: dict | None = None,
                         overrides: dict | None = None) -> SolverConfig:
-    merged: dict[str, Any] = {}
-    for key, env in _ENV_KEYS.items():
-        if env in os.environ:
-            merged[key] = float(os.environ[env])
-    merged.update(file_config or {})
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            merged[key] = val
-
-    opt_keys = {"tol_grad", "tol_collapse", "eps_init", "eps_decay",
-                "eps_min", "max_iters"}
-    opt_kwargs = {k: (int(v) if k == "max_iters" else float(v))
-                  for k, v in merged.items() if k in opt_keys}
-    cfg_kwargs = {}
-    for k in ("value_tol", "distinct_tol"):
-        if k in merged:
-            cfg_kwargs[k] = float(merged[k])
-    if "max_terminals" in merged:
-        cfg_kwargs["max_terminals"] = int(merged["max_terminals"])
-    return SolverConfig(alpha=alpha, optimize=OptimizeConfig(**opt_kwargs),
-                        **cfg_kwargs)
+    """``SolverConfig`` from an instance file's ``"config"`` and the flags;
+    a flag left ``None`` does not override."""
+    merged = dict(file_config or {})
+    merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return SolverConfig(alpha=alpha,
+                        **{k: _CONFIG_KEYS[k](v) for k, v in merged.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from .currents import (Boundary, PolyhedralChain, Point, Segment, alpha_mass,
                        boundary, branch_points, canonicalize, dist,
                        make_boundary, scale_chain, support_difference_mass)
 from .flat import flat_distance
-from .placement import (OptimizeConfig, _sharing_minimizations,
-                        optimize_topology, realize_chain)
+from .placement import _sharing_minimizations, optimize_topology, realize_chain
 from .solver import SolveReport, SolverConfig, magic_points, solve
 from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
                        assign_flows)
@@ -292,7 +291,7 @@ def _local4_candidates(masses: tuple[Fraction, ...], roles: tuple[str, ...]
     """
     b = Boundary(tuple(((float(i),), m) for i, m in enumerate(masses)))
     out = []
-    for topo in _all_forests(b, 2):
+    for topo in _all_forests(b):
         try:
             ft = assign_flows(topo, b)
         except InfeasibleTopologyError:
@@ -304,9 +303,11 @@ def _local4_candidates(masses: tuple[Fraction, ...], roles: tuple[str, ...]
     return tuple(out)
 
 
-def local4_solve(inst: LocalFourPointInstance, alpha: float,
-                 cfg: OptimizeConfig | None = None,
-                 match_tol: float = 1e-5) -> LocalClassification:
+# overlap tolerance of the W/Z support match, relative to 1 + theta
+_MATCH_TOL = 1e-5
+
+
+def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassification:
     """Evaluate every admissible local support and classify the winner.
 
     Flows are forced by the boundary; cases whose support cannot carry it
@@ -315,7 +316,6 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float,
     two-branch cases are optimized.  The winner's label is W or Z when its
     canonical support matches the corresponding canonical competitor.
     """
-    cfg = cfg or OptimizeConfig()
     b = inst.boundary()
     where = {inst.a: "A", inst.b: "B", inst.c: "C", inst.d: "D"}
     roles = tuple(where[p] for p, _ in b.atoms)
@@ -328,7 +328,7 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float,
             if ft is None:
                 infeasible.add(case)
                 continue
-            opt = optimize_topology(ft, b, alpha, cfg)
+            opt = optimize_topology(ft, b, alpha)
             chain = canonicalize(realize_chain(opt.flowed, opt.placement))
             value = alpha_mass(chain, alpha)
             if case not in values or value < values[case]:
@@ -340,10 +340,10 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float,
     best_value, winner_case, winner_chain = evaluated[0]
 
     w, z = build_wz(inst)
-    scale_tol = match_tol * (1.0 + float(inst.theta))
-    if support_difference_mass(winner_chain, canonicalize(z), match_tol) <= scale_tol:
+    scale_tol = _MATCH_TOL * (1.0 + float(inst.theta))
+    if support_difference_mass(winner_chain, canonicalize(z), _MATCH_TOL) <= scale_tol:
         label = "Z"
-    elif support_difference_mass(winner_chain, canonicalize(w), match_tol) <= scale_tol:
+    elif support_difference_mass(winner_chain, canonicalize(w), _MATCH_TOL) <= scale_tol:
         label = "W"
     else:
         label = f"CASE_{winner_case}"
@@ -406,10 +406,14 @@ def four_point_instance(k: int, displacements: tuple[float, float, float, float]
         theta=theta, k=k)
 
 
-def estimate_rho(alpha: float, k: int, iters: int = 10,
-                 rho_max: float = 0.5) -> float:
-    """Largest sampled off-axis displacement for which every canonical
-    four-point instance still classifies as W or Z, found by bisection.
+# the largest displacement estimate_rho tries
+_RHO_MAX = 0.5
+
+
+def estimate_rho(alpha: float, k: int, iters: int = 10) -> float:
+    """Largest sampled off-axis displacement, at most ``_RHO_MAX``, for which
+    every canonical four-point instance still classifies as W or Z, found by
+    ``iters`` bisection steps.
 
     Each step tries first the sample that failed last: near the threshold
     one sample tends to fail step after step, and trying it first spares
@@ -429,9 +433,9 @@ def estimate_rho(alpha: float, k: int, iters: int = 10,
                 return False
         return True
 
-    lo, hi = 0.0, rho_max
-    if ok(rho_max):
-        return rho_max
+    lo, hi = 0.0, _RHO_MAX
+    if ok(_RHO_MAX):
+        return _RHO_MAX
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if ok(mid):

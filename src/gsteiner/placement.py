@@ -17,6 +17,15 @@ Optimality is certified by the minimal-norm subgradient residual: edges of
 near-zero length contribute a ball of radius w_e to the subdifferential, so
 the residual at a collapsed vertex is max(0, |g| - sum of collapsed w_e).
 
+The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
+shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
+the largest terminal distance), and all stages together run at most
+``MAX_ITERS`` iterations; a run that exhausts them returns its last
+smoothed iterate without the snap step.  Edges not longer than
+``TOL_COLLAPSE`` (instance units) count as collapsed, in the residual and
+in :func:`detect_collapse`, and :func:`minimize` reports convergence when
+the residual is at most ``TOL_GRAD``.
+
 A lower bound on the minimum comes from weak duality (Xue & Ye, SIAM J.
 Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
 placement into a feasible point of the dual problem, and
@@ -30,7 +39,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -40,31 +49,17 @@ from .currents import Point, PolyhedralChain, Segment, Boundary, dist
 from .topology import FlowedTopology, SteinerTopology, _normalize
 
 
-@dataclass(frozen=True)
-class OptimizeConfig:
-    """Knobs for the smoothed Weiszfeld solve; all lengths in instance units.
+TOL_GRAD = 1e-8
+TOL_COLLAPSE = 1e-7
+EPS_INIT = 2e-2
+EPS_DECAY = 0.2
+EPS_MIN = 2e-7
+MAX_ITERS = 20000
 
-    ``max_iters`` caps the iterations over all smoothing stages; a run that
-    exhausts it returns its last smoothed iterate without the snap step.
-
-    ``trace``, when set, receives one JSON-serializable record per smoothing
-    stage (iteration count, eps, current energy) plus a final record with the
-    stationarity residual; :func:`lower_bound` sends one record with
-    ``"stage": "bound"`` instead.
-    """
-    tol_grad: float = 1e-8
-    tol_collapse: float = 1e-7
-    eps_init: float = 2e-2
-    eps_decay: float = 0.2
-    eps_min: float = 2e-7
-    max_iters: int = 20000
-    trace: Callable[[dict], None] | None = None
-
-    def __post_init__(self):
-        if min(self.tol_grad, self.tol_collapse, self.eps_init, self.eps_min) <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.eps_decay < 1:
-            raise ValueError("eps_decay must lie in (0, 1)")
+# receives one JSON-serializable record per smoothing stage (iteration count,
+# eps, current energy) plus a final one with the stationarity residual;
+# lower_bound sends one record with "stage": "bound" instead
+Trace = Callable[[dict], None]
 
 
 @dataclass(frozen=True)
@@ -87,10 +82,6 @@ class MinimizeResult:
     converged: bool
 
 
-def placement_for(b: Boundary, branch: tuple[Point, ...] = ()) -> Placement:
-    return Placement(tuple(p for p, _ in b.atoms), tuple(branch))
-
-
 def _weights(ft: FlowedTopology, alpha: float) -> list[float]:
     return [abs(float(f)) ** alpha for f in ft.edge_flows]
 
@@ -103,41 +94,10 @@ def energy(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
         for wi, (u, v) in zip(w, ft.topology.edges))
 
 
-def smoothed_energy(ft: FlowedTopology, pl: Placement, alpha: float,
-                    eps: float) -> float:
-    w = _weights(ft, alpha)
-    total = 0.0
-    for wi, (u, v) in zip(w, ft.topology.edges):
-        d2 = sum((a - b) ** 2 for a, b in zip(pl.position(u), pl.position(v)))
-        total += wi * math.sqrt(d2 + eps * eps)
-    return total
-
-
-def subgradient(ft: FlowedTopology, pl: Placement, alpha: float) -> tuple[Point, ...]:
-    """One subgradient of F per branch vertex (zero for coincident edges)."""
-    n = ft.topology.n_terminals
-    m = ft.topology.n_branch
-    d = len(pl.terminals[0]) if pl.terminals else 2
-    w = _weights(ft, alpha)
-    grads = [[0.0] * d for _ in range(m)]
-    for wi, (u, v) in zip(w, ft.topology.edges):
-        pu, pv = pl.position(u), pl.position(v)
-        length = dist(pu, pv)
-        if length == 0.0:
-            continue
-        for (vertex, here, there) in ((u, pu, pv), (v, pv, pu)):
-            if vertex >= n:
-                g = grads[vertex - n]
-                for i in range(d):
-                    g[i] += wi * (here[i] - there[i]) / length
-    return tuple(tuple(g) for g in grads)
-
-
-def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float,
-                          coincide_tol: float = 1e-7) -> float:
+def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
     """Max over branch vertices of the minimal-norm subgradient norm.
 
-    Edges shorter than ``coincide_tol`` are treated as collapsed: they
+    Edges not longer than ``TOL_COLLAPSE`` are treated as collapsed: they
     contribute a ball of radius w_e rather than a unit direction.
     """
     n = ft.topology.n_terminals
@@ -158,7 +118,7 @@ def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float,
             here = pl.position(v0)
             there = pl.position(other)
             length = dist(here, there)
-            if length <= coincide_tol:
+            if length <= TOL_COLLAPSE:
                 ball += wi
             else:
                 for i in range(d):
@@ -193,7 +153,8 @@ def _barycentric_init(ft: FlowedTopology, terminals: tuple[Point, ...]) -> list[
 
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
-                cfg: OptimizeConfig) -> tuple[list[list[float]], int, float]:
+                max_iters: int, trace: Trace | None
+                ) -> tuple[list[list[float]], int, float]:
     """Smoothed Weiszfeld from the barycentric start.
 
     Returns the positions, the iteration count and the last eps.
@@ -216,8 +177,10 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
             incident[v - n].append((wi, u))
 
     if d == 2:
-        return _weiszfeld_2d(t.edges, w, incident, terminals, pos, cfg, scale)
-    return _weiszfeld_nd(t.edges, w, incident, terminals, pos, cfg, scale, d)
+        return _weiszfeld_2d(t.edges, w, incident, terminals, pos, scale,
+                             max_iters, trace)
+    return _weiszfeld_nd(t.edges, w, incident, terminals, pos, scale,
+                         max_iters, trace, d)
 
 
 def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
@@ -228,29 +191,28 @@ def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
 
 
 def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
-             cfg: OptimizeConfig | None = None) -> MinimizeResult:
+             trace: Trace | None = None) -> MinimizeResult:
     """Minimize the location energy for a flowed topology over ``b``.
 
-    Deterministic given the config: barycentric initialization, smoothed
-    Weiszfeld sweeps with a geometric eps schedule, nearest-vertex snapping
-    when it strictly improves the exact energy.
+    Deterministic: barycentric initialization, smoothed Weiszfeld sweeps
+    with a geometric eps schedule, nearest-vertex snapping when it strictly
+    improves the exact energy.  ``trace`` receives the per-stage records.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    cfg = cfg or OptimizeConfig()
     terminals = _terminals_for(ft, b)
     if ft.topology.n_branch == 0:
         pl = Placement(terminals, ())
         return MinimizeResult(pl, energy(ft, pl, alpha), 0.0, 0, True)
 
-    pos, iters, _ = _run_kernel(ft, terminals, alpha, cfg)
+    pos, iters, _ = _run_kernel(ft, terminals, alpha, MAX_ITERS, trace)
     pl = Placement(terminals, tuple(tuple(x) for x in pos))
-    res = stationarity_residual(ft, pl, alpha, coincide_tol=cfg.tol_collapse)
+    res = stationarity_residual(ft, pl, alpha)
     value = energy(ft, pl, alpha)
-    if cfg.trace is not None:
-        cfg.trace({"stage": "done", "iteration": iters, "value": value,
-                   "residual": res})
-    return MinimizeResult(pl, value, res, iters, res <= cfg.tol_grad)
+    if trace is not None:
+        trace({"stage": "done", "iteration": iters, "value": value,
+               "residual": res})
+    return MinimizeResult(pl, value, res, iters, res <= TOL_GRAD)
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +268,29 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
 
 
 def lower_bound(ft: FlowedTopology, b: Boundary, alpha: float,
-                cfg: OptimizeConfig | None = None) -> float:
+                trace: Trace | None = None) -> float:
     """:func:`dual_bound` at the placement reached by a short kernel run.
 
     The kernel of :func:`minimize` runs for at most ``_BOUND_ITERS``
     iterations, and the bound is taken at its last smoothing parameter.
-    ``cfg.trace`` receives one record with ``"stage": "bound"``.
+    ``trace`` receives one record with ``"stage": "bound"``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    cfg = cfg or OptimizeConfig()
     terminals = _terminals_for(ft, b)
     pos, iters, eps = [], 0, 0.0
     if ft.topology.n_branch:
-        pos, iters, eps = _run_kernel(
-            ft, terminals, alpha,
-            replace(cfg, max_iters=min(cfg.max_iters, _BOUND_ITERS), trace=None))
+        pos, iters, eps = _run_kernel(ft, terminals, alpha, _BOUND_ITERS, None)
     bound = dual_bound(ft, Placement(terminals, tuple(tuple(x) for x in pos)),
                        alpha, eps)
-    if cfg.trace is not None:
-        cfg.trace({"stage": "bound", "iteration": iters, "bound": bound})
+    if trace is not None:
+        trace({"stage": "bound", "iteration": iters, "bound": bound})
     return bound
 
 
-def _weiszfeld_2d(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
-                  scale: float) -> tuple[list[list[float]], int, float]:
+def _weiszfeld_2d(edges, w, incident, terminals, pos, scale: float,
+                  max_iters: int, trace: Trace | None
+                  ) -> tuple[list[list[float]], int, float]:
     """Planar hot path: flat float arithmetic, no temporaries."""
     n = len(terminals)
     m = len(pos)
@@ -344,8 +304,8 @@ def _weiszfeld_2d(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
         return total
 
     iters = 0
-    eps = cfg.eps_init * scale
-    eps_floor = cfg.eps_min * scale
+    eps = EPS_INIT * scale
+    eps_floor = EPS_MIN * scale
     move_tol = 1e-11 * scale
     while True:
         e2 = eps * eps
@@ -375,7 +335,7 @@ def _weiszfeld_2d(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
                 pos[bi][1] = ny
             if move <= stage_tol:
                 break
-            if iters >= cfg.max_iters:
+            if iters >= max_iters:
                 return pos, iters, eps
         # snap to the nearest vertex when that strictly improves exact F
         current = exact_energy()
@@ -397,17 +357,18 @@ def _weiszfeld_2d(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
                 current = trial
             else:
                 pos[bi][0], pos[bi][1] = saved
-        if cfg.trace is not None:
-            cfg.trace({"stage": "eps", "iteration": iters, "eps": eps,
-                       "value": current})
+        if trace is not None:
+            trace({"stage": "eps", "iteration": iters, "eps": eps,
+                   "value": current})
         if eps <= eps_floor:
             break
-        eps = max(eps * cfg.eps_decay, eps_floor)
+        eps = max(eps * EPS_DECAY, eps_floor)
     return pos, iters, eps
 
 
-def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
-                  scale: float, d: int) -> tuple[list[list[float]], int, float]:
+def _weiszfeld_nd(edges, w, incident, terminals, pos, scale: float,
+                  max_iters: int, trace: Trace | None, d: int
+                  ) -> tuple[list[list[float]], int, float]:
     n = len(terminals)
     m = len(pos)
 
@@ -422,8 +383,8 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
         return total
 
     iters = 0
-    eps = cfg.eps_init * scale
-    eps_floor = cfg.eps_min * scale
+    eps = EPS_INIT * scale
+    eps_floor = EPS_MIN * scale
     move_tol = 1e-11 * scale
     while True:
         e2 = eps * eps
@@ -448,7 +409,7 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
                 pos[bi] = newx
             if move <= stage_tol:
                 break
-            if iters >= cfg.max_iters:
+            if iters >= max_iters:
                 return pos, iters, eps
         current = exact_energy()
         for bi in range(m):
@@ -462,12 +423,12 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
                 current = trial
             else:
                 pos[bi] = saved
-        if cfg.trace is not None:
-            cfg.trace({"stage": "eps", "iteration": iters, "eps": eps,
-                       "value": current})
+        if trace is not None:
+            trace({"stage": "eps", "iteration": iters, "eps": eps,
+                   "value": current})
         if eps <= eps_floor:
             break
-        eps = max(eps * cfg.eps_decay, eps_floor)
+        eps = max(eps * EPS_DECAY, eps_floor)
     return pos, iters, eps
 
 
@@ -475,16 +436,15 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, cfg: OptimizeConfig,
 # collapse handling and realization
 # ---------------------------------------------------------------------------
 
-def detect_collapse(ft: FlowedTopology, pl: Placement,
-                    cfg: OptimizeConfig | None = None) -> tuple[FlowedTopology, Placement]:
-    """Merge branch vertices lying within ``tol_collapse`` of a vertex.
+def detect_collapse(ft: FlowedTopology, pl: Placement
+                    ) -> tuple[FlowedTopology, Placement]:
+    """Merge branch vertices lying within ``TOL_COLLAPSE`` of a vertex.
 
     Clusters never contain two terminals.  Edges interior to a cluster are
     removed (their flow is conserved), parallel edges are combined, and
     branch vertices left with degree < 3 are spliced out; the resulting
     topology is flagged degenerate so downstream deduplication can apply.
     """
-    cfg = cfg or OptimizeConfig()
     t = ft.topology
     n, m = t.n_terminals, t.n_branch
     if m == 0:
@@ -507,7 +467,7 @@ def detect_collapse(ft: FlowedTopology, pl: Placement,
             if u < v:
                 pairs.append((dist(pl.position(u), pl.position(v)), u, v))
     for dd, u, v in sorted(pairs):
-        if dd > cfg.tol_collapse:
+        if dd > TOL_COLLAPSE:
             break
         if u < n and v < n:
             continue
@@ -616,8 +576,8 @@ def _sharing_minimizations():
     """Let the :func:`optimize_topology` calls in this block reuse each
     other's :func:`minimize` results.
 
-    Every call in the block must use the same boundary, alpha and config:
-    results are keyed on a flowed topology's edges and flows alone, which
+    Every call in the block must use the same boundary and alpha: results
+    are keyed on a flowed topology's edges and flows alone, which
     spares hashing its rational terminal masses on every lookup.
     """
     token = _shared.set({})
@@ -628,7 +588,7 @@ def _sharing_minimizations():
 
 
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
-                      cfg: OptimizeConfig | None = None) -> OptimizedTopology:
+                      trace: Trace | None = None) -> OptimizedTopology:
     """Minimize, then merge collapsed vertices and re-minimize until stable.
 
     A re-minimization starts afresh from the barycentric start of the
@@ -639,7 +599,6 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     already minimized (several topologies can contract onto one) is not
     minimized again.  The reported iterations include reused ones.
     """
-    cfg = cfg or OptimizeConfig()
     memo = _shared.get()
     if memo is None:
         memo = {}
@@ -647,14 +606,14 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     def run(ft: FlowedTopology) -> MinimizeResult:
         key = (ft.topology.edges, ft.edge_flows)
         if key not in memo:
-            memo[key] = minimize(ft, b, alpha, cfg)
+            memo[key] = minimize(ft, b, alpha, trace)
         return memo[key]
 
     iters = 0
     for _ in range(4):
         res = run(ft)
         iters += res.iterations
-        new_ft, new_pl = detect_collapse(ft, res.placement, cfg)
+        new_ft, new_pl = detect_collapse(ft, res.placement)
         if new_ft is ft:
             return OptimizedTopology(ft, res.placement, res.value,
                                      res.residual, iters, res.converged)

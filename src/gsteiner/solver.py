@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -62,8 +62,8 @@ import numpy as np
 from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
                        branch_points, canonicalize, dist, lerp,
                        support_difference_mass, vdot, vsub)
-from .placement import (OptimizeConfig, Placement, _sharing_minimizations,
-                        lower_bound, optimize_topology, realize_chain)
+from .placement import (Placement, Trace, _sharing_minimizations, lower_bound,
+                        optimize_topology, realize_chain)
 from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
                        assign_flows, enumerate_topologies)
 
@@ -74,11 +74,13 @@ class InternalConsistencyError(AssertionError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """``trace`` receives the placement kernel's diagnostic records (see
+    :func:`placement.minimize` and :func:`placement.lower_bound`)."""
     alpha: float
     value_tol: float = 1e-7
     distinct_tol: float = 1e-5
     max_terminals: int = 6
-    optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
+    trace: Trace | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -94,10 +96,6 @@ class MinimizerRecord:
     residual: float
     placement: Placement
     flowed: FlowedTopology
-
-    @property
-    def n_branch(self) -> int:
-        return self.flowed.topology.n_branch
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
             stats["duplicates"] += 1
             continue
         seen.add(sig)
-        queue.append((lower_bound(ft, b, cfg.alpha, cfg.optimize), repr(sig), ft))
+        queue.append((lower_bound(ft, b, cfg.alpha, cfg.trace), repr(sig), ft))
     queue.sort(key=lambda q: (q[0], q[1]))
 
     candidates: list[tuple[float, str, MinimizerRecord]] = []
@@ -158,7 +156,7 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
                 # a topology is optimized, so every later topology goes too
                 stats["pruned"] = len(queue) - i
                 break
-            opt = optimize_topology(ft, b, cfg.alpha, cfg.optimize)
+            opt = optimize_topology(ft, b, cfg.alpha, cfg.trace)
             stats["optimized"] += 1
             chain = canonicalize(realize_chain(opt.flowed, opt.placement))
             value = alpha_mass(chain, cfg.alpha)
@@ -203,19 +201,19 @@ def is_in_A_C(b: Boundary, c: float, cfg: SolverConfig) -> bool:
 # distinguishing (magic) points
 # ---------------------------------------------------------------------------
 
-def magic_points(report: SolveReport, target_index: int = 0,
-                 tol: float | None = None) -> tuple[Point, ...]:
+def magic_points(report: SolveReport, target_index: int = 0) -> tuple[Point, ...]:
     """Interior points of the target minimizer that no other minimizer hits.
 
     For each other minimizer, returns the midpoint of the longest maximal
     sub-segment of supp(target) \\ supp(other), nudged away from branch
-    points, boundary atoms and transversal crossings of all minimizers.
-    Raises :class:`InternalConsistencyError` when two reported minimizers
-    share their support (they would then be the same current).
+    points, boundary atoms and transversal crossings of all minimizers, with
+    the report's ``distinct_tol`` as the overlap tolerance.  Raises
+    :class:`InternalConsistencyError` when two reported minimizers share
+    their support (they would then be the same current).
     """
     if not report.minimizers:
         raise ValueError("report has no minimizers")
-    tol = tol if tol is not None else report.distinct_tol
+    tol = report.distinct_tol
     target = report.minimizers[target_index].chain
     others = [m.chain for i, m in enumerate(report.minimizers)
               if i != target_index]
@@ -341,14 +339,17 @@ def quantize_boundary(b: Boundary, eta: Fraction, cfg: SolverConfig) -> Boundary
 # independent grid oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_value(b: Boundary, alpha: float,
-                      grid_step: float = 1e-3) -> float:
+# finest step of the oracle's pattern search
+_GRID_STEP = 1e-3
+
+
+def brute_force_value(b: Boundary, alpha: float) -> float:
     """Grid-search oracle for the optimal cost, independent of the solver.
 
     For every flowed forest of the exhaustive generator (not the solver's
     full-topology candidate set) the location energy is minimized over grid
     positions inside the bounding box of the atoms: an exhaustive coarse
-    grid followed by a halving pattern search down to ``grid_step`` (the
+    grid followed by a halving pattern search down to ``_GRID_STEP`` (the
     energy is convex, so grid descent reaches the global basin).  Collapsed
     optima are covered exactly by the degenerate topologies themselves.
     Only instances with at most 2 branch vertices (<= 4 atoms) are accepted.
@@ -374,13 +375,12 @@ def brute_force_value(b: Boundary, alpha: float,
         if sig in seen:
             continue
         seen.add(sig)
-        best = min(best, _grid_minimum(ft, terminals, los, his, alpha, grid_step))
+        best = min(best, _grid_minimum(ft, terminals, los, his, alpha))
     return best
 
 
 def _grid_minimum(ft: FlowedTopology, terminals: list[Point],
-                  los: list[float], his: list[float], alpha: float,
-                  grid_step: float) -> float:
+                  los: list[float], his: list[float], alpha: float) -> float:
     t = ft.topology
     n, m = t.n_terminals, t.n_branch
     dim = len(terminals[0])
@@ -416,11 +416,11 @@ def _grid_minimum(ft: FlowedTopology, terminals: list[Point],
             best_v, best_x = v, x
 
     # halving pattern search with the full diagonal stencil
-    h = max(max(hi - lo for lo, hi in zip(los, his)), grid_step) / 8.0
+    h = max(max(hi - lo for lo, hi in zip(los, his)), _GRID_STEP) / 8.0
     x = list(best_x)
     offsets = [off for off in itertools.product((-1.0, 0.0, 1.0), repeat=nv)
                if any(off)]
-    while h >= grid_step / 2.0:
+    while h >= _GRID_STEP / 2.0:
         improved = True
         while improved:
             improved = False

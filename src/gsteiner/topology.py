@@ -60,9 +60,6 @@ class SteinerTopology:
             if not (0 <= u < v < self.n_terminals + self.n_branch):
                 raise ValueError("edge endpoints out of range or unordered")
 
-    def is_branch(self, v: int) -> bool:
-        return v >= self.n_terminals
-
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges if u == v or w == v)
 
@@ -319,22 +316,19 @@ def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
             )
 
 
-def _all_forests(b: Boundary, max_branch: int | None = None) -> Iterator[SteinerTopology]:
+def _all_forests(b: Boundary) -> Iterator[SteinerTopology]:
     """Every forest topology for the atoms of ``b``, deterministically.
 
     Terminals are indexed by the canonical (sorted) atom order of ``b``.
     Components with unbalanced mass are still emitted; flow assignment
     rejects them.  Singleton components are impossible (their terminal would
-    have degree 0) and are not generated.
+    have degree 0) and are not generated.  A block of s terminals has at
+    most s - 2 branch vertices, so a forest has at most n - 2.
     """
     n = len(b.atoms)
     if n < 2:
         raise ValueError("boundary must have at least 2 atoms")
     masses = tuple(m for _, m in b.atoms)
-    cap = max(0, n - 2)
-    if max_branch is None:
-        max_branch = cap
-    max_branch = min(max_branch, cap)
 
     for partition in _set_partitions(tuple(range(n))):
         blocks = tuple(sorted(tuple(sorted(blk)) for blk in partition))
@@ -351,8 +345,6 @@ def _all_forests(b: Boundary, max_branch: int | None = None) -> Iterator[Steiner
             per_block.append(choices)
         for combo in itertools.product(*per_block):
             total_branch = sum(m for m, _ in combo)
-            if total_branch > max_branch:
-                continue
             edges: list[Edge] = []
             next_branch = n
             for blk, (m, shape) in zip(blocks, combo):
@@ -384,11 +376,6 @@ def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
     masses = tuple(m for _, m in b.atoms)
     if masses != t.terminal_masses:
         raise ValueError("topology terminal masses do not match boundary")
-    return _assign_flows_order(t, list(range(t.n_terminals + t.n_branch)))
-
-
-def _assign_flows_order(t: SteinerTopology, order: list[int]) -> FlowedTopology:
-    """Leaf stripping in a caller-chosen vertex priority (result is unique)."""
     nv = t.n_terminals + t.n_branch
     adj: dict[int, set[int]] = {v: set() for v in range(nv)}
     edge_index: dict[Edge, int] = {}
@@ -406,7 +393,7 @@ def _assign_flows_order(t: SteinerTopology, order: list[int]) -> FlowedTopology:
         if not adj[v]:
             raise InfeasibleTopologyError(f"terminal {v} is isolated")
 
-    stack = [v for v in order if len(adj[v]) == 1]
+    stack = [v for v in range(nv) if len(adj[v]) == 1]
     processed = [False] * nv
     while stack:
         v = stack.pop(0)
@@ -437,15 +424,6 @@ def _assign_flows_order(t: SteinerTopology, order: list[int]) -> FlowedTopology:
     return _normalize(t, [f for f in flows])[0]
 
 
-def assign_flows_reversed(t: SteinerTopology, b: Boundary) -> FlowedTopology:
-    """Same as :func:`assign_flows` with the opposite stripping order."""
-    masses = tuple(m for _, m in b.atoms)
-    if masses != t.terminal_masses:
-        raise ValueError("topology terminal masses do not match boundary")
-    nv = t.n_terminals + t.n_branch
-    return _assign_flows_order(t, list(reversed(range(nv))))
-
-
 def _normalize(t: SteinerTopology, flows: list[Fraction]
                ) -> tuple[FlowedTopology, dict[int, int]]:
     """Drop zero-flow edges, splice degree<3 branch vertices, relabel.
@@ -454,9 +432,6 @@ def _normalize(t: SteinerTopology, flows: list[Fraction]
     """
     edges = [(e, f) for e, f in zip(t.edges, flows) if f != 0]
     changed = len(edges) != len(t.edges)
-
-    def degree(v: int) -> int:
-        return sum(1 for (a, c), _ in edges if a == v or c == v)
 
     # splice branch vertices of degree 2; drop isolated / degree-1 ones
     while True:

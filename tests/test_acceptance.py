@@ -58,7 +58,7 @@ def test_criterion_1_oracle_equivalence():
     failures = []
     for i, (b, alpha) in enumerate(_random_instances(25)):
         got = solve(b, SolverConfig(alpha=alpha)).best_value
-        want = brute_force_value(b, alpha, grid_step=1e-3)
+        want = brute_force_value(b, alpha)
         if abs(got - want) > 1e-2:
             failures.append(f"instance {i}: solver {got} vs oracle {want}")
     _finish(1, "solver matches grid oracle on 25 random instances",

@@ -1,0 +1,41 @@
+"""The package names the benchmark reaches into still exist.
+
+``bench/tracing.py`` patches the functions listed in its ``TRACED`` table and
+``bench/workloads.py`` calls ``gs.<name>`` on the package; an API change that
+drops one of them breaks the benchmark.  Both files are only read here: the
+table is parsed with ``ast``, not imported.
+"""
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import gsteiner
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def traced_table():
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TRACED table")
+
+
+@pytest.mark.parametrize("layer,module,attr", traced_table())
+def test_traced_function_resolves(layer, module, attr):
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)
+
+
+def test_workload_package_names_exported():
+    names = set(re.findall(r"\bgs\.(\w+)", (BENCH / "workloads.py").read_text()))
+    assert names
+    assert sorted(n for n in names
+                  if n not in gsteiner.__all__ or not hasattr(gsteiner, n)) == []

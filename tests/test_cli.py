@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gsteiner import cli, fileio
+from gsteiner import SolverConfig, cli, fileio
 from gsteiner.sweep import SweepSpec, _cell, run_sweep
 
 SQUARE = {
@@ -156,11 +156,13 @@ def test_sweep_deterministic_given_seed():
 
 
 def test_instance_round_trip(square_file):
-    obj = fileio.load_json(square_file)
+    inst = fileio.parse_instance(fileio.load_json(square_file))
+    assert inst.boundary.as_dict() == {
+        (0.0, 0.0): F(-1), (1.0, 1.0): F(-1), (1.0, 0.0): F(1), (0.0, 1.0): F(1)}
+    assert (inst.alpha, inst.config, inst.seed) == (0.95, {}, 0)
+    obj = dict(SQUARE, config={"value_tol": 0.5, "max_terminals": 7}, seed=3)
     inst = fileio.parse_instance(obj)
-    again = fileio.parse_instance(fileio.instance_to_obj(inst))
-    assert again == inst
-    assert fileio.instance_to_obj(again) == fileio.instance_to_obj(inst)
+    assert (inst.config, inst.seed) == ({"value_tol": 0.5, "max_terminals": 7}, 3)
 
 
 def test_chain_round_trip():
@@ -195,12 +197,38 @@ def test_unbalanced_exit_code(tmp_path):
     assert cli.main(["solve", "--input", str(inst)]) == 1
 
 
-def test_env_override_and_flag_precedence(square_file, tmp_path, monkeypatch):
+def test_flag_precedence_over_file_config(monkeypatch):
     monkeypatch.setenv("GSTEINER_VALUE_TOL", "0.25")
     cfg = fileio.build_solver_config(0.5, {}, {})
-    assert cfg.value_tol == 0.25
+    assert cfg == SolverConfig(alpha=0.5)  # the environment is not read
     cfg = fileio.build_solver_config(0.5, {"value_tol": 0.5}, {})
-    assert cfg.value_tol == 0.5  # file beats env
+    assert cfg.value_tol == 0.5  # file beats default
     cfg = fileio.build_solver_config(0.5, {"value_tol": 0.5},
                                      {"value_tol": 0.125})
     assert cfg.value_tol == 0.125  # flag beats file
+    cfg = fileio.build_solver_config(
+        0.5, {"distinct_tol": "1e-3", "max_terminals": 7},
+        {"value_tol": None, "max_terminals": 8})
+    assert (cfg.value_tol, cfg.distinct_tol, cfg.max_terminals) == (1e-7, 1e-3, 8)
+
+
+def test_config_keys_outside_the_three_rejected(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    for config in ({"value_tl": 0.5}, {"value_tol": 0.5, "tol_grad": 1e-9}):
+        path.write_text(json.dumps(dict(SQUARE, config=config)))
+        assert cli.main(["solve", "--input", str(path)]) == 1
+        bad = next(k for k in config if k != "value_tol")
+        assert f"unknown config key(s) {bad!r}" in capsys.readouterr().err
+    path.write_text(json.dumps(dict(SQUARE, config={
+        "value_tol": 1e-6, "distinct_tol": 1e-4, "max_terminals": 4})))
+    assert cli.main(["solve", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["distinct_tol"] == 1e-4
+
+
+def test_mixed_dimension_boundary_exit_code(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"atoms": [{"p": [0.0, 0.0], "m": "-1"},
+                                          {"p": [1.0, 0.0, 5.0], "m": "1"}]}))
+    assert cli.main(["flat-norm", str(path)]) == 1
+    assert cli.main(["solve", "--input", str(path), "--alpha", "0.5"]) == 1
+    assert "mixed dimensions" in capsys.readouterr().err

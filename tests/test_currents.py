@@ -285,6 +285,15 @@ def test_branch_points_boundary_mismatch():
 # dimension generality
 # ---------------------------------------------------------------------------
 
+def test_mixed_dimension_atoms_rejected():
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0, 5.0), F(1))])
+    b2 = make_boundary([((0.0, 0.0), F(-1))])
+    b3 = make_boundary([((1.0, 0.0, 5.0), F(1))])
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        b3 - b2
+
+
 def test_three_dimensional_chain():
     c = canonicalize(chain_of([
         ((0.0, 0.0, 0.0), (1.0, 2.0, 2.0), F(2)),

@@ -47,7 +47,7 @@ def reference_solve(b, cfg, topologies):
         if sig in seen:
             continue
         seen.add(sig)
-        opt = optimize_topology(ft, b, cfg.alpha, cfg.optimize)
+        opt = optimize_topology(ft, b, cfg.alpha)
         chain = canonicalize(realize_chain(opt.flowed, opt.placement))
         candidates.append((alpha_mass(chain, cfg.alpha), repr(sig), chain))
     candidates.sort(key=lambda c: (c[0], c[1]))

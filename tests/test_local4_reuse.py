@@ -38,7 +38,7 @@ def reference_local4_solve(inst, alpha, match_tol=1e-5):
     roles = {i: {inst.a: "A", inst.b: "B", inst.c: "C", inst.d: "D"}[p]
              for i, (p, _) in enumerate(b.atoms)}
     values, infeasible, evaluated = {}, [], []
-    for topo in _all_forests(b, 2):
+    for topo in _all_forests(b):
         case = _case_label(topo, roles)
         try:
             ft = assign_flows(topo, b)
@@ -201,8 +201,8 @@ def test_shared_minimizations_match_fresh_calls_dented_square(
     _, b = perturb(spec)
     seen = []
 
-    def recording(ft, b, alpha, cfg=None):
-        out = optimize_topology(ft, b, alpha, cfg)
+    def recording(ft, b, alpha, trace=None):
+        out = optimize_topology(ft, b, alpha, trace)
         seen.append((ft, out))
         return out
     monkeypatch.setattr(sys.modules["gsteiner.solver"], "optimize_topology",
@@ -213,7 +213,7 @@ def test_shared_minimizations_match_fresh_calls_dented_square(
     n_solve = len(calls)
     for ft, shared in seen:
         assert_same_optimized(shared,
-                              optimize_topology(ft, b, cfg.alpha, cfg.optimize))
+                              optimize_topology(ft, b, cfg.alpha))
     assert n_solve <= len(calls) - n_solve
 
 

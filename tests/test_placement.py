@@ -1,4 +1,4 @@
-"""Location-energy optimizer: analytic optima, subgradients, collapses."""
+"""Location-energy optimizer: analytic optima, residuals, collapses."""
 import math
 import random
 from fractions import Fraction as F
@@ -9,11 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsteiner.currents import make_boundary
-from gsteiner.placement import (OptimizeConfig, Placement, detect_collapse,
-                                dual_bound, energy, lower_bound, minimize,
-                                optimize_topology, realize_chain,
-                                smoothed_energy, stationarity_residual,
-                                subgradient)
+from gsteiner.placement import (Placement, detect_collapse, dual_bound, energy,
+                                lower_bound, minimize, optimize_topology,
+                                realize_chain, stationarity_residual)
 from gsteiner.topology import (InfeasibleTopologyError, assign_flows,
                                enumerate_topologies)
 
@@ -61,49 +59,6 @@ def test_energy_matches_solution_value(v_boundary):
     oracle_value, _ = v_oracle(0.75)
     assert res.value == pytest.approx(oracle_value, abs=1e-6)
     assert energy(ft, res.placement, 0.75) == pytest.approx(res.value)
-
-
-# ---------------------------------------------------------------------------
-# subgradient
-# ---------------------------------------------------------------------------
-
-def test_subgradient_symmetry_axis():
-    b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)),
-                       ((1.0, -0.3), F(1))])
-    ft = y_topology(b)
-    pl = Placement(tuple(p for p, _ in b.atoms), ((0.4, 0.0),))
-    (g,) = subgradient(ft, pl, 0.75)
-    assert g[1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_subgradient_zero_for_coincident_edges():
-    b = make_boundary([((0.0, 0.0), F(-2)), ((0.0, 1.0), F(1)),
-                       ((0.0, -1.0), F(1))])
-    ft = y_topology(b)
-    # branch sits exactly on the source: that edge contributes nothing
-    pl = Placement(tuple(p for p, _ in b.atoms), ((0.0, 0.0),))
-    (g,) = subgradient(ft, pl, 0.5)
-    assert g == pytest.approx((0.0, 0.0))
-
-
-def test_subgradient_matches_finite_differences(v_boundary):
-    ft = y_topology(v_boundary)
-    terminals = tuple(p for p, _ in v_boundary.atoms)
-    rng = random.Random(2)
-    eps = 1e-4
-    for _ in range(10):
-        x = (rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
-        (g,) = subgradient(ft, Placement(terminals, (x,)), 0.6)
-        for i in range(2):
-            lo = list(x)
-            hi = list(x)
-            lo[i] -= 1e-6
-            hi[i] += 1e-6
-            f_lo = smoothed_energy(ft, Placement(terminals, (tuple(lo),)), 0.6, eps)
-            f_hi = smoothed_energy(ft, Placement(terminals, (tuple(hi),)), 0.6, eps)
-            fd = (f_hi - f_lo) / 2e-6
-            # smoothed gradient differs from the exact one by O(eps^2 / len^2)
-            assert g[i] == pytest.approx(fd, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +134,27 @@ def test_residual_at_analytic_angle():
         assert 0.0 < t_star < 1.0
         pl = Placement(tuple(p for p, _ in b.atoms), ((t_star, 0.0),))
         assert stationarity_residual(ft, pl, alpha) <= 1e-6
+
+
+def test_residual_matches_finite_difference_gradient(v_boundary):
+    # away from every vertex the energy is smooth at a one-branch placement,
+    # and the residual is the norm of its gradient
+    ft = y_topology(v_boundary)
+    terminals = tuple(p for p, _ in v_boundary.atoms)
+    rng = random.Random(2)
+    h = 1e-6
+    for _ in range(10):
+        x = (rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
+        grad = []
+        for i in range(2):
+            lo, hi = list(x), list(x)
+            lo[i] -= h
+            hi[i] += h
+            f_lo = energy(ft, Placement(terminals, (tuple(lo),)), 0.6)
+            f_hi = energy(ft, Placement(terminals, (tuple(hi),)), 0.6)
+            grad.append((f_hi - f_lo) / (2 * h))
+        res = stationarity_residual(ft, Placement(terminals, (x,)), 0.6)
+        assert res == pytest.approx(math.hypot(*grad), abs=1e-5)
 
 
 def test_collapsed_residual_uses_ball_reduction():
@@ -341,7 +317,7 @@ def test_bound_tight_at_analytic_y(alpha):
 
 def test_bound_pass_traces_one_record(v_boundary):
     records = []
-    cfg = OptimizeConfig(trace=records.append)
-    bound = lower_bound(y_topology(v_boundary), v_boundary, 0.75, cfg)
+    bound = lower_bound(y_topology(v_boundary), v_boundary, 0.75,
+                        trace=records.append)
     assert [r["stage"] for r in records] == ["bound"]
     assert records[0]["bound"] == bound and 0 < records[0]["iteration"] <= 50

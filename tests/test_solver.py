@@ -225,7 +225,7 @@ def test_brute_force_two_atoms_exact():
 
 
 def test_brute_force_v_instance(v_boundary):
-    bf = brute_force_value(v_boundary, 0.75, grid_step=1e-3)
+    bf = brute_force_value(v_boundary, 0.75)
     r = solve(v_boundary, cfg(0.75))
     assert bf == pytest.approx(r.best_value, abs=1e-2)
 
@@ -237,7 +237,7 @@ def test_brute_force_fermat_star():
     b = make_boundary([((0.0, 1.0), F(-2)), ((-s, 0.0), F(1)), ((s, 0.0), F(1))])
     y = s
     analytic = math.sqrt(2.0) * (1.0 - y) + 2.0 * math.sqrt(s * s + y * y)
-    bf = brute_force_value(b, 0.5, grid_step=1e-3)
+    bf = brute_force_value(b, 0.5)
     assert bf == pytest.approx(analytic, abs=5e-3)
     r = solve(b, cfg(0.5))
     assert r.best_value == pytest.approx(analytic, abs=1e-8)

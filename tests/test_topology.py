@@ -10,8 +10,7 @@ from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, solve
 from gsteiner.topology import (InfeasibleTopologyError, SteinerTopology,
                                _all_forests, _full_shapes, _set_partitions,
-                               assign_flows, assign_flows_reversed,
-                               enumerate_topologies)
+                               assign_flows, enumerate_topologies)
 
 
 def line_boundary(n):
@@ -103,20 +102,14 @@ def test_three_atom_structure():
 
 
 def test_four_atom_double_y_present():
-    tops = list(_all_forests(line_boundary(4), max_branch=2))
+    tops = list(_all_forests(line_boundary(4)))
+    assert max(t.n_branch for t in tops) == 2  # n - 2
     double_y = [t for t in tops if t.n_branch == 2]
     assert len(double_y) == 3  # the three terminal pairings
     for t in double_y:
         assert t.degree(4) == 3 and t.degree(5) == 3
     matchings = [t for t in tops if t.n_branch == 0 and len(t.edges) == 2]
     assert len(matchings) == 3
-
-
-def test_branch_budget_respected():
-    for t in _all_forests(line_boundary(4)):
-        assert t.n_branch <= 2
-    for t in _all_forests(line_boundary(4), max_branch=1):
-        assert t.n_branch <= 1
 
 
 def test_stream_deterministic():
@@ -302,21 +295,6 @@ def test_unbalanced_component_infeasible(square_boundary):
                         tuple(m for _, m in square_boundary.atoms))
     with pytest.raises(InfeasibleTopologyError):
         assign_flows(t, square_boundary)
-
-
-def test_stripping_order_invariance():
-    rng = random.Random(3)
-    for _ in range(10):
-        b = _random_balanced_boundary(rng, 4)
-        for t in _all_forests(b):
-            try:
-                f1 = assign_flows(t, b)
-            except InfeasibleTopologyError:
-                with pytest.raises(InfeasibleTopologyError):
-                    assign_flows_reversed(t, b)
-                continue
-            f2 = assign_flows_reversed(t, b)
-            assert f1.signature() == f2.signature()
 
 
 def test_realized_boundary_exact():
