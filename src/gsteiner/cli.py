@@ -36,8 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--value-tol", type=float, default=None)
     s.add_argument("--distinct-tol", type=float, default=None)
     s.add_argument("--verbose", action="store_true",
-                   help="stream optimizer diagnostics as JSON lines on stderr "
-                        '(records of bounding passes have "stage": "bound")')
+                   help="stream optimizer diagnostics as JSON lines on stderr: "
+                        'one "stage": "bound" record per topology from the '
+                        'batched bounding pass, then "eps" and "done" '
+                        "records from each full optimization")
 
     e = sub.add_parser("enumerate-topologies",
                        help="emit one JSON line per candidate topology")

@@ -17,6 +17,7 @@ Report bodies are deterministic: identical inputs serialize byte-identically
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -140,7 +141,27 @@ def build_solver_config(alpha: float, file_config: dict | None = None,
     merged = dict(file_config or {})
     merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return SolverConfig(alpha=alpha,
-                        **{k: _CONFIG_KEYS[k](v) for k, v in merged.items()})
+                        **{k: _config_value(k, v) for k, v in merged.items()})
+
+
+def _config_value(key: str, value):
+    """``value`` as the type of ``key``: a finite number, or a string that
+    spells one, and an integral one for ``max_terminals``.  Booleans and
+    fractional integers are refused rather than converted."""
+    number = None
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if number is None or not math.isfinite(number):
+        raise ValueError(
+            f"config key {key!r} must be a finite number, not {value!r}")
+    if _CONFIG_KEYS[key] is float:
+        return number
+    if not number.is_integer():
+        raise ValueError(f"config key {key!r} must be an integer, not {value!r}")
+    return int(number)
 
 
 # ---------------------------------------------------------------------------

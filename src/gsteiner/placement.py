@@ -28,11 +28,17 @@ the residual is at most ``TOL_GRAD``.
 
 A lower bound on the minimum comes from weak duality (Xue & Ye, SIAM J.
 Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
-placement into a feasible point of the dual problem, and
-:func:`lower_bound` evaluates it after a short run of the same kernel.
-The solver prunes topologies with it; it is not a stopping rule for
-:func:`minimize`, because on some collapsing topologies it stays up to
-about 2e-2 (relative) below the value even at the smallest eps.
+placement into a feasible point of the dual problem, so the bound is valid
+wherever the placement comes from.  :func:`lower_bounds` evaluates it for
+many topologies at once, in numpy and in any dimension: ``_BOUND_STEPS``
+smoothed Weiszfeld steps of Smith's form (one stacked weighted-Laplacian
+solve per step moves all branch points of a group of topologies), eps
+falling geometrically from ``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the
+dual projection as one more stacked solve.  :func:`dual_bound` is its
+one-topology evaluation.  The solver prunes topologies with these bounds;
+they are not a stopping rule for :func:`minimize`, because on some
+collapsing topologies the bound stays up to about 2e-2 (relative) below
+the value even at the smallest eps.
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,7 +64,7 @@ MAX_ITERS = 20000
 
 # receives one JSON-serializable record per smoothing stage (iteration count,
 # eps, current energy) plus a final one with the stationarity residual;
-# lower_bound sends one record with "stage": "bound" instead
+# lower_bounds sends one record with "stage": "bound" per topology instead
 Trace = Callable[[dict], None]
 
 
@@ -153,19 +159,16 @@ def _barycentric_init(ft: FlowedTopology, terminals: tuple[Point, ...]) -> list[
 
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
-                max_iters: int, trace: Trace | None
-                ) -> tuple[list[list[float]], int, float]:
+                trace: Trace | None) -> tuple[list[list[float]], int]:
     """Smoothed Weiszfeld from the barycentric start.
 
-    Returns the positions, the iteration count and the last eps.
+    Returns the positions and the iteration count.
     """
     t = ft.topology
     n, m = t.n_terminals, t.n_branch
     d = len(terminals[0])
     w = _weights(ft, alpha)
-    scale = max(
-        (dist(p, q) for i, p in enumerate(terminals) for q in terminals[:i]),
-        default=1.0) or 1.0
+    scale = _scale(terminals)
     pos = _barycentric_init(ft, terminals)
 
     # incident edge list per branch vertex: (weight, other vertex)
@@ -177,10 +180,15 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
             incident[v - n].append((wi, u))
 
     if d == 2:
-        return _weiszfeld_2d(t.edges, w, incident, terminals, pos, scale,
-                             max_iters, trace)
-    return _weiszfeld_nd(t.edges, w, incident, terminals, pos, scale,
-                         max_iters, trace, d)
+        return _weiszfeld_2d(t.edges, w, incident, terminals, pos, scale, trace)
+    return _weiszfeld_nd(t.edges, w, incident, terminals, pos, scale, trace, d)
+
+
+def _scale(terminals) -> float:
+    """Largest distance between two terminals (1 if they all coincide)."""
+    return max(
+        (dist(p, q) for i, p in enumerate(terminals) for q in terminals[:i]),
+        default=1.0) or 1.0
 
 
 def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
@@ -205,7 +213,7 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
         pl = Placement(terminals, ())
         return MinimizeResult(pl, energy(ft, pl, alpha), 0.0, 0, True)
 
-    pos, iters, _ = _run_kernel(ft, terminals, alpha, MAX_ITERS, trace)
+    pos, iters = _run_kernel(ft, terminals, alpha, trace)
     pl = Placement(terminals, tuple(tuple(x) for x in pos))
     res = stationarity_residual(ft, pl, alpha)
     value = energy(ft, pl, alpha)
@@ -216,12 +224,56 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# lower bound by weak duality
+# lower bounds by weak duality, batched
 # ---------------------------------------------------------------------------
 
-# kernel iterations behind a bound: enough to point the edges, far fewer
-# than a full minimization
-_BOUND_ITERS = 50
+# the bounding pass: _BOUND_STEPS majorize-minimize steps from the
+# barycentric start, eps falling geometrically from EPS_INIT to
+# _BOUND_EPS_LAST (both relative to the largest terminal distance); the
+# bound is taken at the last eps
+_BOUND_STEPS = 20
+_BOUND_EPS_LAST = 1e-3
+
+
+def _weighted_laplacian(ab: np.ndarray, c: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """A_b C and the weighted Laplacian A_b C A_b^T of each topology.
+
+    ``ab`` (T, m, E) holds the branch rows of the incidence matrices and
+    ``c`` (T, E) positive edge coefficients.  The Laplacian is nonsingular,
+    since every branch vertex is joined to a terminal.
+    """
+    cab = ab * c[:, None, :]
+    return cab, cab @ ab.transpose(0, 2, 1)
+
+
+def _branch_positions(ab: np.ndarray, c: np.ndarray, fixed: np.ndarray
+                      ) -> np.ndarray:
+    """Branch positions (T, m, d) minimizing sum_e c_e |x_u - x_v|^2.
+
+    ``fixed`` (T, E, d) is the terminals' part of x_u - x_v, so the
+    minimizer solves (A_b C A_b^T) x = -A_b C fixed.
+    """
+    cab, lap = _weighted_laplacian(ab, c)
+    return -np.linalg.solve(lap, cab @ fixed)
+
+
+def _dual_values(ab: np.ndarray, w: np.ndarray, diff: np.ndarray,
+                 eps: float) -> np.ndarray:
+    """:func:`dual_bound` for T topologies at once, from their edge vectors
+    x_u - x_v (T, E, d), weights (T, E) and incidence branch rows (T, m, E)."""
+    length = np.sqrt(np.einsum("tij,tij->ti", diff, diff) + eps * eps)
+    if not length.all():
+        raise ValueError("a zero-length edge needs eps > 0")
+    c = w / length
+    y = c[..., None] * diff
+    if ab.shape[1]:
+        cab, lap = _weighted_laplacian(ab, c)
+        y -= cab.transpose(0, 2, 1) @ np.linalg.solve(lap, ab @ y)
+        norm = np.sqrt(np.einsum("tij,tij->ti", y, y))
+        y *= np.divide(w, norm, out=np.ones_like(w),
+                       where=norm > w).min(axis=1)[:, None, None]
+    return np.einsum("tij,tij->t", y, diff)
 
 
 def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
@@ -245,52 +297,75 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
 
     The bound is tight at an optimum without collapsed edges as eps -> 0,
     and equals the energy when the topology has no branch vertex.  A
-    zero-length edge needs ``eps`` > 0.
+    zero-length edge needs ``eps`` > 0.  This is the one-topology case of
+    the batched evaluation behind :func:`lower_bounds`.
     """
-    t = ft.topology
-    n = t.n_terminals
-    w = np.array(_weights(ft, alpha))
-    a = _incidence(t)
-    diff = a.T @ np.asarray(pl.terminals + pl.branch, dtype=float)
-    length = np.sqrt(np.einsum("ij,ij->i", diff, diff) + eps * eps)
-    if not length.all():
-        raise ValueError("a zero-length edge needs eps > 0")
-    c = w / length
-    y = c[:, None] * diff
-    if t.n_branch:
-        ab = a[n:]
-        y -= (c[:, None] * ab.T) @ np.linalg.solve((ab * c) @ ab.T, ab @ y)
-        norm = np.sqrt(np.einsum("ij,ij->i", y, y))
-        over = norm > w
-        if over.any():
-            y *= np.min(w[over] / norm[over])
-    return float(np.einsum("ij,ij->", y, diff))
+    n = ft.topology.n_terminals
+    a = _incidence(ft.topology)[None]
+    x = np.asarray(pl.terminals + pl.branch, dtype=float)
+    return float(_dual_values(a[:, n:], np.array([_weights(ft, alpha)]),
+                              a.transpose(0, 2, 1) @ x, eps)[0])
 
 
-def lower_bound(ft: FlowedTopology, b: Boundary, alpha: float,
-                trace: Trace | None = None) -> float:
-    """:func:`dual_bound` at the placement reached by a short kernel run.
+def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
+                 trace: Trace | None = None) -> list[float]:
+    """:func:`dual_bound` of every topology in ``fts``, computed together.
 
-    The kernel of :func:`minimize` runs for at most ``_BOUND_ITERS``
-    iterations, and the bound is taken at its last smoothing parameter.
-    ``trace`` receives one record with ``"stage": "bound"``.
+    Topologies are grouped by their numbers of branch vertices and edges.
+    Each group runs ``_BOUND_STEPS`` smoothed Weiszfeld steps at once (Smith,
+    Algorithmica 7, 1992): with c_e = w_e / sqrt(l_e^2 + eps^2) at the
+    current positions, all branch positions move to the minimizer of
+    sum_e c_e |x_u - x_v|^2, one stacked weighted-Laplacian solve.  The
+    bound is taken at the last eps.  A topology without branch vertices
+    gets its exact energy.  Any placement gives a valid bound, so the
+    fixed step count affects only how tight it is.  ``trace`` receives one
+    record with ``"stage": "bound"`` per topology, in input order.  Raises
+    ``ValueError`` when a bound is not finite.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    terminals = _terminals_for(ft, b)
-    pos, iters, eps = [], 0, 0.0
-    if ft.topology.n_branch:
-        pos, iters, eps = _run_kernel(ft, terminals, alpha, _BOUND_ITERS, None)
-    bound = dual_bound(ft, Placement(terminals, tuple(tuple(x) for x in pos)),
-                       alpha, eps)
+    terminals = tuple(p for p, _ in b.atoms)
+    n = len(terminals)
+    p = np.asarray(terminals, dtype=float)
+    scale = _scale(terminals)
+    schedule = EPS_INIT * scale * (_BOUND_EPS_LAST / EPS_INIT) ** (
+        np.arange(_BOUND_STEPS) / (_BOUND_STEPS - 1))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, ft in enumerate(fts):
+        t = ft.topology
+        if t.n_terminals != n:
+            raise ValueError("boundary does not match topology terminal count")
+        groups.setdefault((t.n_branch, len(t.edges)), []).append(i)
+    bounds = np.empty(len(fts))
+    for (m, _), idx in groups.items():
+        a = np.stack([_incidence(fts[i].topology) for i in idx])
+        ab, ab_t = a[:, n:], a[:, n:].transpose(0, 2, 1)
+        w = np.array([_weights(fts[i], alpha) for i in idx])
+        # the terminals' part of x_u - x_v; the branch part is ab_t @ x
+        fixed = a[:, :n].transpose(0, 2, 1) @ p
+        eps = 0.0
+        diff = fixed
+        if m:
+            x = _branch_positions(ab, np.ones_like(w), fixed)
+            for eps in schedule:
+                diff = fixed + ab_t @ x
+                x = _branch_positions(
+                    ab, w / np.sqrt(np.einsum("tij,tij->ti", diff, diff)
+                                    + eps * eps), fixed)
+            diff = fixed + ab_t @ x
+        bounds[idx] = _dual_values(ab, w, diff, eps)
+    if not np.isfinite(bounds).all():
+        raise ValueError("a lower bound is not finite")
     if trace is not None:
-        trace({"stage": "bound", "iteration": iters, "bound": bound})
-    return bound
+        for ft, bound in zip(fts, bounds):
+            trace({"stage": "bound",
+                   "iteration": _BOUND_STEPS if ft.topology.n_branch else 0,
+                   "bound": float(bound)})
+    return bounds.tolist()
 
 
 def _weiszfeld_2d(edges, w, incident, terminals, pos, scale: float,
-                  max_iters: int, trace: Trace | None
-                  ) -> tuple[list[list[float]], int, float]:
+                  trace: Trace | None) -> tuple[list[list[float]], int]:
     """Planar hot path: flat float arithmetic, no temporaries."""
     n = len(terminals)
     m = len(pos)
@@ -335,8 +410,8 @@ def _weiszfeld_2d(edges, w, incident, terminals, pos, scale: float,
                 pos[bi][1] = ny
             if move <= stage_tol:
                 break
-            if iters >= max_iters:
-                return pos, iters, eps
+            if iters >= MAX_ITERS:
+                return pos, iters
         # snap to the nearest vertex when that strictly improves exact F
         current = exact_energy()
         for bi in range(m):
@@ -363,12 +438,11 @@ def _weiszfeld_2d(edges, w, incident, terminals, pos, scale: float,
         if eps <= eps_floor:
             break
         eps = max(eps * EPS_DECAY, eps_floor)
-    return pos, iters, eps
+    return pos, iters
 
 
 def _weiszfeld_nd(edges, w, incident, terminals, pos, scale: float,
-                  max_iters: int, trace: Trace | None, d: int
-                  ) -> tuple[list[list[float]], int, float]:
+                  trace: Trace | None, d: int) -> tuple[list[list[float]], int]:
     n = len(terminals)
     m = len(pos)
 
@@ -409,8 +483,8 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, scale: float,
                 pos[bi] = newx
             if move <= stage_tol:
                 break
-            if iters >= max_iters:
-                return pos, iters, eps
+            if iters >= MAX_ITERS:
+                return pos, iters
         current = exact_energy()
         for bi in range(m):
             cands = sorted(
@@ -429,7 +503,7 @@ def _weiszfeld_nd(edges, w, incident, terminals, pos, scale: float,
         if eps <= eps_floor:
             break
         eps = max(eps * EPS_DECAY, eps_floor)
-    return pos, iters, eps
+    return pos, iters
 
 
 # ---------------------------------------------------------------------------

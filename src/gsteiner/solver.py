@@ -6,7 +6,11 @@ minimum is lost), assigns the unique conservative flows, drops duplicates
 by signature, and then runs a branch-and-bound over the survivors:
 
 1. every topology T gets a lower bound LB(T) <= E(T), the minimum of its
-   location energy, from :func:`placement.lower_bound` (weak duality);
+   location energy, by weak duality.  :func:`placement.lower_bounds`
+   bounds all topologies of the solve in one batched pass.  A dual point
+   built from *any* placement gives a valid bound, so the pass's fixed step
+   count and smoothing decide only how tight the bounds are, never whether
+   the pruning below is exact;
 2. topologies are visited in (LB, signature) order.  Each visited one is
    minimized, its realized chain canonicalized, and its value v(T), the
    alpha-mass of that chain, recorded.  The solver keeps ``second``, the
@@ -62,7 +66,7 @@ import numpy as np
 from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
                        branch_points, canonicalize, dist, lerp,
                        support_difference_mass, vdot, vsub)
-from .placement import (Placement, Trace, _sharing_minimizations, lower_bound,
+from .placement import (Placement, Trace, _sharing_minimizations, lower_bounds,
                         optimize_topology, realize_chain)
 from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
                        assign_flows, enumerate_topologies)
@@ -75,7 +79,7 @@ class InternalConsistencyError(AssertionError):
 @dataclass(frozen=True)
 class SolverConfig:
     """``trace`` receives the placement kernel's diagnostic records (see
-    :func:`placement.minimize` and :func:`placement.lower_bound`)."""
+    :func:`placement.minimize` and :func:`placement.lower_bounds`)."""
     alpha: float
     value_tol: float = 1e-7
     distinct_tol: float = 1e-5
@@ -131,7 +135,8 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     stats = {"enumerated": 0, "infeasible": 0, "duplicates": 0,
              "optimized": 0, "pruned": 0}
     seen: set = set()
-    queue: list[tuple[float, str, FlowedTopology]] = []
+    keys: list[str] = []
+    fts: list[FlowedTopology] = []
     for topo in enumerate_topologies(b):
         stats["enumerated"] += 1
         try:
@@ -144,8 +149,10 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
             stats["duplicates"] += 1
             continue
         seen.add(sig)
-        queue.append((lower_bound(ft, b, cfg.alpha, cfg.trace), repr(sig), ft))
-    queue.sort(key=lambda q: (q[0], q[1]))
+        keys.append(repr(sig))
+        fts.append(ft)
+    queue = sorted(zip(lower_bounds(fts, b, cfg.alpha, cfg.trace), keys, fts),
+                   key=lambda q: (q[0], q[1]))
 
     candidates: list[tuple[float, str, MinimizerRecord]] = []
     second = math.inf

@@ -225,6 +225,35 @@ def test_config_keys_outside_the_three_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["distinct_tol"] == 1e-4
 
 
+@pytest.mark.parametrize("key,value,why", [
+    ("max_terminals", 3.9, "must be an integer"),
+    ("max_terminals", "4.5", "must be an integer"),
+    ("max_terminals", True, "must be a finite number"),
+    ("value_tol", True, "must be a finite number"),
+    ("distinct_tol", False, "must be a finite number"),
+    ("value_tol", "nan", "must be a finite number"),
+    ("value_tol", None, "must be a finite number"),
+])
+def test_config_values_not_converted_silently(key, value, why):
+    with pytest.raises(ValueError, match=f"config key {key!r} {why}"):
+        fileio.build_solver_config(0.5, {key: value}, {})
+
+
+def test_integral_config_values_accepted():
+    cfg = fileio.build_solver_config(
+        0.5, {"max_terminals": 7.0, "value_tol": 1}, {})
+    assert (cfg.max_terminals, cfg.value_tol) == (7, 1.0)
+    assert type(cfg.max_terminals) is int and type(cfg.value_tol) is float
+
+
+def test_bad_config_value_exit_code(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    for config in ({"max_terminals": 3.9}, {"value_tol": True}):
+        path.write_text(json.dumps(dict(SQUARE, config=config)))
+        assert cli.main(["solve", "--input", str(path)]) == 1
+        assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+
+
 def test_mixed_dimension_boundary_exit_code(tmp_path, capsys):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"atoms": [{"p": [0.0, 0.0], "m": "-1"},

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gsteiner.currents import make_boundary
 from gsteiner.placement import (Placement, detect_collapse, dual_bound, energy,
-                                lower_bound, minimize, optimize_topology,
+                                lower_bounds, minimize, optimize_topology,
                                 realize_chain, stationarity_residual)
 from gsteiner.topology import (InfeasibleTopologyError, assign_flows,
                                enumerate_topologies)
@@ -285,7 +285,7 @@ def test_bound_below_minimum(seed, n, dim, alpha, pick, eps):
     topologies = list(enumerate_topologies(b))
     ft = assign_flows(topologies[pick % len(topologies)], b)
     value = minimize(ft, b, alpha).value
-    bound = lower_bound(ft, b, alpha)
+    bound, = lower_bounds([ft], b, alpha)
     assert bound <= value + 1e-12 * (1.0 + value)
     # the bound holds at any placement and smoothing, not just near optima
     terminals = tuple(p for p, _ in b.atoms)
@@ -317,7 +317,88 @@ def test_bound_tight_at_analytic_y(alpha):
 
 def test_bound_pass_traces_one_record(v_boundary):
     records = []
-    bound = lower_bound(y_topology(v_boundary), v_boundary, 0.75,
-                        trace=records.append)
+    bound, = lower_bounds([y_topology(v_boundary)], v_boundary, 0.75,
+                          trace=records.append)
     assert [r["stage"] for r in records] == ["bound"]
     assert records[0]["bound"] == bound and 0 < records[0]["iteration"] <= 50
+
+
+def _flowed_topologies(b):
+    out = []
+    for t in enumerate_topologies(b):
+        try:
+            out.append(assign_flows(t, b))
+        except InfeasibleTopologyError:
+            pass
+    return out
+
+
+def _random_atoms(seed, masses, dim):
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < len(masses):
+        p = tuple(round(rng.uniform(0.0, 2.0), 3) for _ in range(dim))
+        if all(math.dist(p, q) > 0.25 for q in pts):
+            pts.append(p)
+    return make_boundary(zip(pts, (F(m) for m in masses)))
+
+
+def _dented_square(radius, alpha=0.6):
+    from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
+    from gsteiner.solver import SolverConfig, magic_points, solve
+    square = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
+                            ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
+    base = solve(square, SolverConfig(alpha=alpha))
+    spec = PerturbationSpec(base.minimizers[0].chain, magic_points(base, 0),
+                            estimate_k0(alpha) + 1, radius)
+    return perturb(spec)[1]
+
+
+# the kinds of instance the solver bounds most: random 6-atom planar ones with
+# repeated and with distinct masses, random 5-atom ones in 3-D, dented squares
+BATCH_CASES = {
+    "6 repeated": lambda: (_random_atoms(1, (-1, -1, -1, 1, 1, 1), 2), 0.85),
+    "6 distinct": lambda: (_random_atoms(
+        2, ("-3", "-1/2", "2", "1", "3/2", "-1"), 2), 0.5),
+    "5 in 3-D": lambda: (_random_atoms(3, (-2, 1, 1, -1, 1), 3), 0.65),
+    "5 distinct in 3-D": lambda: (_random_atoms(
+        4, ("-3", "-1/2", "2", "1", "1/2"), 3), 0.8),
+    "dented square": lambda: (_dented_square(0.05), 0.6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_bounds_equal_single_bounds(case):
+    b, alpha = BATCH_CASES[case]()
+    fts = _flowed_topologies(b)
+    assert len({ft.topology.n_branch for ft in fts}) > 1
+    together = lower_bounds(fts, b, alpha)
+    alone = [lower_bounds([ft], b, alpha)[0] for ft in fts]
+    assert together == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+def test_mixed_batch_bounds_below_minimum():
+    # 6 atoms: full topologies with 4, 2 and 0 branch vertices in one batch,
+    # listed out of branch-count order
+    b = _random_atoms(5, (-1, -1, -1, 1, 1, 1), 2)
+    fts = sorted(_flowed_topologies(b),
+                 key=lambda ft: (ft.topology.n_branch % 4, ft.topology.edges))
+    assert {ft.topology.n_branch for ft in fts} == {0, 2, 4}
+    records = []
+    bounds = lower_bounds(fts, b, 0.6, trace=records.append)
+    assert [r["bound"] for r in records] == bounds
+    for ft, bound, record in zip(fts, bounds, records):
+        value = minimize(ft, b, 0.6).value
+        assert bound <= value + 1e-12 * (1.0 + value)
+        if ft.topology.n_branch == 0:
+            assert bound == pytest.approx(value, rel=1e-12)
+            assert record["iteration"] == 0
+        else:
+            assert record["iteration"] > 0
+
+
+def test_non_finite_bound_raises():
+    b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, math.nan), F(1)),
+                       ((1.0, -0.3), F(1))])
+    with pytest.raises(ValueError, match="not finite"):
+        lower_bounds([y_topology(b)], b, 0.5)

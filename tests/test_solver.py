@@ -1,4 +1,5 @@
 """Global solver: exhaustiveness, minimizer clustering, oracles, quantization."""
+import itertools
 import math
 import random
 import warnings
@@ -107,6 +108,79 @@ def test_cluster_subadditivity_flagged_not_asserted():
     if abs(r.best_value - expected) > 1e-7 * (1 + expected):
         warnings.warn(f"cluster subadditivity violated: {r.best_value} vs {expected}")
     assert r.best_value <= expected + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# solve in 3-D
+# ---------------------------------------------------------------------------
+
+TETRAHEDRON = ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
+               (-1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_regular_tetrahedron_symmetric_under_vertex_permutations(alpha):
+    # every permutation of the vertices is an isometry of the regular
+    # tetrahedron, and each of the 6 placements of the masses (-1, -1, +1, +1)
+    # is the image of the first under one, so all give one value
+    reports = [solve(make_boundary(
+                   (p, F(-1) if i in sources else F(1))
+                   for i, p in enumerate(TETRAHEDRON)), cfg(alpha))
+               for sources in itertools.combinations(range(4), 2)]
+    first = reports[0]
+    # a matching along two opposite edges is a competitor
+    assert first.best_value <= 2.0 * math.dist(*TETRAHEDRON[:2]) * (1 + 1e-12)
+    for r in reports[1:]:
+        assert math.isclose(r.best_value, first.best_value, rel_tol=1e-9)
+        assert len(r.minimizers) == len(first.minimizers)
+
+
+def _force_at(chain, p, alpha):
+    """Sum of |m|^alpha times the unit vector along each segment leaving p."""
+    total = np.zeros(len(p))
+    for s in chain.segments:
+        for here, there in ((s.start, s.end), (s.end, s.start)):
+            if here == p:
+                d = np.subtract(there, here)
+                total += float(abs(s.mult)) ** alpha * d / np.linalg.norm(d)
+    return total
+
+
+def test_angle_law_in_3d():
+    rng = random.Random(20261018)
+    checked = 0
+    for masses in [(-2, 1, 1, -1, 1), ("-3", "-1/2", "2", "1", "1/2"),
+                   (-3, 1, 1, 1), (-4, 1, 1, 1, 1)]:
+        for alpha in (0.3, 0.5, 0.65, 0.8):
+            pts = []
+            while len(pts) < len(masses):
+                p = tuple(round(rng.uniform(0.0, 2.0), 3) for _ in range(3))
+                if all(math.dist(p, q) > 0.25 for q in pts):
+                    pts.append(p)
+            b = make_boundary(zip(pts, (F(m) for m in masses)))
+            for rec in solve(b, cfg(alpha)).minimizers:
+                for p in branch_points(rec.chain, b):
+                    force = _force_at(rec.chain, p, alpha)
+                    assert np.linalg.norm(force) <= 1e-6, (b.atoms, alpha, p)
+                    checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("masses,alpha", [
+    ((-1, -1, 1, 1), 0.6),
+    (("-3", "1/2", "2", "1/2"), 0.75),
+])
+def test_planar_instance_in_tilted_plane_in_3d(masses, alpha):
+    rng = random.Random(7)
+    planar = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)) for _ in masses]
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    v = np.array([2.0, 1.0, -2.0]) / 3.0
+    origin = np.array([0.5, -1.0, 2.0])
+    tilted = [tuple(float(c) for c in origin + x * u + y * v) for x, y in planar]
+    flat = solve(make_boundary(zip(planar, (F(m) for m in masses))), cfg(alpha))
+    space = solve(make_boundary(zip(tilted, (F(m) for m in masses))), cfg(alpha))
+    assert math.isclose(space.best_value, flat.best_value, rel_tol=1e-9)
+    assert len(space.minimizers) == len(flat.minimizers)
 
 
 # ---------------------------------------------------------------------------
