@@ -149,6 +149,8 @@ class Boundary:
 
     def __post_init__(self):
         pts = [p for p, _ in self.atoms]
+        if not all(math.isfinite(x) for p in pts for x in p):
+            raise ValueError("non-finite atom coordinate")
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate atom points")
         if len({len(p) for p in pts}) > 1:

@@ -56,8 +56,10 @@ def obj_to_boundary(obj: dict) -> Boundary:
     atoms = [(tuple(float(x) for x in a["p"]), parse_rational(a["m"]))
              for a in obj["atoms"]]
     b = make_boundary(atoms)
-    if "dim" in obj and b.atoms and b.dim != int(obj["dim"]):
-        raise ValueError("atom coordinates disagree with the declared dim")
+    if "dim" in obj:
+        dim = _number("key 'dim'", obj["dim"], integral=True)
+        if b.atoms and b.dim != dim:
+            raise ValueError("atom coordinates disagree with the declared dim")
     return b
 
 
@@ -106,7 +108,7 @@ _CONFIG_KEYS = {"value_tol": float, "distinct_tol": float, "max_terminals": int}
 
 def parse_instance(obj: dict) -> InstanceFile:
     b = obj_to_boundary(obj)
-    alpha = float(obj["alpha"]) if "alpha" in obj else None
+    alpha = _number("key 'alpha'", obj["alpha"]) if "alpha" in obj else None
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     config = dict(obj.get("config", {}))
@@ -114,7 +116,8 @@ def parse_instance(obj: dict) -> InstanceFile:
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}"
                          f"; the keys are {', '.join(_CONFIG_KEYS)}")
-    return InstanceFile(b, alpha, config, int(obj.get("seed", 0)))
+    return InstanceFile(b, alpha, config,
+                        _number("key 'seed'", obj.get("seed", 0), integral=True))
 
 
 def load_json(path: str) -> dict:
@@ -140,14 +143,15 @@ def build_solver_config(alpha: float, file_config: dict | None = None,
     a flag left ``None`` does not override."""
     merged = dict(file_config or {})
     merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-    return SolverConfig(alpha=alpha,
-                        **{k: _config_value(k, v) for k, v in merged.items()})
+    return SolverConfig(alpha=alpha, **{
+        k: _number(f"config key {k!r}", v, integral=_CONFIG_KEYS[k] is int)
+        for k, v in merged.items()})
 
 
-def _config_value(key: str, value):
-    """``value`` as the type of ``key``: a finite number, or a string that
-    spells one, and an integral one for ``max_terminals``.  Booleans and
-    fractional integers are refused rather than converted."""
+def _number(name: str, value, integral: bool = False) -> float | int:
+    """``value`` as a finite number, or a string that spells one, and as an
+    ``int`` when ``integral``.  Booleans and fractional integers are refused
+    rather than converted; ``name`` names the value in the message."""
     number = None
     if not isinstance(value, bool):
         try:
@@ -155,12 +159,11 @@ def _config_value(key: str, value):
         except (TypeError, ValueError, OverflowError):
             pass
     if number is None or not math.isfinite(number):
-        raise ValueError(
-            f"config key {key!r} must be a finite number, not {value!r}")
-    if _CONFIG_KEYS[key] is float:
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    if not integral:
         return number
     if not number.is_integer():
-        raise ValueError(f"config key {key!r} must be an integer, not {value!r}")
+        raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(number)
 
 

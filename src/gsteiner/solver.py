@@ -3,7 +3,8 @@
 Exhaustively enumerates the full topologies over balanced partitions of
 the atoms (every other forest is a contraction of one of them, so no
 minimum is lost), assigns the unique conservative flows, drops duplicates
-by signature, and then runs a branch-and-bound over the survivors:
+by signature (the split key of :mod:`topology`), and then runs a
+branch-and-bound over the survivors:
 
 1. every topology T gets a lower bound LB(T) <= E(T), the minimum of its
    location energy, by weak duality.  :func:`placement.lower_bounds`
@@ -11,9 +12,10 @@ by signature, and then runs a branch-and-bound over the survivors:
    built from *any* placement gives a valid bound, so the pass's fixed step
    count and smoothing decide only how tight the bounds are, never whether
    the pruning below is exact;
-2. topologies are visited in (LB, signature) order.  Each visited one is
-   minimized, its realized chain canonicalized, and its value v(T), the
-   alpha-mass of that chain, recorded.  The solver keeps ``second``, the
+2. topologies are visited in (LB, repr(signature)) order; the key breaks
+   ties, here and between equal values, towards fewer branch vertices.
+   Each visited one is minimized, its realized chain canonicalized, and its
+   value v(T), the alpha-mass of that chain, recorded.  The solver keeps ``second``, the
    smallest recorded value above the current threshold
    best + value_tol (1 + |best|);
 3. the first topology with LB(T) > second + value_tol (1 + |second|) is

@@ -4,32 +4,40 @@ A candidate topology is a forest on the labeled terminals (one per boundary
 atom) plus unlabeled auxiliary branch vertices.  Flows on a forest are
 uniquely determined by mass conservation (leaf stripping).
 
-The solver's candidate set, :func:`enumerate_topologies`, holds only *full*
-topologies over *balanced* partitions: the terminals are split into blocks
-of total mass zero, and each block of s terminals spans a full Steiner tree
-(terminals are leaves, s - 2 branch vertices of degree 3).  The (2s - 5)!!
+Every forest here is built from full trees (terminals are leaves, s - 2
+branch vertices of degree 3 on a block of s terminals).  The (2s - 5)!!
 full trees of a block come from Smith's insertion scheme (W. D. Smith,
 Algorithmica 7, 1992): terminal i is inserted on every edge of each full
 tree on the terminals before it, which yields every full tree exactly once
-up to branch relabeling.  Any other forest is a contraction of a full one,
+up to branch relabeling.
+
+The solver's candidate set, :func:`enumerate_topologies`, holds only the
+full topologies over *balanced* partitions: blocks of total mass zero, each
+spanning a full tree.  Any other forest is a contraction of a full one,
 whose location-energy domain contains the contracted configuration, so the
 full optimum is never larger and collapses onto the same chain.  A full tree
 with a zero-flow edge is not built: without that edge it is a full topology
 of a finer balanced partition, which is enumerated anyway.
 
-:func:`_all_forests` is the exhaustive generator it replaced: every forest
-whose branch vertices have degree >= 3, built from Pruefer sequences in
-which every branch symbol appears at least twice and deduplicated up to
-permutations of the branch labels.  It is kept for the 4-point local
-classification, which needs the non-full supports, and for the independent
+:func:`_all_forests` yields every forest whose branch vertices have degree
+>= 3, each once: per block, the contractions of the full trees that merge no
+two terminals (:func:`_forest_shapes`).  It serves the 4-point local
+classification, which needs the non-full supports, and the independent
 brute-force oracle.  Both streams are deterministic.
+
+Topologies are identified by their splits.  Each edge of a forest splits
+its component's terminals in two, and a tree whose unlabeled vertices all
+have degree >= 3 is determined by the set of these splits (Buneman's
+splits-equivalence theorem: P. Buneman 1971; Semple & Steel,
+*Phylogenetics*, 2003).  So the component terminal sets plus the splits are
+a canonical key that needs no search over branch relabelings; the flows
+follow from the masses.
 
 Enumeration is exhaustive by design and intended for small n; callers guard
 instance size.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,30 +78,59 @@ class FlowedTopology:
 
     ``edge_flows[i]`` is the signed rational flow on ``topology.edges[i]``,
     positive when flowing from the lower-indexed endpoint to the higher.
-    ``degenerate`` marks topologies rewritten after zero-flow edges were
-    removed (they reduce to a smaller topology and should be deduplicated).
+    ``degenerate`` marks a topology rewritten into a smaller forest, by
+    dropping zero-flow edges and splicing out branch vertices of degree 2
+    when flows were assigned, or by merging collapsed vertices; its
+    signature is that of the smaller forest, so it deduplicates against it.
     """
     topology: SteinerTopology
     edge_flows: tuple[Fraction, ...]
     degenerate: bool = False
 
     def signature(self) -> tuple:
-        """Canonical key, invariant under branch-vertex relabeling."""
+        """Canonical key, invariant under branch-vertex relabeling.
+
+        ``(n, m, component masks, split masks)``, both mask tuples sorted
+        (see :func:`_splits`).  The masks determine the forest, and the
+        masses its flows; ``m`` is implied too, but kept second so that
+        ``repr`` of the key orders topologies by branch count first.
+        """
         t = self.topology
-        n, m = t.n_terminals, t.n_branch
-        best = None
-        for perm in itertools.permutations(range(m)):
-            relabel = list(range(n)) + [n + perm[i] for i in range(m)]
-            rows = []
-            for (u, v), f in zip(t.edges, self.edge_flows):
-                a, b = relabel[u], relabel[v]
-                if a > b:
-                    a, b, f = b, a, -f
-                rows.append((a, b, f))
-            key = tuple(sorted(rows))
-            if best is None or key < best:
-                best = key
-        return (n, m, best)
+        components, splits = _splits(t.n_terminals, t.edges)
+        return (t.n_terminals, t.n_branch, tuple(sorted(components)),
+                tuple(sorted(splits)))
+
+
+def _splits(n: int, edges: tuple[Edge, ...]) -> tuple[list[int], list[int]]:
+    """Terminal bitmasks of a forest over terminals 0..n-1.
+
+    One DFS per component, rooted at its lowest terminal, returns the mask
+    of each component's terminals and, per edge, the mask of the terminals
+    on its side away from that root.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, (u, v) in enumerate(edges):
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+    mask: dict[int, int] = {}
+    components: list[int] = []
+    splits = [0] * len(edges)
+    for root in range(n):
+        if root in mask:
+            continue
+        order, stack = [], [(root, -1, -1)]
+        while stack:
+            x, parent, i = stack.pop()
+            order.append((x, parent, i))
+            mask[x] = 1 << x if x < n else 0
+            stack.extend((y, x, j) for y, j in adj.get(x, ()) if y != parent)
+        for x, parent, i in reversed(order):
+            if i < 0:
+                components.append(mask[x])
+            else:
+                splits[i] = mask[x]
+                mask[parent] |= mask[x]
+    return components, splits
 
 
 # ---------------------------------------------------------------------------
@@ -112,101 +149,6 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
             yield [list(b) for b in part[:i]] + [[first] + list(part[i])] + \
                 [list(b) for b in part[i + 1:]]
 
-
-def _multiset_permutations(symbols: list[int], counts: list[int]) -> Iterator[tuple[int, ...]]:
-    total = sum(counts)
-    seq: list[int] = []
-
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for idx, s in enumerate(symbols):
-            if counts[idx] > 0:
-                counts[idx] -= 1
-                seq.append(s)
-                yield from rec()
-                seq.pop()
-                counts[idx] += 1
-
-    yield from rec()
-
-
-def _pruefer_decode(seq: tuple[int, ...], nv: int) -> list[Edge]:
-    """Standard Pruefer decoding over vertices 0..nv-1."""
-    degree = [1] * nv
-    for s in seq:
-        degree[s] += 1
-    edges: list[Edge] = []
-    leaves = [v for v in range(nv) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, s), max(leaf, s)))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return edges
-
-
-@lru_cache(maxsize=None)
-def _tree_shapes(s: int, m: int) -> tuple[tuple[Edge, ...], ...]:
-    """Trees on s terminal slots (0..s-1) and m branch slots (s..s+m-1).
-
-    Branch slots have degree >= 3 and are deduplicated as interchangeable.
-    """
-    nv = s + m
-    if nv < 2:
-        return ()
-    if nv == 2:
-        return (((0, 1),),) if m == 0 else ()
-    length = nv - 2
-    shapes: set[tuple[Edge, ...]] = set()
-    # counts: branch slot appears >= 2 times (degree >= 3), terminals free
-    branch_syms = list(range(s, s + m))
-    term_syms = list(range(s))
-    for branch_counts in _compositions_at_least(m, 2, length):
-        rem = length - sum(branch_counts)
-        for term_counts in _compositions_at_least(s, 0, rem, exact=True):
-            counts = list(term_counts) + list(branch_counts)
-            for seq in _multiset_permutations(term_syms + branch_syms, counts):
-                edges = _pruefer_decode(seq, nv)
-                shapes.add(_canonical_shape(edges, s, m))
-    return tuple(sorted(shapes))
-
-
-def _compositions_at_least(parts: int, low: int, total: int,
-                           exact: bool = False) -> Iterator[tuple[int, ...]]:
-    """Integer vectors of length ``parts`` with entries >= low; sum == total
-    when ``exact`` else sum <= total."""
-    if parts == 0:
-        if total == 0 or not exact:
-            yield ()
-        return
-    hi = total - low * (parts - 1)
-    for first in range(low, hi + 1):
-        for rest in _compositions_at_least(parts - 1, low, total - first, exact):
-            yield (first,) + rest
-
-
-def _canonical_shape(edges: list[Edge], s: int, m: int) -> tuple[Edge, ...]:
-    best = None
-    for perm in itertools.permutations(range(m)):
-        relabel = list(range(s)) + [s + perm[i] for i in range(m)]
-        key = tuple(sorted(
-            (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
-            for u, v in edges))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
@@ -236,28 +178,59 @@ def _inner_sides(s: int) -> tuple[tuple[int, ...], ...]:
     A side is the bitmask of the terminal slots the edge separates from the
     rest (the other side is its complement).
     """
-    out = []
-    for shape in _full_shapes(s):
-        adj: dict[int, list[int]] = {}
-        for u, v in shape:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        sides = []
-        for u, v in shape:
-            if u < s:
-                continue
-            mask, stack, seen = 0, [u], {u, v}
-            while stack:
-                x = stack.pop()
-                if x < s:
-                    mask |= 1 << x
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            sides.append(mask)
-        out.append(tuple(sides))
-    return tuple(out)
+    return tuple(
+        tuple(side for (u, _), side in zip(shape, _splits(s, shape)[1])
+              if u >= s)
+        for shape in _full_shapes(s))
+
+
+@lru_cache(maxsize=None)
+def _forest_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
+    """Trees on s >= 2 terminal slots (0..s-1) and branch slots s.. of
+    degree >= 3, one per split key, ordered by edge count.
+
+    Every such tree is a contraction of a full shape: expanding each
+    terminal of degree >= 2 into a leaf on a new branch vertex, and
+    splitting each branch vertex of degree > 3, gives a full tree back.  So
+    the contractions of the full shapes that merge no two terminals are all
+    of them.  Contracting edges leaves the splits of the other edges as
+    they were, so each contraction's key is known before it is built.
+    """
+    shapes: dict[tuple[int, ...], tuple[Edge, ...]] = {}
+    for full in _full_shapes(s):
+        splits = _splits(s, full)[1]
+        for bits in range(1 << len(full)):
+            key = tuple(sorted(side for i, side in enumerate(splits)
+                               if not bits >> i & 1))
+            if key not in shapes:
+                shape = _contract(full, bits, s)
+                if shape is not None:
+                    shapes[key] = shape
+    return tuple(sorted(shapes.values(), key=lambda sh: (len(sh), sh)))
+
+
+def _contract(full: tuple[Edge, ...], bits: int, s: int
+              ) -> tuple[Edge, ...] | None:
+    """``full`` with the edges of the set bits contracted, its branch slots
+    renumbered from s in order; None when two terminals merge."""
+    rep = list(range(2 * s - 2))
+
+    def find(x: int) -> int:
+        while rep[x] != x:
+            x = rep[x]
+        return x
+
+    for i, (u, v) in enumerate(full):
+        if bits >> i & 1:
+            a, b = sorted((find(u), find(v)))
+            if b < s:
+                return None
+            rep[b] = a  # a merged class keeps its terminal, if any
+    roots = [find(x) for x in range(2 * s - 2)]
+    slot = {r: s + k for k, r in enumerate(sorted({r for r in roots if r >= s}))}
+    label = [slot.get(r, r) for r in roots]
+    return tuple(sorted(tuple(sorted((label[u], label[v])))
+                        for i, (u, v) in enumerate(full) if not bits >> i & 1))
 
 
 def _flowing_shapes(masses: tuple[Fraction, ...]) -> list[tuple[Edge, ...]]:
@@ -274,6 +247,26 @@ def _flowing_shapes(masses: tuple[Fraction, ...]) -> list[tuple[Edge, ...]]:
         sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
     return [shape for shape, sides in zip(_full_shapes(s), _inner_sides(s))
             if all(sums[side] != 0 for side in sides)]
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+# ---------------------------------------------------------------------------
+
+def _join(masses: tuple[Fraction, ...], blocks, shapes) -> SteinerTopology:
+    """The forest of one shape per block: terminal slots map to the block's
+    atoms, branch slots to fresh branch vertices in block order."""
+    n = len(masses)
+    edges: list[Edge] = []
+    next_branch = n
+    for blk, shape in zip(blocks, shapes):
+        m = len(shape) + 1 - len(blk)
+        mapping = list(blk) + list(range(next_branch, next_branch + m))
+        next_branch += m
+        edges.extend(tuple(sorted((mapping[u], mapping[v])))
+                     for u, v in shape)
+    return SteinerTopology(n_terminals=n, n_branch=next_branch - n,
+                           edges=tuple(sorted(edges)), terminal_masses=masses)
 
 
 def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
@@ -296,24 +289,10 @@ def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
         if any(len(blk) < 2 or sum(masses[i] for i in blk) != 0
                for blk in blocks):
             continue
-        n_branch = n - 2 * len(blocks)
         for combo in itertools.product(*(
                 _flowing_shapes(tuple(masses[i] for i in blk))
                 for blk in blocks)):
-            edges: list[Edge] = []
-            next_branch = n
-            for blk, shape in zip(blocks, combo):
-                mapping = list(blk) + list(range(next_branch,
-                                                 next_branch + len(blk) - 2))
-                next_branch += len(blk) - 2
-                edges.extend(tuple(sorted((mapping[u], mapping[v])))
-                             for u, v in shape)
-            yield SteinerTopology(
-                n_terminals=n,
-                n_branch=n_branch,
-                edges=tuple(sorted(edges)),
-                terminal_masses=masses,
-            )
+            yield _join(masses, blocks, combo)
 
 
 def _all_forests(b: Boundary) -> Iterator[SteinerTopology]:
@@ -329,36 +308,13 @@ def _all_forests(b: Boundary) -> Iterator[SteinerTopology]:
     if n < 2:
         raise ValueError("boundary must have at least 2 atoms")
     masses = tuple(m for _, m in b.atoms)
-
     for partition in _set_partitions(tuple(range(n))):
-        blocks = tuple(sorted(tuple(sorted(blk)) for blk in partition))
+        blocks = sorted(tuple(sorted(blk)) for blk in partition)
         if any(len(blk) < 2 for blk in blocks):
             continue
-        # per-block choices: (m, shape) with m <= len(block) - 2
-        per_block: list[list[tuple[int, tuple[Edge, ...]]]] = []
-        for blk in blocks:
-            s = len(blk)
-            choices = []
-            for m in range(0, s - 1):
-                for shape in _tree_shapes(s, m):
-                    choices.append((m, shape))
-            per_block.append(choices)
-        for combo in itertools.product(*per_block):
-            total_branch = sum(m for m, _ in combo)
-            edges: list[Edge] = []
-            next_branch = n
-            for blk, (m, shape) in zip(blocks, combo):
-                mapping = list(blk) + list(range(next_branch, next_branch + m))
-                next_branch += m
-                for u, v in shape:
-                    a, c = mapping[u], mapping[v]
-                    edges.append((min(a, c), max(a, c)))
-            yield SteinerTopology(
-                n_terminals=n,
-                n_branch=total_branch,
-                edges=tuple(sorted(edges)),
-                terminal_masses=masses,
-            )
+        for combo in itertools.product(*(_forest_shapes(len(blk))
+                                         for blk in blocks)):
+            yield _join(masses, blocks, combo)
 
 
 # ---------------------------------------------------------------------------

@@ -261,3 +261,44 @@ def test_mixed_dimension_boundary_exit_code(tmp_path, capsys):
     assert cli.main(["flat-norm", str(path)]) == 1
     assert cli.main(["solve", "--input", str(path), "--alpha", "0.5"]) == 1
     assert "mixed dimensions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("alpha", True, "must be a finite number"),
+    ("alpha", "nan", "must be a finite number"),
+    ("alpha", None, "must be a finite number"),
+    ("seed", 2.7, "must be an integer"),
+    ("seed", False, "must be a finite number"),
+    ("dim", 2.7, "must be an integer"),
+    ("dim", True, "must be a finite number"),
+    ("dim", "inf", "must be a finite number"),
+])
+def test_instance_scalars_not_converted_silently(key, value, why):
+    with pytest.raises(ValueError, match=f"key {key!r} {why}"):
+        fileio.parse_instance(dict(SQUARE, **{key: value}))
+
+
+def test_integral_instance_scalars_accepted():
+    inst = fileio.parse_instance(dict(SQUARE, alpha="0.5", seed=3.0, dim=2.0))
+    assert (inst.alpha, inst.seed, inst.boundary.dim) == (0.5, 3, 2)
+    assert type(inst.seed) is int
+
+
+def test_bad_instance_scalar_exit_code(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    for key, value in (("alpha", True), ("seed", 2.7), ("dim", 2.7)):
+        path.write_text(json.dumps(dict(SQUARE, **{key: value})))
+        assert cli.main(["solve", "--input", str(path)]) == 1
+        assert f"key {key!r} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_coordinate_exit_code(tmp_path, capsys, bad):
+    path = tmp_path / "inst.json"
+    atoms = [dict(a) for a in SQUARE["atoms"]]
+    atoms[1]["p"] = [1.0, bad]
+    path.write_text(json.dumps(dict(SQUARE, atoms=atoms)))
+    assert cli.main(["solve", "--input", str(path)]) == 1
+    assert cli.main(["flat-norm", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("non-finite atom coordinate") == 2

@@ -35,6 +35,12 @@ def test_boundary_single_segment():
     assert b.as_dict() == {(3.0, 4.0): F(1), (0.0, 0.0): F(-1)}
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_boundary_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="non-finite atom coordinate"):
+        make_boundary([((0.0, 0.0), F(-1)), ((1.0, bad), F(1))])
+
+
 def test_boundary_interior_endpoint_cancels():
     b = boundary(chain_of([seg((0, 0), (1, 0), 1), seg((1, 0), (2, 0), 1)]))
     assert b.as_dict() == {(2.0, 0.0): F(1), (0.0, 0.0): F(-1)}

@@ -139,6 +139,16 @@ def test_pruned_solve_matches_unpruned_solve(cases):
     assert pruned > 0  # the comparison must exercise pruning
 
 
+def test_co_minimal_tie_breaks_to_fewest_branch_vertices():
+    # on this dent, topologies with 0 and with 2 branch vertices realize the
+    # one minimizer at equal value; the signature keeps the branch count
+    # second, so repr order ties to a 0-branch topology, whose record
+    # has no branch vertex
+    report = solve(_dented_square(0.1), SolverConfig(alpha=0.6))
+    (record,) = report.minimizers
+    assert record.flowed.topology.n_branch == 0
+
+
 # ---------------------------------------------------------------------------
 # invariance under rigid motion and relabeling
 # ---------------------------------------------------------------------------

@@ -398,7 +398,12 @@ def test_mixed_batch_bounds_below_minimum():
 
 
 def test_non_finite_bound_raises():
-    b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, math.nan), F(1)),
+    # Boundary refuses a NaN coordinate, so the atoms are swapped in behind
+    # its check: the bounding pass must still refuse what it cannot bound
+    b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)),
                        ((1.0, -0.3), F(1))])
+    ft = y_topology(b)
+    object.__setattr__(b, "atoms", tuple(
+        ((1.0, math.nan) if p == (1.0, 0.3) else p, m) for p, m in b.atoms))
     with pytest.raises(ValueError, match="not finite"):
-        lower_bounds([y_topology(b)], b, 0.5)
+        lower_bounds([ft], b, 0.5)

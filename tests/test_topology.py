@@ -2,14 +2,18 @@
 import itertools
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsteiner.currents import boundary, make_boundary
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, solve
-from gsteiner.topology import (InfeasibleTopologyError, SteinerTopology,
-                               _all_forests, _full_shapes, _set_partitions,
+from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
+                               SteinerTopology, _all_forests, _forest_shapes,
+                               _full_shapes, _set_partitions, _splits,
                                assign_flows, enumerate_topologies)
 
 
@@ -118,12 +122,30 @@ def test_stream_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("s,expected", [(2, 1), (3, 4), (4, 32), (5, 396)])
+def test_forest_shape_counts(s, expected):
+    assert len(_forest_shapes(s)) == expected
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_forest_shapes_are_distinct_trees(s):
+    shapes = _forest_shapes(s)
+    canonical, keys = set(), set()
+    for shape in shapes:
+        m = len(shape) + 1 - s  # a tree on s + m vertices
+        deg = _tree_degrees(shape, s + m)
+        assert deg is not None and all(d >= 3 for d in deg[s:])
+        canonical.add(_canonical(shape, s, m))
+        keys.add(tuple(sorted(_splits(s, shape)[1])))
+    assert len(canonical) == len(keys) == len(shapes)
+
+
 # ---------------------------------------------------------------------------
 # full topologies (enumerate_topologies)
 # ---------------------------------------------------------------------------
 
-def _is_full_tree(shape, s):
-    nv = 2 * s - 2
+def _tree_degrees(shape, nv):
+    """Vertex degrees when ``shape`` is a tree on vertices 0..nv-1, else None."""
     deg = [0] * nv
     parent = list(range(nv))
 
@@ -137,10 +159,14 @@ def _is_full_tree(shape, s):
         deg[v] += 1
         ru, rv = find(u), find(v)
         if ru == rv:
-            return False
+            return None
         parent[ru] = rv
-    return (len(shape) == nv - 1
-            and all(d == 1 for d in deg[:s])
+    return deg if len(shape) == nv - 1 else None
+
+
+def _is_full_tree(shape, s):
+    deg = _tree_degrees(shape, 2 * s - 2)
+    return (deg is not None and all(d == 1 for d in deg[:s])
             and all(d == 3 for d in deg[s:]))
 
 
@@ -235,6 +261,109 @@ def test_zero_flow_skip_loses_no_flowed_topology():
                  for t in _unskipped_full_topologies(b)}
         assert len(kept) == len(set(kept)) == len(every)
         assert set(kept) == every
+
+
+# ---------------------------------------------------------------------------
+# the split key (FlowedTopology.signature)
+# ---------------------------------------------------------------------------
+
+def relabeling_signature(ft):
+    """The key the split key replaced, kept as its reference: the smallest
+    sorted (u, v, flow) edge list over all relabelings of the branch
+    vertices."""
+    t = ft.topology
+    n, m = t.n_terminals, t.n_branch
+    best = None
+    for perm in itertools.permutations(range(m)):
+        rows = []
+        for (u, v), f in zip(t.edges, ft.edge_flows):
+            a, c = (x if x < n else n + perm[x - n] for x in (u, v))
+            rows.append((a, c, f) if a < c else (c, a, -f))
+        key = tuple(sorted(rows))
+        if best is None or key < best:
+            best = key
+    return (n, m, best)
+
+
+# repeated and distinct masses for 2 to 5 atoms
+KEY_MASSES = [
+    (F(-1), F(1)),
+    (F(-2), F(1), F(1)), (F(-3), F(1), F(2)),
+    (F(-1), F(-1), F(1), F(1)), (F(-3), F(-1, 2), F(2), F(3, 2)),
+    (F(-2), F(1), F(1), F(-1), F(1)), (F(-3), F(-1, 2), F(2), F(1), F(1, 2)),
+]
+
+
+def _key_boundaries():
+    """Three seeded point sets per mass vector: the atom order, and so the
+    order of the masses, differs between them."""
+    rng = random.Random(20261018)
+    return [make_boundary(((rng.uniform(0, 2), rng.uniform(0, 2)), m)
+                          for m in masses)
+            for masses in KEY_MASSES for _ in range(3)]
+
+
+KEY_BOUNDARIES = _key_boundaries()
+
+
+def _flowed(b, topologies):
+    out = []
+    for t in topologies:
+        try:
+            out.append(assign_flows(t, b))
+        except InfeasibleTopologyError:
+            pass
+    return out
+
+
+@lru_cache(maxsize=None)
+def _flowed_forests(b):
+    return _flowed(b, _all_forests(b))
+
+
+def _assert_same_classes(fts):
+    pairs = {(ft.signature(), relabeling_signature(ft)) for ft in fts}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
+    return len(pairs)
+
+
+def test_split_key_classes_match_relabeling_key():
+    flowed = distinct = 0
+    for b in KEY_BOUNDARIES:
+        fts = _flowed_forests(b)
+        flowed += len(fts)
+        distinct += _assert_same_classes(fts)
+    assert distinct < flowed  # degenerate forests repeat smaller ones
+
+
+@pytest.mark.parametrize("masses", [
+    (-1, -1, -1, 1, 1, 1), (F(-3), F(-1, 2), F(2), F(1), F(3, 2), F(-1))])
+def test_split_key_classes_match_relabeling_key_full(masses):
+    rng = random.Random(7)
+    b = make_boundary(((rng.uniform(0, 2), rng.uniform(0, 2)), F(m))
+                      for m in masses)
+    fts = _flowed(b, _unskipped_full_topologies(b))
+    assert _assert_same_classes(fts) < len(fts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_split_key_ignores_branch_labels_and_edge_order(data):
+    b = data.draw(st.sampled_from(KEY_BOUNDARIES))
+    ft = data.draw(st.sampled_from(_flowed_forests(b)))
+    t = ft.topology
+    n, m = t.n_terminals, t.n_branch
+    label = list(range(n)) + [n + p for p in
+                              data.draw(st.permutations(range(m)))]
+    edges, flows = [], []
+    for i in data.draw(st.permutations(range(len(t.edges)))):
+        (u, v), f = t.edges[i], ft.edge_flows[i]
+        a, c = label[u], label[v]
+        edges.append((min(a, c), max(a, c)))
+        flows.append(f if a < c else -f)
+    moved = FlowedTopology(
+        SteinerTopology(n, m, tuple(edges), t.terminal_masses), tuple(flows))
+    assert moved.signature() == ft.signature()
 
 
 @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52),
