@@ -115,7 +115,8 @@ def _cmd_enumerate(args) -> int:
     n = len(inst.boundary.atoms)
     if n > args.max_terminals:
         raise ValueError(f"{n} atoms exceeds --max-terminals {args.max_terminals}")
-    for topo in enumerate_topologies(inst.boundary):
+    for ft in enumerate_topologies(inst.boundary):
+        topo = ft.topology
         sys.stdout.write(json.dumps({
             "n_terminals": topo.n_terminals,
             "n_branch": topo.n_branch,

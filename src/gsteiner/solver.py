@@ -1,10 +1,9 @@
 """Global branched-transport solver for atomic boundaries.
 
 Exhaustively enumerates the full topologies over balanced partitions of
-the atoms (every other forest is a contraction of one of them, so no
-minimum is lost), assigns the unique conservative flows, drops duplicates
-by signature (the split key of :mod:`topology`), and then runs a
-branch-and-bound over the survivors:
+the atoms, each with its unique conservative flows (every other forest is a
+contraction of one of them, so no minimum is lost), and then runs a
+branch-and-bound over them:
 
 1. every topology T gets a lower bound LB(T) <= E(T), the minimum of its
    location energy, by weak duality.  :func:`placement.lower_bounds`
@@ -134,25 +133,12 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     def margin(v: float) -> float:
         return v + cfg.value_tol * (1.0 + abs(v))
 
-    stats = {"enumerated": 0, "infeasible": 0, "duplicates": 0,
+    fts = list(enumerate_topologies(b))
+    keys = [repr(ft.signature()) for ft in fts]
+    # the generator yields only feasible topologies with distinct signatures;
+    # the two zero counters keep the report's stats keys stable
+    stats = {"enumerated": len(fts), "infeasible": 0, "duplicates": 0,
              "optimized": 0, "pruned": 0}
-    seen: set = set()
-    keys: list[str] = []
-    fts: list[FlowedTopology] = []
-    for topo in enumerate_topologies(b):
-        stats["enumerated"] += 1
-        try:
-            ft = assign_flows(topo, b)
-        except InfeasibleTopologyError:
-            stats["infeasible"] += 1
-            continue
-        sig = ft.signature()
-        if sig in seen:
-            stats["duplicates"] += 1
-            continue
-        seen.add(sig)
-        keys.append(repr(sig))
-        fts.append(ft)
     queue = sorted(zip(lower_bounds(fts, b, cfg.alpha, cfg.trace), keys, fts),
                    key=lambda q: (q[0], q[1]))
 

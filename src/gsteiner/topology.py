@@ -2,7 +2,9 @@
 
 A candidate topology is a forest on the labeled terminals (one per boundary
 atom) plus unlabeled auxiliary branch vertices.  Flows on a forest are
-uniquely determined by mass conservation (leaf stripping).
+uniquely determined by mass conservation: each edge splits its component's
+terminals in two, and the flow from its lower endpoint to its higher one is
+the mass on the higher endpoint's side.
 
 Every forest here is built from full trees (terminals are leaves, s - 2
 branch vertices of degree 3 on a block of s terminals).  The (2s - 5)!!
@@ -15,9 +17,10 @@ The solver's candidate set, :func:`enumerate_topologies`, holds only the
 full topologies over *balanced* partitions: blocks of total mass zero, each
 spanning a full tree.  Any other forest is a contraction of a full one,
 whose location-energy domain contains the contracted configuration, so the
-full optimum is never larger and collapses onto the same chain.  A full tree
-with a zero-flow edge is not built: without that edge it is a full topology
-of a finer balanced partition, which is enumerated anyway.
+full optimum is never larger and collapses onto the same chain.  The flows
+come from the block's subset sums, which also show the full trees with a
+zero-flow edge; those are not built: without that edge such a tree is a
+full topology of a finer balanced partition, which is enumerated anyway.
 
 :func:`_all_forests` yields every forest whose branch vertices have degree
 >= 3, each once: per block, the contractions of the full trees that merge no
@@ -68,9 +71,6 @@ class SteinerTopology:
             if not (0 <= u < v < self.n_terminals + self.n_branch):
                 raise ValueError("edge endpoints out of range or unordered")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if u == v or w == v)
-
 
 @dataclass(frozen=True)
 class FlowedTopology:
@@ -96,17 +96,21 @@ class FlowedTopology:
         ``repr`` of the key orders topologies by branch count first.
         """
         t = self.topology
-        components, splits = _splits(t.n_terminals, t.edges)
+        components, splits, _ = _splits(t.n_terminals, t.edges)
         return (t.n_terminals, t.n_branch, tuple(sorted(components)),
                 tuple(sorted(splits)))
 
 
-def _splits(n: int, edges: tuple[Edge, ...]) -> tuple[list[int], list[int]]:
+def _splits(n: int, edges: tuple[Edge, ...]
+            ) -> tuple[list[int], list[int], list[int]]:
     """Terminal bitmasks of a forest over terminals 0..n-1.
 
     One DFS per component, rooted at its lowest terminal, returns the mask
     of each component's terminals and, per edge, the mask of the terminals
-    on its side away from that root.
+    on its side away from that root, with +1 when that side holds the
+    edge's higher endpoint and -1 when it holds the lower one.  Components
+    without terminals are walked too: their edges split off empty masks.
+    Raises ``AssertionError`` when the edges contain a cycle.
     """
     adj: dict[int, list[tuple[int, int]]] = {}
     for i, (u, v) in enumerate(edges):
@@ -115,22 +119,26 @@ def _splits(n: int, edges: tuple[Edge, ...]) -> tuple[list[int], list[int]]:
     mask: dict[int, int] = {}
     components: list[int] = []
     splits = [0] * len(edges)
-    for root in range(n):
+    signs = [1] * len(edges)
+    for root in itertools.chain(range(n), adj):
         if root in mask:
             continue
         order, stack = [], [(root, -1, -1)]
         while stack:
             x, parent, i = stack.pop()
+            if x in mask:  # reached a second way
+                raise AssertionError("edges contain a cycle (not a forest)")
             order.append((x, parent, i))
             mask[x] = 1 << x if x < n else 0
-            stack.extend((y, x, j) for y, j in adj.get(x, ()) if y != parent)
+            stack.extend((y, x, j) for y, j in adj.get(x, ()) if j != i)
         for x, parent, i in reversed(order):
-            if i < 0:
-                components.append(mask[x])
-            else:
+            if i >= 0:
                 splits[i] = mask[x]
+                signs[i] = 1 if x > parent else -1
                 mask[parent] |= mask[x]
-    return components, splits
+            elif root < n:
+                components.append(mask[x])
+    return components, splits, signs
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +180,16 @@ def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _inner_sides(s: int) -> tuple[tuple[int, ...], ...]:
-    """Per shape of ``_full_shapes(s)``, one side of each branch-branch edge.
-
-    A side is the bitmask of the terminal slots the edge separates from the
-    rest (the other side is its complement).
-    """
-    return tuple(
-        tuple(side for (u, _), side in zip(shape, _splits(s, shape)[1])
-              if u >= s)
-        for shape in _full_shapes(s))
+def _sides(s: int) -> tuple[tuple[int, ...], ...]:
+    """Per shape of ``_full_shapes(s)``, per edge, the bitmask of the
+    terminal slots on its higher endpoint's side."""
+    full = (1 << s) - 1
+    out = []
+    for shape in _full_shapes(s):
+        _, splits, signs = _splits(s, shape)
+        out.append(tuple(side if sign > 0 else full ^ side
+                         for side, sign in zip(splits, signs)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -233,52 +241,64 @@ def _contract(full: tuple[Edge, ...], bits: int, s: int
                         for i, (u, v) in enumerate(full) if not bits >> i & 1))
 
 
-def _flowing_shapes(masses: tuple[Fraction, ...]) -> list[tuple[Edge, ...]]:
-    """Full shapes on a balanced block in which every edge carries flow.
+def _flowing_shapes(masses: tuple[Fraction, ...]
+                    ) -> list[tuple[tuple[Edge, ...], tuple[Fraction, ...]]]:
+    """Full shapes on a balanced block in which every edge carries flow,
+    each with its flows in edge order.
 
-    The flow on an edge is the total mass on one side of it, so an edge is
-    flowless exactly when it splits the block into two balanced parts.  A
-    leaf edge carries its atom's nonzero mass.
+    The flow from an edge's lower endpoint to its higher one is the total
+    mass on the higher endpoint's side, so an edge is flowless exactly when
+    it splits the block into two balanced parts.  A leaf edge carries its
+    atom's nonzero mass.
     """
     s = len(masses)
     sums = [Fraction(0)] * (1 << s)
     for mask in range(1, 1 << s):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
-    return [shape for shape, sides in zip(_full_shapes(s), _inner_sides(s))
-            if all(sums[side] != 0 for side in sides)]
+    out = []
+    for shape, sides in zip(_full_shapes(s), _sides(s)):
+        flows = tuple(sums[side] for side in sides)
+        if all(flows):
+            out.append((shape, flows))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _join(masses: tuple[Fraction, ...], blocks, shapes) -> SteinerTopology:
-    """The forest of one shape per block: terminal slots map to the block's
-    atoms, branch slots to fresh branch vertices in block order."""
-    n = len(masses)
+def _join(n: int, blocks, shapes) -> tuple[int, list[Edge]]:
+    """The branch count and the edges of one shape per block, in block order.
+
+    Terminal slots map to the block's atoms, branch slots to fresh branch
+    vertices in block order.  Both maps increase, so every edge keeps the
+    orientation of its slots.
+    """
     edges: list[Edge] = []
     next_branch = n
     for blk, shape in zip(blocks, shapes):
         m = len(shape) + 1 - len(blk)
         mapping = list(blk) + list(range(next_branch, next_branch + m))
         next_branch += m
-        edges.extend(tuple(sorted((mapping[u], mapping[v])))
-                     for u, v in shape)
-    return SteinerTopology(n_terminals=n, n_branch=next_branch - n,
-                           edges=tuple(sorted(edges)), terminal_masses=masses)
+        edges.extend((mapping[u], mapping[v]) for u, v in shape)
+    return next_branch - n, edges
 
 
-def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
-    """Every full topology over a balanced partition of ``b``'s atoms.
+def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
+    """Every full topology over a balanced partition of ``b``'s atoms, with
+    its flows.
 
     Terminals are indexed by the canonical (sorted) atom order of ``b``.
     Partitions with a block of nonzero total mass, or a singleton block,
-    are skipped before any tree is built, and so are the full trees with a
-    zero-flow edge: such an edge splits its block into two balanced parts,
-    and dropping it leaves a full topology of that finer partition, which is
-    yielded on its own.  Every yielded topology therefore carries nonzero
-    conservative flows on all its edges.  The stream is deterministic.
+    are skipped before any tree is built.  Each edge's flow is a subset sum
+    of its block's masses (see :func:`_flowing_shapes`), and the full trees
+    with a zero-flow edge are skipped: such an edge splits its block into
+    two balanced parts, and dropping it leaves a full topology of that finer
+    partition, which is yielded on its own.  Every yielded topology is
+    therefore what :func:`assign_flows` makes of it, with nonzero flows on
+    all its edges, and no two share a signature.  The stream is
+    deterministic.
     """
     n = len(b.atoms)
     if n < 2:
@@ -292,7 +312,10 @@ def enumerate_topologies(b: Boundary) -> Iterator[SteinerTopology]:
         for combo in itertools.product(*(
                 _flowing_shapes(tuple(masses[i] for i in blk))
                 for blk in blocks)):
-            yield _join(masses, blocks, combo)
+            shapes, flows = zip(*combo)
+            m, edges = _join(n, blocks, shapes)
+            edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
+            yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows)
 
 
 def _all_forests(b: Boundary) -> Iterator[SteinerTopology]:
@@ -314,7 +337,8 @@ def _all_forests(b: Boundary) -> Iterator[SteinerTopology]:
             continue
         for combo in itertools.product(*(_forest_shapes(len(blk))
                                          for blk in blocks)):
-            yield _join(masses, blocks, combo)
+            m, edges = _join(n, blocks, combo)
+            yield SteinerTopology(n, m, tuple(sorted(edges)), masses)
 
 
 # ---------------------------------------------------------------------------
@@ -322,62 +346,28 @@ def _all_forests(b: Boundary) -> Iterator[SteinerTopology]:
 # ---------------------------------------------------------------------------
 
 def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
-    """Unique conservative flows by leaf stripping, exact rationals.
+    """Unique conservative flows, exact rationals.
 
-    Raises :class:`InfeasibleTopologyError` when some component's terminal
-    masses do not sum to zero.  Zero-flow edges are removed; branch vertices
-    falling below degree 3 are spliced out and the result is flagged
-    degenerate.
+    The flow from an edge's lower endpoint to its higher one is the mass on
+    the higher endpoint's side of its split (:func:`_splits`).  Raises
+    :class:`InfeasibleTopologyError` when some component's terminal masses
+    do not sum to zero, and ``AssertionError`` when the edges contain a
+    cycle.  Zero-flow edges are removed; branch vertices falling below
+    degree 3 are spliced out and the result is flagged degenerate.
     """
     masses = tuple(m for _, m in b.atoms)
     if masses != t.terminal_masses:
         raise ValueError("topology terminal masses do not match boundary")
-    nv = t.n_terminals + t.n_branch
-    adj: dict[int, set[int]] = {v: set() for v in range(nv)}
-    edge_index: dict[Edge, int] = {}
-    for i, (u, v) in enumerate(t.edges):
-        adj[u].add(v)
-        adj[v].add(u)
-        edge_index[(u, v)] = i
+    components, splits, signs = _splits(t.n_terminals, t.edges)
 
-    # required net inflow at each vertex
-    demand: list[Fraction] = [
-        t.terminal_masses[v] if v < t.n_terminals else Fraction(0)
-        for v in range(nv)]
-    flows: list[Fraction | None] = [None] * len(t.edges)
-    for v in range(t.n_terminals):
-        if not adj[v]:
-            raise InfeasibleTopologyError(f"terminal {v} is isolated")
+    def mass(side: int) -> Fraction:
+        return sum((m for i, m in enumerate(masses) if side >> i & 1),
+                   Fraction(0))
 
-    stack = [v for v in range(nv) if len(adj[v]) == 1]
-    processed = [False] * nv
-    while stack:
-        v = stack.pop(0)
-        if processed[v] or len(adj[v]) != 1:
-            continue
-        processed[v] = True
-        u = next(iter(adj[v]))
-        e = (min(u, v), max(u, v))
-        i = edge_index[e]
-        # flow oriented low -> high endpoint; inflow at v must equal demand[v]
-        f = demand[v] if e[1] == v else -demand[v]
-        flows[i] = f
-        demand[u] += demand[v]
-        demand[v] = Fraction(0)
-        adj[u].discard(v)
-        adj[v].clear()
-        if len(adj[u]) == 1:
-            stack.append(u)
-        elif len(adj[u]) == 0 and demand[u] != 0:
-            raise InfeasibleTopologyError("component masses do not balance")
-    for v in range(nv):
-        if adj[v]:
-            raise AssertionError("leaf stripping left a cycle (not a forest)")
-        if demand[v] != 0:
-            raise InfeasibleTopologyError("component masses do not balance")
-
-    assert all(f is not None for f in flows)
-    return _normalize(t, [f for f in flows])[0]
+    if any(mass(c) != 0 for c in components):
+        raise InfeasibleTopologyError("component masses do not balance")
+    return _normalize(t, [sign * mass(side)
+                          for side, sign in zip(splits, signs)])[0]
 
 
 def _normalize(t: SteinerTopology, flows: list[Fraction]

@@ -127,7 +127,8 @@ def test_pruned_solve_matches_unpruned_solve(cases):
     for where, b, alpha in cases():
         cfg = SolverConfig(alpha=alpha)
         report = solve(b, cfg)
-        best, chains, gap = reference_solve(b, cfg, enumerate_topologies)
+        best, chains, gap = reference_solve(
+            b, cfg, lambda b: (ft.topology for ft in enumerate_topologies(b)))
         where = f"{where} alpha={alpha} atoms={b.atoms}"
         _assert_same_minimizers(report, best, chains, cfg, where)
         assert report.gap == gap or abs(report.gap - gap) <= \

@@ -9,17 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsteiner.currents import boundary, make_boundary
+from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
-from gsteiner.solver import SolverConfig, solve
+from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
                                SteinerTopology, _all_forests, _forest_shapes,
-                               _full_shapes, _set_partitions, _splits,
-                               assign_flows, enumerate_topologies)
+                               _full_shapes, _normalize, _set_partitions,
+                               _splits, assign_flows, enumerate_topologies)
 
 
 def line_boundary(n):
     masses = [F(-(n - 1))] + [F(1)] * (n - 1)
     return make_boundary([((float(i), 0.0), m) for i, m in enumerate(masses)])
+
+
+def degree(t, v):
+    return sum(1 for u, w in t.edges if u == v or w == v)
 
 
 def _canonical(edges, n, m):
@@ -102,7 +107,7 @@ def test_three_atom_structure():
     stars = [t for t in tops if t.n_branch == 1]
     paths = [t for t in tops if t.n_branch == 0]
     assert len(stars) == 1 and len(paths) == 3
-    assert stars[0].degree(3) == 3
+    assert degree(stars[0], 3) == 3
 
 
 def test_four_atom_double_y_present():
@@ -111,7 +116,7 @@ def test_four_atom_double_y_present():
     double_y = [t for t in tops if t.n_branch == 2]
     assert len(double_y) == 3  # the three terminal pairings
     for t in double_y:
-        assert t.degree(4) == 3 and t.degree(5) == 3
+        assert degree(t, 4) == 3 and degree(t, 5) == 3
     matchings = [t for t in tops if t.n_branch == 0 and len(t.edges) == 2]
     assert len(matchings) == 3
 
@@ -197,16 +202,17 @@ def test_full_topologies_cover_balanced_partitions(square_boundary):
     # whole set only the one pairing the sources and pairing the sinks
     # carries flow on its middle edge, the two balanced pairings give one
     # matching each, and {0,3}{1,2} is unbalanced and never built
-    tops = list(enumerate_topologies(square_boundary))
-    assert tops == list(enumerate_topologies(square_boundary))
+    fts = list(enumerate_topologies(square_boundary))
+    assert fts == list(enumerate_topologies(square_boundary))
+    tops = [ft.topology for ft in fts]
     assert len(tops) == 3
     assert sorted(t.edges for t in tops if t.n_branch == 0) == [
         ((0, 1), (2, 3)), ((0, 2), (1, 3))]
     (tree,) = [t for t in tops if t.n_branch == 2]
     assert {(0, 3), (1, 2)} == {
         tuple(u for u, v in tree.edges if v == b and u < 4) for b in (4, 5)}
-    for t in tops:
-        assign_flows(t, square_boundary)  # never infeasible
+    for ft in fts:
+        assert assign_flows(ft.topology, square_boundary) == ft  # feasible
 
 
 def _zero_flow_instances():
@@ -228,9 +234,9 @@ def _zero_flow_instances():
 
 def test_no_topology_with_a_zero_flow_edge():
     for b in _zero_flow_instances():
-        for t in enumerate_topologies(b):
-            ft = assign_flows(t, b)
-            assert not ft.degenerate and ft.topology == t
+        for ft in enumerate_topologies(b):
+            assert assign_flows(ft.topology, b) == ft
+            assert not ft.degenerate
             assert all(f != 0 for f in ft.edge_flows)
 
 
@@ -256,7 +262,7 @@ def _unskipped_full_topologies(b):
 
 def test_zero_flow_skip_loses_no_flowed_topology():
     for b in _zero_flow_instances():
-        kept = [assign_flows(t, b).signature() for t in enumerate_topologies(b)]
+        kept = [ft.signature() for ft in enumerate_topologies(b)]
         every = {assign_flows(t, b).signature()
                  for t in _unskipped_full_topologies(b)}
         assert len(kept) == len(set(kept)) == len(every)
@@ -377,7 +383,7 @@ def test_set_partitions_each_once(n, bell):
 
 def test_no_infeasible_topologies_with_unbalanced_blocks():
     b = line_boundary(5)  # the lone source balances no proper block
-    tops = list(enumerate_topologies(b))
+    tops = [ft.topology for ft in enumerate_topologies(b)]
     assert len(tops) == 15 and all(t.n_branch == 3 for t in tops)
     b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.2), F(1)),
                        ((2.0, -0.1), F(-2)), ((0.5, 1.0), F(2)),
@@ -454,7 +460,7 @@ def test_zero_flow_edge_degenerates():
     assert len(ft.topology.edges) == 2  # middle edge carried zero
 
 
-def _random_balanced_boundary(rng, n):
+def _random_balanced_boundary(rng, n, dim=2):
     atoms = []
     total = F(0)
     for i in range(n - 1):
@@ -462,8 +468,128 @@ def _random_balanced_boundary(rng, n):
         if m == 0:
             m = F(1)
         total += m
-        atoms.append(((rng.uniform(-2, 2), rng.uniform(-2, 2)), m))
-    atoms.append(((rng.uniform(-2, 2), rng.uniform(-2, 2)), -total))
+        atoms.append((tuple(rng.uniform(-2, 2) for _ in range(dim)), m))
+    atoms.append((tuple(rng.uniform(-2, 2) for _ in range(dim)), -total))
     if any(m == 0 for _, m in atoms):
-        return _random_balanced_boundary(rng, n)
+        return _random_balanced_boundary(rng, n, dim)
     return make_boundary(atoms)
+
+
+# ---------------------------------------------------------------------------
+# flows by leaf stripping, the reference of the split sums
+# ---------------------------------------------------------------------------
+
+def leaf_stripping_flows(t, b):
+    """The flow rule the split sums replaced, kept as their reference: each
+    leaf passes its demand to its neighbour across its edge and is removed,
+    then the flows are normalized like :func:`assign_flows` does."""
+    masses = tuple(m for _, m in b.atoms)
+    if masses != t.terminal_masses:
+        raise ValueError("topology terminal masses do not match boundary")
+    nv = t.n_terminals + t.n_branch
+    adj = {v: set() for v in range(nv)}
+    edge_index = {}
+    for i, (u, v) in enumerate(t.edges):
+        adj[u].add(v)
+        adj[v].add(u)
+        edge_index[(u, v)] = i
+
+    # required net inflow at each vertex
+    demand = [t.terminal_masses[v] if v < t.n_terminals else F(0)
+              for v in range(nv)]
+    flows = [None] * len(t.edges)
+    for v in range(t.n_terminals):
+        if not adj[v]:
+            raise InfeasibleTopologyError(f"terminal {v} is isolated")
+
+    stack = [v for v in range(nv) if len(adj[v]) == 1]
+    processed = [False] * nv
+    while stack:
+        v = stack.pop(0)
+        if processed[v] or len(adj[v]) != 1:
+            continue
+        processed[v] = True
+        u = next(iter(adj[v]))
+        e = (min(u, v), max(u, v))
+        i = edge_index[e]
+        # flow oriented low -> high endpoint; inflow at v must equal demand[v]
+        flows[i] = demand[v] if e[1] == v else -demand[v]
+        demand[u] += demand[v]
+        demand[v] = F(0)
+        adj[u].discard(v)
+        adj[v].clear()
+        if len(adj[u]) == 1:
+            stack.append(u)
+        elif len(adj[u]) == 0 and demand[u] != 0:
+            raise InfeasibleTopologyError("component masses do not balance")
+    for v in range(nv):
+        if adj[v]:
+            raise AssertionError("leaf stripping left a cycle (not a forest)")
+        if demand[v] != 0:
+            raise InfeasibleTopologyError("component masses do not balance")
+
+    assert all(f is not None for f in flows)
+    return _normalize(t, flows)[0]
+
+
+def _dented_square(radius, alpha=0.6):
+    square = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
+                            ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
+    base = solve(square, SolverConfig(alpha=alpha))
+    spec = PerturbationSpec(base.minimizers[0].chain, magic_points(base, 0),
+                            estimate_k0(alpha) + 1, radius)
+    return perturb(spec)[1]
+
+
+def _flow_instances():
+    """The zero-flow instances, both 6-atom mass vectors of the benchmark,
+    random 3-D instances and the dented square's 1/k masses."""
+    yield from _zero_flow_instances()
+    rng = random.Random(11)
+    for masses in ((-1, -1, -1, 1, 1, 1),
+                   (F(-3), F(-1, 2), F(2), F(1), F(3, 2), F(-1))):
+        yield make_boundary(((rng.uniform(0, 2), rng.uniform(0, 2)), F(m))
+                            for m in masses)
+    for n in (3, 4, 5, 6):
+        yield _random_balanced_boundary(rng, n, dim=3)
+    yield _dented_square(0.05)
+
+
+def test_enumerated_flows_match_leaf_stripping():
+    for b in _flow_instances():
+        fts = list(enumerate_topologies(b))
+        assert fts
+        for ft in fts:
+            assert not ft.degenerate
+            assert leaf_stripping_flows(ft.topology, b) == ft
+
+
+def test_assign_flows_matches_leaf_stripping():
+    flowed = infeasible = 0
+    for b in KEY_BOUNDARIES:
+        for t in _all_forests(b):
+            try:
+                want = leaf_stripping_flows(t, b)
+            except InfeasibleTopologyError:
+                with pytest.raises(InfeasibleTopologyError):
+                    assign_flows(t, b)
+                infeasible += 1
+                continue
+            assert assign_flows(t, b) == want
+            flowed += 1
+    assert flowed and infeasible
+
+
+@pytest.mark.parametrize("masses,m,edges", [
+    ((-2, 1, 1), 0, ((0, 1), (0, 2), (1, 2))),          # terminal triangle
+    ((-1, 1, -2, 1, 1), 3,                               # a triangle of branch
+     ((0, 1), (2, 3), (2, 4), (5, 6), (5, 7), (6, 7))),  # vertices on its own
+])
+def test_cycles_are_rejected(masses, m, edges):
+    b = make_boundary(((float(i), 0.0), F(x)) for i, x in enumerate(masses))
+    t = SteinerTopology(len(masses), m, edges, tuple(x for _, x in b.atoms))
+    with pytest.raises(AssertionError, match="cycle"):
+        FlowedTopology(t, (F(1),) * len(edges)).signature()
+    for flows in (assign_flows, leaf_stripping_flows):
+        with pytest.raises(AssertionError, match="cycle"):
+            flows(t, b)
