@@ -175,15 +175,20 @@ def _cmd_perturb(args) -> int:
     return 0 if bounds.all_ok() else 2
 
 
+def _point(obj: dict, key: str) -> tuple[float, ...]:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"key {key!r} must be a list of numbers, not {value!r}")
+    return tuple(fileio._number(f"key {key!r}", x) for x in value)
+
+
 def _cmd_local4(args) -> int:
     obj = fileio.load_json(args.input)
+    a, b, c, d = (_point(obj, key) for key in "ABCD")
     inst = LocalFourPointInstance(
-        a=tuple(float(x) for x in obj["A"]),
-        b=tuple(float(x) for x in obj["B"]),
-        c=tuple(float(x) for x in obj["C"]),
-        d=tuple(float(x) for x in obj["D"]),
+        a=a, b=b, c=c, d=d,
         theta=Fraction(str(obj.get("theta", 1))),
-        k=int(obj["k"]),
+        k=fileio._number("key 'k'", obj["k"], integral=True),
     )
     cls = local4_solve(inst, args.alpha)
     out = {

@@ -6,12 +6,20 @@ branch-vertex positions, through
     F(x_1, ..., x_m) = sum over edges of |flow|^alpha * |x_j - x_i|,
 
 a convex (generally non-smooth) function.  It is minimized by a smoothed
-Weiszfeld fixed-point iteration: each branch vertex moves to the weighted
-barycenter of its neighbors with weights w_e / sqrt(len^2 + eps^2), while
-eps decreases geometrically.  At the end of every smoothing stage each
-branch vertex is snapped onto its nearest vertex whenever that strictly
-lowers the exact energy, which accelerates convergence onto collapsed
-configurations (the non-smooth minimizers these instances actually visit).
+Weiszfeld fixed-point iteration (Smith, Algorithmica 7, 1992): each branch
+vertex moves to the weighted barycenter of its neighbors with weights
+w_e / sqrt(len^2 + eps^2), while eps decreases geometrically.  At the end of
+every smoothing stage each branch vertex is snapped onto its nearest vertex
+whenever that strictly lowers the exact energy, which accelerates
+convergence onto collapsed configurations (the non-smooth minimizers these
+instances actually visit).
+
+One kernel, :func:`_run_kernel`, runs this in every dimension: the eps
+schedule, the per-stage sweep budgets, the snap and the trace records.  Only
+its Gauss-Seidel sweep is chosen by the dimension of the terminals: the
+unrolled planar :func:`_sweeps_2d`, or :func:`_sweeps_nd` otherwise.  Both
+do the same arithmetic, so a planar instance lifted into 3-D gives the same
+bits.
 
 Optimality is certified by the minimal-norm subgradient residual: edges of
 near-zero length contribute a ball of radius w_e to the subdifferential, so
@@ -19,12 +27,11 @@ the residual at a collapsed vertex is max(0, |g| - sum of collapsed w_e).
 
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
-the largest terminal distance), and all stages together run at most
-``MAX_ITERS`` iterations; a run that exhausts them returns its last
-smoothed iterate without the snap step.  Edges not longer than
-``TOL_COLLAPSE`` (instance units) count as collapsed, in the residual and
-in :func:`detect_collapse`, and :func:`minimize` reports convergence when
-the residual is at most ``TOL_GRAD``.
+the largest terminal distance).  Every stage runs at most 200 sweeps and the
+final one, at ``EPS_MIN``, at most 400, so a run has at most 2000 sweeps.
+Edges not longer than ``TOL_COLLAPSE`` (instance units) count as collapsed,
+in the residual and in :func:`detect_collapse`, and :func:`minimize`
+reports convergence when the residual is at most ``TOL_GRAD``.
 
 A lower bound on the minimum comes from weak duality (Xue & Ye, SIAM J.
 Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
@@ -45,7 +52,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -60,7 +67,6 @@ TOL_COLLAPSE = 1e-7
 EPS_INIT = 2e-2
 EPS_DECAY = 0.2
 EPS_MIN = 2e-7
-MAX_ITERS = 20000
 
 # receives one JSON-serializable record per smoothing stage (iteration count,
 # eps, current energy) plus a final one with the stationarity residual;
@@ -80,7 +86,10 @@ class Placement:
 
 
 @dataclass(frozen=True)
-class MinimizeResult:
+class OptimizedTopology:
+    """Result of minimizing one topology: of :func:`minimize` as given, of
+    :func:`optimize_topology` after collapse resolution."""
+    flowed: FlowedTopology
     placement: Placement
     value: float
     residual: float
@@ -162,26 +171,109 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
                 trace: Trace | None) -> tuple[list[list[float]], int]:
     """Smoothed Weiszfeld from the barycentric start.
 
-    Returns the positions and the iteration count.
+    Returns the branch positions and the number of sweeps.
     """
     t = ft.topology
-    n, m = t.n_terminals, t.n_branch
-    d = len(terminals[0])
+    n = t.n_terminals
     w = _weights(ft, alpha)
     scale = _scale(terminals)
-    pos = _barycentric_init(ft, terminals)
+    # every vertex, terminals first; the sweeps write only branch entries
+    pos = [list(p) for p in terminals] + _barycentric_init(ft, terminals)
+    nv = len(pos)
+    # each branch vertex with its incident edges: (weight, other vertex)
+    incident = [(b, [(wi, v if u == b else u)
+                     for wi, (u, v) in zip(w, t.edges) if b in (u, v)])
+                for b in range(n, nv)]
+    sweeps = _sweeps_2d if len(terminals[0]) == 2 else _sweeps_nd
 
-    # incident edge list per branch vertex: (weight, other vertex)
-    incident: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-    for wi, (u, v) in zip(w, t.edges):
-        if u >= n:
-            incident[u - n].append((wi, v))
-        if v >= n:
-            incident[v - n].append((wi, u))
+    def exact_energy() -> float:
+        return sum(wi * math.dist(pos[u], pos[v])
+                   for wi, (u, v) in zip(w, t.edges))
 
-    if d == 2:
-        return _weiszfeld_2d(t.edges, w, incident, terminals, pos, scale, trace)
-    return _weiszfeld_nd(t.edges, w, incident, terminals, pos, scale, trace, d)
+    iters = 0
+    eps = EPS_INIT * scale
+    eps_floor = EPS_MIN * scale
+    move_tol = 1e-11 * scale
+    while True:
+        final = eps <= eps_floor
+        iters += sweeps(pos, incident, eps * eps, 400 if final else 200,
+                        move_tol if final else max(2e-2 * eps, move_tol))
+        # snap to the nearest vertex when that strictly improves exact F
+        current = exact_energy()
+        for b in range(n, nv):
+            here = pos[b]
+            nearest = min((v for v in range(nv) if v != b),
+                          key=lambda v: math.dist(here, pos[v]))
+            pos[b] = list(pos[nearest])
+            trial = exact_energy()
+            if trial < current - 1e-15 * (1.0 + abs(current)):
+                current = trial
+            else:
+                pos[b] = here
+        if trace is not None:
+            trace({"stage": "eps", "iteration": iters, "eps": eps,
+                   "value": current})
+        if final:
+            return pos[n:], iters
+        eps = max(eps * EPS_DECAY, eps_floor)
+
+
+def _sweeps_2d(pos, incident, e2: float, budget: int, tol: float) -> int:
+    """Gauss-Seidel sweeps until no coordinate moves more than ``tol``, at
+    most ``budget``; returns the number run.
+
+    Each sweep moves every branch vertex in turn to the barycenter of its
+    neighbors with weights w_e / sqrt(len^2 + e2).  The planar hot path:
+    flat float arithmetic, no temporaries; :func:`_sweeps_nd` does the same
+    arithmetic in any dimension.
+    """
+    for done in range(1, budget + 1):
+        move = 0.0
+        for b, edges in incident:
+            p = pos[b]
+            x, y = p
+            nx = ny = den = 0.0
+            for wi, other in edges:
+                qx, qy = pos[other]
+                coef = wi / math.sqrt((x - qx) ** 2 + (y - qy) ** 2 + e2)
+                den += coef
+                nx += coef * qx
+                ny += coef * qy
+            nx /= den
+            ny /= den
+            dx = nx - x if nx > x else x - nx
+            dy = ny - y if ny > y else y - ny
+            if dx > move:
+                move = dx
+            if dy > move:
+                move = dy
+            p[0] = nx
+            p[1] = ny
+        if move <= tol:
+            return done
+    return budget
+
+
+def _sweeps_nd(pos, incident, e2: float, budget: int, tol: float) -> int:
+    """:func:`_sweeps_2d` in any dimension."""
+    for done in range(1, budget + 1):
+        move = 0.0
+        for b, edges in incident:
+            x = pos[b]
+            num = [0.0] * len(x)
+            den = 0.0
+            for wi, other in edges:
+                q = pos[other]
+                coef = wi / math.sqrt(sum((a - c) ** 2 for a, c in zip(x, q)) + e2)
+                den += coef
+                for i, c in enumerate(q):
+                    num[i] += coef * c
+            newx = [c / den for c in num]
+            move = max(move, max(abs(a - c) for a, c in zip(newx, x)))
+            pos[b] = newx
+        if move <= tol:
+            return done
+    return budget
 
 
 def _scale(terminals) -> float:
@@ -199,19 +291,20 @@ def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
 
 
 def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
-             trace: Trace | None = None) -> MinimizeResult:
+             trace: Trace | None = None) -> OptimizedTopology:
     """Minimize the location energy for a flowed topology over ``b``.
 
     Deterministic: barycentric initialization, smoothed Weiszfeld sweeps
     with a geometric eps schedule, nearest-vertex snapping when it strictly
     improves the exact energy.  ``trace`` receives the per-stage records.
+    The result is for ``ft`` itself: no collapse is resolved.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     terminals = _terminals_for(ft, b)
     if ft.topology.n_branch == 0:
         pl = Placement(terminals, ())
-        return MinimizeResult(pl, energy(ft, pl, alpha), 0.0, 0, True)
+        return OptimizedTopology(ft, pl, energy(ft, pl, alpha), 0.0, 0, True)
 
     pos, iters = _run_kernel(ft, terminals, alpha, trace)
     pl = Placement(terminals, tuple(tuple(x) for x in pos))
@@ -220,7 +313,7 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     if trace is not None:
         trace({"stage": "done", "iteration": iters, "value": value,
                "residual": res})
-    return MinimizeResult(pl, value, res, iters, res <= TOL_GRAD)
+    return OptimizedTopology(ft, pl, value, res, iters, res <= TOL_GRAD)
 
 
 # ---------------------------------------------------------------------------
@@ -364,148 +457,6 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
     return bounds.tolist()
 
 
-def _weiszfeld_2d(edges, w, incident, terminals, pos, scale: float,
-                  trace: Trace | None) -> tuple[list[list[float]], int]:
-    """Planar hot path: flat float arithmetic, no temporaries."""
-    n = len(terminals)
-    m = len(pos)
-
-    def exact_energy() -> float:
-        total = 0.0
-        for wi, (u, v) in zip(w, edges):
-            ax, ay = terminals[u] if u < n else pos[u - n]
-            bx, by = terminals[v] if v < n else pos[v - n]
-            total += wi * math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
-        return total
-
-    iters = 0
-    eps = EPS_INIT * scale
-    eps_floor = EPS_MIN * scale
-    move_tol = 1e-11 * scale
-    while True:
-        e2 = eps * eps
-        final = eps <= eps_floor
-        stage_tol = move_tol if final else max(2e-2 * eps, move_tol)
-        for _ in range(400 if final else 200):
-            iters += 1
-            move = 0.0
-            for bi in range(m):
-                nx = ny = den = 0.0
-                x, y = pos[bi]
-                for wi, other in incident[bi]:
-                    qx, qy = terminals[other] if other < n else pos[other - n]
-                    coef = wi / math.sqrt((x - qx) ** 2 + (y - qy) ** 2 + e2)
-                    den += coef
-                    nx += coef * qx
-                    ny += coef * qy
-                nx /= den
-                ny /= den
-                dx = nx - x if nx > x else x - nx
-                dy = ny - y if ny > y else y - ny
-                if dx > move:
-                    move = dx
-                if dy > move:
-                    move = dy
-                pos[bi][0] = nx
-                pos[bi][1] = ny
-            if move <= stage_tol:
-                break
-            if iters >= MAX_ITERS:
-                return pos, iters
-        # snap to the nearest vertex when that strictly improves exact F
-        current = exact_energy()
-        for bi in range(m):
-            x, y = pos[bi]
-            best = None
-            best_d = float("inf")
-            for v in range(n + m):
-                if v == n + bi:
-                    continue
-                qx, qy = terminals[v] if v < n else pos[v - n]
-                dd = (x - qx) ** 2 + (y - qy) ** 2
-                if dd < best_d:
-                    best_d, best = dd, (qx, qy)
-            saved = (x, y)
-            pos[bi][0], pos[bi][1] = best
-            trial = exact_energy()
-            if trial < current - 1e-15 * (1.0 + abs(current)):
-                current = trial
-            else:
-                pos[bi][0], pos[bi][1] = saved
-        if trace is not None:
-            trace({"stage": "eps", "iteration": iters, "eps": eps,
-                   "value": current})
-        if eps <= eps_floor:
-            break
-        eps = max(eps * EPS_DECAY, eps_floor)
-    return pos, iters
-
-
-def _weiszfeld_nd(edges, w, incident, terminals, pos, scale: float,
-                  trace: Trace | None, d: int) -> tuple[list[list[float]], int]:
-    n = len(terminals)
-    m = len(pos)
-
-    def point(v: int):
-        return terminals[v] if v < n else pos[v - n]
-
-    def exact_energy() -> float:
-        total = 0.0
-        for wi, (u, v) in zip(w, edges):
-            pu, pv = point(u), point(v)
-            total += wi * math.sqrt(sum((a - c) ** 2 for a, c in zip(pu, pv)))
-        return total
-
-    iters = 0
-    eps = EPS_INIT * scale
-    eps_floor = EPS_MIN * scale
-    move_tol = 1e-11 * scale
-    while True:
-        e2 = eps * eps
-        final = eps <= eps_floor
-        stage_tol = move_tol if final else max(2e-2 * eps, move_tol)
-        for _ in range(400 if final else 200):
-            iters += 1
-            move = 0.0
-            for bi in range(m):
-                num = [0.0] * d
-                den = 0.0
-                x = pos[bi]
-                for wi, other in incident[bi]:
-                    q = point(other)
-                    l = math.sqrt(sum((a - c) ** 2 for a, c in zip(x, q)) + e2)
-                    coef = wi / l
-                    den += coef
-                    for i in range(d):
-                        num[i] += coef * q[i]
-                newx = [num[i] / den for i in range(d)]
-                move = max(move, max(abs(a - c) for a, c in zip(newx, x)))
-                pos[bi] = newx
-            if move <= stage_tol:
-                break
-            if iters >= MAX_ITERS:
-                return pos, iters
-        current = exact_energy()
-        for bi in range(m):
-            cands = sorted(
-                (v for v in range(n + m) if v != n + bi),
-                key=lambda v: dist(tuple(pos[bi]), tuple(point(v))))
-            saved = list(pos[bi])
-            pos[bi] = list(point(cands[0]))
-            trial = exact_energy()
-            if trial < current - 1e-15 * (1.0 + abs(current)):
-                current = trial
-            else:
-                pos[bi] = saved
-        if trace is not None:
-            trace({"stage": "eps", "iteration": iters, "eps": eps,
-                   "value": current})
-        if eps <= eps_floor:
-            break
-        eps = max(eps * EPS_DECAY, eps_floor)
-    return pos, iters
-
-
 # ---------------------------------------------------------------------------
 # collapse handling and realization
 # ---------------------------------------------------------------------------
@@ -629,17 +580,6 @@ def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
     return PolyhedralChain(tuple(segs), canonical=False)
 
 
-@dataclass(frozen=True)
-class OptimizedTopology:
-    """Result of minimizing one topology, after collapse resolution."""
-    flowed: FlowedTopology
-    placement: Placement
-    value: float
-    residual: float
-    iterations: int
-    converged: bool
-
-
 # minimize results shared by the optimize_topology calls of one solve; see
 # _sharing_minimizations
 _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
@@ -677,7 +617,7 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     if memo is None:
         memo = {}
 
-    def run(ft: FlowedTopology) -> MinimizeResult:
+    def run(ft: FlowedTopology) -> OptimizedTopology:
         key = (ft.topology.edges, ft.edge_flows)
         if key not in memo:
             memo[key] = minimize(ft, b, alpha, trace)
@@ -687,12 +627,13 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     for _ in range(4):
         res = run(ft)
         iters += res.iterations
-        new_ft, new_pl = detect_collapse(ft, res.placement)
+        new_ft, _ = detect_collapse(ft, res.placement)
         if new_ft is ft:
-            return OptimizedTopology(ft, res.placement, res.value,
-                                     res.residual, iters, res.converged)
+            break
         ft = new_ft
-    res = run(ft)
-    iters += res.iterations
-    return OptimizedTopology(ft, res.placement, res.value, res.residual,
-                             iters, res.converged)
+    else:
+        res = run(ft)
+        iters += res.iterations
+    # a reused result may come from a topology equal to ft up to its
+    # degenerate flag
+    return replace(res, flowed=ft, iterations=iters)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
+from .fileio import _number
 from .perturb import (estimate_k0, estimate_rho, four_point_instance,
                       local4_solve)
 
@@ -42,14 +43,19 @@ class SweepSpec:
 
     @staticmethod
     def from_obj(obj: dict) -> "SweepSpec":
+        """The spec of a sweep file; every number is converted by
+        :func:`fileio._number`, so a fractional count or a boolean raises
+        ``ValueError`` naming its key instead of being truncated."""
         return SweepSpec(
-            alphas=tuple(float(a) for a in obj["alphas"]),
-            n_instances=int(obj.get("n_instances", 20)),
-            k=int(obj["k"]) if obj.get("k") is not None else None,
-            rho=float(obj["rho"]) if obj.get("rho") is not None else None,
-            rho_safety=float(obj.get("rho_safety", 0.5)),
+            alphas=tuple(_number("key 'alphas'", a) for a in obj["alphas"]),
+            n_instances=_number("key 'n_instances'", obj.get("n_instances", 20),
+                                integral=True),
+            k=(None if obj.get("k") is None
+               else _number("key 'k'", obj["k"], integral=True)),
+            rho=None if obj.get("rho") is None else _number("key 'rho'", obj["rho"]),
+            rho_safety=_number("key 'rho_safety'", obj.get("rho_safety", 0.5)),
             theta=Fraction(str(obj.get("theta", 1))),
-            seed=int(obj.get("seed", 0)),
+            seed=_number("key 'seed'", obj.get("seed", 0), integral=True),
         )
 
 

@@ -302,3 +302,75 @@ def test_non_finite_coordinate_exit_code(tmp_path, capsys, bad):
     assert cli.main(["flat-norm", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("non-finite atom coordinate") == 2
+
+
+FOUR = {"A": [-4.0, 0.0], "B": [-1.0, 0.02], "C": [1.0, -0.02],
+        "D": [4.0, 0.0], "theta": "1", "k": 6}
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("k", 6.9, "must be an integer"),
+    ("k", "6.5", "must be an integer"),
+    ("k", True, "must be a finite number"),
+    ("A", [True, 0.0], "must be a finite number"),
+    ("B", [-1.0, "nan"], "must be a finite number"),
+    ("D", [4.0, None], "must be a finite number"),
+    ("C", 5, "must be a list of numbers"),
+    ("C", "12", "must be a list of numbers"),
+])
+def test_local4_numbers_not_converted_silently(tmp_path, capsys, key, value,
+                                               why):
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(dict(FOUR, **{key: value})))
+    assert cli.main(["local4", "--input", str(path), "--alpha", "0.5"]) == 1
+    assert f"key {key!r} {why}" in capsys.readouterr().err
+
+
+def test_local4_integral_numbers_accepted(tmp_path):
+    path = tmp_path / "four.json"
+    reports = []
+    for i, obj in enumerate((FOUR, dict(FOUR, k=6.0, A=[-4, "0"]))):
+        path.write_text(json.dumps(obj))
+        reports.append(tmp_path / f"report{i}.json")
+        assert cli.main(["local4", "--input", str(path), "--alpha", "0.5",
+                         "--report", str(reports[-1])]) == 0
+    assert reports[0].read_text() == reports[1].read_text()
+
+
+SWEEP = {"alphas": [0.5], "n_instances": 1, "rho": 0.05, "seed": 2}
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("n_instances", 1.7, "must be an integer"),
+    ("n_instances", True, "must be a finite number"),
+    ("k", 6.5, "must be an integer"),
+    ("seed", 2.7, "must be an integer"),
+    ("seed", False, "must be a finite number"),
+    ("alphas", [0.5, True], "must be a finite number"),
+    ("alphas", ["inf"], "must be a finite number"),
+    ("rho", True, "must be a finite number"),
+    ("rho", "nan", "must be a finite number"),
+    ("rho_safety", "x", "must be a finite number"),
+])
+def test_sweep_spec_numbers_not_converted_silently(key, value, why):
+    with pytest.raises(ValueError, match=f"key {key!r} {why}"):
+        SweepSpec.from_obj(dict(SWEEP, **{key: value}))
+
+
+def test_sweep_spec_integral_numbers_accepted():
+    spec = SweepSpec.from_obj(dict(SWEEP, n_instances=3.0, k="7", seed=2.0,
+                                   alphas=["0.5", 1]))
+    assert (spec.n_instances, spec.k, spec.seed) == (3, 7, 2)
+    assert all(type(v) is int for v in (spec.n_instances, spec.k, spec.seed))
+    assert spec.alphas == (0.5, 1.0) and spec.rho == 0.05
+    assert SweepSpec.from_obj(dict(SWEEP, k=None, rho=None)).k is None
+
+
+def test_bad_sweep_spec_exit_code(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    log = tmp_path / "log.csv"
+    for key, value in (("n_instances", 1.7), ("alphas", [True])):
+        spec.write_text(json.dumps(dict(SWEEP, **{key: value})))
+        assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
+        assert f"key {key!r} must be" in capsys.readouterr().err
+    assert not log.exists()
