@@ -30,9 +30,7 @@ SCHEMA_VERSION = "1"
 
 
 def parse_rational(s: Any) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
+    if isinstance(s, (int, str)) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"rational masses must be strings like '3/4', got {s!r}")
 
@@ -53,7 +51,8 @@ def boundary_to_obj(b: Boundary) -> dict:
 
 
 def obj_to_boundary(obj: dict) -> Boundary:
-    atoms = [(tuple(float(x) for x in a["p"]), parse_rational(a["m"]))
+    atoms = [(tuple(_number("an atom coordinate", x) for x in a["p"]),
+              parse_rational(a["m"]))
              for a in obj["atoms"]]
     b = make_boundary(atoms)
     if "dim" in obj:
@@ -73,8 +72,8 @@ def chain_to_obj(chain: PolyhedralChain) -> dict:
 
 def obj_to_chain(obj: dict) -> PolyhedralChain:
     segs = tuple(
-        Segment(tuple(float(x) for x in s["a"]),
-                tuple(float(x) for x in s["b"]),
+        Segment(tuple(_number("a segment coordinate", x) for x in s["a"]),
+                tuple(_number("a segment coordinate", x) for x in s["b"]),
                 parse_rational(s["m"]))
         for s in obj["segments"])
     return PolyhedralChain(segs, canonical=False)

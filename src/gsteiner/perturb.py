@@ -28,9 +28,10 @@ from typing import Sequence
 
 from .currents import (Boundary, PolyhedralChain, Point, Segment, alpha_mass,
                        boundary, branch_points, canonicalize, dist,
-                       make_boundary, scale_chain, support_difference_mass)
+                       make_boundary, restrict_ball, scale_chain,
+                       support_difference_mass)
 from .flat import flat_distance
-from .placement import _sharing_minimizations, optimize_topology, realize_chain
+from .placement import optimize_topology, realize_chain
 from .solver import SolveReport, SolverConfig, magic_points, solve
 from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
                        assign_flows)
@@ -106,7 +107,6 @@ def _param_on_segment(p: Point, s: Segment, tol: float = 1e-9) -> float | None:
 
 def perturb(spec: PerturbationSpec) -> tuple[PolyhedralChain, Boundary]:
     """Dented chain and its boundary, with exact rational multiplicities."""
-    from .currents import restrict_ball
     total = spec.chain
     for p in spec.points:
         piece = restrict_ball(spec.chain, p, spec.radius)
@@ -150,9 +150,8 @@ def verify_perturbation_bounds(spec: PerturbationSpec,
     e_before = alpha_mass(spec.chain, alpha)
     e_after = alpha_mass(t_pert, alpha)
     energy_margin = e_before - e_after
-    dented = any(
-        True for p in spec.points
-        for s in spec.chain.segments if _param_on_segment(p, s) is not None)
+    # every point lies on the chain (PerturbationSpec checks it)
+    dented = bool(spec.points)
 
     return PerturbationReport(
         mass_bound_ok=mass_margin >= 0,
@@ -323,17 +322,17 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassificat
     values: dict[str, float] = {}
     infeasible: set[str] = set()
     evaluated: list[tuple[float, str, PolyhedralChain]] = []
-    with _sharing_minimizations():
-        for case, ft in _local4_candidates(tuple(m for _, m in b.atoms), roles):
-            if ft is None:
-                infeasible.add(case)
-                continue
-            opt = optimize_topology(ft, b, alpha)
-            chain = canonicalize(realize_chain(opt.flowed, opt.placement))
-            value = alpha_mass(chain, alpha)
-            if case not in values or value < values[case]:
-                values[case] = value
-            evaluated.append((value, case, chain))
+    memo: dict = {}
+    for case, ft in _local4_candidates(tuple(m for _, m in b.atoms), roles):
+        if ft is None:
+            infeasible.add(case)
+            continue
+        opt = optimize_topology(ft, b, alpha, memo=memo)
+        chain = canonicalize(realize_chain(opt.flowed, opt.placement))
+        value = alpha_mass(chain, alpha)
+        if case not in values or value < values[case]:
+            values[case] = value
+        evaluated.append((value, case, chain))
 
     infeasible -= values.keys()
     evaluated.sort(key=lambda e: (e[0], e[1]))
@@ -355,12 +354,12 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassificat
 # quantization threshold k0 and near-collinearity radius rho
 # ---------------------------------------------------------------------------
 
-def _k0_predicate(k: int, alpha: float) -> bool:
-    """Both scalar exclusion inequalities:
-    (1 - 1/k)^alpha + k^-alpha / 2 > 1   and   ... + k^-alpha / 4 > 1."""
+def _scalar_margins(alpha: float, k: int) -> tuple[float, float]:
+    """The margins of the two scalar exclusion inequalities,
+    (1 - 1/k)^alpha + k^-alpha / 2 - 1   and   ... + k^-alpha / 4 - 1."""
     base = math.expm1(alpha * math.log1p(-1.0 / k))  # (1-1/k)^alpha - 1
     ka = math.exp(-alpha * math.log(k))
-    return base + ka / 2.0 > 0.0 and base + ka / 4.0 > 0.0
+    return base + ka / 2.0, base + ka / 4.0
 
 
 def estimate_k0(alpha: float) -> int:
@@ -371,16 +370,20 @@ def estimate_k0(alpha: float) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if _k0_predicate(2, alpha):
+
+    def holds(k: int) -> bool:
+        return all(margin > 0.0 for margin in _scalar_margins(alpha, k))
+
+    if holds(2):
         return 2
     lo, hi = 2, 4
-    while not _k0_predicate(hi, alpha):
+    while not holds(hi):
         lo, hi = hi, hi * 2
         if hi > 2 ** 62:
             raise ArithmeticError("k0 search exceeded 2^62")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _k0_predicate(mid, alpha):
+        if holds(mid):
             hi = mid
         else:
             lo = mid

@@ -25,6 +25,15 @@ Optimality is certified by the minimal-norm subgradient residual: edges of
 near-zero length contribute a ball of radius w_e to the subdifferential, so
 the residual at a collapsed vertex is max(0, |g| - sum of collapsed w_e).
 
+A minimizer often collapses: branch points land on each other or on an
+atom.  :func:`optimize_topology` resolves that in one loop: it minimizes,
+contracts what :func:`detect_collapse` finds coincident, and minimizes the
+contracted topology afresh, until :func:`detect_collapse` returns its input.
+Each round removes a branch vertex, so the loop ends.  Minimizations depend
+on the flowed topology alone, so a caller that optimizes many topologies of
+one boundary passes one ``memo`` dict to all of them, and a topology that
+several others contract onto is minimized once.
+
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
 the largest terminal distance).  Every stage runs at most 200 sweeps and the
@@ -50,8 +59,6 @@ the value even at the smallest eps.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -461,20 +468,27 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
 # collapse handling and realization
 # ---------------------------------------------------------------------------
 
-def detect_collapse(ft: FlowedTopology, pl: Placement
-                    ) -> tuple[FlowedTopology, Placement]:
-    """Merge branch vertices lying within ``TOL_COLLAPSE`` of a vertex.
+def detect_collapse(ft: FlowedTopology, pl: Placement) -> FlowedTopology:
+    """The topology ``ft`` contracts to at ``pl``, or ``ft`` itself.
 
-    Clusters never contain two terminals.  Edges interior to a cluster are
-    removed (their flow is conserved), parallel edges are combined, and
-    branch vertices left with degree < 3 are spliced out; the resulting
-    topology is flagged degenerate so downstream deduplication can apply.
+    Vertices within ``TOL_COLLAPSE`` of each other merge, closest pairs
+    first, adjacent or not, but a cluster never holds two terminals.  Edges
+    inside a cluster go (their flow is conserved), parallel edges combine,
+    zero-flow edges drop and branch vertices left with degree < 3 are
+    spliced out; the result is flagged degenerate.  ``ft`` is returned when
+    nothing merges, or when the merged edges would close a cycle (that
+    configuration is left to geometric canonicalization).
     """
     t = ft.topology
-    n, m = t.n_terminals, t.n_branch
-    if m == 0:
-        return ft, pl
-    nv = n + m
+    n = t.n_terminals
+    nv = n + t.n_branch
+    close = sorted(
+        (d, u, v) for v in range(n, nv) for u in range(v)
+        if (d := dist(pl.position(u), pl.position(v))) <= TOL_COLLAPSE)
+    if not close:  # else the first pair merges: each holds a branch vertex
+        return ft
+    # union-find whose root is the lowest vertex of its class, so a class
+    # holds a terminal exactly when its root is below n
     parent = list(range(nv))
 
     def find(x: int) -> int:
@@ -483,90 +497,28 @@ def detect_collapse(ft: FlowedTopology, pl: Placement
             x = parent[x]
         return x
 
-    def has_terminal(r: int) -> bool:
-        return any(find(v) == r for v in range(n))
-
-    pairs = []
-    for v in range(n, nv):
-        for u in range(nv):
-            if u < v:
-                pairs.append((dist(pl.position(u), pl.position(v)), u, v))
-    for dd, u, v in sorted(pairs):
-        if dd > TOL_COLLAPSE:
-            break
-        if u < n and v < n:
-            continue
+    for _, u, v in close:
         ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if has_terminal(ru) and has_terminal(rv):
-            continue
-        parent[max(ru, rv)] = min(ru, rv)
+        if ru != rv and max(ru, rv) >= n:  # never two terminals in a class
+            parent[max(ru, rv)] = min(ru, rv)
 
-    clusters: dict[int, list[int]] = {}
-    for v in range(nv):
-        clusters.setdefault(find(v), []).append(v)
-    if all(len(c) == 1 for c in clusters.values()):
-        return ft, pl
-
-    # representative position: terminal if present, else member centroid
-    rep_pos: dict[int, Point] = {}
-    for r, members in clusters.items():
-        terms = [v for v in members if v < n]
-        if terms:
-            rep_pos[r] = pl.position(terms[0])
-        else:
-            d = len(pl.terminals[0])
-            rep_pos[r] = tuple(
-                sum(pl.position(v)[i] for v in members) / len(members)
-                for i in range(d))
-
-    # relabel representatives: terminals keep their index, branches compact
-    branch_reps = sorted(r for r in clusters if r >= n)
-    label = {r: (r if r < n else n + branch_reps.index(r)) for r in clusters}
     merged: dict[tuple[int, int], Fraction] = {}
     for (u, v), f in zip(t.edges, ft.edge_flows):
-        a, c = label[find(u)], label[find(v)]
+        a, c = find(u), find(v)
         if a == c:
             continue
         if a > c:
             a, c, f = c, a, -f
         merged[(a, c)] = merged.get((a, c), Fraction(0)) + f
-    edges = tuple(sorted(e for e, f in merged.items() if f != 0))
-    if _has_graph_cycle(edges):
-        # contracting created a loop; leave the configuration to geometric
-        # canonicalization instead of rewriting the topology
-        return ft, pl
-    flows = [merged[e] for e in edges]
-    new_t = SteinerTopology(n, len(branch_reps), edges, t.terminal_masses)
-    norm_ft, vertex_map = _normalize(new_t, flows)
-    new_ft = FlowedTopology(norm_ft.topology, norm_ft.edge_flows, degenerate=True)
-    # final branch slot i came from merged vertex `old`, whose cluster rep
-    # position is rep_pos[branch_reps[old - n]]
-    inverse = {new: old for old, new in vertex_map.items() if old >= n}
-    branch_positions = tuple(
-        rep_pos[branch_reps[inverse[n + i] - n]]
-        for i in range(new_ft.topology.n_branch))
-    return new_ft, Placement(pl.terminals, branch_positions)
-
-
-def _has_graph_cycle(edges: tuple[tuple[int, int], ...]) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return True
-        parent[ru] = rv
-    return False
+    edges = sorted(e for e, f in merged.items() if f != 0)
+    for a, c in edges:  # the same union-find, now joining across edges
+        ra, rc = find(a), find(c)
+        if ra == rc:
+            return ft
+        parent[max(ra, rc)] = min(ra, rc)
+    contracted = SteinerTopology(n, t.n_branch, tuple(edges), t.terminal_masses)
+    return replace(_normalize(contracted, [merged[e] for e in edges]),
+                   degenerate=True)
 
 
 def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
@@ -580,60 +532,32 @@ def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
     return PolyhedralChain(tuple(segs), canonical=False)
 
 
-# minimize results shared by the optimize_topology calls of one solve; see
-# _sharing_minimizations
-_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
-
-
-@contextmanager
-def _sharing_minimizations():
-    """Let the :func:`optimize_topology` calls in this block reuse each
-    other's :func:`minimize` results.
-
-    Every call in the block must use the same boundary and alpha: results
-    are keyed on a flowed topology's edges and flows alone, which
-    spares hashing its rational terminal masses on every lookup.
-    """
-    token = _shared.set({})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
-                      trace: Trace | None = None) -> OptimizedTopology:
-    """Minimize, then merge collapsed vertices and re-minimize until stable.
+                      trace: Trace | None = None,
+                      memo: dict | None = None) -> OptimizedTopology:
+    """Minimize, then contract the collapsed vertices and minimize again,
+    until :func:`detect_collapse` returns its input.
 
-    A re-minimization starts afresh from the barycentric start of the
-    contracted topology; the merged placement of :func:`detect_collapse` is
-    discarded.  Its result is therefore a function of the contracted
-    flowed topology alone, so reusing it is exact: inside
-    :func:`_sharing_minimizations`, a flowed topology that an earlier call
-    already minimized (several topologies can contract onto one) is not
-    minimized again.  The reported iterations include reused ones.
+    This ends: every contraction removes a branch vertex, since a cluster
+    never holds two terminals.  A minimization starts afresh from the
+    barycentric start of the contracted topology, so its result is a
+    function of that flowed topology alone, and ``memo`` may keep it: a
+    dict shared by calls with the same boundary and alpha (several
+    topologies can contract onto one), keyed on edges and flows only.  The
+    reported iterations include reused ones.
     """
-    memo = _shared.get()
     if memo is None:
         memo = {}
-
-    def run(ft: FlowedTopology) -> OptimizedTopology:
+    iters = 0
+    while True:
         key = (ft.topology.edges, ft.edge_flows)
         if key not in memo:
             memo[key] = minimize(ft, b, alpha, trace)
-        return memo[key]
-
-    iters = 0
-    for _ in range(4):
-        res = run(ft)
+        res = memo[key]
         iters += res.iterations
-        new_ft, _ = detect_collapse(ft, res.placement)
-        if new_ft is ft:
-            break
-        ft = new_ft
-    else:
-        res = run(ft)
-        iters += res.iterations
-    # a reused result may come from a topology equal to ft up to its
-    # degenerate flag
-    return replace(res, flowed=ft, iterations=iters)
+        contracted = detect_collapse(ft, res.placement)
+        if contracted is ft:
+            # a reused result may come from a topology equal to ft up to
+            # its degenerate flag
+            return replace(res, flowed=ft, iterations=iters)
+        ft = contracted

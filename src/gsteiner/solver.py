@@ -67,8 +67,8 @@ import numpy as np
 from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
                        branch_points, canonicalize, dist, lerp,
                        support_difference_mass, vdot, vsub)
-from .placement import (Placement, Trace, _sharing_minimizations, lower_bounds,
-                        optimize_topology, realize_chain)
+from .placement import (Placement, Trace, lower_bounds, optimize_topology,
+                        realize_chain)
 from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
                        assign_flows, enumerate_topologies)
 
@@ -144,26 +144,26 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
 
     candidates: list[tuple[float, str, MinimizerRecord]] = []
     second = math.inf
-    with _sharing_minimizations():
-        for i, (bound, key, ft) in enumerate(queue):
-            if bound > margin(second):
-                # the queue is in bound order and ``second`` changes only when
-                # a topology is optimized, so every later topology goes too
-                stats["pruned"] = len(queue) - i
-                break
-            opt = optimize_topology(ft, b, cfg.alpha, cfg.trace)
-            stats["optimized"] += 1
-            chain = canonicalize(realize_chain(opt.flowed, opt.placement))
-            value = alpha_mass(chain, cfg.alpha)
-            if boundary(chain) != b:
-                raise InternalConsistencyError(
-                    "realized chain boundary differs from the input boundary")
-            record = MinimizerRecord(chain, value, opt.residual, opt.placement,
-                                     opt.flowed)
-            candidates.append((value, key, record))
-            threshold = margin(min(v for v, _, _ in candidates))
-            second = min((v for v, _, _ in candidates if v > threshold),
-                         default=math.inf)
+    memo: dict = {}
+    for i, (bound, key, ft) in enumerate(queue):
+        if bound > margin(second):
+            # the queue is in bound order and ``second`` changes only when
+            # a topology is optimized, so every later topology goes too
+            stats["pruned"] = len(queue) - i
+            break
+        opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo)
+        stats["optimized"] += 1
+        chain = canonicalize(realize_chain(opt.flowed, opt.placement))
+        value = alpha_mass(chain, cfg.alpha)
+        if boundary(chain) != b:
+            raise InternalConsistencyError(
+                "realized chain boundary differs from the input boundary")
+        record = MinimizerRecord(chain, value, opt.residual, opt.placement,
+                                 opt.flowed)
+        candidates.append((value, key, record))
+        threshold = margin(min(v for v, _, _ in candidates))
+        second = min((v for v, _, _ in candidates if v > threshold),
+                     default=math.inf)
 
     candidates.sort(key=lambda c: (c[0], c[1]))
     best = candidates[0][0]

@@ -11,7 +11,6 @@ an error produces a row with the error message and the sweep continues.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,8 +19,8 @@ from fractions import Fraction
 from random import Random
 
 from .fileio import _number
-from .perturb import (estimate_k0, estimate_rho, four_point_instance,
-                      local4_solve)
+from .perturb import (_scalar_margins, estimate_k0, estimate_rho,
+                      four_point_instance, local4_solve)
 
 CSV_FIELDS = [
     "command", "timestamp", "alpha", "k", "k0", "rho", "index",
@@ -57,12 +56,6 @@ class SweepSpec:
             theta=Fraction(str(obj.get("theta", 1))),
             seed=_number("key 'seed'", obj.get("seed", 0), integral=True),
         )
-
-
-def _scalar_margins(alpha: float, k: int) -> tuple[float, float]:
-    base = math.expm1(alpha * math.log1p(-1.0 / k))
-    ka = math.exp(-alpha * math.log(k))
-    return base + ka / 2.0, base + ka / 4.0
 
 
 def _cell(args: tuple) -> dict:

@@ -367,14 +367,15 @@ def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
     if any(mass(c) != 0 for c in components):
         raise InfeasibleTopologyError("component masses do not balance")
     return _normalize(t, [sign * mass(side)
-                          for side, sign in zip(splits, signs)])[0]
+                          for side, sign in zip(splits, signs)])
 
 
-def _normalize(t: SteinerTopology, flows: list[Fraction]
-               ) -> tuple[FlowedTopology, dict[int, int]]:
+def _normalize(t: SteinerTopology, flows: list[Fraction]) -> FlowedTopology:
     """Drop zero-flow edges, splice degree<3 branch vertices, relabel.
 
-    Also returns the map from surviving old vertex ids to new ids.
+    ``t`` must be a forest whose edges are ordered pairs.  Splicing keeps
+    both, and relabeling the surviving branch vertices in order keeps
+    every edge's orientation.
     """
     edges = [(e, f) for e, f in zip(t.edges, flows) if f != 0]
     changed = len(edges) != len(t.edges)
@@ -389,12 +390,6 @@ def _normalize(t: SteinerTopology, flows: list[Fraction]
                 (i1, (a1, c1), f1), (i2, (a2, c2), f2) = incident
                 u = a1 if c1 == v else c1
                 w = a2 if c2 == v else c2
-                if u == w:
-                    # parallel pair through v cancels into nothing
-                    for i in sorted((i1, i2), reverse=True):
-                        edges.pop(i)
-                    changed = spliced = True
-                    break
                 # inflow at v from (u,v) equals outflow to (w,v): reorient
                 fin = f1 if max(a1, c1) == v else -f1
                 e = (min(u, w), max(u, w))
@@ -413,24 +408,14 @@ def _normalize(t: SteinerTopology, flows: list[Fraction]
     used_branch = sorted({v for (a, c), _ in edges for v in (a, c)
                           if v >= t.n_terminals})
     remap = {v: t.n_terminals + i for i, v in enumerate(used_branch)}
-    out_edges: list[Edge] = []
-    out_flows: list[Fraction] = []
-    for (a, c), f in sorted(edges):
-        a2 = remap.get(a, a)
-        c2 = remap.get(c, c)
-        if a2 > c2:
-            a2, c2, f = c2, a2, -f
-        out_edges.append((a2, c2))
-        out_flows.append(f)
-    order = sorted(range(len(out_edges)), key=lambda i: out_edges[i])
+    edges = sorted(((remap.get(a, a), remap.get(c, c)), f)
+                   for (a, c), f in edges)
     new_t = SteinerTopology(
         n_terminals=t.n_terminals,
         n_branch=len(used_branch),
-        edges=tuple(out_edges[i] for i in order),
+        edges=tuple(e for e, _ in edges),
         terminal_masses=t.terminal_masses,
     )
     changed = changed or len(used_branch) != t.n_branch
-    vertex_map = {v: v for v in range(t.n_terminals)}
-    vertex_map.update(remap)
-    return FlowedTopology(new_t, tuple(out_flows[i] for i in order),
-                          degenerate=changed), vertex_map
+    return FlowedTopology(new_t, tuple(f for _, f in edges),
+                          degenerate=changed)

@@ -1,6 +1,8 @@
 """CLI surface: exit codes, report determinism, file round-trips, sweep log."""
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,22 @@ def test_solve_report(square_file, tmp_path):
     assert len(obj["minimizers"]) == 2
     assert obj["best_value"] == pytest.approx(2.0)
     assert svg.read_text().startswith("<svg")
+
+
+def test_readme_instances_run(tmp_path):
+    # the instance files README.md shows, read from README.md itself
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(m) for m in re.findall(r"```json\n(.*?)```", readme,
+                                                 re.S)]
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(next(o for o in blocks if "atoms" in o)))
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps(next(o for o in blocks if "theta" in o)))
+    assert cli.main(["solve", "--input", str(square),
+                     "--report", str(tmp_path / "report.json"),
+                     "--svg", str(tmp_path / "out.svg")]) == 0
+    assert cli.main(["local4", "--input", str(four), "--alpha", "0.5",
+                     "--svg", str(tmp_path / "wz.svg")]) == 0
 
 
 def test_solve_alpha_flag_wins(square_file, tmp_path):
@@ -173,6 +191,9 @@ def test_chain_round_trip():
     back = fileio.obj_to_chain(obj)
     assert back.segments == c.segments
     assert fileio.chain_to_obj(back) == obj
+    obj["segments"][0]["a"] = [False, 0.0]
+    with pytest.raises(ValueError, match="segment coordinate .* not False"):
+        fileio.obj_to_chain(obj)
 
 
 def test_invalid_json_exit_code(tmp_path):
@@ -301,7 +322,23 @@ def test_non_finite_coordinate_exit_code(tmp_path, capsys, bad):
     assert cli.main(["solve", "--input", str(path)]) == 1
     assert cli.main(["flat-norm", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.count("non-finite atom coordinate") == 2
+    assert err.count(
+        f"an atom coordinate must be a finite number, not {bad!r}") == 2
+
+
+# atom 2 is {"p": [1.0, 0.0], "m": "1"}: read as numbers, the booleans
+# would give the square back
+@pytest.mark.parametrize("key,value,message", [
+    ("m", True, "rational masses must be strings like '3/4', got True"),
+    ("p", [True, 0.0], "an atom coordinate must be a finite number, not True"),
+])
+def test_boolean_atom_value_exit_code(tmp_path, capsys, key, value, message):
+    path = tmp_path / "inst.json"
+    atoms = [dict(a) for a in SQUARE["atoms"]]
+    atoms[2][key] = value
+    path.write_text(json.dumps(dict(SQUARE, atoms=atoms)))
+    assert cli.main(["solve", "--input", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 FOUR = {"A": [-4.0, 0.0], "B": [-1.0, 0.02], "C": [1.0, -0.02],

@@ -18,8 +18,7 @@ from gsteiner.perturb import (INFEASIBLE_CASES, LocalFourPointInstance,
                               _local4_candidates, _rho_samples, build_wz,
                               estimate_k0, estimate_rho, four_point_instance,
                               local4_solve, perturb)
-from gsteiner.placement import (_sharing_minimizations, optimize_topology,
-                                realize_chain)
+from gsteiner.placement import optimize_topology, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
 from gsteiner.topology import InfeasibleTopologyError, _all_forests, assign_flows
@@ -183,9 +182,8 @@ def test_shared_minimizations_match_fresh_calls_local4(inst, monkeypatch):
     calls = counting_minimize(monkeypatch)
     fresh = [optimize_topology(ft, b, 0.6) for ft in cands]
     n_fresh = len(calls)
-    with _sharing_minimizations():
-        shared = [optimize_topology(ft, b, 0.6) for ft in cands]
-    assert placement._shared.get() is None
+    memo = {}
+    shared = [optimize_topology(ft, b, 0.6, memo=memo) for ft in cands]
     for s, f in zip(shared, fresh):
         assert_same_optimized(s, f)
     # some topology contracts onto one minimized before
@@ -201,8 +199,8 @@ def test_shared_minimizations_match_fresh_calls_dented_square(
     _, b = perturb(spec)
     seen = []
 
-    def recording(ft, b, alpha, trace=None):
-        out = optimize_topology(ft, b, alpha, trace)
+    def recording(ft, b, alpha, trace=None, memo=None):
+        out = optimize_topology(ft, b, alpha, trace, memo)
         seen.append((ft, out))
         return out
     monkeypatch.setattr(sys.modules["gsteiner.solver"], "optimize_topology",

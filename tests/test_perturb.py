@@ -104,6 +104,14 @@ def test_bounds_k_equals_one_removes_piece():
     assert rep.all_ok()
 
 
+def test_bounds_without_points_hold_with_equal_energy():
+    spec = PerturbationSpec(unit_segment_chain(), (), k=4, radius=0.1)
+    t_pert, b_pert = perturb(spec)
+    rep = verify_perturbation_bounds(spec, t_pert, b_pert, alpha=0.6)
+    assert rep.energy_margin == 0 and rep.energy_decreased
+    assert rep.all_ok()
+
+
 # ---------------------------------------------------------------------------
 # W and Z
 # ---------------------------------------------------------------------------

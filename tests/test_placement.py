@@ -11,10 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsteiner.currents import make_boundary
-from gsteiner.placement import (Placement, detect_collapse, dual_bound, energy,
-                                lower_bounds, minimize, optimize_topology,
-                                realize_chain, stationarity_residual)
-from gsteiner.topology import enumerate_topologies
+from gsteiner.placement import (TOL_COLLAPSE, Placement, detect_collapse,
+                                dual_bound, energy, lower_bounds, minimize,
+                                optimize_topology, realize_chain,
+                                stationarity_residual)
+from gsteiner.topology import (SteinerTopology, assign_flows,
+                               enumerate_topologies)
 
 
 def y_topology(b):
@@ -172,8 +174,37 @@ def test_collapsed_residual_uses_ball_reduction():
 def test_detect_collapse_noop_when_separated(v_boundary):
     ft = y_topology(v_boundary)
     res = minimize(ft, v_boundary, 0.75)
-    new_ft, new_pl = detect_collapse(ft, res.placement)
-    assert new_ft is ft and new_pl is res.placement
+    assert detect_collapse(ft, res.placement) is ft
+
+
+def test_detect_collapse_leaves_a_cycle_to_canonicalization():
+    # the path 0-5-6-7 closes into a triangle when branch vertex 7 sits on
+    # terminal 0
+    b = make_boundary([((0.0, 0.0), F(-3)), ((1.0, 2.0), F(1)),
+                       ((2.0, 3.0), F(1)), ((3.0, 2.0), F(-1)),
+                       ((4.0, 0.0), F(2))])
+    t = SteinerTopology(5, 3, ((0, 5), (1, 5), (2, 6), (3, 7), (4, 7),
+                               (5, 6), (6, 7)), tuple(m for _, m in b.atoms))
+    ft = assign_flows(t, b)
+    assert all(ft.edge_flows)
+    pl = Placement(tuple(p for p, _ in b.atoms),
+                   ((1.0, 1.0), (2.5, 1.5), (0.0, 0.0)))
+    assert detect_collapse(ft, pl) is ft
+
+
+def test_detect_collapse_keeps_two_close_atoms_apart():
+    # the branch point is 7.5e-8 from both atoms, which are 1.5e-7 apart:
+    # it joins the lower one, and the other stays a vertex of its own
+    b = make_boundary([((0.0, 0.0), F(1)), ((1.5e-7, 0.0), F(1)),
+                       ((1.0, 1.0), F(-2))])
+    ft = y_topology(b)
+    pl = Placement(tuple(p for p, _ in b.atoms), ((7.5e-8, 0.0),))
+    assert all(math.dist(p, pl.branch[0]) <= TOL_COLLAPSE
+               for p in pl.terminals[:2])
+    out = detect_collapse(ft, pl)
+    assert out.topology.n_branch == 0 and out.degenerate
+    assert out.topology.edges == ((0, 1), (0, 2))
+    assert out.edge_flows == (F(1), F(-2))
 
 
 def test_detect_collapse_merges_cross():
@@ -400,6 +431,17 @@ def _solve_n6_instances(seed):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.build("solve-n6", seed).instances.values()
+
+
+def test_optimized_topology_is_a_fixed_point_of_detect_collapse():
+    contracted = 0
+    for b, alpha in _solve_n6_instances(0):
+        memo = {}
+        for ft in enumerate_topologies(b):
+            opt = optimize_topology(ft, b, alpha, memo=memo)
+            assert detect_collapse(opt.flowed, opt.placement) is opt.flowed
+            contracted += opt.flowed is not ft
+    assert contracted > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

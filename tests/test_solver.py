@@ -8,11 +8,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gsteiner.currents import (boundary, branch_points, chain_of, has_loop,
-                               make_boundary, support_difference_mass)
-from gsteiner.solver import (SolverConfig, brute_force_value, is_in_A_C,
-                             magic_points, quantize_boundary,
-                             quantize_chain, solve)
+from gsteiner.currents import (boundary, branch_points, canonicalize,
+                               chain_of, has_loop, make_boundary,
+                               support_difference_mass)
+from gsteiner.solver import (MinimizerRecord, SolverConfig, SolveReport,
+                             brute_force_value, is_in_A_C, magic_points,
+                             quantize_boundary, quantize_chain, solve)
 
 
 def cfg(alpha, **kw):
@@ -214,6 +215,35 @@ def test_magic_points_square(square_boundary):
 def test_magic_points_unique_minimizer_empty(v_boundary):
     r = solve(v_boundary, cfg(0.75))
     assert magic_points(r, 0) == ()
+
+
+def test_magic_points_off_a_shared_collinear_piece():
+    # both networks run (0,0)-(2,0), the target's longest segment; the
+    # target goes on along the axis to (5,0), and the other leaves it but
+    # branches on it at (3.5,0), the midpoint of the piece (2,0)-(5,0)
+    b = make_boundary([((0.0, 0.0), F(-2)), ((5.0, 0.0), F(1)),
+                       ((2.0, 0.5), F(1))])
+    target = chain_of([((0.0, 0.0), (2.0, 0.0), F(2)),
+                       ((2.0, 0.0), (5.0, 0.0), F(1)),
+                       ((2.0, 0.0), (2.0, 0.5), F(1))])
+    other = chain_of([((0.0, 0.0), (2.0, 0.0), F(2)),
+                      ((2.0, 0.0), (2.75, -0.5), F(2)),
+                      ((2.75, -0.5), (3.5, 0.0), F(2)),
+                      ((3.5, 0.0), (4.25, -0.5), F(1)),
+                      ((4.25, -0.5), (5.0, 0.0), F(1)),
+                      ((3.5, 0.0), (2.0, 0.5), F(1))])
+    records = tuple(MinimizerRecord(canonicalize(c), 0.0, 0.0, None, None)
+                    for c in (target, other))
+    report = SolveReport(b, 0.5, 0.0, records, math.inf, 1e-5, {})
+    (p,) = magic_points(report, 0)
+    # on the target's axis beyond the shared piece and the branch point
+    assert p[1] == 0.0 and 3.5 < p[0] < 5.0
+    assert p == pytest.approx((4.25, 0.0), abs=1e-4)
+    assert _dist_to_chain(p, records[1].chain) > 0.3
+    exceptional = [q for q, _ in b.atoms] + [
+        q for r in records for q in branch_points(r.chain, b)]
+    # the nearest is the other's corner (4.25, -0.5)
+    assert min(math.dist(p, q) for q in exceptional) > 0.45
 
 
 def _dist_to_chain(p, chain):

@@ -529,7 +529,7 @@ def leaf_stripping_flows(t, b):
             raise InfeasibleTopologyError("component masses do not balance")
 
     assert all(f is not None for f in flows)
-    return _normalize(t, flows)[0]
+    return _normalize(t, flows)
 
 
 def _dented_square(radius, alpha=0.6):
