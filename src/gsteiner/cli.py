@@ -175,16 +175,9 @@ def _cmd_perturb(args) -> int:
     return 0 if bounds.all_ok() else 2
 
 
-def _point(obj: dict, key: str) -> tuple[float, ...]:
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ValueError(f"key {key!r} must be a list of numbers, not {value!r}")
-    return tuple(fileio._number(f"key {key!r}", x) for x in value)
-
-
 def _cmd_local4(args) -> int:
     obj = fileio.load_json(args.input)
-    a, b, c, d = (_point(obj, key) for key in "ABCD")
+    a, b, c, d = (fileio._point(obj, key, f"key {key!r}") for key in "ABCD")
     inst = LocalFourPointInstance(
         a=a, b=b, c=c, d=d,
         theta=Fraction(str(obj.get("theta", 1))),

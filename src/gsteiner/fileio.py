@@ -51,8 +51,7 @@ def boundary_to_obj(b: Boundary) -> dict:
 
 
 def obj_to_boundary(obj: dict) -> Boundary:
-    atoms = [(tuple(_number("an atom coordinate", x) for x in a["p"]),
-              parse_rational(a["m"]))
+    atoms = [(_point(a, "p", "an atom coordinate"), parse_rational(a["m"]))
              for a in obj["atoms"]]
     b = make_boundary(atoms)
     if "dim" in obj:
@@ -72,9 +71,8 @@ def chain_to_obj(chain: PolyhedralChain) -> dict:
 
 def obj_to_chain(obj: dict) -> PolyhedralChain:
     segs = tuple(
-        Segment(tuple(_number("a segment coordinate", x) for x in s["a"]),
-                tuple(_number("a segment coordinate", x) for x in s["b"]),
-                parse_rational(s["m"]))
+        Segment(_point(s, "a", "a segment coordinate"),
+                _point(s, "b", "a segment coordinate"), parse_rational(s["m"]))
         for s in obj["segments"])
     return PolyhedralChain(segs, canonical=False)
 
@@ -164,6 +162,15 @@ def _number(name: str, value, integral: bool = False) -> float | int:
     if not number.is_integer():
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(number)
+
+
+def _point(obj: dict, key: str, name: str) -> tuple[float, ...]:
+    """``obj[key]`` as a point: a list of numbers, each read by
+    :func:`_number` under ``name``."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"key {key!r} must be a list of numbers, not {value!r}")
+    return tuple(_number(name, x) for x in value)
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,25 @@ branch-vertex positions, through
 
     F(x_1, ..., x_m) = sum over edges of |flow|^alpha * |x_j - x_i|,
 
-a convex (generally non-smooth) function.  It is minimized by a smoothed
-Weiszfeld fixed-point iteration (Smith, Algorithmica 7, 1992): each branch
-vertex moves to the weighted barycenter of its neighbors with weights
-w_e / sqrt(len^2 + eps^2), while eps decreases geometrically.  At the end of
-every smoothing stage each branch vertex is snapped onto its nearest vertex
-whenever that strictly lowers the exact energy, which accelerates
-convergence onto collapsed configurations (the non-smooth minimizers these
-instances actually visit).
+a convex (generally non-smooth) function.  It is minimized through the
+smoothed energy F_eps = sum of w_e sqrt(len^2 + eps^2), while eps decreases
+geometrically (Smith, Algorithmica 7, 1992).  At the end of every smoothing
+stage each branch vertex is snapped onto its nearest vertex whenever that
+strictly lowers the exact energy, which accelerates convergence onto
+collapsed configurations (the non-smooth minimizers these instances
+actually visit).
 
 One kernel, :func:`_run_kernel`, runs this in every dimension: the eps
-schedule, the per-stage sweep budgets, the snap and the trace records.  Only
-its Gauss-Seidel sweep is chosen by the dimension of the terminals: the
-unrolled planar :func:`_sweeps_2d`, or :func:`_sweeps_nd` otherwise.  Both
-do the same arithmetic, so a planar instance lifted into 3-D gives the same
-bits.
+schedule, the per-stage iteration budgets, the snap and the trace records.
+Only the stage solver is chosen by the dimension of the terminals.  Planar
+instances run Weiszfeld's fixed point as Gauss-Seidel sweeps,
+:func:`_sweeps_2d`: each branch vertex moves to the weighted barycenter of
+its neighbors with weights w_e / sqrt(len^2 + eps^2).  Every other
+dimension runs damped Newton steps on F_eps, :func:`_newton_steps`, which
+need an order of magnitude fewer iterations than the sweeps.  The
+planar sweep stays because most planar calls (the four-point lab's) have
+one or two branch points, where a sweep in flat Python costs less than the
+numpy calls of a Newton step.
 
 Optimality is certified by the minimal-norm subgradient residual: edges of
 near-zero length contribute a ball of radius w_e to the subdifferential, so
@@ -36,8 +40,8 @@ several others contract onto is minimized once.
 
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
-the largest terminal distance).  Every stage runs at most 200 sweeps and the
-final one, at ``EPS_MIN``, at most 400, so a run has at most 2000 sweeps.
+the largest terminal distance).  Every stage runs at most 200 iterations
+and the final one, at ``EPS_MIN``, at most 400, so a run has at most 2000.
 Edges not longer than ``TOL_COLLAPSE`` (instance units) count as collapsed,
 in the residual and in :func:`detect_collapse`, and :func:`minimize`
 reports convergence when the residual is at most ``TOL_GRAD``.
@@ -176,22 +180,34 @@ def _barycentric_init(ft: FlowedTopology, terminals: tuple[Point, ...]) -> list[
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
                 trace: Trace | None) -> tuple[list[list[float]], int]:
-    """Smoothed Weiszfeld from the barycentric start.
+    """The smoothing schedule from the barycentric start.
 
-    Returns the branch positions and the number of sweeps.
+    Each eps stage minimizes F_eps with the stage solver of the terminals'
+    dimension: planar Gauss-Seidel sweeps (:func:`_sweeps_2d`) or Newton
+    steps (:func:`_newton_steps`).  Everything else is shared: the eps
+    schedule, the stage budgets and move tolerances, the snap and the trace.
+    The planar sweep stays because its one or two branch points per call
+    (the four-point lab makes thousands of such calls) are cheaper in flat
+    Python than in numpy calls.  Returns the branch positions and the number
+    of iterations (sweeps or Newton steps).
     """
     t = ft.topology
     n = t.n_terminals
     w = _weights(ft, alpha)
     scale = _scale(terminals)
-    # every vertex, terminals first; the sweeps write only branch entries
+    # every vertex, terminals first; the stages write only branch entries
     pos = [list(p) for p in terminals] + _barycentric_init(ft, terminals)
     nv = len(pos)
-    # each branch vertex with its incident edges: (weight, other vertex)
-    incident = [(b, [(wi, v if u == b else u)
-                     for wi, (u, v) in zip(w, t.edges) if b in (u, v)])
-                for b in range(n, nv)]
-    sweeps = _sweeps_2d if len(terminals[0]) == 2 else _sweeps_nd
+    if len(terminals[0]) == 2:
+        # each branch vertex with its incident edges: (weight, other vertex)
+        graph = [(b, [(wi, v if u == b else u)
+                      for wi, (u, v) in zip(w, t.edges) if b in (u, v)])
+                 for b in range(n, nv)]
+        stage = _sweeps_2d
+    else:
+        a = _incidence(t)
+        graph = (a[:n], a[n:], np.array(w))
+        stage = _newton_steps
 
     def exact_energy() -> float:
         return sum(wi * math.dist(pos[u], pos[v])
@@ -203,8 +219,8 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
     move_tol = 1e-11 * scale
     while True:
         final = eps <= eps_floor
-        iters += sweeps(pos, incident, eps * eps, 400 if final else 200,
-                        move_tol if final else max(2e-2 * eps, move_tol))
+        iters += stage(pos, graph, eps * eps, 400 if final else 200,
+                       move_tol if final else max(2e-2 * eps, move_tol))
         # snap to the nearest vertex when that strictly improves exact F
         current = exact_energy()
         for b in range(n, nv):
@@ -231,8 +247,7 @@ def _sweeps_2d(pos, incident, e2: float, budget: int, tol: float) -> int:
 
     Each sweep moves every branch vertex in turn to the barycenter of its
     neighbors with weights w_e / sqrt(len^2 + e2).  The planar hot path:
-    flat float arithmetic, no temporaries; :func:`_sweeps_nd` does the same
-    arithmetic in any dimension.
+    flat float arithmetic, no temporaries.
     """
     for done in range(1, budget + 1):
         move = 0.0
@@ -261,26 +276,61 @@ def _sweeps_2d(pos, incident, e2: float, budget: int, tol: float) -> int:
     return budget
 
 
-def _sweeps_nd(pos, incident, e2: float, budget: int, tol: float) -> int:
-    """:func:`_sweeps_2d` in any dimension."""
-    for done in range(1, budget + 1):
-        move = 0.0
-        for b, edges in incident:
-            x = pos[b]
-            num = [0.0] * len(x)
-            den = 0.0
-            for wi, other in edges:
-                q = pos[other]
-                coef = wi / math.sqrt(sum((a - c) ** 2 for a, c in zip(x, q)) + e2)
-                den += coef
-                for i, c in enumerate(q):
-                    num[i] += coef * c
-            newx = [c / den for c in num]
-            move = max(move, max(abs(a - c) for a, c in zip(newx, x)))
-            pos[b] = newx
-        if move <= tol:
-            return done
-    return budget
+def _newton_steps(pos, graph, e2: float, budget: int, tol: float) -> int:
+    """Damped Newton steps on F_eps = sum_e w_e sqrt(|x_u - x_v|^2 + e2)
+    until a step moves no coordinate more than ``tol``, at most ``budget``;
+    returns the number run.
+
+    ``graph`` holds the terminal and branch rows of the incidence matrix
+    and the edge weights.  With d_e = x_u - x_v, l_e = sqrt(|d_e|^2 + e2)
+    and c_e = w_e / l_e, edge e adds the block
+    (c_e / l_e^2) (e2 I + |d_e|^2 I - d_e d_e^T) to the Hessian.  The e2
+    term is kept apart: on a line |d_e|^2 I - d_e d_e^T is zero, and formed
+    as c_e (I - d_e d_e^T / l_e^2) it would cancel to rounding noise.  When
+    branch points collapse, their edge's curvature w_e / eps dwarfs the
+    radial curvature w_e eps^2 / l_e^3 of the others (in 1-D about 1e6
+    against 1e-12), so 1e-9 times the weighted Laplacian A_b C A_b^T, in
+    every coordinate, keeps the system solvable.  Each step backtracks on
+    F_eps (Armijo) and moves the branch points (Andersen, Christiansen,
+    Conn & Overton, SIAM J. Sci. Comput. 22(1), 2000, on Newton methods
+    for sums of Euclidean norms).
+    """
+    a_t, ab, w = graph
+    n, m, d = len(a_t), len(ab), len(pos[0])
+    fixed = a_t.T @ np.array(pos[:n])
+    x = np.array(pos[n:])
+    eye = np.eye(d)
+
+    def smoothed(x: np.ndarray) -> float:
+        diff = fixed + ab.T @ x
+        return float(w @ np.sqrt(np.einsum("ij,ij->i", diff, diff) + e2))
+
+    done = 0
+    while done < budget:
+        done += 1
+        diff = fixed + ab.T @ x
+        sq = np.einsum("ij,ij->i", diff, diff)
+        length = np.sqrt(sq + e2)
+        c = w / length
+        cab, lap = _weighted_laplacian(ab[None], c[None])
+        grad = cab[0] @ diff
+        block = (c / (sq + e2))[:, None, None] * (
+            e2 * eye + (sq[:, None, None] * eye
+                        - diff[:, :, None] * diff[:, None, :]))
+        hess = (np.einsum("ie,je,eab->iajb", ab, ab, block)
+                + 1e-9 * lap[0][:, None, :, None] * eye[:, None, :])
+        step = -np.linalg.solve(hess.reshape(m * d, m * d),
+                                grad.ravel()).reshape(m, d)
+        value, slope = w @ length, grad.ravel() @ step.ravel()
+        move = float(np.abs(step).max())
+        t = 1.0
+        while t * move > tol and smoothed(x + t * step) > value + 1e-4 * t * slope:
+            t *= 0.5
+        x += t * step
+        if t * move <= tol:
+            break
+    pos[n:] = x.tolist()
+    return done
 
 
 def _scale(terminals) -> float:
@@ -301,9 +351,10 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
              trace: Trace | None = None) -> OptimizedTopology:
     """Minimize the location energy for a flowed topology over ``b``.
 
-    Deterministic: barycentric initialization, smoothed Weiszfeld sweeps
-    with a geometric eps schedule, nearest-vertex snapping when it strictly
-    improves the exact energy.  ``trace`` receives the per-stage records.
+    Deterministic: barycentric initialization, a geometric eps schedule
+    whose stages run planar Weiszfeld sweeps or, in other dimensions,
+    Newton steps, nearest-vertex snapping when it strictly improves the
+    exact energy.  ``trace`` receives the per-stage records.
     The result is for ``ft`` itself: no collapse is resolved.
     """
     if not 0.0 < alpha <= 1.0:

@@ -1,5 +1,7 @@
 """Shared fixtures: the instances exercised throughout the suite."""
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,17 @@ def v_boundary():
     return make_boundary([
         ((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)), ((1.0, -0.3), F(1)),
     ])
+
+
+@pytest.fixture
+def bench_instances():
+    """``instances(workload, seed)``: the (boundary, alpha) pairs of the
+    benchmark's solve ``workload`` in the pose of ``seed``
+    (``bench/workloads.py``): ``solve-n6`` has both planar 6-atom mass
+    vectors, ``solve-3d`` eight 5-atom instances in 3-D."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return lambda workload, seed: list(
+        workloads.build(workload, seed).instances.values())

@@ -341,6 +341,33 @@ def test_boolean_atom_value_exit_code(tmp_path, capsys, key, value, message):
     assert message in capsys.readouterr().err
 
 
+# a string is iterable: "10" would otherwise be read as the point (1.0, 0.0)
+@pytest.mark.parametrize("value", [5, "10", None])
+def test_atom_point_not_a_list_exit_code(tmp_path, capsys, value):
+    path = tmp_path / "inst.json"
+    atoms = [dict(a) for a in SQUARE["atoms"]]
+    atoms[2]["p"] = value
+    path.write_text(json.dumps(dict(SQUARE, atoms=atoms)))
+    assert cli.main(["solve", "--input", str(path)]) == 1
+    assert (f"key 'p' must be a list of numbers, not {value!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key,value", [("a", 5), ("b", "00")])
+def test_segment_endpoint_not_a_list_exit_code(square_file, tmp_path, capsys,
+                                               key, value):
+    report = tmp_path / "report.json"
+    assert cli.main(["solve", "--input", square_file,
+                     "--report", str(report)]) == 0
+    obj = json.loads(report.read_text())
+    obj["minimizers"][0]["chain"]["segments"][0][key] = value
+    report.write_text(json.dumps(obj))
+    assert cli.main(["plot", str(report), "--svg",
+                     str(tmp_path / "plot.svg")]) == 1
+    assert (f"key {key!r} must be a list of numbers, not {value!r}"
+            in capsys.readouterr().err)
+
+
 FOUR = {"A": [-4.0, 0.0], "B": [-1.0, 0.02], "C": [1.0, -0.02],
         "D": [4.0, 0.0], "theta": "1", "k": 6}
 

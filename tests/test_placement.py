@@ -1,20 +1,20 @@
 """Location-energy optimizer: analytic optima, residuals, collapses."""
-import importlib.util
 import math
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gsteiner.currents import make_boundary
+from gsteiner import placement
+from gsteiner.currents import make_boundary, support_difference_mass
 from gsteiner.placement import (TOL_COLLAPSE, Placement, detect_collapse,
                                 dual_bound, energy, lower_bounds, minimize,
                                 optimize_topology, realize_chain,
                                 stationarity_residual)
+from gsteiner.solver import SolverConfig, solve
 from gsteiner.topology import (SteinerTopology, assign_flows,
                                enumerate_topologies)
 
@@ -423,19 +423,9 @@ def test_non_finite_bound_raises():
         lower_bounds([ft], b, 0.5)
 
 
-def _solve_n6_instances(seed):
-    """The planar instances of the benchmark's ``solve-n6`` workload, both
-    mass vectors, in the pose of ``seed`` (``bench/workloads.py``)."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.build("solve-n6", seed).instances.values()
-
-
-def test_optimized_topology_is_a_fixed_point_of_detect_collapse():
+def test_optimized_topology_is_a_fixed_point_of_detect_collapse(bench_instances):
     contracted = 0
-    for b, alpha in _solve_n6_instances(0):
+    for b, alpha in bench_instances("solve-n6", 0):
         memo = {}
         for ft in enumerate_topologies(b):
             opt = optimize_topology(ft, b, alpha, memo=memo)
@@ -444,22 +434,76 @@ def test_optimized_topology_is_a_fixed_point_of_detect_collapse():
     assert contracted > 0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_planar_sweep_matches_nd_sweep_bit_for_bit(seed):
-    # the kernel picks the unrolled planar sweep by dimension; lifted to z = 0
-    # in 3-D the same topology runs the generic sweep, which must give the
-    # same bits, iteration count included
-    checked = 0
-    for b, alpha in _solve_n6_instances(seed):
+# the stage solver of d != 2 before the Newton steps, kept as their reference
+def _sweeps_nd(pos, incident, e2, budget, tol):
+    """Gauss-Seidel Weiszfeld sweeps in any dimension: each branch vertex in
+    turn moves to the barycenter of its neighbors with weights
+    w_e / sqrt(len^2 + e2), until no coordinate moves more than ``tol``, at
+    most ``budget`` sweeps; returns the number run."""
+    for done in range(1, budget + 1):
+        move = 0.0
+        for b, edges in incident:
+            x = pos[b]
+            num = [0.0] * len(x)
+            den = 0.0
+            for wi, other in edges:
+                q = pos[other]
+                coef = wi / math.sqrt(sum((a - c) ** 2 for a, c in zip(x, q)) + e2)
+                den += coef
+                for i, c in enumerate(q):
+                    num[i] += coef * c
+            newx = [c / den for c in num]
+            move = max(move, max(abs(a - c) for a, c in zip(newx, x)))
+            pos[b] = newx
+        if move <= tol:
+            return done
+    return budget
+
+
+def _reference_stage(pos, graph, e2, budget, tol):
+    """:func:`_sweeps_nd` behind the signature of ``_newton_steps``."""
+    a_t, ab, w = graph
+    a = np.vstack((a_t, ab))
+    incident = [(b, [(float(w[e]), next(int(v) for v in np.flatnonzero(a[:, e])
+                                        if v != b))
+                     for e in np.flatnonzero(a[b])])
+                for b in range(len(a_t), len(a))]
+    return _sweeps_nd(pos, incident, e2, budget, tol)
+
+
+def test_newton_never_above_planar_sweep_on_lifted_topologies(bench_instances):
+    # lifted to z = 0 a planar topology runs the Newton steps instead of the
+    # planar sweep; Newton is often lower, where the sweeps stall on a
+    # collapsing topology, and never higher beyond rounding
+    checked = lower = 0
+    for b, alpha in bench_instances("solve-n6", 0):
         lifted = make_boundary((p + (0.0,), m) for p, m in b.atoms)
         assert [m for _, m in lifted.atoms] == [m for _, m in b.atoms]
         for ft in enumerate_topologies(b):
             if ft.topology.n_branch == 0:
                 continue
             flat, space = minimize(ft, b, alpha), minimize(ft, lifted, alpha)
-            assert space.value == flat.value
-            assert space.iterations == flat.iterations
-            assert space.placement.branch == tuple(
-                p + (0.0,) for p in flat.placement.branch)
+            assert space.value <= flat.value + 1e-9 * (1.0 + flat.value)
+            lower += space.value < flat.value - 1e-7 * (1.0 + flat.value)
             checked += 1
-    assert checked == 112
+    assert checked == 112 and lower > 0
+
+
+def test_newton_solve_matches_reference_sweep_solve(bench_instances,
+                                                   monkeypatch):
+    instances = bench_instances("solve-3d", 0)
+    newton = [solve(b, SolverConfig(alpha=alpha)) for b, alpha in instances]
+    stages = []
+    monkeypatch.setattr(placement, "_newton_steps",
+                        lambda *args: stages.append(1) or _reference_stage(*args))
+    for (b, alpha), new in zip(instances, newton):
+        cfg = SolverConfig(alpha=alpha)
+        ref = solve(b, cfg)
+        assert abs(new.best_value - ref.best_value) <= cfg.value_tol * (
+            1.0 + ref.best_value)
+        assert len(new.minimizers) == len(ref.minimizers)
+        for got, want in zip(new.minimizers, ref.minimizers):
+            assert support_difference_mass(
+                got.chain, want.chain, cfg.distinct_tol) <= cfg.distinct_tol
+        assert new.gap == pytest.approx(ref.gap, rel=1e-7, abs=1e-7)
+    assert stages

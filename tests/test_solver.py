@@ -1,5 +1,6 @@
 """Global solver: exhaustiveness, minimizer clustering, oracles, quantization."""
 import itertools
+import json
 import math
 import random
 import warnings
@@ -8,6 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from gsteiner import fileio
 from gsteiner.currents import (boundary, branch_points, canonicalize,
                                chain_of, has_loop, make_boundary,
                                support_difference_mass)
@@ -182,6 +184,47 @@ def test_planar_instance_in_tilted_plane_in_3d(masses, alpha):
     space = solve(make_boundary(zip(tilted, (F(m) for m in masses))), cfg(alpha))
     assert math.isclose(space.best_value, flat.best_value, rel_tol=1e-9)
     assert len(space.minimizers) == len(flat.minimizers)
+
+
+@pytest.mark.parametrize("xs,masses", [
+    ((0.0, 1.0, 3.0, 4.5), (-1, 1, -1, 1)),
+    ((0.0, 0.7, 2.0, 3.1, 5.0), ("-3", "1/2", "2", "-1/2", "1")),
+])
+def test_line_instance_in_1d_and_3d(xs, masses):
+    # on a line every edge is collinear: along it the Newton steps of d != 2
+    # see Hessian blocks made of the eps^2 term alone, and collapsing branch
+    # points make the Hessian singular but for the Laplacian guard
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    origin = np.array([0.5, -1.0, 2.0])
+    embeddings = {
+        "1-D": lambda x: (x,),
+        "3-D axis": lambda x: (x, 0.0, 0.0),
+        "3-D tilted": lambda x: tuple(float(c) for c in origin + x * u),
+    }
+    flat = solve(make_boundary(((x, 0.0), F(m)) for x, m in zip(xs, masses)),
+                 cfg(0.6))
+    for name, embed in embeddings.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solve(make_boundary((embed(x), F(m))
+                                    for x, m in zip(xs, masses)), cfg(0.6))
+        assert math.isclose(r.best_value, flat.best_value, rel_tol=1e-9), name
+        assert len(r.minimizers) == len(flat.minimizers), name
+        assert r.gap == pytest.approx(flat.gap, rel=1e-7), name
+
+
+@pytest.mark.parametrize("case", ["square", "solve-3d"])
+def test_tracing_leaves_the_report_body_unchanged(case, square_boundary,
+                                                  bench_instances):
+    # the 3-D instance runs the Newton steps' trace hook, the square the
+    # planar sweep's
+    b, alpha = ((square_boundary, 0.6) if case == "square"
+                else bench_instances("solve-3d", 0)[0])
+    records = []
+    plain = fileio.report_to_obj(solve(b, cfg(alpha)))
+    traced = fileio.report_to_obj(solve(b, cfg(alpha, trace=records.append)))
+    assert json.dumps(traced, sort_keys=True) == json.dumps(plain, sort_keys=True)
+    assert {r["stage"] for r in records} == {"bound", "eps", "done"}
 
 
 # ---------------------------------------------------------------------------
