@@ -213,9 +213,10 @@ def _cmd_estimate_k0(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    obj = fileio.load_json(args.report)
+    # render before opening: a report that fails leaves --svg untouched
+    svg = render_report_svg(fileio.load_json(args.report), args.index)
     with open(args.svg, "w") as fh:
-        fh.write(render_report_svg(obj, args.index))
+        fh.write(svg)
     return 0
 
 

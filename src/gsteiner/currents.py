@@ -286,9 +286,25 @@ def canonicalize(chain: PolyhedralChain, tol: float = GEOM_TOL) -> PolyhedralCha
 
     out: list[Segment] = []
     for g in groups:
-        out.extend(_sweep_line_group(g))
+        if len(g.members) == 1:
+            out.extend(_lone_segment(g))
+        else:
+            out.extend(_sweep_line_group(g))
     out.sort(key=_seg_sort_key)
     return PolyhedralChain(tuple(out), canonical=True)
+
+
+def _lone_segment(g: _LineGroup) -> list[Segment]:
+    """What :func:`_sweep_line_group` makes of a group with one member.
+
+    The group's origin is that segment's start, so the sweep sees one
+    interval from 0 to the projection of the segment on the group
+    direction: it keeps the segment when the projection is positive,
+    reverses it when negative and drops it when 0.
+    """
+    s, = g.members
+    t = vdot(vsub(s.end, s.start), g.direction)
+    return [s] if t > 0 else [s.reversed()] if t < 0 else []
 
 
 def _sweep_line_group(g: _LineGroup) -> list[Segment]:

@@ -38,6 +38,22 @@ on the flowed topology alone, so a caller that optimizes many topologies of
 one boundary passes one ``memo`` dict to all of them, and a topology that
 several others contract onto is minimized once.
 
+Before each minimization the loop settles *star* branch vertices, those
+whose neighbors are all atoms, without the kernel.  A star's terms
+sum_j w_j |x - p_j| share no variable with the rest of the energy, so the
+weighted Fermat-Weber vertex criterion (Kuhn, Math. Programming 4, 1973)
+decides exactly whether its optimum is atom t:
+|sum_{j != t} w_j (p_t - p_j) / |p_t - p_j|| < w_t.  When that holds by a
+margin of ``_STAR_MARGIN`` times the star's total weight, the star is
+contracted onto t, where the kernel would only have snapped it; a tie runs
+the kernel.  The test is exact for stars only.  Any other branch vertex
+has a branch neighbor whose optimal position is unknown before the
+minimization, and a test vertex by vertex at a placement is necessary but
+not sufficient: on a 4-branch topology of a 6-atom instance collapsed
+vertices pass it one at a time (residual 8.3e-10) while the value sits
+1.8e-5 (relative) above the minimum.  Both paths contract through one
+routine, :func:`_contract`.
+
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
 the largest terminal distance).  Every stage runs at most 200 iterations
@@ -120,6 +136,32 @@ def energy(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
         for wi, (u, v) in zip(w, ft.topology.edges))
 
 
+def _subgradient(here: Point, incident: list[tuple[float, Point]],
+                 tol: float) -> tuple[float, float]:
+    """The subdifferential at ``here`` of sum_e w_e |x - there_e|, over the
+    ``incident`` (w_e, there_e), as a ball: (|g|, radius).
+
+    An edge longer than ``tol`` adds its gradient w_e (here - there) / len
+    to g; a shorter one is collapsed and adds w_e to the radius.
+    """
+    g = [0.0] * len(here)
+    ball = 0.0
+    for wi, there in incident:
+        length = dist(here, there)
+        if length <= tol:
+            ball += wi
+        else:
+            for i in range(len(g)):
+                g[i] += wi * (here[i] - there[i]) / length
+    return math.sqrt(sum(x * x for x in g)), ball
+
+
+def _incident(ft: FlowedTopology, w: list[float], v0: int) -> list[tuple[float, int]]:
+    """(w_e, other end) of every edge of vertex ``v0``, in edge order."""
+    return [(wi, v if u == v0 else u)
+            for wi, (u, v) in zip(w, ft.topology.edges) if v0 in (u, v)]
+
+
 def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
     """Max over branch vertices of the minimal-norm subgradient norm.
 
@@ -127,29 +169,14 @@ def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float) -> fl
     contribute a ball of radius w_e rather than a unit direction.
     """
     n = ft.topology.n_terminals
-    m = ft.topology.n_branch
-    if m == 0:
-        return 0.0
-    d = len(pl.terminals[0])
     w = _weights(ft, alpha)
     worst = 0.0
-    for bi in range(m):
-        v0 = n + bi
-        g = [0.0] * d
-        ball = 0.0
-        for wi, (u, v) in zip(w, ft.topology.edges):
-            if v0 not in (u, v):
-                continue
-            other = v if u == v0 else u
-            here = pl.position(v0)
-            there = pl.position(other)
-            length = dist(here, there)
-            if length <= TOL_COLLAPSE:
-                ball += wi
-            else:
-                for i in range(d):
-                    g[i] += wi * (here[i] - there[i]) / length
-        worst = max(worst, max(0.0, math.sqrt(sum(x * x for x in g)) - ball))
+    for v0 in range(n, n + ft.topology.n_branch):
+        g, ball = _subgradient(
+            pl.position(v0),
+            [(wi, pl.position(o)) for wi, o in _incident(ft, w, v0)],
+            TOL_COLLAPSE)
+        worst = max(worst, max(0.0, g - ball))
     return worst
 
 
@@ -200,9 +227,7 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
     nv = len(pos)
     if len(terminals[0]) == 2:
         # each branch vertex with its incident edges: (weight, other vertex)
-        graph = [(b, [(wi, v if u == b else u)
-                      for wi, (u, v) in zip(w, t.edges) if b in (u, v)])
-                 for b in range(n, nv)]
+        graph = [(b, _incident(ft, w, b)) for b in range(n, nv)]
         stage = _sweeps_2d
     else:
         a = _incidence(t)
@@ -522,25 +547,34 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
 def detect_collapse(ft: FlowedTopology, pl: Placement) -> FlowedTopology:
     """The topology ``ft`` contracts to at ``pl``, or ``ft`` itself.
 
-    Vertices within ``TOL_COLLAPSE`` of each other merge, closest pairs
-    first, adjacent or not, but a cluster never holds two terminals.  Edges
-    inside a cluster go (their flow is conserved), parallel edges combine,
-    zero-flow edges drop and branch vertices left with degree < 3 are
-    spliced out; the result is flagged degenerate.  ``ft`` is returned when
-    nothing merges, or when the merged edges would close a cycle (that
-    configuration is left to geometric canonicalization).
+    Vertices within ``TOL_COLLAPSE`` of each other merge by
+    :func:`_contract`, closest pairs first, adjacent or not.  ``ft`` is
+    returned when nothing merges, or when the merged edges would close a
+    cycle (that configuration is left to geometric canonicalization).
+    """
+    n = ft.topology.n_terminals
+    close = sorted(
+        (d, u, v) for v in range(n, n + ft.topology.n_branch) for u in range(v)
+        if (d := dist(pl.position(u), pl.position(v))) <= TOL_COLLAPSE)
+    # the first pair merges, if any: each holds a branch vertex
+    return _contract(ft, [(u, v) for _, u, v in close]) if close else ft
+
+
+def _contract(ft: FlowedTopology, pairs: Sequence[tuple[int, int]]
+              ) -> FlowedTopology:
+    """``ft`` with the vertex ``pairs`` merged in order, or ``ft`` itself
+    when the merged edges would close a cycle.
+
+    A pair whose merge would put two terminals in one cluster is skipped.
+    Edges inside a cluster go (their flow is conserved), parallel edges
+    combine, zero-flow edges drop and branch vertices left with degree < 3
+    are spliced out; the result is flagged degenerate.
     """
     t = ft.topology
     n = t.n_terminals
-    nv = n + t.n_branch
-    close = sorted(
-        (d, u, v) for v in range(n, nv) for u in range(v)
-        if (d := dist(pl.position(u), pl.position(v))) <= TOL_COLLAPSE)
-    if not close:  # else the first pair merges: each holds a branch vertex
-        return ft
     # union-find whose root is the lowest vertex of its class, so a class
     # holds a terminal exactly when its root is below n
-    parent = list(range(nv))
+    parent = list(range(n + t.n_branch))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -548,7 +582,7 @@ def detect_collapse(ft: FlowedTopology, pl: Placement) -> FlowedTopology:
             x = parent[x]
         return x
 
-    for _, u, v in close:
+    for u, v in pairs:
         ru, rv = find(u), find(v)
         if ru != rv and max(ru, rv) >= n:  # never two terminals in a class
             parent[max(ru, rv)] = min(ru, rv)
@@ -583,11 +617,52 @@ def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
     return PolyhedralChain(tuple(segs), canonical=False)
 
 
+# a star settles only when Kuhn's criterion holds by this share of the
+# star's total weight, far above the rounding of its unit vectors: a tie or
+# near-tie runs the kernel
+_STAR_MARGIN = 1e-9
+
+
+def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
+                   alpha: float) -> list[tuple[int, int]]:
+    """(atom, star) for every star branch vertex whose minimizer is an atom.
+
+    Kuhn's criterion of the module docstring: atom t is the star's unique
+    minimizer when the ball of :func:`_subgradient` at p_t, with only t's
+    edge collapsed, holds 0 in its interior, here by ``_STAR_MARGIN``.  A
+    vertex with a branch neighbor is never tested.
+    """
+    n = ft.topology.n_terminals
+    w = _weights(ft, alpha)
+    pairs = []
+    for v0 in range(n, n + ft.topology.n_branch):
+        incident = _incident(ft, w, v0)
+        if any(o >= n for _, o in incident):
+            continue
+        atoms = [(wi, terminals[o]) for wi, o in incident]
+        margin = _STAR_MARGIN * sum(wi for wi, _ in incident)
+        for _, t in incident:
+            g, ball = _subgradient(terminals[t], atoms, 0.0)
+            if g < ball - margin:
+                pairs.append((t, v0))
+                break
+    return pairs
+
+
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
                       trace: Trace | None = None,
                       memo: dict | None = None) -> OptimizedTopology:
     """Minimize, then contract the collapsed vertices and minimize again,
     until :func:`detect_collapse` returns its input.
+
+    Before each minimization, every star branch vertex (all of its
+    neighbors atoms) that :func:`_settled_stars` proves to sit on an atom
+    is contracted onto it without running the kernel, which would only
+    snap it there.  The test is exact for stars alone: the terms of any
+    other branch vertex hold a branch neighbor's position, unknown before
+    the minimization, and a test vertex by vertex at a placement is not
+    sufficient for optimality (the module docstring has a topology that
+    passes it above its minimum).
 
     This ends: every contraction removes a branch vertex, since a cluster
     never holds two terminals.  A minimization starts afresh from the
@@ -599,8 +674,13 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     """
     if memo is None:
         memo = {}
+    terminals = _terminals_for(ft, b)
     iters = 0
     while True:
+        settled = _settled_stars(ft, terminals, alpha)
+        if settled and (contracted := _contract(ft, settled)) is not ft:
+            ft = contracted
+            continue
         key = (ft.topology.edges, ft.edge_flows)
         if key not in memo:
             memo[key] = minimize(ft, b, alpha, trace)

@@ -356,16 +356,19 @@ def test_atom_point_not_a_list_exit_code(tmp_path, capsys, value):
 @pytest.mark.parametrize("key,value", [("a", 5), ("b", "00")])
 def test_segment_endpoint_not_a_list_exit_code(square_file, tmp_path, capsys,
                                                key, value):
-    report = tmp_path / "report.json"
+    report, svg = tmp_path / "report.json", tmp_path / "plot.svg"
     assert cli.main(["solve", "--input", square_file,
                      "--report", str(report)]) == 0
+    assert cli.main(["plot", str(report), "--svg", str(svg)]) == 0
+    before = svg.read_bytes()
     obj = json.loads(report.read_text())
     obj["minimizers"][0]["chain"]["segments"][0][key] = value
     report.write_text(json.dumps(obj))
-    assert cli.main(["plot", str(report), "--svg",
-                     str(tmp_path / "plot.svg")]) == 1
+    assert cli.main(["plot", str(report), "--svg", str(svg)]) == 1
     assert (f"key {key!r} must be a list of numbers, not {value!r}"
             in capsys.readouterr().err)
+    # the report fails before --svg is opened: the old picture survives
+    assert svg.read_bytes() == before
 
 
 FOUR = {"A": [-4.0, 0.0], "B": [-1.0, 0.02], "C": [1.0, -0.02],

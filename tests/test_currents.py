@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gsteiner import currents
 from gsteiner.currents import (alpha_mass, boundary, branch_points,
                                canonicalize, chain_of, has_loop,
                                make_boundary, mass, restrict_ball,
@@ -153,6 +154,40 @@ def test_canonicalize_idempotent():
     for _ in range(25):
         c = canonicalize(random_chain(rng))
         assert canonicalize(c) == c
+
+
+def swept_canonical(chain, monkeypatch):
+    """``canonicalize`` with every line group swept, lone segments too."""
+    with monkeypatch.context() as m:
+        m.setattr(currents, "_lone_segment", currents._sweep_line_group)
+        return canonicalize(chain)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lone_segment_fast_path_equals_sweep(dim, monkeypatch):
+    rng = random.Random(40 + dim)
+    for _ in range(40):
+        c = random_chain(rng, n_segments=rng.randint(1, 6), dim=dim)
+        # collinear pieces of the first segment make groups of several
+        for a, b, m in [(s.start, s.end, s.mult) for s in c.segments[:1]]:
+            mid = tuple(0.5 * (x + y) for x, y in zip(a, b))
+            c = c + chain_of([(mid, a, m), (b, mid, F(rng.randint(-2, 2) or 1))])
+        # lone segments in both orientations along the axes
+        c = c + chain_of([((5.0,) * dim, (6.0,) + (5.0,) * (dim - 1), 1),
+                          ((7.0,) * dim, (7.0,) * (dim - 1) + (6.0,), -2)])
+        assert canonicalize(c) == swept_canonical(c, monkeypatch)
+
+
+def test_lone_segment_fast_path_cases():
+    forward = currents.Segment((0.0, 0.0), (1.0, 2.0), F(3))
+    backward = forward.reversed()
+    for s in (forward, backward):
+        g = currents._LineGroup(s)
+        assert currents._lone_segment(g) == currents._sweep_line_group(g) \
+            == [forward]
+        # projection 0 on the group direction: both drop the segment
+        g.direction = (-g.direction[1], g.direction[0])
+        assert currents._lone_segment(g) == currents._sweep_line_group(g) == []
 
 
 def test_canonicalize_opposite_orientations_subtract():

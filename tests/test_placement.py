@@ -1,6 +1,7 @@
 """Location-energy optimizer: analytic optima, residuals, collapses."""
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 from gsteiner import placement
 from gsteiner.currents import make_boundary, support_difference_mass
-from gsteiner.placement import (TOL_COLLAPSE, Placement, detect_collapse,
-                                dual_bound, energy, lower_bounds, minimize,
-                                optimize_topology, realize_chain,
-                                stationarity_residual)
+from gsteiner.perturb import _local4_candidates, four_point_instance
+from gsteiner.placement import (TOL_COLLAPSE, Placement, _settled_stars,
+                                detect_collapse, dual_bound, energy,
+                                lower_bounds, minimize, optimize_topology,
+                                realize_chain, stationarity_residual)
 from gsteiner.solver import SolverConfig, solve
+from gsteiner.sweep import SweepSpec, build_cells
 from gsteiner.topology import (SteinerTopology, assign_flows,
                                enumerate_topologies)
 
@@ -432,6 +435,113 @@ def test_optimized_topology_is_a_fixed_point_of_detect_collapse(bench_instances)
             assert detect_collapse(opt.flowed, opt.placement) is opt.flowed
             contracted += opt.flowed is not ft
     assert contracted > 0
+
+
+# ---------------------------------------------------------------------------
+# star branch vertices settled by Kuhn's criterion
+# ---------------------------------------------------------------------------
+
+def kernel_only_optimize(ft, b, alpha):
+    """``optimize_topology`` without the star test, the reference: minimize
+    and contract until ``detect_collapse`` returns its input."""
+    while True:
+        res = minimize(ft, b, alpha)
+        contracted = detect_collapse(ft, res.placement)
+        if contracted is ft:
+            return replace(res, flowed=ft)
+        ft = contracted
+
+
+def settled(ft, b, alpha):
+    return _settled_stars(ft, tuple(p for p, _ in b.atoms), alpha)
+
+
+def assert_matches_kernel_only(ft, b, alpha):
+    got, want = optimize_topology(ft, b, alpha), kernel_only_optimize(ft, b, alpha)
+    assert got.flowed == want.flowed
+    assert got.placement == want.placement
+    assert got.value == want.value
+
+
+def test_settled_stars_match_kernel_on_local4_candidates():
+    cells = build_cells(SweepSpec(alphas=(0.5, 0.6, 0.75), n_instances=4,
+                                  rho=0.05, seed=3))
+    fired = 0
+    for alpha, k, _, _, _, disp, theta in cells:
+        b = four_point_instance(k, disp, theta).boundary()
+        for _, ft in _local4_candidates(tuple(m for _, m in b.atoms),
+                                        ("A", "B", "C", "D")):
+            if ft is not None and ft.topology.n_branch:
+                assert_matches_kernel_only(ft, b, alpha)
+                fired += bool(settled(ft, b, alpha))
+    assert fired > 0
+
+
+def test_two_star_forest_of_the_distinct_mass_six_atom_instance(
+        bench_instances):
+    b, alpha = bench_instances("solve-n6", 0)[1]
+    stars = [ft for ft in enumerate_topologies(b)
+             if ft.topology.n_branch == 2
+             and all(min(e) < 6 for e in ft.topology.edges)]
+    assert len(stars) == 1
+    # one block's star settles on an atom, the other's runs the kernel
+    assert len(settled(stars[0], b, alpha)) == 1
+    assert_matches_kernel_only(stars[0], b, alpha)
+
+
+def test_settled_stars_match_kernel_on_3d_instances(bench_instances):
+    fired = 0
+    for b, alpha in bench_instances("solve-3d", 0):
+        for ft in enumerate_topologies(b):
+            assert_matches_kernel_only(ft, b, alpha)
+            fired += bool(settled(ft, b, alpha))
+    assert fired > 0
+
+
+STAR_MASSES = [(-2, 1, 1), (-3, 1, 2), (-1, -1, 2), (-3, F(1, 2), 2, F(1, 2)),
+               (-5, 1, 1, 3), (-4, -1, 2, 1, 2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), masses=st.sampled_from(STAR_MASSES),
+       dim=st.sampled_from([2, 3]), alpha=st.floats(0.05, 1.0))
+def test_settled_star_atom_is_not_above_the_kernel(seed, masses, dim, alpha):
+    rng = random.Random(seed)
+    b = make_boundary(
+        (tuple(rng.uniform(0.0, 2.0) for _ in range(dim)), F(m))
+        for m in masses)
+    n = len(masses)
+    ft = assign_flows(SteinerTopology(n, 1, tuple((i, n) for i in range(n)),
+                                      tuple(m for _, m in b.atoms)), b)
+    for t, star in settled(ft, b, alpha):
+        assert star == n
+        terminals = tuple(p for p, _ in b.atoms)
+        at_atom = energy(ft, Placement(terminals, (terminals[t],)), alpha)
+        v = minimize(ft, b, alpha).value
+        assert at_atom <= v + 1e-12 * (1.0 + v)
+
+
+def test_tied_star_falls_through_to_the_kernel(monkeypatch):
+    # atoms of masses -1, -1, 2 at 0, 1 and 2 on a line: at alpha = 1 the
+    # criterion holds with equality at the last two, and every point
+    # between them minimizes.  On tilted and scaled lines the unit vectors
+    # round, and the tie must not settle either way
+    rng = random.Random(7)
+    calls = []
+    real = placement.minimize
+    monkeypatch.setattr(placement, "minimize",
+                        lambda ft, *a: calls.append(ft) or real(ft, *a))
+    for _ in range(200):
+        angle, size = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.1, 10.0)
+        u = (size * math.cos(angle), size * math.sin(angle))
+        o = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+        b = make_boundary(((o[0] + s * u[0], o[1] + s * u[1]), F(m))
+                          for s, m in ((0, -1), (1, -1), (2, 2)))
+        ft = y_topology(b)
+        assert settled(ft, b, 1.0) == []
+    calls.clear()
+    optimize_topology(ft, b, 1.0)
+    assert calls[0] is ft
 
 
 # the stage solver of d != 2 before the Newton steps, kept as their reference
