@@ -7,9 +7,13 @@ to a negative atom y costs |x - y| (the mass of the filling segment), while
 leaving one unit unmatched anywhere costs 1 (its residual mass).  This is a
 bipartite min-cost transportation problem with a unit-cost slack node.
 
-The LP is solved in floats (HiGHS); with rational atom masses every vertex
-solution is integral on the common-denominator lattice, so flows are rounded
-back to exact rationals and conservation is re-verified exactly.
+It is solved exactly on the common-denominator lattice: with every mass
+scaled by the common denominator D to a Python int, successive shortest
+augmenting paths (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9)
+move integer flow from positive to negative atoms while that saves cost
+against dropping both ends.  Flows never leave the integers, so the witness
+``Fraction(flow, D)`` conserves mass exactly.  Only the arc lengths are
+floating point.
 """
 from __future__ import annotations
 
@@ -17,10 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.optimize import linprog
-
 from .currents import Boundary, Point, dist
+
+# a path whose cost is within this fraction of the largest arc cost of 0 is a
+# tie, and ties transport (at distance exactly 2 moving and dropping agree)
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,105 +44,94 @@ def flat_norm(b: Boundary) -> tuple[float, FlatWitness]:
     """Flat norm of an atomic 0-current together with an optimal witness.
 
     The total mass of ``b`` need not vanish; unmatched mass is dropped at
-    unit cost.  The returned value always satisfies value <= mass(b).
+    unit cost.  The returned value always satisfies value <= mass(b).  Among
+    optimal plans the witness drops the least mass.
     """
     pos = [(p, m) for p, m in b.atoms if m > 0]
     neg = [(p, -m) for p, m in b.atoms if m < 0]
-    if not pos and not neg:
-        return 0.0, FlatWitness((), ())
     if not pos or not neg:
-        dropped = tuple((p, m) for p, m in pos + neg)
+        dropped = tuple(pos + neg)
         return float(sum(m for _, m in dropped)), FlatWitness((), dropped)
 
-    np_, nn = len(pos), len(neg)
-    nvar = np_ * nn + np_ + nn  # flows, pos drops, neg drops
-    cost = np.empty(nvar)
-    for i, (p, _) in enumerate(pos):
-        for j, (q, _) in enumerate(neg):
-            cost[i * nn + j] = dist(p, q)
-    cost[np_ * nn:] = 1.0
-
-    a_eq = np.zeros((np_ + nn, nvar))
-    b_eq = np.empty(np_ + nn)
-    for i, (_, m) in enumerate(pos):
-        a_eq[i, i * nn:(i + 1) * nn] = 1.0
-        a_eq[i, np_ * nn + i] = 1.0
-        b_eq[i] = float(m)
-    for j, (_, m) in enumerate(neg):
-        a_eq[np_ + j, j:np_ * nn:nn] = 1.0
-        a_eq[np_ + j, np_ * nn + np_ + j] = 1.0
-        b_eq[np_ + j] = float(m)
-
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:  # pragma: no cover - transportation LPs are feasible
-        raise RuntimeError(f"flat norm LP failed: {res.message}")
-
-    # deterministic witness: among near-optimal plans, minimize dropped mass
-    # (breaks ties at distance exactly 2 toward transporting)
-    tie = np.zeros(nvar)
-    tie[np_ * nn:] = 1.0
-    budget = res.fun + 1e-11 * (1.0 + abs(res.fun))
-    res2 = linprog(tie, A_eq=a_eq, b_eq=b_eq,
-                   A_ub=cost.reshape(1, -1), b_ub=[budget],
-                   bounds=(0, None), method="highs")
-
-    quantum = Fraction(1, _common_denominator(b))
-    witness = None
-    if res2.success:
-        # the cost-budget row can make this vertex leave the mass lattice;
-        # fall back to the plain optimum (always a lattice vertex) if so
-        try:
-            witness = _extract_witness(res2.x, pos, neg, quantum)
-        except AssertionError:
-            witness = None
-    if witness is None:
-        witness = _extract_witness(res.x, pos, neg, quantum)
+    den = math.lcm(*(m.denominator for _, m in b.atoms))
+    supply = [int(m * den) for _, m in pos]
+    demand = [int(m * den) for _, m in neg]
+    flow = _transport(supply, demand,
+                      [[dist(p, q) - 2.0 for q, _ in neg] for p, _ in pos])
+    arcs = tuple((p, q, Fraction(f, den))
+                 for (p, _), row in zip(pos, flow)
+                 for (q, _), f in zip(neg, row) if f)
+    dropped = tuple((p, Fraction(r, den))
+                    for (p, _), r in zip(pos + neg, supply + demand) if r)
+    witness = FlatWitness(arcs, dropped)
     return witness.value(), witness
 
 
-def _extract_witness(x, pos, neg, quantum: Fraction) -> FlatWitness:
-    np_, nn = len(pos), len(neg)
-    flows: list[tuple[Point, Point, Fraction]] = []
-    sent = [Fraction(0)] * np_
-    recv = [Fraction(0)] * nn
-    for i in range(np_):
-        for j in range(nn):
-            f = _round_to_quantum(x[i * nn + j], quantum)
-            if f > 0:
-                flows.append((pos[i][0], neg[j][0], f))
-                sent[i] += f
-                recv[j] += f
-    dropped: list[tuple[Point, Fraction]] = []
-    for i, (p, m) in enumerate(pos):
-        r = m - sent[i]
-        if r < 0:
-            raise AssertionError("flow rounding produced oversend")
-        if r > 0:
-            dropped.append((p, r))
-    for j, (q, m) in enumerate(neg):
-        r = m - recv[j]
-        if r < 0:
-            raise AssertionError("flow rounding produced overreceive")
-        if r > 0:
-            dropped.append((q, r))
-    return FlatWitness(tuple(flows), tuple(dropped))
+def _transport(supply: list[int], demand: list[int],
+               cost: list[list[float]]) -> list[list[int]]:
+    """Integer flows f[i][j], at most supply[i] per row and demand[j] per
+    column, that minimize sum f[i][j] * cost[i][j]; ties favour more flow.
+    ``supply`` and ``demand`` are left holding what stays unmatched.
+
+    cost[i][j] = |x_i - y_j| - 2 is what moving a unit costs against
+    dropping it at both ends, so only negative-cost moves pay.
+
+    Successive shortest paths in the residual graph: forward arcs i -> j of
+    cost cost[i][j] and unbounded capacity, backward arcs j -> i of cost
+    -cost[i][j] wherever f[i][j] > 0, entered at a row with supply left and
+    left at a column with demand left.  Bellman-Ford finds the cheapest path;
+    it is augmented by its integer bottleneck while its cost is not above 0
+    (up to ``TIE_TOL``).  A label improves only by more than the tolerance,
+    so rounding in the float costs cannot make a zero-cost cycle look
+    negative.
+    """
+    rows, cols = range(len(supply)), range(len(demand))
+    flow = [[0] * len(demand) for _ in rows]
+    tol = TIE_TOL * max(1.0, max(abs(c) for line in cost for c in line))
+    while True:
+        at_row = [0.0 if s else math.inf for s in supply]
+        at_col = [math.inf] * len(demand)
+        row_from = [-1] * len(supply)  # column before row i, -1 from supply
+        col_from = [-1] * len(demand)  # row before column j
+        for _ in range(len(supply) + len(demand)):
+            changed = False
+            for i in rows:
+                for j in cols:
+                    here = at_row[i] + cost[i][j]
+                    if here < at_col[j] - tol:
+                        at_col[j], col_from[j], changed = here, i, True
+            for i in rows:
+                for j in cols:
+                    here = at_col[j] - cost[i][j]
+                    if flow[i][j] and here < at_row[i] - tol:
+                        at_row[i], row_from[i], changed = here, j, True
+            if not changed:
+                break
+        open_cols = [j for j in cols if demand[j]]
+        if not open_cols:
+            return flow
+        end = min(open_cols, key=at_col.__getitem__)
+        if at_col[end] > tol:
+            return flow
+        path = []  # (row, column, +1 forward | -1 backward)
+        j = end
+        while True:
+            i = col_from[j]
+            path.append((i, j, 1))
+            if row_from[i] < 0:
+                break
+            j = row_from[i]
+            path.append((i, j, -1))
+        start = i
+        amount = min([supply[start], demand[end]]
+                     + [flow[i][j] for i, j, sign in path if sign < 0])
+        for i, j, sign in path:
+            flow[i][j] += sign * amount
+        supply[start] -= amount
+        demand[end] -= amount
 
 
 def flat_distance(b1: Boundary, b2: Boundary) -> float:
     """Flat-norm distance between two atomic 0-currents."""
     return flat_norm(b1 - b2)[0]
 
-
-def _common_denominator(b: Boundary) -> int:
-    den = 1
-    for _, m in b.atoms:
-        den = den * m.denominator // math.gcd(den, m.denominator)
-    return den
-
-
-def _round_to_quantum(x: float, quantum: Fraction) -> Fraction:
-    n = round(x / float(quantum))
-    f = n * quantum
-    if abs(float(f) - x) > 1e-6 * (1.0 + abs(x)):
-        raise AssertionError("LP flow is not on the rational lattice")
-    return f

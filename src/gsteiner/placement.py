@@ -325,35 +325,42 @@ def _newton_steps(pos, graph, e2: float, budget: int, tol: float) -> int:
     fixed = a_t.T @ np.array(pos[:n])
     x = np.array(pos[n:])
     eye = np.eye(d)
+    e2_eye = e2 * eye
+    ab_t = ab.T
+    pairs = np.einsum("ie,je->ije", ab, ab)  # A_b row products per edge
 
-    def smoothed(x: np.ndarray) -> float:
-        diff = fixed + ab.T @ x
-        return float(w @ np.sqrt(np.einsum("ij,ij->i", diff, diff) + e2))
+    def edges(x: np.ndarray):
+        diff = fixed + ab_t @ x
+        sq = np.einsum("ij,ij->i", diff, diff)
+        return diff, sq, np.sqrt(sq + e2)
 
+    # each accepted line-search trial hands its edge vectors to the next step
+    diff, sq, length = edges(x)
     done = 0
     while done < budget:
         done += 1
-        diff = fixed + ab.T @ x
-        sq = np.einsum("ij,ij->i", diff, diff)
-        length = np.sqrt(sq + e2)
         c = w / length
-        cab, lap = _weighted_laplacian(ab[None], c[None])
-        grad = cab[0] @ diff
+        cab = ab * c
+        grad = cab @ diff
         block = (c / (sq + e2))[:, None, None] * (
-            e2 * eye + (sq[:, None, None] * eye
-                        - diff[:, :, None] * diff[:, None, :]))
-        hess = (np.einsum("ie,je,eab->iajb", ab, ab, block)
-                + 1e-9 * lap[0][:, None, :, None] * eye[:, None, :])
+            e2_eye + (sq[:, None, None] * eye
+                      - diff[:, :, None] * diff[:, None, :]))
+        hess = (np.einsum("ije,eab->iajb", pairs, block)
+                + 1e-9 * (cab @ ab_t)[:, None, :, None] * eye[:, None, :])
         step = -np.linalg.solve(hess.reshape(m * d, m * d),
                                 grad.ravel()).reshape(m, d)
         value, slope = w @ length, grad.ravel() @ step.ravel()
         move = float(np.abs(step).max())
         t = 1.0
-        while t * move > tol and smoothed(x + t * step) > value + 1e-4 * t * slope:
+        while t * move > tol:
+            trial = edges(x + t * step)
+            if w @ trial[2] <= value + 1e-4 * t * slope:
+                break
             t *= 0.5
         x += t * step
         if t * move <= tol:
             break
+        diff, sq, length = trial
     pos[n:] = x.tolist()
     return done
 

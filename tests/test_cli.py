@@ -94,6 +94,18 @@ def test_flat_norm_cli(tmp_path, capsys):
     assert out["witness"]["transport_arcs"][0]["flow"] == "1"
 
 
+def test_flat_norm_cli_large_denominators(tmp_path, capsys):
+    # the float LP's witness oversent here and the command exited 2
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"atoms": [
+        {"p": [0.1, 0.2], "m": "-3085/7879"}, {"p": [1.0, 0.3], "m": "2467/7883"},
+        {"p": [0.4, 1.1], "m": "-4880/7877"}, {"p": [1.3, 1.2], "m": "4154/7901"},
+        {"p": [0.7, 0.6], "m": "94/7873"}]}))
+    assert cli.main(["flat-norm", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0.0 < out["value"] < 2.0
+
+
 def test_enumerate_topologies_cli(square_file, capsys):
     assert cli.main(["enumerate-topologies", "--input", square_file]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
