@@ -10,8 +10,8 @@ from .perturb import (LocalClassification, LocalFourPointInstance,
                       estimate_k0, estimate_rho, four_point_instance,
                       local4_solve, perturb, verify_perturbation_bounds)
 from .solver import (InternalConsistencyError, MinimizerRecord, SolveReport,
-                     SolverConfig, brute_force_value, is_in_A_C, magic_points,
-                     quantize_boundary, quantize_chain, solve)
+                     SolverConfig, is_in_A_C, magic_points, quantize_boundary,
+                     quantize_chain, solve)
 
 __all__ = [
     "Boundary", "PolyhedralChain", "Segment", "alpha_mass", "boundary",
@@ -20,7 +20,6 @@ __all__ = [
     "FlatWitness", "flat_distance", "flat_norm",
     "SolverConfig", "SolveReport", "MinimizerRecord", "InternalConsistencyError",
     "solve", "is_in_A_C", "magic_points", "quantize_boundary", "quantize_chain",
-    "brute_force_value",
     "PerturbationSpec", "perturb", "verify_perturbation_bounds",
     "LocalFourPointInstance", "LocalClassification", "build_wz", "local4_solve",
     "estimate_k0", "estimate_rho", "four_point_instance",

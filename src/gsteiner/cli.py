@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from . import fileio
 from .flat import flat_norm
@@ -39,7 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stream optimizer diagnostics as JSON lines on stderr: "
                         'one "stage": "bound" record per topology from the '
                         'batched bounding pass, then "eps" and "done" '
-                        "records from each full optimization")
+                        "records from each run of the smoothing kernel and "
+                        'a "done" record alone from each topology of stars '
+                        "that Newton places")
 
     e = sub.add_parser("enumerate-topologies",
                        help="emit one JSON line per candidate topology")
@@ -180,7 +181,7 @@ def _cmd_local4(args) -> int:
     a, b, c, d = (fileio._point(obj, key, f"key {key!r}") for key in "ABCD")
     inst = LocalFourPointInstance(
         a=a, b=b, c=c, d=d,
-        theta=Fraction(str(obj.get("theta", 1))),
+        theta=fileio.parse_rational(obj.get("theta", 1), "key 'theta'"),
         k=fileio._number("key 'k'", obj["k"], integral=True),
     )
     cls = local4_solve(inst, args.alpha)

@@ -29,10 +29,26 @@ from .solver import SolveReport, SolverConfig
 SCHEMA_VERSION = "1"
 
 
-def parse_rational(s: Any) -> Fraction:
-    if isinstance(s, (int, str)) and not isinstance(s, bool):
-        return Fraction(s)
-    raise ValueError(f"rational masses must be strings like '3/4', got {s!r}")
+def parse_rational(s: Any, name: str = "rational masses") -> Fraction:
+    """``s``, an integer or a string like '3/4', as an exact ``Fraction``.
+
+    Booleans, other types, malformed strings, a zero denominator and a
+    value whose float is not finite (the solver computes in floats) are
+    refused with a ``ValueError`` whose message starts with ``name``.
+    """
+    if not isinstance(s, (int, str)) or isinstance(s, bool):
+        raise ValueError(f"{name} must be strings like '3/4', got {s!r}")
+    try:
+        value = Fraction(s)
+    except ValueError:
+        raise ValueError(f"{name} must be strings like '3/4', got {s!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{name} must have a nonzero denominator, got {s!r}") from None
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite as floats, got {s!r}") from None
+    return value
 
 
 def format_rational(f: Fraction) -> str:

@@ -5,13 +5,26 @@ branch-vertex positions, through
 
     F(x_1, ..., x_m) = sum over edges of |flow|^alpha * |x_j - x_i|,
 
-a convex (generally non-smooth) function.  It is minimized through the
-smoothed energy F_eps = sum of w_e sqrt(len^2 + eps^2), while eps decreases
-geometrically (Smith, Algorithmica 7, 1992).  At the end of every smoothing
-stage each branch vertex is snapped onto its nearest vertex whenever that
-strictly lowers the exact energy, which accelerates convergence onto
-collapsed configurations (the non-smooth minimizers these instances
-actually visit).
+a convex (generally non-smooth) function.
+
+When every branch vertex is a *star*, all of its neighbors atoms, each star
+is placed on its own: its terms sum_j w_j |x - p_j| share no variable with
+the rest of the energy, and away from the atoms they are smooth.
+:func:`_star_newton` runs damped Newton on that exact energy from the
+weighted barycenter, with the Hessian sum_j (w_j / r_j) (I - u_j u_j^T)
+and an Armijo backtracking on F (Calamai & Conn, SIAM J. Sci. Stat.
+Comput. 1(4), 1980, for this view of sums of norms).  The placement stands
+only when :func:`dual_bound` at it certifies the value to ``_STAR_GAP``
+(relative).  An iterate near an atom (where F is not smooth), a singular
+Hessian (1-D, collinear atoms, a tie), a spent step budget or a failed
+certificate hands the whole topology to the smoothing kernel below.
+
+Every other topology runs the kernel.  It minimizes the smoothed energy
+F_eps = sum of w_e sqrt(len^2 + eps^2), while eps decreases geometrically
+(Smith, Algorithmica 7, 1992).  At the end of every smoothing stage each
+branch vertex is snapped onto its nearest vertex whenever that strictly
+lowers the exact energy, which accelerates convergence onto collapsed
+configurations (the non-smooth minimizers these instances actually visit).
 
 One kernel, :func:`_run_kernel`, runs this in every dimension: the eps
 schedule, the per-stage iteration budgets, the snap and the trace records.
@@ -38,21 +51,21 @@ on the flowed topology alone, so a caller that optimizes many topologies of
 one boundary passes one ``memo`` dict to all of them, and a topology that
 several others contract onto is minimized once.
 
-Before each minimization the loop settles *star* branch vertices, those
-whose neighbors are all atoms, without the kernel.  A star's terms
+Before each minimization the loop settles *star* branch vertices whose
+optimum is an atom, without minimizing.  A star's terms
 sum_j w_j |x - p_j| share no variable with the rest of the energy, so the
 weighted Fermat-Weber vertex criterion (Kuhn, Math. Programming 4, 1973)
 decides exactly whether its optimum is atom t:
 |sum_{j != t} w_j (p_t - p_j) / |p_t - p_j|| < w_t.  When that holds by a
 margin of ``_STAR_MARGIN`` times the star's total weight, the star is
-contracted onto t, where the kernel would only have snapped it; a tie runs
-the kernel.  The test is exact for stars only.  Any other branch vertex
-has a branch neighbor whose optimal position is unknown before the
-minimization, and a test vertex by vertex at a placement is necessary but
-not sufficient: on a 4-branch topology of a 6-atom instance collapsed
-vertices pass it one at a time (residual 8.3e-10) while the value sits
-1.8e-5 (relative) above the minimum.  Both paths contract through one
-routine, :func:`_contract`.
+contracted onto t, where Newton would stop short of it and the kernel would
+only have snapped it; a tie is left to :func:`minimize`.  The test is
+exact for stars only.  Any other branch vertex has a branch neighbor whose
+optimal position is unknown before the minimization, and a test vertex by
+vertex at a placement is necessary but not sufficient: on a 4-branch
+topology of a 6-atom instance collapsed vertices pass it one at a time
+(residual 8.3e-10) while the value sits 1.8e-5 (relative) above the
+minimum.  Both paths contract through one routine, :func:`_contract`.
 
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
@@ -96,8 +109,9 @@ EPS_DECAY = 0.2
 EPS_MIN = 2e-7
 
 # receives one JSON-serializable record per smoothing stage (iteration count,
-# eps, current energy) plus a final one with the stationarity residual;
-# lower_bounds sends one record with "stage": "bound" per topology instead
+# eps, current energy) plus a final one with the stationarity residual (the
+# star path sends the final one alone); lower_bounds sends one record with
+# "stage": "bound" per topology instead
 Trace = Callable[[dict], None]
 
 
@@ -379,14 +393,151 @@ def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
     return terminals
 
 
+# the star path's constants: Newton stops when |grad F| is at most
+# _STAR_GRAD times the star's total weight, and gives the star up to the
+# kernel after _STAR_STEPS steps (the benchmark's stars take at most 15), or
+# when an iterate comes within _STAR_NEAR of an atom, where the energy is not
+# smooth (relative to the atoms' weighted mean distance from their
+# barycenter); a Hessian pivot at most _STAR_SINGULAR times its trace counts
+# as singular; the placement stands only when the dual bound certifies it
+# to _STAR_GAP (relative to 1 + value)
+_STAR_STEPS = 30
+_STAR_GRAD = 1e-13
+_STAR_NEAR = 1e-12
+_STAR_SINGULAR = 1e-12
+_STAR_GAP = 1e-12
+
+
+def _star_newton(atoms: list[tuple[float, Point]]
+                 ) -> tuple[tuple[float, ...], int] | None:
+    """The minimizer of F(x) = sum_j w_j |x - p_j| over the ``atoms``
+    (w_j, p_j), with the number of Newton steps taken, or None.
+
+    Damped Newton on the exact F from the weighted barycenter, in flat
+    Python and any dimension.  With r_j = |x - p_j| and u_j = (x - p_j) / r_j
+    the gradient is sum_j w_j u_j and the Hessian
+    sum_j (w_j / r_j) (I - u_j u_j^T); each step backtracks on F (Armijo,
+    with a slack of F's rounding so that steps near the optimum, whose
+    decrease rounds away, are taken).  None when an iterate comes within
+    ``_STAR_NEAR`` times the atoms' weighted mean distance from their
+    barycenter of an atom, the Hessian is singular (in 1-D, on collinear
+    atoms, on a tie) or the steps run out: the kernel then places the star.
+    """
+    d = len(atoms[0][1])
+    total = sum(w for w, _ in atoms)
+    x = [sum(w * p[i] for w, p in atoms) / total for i in range(d)]
+    f = sum(w * math.dist(x, p) for w, p in atoms)
+    near = _STAR_NEAR * f / total
+    dims = range(d)
+    for steps in range(_STAR_STEPS):
+        # with diff_j = x - p_j, c_j = w_j / r_j and k_j = c_j / r_j^2:
+        # g = sum_j c_j diff_j, h = (sum_j c_j) I - sum_j k_j diff_j diff_j^T
+        g = [0.0] * d
+        h = [[0.0] * d for _ in dims]
+        trace = 0.0
+        for w, p in atoms:
+            diff = [a - c for a, c in zip(x, p)]
+            r = math.hypot(*diff)
+            if r <= near:
+                return None
+            c = w / r
+            k = c / (r * r)
+            trace += c
+            for i in dims:
+                di = diff[i]
+                g[i] += c * di
+                row, kdi = h[i], k * di
+                for j in dims:
+                    row[j] -= kdi * diff[j]
+        for i in dims:
+            h[i][i] += trace
+        # a singular Hessian at a stationary point means a segment of
+        # minimizers (a tie on a line): the kernel picks the point
+        step = _solve_spd(h, [-v for v in g])
+        if step is None:
+            return None
+        if math.hypot(*g) <= _STAR_GRAD * total:
+            return tuple(x), steps
+        slope = sum(a * b for a, b in zip(g, step))
+        t = 1.0
+        while True:
+            trial = [a + t * b for a, b in zip(x, step)]
+            f_trial = sum(w * math.dist(trial, p) for w, p in atoms)
+            if f_trial <= f + 1e-4 * t * slope + 1e-15 * f:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                return None
+        x, f = trial, f_trial
+    return None
+
+
+def _solve_spd(a: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """The solution of a x = rhs for a symmetric positive semidefinite
+    ``a``, by Gaussian elimination without pivoting (stable on such
+    matrices), or None when a pivot is at most ``_STAR_SINGULAR`` times the
+    trace of ``a``.  Overwrites ``a`` and ``rhs``."""
+    d = len(rhs)
+    tiny = _STAR_SINGULAR * sum(a[i][i] for i in range(d))
+    for k in range(d):
+        pivot = a[k][k]
+        if pivot <= tiny:
+            return None
+        for i in range(k + 1, d):
+            m = a[i][k] / pivot
+            for j in range(k + 1, d):
+                a[i][j] -= m * a[k][j]
+            rhs[i] -= m * rhs[k]
+    x = [0.0] * d
+    for k in reversed(range(d)):
+        rest = sum(a[k][j] * x[j] for j in range(k + 1, d))
+        x[k] = (rhs[k] - rest) / a[k][k]
+    return x
+
+
+def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
+                 alpha: float) -> tuple[Placement, int] | None:
+    """The certified optimal placement of a topology whose branch vertices
+    are all stars, with the total number of Newton steps, or None.
+
+    Each star's terms share no variable with the rest of the energy, so
+    :func:`_star_newton` places each one alone.  The placement stands only
+    when :func:`dual_bound` at it lies within ``_STAR_GAP`` (relative) of
+    its energy.  None when a branch vertex has a branch neighbor, a star's
+    Newton run gives up, or the certificate fails.
+    """
+    n = ft.topology.n_terminals
+    if any(min(e) >= n for e in ft.topology.edges):  # a branch-branch edge
+        return None
+    w = _weights(ft, alpha)
+    branch, steps = [], 0
+    for v0 in range(n, n + ft.topology.n_branch):
+        found = _star_newton([(wi, terminals[o])
+                              for wi, o in _incident(ft, w, v0)])
+        if found is None:
+            return None
+        branch.append(found[0])
+        steps += found[1]
+    pl = Placement(terminals, tuple(branch))
+    value = energy(ft, pl, alpha)
+    if value - dual_bound(ft, pl, alpha) > _STAR_GAP * (1.0 + value):
+        return None
+    return pl, steps
+
+
 def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
              trace: Trace | None = None) -> OptimizedTopology:
     """Minimize the location energy for a flowed topology over ``b``.
 
-    Deterministic: barycentric initialization, a geometric eps schedule
-    whose stages run planar Weiszfeld sweeps or, in other dimensions,
-    Newton steps, nearest-vertex snapping when it strictly improves the
-    exact energy.  ``trace`` receives the per-stage records.
+    Deterministic.  When every branch vertex is a star, damped Newton on the
+    exact energy places each one (:func:`_place_stars`) and the dual bound
+    certifies the result; its iterations count Newton steps.  Otherwise, or
+    when that gives up, the smoothing kernel (:func:`_run_kernel`) runs:
+    barycentric initialization, a geometric eps schedule whose stages run
+    planar Weiszfeld sweeps or, in other dimensions, Newton steps on the
+    smoothed energy, nearest-vertex snapping when it strictly improves the
+    exact energy.  ``trace`` receives the kernel's per-stage records, and
+    one final record from either path.
     The result is for ``ft`` itself: no collapse is resolved.
     """
     if not 0.0 < alpha <= 1.0:
@@ -396,8 +547,12 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
         pl = Placement(terminals, ())
         return OptimizedTopology(ft, pl, energy(ft, pl, alpha), 0.0, 0, True)
 
-    pos, iters = _run_kernel(ft, terminals, alpha, trace)
-    pl = Placement(terminals, tuple(tuple(x) for x in pos))
+    found = _place_stars(ft, terminals, alpha)
+    if found is None:
+        pos, iters = _run_kernel(ft, terminals, alpha, trace)
+        pl = Placement(terminals, tuple(tuple(x) for x in pos))
+    else:
+        pl, iters = found
     res = stationarity_residual(ft, pl, alpha)
     value = energy(ft, pl, alpha)
     if trace is not None:
@@ -664,12 +819,12 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
 
     Before each minimization, every star branch vertex (all of its
     neighbors atoms) that :func:`_settled_stars` proves to sit on an atom
-    is contracted onto it without running the kernel, which would only
-    snap it there.  The test is exact for stars alone: the terms of any
-    other branch vertex hold a branch neighbor's position, unknown before
-    the minimization, and a test vertex by vertex at a placement is not
-    sufficient for optimality (the module docstring has a topology that
-    passes it above its minimum).
+    is contracted onto it without minimizing: the star's Newton run would
+    stop short of the atom, and the kernel would only snap it there.  The
+    test is exact for stars alone: the terms of any other branch vertex
+    hold a branch neighbor's position, unknown before the minimization, and
+    a test vertex by vertex at a placement is not sufficient for optimality
+    (the module docstring has a topology that passes it above its minimum).
 
     This ends: every contraction removes a branch vertex, since a cluster
     never holds two terminals.  A minimization starts afresh from the

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .fileio import _number
+from .fileio import _number, parse_rational
 from .perturb import (_scalar_margins, estimate_k0, estimate_rho,
                       four_point_instance, local4_solve)
 
@@ -43,7 +43,8 @@ class SweepSpec:
     @staticmethod
     def from_obj(obj: dict) -> "SweepSpec":
         """The spec of a sweep file; every number is converted by
-        :func:`fileio._number`, so a fractional count or a boolean raises
+        :func:`fileio._number`, and theta by :func:`fileio.parse_rational`,
+        so a fractional count, a boolean or a zero denominator raises
         ``ValueError`` naming its key instead of being truncated."""
         return SweepSpec(
             alphas=tuple(_number("key 'alphas'", a) for a in obj["alphas"]),
@@ -53,7 +54,7 @@ class SweepSpec:
                else _number("key 'k'", obj["k"], integral=True)),
             rho=None if obj.get("rho") is None else _number("key 'rho'", obj["rho"]),
             rho_safety=_number("key 'rho_safety'", obj.get("rho_safety", 0.5)),
-            theta=Fraction(str(obj.get("theta", 1))),
+            theta=parse_rational(obj.get("theta", 1), "key 'theta'"),
             seed=_number("key 'seed'", obj.get("seed", 0), integral=True),
         )
 

@@ -25,8 +25,8 @@ full topology of a finer balanced partition, which is enumerated anyway.
 :func:`_all_forests` yields every forest whose branch vertices have degree
 >= 3, each once: per block, the contractions of the full trees that merge no
 two terminals (:func:`_forest_shapes`).  It serves the 4-point local
-classification, which needs the non-full supports, and the independent
-brute-force oracle.  Both streams are deterministic.
+classification, which needs the non-full supports, and the tests'
+independent grid oracle.  Both streams are deterministic.
 
 Topologies are identified by their splits.  Each edge of a forest splits
 its component's terminals in two, and a tree whose unlabeled vertices all

@@ -25,7 +25,7 @@ def v_boundary():
     ])
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def bench_instances():
     """``instances(workload, seed)``: the (boundary, alpha) pairs of the
     benchmark's solve ``workload`` in the pose of ``seed``

@@ -13,7 +13,8 @@ from gsteiner.currents import (boundary, branch_points, chain_of, dist,
 from gsteiner.flat import flat_norm
 from gsteiner.perturb import (PerturbationSpec, end_to_end_uniqueness,
                               estimate_k0, perturb, verify_perturbation_bounds)
-from gsteiner.solver import SolverConfig, brute_force_value, quantize_chain, solve
+from gsteiner.solver import SolverConfig, quantize_chain, solve
+from grid_oracle import brute_force_value
 from gsteiner.sweep import SweepSpec, run_sweep
 
 

@@ -453,3 +453,36 @@ def test_bad_sweep_spec_exit_code(tmp_path, capsys):
         assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
         assert f"key {key!r} must be" in capsys.readouterr().err
     assert not log.exists()
+
+
+# masses and theta are exact rationals, but the solver computes in floats
+@pytest.mark.parametrize("masses,message", [
+    (("1/0", "-1"), "rational masses must have a nonzero denominator, got '1/0'"),
+    (("1e400", "-1e400"), "rational masses must be finite as floats, got '1e400'"),
+    (("-1e400", "1e400"), "rational masses must be finite as floats, got '-1e400'"),
+])
+def test_rational_mass_out_of_float_range_exit_code(tmp_path, capsys, masses,
+                                                    message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(SQUARE, atoms=[
+        {"p": [0.0, 0.0], "m": masses[0]}, {"p": [1.0, 0.0], "m": masses[1]}])))
+    assert cli.main(["solve", "--input", str(path)]) == 1
+    assert cli.main(["flat-norm", str(path)]) == 1
+    assert capsys.readouterr().err.count(message) == 2
+
+
+@pytest.mark.parametrize("value,why", [
+    ("1/0", "must have a nonzero denominator"),
+    ("1e400", "must be finite as floats"),
+    (True, "must be strings like '3/4'"),
+    (0.5, "must be strings like '3/4'"),
+])
+def test_theta_refused_with_its_key(tmp_path, capsys, value, why):
+    four, spec = tmp_path / "four.json", tmp_path / "spec.json"
+    four.write_text(json.dumps(dict(FOUR, theta=value)))
+    spec.write_text(json.dumps(dict(SWEEP, theta=value)))
+    log = tmp_path / "log.csv"
+    assert cli.main(["local4", "--input", str(four), "--alpha", "0.5"]) == 1
+    assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
+    assert capsys.readouterr().err.count(f"key 'theta' {why}") == 2
+    assert not log.exists()

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from gsteiner import placement
 from gsteiner.currents import make_boundary, support_difference_mass
 from gsteiner.perturb import _local4_candidates, four_point_instance
-from gsteiner.placement import (TOL_COLLAPSE, Placement, _settled_stars,
-                                detect_collapse, dual_bound, energy,
-                                lower_bounds, minimize, optimize_topology,
-                                realize_chain, stationarity_residual)
+from gsteiner.placement import (TOL_COLLAPSE, TOL_GRAD, OptimizedTopology,
+                                Placement, _settled_stars, detect_collapse,
+                                dual_bound, energy, lower_bounds, minimize,
+                                optimize_topology, realize_chain,
+                                stationarity_residual)
 from gsteiner.solver import SolverConfig, solve
 from gsteiner.sweep import SweepSpec, build_cells
 from gsteiner.topology import (SteinerTopology, assign_flows,
@@ -426,99 +427,261 @@ def test_non_finite_bound_raises():
         lower_bounds([ft], b, 0.5)
 
 
-def test_optimized_topology_is_a_fixed_point_of_detect_collapse(bench_instances):
-    contracted = 0
+@pytest.fixture(scope="module")
+def six_atom_optima(bench_instances):
+    """``optimize_topology`` on every topology of the ``solve-n6`` seed-0
+    instances, with one memo per instance: (b, alpha, [(ft, result)], memo)."""
+    out = []
     for b, alpha in bench_instances("solve-n6", 0):
         memo = {}
-        for ft in enumerate_topologies(b):
-            opt = optimize_topology(ft, b, alpha, memo=memo)
+        out.append((b, alpha, [(ft, optimize_topology(ft, b, alpha, memo=memo))
+                               for ft in enumerate_topologies(b)], memo))
+    return out
+
+
+def test_optimized_topology_is_a_fixed_point_of_detect_collapse(
+        six_atom_optima):
+    contracted = 0
+    for _, _, optima, _ in six_atom_optima:
+        for ft, opt in optima:
             assert detect_collapse(opt.flowed, opt.placement) is opt.flowed
             contracted += opt.flowed is not ft
     assert contracted > 0
 
 
 # ---------------------------------------------------------------------------
-# star branch vertices settled by Kuhn's criterion
+# stars: settled by Kuhn's criterion, or placed by Newton, against the kernel
 # ---------------------------------------------------------------------------
 
+def kernel_minimize(ft, b, alpha):
+    """``minimize`` by the smoothing kernel alone, the star path's reference."""
+    if not ft.topology.n_branch:
+        return minimize(ft, b, alpha)
+    terminals = tuple(p for p, _ in b.atoms)
+    pos, iters = placement._run_kernel(ft, terminals, alpha, None)
+    pl = Placement(terminals, tuple(tuple(x) for x in pos))
+    res = stationarity_residual(ft, pl, alpha)
+    return OptimizedTopology(ft, pl, energy(ft, pl, alpha), res, iters,
+                             res <= TOL_GRAD)
+
+
 def kernel_only_optimize(ft, b, alpha):
-    """``optimize_topology`` without the star test, the reference: minimize
-    and contract until ``detect_collapse`` returns its input."""
+    """``optimize_topology`` without the star test and the star path, the
+    reference: minimize by the kernel and contract until ``detect_collapse``
+    returns its input."""
     while True:
-        res = minimize(ft, b, alpha)
+        res = kernel_minimize(ft, b, alpha)
         contracted = detect_collapse(ft, res.placement)
         if contracted is ft:
             return replace(res, flowed=ft)
         ft = contracted
 
 
+def newton_placed(records):
+    """The number of minimizations in a trace that the star path placed:
+    the kernel sends "eps" records before its "done" record, the star path
+    only the "done" record."""
+    return sum(r["stage"] == "done"
+               and (i == 0 or records[i - 1]["stage"] != "eps")
+               for i, r in enumerate(records))
+
+
+def assert_star_path_sound(ft, b, alpha):
+    """``minimize`` against the kernel: where Newton placed the stars, not
+    above the kernel and certified by the dual bound; where it fell back,
+    the kernel's result bit for bit.  Returns whether Newton placed them."""
+    records = []
+    got = minimize(ft, b, alpha, trace=records.append)
+    want = kernel_minimize(ft, b, alpha)
+    if not newton_placed(records):
+        assert got == want
+        return False
+    v = got.value
+    assert records == [{"stage": "done", "iteration": got.iterations,
+                        "value": v, "residual": got.residual}]
+    assert v <= want.value + 1e-12 * (1.0 + v)
+    assert v >= dual_bound(ft, got.placement, alpha) - 1e-12 * (1.0 + v)
+    return True
+
+
+def assert_matches_kernel_only(ft, b, alpha):
+    """``optimize_topology`` against :func:`kernel_only_optimize`: the same
+    flowed topology, not above it, and bit for bit when no minimization
+    took the star path.  Returns the number that did."""
+    records = []
+    got = optimize_topology(ft, b, alpha, trace=records.append)
+    want = kernel_only_optimize(ft, b, alpha)
+    assert got.flowed == want.flowed
+    assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+    placed = newton_placed(records)
+    if not placed:
+        assert got.placement == want.placement
+        assert got.value == want.value
+    return placed
+
+
+def assert_stars_match_kernel(fts, b, alpha, monkeypatch):
+    """:func:`assert_matches_kernel_only` on every topology of ``fts``, and
+    :func:`assert_star_path_sound` on every topology that
+    ``optimize_topology`` minimizes on the way.  Returns how many of those
+    Newton placed and how many fell back to the kernel."""
+    minimized = {}
+    real = placement.minimize
+
+    def recording(ft, *args):
+        minimized.setdefault((ft.topology.edges, ft.edge_flows), ft)
+        return real(ft, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(placement, "minimize", recording)
+        for ft in fts:
+            assert_matches_kernel_only(ft, b, alpha)
+    placed = [assert_star_path_sound(ft, b, alpha)
+              for ft in minimized.values() if ft.topology.n_branch]
+    return sum(placed), len(placed) - sum(placed)
+
+
 def settled(ft, b, alpha):
     return _settled_stars(ft, tuple(p for p, _ in b.atoms), alpha)
 
 
-def assert_matches_kernel_only(ft, b, alpha):
-    got, want = optimize_topology(ft, b, alpha), kernel_only_optimize(ft, b, alpha)
-    assert got.flowed == want.flowed
-    assert got.placement == want.placement
-    assert got.value == want.value
-
-
-def test_settled_stars_match_kernel_on_local4_candidates():
+def test_settled_stars_match_kernel_on_local4_candidates(monkeypatch):
     cells = build_cells(SweepSpec(alphas=(0.5, 0.6, 0.75), n_instances=4,
                                   rho=0.05, seed=3))
-    fired = 0
+    fired = newton = fallback = 0
     for alpha, k, _, _, _, disp, theta in cells:
         b = four_point_instance(k, disp, theta).boundary()
-        for _, ft in _local4_candidates(tuple(m for _, m in b.atoms),
-                                        ("A", "B", "C", "D")):
-            if ft is not None and ft.topology.n_branch:
-                assert_matches_kernel_only(ft, b, alpha)
-                fired += bool(settled(ft, b, alpha))
-    assert fired > 0
+        fts = [ft for _, ft in _local4_candidates(
+            tuple(m for _, m in b.atoms), ("A", "B", "C", "D"))
+            if ft is not None and ft.topology.n_branch]
+        fired += sum(bool(settled(ft, b, alpha)) for ft in fts)
+        placed, fell_back = assert_stars_match_kernel(fts, b, alpha,
+                                                      monkeypatch)
+        newton += placed
+        fallback += fell_back
+    # the two-branch cases always run the kernel
+    assert fired > 0 and newton > 0 and fallback > 0
 
 
 def test_two_star_forest_of_the_distinct_mass_six_atom_instance(
-        bench_instances):
+        bench_instances, monkeypatch):
     b, alpha = bench_instances("solve-n6", 0)[1]
     stars = [ft for ft in enumerate_topologies(b)
              if ft.topology.n_branch == 2
              and all(min(e) < 6 for e in ft.topology.edges)]
     assert len(stars) == 1
-    # one block's star settles on an atom, the other's runs the kernel
+    # one block's star settles on an atom, Newton places the other's
     assert len(settled(stars[0], b, alpha)) == 1
-    assert_matches_kernel_only(stars[0], b, alpha)
+    assert assert_matches_kernel_only(stars[0], b, alpha) == 1
+    assert assert_stars_match_kernel(stars, b, alpha, monkeypatch) == (1, 0)
 
 
-def test_settled_stars_match_kernel_on_3d_instances(bench_instances):
-    fired = 0
+def test_every_star_of_the_six_atom_instances_matches_kernel(
+        six_atom_optima):
+    # every star topology that optimize_topology minimizes on the way, as
+    # given or after a contraction
+    newton = 0
+    for b, alpha, _, memo in six_atom_optima:
+        n = len(b.atoms)
+        stars = [res.flowed for res in memo.values()
+                 if res.flowed.topology.n_branch
+                 and all(min(e) < n for e in res.flowed.topology.edges)]
+        newton += sum(assert_star_path_sound(ft, b, alpha) for ft in stars)
+    assert newton > 0
+
+
+def test_settled_stars_match_kernel_on_3d_instances(bench_instances,
+                                                   monkeypatch):
+    fired = newton = 0
     for b, alpha in bench_instances("solve-3d", 0):
-        for ft in enumerate_topologies(b):
-            assert_matches_kernel_only(ft, b, alpha)
-            fired += bool(settled(ft, b, alpha))
-    assert fired > 0
+        fts = list(enumerate_topologies(b))
+        fired += sum(bool(settled(ft, b, alpha)) for ft in fts)
+        newton += assert_stars_match_kernel(fts, b, alpha, monkeypatch)[0]
+    assert fired > 0 and newton > 0
 
 
 STAR_MASSES = [(-2, 1, 1), (-3, 1, 2), (-1, -1, 2), (-3, F(1, 2), 2, F(1, 2)),
-               (-5, 1, 1, 3), (-4, -1, 2, 1, 2)]
+               (-5, 1, 1, 3), (-4, -1, 2, 1, 2), (-2, -1, F(1, 2), 1, 1, F(1, 2))]
+
+
+def star(atoms):
+    """The one-branch star over the (point, mass) ``atoms``, and its boundary."""
+    b = make_boundary((p, F(m)) for p, m in atoms)
+    n = len(b.atoms)
+    return assign_flows(SteinerTopology(n, 1, tuple((i, n) for i in range(n)),
+                                        tuple(m for _, m in b.atoms)), b), b
+
+
+def random_star(seed, masses, dim):
+    rng = random.Random(seed)
+    return star((tuple(rng.uniform(0.0, 2.0) for _ in range(dim)), m)
+                for m in masses)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), masses=st.sampled_from(STAR_MASSES),
        dim=st.sampled_from([2, 3]), alpha=st.floats(0.05, 1.0))
 def test_settled_star_atom_is_not_above_the_kernel(seed, masses, dim, alpha):
-    rng = random.Random(seed)
-    b = make_boundary(
-        (tuple(rng.uniform(0.0, 2.0) for _ in range(dim)), F(m))
-        for m in masses)
+    ft, b = random_star(seed, masses, dim)
     n = len(masses)
-    ft = assign_flows(SteinerTopology(n, 1, tuple((i, n) for i in range(n)),
-                                      tuple(m for _, m in b.atoms)), b)
-    for t, star in settled(ft, b, alpha):
-        assert star == n
+    for t, star_vertex in settled(ft, b, alpha):
+        assert star_vertex == n
         terminals = tuple(p for p, _ in b.atoms)
         at_atom = energy(ft, Placement(terminals, (terminals[t],)), alpha)
-        v = minimize(ft, b, alpha).value
+        v = kernel_minimize(ft, b, alpha).value
         assert at_atom <= v + 1e-12 * (1.0 + v)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), masses=st.sampled_from(STAR_MASSES),
+       dim=st.sampled_from([2, 3]),
+       alpha=st.floats(0.05, 1.0, exclude_min=True))
+def test_newton_star_is_certified_and_not_above_the_kernel(seed, masses, dim,
+                                                          alpha):
+    ft, b = random_star(seed, masses, dim)
+    assert_star_path_sound(ft, b, alpha)
+
+
+def _near_atom_star():
+    # the symmetric V with its source 5e-11 before the optimum on the axis
+    # (test_bound_tight_at_analytic_y has the angle law), turned into a
+    # generic pose: the direction to the source is then known to about
+    # 1e-16 / 5e-11, so the gradient cannot reach the stopping threshold
+    h, alpha = 0.3, 0.6
+    x = 1.0 - h / math.tan(math.acos(2.0 ** (alpha - 1.0)))
+    c, s = math.cos(0.7), math.sin(0.7)
+    pose = [(x - 5e-11, 0.0), (1.0, h), (1.0, -h)]
+    return star(((c * p[0] - s * p[1] + 0.3, s * p[0] + c * p[1] - 0.2), m)
+                for p, m in zip(pose, (-2, 1, 1))), alpha
+
+
+FALLBACK_STARS = {
+    # the Hessian is zero on a line
+    "1-D": lambda: (star((((0.0,), -2), ((1.0,), 1), ((3.0,), 1))), 0.6),
+    "collinear 2-D": lambda: (star((((0.1, 0.2), -2), ((1.1, 1.2), 1),
+                                    ((3.1, 3.2), 1))), 0.6),
+    # the tie of test_tied_star_falls_through_to_the_kernel: every point
+    # between the last two atoms minimizes
+    "tied line": lambda: (star((((0.0, 0.0), -1), ((1.0, 0.0), -1),
+                                ((2.0, 0.0), 2))), 1.0),
+    "optimum 5e-11 from an atom": _near_atom_star,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_STARS))
+def test_star_falls_back_to_the_kernel(case):
+    (ft, b), alpha = FALLBACK_STARS[case]()
+    assert not assert_star_path_sound(ft, b, alpha)
+
+
+def test_certificate_refuses_a_star_off_its_optimum(monkeypatch, v_boundary):
+    # a Newton run that stopped early, at the weighted barycenter: the dual
+    # bound refuses the point and the kernel places the star
+    ft = y_topology(v_boundary)
+    monkeypatch.setattr(placement, "_star_newton", lambda atoms: (tuple(
+        sum(w * p[i] for w, p in atoms) / sum(w for w, _ in atoms)
+        for i in range(2)), 0))
+    assert not assert_star_path_sound(ft, v_boundary, 0.75)
 
 
 def test_tied_star_falls_through_to_the_kernel(monkeypatch):
@@ -540,8 +703,10 @@ def test_tied_star_falls_through_to_the_kernel(monkeypatch):
         ft = y_topology(b)
         assert settled(ft, b, 1.0) == []
     calls.clear()
-    optimize_topology(ft, b, 1.0)
+    records = []
+    optimize_topology(ft, b, 1.0, trace=records.append)
     assert calls[0] is ft
+    assert records[0]["stage"] == "eps" and not newton_placed(records)
 
 
 # the stage solver of d != 2 before the Newton steps, kept as their reference

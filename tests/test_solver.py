@@ -14,8 +14,9 @@ from gsteiner.currents import (boundary, branch_points, canonicalize,
                                chain_of, has_loop, make_boundary,
                                support_difference_mass)
 from gsteiner.solver import (MinimizerRecord, SolverConfig, SolveReport,
-                             brute_force_value, is_in_A_C, magic_points,
-                             quantize_boundary, quantize_chain, solve)
+                             is_in_A_C, magic_points, quantize_boundary,
+                             quantize_chain, solve)
+from grid_oracle import brute_force_value
 
 
 def cfg(alpha, **kw):
