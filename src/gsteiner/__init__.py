@@ -10,8 +10,7 @@ from .perturb import (LocalClassification, LocalFourPointInstance,
                       estimate_k0, estimate_rho, four_point_instance,
                       local4_solve, perturb, verify_perturbation_bounds)
 from .solver import (InternalConsistencyError, MinimizerRecord, SolveReport,
-                     SolverConfig, is_in_A_C, magic_points, quantize_boundary,
-                     quantize_chain, solve)
+                     SolverConfig, magic_points, quantize_chain, solve)
 
 __all__ = [
     "Boundary", "PolyhedralChain", "Segment", "alpha_mass", "boundary",
@@ -19,7 +18,7 @@ __all__ = [
     "mass", "restrict_ball", "restrict_outside", "support_difference_mass",
     "FlatWitness", "flat_distance", "flat_norm",
     "SolverConfig", "SolveReport", "MinimizerRecord", "InternalConsistencyError",
-    "solve", "is_in_A_C", "magic_points", "quantize_boundary", "quantize_chain",
+    "solve", "magic_points", "quantize_chain",
     "PerturbationSpec", "perturb", "verify_perturbation_bounds",
     "LocalFourPointInstance", "LocalClassification", "build_wz", "local4_solve",
     "estimate_k0", "estimate_rho", "four_point_instance",

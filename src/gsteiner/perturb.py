@@ -33,8 +33,7 @@ from .currents import (Boundary, PolyhedralChain, Point, Segment, alpha_mass,
 from .flat import flat_distance
 from .placement import optimize_topology, realize_chain
 from .solver import SolveReport, SolverConfig, magic_points, solve
-from .topology import (FlowedTopology, InfeasibleTopologyError, _all_forests,
-                       assign_flows)
+from .topology import FlowedTopology, _flowed_forests, _forest_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +241,7 @@ _CASE3 = {
     frozenset({frozenset("AC"), frozenset("BD")}): "3b",
     frozenset({frozenset("AD"), frozenset("BC")}): "3c",
 }
-
-# cases whose support cannot carry the boundary in general position
-INFEASIBLE_CASES = ("1d", "1i", "1j", "1n", "1q", "1r", "3c")
+_CASES = frozenset((*_CASE1.values(), *_CASE2.values(), *_CASE3.values()))
 
 
 @dataclass(frozen=True)
@@ -257,8 +254,7 @@ class LocalClassification:
     infeasible: tuple[str, ...]     # cases admitting no all-active current
 
 
-def _case_label(topo, roles: tuple[str, ...]) -> str:
-    t = topo
+def _case_label(t, roles: tuple[str, ...]) -> str:
     n = t.n_terminals
     if t.n_branch == 0:
         pairs = tuple(sorted(
@@ -279,27 +275,18 @@ def _case_label(topo, roles: tuple[str, ...]) -> str:
 
 @lru_cache(maxsize=64)
 def _local4_candidates(masses: tuple[Fraction, ...], roles: tuple[str, ...]
-                       ) -> tuple[tuple[str, FlowedTopology | None], ...]:
-    """Every forest with at most two branch vertices, as (case, flowed
-    topology), the topology None when its forced flows cannot carry the
-    boundary with every segment active.
+                       ) -> tuple[tuple[str, FlowedTopology], ...]:
+    """Every forest whose forced flows carry the boundary with every
+    segment active, as (case, flowed topology).
 
-    Forests and flows depend on the atom masses alone, in atom order, and
-    the case on the roles, so the list is built once per (masses, roles)
-    from a stand-in boundary with the same masses in the same order.
+    These are :func:`_flowed_forests` over :func:`_forest_shapes`: a forest
+    with an unbalanced component or a zero forced flow is not a current
+    with that support.  Forests and flows depend on the atom masses alone,
+    in atom order, and the case on the roles, so the list is built once per
+    (masses, roles).
     """
-    b = Boundary(tuple(((float(i),), m) for i, m in enumerate(masses)))
-    out = []
-    for topo in _all_forests(b):
-        try:
-            ft = assign_flows(topo, b)
-        except InfeasibleTopologyError:
-            ft = None
-        # a degenerate one lost a forced multiplicity: not a current with
-        # this support
-        out.append((_case_label(topo, roles),
-                    None if ft is None or ft.degenerate else ft))
-    return tuple(out)
+    return tuple((_case_label(ft.topology, roles), ft)
+                 for ft in _flowed_forests(masses, _forest_shapes))
 
 
 # overlap tolerance of the W/Z support match, relative to 1 + theta
@@ -320,13 +307,9 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassificat
     roles = tuple(where[p] for p, _ in b.atoms)
 
     values: dict[str, float] = {}
-    infeasible: set[str] = set()
     evaluated: list[tuple[float, str, PolyhedralChain]] = []
     memo: dict = {}
     for case, ft in _local4_candidates(tuple(m for _, m in b.atoms), roles):
-        if ft is None:
-            infeasible.add(case)
-            continue
         opt = optimize_topology(ft, b, alpha, memo=memo)
         chain = canonicalize(realize_chain(opt.flowed, opt.placement))
         value = alpha_mass(chain, alpha)
@@ -334,7 +317,7 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassificat
             values[case] = value
         evaluated.append((value, case, chain))
 
-    infeasible -= values.keys()
+    infeasible = _CASES - values.keys()
     evaluated.sort(key=lambda e: (e[0], e[1]))
     best_value, winner_case, winner_chain = evaluated[0]
 

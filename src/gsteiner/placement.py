@@ -730,7 +730,7 @@ def _contract(ft: FlowedTopology, pairs: Sequence[tuple[int, int]]
     A pair whose merge would put two terminals in one cluster is skipped.
     Edges inside a cluster go (their flow is conserved), parallel edges
     combine, zero-flow edges drop and branch vertices left with degree < 3
-    are spliced out; the result is flagged degenerate.
+    are spliced out.
     """
     t = ft.topology
     n = t.n_terminals
@@ -764,8 +764,7 @@ def _contract(ft: FlowedTopology, pairs: Sequence[tuple[int, int]]
             return ft
         parent[max(ra, rc)] = min(ra, rc)
     contracted = SteinerTopology(n, t.n_branch, tuple(edges), t.terminal_masses)
-    return replace(_normalize(contracted, [merged[e] for e in edges]),
-                   degenerate=True)
+    return _normalize(contracted, [merged[e] for e in edges])
 
 
 def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
@@ -850,7 +849,5 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
         iters += res.iterations
         contracted = detect_collapse(ft, res.placement)
         if contracted is ft:
-            # a reused result may come from a topology equal to ft up to
-            # its degenerate flag
             return replace(res, flowed=ft, iterations=iters)
         ft = contracted

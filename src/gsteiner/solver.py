@@ -180,14 +180,6 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
                        cfg.distinct_tol, stats)
 
 
-def is_in_A_C(b: Boundary, c: float, cfg: SolverConfig) -> bool:
-    """Whether mass(b) <= C and the optimal cost is <= C."""
-    if float(b.mass()) > c:
-        return False
-    report = solve(b, cfg)
-    return report.best_value <= c + 1e-12 * (1.0 + abs(c))
-
-
 # ---------------------------------------------------------------------------
 # distinguishing (magic) points
 # ---------------------------------------------------------------------------
@@ -318,9 +310,3 @@ def quantize_chain(chain: PolyhedralChain, eta: Fraction) -> PolyhedralChain:
         if floored != 0:
             segs.append(type(s)(s.start, s.end, floored))
     return PolyhedralChain(tuple(segs), canonical=False)
-
-
-def quantize_boundary(b: Boundary, eta: Fraction, cfg: SolverConfig) -> Boundary:
-    """Boundary of the eta-floored first optimal chain for ``b``."""
-    report = solve(b, cfg)
-    return boundary(quantize_chain(report.minimizers[0].chain, Fraction(eta)))

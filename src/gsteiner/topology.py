@@ -6,27 +6,27 @@ uniquely determined by mass conservation: each edge splits its component's
 terminals in two, and the flow from its lower endpoint to its higher one is
 the mass on the higher endpoint's side.
 
-Every forest here is built from full trees (terminals are leaves, s - 2
-branch vertices of degree 3 on a block of s terminals).  The (2s - 5)!!
-full trees of a block come from Smith's insertion scheme (W. D. Smith,
-Algorithmica 7, 1992): terminal i is inserted on every edge of each full
-tree on the terminals before it, which yields every full tree exactly once
-up to branch relabeling.
+One generator, :func:`_flowed_forests`, builds every flowed forest: it
+splits the atoms into *balanced* blocks (total mass zero, at least two
+atoms), gives each block a tree from a per-size shape table, and reads each
+edge's flow from the block's subset sums.  A shape with a zero-flow edge is
+not built.  Two shape tables feed it:
 
-The solver's candidate set, :func:`enumerate_topologies`, holds only the
-full topologies over *balanced* partitions: blocks of total mass zero, each
-spanning a full tree.  Any other forest is a contraction of a full one,
-whose location-energy domain contains the contracted configuration, so the
-full optimum is never larger and collapses onto the same chain.  The flows
-come from the block's subset sums, which also show the full trees with a
-zero-flow edge; those are not built: without that edge such a tree is a
-full topology of a finer balanced partition, which is enumerated anyway.
-
-:func:`_all_forests` yields every forest whose branch vertices have degree
->= 3, each once: per block, the contractions of the full trees that merge no
-two terminals (:func:`_forest_shapes`).  It serves the 4-point local
-classification, which needs the non-full supports, and the tests'
-independent grid oracle.  Both streams are deterministic.
+* :func:`_full_shapes`, the full trees (terminals are leaves, s - 2 branch
+  vertices of degree 3 on a block of s terminals).  The (2s - 5)!! full
+  trees of a block come from Smith's insertion scheme (W. D. Smith,
+  Algorithmica 7, 1992): terminal i is inserted on every edge of each full
+  tree on the terminals before it, which yields every full tree exactly
+  once up to branch relabeling.  They make the solver's candidate set,
+  :func:`enumerate_topologies`.  Any other forest is a contraction of a
+  full one, whose location-energy domain contains the contracted
+  configuration, so the full optimum is never larger and collapses onto the
+  same chain.
+* :func:`_forest_shapes`, every tree whose branch vertices have degree
+  >= 3, each once: the contractions of the full trees that merge no two
+  terminals.  They serve the 4-point local classification, which needs
+  the non-full supports; a forest with a zero-flow edge is not a current
+  with that support, so skipping it is what the classification wants.
 
 Topologies are identified by their splits.  Each edge of a forest splits
 its component's terminals in two, and a tree whose unlabeled vertices all
@@ -78,14 +78,12 @@ class FlowedTopology:
 
     ``edge_flows[i]`` is the signed rational flow on ``topology.edges[i]``,
     positive when flowing from the lower-indexed endpoint to the higher.
-    ``degenerate`` marks a topology rewritten into a smaller forest, by
-    dropping zero-flow edges and splicing out branch vertices of degree 2
-    when flows were assigned, or by merging collapsed vertices; its
-    signature is that of the smaller forest, so it deduplicates against it.
+    The generators yield nonzero flows only; :func:`assign_flows` and
+    collapse contraction rewrite a forest whose flows vanish on some edge
+    into the smaller forest without it (:func:`_normalize`).
     """
     topology: SteinerTopology
     edge_flows: tuple[Fraction, ...]
-    degenerate: bool = False
 
     def signature(self) -> tuple:
         """Canonical key, invariant under branch-vertex relabeling.
@@ -180,19 +178,6 @@ def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _sides(s: int) -> tuple[tuple[int, ...], ...]:
-    """Per shape of ``_full_shapes(s)``, per edge, the bitmask of the
-    terminal slots on its higher endpoint's side."""
-    full = (1 << s) - 1
-    out = []
-    for shape in _full_shapes(s):
-        _, splits, signs = _splits(s, shape)
-        out.append(tuple(side if sign > 0 else full ^ side
-                         for side, sign in zip(splits, signs)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _forest_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
     """Trees on s >= 2 terminal slots (0..s-1) and branch slots s.. of
     degree >= 3, one per split key, ordered by edge count.
@@ -241,15 +226,29 @@ def _contract(full: tuple[Edge, ...], bits: int, s: int
                         for i, (u, v) in enumerate(full) if not bits >> i & 1))
 
 
-def _flowing_shapes(masses: tuple[Fraction, ...]
+@lru_cache(maxsize=None)
+def _sides(shapes, s: int
+           ) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...]], ...]:
+    """Per shape of ``shapes(s)`` (full or forest shapes), the shape and, per
+    edge, the bitmask of the terminal slots on its higher endpoint's side."""
+    full = (1 << s) - 1
+    out = []
+    for shape in shapes(s):
+        _, splits, signs = _splits(s, shape)
+        out.append((shape, tuple(side if sign > 0 else full ^ side
+                                 for side, sign in zip(splits, signs))))
+    return tuple(out)
+
+
+def _flowing_shapes(masses: tuple[Fraction, ...], shapes
                     ) -> list[tuple[tuple[Edge, ...], tuple[Fraction, ...]]]:
-    """Full shapes on a balanced block in which every edge carries flow,
-    each with its flows in edge order.
+    """The shapes of ``shapes(len(masses))`` on a balanced block in which
+    every edge carries flow, each with its flows in edge order.
 
     The flow from an edge's lower endpoint to its higher one is the total
-    mass on the higher endpoint's side, so an edge is flowless exactly when
-    it splits the block into two balanced parts.  A leaf edge carries its
-    atom's nonzero mass.
+    mass on the higher endpoint's side (:func:`_sides`), so an edge is
+    flowless exactly when it splits the block into two balanced parts.  A
+    leaf edge carries its atom's nonzero mass.
     """
     s = len(masses)
     sums = [Fraction(0)] * (1 << s)
@@ -257,7 +256,7 @@ def _flowing_shapes(masses: tuple[Fraction, ...]
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
     out = []
-    for shape, sides in zip(_full_shapes(s), _sides(s)):
+    for shape, sides in _sides(shapes, s):
         flows = tuple(sums[side] for side in sides)
         if all(flows):
             out.append((shape, flows))
@@ -285,60 +284,46 @@ def _join(n: int, blocks, shapes) -> tuple[int, list[Edge]]:
     return next_branch - n, edges
 
 
-def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
-    """Every full topology over a balanced partition of ``b``'s atoms, with
-    its flows.
+def _flowed_forests(masses: tuple[Fraction, ...], shapes
+                    ) -> Iterator[FlowedTopology]:
+    """Every forest over a balanced partition of the atoms whose blocks
+    span shapes of ``shapes`` with flow on every edge, with its flows.
 
-    Terminals are indexed by the canonical (sorted) atom order of ``b``.
-    Partitions with a block of nonzero total mass, or a singleton block,
-    are skipped before any tree is built.  Each edge's flow is a subset sum
-    of its block's masses (see :func:`_flowing_shapes`), and the full trees
-    with a zero-flow edge are skipped: such an edge splits its block into
-    two balanced parts, and dropping it leaves a full topology of that finer
-    partition, which is yielded on its own.  Every yielded topology is
-    therefore what :func:`assign_flows` makes of it, with nonzero flows on
-    all its edges, and no two share a signature.  The stream is
-    deterministic.
+    Terminal i carries ``masses[i]``.  Partitions with a block of nonzero
+    total mass, or a singleton block, are skipped before any tree is built,
+    and so is every shape with a zero-flow edge (:func:`_flowing_shapes`).
+    Partitions come in :func:`_set_partitions` order, and per partition the
+    shape combinations in product order.  The stream is deterministic.
     """
-    n = len(b.atoms)
-    if n < 2:
-        raise ValueError("boundary must have at least 2 atoms")
-    masses = tuple(m for _, m in b.atoms)
+    n = len(masses)
     for partition in _set_partitions(tuple(range(n))):
         blocks = sorted(tuple(sorted(blk)) for blk in partition)
         if any(len(blk) < 2 or sum(masses[i] for i in blk) != 0
                for blk in blocks):
             continue
         for combo in itertools.product(*(
-                _flowing_shapes(tuple(masses[i] for i in blk))
+                _flowing_shapes(tuple(masses[i] for i in blk), shapes)
                 for blk in blocks)):
-            shapes, flows = zip(*combo)
-            m, edges = _join(n, blocks, shapes)
+            block_shapes, flows = zip(*combo)
+            m, edges = _join(n, blocks, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
             yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows)
 
 
-def _all_forests(b: Boundary) -> Iterator[SteinerTopology]:
-    """Every forest topology for the atoms of ``b``, deterministically.
+def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
+    """Every full topology over a balanced partition of ``b``'s atoms, with
+    its flows: :func:`_flowed_forests` over :func:`_full_shapes`.
 
-    Terminals are indexed by the canonical (sorted) atom order of ``b``.
-    Components with unbalanced mass are still emitted; flow assignment
-    rejects them.  Singleton components are impossible (their terminal would
-    have degree 0) and are not generated.  A block of s terminals has at
-    most s - 2 branch vertices, so a forest has at most n - 2.
+    Terminals are indexed by the canonical (sorted) atom order of ``b``.  A
+    full tree with a zero-flow edge is not built: that edge splits its
+    block into two balanced parts, and dropping it leaves a full topology
+    of that finer partition, which is yielded on its own.  Every yielded
+    topology is therefore what :func:`assign_flows` makes of it, and no two
+    share a signature.
     """
-    n = len(b.atoms)
-    if n < 2:
+    if len(b.atoms) < 2:
         raise ValueError("boundary must have at least 2 atoms")
-    masses = tuple(m for _, m in b.atoms)
-    for partition in _set_partitions(tuple(range(n))):
-        blocks = sorted(tuple(sorted(blk)) for blk in partition)
-        if any(len(blk) < 2 for blk in blocks):
-            continue
-        for combo in itertools.product(*(_forest_shapes(len(blk))
-                                         for blk in blocks)):
-            m, edges = _join(n, blocks, combo)
-            yield SteinerTopology(n, m, tuple(sorted(edges)), masses)
+    yield from _flowed_forests(tuple(m for _, m in b.atoms), _full_shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +337,8 @@ def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
     the higher endpoint's side of its split (:func:`_splits`).  Raises
     :class:`InfeasibleTopologyError` when some component's terminal masses
     do not sum to zero, and ``AssertionError`` when the edges contain a
-    cycle.  Zero-flow edges are removed; branch vertices falling below
-    degree 3 are spliced out and the result is flagged degenerate.
+    cycle.  Zero-flow edges are removed, and branch vertices falling below
+    degree 3 are spliced out.
     """
     masses = tuple(m for _, m in b.atoms)
     if masses != t.terminal_masses:
@@ -378,7 +363,6 @@ def _normalize(t: SteinerTopology, flows: list[Fraction]) -> FlowedTopology:
     every edge's orientation.
     """
     edges = [(e, f) for e, f in zip(t.edges, flows) if f != 0]
-    changed = len(edges) != len(t.edges)
 
     # splice branch vertices of degree 2; drop isolated / degree-1 ones
     while True:
@@ -397,7 +381,7 @@ def _normalize(t: SteinerTopology, flows: list[Fraction]) -> FlowedTopology:
                 for i in sorted((i1, i2), reverse=True):
                     edges.pop(i)
                 edges.append((e, f))
-                changed = spliced = True
+                spliced = True
                 break
             if len(incident) == 1:
                 raise AssertionError("degree-1 branch vertex with nonzero flow")
@@ -416,6 +400,4 @@ def _normalize(t: SteinerTopology, flows: list[Fraction]) -> FlowedTopology:
         edges=tuple(e for e, _ in edges),
         terminal_masses=t.terminal_masses,
     )
-    changed = changed or len(used_branch) != t.n_branch
-    return FlowedTopology(new_t, tuple(f for _, f in edges),
-                          degenerate=changed)
+    return FlowedTopology(new_t, tuple(f for _, f in edges))

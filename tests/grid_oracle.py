@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 
+from forest_oracle import all_forests
 from gsteiner.currents import Boundary, Point, dist
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
-                               _all_forests, assign_flows)
+                               assign_flows)
 
 # finest step of the oracle's pattern search
 _GRID_STEP = 1e-3
@@ -24,7 +25,7 @@ def brute_force_value(b: Boundary, alpha: float) -> float:
     positions inside the bounding box of the atoms: an exhaustive coarse
     grid followed by a halving pattern search down to ``_GRID_STEP`` (the
     energy is convex, so grid descent reaches the global basin).  Collapsed
-    optima are covered exactly by the degenerate topologies themselves.
+    optima are covered exactly by the contracted forests themselves.
     Only instances with at most 2 branch vertices (<= 4 atoms) are accepted.
     """
     n = len(b.atoms)
@@ -39,7 +40,7 @@ def brute_force_value(b: Boundary, alpha: float) -> float:
 
     best = math.inf
     seen: set = set()
-    for topo in _all_forests(b):
+    for topo in all_forests(b):
         try:
             ft = assign_flows(topo, b)
         except InfeasibleTopologyError:

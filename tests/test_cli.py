@@ -141,6 +141,36 @@ def test_perturb_cli(square_file, tmp_path):
     assert len(obj["perturbed_boundary"]["atoms"]) == 6
 
 
+def test_perturb_cli_writes_to_stdout(square_file, tmp_path, capsys):
+    args = ["perturb", "--input", square_file, "--alpha", "0.6", "--k", "11",
+            "--radius", "0.05"]
+    assert cli.main(args) == 0
+    printed = capsys.readouterr().out
+    report = tmp_path / "p.json"
+    assert cli.main(args + ["--report", str(report)]) == 0
+    assert not capsys.readouterr().out
+    assert json.loads(printed) == json.loads(report.read_text())
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["perturb", "--k", "11", "--radius", "0.05"]])
+def test_alpha_missing_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "no_alpha.json"
+    path.write_text(json.dumps({k: v for k, v in SQUARE.items()
+                                if k != "alpha"}))
+    assert cli.main([command[0], "--input", str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "alpha missing" in captured.err and not captured.out
+
+
+def test_enumerate_topologies_guard_exit_code(square_file, capsys):
+    assert cli.main(["enumerate-topologies", "--input", square_file,
+                     "--max-terminals", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "4 atoms exceeds --max-terminals 3" in captured.err
+    assert not captured.out
+
+
 def test_plot_cli(square_file, tmp_path):
     report = tmp_path / "report.json"
     svg = tmp_path / "plot.svg"
@@ -183,6 +213,13 @@ def test_sweep_deterministic_given_seed():
     r1 = run_sweep(spec)
     r2 = run_sweep(spec)
     assert r1 == r2
+
+
+def test_sweep_process_pool_matches_serial():
+    spec = SweepSpec(alphas=(0.5,), n_instances=2, rho=0.05, seed=11)
+    rows = run_sweep(spec, workers=2)
+    assert len(rows) == 2 and not any(r["error"] for r in rows)
+    assert rows == run_sweep(spec)
 
 
 def test_instance_round_trip(square_file):

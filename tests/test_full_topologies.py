@@ -2,11 +2,11 @@
 
 ``reference_solve`` optimizes every topology of a generator with the same
 placement and clustering as ``solve``, but prunes nothing.  Over the
-exhaustive forests of ``_all_forests`` it checks that full topologies over
-balanced partitions lose no optimum and no minimizer; over the solver's own
-candidate set it checks that branch-and-bound pruning changes neither the
-best value, nor the minimizer supports, nor the gap.  Rigid motions and
-relabelings of the atoms must leave the solve unchanged.
+exhaustive forests of ``forest_oracle.all_forests`` it checks that full
+topologies over balanced partitions lose no optimum and no minimizer; over
+the solver's own candidate set it checks that branch-and-bound pruning
+changes neither the best value, nor the minimizer supports, nor the gap.
+Rigid motions and relabelings of the atoms must leave the solve unchanged.
 """
 import math
 import random
@@ -22,8 +22,9 @@ from gsteiner.currents import (alpha_mass, canonicalize, make_boundary,
 from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import optimize_topology, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
-from gsteiner.topology import (InfeasibleTopologyError, _all_forests,
-                               assign_flows, enumerate_topologies)
+from forest_oracle import all_forests
+from gsteiner.topology import (InfeasibleTopologyError, assign_flows,
+                               enumerate_topologies)
 
 # repeated and distinct masses for every size
 MASSES = {
@@ -93,7 +94,7 @@ def _assert_same_minimizers(report, best, chains, cfg, where):
 def test_full_topology_solve_matches_exhaustive_solve():
     for where, b, alpha in _random_cases():
         cfg = SolverConfig(alpha=alpha)
-        best, chains, _ = reference_solve(b, cfg, _all_forests)
+        best, chains, _ = reference_solve(b, cfg, all_forests)
         _assert_same_minimizers(solve(b, cfg), best, chains, cfg,
                                 f"{where} alpha={alpha} atoms={b.atoms}")
 

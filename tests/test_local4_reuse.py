@@ -12,8 +12,9 @@ from fractions import Fraction as F
 import pytest
 
 import gsteiner.placement as placement
+from forest_oracle import all_forests, shrank
 from gsteiner.currents import alpha_mass, canonicalize, support_difference_mass
-from gsteiner.perturb import (INFEASIBLE_CASES, LocalFourPointInstance,
+from gsteiner.perturb import (_CASES, LocalFourPointInstance,
                               PerturbationSpec, _case_label,
                               _local4_candidates, _rho_samples, build_wz,
                               estimate_k0, estimate_rho, four_point_instance,
@@ -21,9 +22,12 @@ from gsteiner.perturb import (INFEASIBLE_CASES, LocalFourPointInstance,
 from gsteiner.placement import optimize_topology, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
-from gsteiner.topology import InfeasibleTopologyError, _all_forests, assign_flows
+from gsteiner.topology import InfeasibleTopologyError, assign_flows
 
 perturb_module = sys.modules["gsteiner.perturb"]
+
+# cases whose support cannot carry the boundary in general position
+INFEASIBLE_CASES = ("1d", "1i", "1j", "1n", "1q", "1r", "3c")
 
 # the bisected rho(k0 + 1) of each alpha, to 2 digits: sweep cells drawn in
 # this band reach the edge of the W/Z dichotomy
@@ -37,13 +41,13 @@ def reference_local4_solve(inst, alpha, match_tol=1e-5):
     roles = {i: {inst.a: "A", inst.b: "B", inst.c: "C", inst.d: "D"}[p]
              for i, (p, _) in enumerate(b.atoms)}
     values, infeasible, evaluated = {}, [], []
-    for topo in _all_forests(b):
+    for topo in all_forests(b):
         case = _case_label(topo, roles)
         try:
             ft = assign_flows(topo, b)
         except InfeasibleTopologyError:
             ft = None
-        if ft is None or ft.degenerate:
+        if ft is None or shrank(topo, ft):
             if case not in values and case not in infeasible:
                 infeasible.append(case)
             continue
@@ -142,11 +146,12 @@ def test_cached_candidates_infeasible_cases(k, theta):
     b = four_point_instance(k, (0.0, 0.1, -0.1, 0.0), theta).boundary()
     cands = _local4_candidates(tuple(m for _, m in b.atoms),
                                ("A", "B", "C", "D"))
-    assert len(cands) == 35
-    feasible = {case for case, ft in cands if ft is not None}
-    infeasible = {case for case, ft in cands if ft is None} - feasible
-    assert infeasible == set(INFEASIBLE_CASES)
-    assert len(feasible | infeasible) == 27
+    # 11 of the 35 forests cannot carry the boundary: one each of the 7
+    # infeasible cases, and one of the three forests of each of 2a-2d
+    assert len(cands) == 24 and all(all(ft.edge_flows) for _, ft in cands)
+    feasible = {case for case, _ in cands}
+    assert _CASES - feasible == set(INFEASIBLE_CASES)
+    assert len(_CASES) == 27
 
 
 def assert_same_optimized(shared, fresh):
@@ -177,8 +182,7 @@ def test_shared_minimizations_match_fresh_calls_local4(inst, monkeypatch):
     b = inst.boundary()
     where = {inst.a: "A", inst.b: "B", inst.c: "C", inst.d: "D"}
     cands = [ft for _, ft in _local4_candidates(
-        tuple(m for _, m in b.atoms), tuple(where[p] for p, _ in b.atoms))
-        if ft is not None]
+        tuple(m for _, m in b.atoms), tuple(where[p] for p, _ in b.atoms))]
     calls = counting_minimize(monkeypatch)
     fresh = [optimize_topology(ft, b, 0.6) for ft in cands]
     n_fresh = len(calls)

@@ -270,3 +270,18 @@ def test_end_to_end_square_single_radius(square_boundary):
     out = exp.outcomes[0]
     assert out.unique and out.matches_dented_target and out.gap > 0
     assert exp.final_unique()
+
+
+def test_end_to_end_records_an_inadmissible_radius(square_boundary):
+    # a ball of radius 2 leaves the unit square's segments: the dent is
+    # inadmissible, recorded as an error, and the verdict is the last
+    # radius that ran
+    k = estimate_k0(0.6) + 1
+    exp = end_to_end_uniqueness(square_boundary, 0.6, k, radii=[0.05, 2.0])
+    ok, bad = exp.outcomes
+    assert ok.error is None and ok.unique and ok.matches_dented_target
+    assert bad.radius == 2.0 and "inadmissible" in bad.error
+    assert not bad.unique and bad.n_minimizers == 0 and math.isnan(bad.gap)
+    assert exp.final_unique()
+    assert not end_to_end_uniqueness(square_boundary, 0.6, k,
+                                     radii=[2.0]).final_unique()

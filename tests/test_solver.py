@@ -14,8 +14,7 @@ from gsteiner.currents import (boundary, branch_points, canonicalize,
                                chain_of, has_loop, make_boundary,
                                support_difference_mass)
 from gsteiner.solver import (MinimizerRecord, SolverConfig, SolveReport,
-                             is_in_A_C, magic_points, quantize_boundary,
-                             quantize_chain, solve)
+                             magic_points, quantize_chain, solve)
 from grid_oracle import brute_force_value
 
 
@@ -229,17 +228,6 @@ def test_tracing_leaves_the_report_body_unchanged(case, square_boundary,
 
 
 # ---------------------------------------------------------------------------
-# A_C membership
-# ---------------------------------------------------------------------------
-
-def test_is_in_A_C_examples(square_boundary):
-    pair = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(1))])
-    assert is_in_A_C(pair, 2.0, cfg(0.7))
-    assert not is_in_A_C(pair, 0.5, cfg(0.7))  # mass 2 > 0.5
-    assert is_in_A_C(square_boundary, 4.0, cfg(0.95))
-
-
-# ---------------------------------------------------------------------------
 # magic points
 # ---------------------------------------------------------------------------
 
@@ -356,11 +344,6 @@ def test_quantize_properties_random_chains():
             got = floored.get((pos.start, pos.end), F(0))
             assert F(0) <= pos.mult - got < eta
             assert (got / eta).denominator == 1
-
-
-def test_quantize_boundary_via_solve(v_boundary):
-    out = quantize_boundary(v_boundary, F(1, 2), cfg(0.75))
-    assert all((m / F(1, 2)).denominator == 1 for _, m in out.atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from forest_oracle import all_forests, shrank
 from gsteiner.currents import boundary, make_boundary
 from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
-                               SteinerTopology, _all_forests, _forest_shapes,
+                               SteinerTopology, _flowed_forests, _forest_shapes,
                                _full_shapes, _normalize, _set_partitions,
                                _splits, assign_flows, enumerate_topologies)
 
@@ -88,22 +89,22 @@ def brute_force_count(n, full=False):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive forests (_all_forests)
+# exhaustive forests (forest_oracle.all_forests)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 4)])
 def test_small_counts(n, expected):
-    assert len(list(_all_forests(line_boundary(n)))) == expected
+    assert len(list(all_forests(line_boundary(n)))) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_counts_match_brute_force(n):
-    got = len(list(_all_forests(line_boundary(n))))
+    got = len(list(all_forests(line_boundary(n))))
     assert got == brute_force_count(n)
 
 
 def test_three_atom_structure():
-    tops = list(_all_forests(line_boundary(3)))
+    tops = list(all_forests(line_boundary(3)))
     stars = [t for t in tops if t.n_branch == 1]
     paths = [t for t in tops if t.n_branch == 0]
     assert len(stars) == 1 and len(paths) == 3
@@ -111,7 +112,7 @@ def test_three_atom_structure():
 
 
 def test_four_atom_double_y_present():
-    tops = list(_all_forests(line_boundary(4)))
+    tops = list(all_forests(line_boundary(4)))
     assert max(t.n_branch for t in tops) == 2  # n - 2
     double_y = [t for t in tops if t.n_branch == 2]
     assert len(double_y) == 3  # the three terminal pairings
@@ -122,8 +123,8 @@ def test_four_atom_double_y_present():
 
 
 def test_stream_deterministic():
-    a = [t.edges for t in _all_forests(line_boundary(4))]
-    b = [t.edges for t in _all_forests(line_boundary(4))]
+    a = [t.edges for t in all_forests(line_boundary(4))]
+    b = [t.edges for t in all_forests(line_boundary(4))]
     assert a == b
 
 
@@ -236,7 +237,6 @@ def test_no_topology_with_a_zero_flow_edge():
     for b in _zero_flow_instances():
         for ft in enumerate_topologies(b):
             assert assign_flows(ft.topology, b) == ft
-            assert not ft.degenerate
             assert all(f != 0 for f in ft.edge_flows)
 
 
@@ -267,6 +267,37 @@ def test_zero_flow_skip_loses_no_flowed_topology():
                  for t in _unskipped_full_topologies(b)}
         assert len(kept) == len(set(kept)) == len(every)
         assert set(kept) == every
+
+
+@st.composite
+def balanced_masses(draw):
+    """2 to 5 nonzero masses summing to zero: random fractions, or repeated
+    +-1 that make balanced sub-blocks and so zero-flow edges."""
+    n = draw(st.integers(2, 5))
+    unit = st.sampled_from((F(-1), F(1)))
+    fraction = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    head = draw(st.lists(draw(st.sampled_from((unit, fraction))),
+                         min_size=n - 1, max_size=n - 1))
+    assume(sum(head) != 0)
+    return tuple(head) + (-sum(head),)
+
+
+@settings(max_examples=50, deadline=None)
+@given(balanced_masses())
+def test_flowed_forests_match_assigned_unflowed_stream(masses):
+    # atoms at 0, 1, 2, ... keep the masses in atom order
+    b = make_boundary(((float(i),), m) for i, m in enumerate(masses))
+    want = []
+    for t in all_forests(b):
+        try:
+            ft = assign_flows(t, b)
+        except InfeasibleTopologyError:
+            continue
+        if not shrank(t, ft):
+            want.append(ft)
+    assert list(_flowed_forests(masses, _forest_shapes)) == want
+    assert list(_flowed_forests(masses, _full_shapes)) == \
+        list(enumerate_topologies(b))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +354,8 @@ def _flowed(b, topologies):
 
 
 @lru_cache(maxsize=None)
-def _flowed_forests(b):
-    return _flowed(b, _all_forests(b))
+def _assigned_forests(b):
+    return _flowed(b, all_forests(b))
 
 
 def _assert_same_classes(fts):
@@ -336,10 +367,10 @@ def _assert_same_classes(fts):
 def test_split_key_classes_match_relabeling_key():
     flowed = distinct = 0
     for b in KEY_BOUNDARIES:
-        fts = _flowed_forests(b)
+        fts = _assigned_forests(b)
         flowed += len(fts)
         distinct += _assert_same_classes(fts)
-    assert distinct < flowed  # degenerate forests repeat smaller ones
+    assert distinct < flowed  # forests with a zero-flow edge repeat smaller ones
 
 
 @pytest.mark.parametrize("masses", [
@@ -356,7 +387,7 @@ def test_split_key_classes_match_relabeling_key_full(masses):
 @given(st.data())
 def test_split_key_ignores_branch_labels_and_edge_order(data):
     b = data.draw(st.sampled_from(KEY_BOUNDARIES))
-    ft = data.draw(st.sampled_from(_flowed_forests(b)))
+    ft = data.draw(st.sampled_from(_assigned_forests(b)))
     t = ft.topology
     n, m = t.n_terminals, t.n_branch
     label = list(range(n)) + [n + p for p in
@@ -437,7 +468,7 @@ def test_realized_boundary_exact():
     for _ in range(10):
         b = _random_balanced_boundary(rng, 4)
         terminals = tuple(p for p, _ in b.atoms)
-        for t in _all_forests(b):
+        for t in all_forests(b):
             try:
                 ft = assign_flows(t, b)
             except InfeasibleTopologyError:
@@ -456,7 +487,7 @@ def test_zero_flow_edge_degenerates():
     t = SteinerTopology(4, 0, ((0, 1), (1, 2), (2, 3)),
                         tuple(m for _, m in b.atoms))
     ft = assign_flows(t, b)
-    assert ft.degenerate
+    assert shrank(t, ft)
     assert len(ft.topology.edges) == 2  # middle edge carried zero
 
 
@@ -560,14 +591,13 @@ def test_enumerated_flows_match_leaf_stripping():
         fts = list(enumerate_topologies(b))
         assert fts
         for ft in fts:
-            assert not ft.degenerate
             assert leaf_stripping_flows(ft.topology, b) == ft
 
 
 def test_assign_flows_matches_leaf_stripping():
     flowed = infeasible = 0
     for b in KEY_BOUNDARIES:
-        for t in _all_forests(b):
+        for t in all_forests(b):
             try:
                 want = leaf_stripping_flows(t, b)
             except InfeasibleTopologyError:
