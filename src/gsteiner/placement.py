@@ -13,15 +13,21 @@ the rest of the energy, and away from the atoms they are smooth.
 :func:`_star_newton` runs damped Newton on that exact energy from the
 weighted barycenter, with the Hessian sum_j (w_j / r_j) (I - u_j u_j^T)
 and an Armijo backtracking on F (Calamai & Conn, SIAM J. Sci. Stat.
-Comput. 1(4), 1980, for this view of sums of norms).  The placement stands
-only when :func:`dual_bound` at it certifies the value to ``_STAR_GAP``
-(relative).  An iterate near an atom (where F is not smooth), a singular
-Hessian (1-D, collinear atoms, a tie), a spent step budget or a failed
+Comput. 1(4), 1980, for this view of sums of norms).  When an atom's value
+F(p_t) is no larger than the barycenter's, a path from there could be
+drawn onto that atom and close in on it without end, so Newton starts at
+the best atom instead and steps off it along -R/|R|, R the pull of the
+other terms, which descends because Kuhn's test (below) fails there; F
+then stays below every atom's value.  The placement stands only when
+:func:`dual_bound` at it certifies the value to ``_STAR_GAP`` (relative).
+An iterate near an atom (where F is not smooth), a singular Hessian or
+step-off (1-D, collinear atoms, a tie), a spent step budget or a failed
 certificate hands the whole topology to the smoothing kernel below.
 
-Every other topology runs the kernel.  It minimizes the smoothed energy
-F_eps = sum of w_e sqrt(len^2 + eps^2), while eps decreases geometrically
-(Smith, Algorithmica 7, 1992).  At the end of every smoothing stage each
+Every other topology that the two-branch tests below do not settle runs
+the kernel.  It minimizes the smoothed energy F_eps = sum of
+w_e sqrt(len^2 + eps^2), while eps decreases geometrically (Smith,
+Algorithmica 7, 1992).  At the end of every smoothing stage each
 branch vertex is snapped onto its nearest vertex whenever that strictly
 lowers the exact energy, which accelerates convergence onto collapsed
 configurations (the non-smooth minimizers these instances actually visit).
@@ -67,6 +73,19 @@ topology of a 6-atom instance collapsed vertices pass it one at a time
 (residual 8.3e-10) while the value sits 1.8e-5 (relative) above the
 minimum.  Both paths contract through one routine, :func:`_contract`.
 
+A topology with two adjacent branch vertices b1, b2 gets two more exact
+tests before it is minimized, one per collapsed shape its minimizer can
+take: both on atoms, each on one of its atom neighbors (screened first by
+Kuhn's test at each with the other fixed on its atom), or b1-b2 merged
+into a star placed as above.  A candidate is placed on the topology it
+contracts to and lifted back through the cluster map of :func:`_contract`
+(every vertex at its image's position).  It stands only when
+:func:`dual_bound` of the two-branch topology itself certifies the lifted
+value to ``_STAR_GAP``: with zero-length edges smoothed by a tiny eps, its
+divergence projection is the multiplier test of the collapsed edges
+(Calamai & Conn above).  A candidate never runs the kernel; when neither
+certifies, the topology is minimized as any other.
+
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
 the largest terminal distance).  Every stage runs at most 200 iterations
@@ -92,6 +111,7 @@ the value even at the smallest eps.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -110,7 +130,8 @@ EPS_MIN = 2e-7
 
 # receives one JSON-serializable record per smoothing stage (iteration count,
 # eps, current energy) plus a final one with the stationarity residual (the
-# star path sends the final one alone); lower_bounds sends one record with
+# star path sends the final one alone, and so does a settled two-branch
+# topology, at iteration 0); lower_bounds sends one record with
 # "stage": "bound" per topology instead
 Trace = Callable[[dict], None]
 
@@ -142,9 +163,12 @@ def _weights(ft: FlowedTopology, alpha: float) -> list[float]:
     return [abs(float(f)) ** alpha for f in ft.edge_flows]
 
 
-def energy(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
-    """Exact location energy; zero-length edges contribute zero."""
-    w = _weights(ft, alpha)
+def energy(ft: FlowedTopology, pl: Placement, alpha: float,
+           w: list[float] | None = None) -> float:
+    """Exact location energy; zero-length edges contribute zero.  ``w``, when
+    given, holds the edge weights |flow|^alpha (:func:`_weights`)."""
+    if w is None:
+        w = _weights(ft, alpha)
     return sum(
         wi * dist(pl.position(u), pl.position(v))
         for wi, (u, v) in zip(w, ft.topology.edges))
@@ -176,14 +200,17 @@ def _incident(ft: FlowedTopology, w: list[float], v0: int) -> list[tuple[float, 
             for wi, (u, v) in zip(w, ft.topology.edges) if v0 in (u, v)]
 
 
-def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
+def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float,
+                          w: list[float] | None = None) -> float:
     """Max over branch vertices of the minimal-norm subgradient norm.
 
     Edges not longer than ``TOL_COLLAPSE`` are treated as collapsed: they
-    contribute a ball of radius w_e rather than a unit direction.
+    contribute a ball of radius w_e rather than a unit direction.  ``w`` as
+    in :func:`energy`.
     """
     n = ft.topology.n_terminals
-    w = _weights(ft, alpha)
+    if w is None:
+        w = _weights(ft, alpha)
     worst = 0.0
     for v0 in range(n, n + ft.topology.n_branch):
         g, ball = _subgradient(
@@ -219,9 +246,11 @@ def _barycentric_init(ft: FlowedTopology, terminals: tuple[Point, ...]) -> list[
     return [list(row) for row in x]
 
 
-def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
-                trace: Trace | None) -> tuple[list[list[float]], int]:
-    """The smoothing schedule from the barycentric start.
+def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
+                w: list[float], trace: Trace | None
+                ) -> tuple[list[list[float]], int]:
+    """The smoothing schedule from the barycentric start, for the edge
+    weights ``w``.
 
     Each eps stage minimizes F_eps with the stage solver of the terminals'
     dimension: planar Gauss-Seidel sweeps (:func:`_sweeps_2d`) or Newton
@@ -234,7 +263,6 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...], alpha: float,
     """
     t = ft.topology
     n = t.n_terminals
-    w = _weights(ft, alpha)
     scale = _scale(terminals)
     # every vertex, terminals first; the stages write only branch entries
     pos = [list(p) for p in terminals] + _barycentric_init(ft, terminals)
@@ -413,15 +441,25 @@ def _star_newton(atoms: list[tuple[float, Point]]
     """The minimizer of F(x) = sum_j w_j |x - p_j| over the ``atoms``
     (w_j, p_j), with the number of Newton steps taken, or None.
 
-    Damped Newton on the exact F from the weighted barycenter, in flat
-    Python and any dimension.  With r_j = |x - p_j| and u_j = (x - p_j) / r_j
-    the gradient is sum_j w_j u_j and the Hessian
-    sum_j (w_j / r_j) (I - u_j u_j^T); each step backtracks on F (Armijo,
-    with a slack of F's rounding so that steps near the optimum, whose
-    decrease rounds away, are taken).  None when an iterate comes within
-    ``_STAR_NEAR`` times the atoms' weighted mean distance from their
-    barycenter of an atom, the Hessian is singular (in 1-D, on collinear
-    atoms, on a tie) or the steps run out: the kernel then places the star.
+    Damped Newton on the exact F, in flat Python and any dimension.  With
+    r_j = |x - p_j| and u_j = (x - p_j) / r_j the gradient is
+    sum_j w_j u_j and the Hessian sum_j (w_j / r_j) (I - u_j u_j^T); each
+    step backtracks on F (Armijo, with a slack of F's rounding so that steps
+    near the optimum, whose decrease rounds away, are taken).
+
+    The run starts at the weighted barycenter, unless an atom's value
+    F(p_t) is no larger: a path from there could be drawn onto that atom,
+    where the transverse curvature w_t / r_t blows up and the iterates only
+    close in on it.  The run then starts at the best atom and steps off it
+    (:func:`_step_off`), one step; from there F stays below every atom's
+    value, so no atom draws the iterates in and none is left twice.
+
+    None when Kuhn's test holds at that atom (its optimum, which
+    :func:`optimize_topology` settles first unless it is a near-tie), an
+    iterate comes within ``_STAR_NEAR`` times the atoms' weighted mean
+    distance from their barycenter of an atom, the Hessian or the
+    step-off's curvature is singular (in 1-D, on collinear atoms, on a
+    tie) or the steps run out: the kernel then places the star.
     """
     d = len(atoms[0][1])
     total = sum(w for w, _ in atoms)
@@ -429,7 +467,16 @@ def _star_newton(atoms: list[tuple[float, Point]]
     f = sum(w * math.dist(x, p) for w, p in atoms)
     near = _STAR_NEAR * f / total
     dims = range(d)
-    for steps in range(_STAR_STEPS):
+    f_atom, t = min((sum(w * math.dist(q, p) for w, p in atoms), i)
+                    for i, (_, q) in enumerate(atoms))
+    first = 0
+    if f_atom <= f:
+        found = _step_off(atoms, t, f_atom)
+        if found is None:
+            return None
+        x, f = found
+        first = 1
+    for steps in range(first, _STAR_STEPS):
         # with diff_j = x - p_j, c_j = w_j / r_j and k_j = c_j / r_j^2:
         # g = sum_j c_j diff_j, h = (sum_j c_j) I - sum_j k_j diff_j diff_j^T
         g = [0.0] * d
@@ -472,6 +519,44 @@ def _star_newton(atoms: list[tuple[float, Point]]
     return None
 
 
+def _step_off(atoms: list[tuple[float, Point]], t: int, f_t: float
+              ) -> tuple[list[float], float] | None:
+    """A point x with F(x) < F(p_t) = ``f_t`` off atom ``t`` of a star, and
+    F(x), or None when Kuhn's test holds at p_t or the move is singular.
+
+    With R = sum_{j != t} w_j (p_t - p_j) / |p_t - p_j| the derivative of F
+    along a unit d at p_t is w_t + R.d, so when |R| > w_t (Kuhn's test
+    fails) d = -R / |R| descends at the rate |R| - w_t.  Along d the other
+    terms curve by kappa = sum_{j != t} (w_j / r_j) (1 - (u_j.d)^2), so the
+    1-D model F(p_t) - (|R| - w_t) s + kappa s^2 / 2 puts the first trial at
+    s = (|R| - w_t) / kappa, halved until Armijo holds against F(p_t).
+    kappa vanishes when every atom lies on the line through p_t along d
+    (collinear atoms, 1-D): None, as for a singular Hessian.
+    """
+    w_t, p = atoms[t]
+    # (w_j, r_j, u_j) of the other atoms, u_j the unit vector from p_j to p_t
+    others = [(w, r, [(a - b) / r for a, b in zip(p, q)])
+              for j, (w, q) in enumerate(atoms) if j != t
+              for r in [math.dist(p, q)]]
+    big_r = [sum(w * u[i] for w, _, u in others) for i in range(len(p))]
+    size = math.hypot(*big_r)
+    if size <= w_t:
+        return None
+    d = [-c / size for c in big_r]
+    kappa = sum(w / r * (1.0 - sum(a * b for a, b in zip(u, d)) ** 2)
+                for w, r, u in others)
+    if kappa <= _STAR_SINGULAR * sum(w / r for w, r, _ in others):
+        return None
+    s, slope = (size - w_t) / kappa, w_t - size
+    for _ in range(60):
+        x = [a + s * b for a, b in zip(p, d)]
+        f = sum(w * math.dist(x, q) for w, q in atoms)
+        if f <= f_t + 1e-4 * s * slope:
+            return x, f
+        s *= 0.5
+    return None
+
+
 def _solve_spd(a: list[list[float]], rhs: list[float]) -> list[float] | None:
     """The solution of a x = rhs for a symmetric positive semidefinite
     ``a``, by Gaussian elimination without pivoting (stable on such
@@ -496,7 +581,8 @@ def _solve_spd(a: list[list[float]], rhs: list[float]) -> list[float] | None:
 
 
 def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
-                 alpha: float) -> tuple[Placement, int] | None:
+                 alpha: float, w: list[float]
+                 ) -> tuple[Placement, int] | None:
     """The certified optimal placement of a topology whose branch vertices
     are all stars, with the total number of Newton steps, or None.
 
@@ -504,12 +590,12 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
     :func:`_star_newton` places each one alone.  The placement stands only
     when :func:`dual_bound` at it lies within ``_STAR_GAP`` (relative) of
     its energy.  None when a branch vertex has a branch neighbor, a star's
-    Newton run gives up, or the certificate fails.
+    Newton run gives up, or the certificate fails.  ``w`` holds the edge
+    weights (:func:`_weights`).
     """
     n = ft.topology.n_terminals
     if any(min(e) >= n for e in ft.topology.edges):  # a branch-branch edge
         return None
-    w = _weights(ft, alpha)
     branch, steps = [], 0
     for v0 in range(n, n + ft.topology.n_branch):
         found = _star_newton([(wi, terminals[o])
@@ -519,10 +605,26 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
         branch.append(found[0])
         steps += found[1]
     pl = Placement(terminals, tuple(branch))
-    value = energy(ft, pl, alpha)
-    if value - dual_bound(ft, pl, alpha) > _STAR_GAP * (1.0 + value):
+    value = energy(ft, pl, alpha, w)
+    if value - dual_bound(ft, pl, alpha, w=w) > _STAR_GAP * (1.0 + value):
         return None
     return pl, steps
+
+
+def _optimized(ft: FlowedTopology, pl: Placement, alpha: float,
+               w: list[float], iters: int) -> OptimizedTopology:
+    """``ft`` at ``pl``, with its value and stationarity residual."""
+    res = stationarity_residual(ft, pl, alpha, w)
+    return OptimizedTopology(ft, pl, energy(ft, pl, alpha, w), res, iters,
+                             res <= TOL_GRAD)
+
+
+def _done(trace: Trace | None, res: OptimizedTopology) -> OptimizedTopology:
+    """Send ``res``'s final trace record, if tracing; returns ``res``."""
+    if trace is not None:
+        trace({"stage": "done", "iteration": res.iterations,
+               "value": res.value, "residual": res.residual})
+    return res
 
 
 def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
@@ -537,28 +639,24 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     planar Weiszfeld sweeps or, in other dimensions, Newton steps on the
     smoothed energy, nearest-vertex snapping when it strictly improves the
     exact energy.  ``trace`` receives the kernel's per-stage records, and
-    one final record from either path.
+    one final record from either path.  The edge weights
+    (:func:`_weights`) are computed once and passed to every step.
     The result is for ``ft`` itself: no collapse is resolved.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     terminals = _terminals_for(ft, b)
+    w = _weights(ft, alpha)
     if ft.topology.n_branch == 0:
         pl = Placement(terminals, ())
-        return OptimizedTopology(ft, pl, energy(ft, pl, alpha), 0.0, 0, True)
+        return OptimizedTopology(ft, pl, energy(ft, pl, alpha, w), 0.0, 0, True)
 
-    found = _place_stars(ft, terminals, alpha)
+    found = _place_stars(ft, terminals, alpha, w)
     if found is None:
-        pos, iters = _run_kernel(ft, terminals, alpha, trace)
-        pl = Placement(terminals, tuple(tuple(x) for x in pos))
-    else:
-        pl, iters = found
-    res = stationarity_residual(ft, pl, alpha)
-    value = energy(ft, pl, alpha)
-    if trace is not None:
-        trace({"stage": "done", "iteration": iters, "value": value,
-               "residual": res})
-    return OptimizedTopology(ft, pl, value, res, iters, res <= TOL_GRAD)
+        pos, iters = _run_kernel(ft, terminals, w, trace)
+        found = Placement(terminals, tuple(tuple(x) for x in pos)), iters
+    pl, iters = found
+    return _done(trace, _optimized(ft, pl, alpha, w, iters))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +713,7 @@ def _dual_values(ab: np.ndarray, w: np.ndarray, diff: np.ndarray,
 
 
 def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
-               eps: float = 0.0) -> float:
+               eps: float = 0.0, w: list[float] | None = None) -> float:
     """Lower bound on the minimum of the location energy, by weak duality.
 
     Since |z| = max over |y| <= 1 of y.z, the energy is
@@ -635,13 +733,16 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
 
     The bound is tight at an optimum without collapsed edges as eps -> 0,
     and equals the energy when the topology has no branch vertex.  A
-    zero-length edge needs ``eps`` > 0.  This is the one-topology case of
-    the batched evaluation behind :func:`lower_bounds`.
+    zero-length edge needs ``eps`` > 0.  ``w`` as in :func:`energy`.  This
+    is the one-topology case of the batched evaluation behind
+    :func:`lower_bounds`.
     """
     n = ft.topology.n_terminals
     a = _incidence(ft.topology)[None]
     x = np.asarray(pl.terminals + pl.branch, dtype=float)
-    return float(_dual_values(a[:, n:], np.array([_weights(ft, alpha)]),
+    if w is None:
+        w = _weights(ft, alpha)
+    return float(_dual_values(a[:, n:], np.array([w]),
                               a.transpose(0, 2, 1) @ x, eps)[0])
 
 
@@ -719,18 +820,24 @@ def detect_collapse(ft: FlowedTopology, pl: Placement) -> FlowedTopology:
         (d, u, v) for v in range(n, n + ft.topology.n_branch) for u in range(v)
         if (d := dist(pl.position(u), pl.position(v))) <= TOL_COLLAPSE)
     # the first pair merges, if any: each holds a branch vertex
-    return _contract(ft, [(u, v) for _, u, v in close]) if close else ft
+    return _contract(ft, [(u, v) for _, u, v in close])[0] if close else ft
 
 
 def _contract(ft: FlowedTopology, pairs: Sequence[tuple[int, int]]
-              ) -> FlowedTopology:
-    """``ft`` with the vertex ``pairs`` merged in order, or ``ft`` itself
-    when the merged edges would close a cycle.
+              ) -> tuple[FlowedTopology, tuple[int, ...]]:
+    """``ft`` with the vertex ``pairs`` merged in order, and the cluster
+    map: the vertex of the result that each vertex of ``ft`` lifts to.
+    ``ft`` itself, with the identity map, when the merged edges would close
+    a cycle.
 
     A pair whose merge would put two terminals in one cluster is skipped.
     Edges inside a cluster go (their flow is conserved), parallel edges
     combine, zero-flow edges drop and branch vertices left with degree < 3
-    are spliced out.
+    are spliced out.  The map sends a vertex to its union-find root,
+    relabeled as the result labels it; a cluster spliced out lifts onto a
+    neighboring one.  Placing every vertex of ``ft`` at its image's
+    position lifts a placement of the result to one of ``ft``, with the
+    same energy unless parallel edges combined.
     """
     t = ft.topology
     n = t.n_terminals
@@ -748,10 +855,11 @@ def _contract(ft: FlowedTopology, pairs: Sequence[tuple[int, int]]
         ru, rv = find(u), find(v)
         if ru != rv and max(ru, rv) >= n:  # never two terminals in a class
             parent[max(ru, rv)] = min(ru, rv)
+    roots = [find(v) for v in range(len(parent))]
 
     merged: dict[tuple[int, int], Fraction] = {}
     for (u, v), f in zip(t.edges, ft.edge_flows):
-        a, c = find(u), find(v)
+        a, c = roots[u], roots[v]
         if a == c:
             continue
         if a > c:
@@ -761,10 +869,24 @@ def _contract(ft: FlowedTopology, pairs: Sequence[tuple[int, int]]
     for a, c in edges:  # the same union-find, now joining across edges
         ra, rc = find(a), find(c)
         if ra == rc:
-            return ft
+            return ft, tuple(range(len(parent)))
         parent[max(ra, rc)] = min(ra, rc)
     contracted = SteinerTopology(n, t.n_branch, tuple(edges), t.terminal_masses)
-    return _normalize(contracted, [merged[e] for e in edges])
+    # _normalize keeps the branch roots of degree >= 3, in order
+    degree = Counter(v for e in edges for v in e)
+    label = {r: r for r in range(n)}
+    label.update((r, n + i) for i, r in enumerate(
+        sorted(r for r, k in degree.items() if r >= n and k >= 3)))
+    # a cluster that _normalize splices out (degree 2) or that keeps no
+    # flow lifts onto a neighboring cluster
+    while len(label) < len(set(roots)):
+        for a, c in merged:
+            if a in label and c not in label:
+                label[c] = label[a]
+            elif c in label and a not in label:
+                label[a] = label[c]
+    return (_normalize(contracted, [merged[e] for e in edges]),
+            tuple(label[r] for r in roots))
 
 
 def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
@@ -785,8 +907,9 @@ _STAR_MARGIN = 1e-9
 
 
 def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
-                   alpha: float) -> list[tuple[int, int]]:
-    """(atom, star) for every star branch vertex whose minimizer is an atom.
+                   w: list[float]) -> list[tuple[int, int]]:
+    """(atom, star) for every star branch vertex whose minimizer is an atom,
+    for the edge weights ``w``.
 
     Kuhn's criterion of the module docstring: atom t is the star's unique
     minimizer when the ball of :func:`_subgradient` at p_t, with only t's
@@ -794,7 +917,6 @@ def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
     vertex with a branch neighbor is never tested.
     """
     n = ft.topology.n_terminals
-    w = _weights(ft, alpha)
     pairs = []
     for v0 in range(n, n + ft.topology.n_branch):
         incident = _incident(ft, w, v0)
@@ -808,6 +930,91 @@ def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
                 pairs.append((t, v0))
                 break
     return pairs
+
+
+# the two-branch certificate smooths zero-length edges by this share of the
+# largest terminal distance: the dual gap grows with it, and at 1e-12
+# optimal collapsed placements certify only to 1.5e-12-4.4e-12 (relative),
+# above _STAR_GAP, while at 1e-14 they certify to 2.2e-14
+_SETTLE_EPS = 1e-14
+
+
+def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
+                       alpha: float, w: list[float], memo: dict
+                       ) -> OptimizedTopology | None:
+    """The certified optimum of a topology with two adjacent branch
+    vertices b1, b2 when it collapses, at a placement lifted from the
+    topology it collapses to, or None.
+
+    Two collapsed shapes are tried, each placed exactly:
+
+    * both branch vertices on atoms, each on one of its atom neighbors;
+    * the edge b1-b2 contracted.  The merged vertex is a star, placed by
+      :func:`_settled_stars` or :func:`_place_stars`; a star that would
+      need the kernel skips the candidate.  A placed star goes into
+      ``memo``, as :func:`minimize` would place it.  A star already in
+      ``memo`` is placed again: its entry may hold a kernel placement, and
+      this result must not depend on what ran before.
+
+    A candidate's placement lifts to ``ft`` through the cluster map of
+    :func:`_contract`.  There it must first pass Kuhn's test at b1 and at
+    b2, each with the other fixed (:func:`_subgradient`, in flat Python;
+    necessary, not sufficient), and then stands only when
+    :func:`dual_bound`, with zero-length edges smoothed by ``_SETTLE_EPS``,
+    lies within ``_STAR_GAP`` (relative) of its energy.  The bound is the
+    multiplier test of the collapsed edges: it certifies the value of
+    ``ft`` itself.
+    """
+    t = ft.topology
+    n = t.n_terminals
+    inner = [e for e in t.edges if min(e) >= n]
+    if t.n_branch != 2 or len(inner) != 1:
+        return None
+    (b1, b2), = inner
+    eps = _SETTLE_EPS * _scale(terminals)
+
+    incident = {v: _incident(ft, w, v) for v in (b1, b2)}
+
+    def kuhn(branch: tuple[Point, ...]) -> bool:
+        # necessary for optimality: at b1 and at b2, with the other fixed,
+        # the subdifferential (collapsed edges as balls) holds 0
+        where = terminals + branch
+        return all(g <= ball for g, ball in (
+            _subgradient(where[v], [(wi, where[o]) for wi, o in incident[v]],
+                         0.0) for v in (b1, b2)))
+
+    def certified(cluster: tuple[int, ...], pl: Placement
+                  ) -> OptimizedTopology | None:
+        branch = tuple(pl.position(c) for c in cluster[n:])
+        if not kuhn(branch):
+            return None
+        lifted = Placement(terminals, branch)
+        value = energy(ft, lifted, alpha, w)
+        if value - dual_bound(ft, lifted, alpha, eps, w) > _STAR_GAP * (1.0 + value):
+            return None
+        return _optimized(ft, lifted, alpha, w, 0)
+
+    for _, t1 in incident[b1]:
+        for _, t2 in incident[b2]:
+            # the screen runs before the contraction, which costs more
+            if max(t1, t2) < n and kuhn((terminals[t1], terminals[t2])):
+                _, cluster = _contract(ft, [(t1, b1), (t2, b2)])
+                found = certified(cluster, Placement(terminals, ()))
+                if found is not None:
+                    return found
+
+    star, cluster = _contract(ft, [(b1, b2)])
+    ws = _weights(star, alpha)
+    settled = _settled_stars(star, terminals, ws)
+    if settled:
+        return certified(cluster, Placement(terminals, (terminals[settled[0][0]],)))
+    found = _place_stars(star, terminals, alpha, ws)
+    if found is None:
+        return None
+    pl, steps = found
+    memo.setdefault((star.topology.edges, star.edge_flows),
+                    _optimized(star, pl, alpha, ws, steps))
+    return certified(cluster, pl)
 
 
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
@@ -825,6 +1032,12 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     a test vertex by vertex at a placement is not sufficient for optimality
     (the module docstring has a topology that passes it above its minimum).
 
+    A topology with two adjacent branch vertices then gets the two exact
+    tests of :func:`_settle_two_branch`: both on atoms, or merged into a
+    star.  A certified candidate stands in for the minimization (with no
+    iterations, and one "done" trace record), and the loop goes on as
+    after one: :func:`detect_collapse` contracts it.
+
     This ends: every contraction removes a branch vertex, since a cluster
     never holds two terminals.  A minimization starts afresh from the
     barycentric start of the contracted topology, so its result is a
@@ -838,13 +1051,16 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     terminals = _terminals_for(ft, b)
     iters = 0
     while True:
-        settled = _settled_stars(ft, terminals, alpha)
-        if settled and (contracted := _contract(ft, settled)) is not ft:
+        w = _weights(ft, alpha)
+        settled = _settled_stars(ft, terminals, w)
+        if settled and (contracted := _contract(ft, settled)[0]) is not ft:
             ft = contracted
             continue
         key = (ft.topology.edges, ft.edge_flows)
         if key not in memo:
-            memo[key] = minimize(ft, b, alpha, trace)
+            found = _settle_two_branch(ft, terminals, alpha, w, memo)
+            memo[key] = (minimize(ft, b, alpha, trace) if found is None
+                         else _done(trace, found))
         res = memo[key]
         iters += res.iterations
         contracted = detect_collapse(ft, res.placement)
