@@ -382,8 +382,8 @@ def _subsegment(s: Segment, lo: float, hi: float) -> Segment:
 def restrict_ball(chain: PolyhedralChain, center: Point, radius: float) -> PolyhedralChain:
     """Portion of the chain inside the open ball, multiplicities preserved."""
     _require_canonical(chain, "restrict_ball")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     out = []
     for s in chain.segments:
         iv = _ball_params(s, center, radius)
@@ -395,8 +395,8 @@ def restrict_ball(chain: PolyhedralChain, center: Point, radius: float) -> Polyh
 def restrict_outside(chain: PolyhedralChain, center: Point, radius: float) -> PolyhedralChain:
     """Complementary restriction: the portion outside the ball."""
     _require_canonical(chain, "restrict_outside")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     out = []
     for s in chain.segments:
         iv = _ball_params(s, center, radius)

@@ -51,8 +51,8 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if not self.chain.canonical:
             raise ValueError("chain must be canonical")
         validate_perturbation_points(self.chain, self.points, self.radius)

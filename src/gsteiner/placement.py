@@ -71,16 +71,16 @@ optimal position is unknown before the minimization, and a test vertex by
 vertex at a placement is necessary but not sufficient: on a 4-branch
 topology of a 6-atom instance collapsed vertices pass it one at a time
 (residual 8.3e-10) while the value sits 1.8e-5 (relative) above the
-minimum.  Both paths contract through one routine, :func:`_contract`.
+minimum.  Both paths contract through :func:`~gsteiner.topology.contract`.
 
 A topology with two adjacent branch vertices b1, b2 gets two more exact
 tests before it is minimized, one per collapsed shape its minimizer can
 take: both on atoms, each on one of its atom neighbors (screened first by
 Kuhn's test at each with the other fixed on its atom), or b1-b2 merged
-into a star placed as above.  A candidate is placed on the topology it
-contracts to and lifted back through the cluster map of :func:`_contract`
-(every vertex at its image's position).  It stands only when
-:func:`dual_bound` of the two-branch topology itself certifies the lifted
+into a star placed as above, on the topology it contracts to, and lifted
+back through the cluster map of :func:`~gsteiner.topology.contract` (every
+vertex at its image's position).  A candidate stands only when
+:func:`dual_bound` of the two-branch topology itself certifies its
 value to ``_STAR_GAP``: with zero-length edges smoothed by a tiny eps, its
 divergence projection is the multiplier test of the collapsed edges
 (Calamai & Conn above).  A candidate never runs the kernel; when neither
@@ -111,15 +111,13 @@ the value even at the smallest eps.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .currents import Point, PolyhedralChain, Segment, Boundary, dist
-from .topology import FlowedTopology, SteinerTopology, _normalize
+from .topology import FlowedTopology, SteinerTopology, contract
 
 
 TOL_GRAD = 1e-8
@@ -811,82 +809,17 @@ def detect_collapse(ft: FlowedTopology, pl: Placement) -> FlowedTopology:
     """The topology ``ft`` contracts to at ``pl``, or ``ft`` itself.
 
     Vertices within ``TOL_COLLAPSE`` of each other merge by
-    :func:`_contract`, closest pairs first, adjacent or not.  ``ft`` is
-    returned when nothing merges, or when the merged edges would close a
-    cycle (that configuration is left to geometric canonicalization).
+    :func:`~gsteiner.topology.contract`, closest pairs first, adjacent or
+    not.  ``ft`` is returned when nothing merges, or when the merged edges
+    would close a cycle (that configuration is left to geometric
+    canonicalization).
     """
     n = ft.topology.n_terminals
     close = sorted(
         (d, u, v) for v in range(n, n + ft.topology.n_branch) for u in range(v)
         if (d := dist(pl.position(u), pl.position(v))) <= TOL_COLLAPSE)
     # the first pair merges, if any: each holds a branch vertex
-    return _contract(ft, [(u, v) for _, u, v in close])[0] if close else ft
-
-
-def _contract(ft: FlowedTopology, pairs: Sequence[tuple[int, int]]
-              ) -> tuple[FlowedTopology, tuple[int, ...]]:
-    """``ft`` with the vertex ``pairs`` merged in order, and the cluster
-    map: the vertex of the result that each vertex of ``ft`` lifts to.
-    ``ft`` itself, with the identity map, when the merged edges would close
-    a cycle.
-
-    A pair whose merge would put two terminals in one cluster is skipped.
-    Edges inside a cluster go (their flow is conserved), parallel edges
-    combine, zero-flow edges drop and branch vertices left with degree < 3
-    are spliced out.  The map sends a vertex to its union-find root,
-    relabeled as the result labels it; a cluster spliced out lifts onto a
-    neighboring one.  Placing every vertex of ``ft`` at its image's
-    position lifts a placement of the result to one of ``ft``, with the
-    same energy unless parallel edges combined.
-    """
-    t = ft.topology
-    n = t.n_terminals
-    # union-find whose root is the lowest vertex of its class, so a class
-    # holds a terminal exactly when its root is below n
-    parent = list(range(n + t.n_branch))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv and max(ru, rv) >= n:  # never two terminals in a class
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = [find(v) for v in range(len(parent))]
-
-    merged: dict[tuple[int, int], Fraction] = {}
-    for (u, v), f in zip(t.edges, ft.edge_flows):
-        a, c = roots[u], roots[v]
-        if a == c:
-            continue
-        if a > c:
-            a, c, f = c, a, -f
-        merged[(a, c)] = merged.get((a, c), Fraction(0)) + f
-    edges = sorted(e for e, f in merged.items() if f != 0)
-    for a, c in edges:  # the same union-find, now joining across edges
-        ra, rc = find(a), find(c)
-        if ra == rc:
-            return ft, tuple(range(len(parent)))
-        parent[max(ra, rc)] = min(ra, rc)
-    contracted = SteinerTopology(n, t.n_branch, tuple(edges), t.terminal_masses)
-    # _normalize keeps the branch roots of degree >= 3, in order
-    degree = Counter(v for e in edges for v in e)
-    label = {r: r for r in range(n)}
-    label.update((r, n + i) for i, r in enumerate(
-        sorted(r for r, k in degree.items() if r >= n and k >= 3)))
-    # a cluster that _normalize splices out (degree 2) or that keeps no
-    # flow lifts onto a neighboring cluster
-    while len(label) < len(set(roots)):
-        for a, c in merged:
-            if a in label and c not in label:
-                label[c] = label[a]
-            elif c in label and a not in label:
-                label[a] = label[c]
-    return (_normalize(contracted, [merged[e] for e in edges]),
-            tuple(label[r] for r in roots))
+    return contract(ft, [(u, v) for _, u, v in close])[0] if close else ft
 
 
 def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
@@ -956,14 +889,15 @@ def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
       ``memo`` is placed again: its entry may hold a kernel placement, and
       this result must not depend on what ran before.
 
-    A candidate's placement lifts to ``ft`` through the cluster map of
-    :func:`_contract`.  There it must first pass Kuhn's test at b1 and at
-    b2, each with the other fixed (:func:`_subgradient`, in flat Python;
-    necessary, not sufficient), and then stands only when
-    :func:`dual_bound`, with zero-length edges smoothed by ``_SETTLE_EPS``,
-    lies within ``_STAR_GAP`` (relative) of its energy.  The bound is the
-    multiplier test of the collapsed edges: it certifies the value of
-    ``ft`` itself.
+    Both on atoms is a placement of ``ft`` as it stands; the merged star
+    lifts to ``ft`` through the cluster map of
+    :func:`~gsteiner.topology.contract`.  A candidate must first pass
+    Kuhn's test at b1 and at b2, each with the other fixed
+    (:func:`_subgradient`, in flat Python; necessary, not sufficient), and
+    then stands only when :func:`dual_bound`, with zero-length edges
+    smoothed by ``_SETTLE_EPS``, lies within ``_STAR_GAP`` (relative) of
+    its energy.  The bound is the multiplier test of the collapsed edges:
+    it certifies the value of ``ft`` itself.
     """
     t = ft.topology
     n = t.n_terminals
@@ -975,18 +909,14 @@ def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
 
     incident = {v: _incident(ft, w, v) for v in (b1, b2)}
 
-    def kuhn(branch: tuple[Point, ...]) -> bool:
-        # necessary for optimality: at b1 and at b2, with the other fixed,
-        # the subdifferential (collapsed edges as balls) holds 0
+    def certified(branch: tuple[Point, ...]) -> OptimizedTopology | None:
+        # Kuhn's test first, which costs less than the bound: at b1 and at
+        # b2, with the other fixed, the subdifferential (collapsed edges as
+        # balls) holds 0
         where = terminals + branch
-        return all(g <= ball for g, ball in (
-            _subgradient(where[v], [(wi, where[o]) for wi, o in incident[v]],
-                         0.0) for v in (b1, b2)))
-
-    def certified(cluster: tuple[int, ...], pl: Placement
-                  ) -> OptimizedTopology | None:
-        branch = tuple(pl.position(c) for c in cluster[n:])
-        if not kuhn(branch):
+        if not all(g <= ball for g, ball in (
+                _subgradient(where[v], [(wi, where[o]) for wi, o in incident[v]],
+                             0.0) for v in (b1, b2))):
             return None
         lifted = Placement(terminals, branch)
         value = energy(ft, lifted, alpha, w)
@@ -996,25 +926,22 @@ def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
 
     for _, t1 in incident[b1]:
         for _, t2 in incident[b2]:
-            # the screen runs before the contraction, which costs more
-            if max(t1, t2) < n and kuhn((terminals[t1], terminals[t2])):
-                _, cluster = _contract(ft, [(t1, b1), (t2, b2)])
-                found = certified(cluster, Placement(terminals, ()))
-                if found is not None:
-                    return found
+            if max(t1, t2) < n and (found := certified(
+                    (terminals[t1], terminals[t2]))) is not None:
+                return found
 
-    star, cluster = _contract(ft, [(b1, b2)])
+    star, cluster = contract(ft, [(b1, b2)])
     ws = _weights(star, alpha)
     settled = _settled_stars(star, terminals, ws)
     if settled:
-        return certified(cluster, Placement(terminals, (terminals[settled[0][0]],)))
-    found = _place_stars(star, terminals, alpha, ws)
-    if found is None:
+        pl = Placement(terminals, (terminals[settled[0][0]],))
+    elif (found := _place_stars(star, terminals, alpha, ws)) is not None:
+        pl, steps = found
+        memo.setdefault((star.topology.edges, star.edge_flows),
+                        _optimized(star, pl, alpha, ws, steps))
+    else:
         return None
-    pl, steps = found
-    memo.setdefault((star.topology.edges, star.edge_flows),
-                    _optimized(star, pl, alpha, ws, steps))
-    return certified(cluster, pl)
+    return certified(tuple(pl.position(c) for c in cluster[n:]))
 
 
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
@@ -1053,7 +980,7 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     while True:
         w = _weights(ft, alpha)
         settled = _settled_stars(ft, terminals, w)
-        if settled and (contracted := _contract(ft, settled)[0]) is not ft:
+        if settled and (contracted := contract(ft, settled)[0]) is not ft:
             ft = contracted
             continue
         key = (ft.topology.edges, ft.edge_flows)

@@ -36,6 +36,12 @@ splits-equivalence theorem: P. Buneman 1971; Semple & Steel,
 a canonical key that needs no search over branch relabelings; the flows
 follow from the masses.
 
+One routine, :func:`contract`, merges vertices of a flowed forest, for the
+forest shapes, :func:`assign_flows` and collapse handling alike.  Gilbert's
+"at most one minimum network per topology" holds once degenerate vertices
+are merged away: a forest and its contraction realize the same current, and
+the contraction's cluster map lifts a placement of it back onto the forest.
+
 Enumeration is exhaustive by design and intended for small n; callers guard
 instance size.
 """
@@ -45,7 +51,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .currents import Boundary
 
@@ -80,7 +86,7 @@ class FlowedTopology:
     positive when flowing from the lower-indexed endpoint to the higher.
     The generators yield nonzero flows only; :func:`assign_flows` and
     collapse contraction rewrite a forest whose flows vanish on some edge
-    into the smaller forest without it (:func:`_normalize`).
+    into the smaller forest without it (:func:`contract`).
     """
     topology: SteinerTopology
     edge_flows: tuple[Fraction, ...]
@@ -192,38 +198,18 @@ def _forest_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
     shapes: dict[tuple[int, ...], tuple[Edge, ...]] = {}
     for full in _full_shapes(s):
         splits = _splits(s, full)[1]
+        unit = FlowedTopology(SteinerTopology(s, s - 2, full, (0,) * s),
+                              (1,) * len(full))
         for bits in range(1 << len(full)):
             key = tuple(sorted(side for i, side in enumerate(splits)
                                if not bits >> i & 1))
             if key not in shapes:
-                shape = _contract(full, bits, s)
-                if shape is not None:
-                    shapes[key] = shape
+                pairs = [e for i, e in enumerate(full) if bits >> i & 1]
+                shape, cluster = contract(unit, pairs)
+                # contract skips a pair that would merge two terminals
+                if all(cluster[u] == cluster[v] for u, v in pairs):
+                    shapes[key] = shape.topology.edges
     return tuple(sorted(shapes.values(), key=lambda sh: (len(sh), sh)))
-
-
-def _contract(full: tuple[Edge, ...], bits: int, s: int
-              ) -> tuple[Edge, ...] | None:
-    """``full`` with the edges of the set bits contracted, its branch slots
-    renumbered from s in order; None when two terminals merge."""
-    rep = list(range(2 * s - 2))
-
-    def find(x: int) -> int:
-        while rep[x] != x:
-            x = rep[x]
-        return x
-
-    for i, (u, v) in enumerate(full):
-        if bits >> i & 1:
-            a, b = sorted((find(u), find(v)))
-            if b < s:
-                return None
-            rep[b] = a  # a merged class keeps its terminal, if any
-    roots = [find(x) for x in range(2 * s - 2)]
-    slot = {r: s + k for k, r in enumerate(sorted({r for r in roots if r >= s}))}
-    label = [slot.get(r, r) for r in roots]
-    return tuple(sorted(tuple(sorted((label[u], label[v])))
-                        for i, (u, v) in enumerate(full) if not bits >> i & 1))
 
 
 @lru_cache(maxsize=None)
@@ -351,53 +337,88 @@ def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
 
     if any(mass(c) != 0 for c in components):
         raise InfeasibleTopologyError("component masses do not balance")
-    return _normalize(t, [sign * mass(side)
-                          for side, sign in zip(splits, signs)])
+    return contract(FlowedTopology(t, tuple(
+        sign * mass(side) for side, sign in zip(splits, signs))))[0]
 
 
-def _normalize(t: SteinerTopology, flows: list[Fraction]) -> FlowedTopology:
-    """Drop zero-flow edges, splice degree<3 branch vertices, relabel.
+# ---------------------------------------------------------------------------
+# contraction
+# ---------------------------------------------------------------------------
 
-    ``t`` must be a forest whose edges are ordered pairs.  Splicing keeps
-    both, and relabeling the surviving branch vertices in order keeps
-    every edge's orientation.
+def contract(ft: FlowedTopology, pairs: Iterable[Edge] = ()
+             ) -> tuple[FlowedTopology, tuple[int, ...]]:
+    """``ft`` with the vertex ``pairs`` merged in order, and the cluster
+    map: the vertex of the result that each vertex of ``ft`` lifts to;
+    ``ft`` and the identity map when the merged edges would close a cycle.
+
+    A pair that would put two terminals in one cluster is skipped.  Edges
+    inside a cluster go, parallel edges combine, zero-flow edges drop and
+    branch clusters left with two neighbors are spliced out; one left with
+    one neighbor breaks conservation (``AssertionError``).  The surviving
+    branch clusters are numbered from n in order, which keeps every edge's
+    orientation.  A cluster spliced out or left without flow lifts onto a
+    neighbor, and one of a component without terminals onto terminal 0.
+    Placing every vertex of ``ft`` at its image lifts a placement of the
+    result to ``ft``, with the same energy unless parallel edges combined.
     """
-    edges = [(e, f) for e, f in zip(t.edges, flows) if f != 0]
+    t = ft.topology
+    n = t.n_terminals
+    # union-find whose root is the lowest vertex of its class, so a class
+    # holds a terminal exactly when its root is below n
+    parent = list(range(n + t.n_branch))
 
-    # splice branch vertices of degree 2; drop isolated / degree-1 ones
-    while True:
-        spliced = False
-        for v in range(t.n_terminals, t.n_terminals + t.n_branch):
-            incident = [(i, e, f) for i, (e, f) in enumerate(edges)
-                        if v in e]
-            if len(incident) == 2:
-                (i1, (a1, c1), f1), (i2, (a2, c2), f2) = incident
-                u = a1 if c1 == v else c1
-                w = a2 if c2 == v else c2
-                # inflow at v from (u,v) equals outflow to (w,v): reorient
-                fin = f1 if max(a1, c1) == v else -f1
-                e = (min(u, w), max(u, w))
-                f = fin if e[0] == u else -fin
-                for i in sorted((i1, i2), reverse=True):
-                    edges.pop(i)
-                edges.append((e, f))
-                spliced = True
-                break
-            if len(incident) == 1:
-                raise AssertionError("degree-1 branch vertex with nonzero flow")
-        if not spliced:
-            break
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    # compact branch labels
-    used_branch = sorted({v for (a, c), _ in edges for v in (a, c)
-                          if v >= t.n_terminals})
-    remap = {v: t.n_terminals + i for i, v in enumerate(used_branch)}
-    edges = sorted(((remap.get(a, a), remap.get(c, c)), f)
-                   for (a, c), f in edges)
-    new_t = SteinerTopology(
-        n_terminals=t.n_terminals,
-        n_branch=len(used_branch),
-        edges=tuple(e for e, _ in edges),
-        terminal_masses=t.terminal_masses,
-    )
-    return FlowedTopology(new_t, tuple(f for _, f in edges))
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv and max(ru, rv) >= n:  # never two terminals in a class
+            parent[max(ru, rv)] = min(ru, rv)
+    roots = [find(v) for v in range(len(parent))]
+
+    merged: dict[Edge, Fraction] = {}
+    for (u, v), f in zip(t.edges, ft.edge_flows):
+        a, c = roots[u], roots[v]
+        if a != c:
+            e, f = ((a, c), f) if a < c else ((c, a), -f)
+            merged[e] = merged[e] + f if e in merged else f
+    flows = {e: f for e, f in merged.items() if f != 0}
+    nbrs: dict[int, list[int]] = {r: [] for r in roots}
+    for a, c in flows:
+        ra, rc = find(a), find(c)  # the same union-find, across edges
+        if ra == rc:
+            return ft, tuple(range(len(parent)))
+        parent[max(ra, rc)] = min(ra, rc)
+        nbrs[a].append(c)
+        nbrs[c].append(a)
+    # splicing a cluster leaves its neighbors' degrees as they were
+    for v in sorted(r for r in nbrs if r >= n and len(nbrs[r]) < 3):
+        if len(nbrs[v]) == 1:
+            raise AssertionError("degree-1 branch vertex with nonzero flow")
+        if nbrs[v]:
+            u, w = sorted(nbrs[v])
+            fu = flows.pop((u, v) if u < v else (v, u))
+            fw = flows.pop((v, w) if v < w else (w, v))
+            # u < v or v < w, and that edge's flow, from its lower end to
+            # its higher one, is the flow from u to w
+            flows[(u, w)] = fu if u < v else fw
+            nbrs[u][nbrs[u].index(v)] = w
+            nbrs[w][nbrs[w].index(v)] = u
+        del nbrs[v]
+    label = {r: r for r in range(n)}
+    label.update((r, n + i) for i, r in enumerate(
+        sorted(r for r in nbrs if r >= n)))
+    edges = sorted(((label[a], label[c]), f) for (a, c), f in flows.items())
+    contracted = FlowedTopology(
+        SteinerTopology(n, len(label) - n, tuple(e for e, _ in edges),
+                        t.terminal_masses),
+        tuple(f for _, f in edges))
+    while lifts := {x: label[y] for e in merged for x, y in (e, e[::-1])
+                    if x not in label and y in label}:
+        label.update(lifts)
+    return contracted, tuple(label.get(r, 0) for r in roots)
+
+

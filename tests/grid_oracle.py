@@ -77,21 +77,23 @@ def _grid_minimum(ft: FlowedTopology, terminals: list[Point],
             total += w * math.sqrt(sum((a - c) ** 2 for a, c in zip(pu, pv)))
         return total
 
-    # exhaustive coarse grid (9 points per coordinate)
-    axes = []
-    for _ in range(m):
-        for i in range(dim):
-            axes.append(np.linspace(los[i], his[i], 9))
-    best_x = None
-    best_v = math.inf
-    for x in itertools.product(*axes):
-        v = value(x)
-        if v < best_v:
-            best_v, best_x = v, x
+    # exhaustive coarse grid (9 points per coordinate), evaluated as one
+    # array: the points in itertools.product order, so argmin keeps the
+    # first minimum
+    axes = [np.linspace(los[i], his[i], 9)
+            for _ in range(m) for i in range(dim)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, nv)
+    at = [np.asarray(p) for p in terminals] + [
+        grid[:, i:i + dim] for i in range(0, nv, dim)]
+    total = 0.0
+    for w, (u, v) in zip(weights, t.edges):
+        total = total + w * np.sqrt(((at[u] - at[v]) ** 2).sum(axis=-1))
+    best = int(np.argmin(total))
+    best_v = float(total[best])
 
     # halving pattern search with the full diagonal stencil
     h = max(max(hi - lo for lo, hi in zip(los, his)), _GRID_STEP) / 8.0
-    x = list(best_x)
+    x = grid[best].tolist()
     offsets = [off for off in itertools.product((-1.0, 0.0, 1.0), repeat=nv)
                if any(off)]
     while h >= _GRID_STEP / 2.0:

@@ -152,6 +152,16 @@ def test_perturb_cli_writes_to_stdout(square_file, tmp_path, capsys):
     assert json.loads(printed) == json.loads(report.read_text())
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_perturb_cli_refuses_a_radius_not_finite(square_file, capsys, radius):
+    # a NaN radius once failed as "ball exits its host segment"
+    assert cli.main(["perturb", "--input", square_file, "--alpha", "0.6",
+                     "--k", "11", "--radius", radius]) == 1
+    captured = capsys.readouterr()
+    assert "radius must be positive and finite" in captured.err
+    assert not captured.out
+
+
 @pytest.mark.parametrize("command", [
     ["solve"], ["perturb", "--k", "11", "--radius", "0.05"]])
 def test_alpha_missing_exit_code(tmp_path, capsys, command):

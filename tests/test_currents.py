@@ -215,6 +215,15 @@ def test_restrict_ball_disjoint_and_inside():
     assert restrict_ball(c, (0.0, 0.0), 5.0).segments == c.segments
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_restriction_refuses_a_radius_not_positive_and_finite(radius):
+    # a NaN radius once put the unit segment inside a ball around (5, 5)
+    c = canonicalize(chain_of([seg((0, 0), (1, 0), 1)]))
+    for restrict in (restrict_ball, restrict_outside):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            restrict(c, (5.0, 5.0), radius)
+
+
 def test_restriction_partition():
     rng = random.Random(13)
     for _ in range(25):

@@ -71,6 +71,13 @@ def test_perturb_inadmissible_points():
         PerturbationSpec(y, ((1.02, 0.02),), k=2, radius=0.1)
 
 
+@pytest.mark.parametrize("radius", [0.0, math.nan, math.inf])
+def test_perturbation_spec_refuses_a_radius_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        PerturbationSpec(unit_segment_chain(), ((0.5, 0.0),), k=2,
+                         radius=radius)
+
+
 def test_bounds_on_unit_segment():
     spec = PerturbationSpec(unit_segment_chain(), ((0.5, 0.0),), k=4, radius=0.1)
     t_pert, b_pert = perturb(spec)

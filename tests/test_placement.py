@@ -20,7 +20,7 @@ from gsteiner.placement import (TOL_COLLAPSE, TOL_GRAD, OptimizedTopology,
                                 stationarity_residual)
 from gsteiner.solver import SolverConfig, solve
 from gsteiner.sweep import SweepSpec, build_cells
-from gsteiner.topology import (SteinerTopology, assign_flows,
+from gsteiner.topology import (SteinerTopology, assign_flows, contract,
                                enumerate_topologies)
 
 
@@ -241,7 +241,7 @@ def test_cluster_map_lifts_contracted_placements(bench_instances):
             for e in edges:
                 pairs = [e] + [f for f in edges
                                if f > e and not set(e) & set(f)][:1]
-                contracted, cluster = placement._contract(ft, pairs)
+                contracted, cluster = contract(ft, pairs)
                 assert cluster[:6] == tuple(range(6))
                 assert all(cluster[u] == cluster[v] for u, v in pairs)
                 pl = Placement(terminals, tuple(
@@ -263,7 +263,7 @@ def test_cluster_map_lifts_a_spliced_vertex_onto_a_neighbor():
     t = SteinerTopology(4, 2, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)),
                         tuple(m for _, m in b.atoms))
     ft = assign_flows(t, b)
-    contracted, cluster = placement._contract(ft, [(0, 5)])
+    contracted, cluster = contract(ft, [(0, 5)])
     assert contracted.topology.n_branch == 0
     assert cluster[5] == 0 and cluster[4] in (0, 1)
 

@@ -15,8 +15,8 @@ from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
                                SteinerTopology, _flowed_forests, _forest_shapes,
-                               _full_shapes, _normalize, _set_partitions,
-                               _splits, assign_flows, enumerate_topologies)
+                               _full_shapes, _set_partitions, _splits,
+                               assign_flows, contract, enumerate_topologies)
 
 
 def line_boundary(n):
@@ -491,6 +491,72 @@ def test_zero_flow_edge_degenerates():
     assert len(ft.topology.edges) == 2  # middle edge carried zero
 
 
+# ---------------------------------------------------------------------------
+# contraction
+# ---------------------------------------------------------------------------
+
+MASSES4 = (F(1), F(-1), F(1), F(-1))
+
+
+def _on_four(n_branch, edges, flows):
+    return FlowedTopology(SteinerTopology(4, n_branch, edges, MASSES4),
+                          tuple(F(f) for f in flows))
+
+
+def test_contract_splices_a_chain_of_degree_2_branch_vertices():
+    # the path t0 - b4 - b5 - t1 becomes one edge t0-t1, whose flow is the
+    # mass on its higher end's side, -1; b4 and b5 lift onto the terminal
+    # next to each
+    ft = _on_four(2, ((0, 4), (1, 5), (2, 3), (4, 5)), (-1, 1, -1, -1))
+    assert contract(ft) == (_on_four(0, ((0, 1), (2, 3)), (-1, -1)),
+                            (0, 1, 2, 3, 0, 1))
+
+
+def test_contract_splices_a_branch_vertex_below_both_neighbors():
+    # b6 carries 2 from b8's side to b7's: the edge b7-b8 that replaces it
+    # has flow -2 from b7 to b8, and then the labels 6, 7
+    masses = (F(1), F(1), F(-1), F(-1), F(1), F(-1))
+    ft = FlowedTopology(
+        SteinerTopology(6, 3, ((0, 7), (1, 7), (2, 8), (3, 8), (4, 5),
+                               (6, 7), (6, 8)), masses),
+        (F(-1), F(-1), F(1), F(1), F(-1), F(2), F(-2)))
+    contracted, cluster = contract(ft)
+    assert contracted == FlowedTopology(
+        SteinerTopology(6, 2, ((0, 6), (1, 6), (2, 7), (3, 7), (4, 5),
+                               (6, 7)), masses),
+        (F(-1), F(-1), F(1), F(1), F(-1), F(-2)))
+    assert cluster[6] in (6, 7) and cluster[7:] == (6, 7)
+
+
+def test_contract_drops_a_zero_flow_edge():
+    # b4-b5 splits the masses into balanced halves; b4 and b5 are left
+    # with two neighbors each and lift onto one of them
+    ft = _on_four(2, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)),
+                 (-1, 1, -1, 1, 0))
+    contracted, cluster = contract(ft)
+    assert contracted == _on_four(0, ((0, 1), (2, 3)), (-1, -1))
+    assert cluster[:4] == (0, 1, 2, 3)
+    assert cluster[4] in (0, 1) and cluster[5] in (2, 3)
+
+
+def test_contract_refuses_a_degree_1_branch_vertex():
+    ft = _on_four(2, ((0, 4), (1, 4), (2, 4), (3, 5)), (1, 1, 1, 1))
+    with pytest.raises(AssertionError, match="degree-1"):
+        contract(ft)
+
+
+def test_assign_flows_drops_a_component_without_terminals(square_boundary):
+    # atoms sort: (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1; the edge 4-5
+    # carries no flow, and its branch vertices lift onto terminal 0
+    masses = tuple(m for _, m in square_boundary.atoms)
+    t = SteinerTopology(4, 2, ((0, 2), (1, 3), (4, 5)), masses)
+    want = FlowedTopology(SteinerTopology(4, 0, ((0, 2), (1, 3)), masses),
+                          (F(1), F(-1)))
+    assert assign_flows(t, square_boundary) == want
+    assert contract(FlowedTopology(t, (F(1), F(-1), F(0)))) == (
+        want, (0, 1, 2, 3, 0, 0))
+
+
 def _random_balanced_boundary(rng, n, dim=2):
     atoms = []
     total = F(0)
@@ -560,7 +626,7 @@ def leaf_stripping_flows(t, b):
             raise InfeasibleTopologyError("component masses do not balance")
 
     assert all(f is not None for f in flows)
-    return _normalize(t, flows)
+    return contract(FlowedTopology(t, tuple(flows)))[0]
 
 
 def _dented_square(radius, alpha=0.6):
