@@ -12,9 +12,11 @@ import sys
 from dataclasses import replace
 
 from . import fileio
+from .currents import canonicalize
 from .flat import flat_norm
-from .perturb import (LocalFourPointInstance, PerturbationSpec, estimate_k0,
-                      local4_solve, perturb, verify_perturbation_bounds)
+from .perturb import (LocalFourPointInstance, PerturbationSpec, build_wz,
+                      estimate_k0, local4_solve, perturb,
+                      verify_perturbation_bounds)
 from .solver import InternalConsistencyError, magic_points, solve
 from .sweep import SweepSpec, append_log, run_sweep
 from .svg import render_report_svg, render_svg
@@ -100,10 +102,7 @@ def _cmd_solve(args) -> int:
             print(json.dumps(rec, sort_keys=True), file=sys.stderr)
         cfg = replace(cfg, trace=trace)
     report = solve(inst.boundary, cfg)
-    obj = fileio.report_to_obj(report)
-    text = fileio.dump_json(obj, args.report)
-    if not args.report:
-        sys.stdout.write(text)
+    fileio.dump_json(fileio.report_to_obj(report), args.report)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(render_svg([m.chain for m in report.minimizers],
@@ -134,11 +133,8 @@ def _cmd_flat_norm(args) -> int:
     else:
         target = b1
     value, witness = flat_norm(target)
-    obj = {"schema": fileio.SCHEMA_VERSION, "value": value,
-           "witness": fileio.witness_to_obj(witness)}
-    text = fileio.dump_json(obj, args.report)
-    if not args.report:
-        sys.stdout.write(text)
+    fileio.dump_json({"schema": fileio.SCHEMA_VERSION, "value": value,
+                      "witness": fileio.witness_to_obj(witness)}, args.report)
     return 0
 
 
@@ -170,9 +166,7 @@ def _cmd_perturb(args) -> int:
             "energy_margin": bounds.energy_margin,
         },
     }
-    text = fileio.dump_json(obj, args.report)
-    if not args.report:
-        sys.stdout.write(text)
+    fileio.dump_json(obj, args.report)
     return 0 if bounds.all_ok() else 2
 
 
@@ -194,15 +188,11 @@ def _cmd_local4(args) -> int:
         "infeasible": list(cls.infeasible),
         "chain": fileio.chain_to_obj(cls.chain),
     }
-    text = fileio.dump_json(out, args.report)
-    if not args.report:
-        sys.stdout.write(text)
+    fileio.dump_json(out, args.report)
     if args.svg:
-        from .currents import canonicalize as _canon
-        from .perturb import build_wz
         w, z = build_wz(inst)
         with open(args.svg, "w") as fh:
-            fh.write(render_svg([_canon(w), _canon(z), cls.chain],
+            fh.write(render_svg([canonicalize(w), canonicalize(z), cls.chain],
                                 inst.boundary(), args.alpha))
     return 0
 

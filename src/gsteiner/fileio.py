@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -68,7 +69,7 @@ def boundary_to_obj(b: Boundary) -> dict:
 
 def obj_to_boundary(obj: dict) -> Boundary:
     atoms = [(_point(a, "p", "an atom coordinate"), parse_rational(a["m"]))
-             for a in obj["atoms"]]
+             for a in _entries(obj, "atoms")]
     b = make_boundary(atoms)
     if "dim" in obj:
         dim = _number("key 'dim'", obj["dim"], integral=True)
@@ -89,7 +90,7 @@ def obj_to_chain(obj: dict) -> PolyhedralChain:
     segs = tuple(
         Segment(_point(s, "a", "a segment coordinate"),
                 _point(s, "b", "a segment coordinate"), parse_rational(s["m"]))
-        for s in obj["segments"])
+        for s in _entries(obj, "segments"))
     return PolyhedralChain(segs, canonical=False)
 
 
@@ -124,7 +125,7 @@ def parse_instance(obj: dict) -> InstanceFile:
     alpha = _number("key 'alpha'", obj["alpha"]) if "alpha" in obj else None
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    config = dict(obj.get("config", {}))
+    config = dict(_checked(obj.get("config", {}), dict, "key 'config'"))
     unknown = sorted(set(config) - _CONFIG_KEYS.keys())
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}"
@@ -134,16 +135,19 @@ def parse_instance(obj: dict) -> InstanceFile:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in the file at ``path``; every input file holds one."""
     with open(path) as fh:
-        return json.load(fh)
+        return _checked(json.load(fh), dict, f"the top level of {path}")
 
 
-def dump_json(obj: dict, path: str | None) -> str:
+def dump_json(obj: dict, path: str | None = None) -> None:
+    """Write ``obj`` as deterministic JSON to ``path``, or to stdout."""
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
-    return text
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +182,26 @@ def _number(name: str, value, integral: bool = False) -> float | int:
     if not number.is_integer():
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(number)
+
+
+# what a JSON value is, for messages
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+          int: "a number", float: "a number", type(None): "null"}
+
+
+def _checked(value, kind: type, name: str):
+    """``value`` when it is a ``kind`` (``dict`` or ``list``), else a
+    ``ValueError`` that names it by ``name``."""
+    if not isinstance(value, kind):
+        got = _KINDS.get(type(value), type(value).__name__)
+        raise ValueError(f"{name} must be {_KINDS[kind]}, not {got}")
+    return value
+
+
+def _entries(obj: dict, key: str) -> list[dict]:
+    """``obj[key]``, a list of objects."""
+    return [_checked(e, dict, f"an entry of key {key!r}")
+            for e in _checked(obj[key], list, f"key {key!r}")]
 
 
 def _point(obj: dict, key: str, name: str) -> tuple[float, ...]:

@@ -52,10 +52,12 @@ A minimizer often collapses: branch points land on each other or on an
 atom.  :func:`optimize_topology` resolves that in one loop: it minimizes,
 contracts what :func:`detect_collapse` finds coincident, and minimizes the
 contracted topology afresh, until :func:`detect_collapse` returns its input.
-Each round removes a branch vertex, so the loop ends.  Minimizations depend
-on the flowed topology alone, so a caller that optimizes many topologies of
-one boundary passes one ``memo`` dict to all of them, and a topology that
-several others contract onto is minimized once.
+Each round removes a branch vertex, so the loop ends, and the cluster maps
+of its rounds compose into one map from the input's vertices to the
+result's.  Minimizations depend on the flowed topology alone, so a caller
+that optimizes many topologies of one boundary passes one ``memo`` dict to
+all of them, and a topology that several others contract onto is
+minimized once.
 
 Before each minimization the loop settles *star* branch vertices whose
 optimum is an atom, without minimizing.  A star's terms
@@ -77,14 +79,14 @@ A topology with two adjacent branch vertices b1, b2 gets two more exact
 tests before it is minimized, one per collapsed shape its minimizer can
 take: both on atoms, each on one of its atom neighbors (screened first by
 Kuhn's test at each with the other fixed on its atom), or b1-b2 merged
-into a star placed as above, on the topology it contracts to, and lifted
-back through the cluster map of :func:`~gsteiner.topology.contract` (every
+into a star.  The star is optimized like any topology, the kernel
+allowed, and lifted back through the collapse loop's cluster map (every
 vertex at its image's position).  A candidate stands only when
 :func:`dual_bound` of the two-branch topology itself certifies its
 value to ``_STAR_GAP``: with zero-length edges smoothed by a tiny eps, its
 divergence projection is the multiplier test of the collapsed edges
-(Calamai & Conn above).  A candidate never runs the kernel; when neither
-certifies, the topology is minimized as any other.
+(Calamai & Conn above).  When neither certifies, the topology is
+minimized as any other.
 
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
@@ -148,13 +150,19 @@ class Placement:
 @dataclass(frozen=True)
 class OptimizedTopology:
     """Result of minimizing one topology: of :func:`minimize` as given, of
-    :func:`optimize_topology` after collapse resolution."""
+    :func:`optimize_topology` after collapse resolution.  ``lift`` maps each
+    vertex given to its vertex of ``flowed`` (for :func:`minimize`, itself)."""
     flowed: FlowedTopology
     placement: Placement
     value: float
     residual: float
     iterations: int
     converged: bool
+    lift: tuple[int, ...]
+
+
+def _identity(ft: FlowedTopology) -> tuple[int, ...]:
+    return tuple(range(ft.topology.n_terminals + ft.topology.n_branch))
 
 
 def _weights(ft: FlowedTopology, alpha: float) -> list[float]:
@@ -254,10 +262,8 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     dimension: planar Gauss-Seidel sweeps (:func:`_sweeps_2d`) or Newton
     steps (:func:`_newton_steps`).  Everything else is shared: the eps
     schedule, the stage budgets and move tolerances, the snap and the trace.
-    The planar sweep stays because its one or two branch points per call
-    (the four-point lab makes thousands of such calls) are cheaper in flat
-    Python than in numpy calls.  Returns the branch positions and the number
-    of iterations (sweeps or Newton steps).
+    Returns the branch positions and the number of iterations (sweeps or
+    Newton steps).
     """
     t = ft.topology
     n = t.n_terminals
@@ -603,10 +609,15 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
         branch.append(found[0])
         steps += found[1]
     pl = Placement(terminals, tuple(branch))
+    return (pl, steps) if _certified(ft, pl, alpha, w) else None
+
+
+def _certified(ft: FlowedTopology, pl: Placement, alpha: float,
+               w: list[float], eps: float = 0.0) -> bool:
+    """Whether :func:`dual_bound` at ``pl``, smoothed by ``eps``, certifies
+    the energy there to ``_STAR_GAP`` (relative), wherever ``pl`` came from."""
     value = energy(ft, pl, alpha, w)
-    if value - dual_bound(ft, pl, alpha, w=w) > _STAR_GAP * (1.0 + value):
-        return None
-    return pl, steps
+    return value - dual_bound(ft, pl, alpha, eps, w) <= _STAR_GAP * (1.0 + value)
 
 
 def _optimized(ft: FlowedTopology, pl: Placement, alpha: float,
@@ -614,7 +625,7 @@ def _optimized(ft: FlowedTopology, pl: Placement, alpha: float,
     """``ft`` at ``pl``, with its value and stationarity residual."""
     res = stationarity_residual(ft, pl, alpha, w)
     return OptimizedTopology(ft, pl, energy(ft, pl, alpha, w), res, iters,
-                             res <= TOL_GRAD)
+                             res <= TOL_GRAD, _identity(ft))
 
 
 def _done(trace: Trace | None, res: OptimizedTopology) -> OptimizedTopology:
@@ -646,8 +657,7 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     terminals = _terminals_for(ft, b)
     w = _weights(ft, alpha)
     if ft.topology.n_branch == 0:
-        pl = Placement(terminals, ())
-        return OptimizedTopology(ft, pl, energy(ft, pl, alpha, w), 0.0, 0, True)
+        return _optimized(ft, Placement(terminals, ()), alpha, w, 0)
 
     found = _place_stars(ft, terminals, alpha, w)
     if found is None:
@@ -805,21 +815,24 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
 # collapse handling and realization
 # ---------------------------------------------------------------------------
 
-def detect_collapse(ft: FlowedTopology, pl: Placement) -> FlowedTopology:
-    """The topology ``ft`` contracts to at ``pl``, or ``ft`` itself.
+def detect_collapse(ft: FlowedTopology, pl: Placement
+                    ) -> tuple[FlowedTopology, tuple[int, ...]]:
+    """The topology ``ft`` contracts to at ``pl``, with the cluster map of
+    :func:`~gsteiner.topology.contract`; ``ft`` and the identity map when
+    nothing merges.
 
-    Vertices within ``TOL_COLLAPSE`` of each other merge by
-    :func:`~gsteiner.topology.contract`, closest pairs first, adjacent or
-    not.  ``ft`` is returned when nothing merges, or when the merged edges
-    would close a cycle (that configuration is left to geometric
-    canonicalization).
+    Vertices within ``TOL_COLLAPSE`` of each other merge, closest pairs
+    first, adjacent or not.  When the merged edges would close a cycle,
+    :func:`~gsteiner.topology.contract` returns ``ft`` (that configuration
+    is left to geometric canonicalization).
     """
     n = ft.topology.n_terminals
     close = sorted(
         (d, u, v) for v in range(n, n + ft.topology.n_branch) for u in range(v)
         if (d := dist(pl.position(u), pl.position(v))) <= TOL_COLLAPSE)
     # the first pair merges, if any: each holds a branch vertex
-    return contract(ft, [(u, v) for _, u, v in close])[0] if close else ft
+    return contract(ft, [(u, v) for _, u, v in close]) if close else (
+        ft, _identity(ft))
 
 
 def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
@@ -872,32 +885,27 @@ def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
 _SETTLE_EPS = 1e-14
 
 
-def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
-                       alpha: float, w: list[float], memo: dict
-                       ) -> OptimizedTopology | None:
+def _settle_two_branch(ft: FlowedTopology, b: Boundary, alpha: float,
+                       w: list[float], memo: dict) -> OptimizedTopology | None:
     """The certified optimum of a topology with two adjacent branch
     vertices b1, b2 when it collapses, at a placement lifted from the
     topology it collapses to, or None.
 
-    Two collapsed shapes are tried, each placed exactly:
+    Two collapsed shapes are tried:
 
-    * both branch vertices on atoms, each on one of its atom neighbors;
-    * the edge b1-b2 contracted.  The merged vertex is a star, placed by
-      :func:`_settled_stars` or :func:`_place_stars`; a star that would
-      need the kernel skips the candidate.  A placed star goes into
-      ``memo``, as :func:`minimize` would place it.  A star already in
-      ``memo`` is placed again: its entry may hold a kernel placement, and
-      this result must not depend on what ran before.
+    * both branch vertices on atoms, each on one of its atom neighbors, a
+      placement of ``ft`` as it stands;
+    * the edge b1-b2 contracted.  The merged star is optimized like any
+      topology, by :func:`optimize_topology` with the same ``memo``, and
+      lifts to ``ft`` through the cluster map of
+      :func:`~gsteiner.topology.contract` and then the result's ``lift``.
 
-    Both on atoms is a placement of ``ft`` as it stands; the merged star
-    lifts to ``ft`` through the cluster map of
-    :func:`~gsteiner.topology.contract`.  A candidate must first pass
-    Kuhn's test at b1 and at b2, each with the other fixed
-    (:func:`_subgradient`, in flat Python; necessary, not sufficient), and
-    then stands only when :func:`dual_bound`, with zero-length edges
-    smoothed by ``_SETTLE_EPS``, lies within ``_STAR_GAP`` (relative) of
-    its energy.  The bound is the multiplier test of the collapsed edges:
-    it certifies the value of ``ft`` itself.
+    A candidate must first pass Kuhn's test at b1 and at b2, each with the
+    other fixed (:func:`_subgradient`, in flat Python; necessary, not
+    sufficient), and then stands only when :func:`_certified` holds with
+    zero-length edges smoothed by ``_SETTLE_EPS``.  The bound is the
+    multiplier test of the collapsed edges: it certifies the value of
+    ``ft`` itself, whatever placed the star.
     """
     t = ft.topology
     n = t.n_terminals
@@ -905,6 +913,7 @@ def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
     if t.n_branch != 2 or len(inner) != 1:
         return None
     (b1, b2), = inner
+    terminals = _terminals_for(ft, b)
     eps = _SETTLE_EPS * _scale(terminals)
 
     incident = {v: _incident(ft, w, v) for v in (b1, b2)}
@@ -919,8 +928,7 @@ def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
                              0.0) for v in (b1, b2))):
             return None
         lifted = Placement(terminals, branch)
-        value = energy(ft, lifted, alpha, w)
-        if value - dual_bound(ft, lifted, alpha, eps, w) > _STAR_GAP * (1.0 + value):
+        if not _certified(ft, lifted, alpha, w, eps):
             return None
         return _optimized(ft, lifted, alpha, w, 0)
 
@@ -931,17 +939,9 @@ def _settle_two_branch(ft: FlowedTopology, terminals: tuple[Point, ...],
                 return found
 
     star, cluster = contract(ft, [(b1, b2)])
-    ws = _weights(star, alpha)
-    settled = _settled_stars(star, terminals, ws)
-    if settled:
-        pl = Placement(terminals, (terminals[settled[0][0]],))
-    elif (found := _place_stars(star, terminals, alpha, ws)) is not None:
-        pl, steps = found
-        memo.setdefault((star.topology.edges, star.edge_flows),
-                        _optimized(star, pl, alpha, ws, steps))
-    else:
-        return None
-    return certified(tuple(pl.position(c) for c in cluster[n:]))
+    res = optimize_topology(star, b, alpha, memo=memo)
+    return certified(tuple(res.placement.position(res.lift[c])
+                           for c in cluster[n:]))
 
 
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
@@ -954,10 +954,7 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     neighbors atoms) that :func:`_settled_stars` proves to sit on an atom
     is contracted onto it without minimizing: the star's Newton run would
     stop short of the atom, and the kernel would only snap it there.  The
-    test is exact for stars alone: the terms of any other branch vertex
-    hold a branch neighbor's position, unknown before the minimization, and
-    a test vertex by vertex at a placement is not sufficient for optimality
-    (the module docstring has a topology that passes it above its minimum).
+    module docstring says why the test is exact for stars alone.
 
     A topology with two adjacent branch vertices then gets the two exact
     tests of :func:`_settle_two_branch`: both on atoms, or merged into a
@@ -966,31 +963,33 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     after one: :func:`detect_collapse` contracts it.
 
     This ends: every contraction removes a branch vertex, since a cluster
-    never holds two terminals.  A minimization starts afresh from the
-    barycentric start of the contracted topology, so its result is a
-    function of that flowed topology alone, and ``memo`` may keep it: a
-    dict shared by calls with the same boundary and alpha (several
-    topologies can contract onto one), keyed on edges and flows only.  The
-    reported iterations include reused ones.
+    never holds two terminals.  The result's ``lift`` composes the cluster
+    maps of every contraction: vertex v of ``ft`` lifts to
+    ``placement.position(lift[v])``.  A minimization starts afresh from the
+    barycentric start, and a settle depends on its star's optimum alone, so
+    every result is a function of its flowed topology alone, and ``memo``
+    may keep it: a dict shared by calls with the same boundary and alpha
+    (several topologies can contract onto one), keyed on edges and flows
+    only.  The reported iterations include reused ones.
     """
     if memo is None:
         memo = {}
     terminals = _terminals_for(ft, b)
+    lift = _identity(ft)
     iters = 0
     while True:
         w = _weights(ft, alpha)
         settled = _settled_stars(ft, terminals, w)
-        if settled and (contracted := contract(ft, settled)[0]) is not ft:
-            ft = contracted
-            continue
-        key = (ft.topology.edges, ft.edge_flows)
-        if key not in memo:
-            found = _settle_two_branch(ft, terminals, alpha, w, memo)
-            memo[key] = (minimize(ft, b, alpha, trace) if found is None
-                         else _done(trace, found))
-        res = memo[key]
-        iters += res.iterations
-        contracted = detect_collapse(ft, res.placement)
+        contracted, cluster = contract(ft, settled) if settled else (ft, None)
         if contracted is ft:
-            return replace(res, flowed=ft, iterations=iters)
-        ft = contracted
+            key = (ft.topology.edges, ft.edge_flows)
+            if key not in memo:
+                found = _settle_two_branch(ft, b, alpha, w, memo)
+                memo[key] = (minimize(ft, b, alpha, trace) if found is None
+                             else _done(trace, found))
+            res = memo[key]
+            iters += res.iterations
+            contracted, cluster = detect_collapse(ft, res.placement)
+            if contracted is ft:
+                return replace(res, flowed=ft, iterations=iters, lift=lift)
+        ft, lift = contracted, tuple(cluster[v] for v in lift)

@@ -7,6 +7,7 @@ report.
 from __future__ import annotations
 
 from .currents import Boundary, PolyhedralChain
+from .fileio import _checked, _entries, _number, obj_to_boundary, obj_to_chain
 
 _W = 640
 _PAD = 40.0
@@ -72,10 +73,13 @@ def render_svg(chains: list[PolyhedralChain], b: Boundary, alpha: float) -> str:
 
 def render_report_svg(report_obj: dict, index: int | None = None) -> str:
     """Render minimizers from a report JSON object (all, or a single index)."""
-    from .fileio import obj_to_boundary, obj_to_chain
-    b = obj_to_boundary(report_obj["boundary"])
-    minis = report_obj["minimizers"]
+    b = obj_to_boundary(_checked(report_obj["boundary"], dict, "key 'boundary'"))
+    minis = _entries(report_obj, "minimizers")
     if index is not None:
+        if not -len(minis) <= index < len(minis):
+            raise ValueError(f"index {index} is out of range for "
+                             f"{len(minis)} minimizers")
         minis = [minis[index]]
-    chains = [obj_to_chain(m["chain"]) for m in minis]
-    return render_svg(chains, b, float(report_obj["alpha"]))
+    chains = [obj_to_chain(_checked(m["chain"], dict, "key 'chain'"))
+              for m in minis]
+    return render_svg(chains, b, _number("key 'alpha'", report_obj["alpha"]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .fileio import _number, parse_rational
+from .fileio import _checked, _number, parse_rational
 from .perturb import (_scalar_margins, estimate_k0, estimate_rho,
                       four_point_instance, local4_solve)
 
@@ -47,7 +47,8 @@ class SweepSpec:
         so a fractional count, a boolean or a zero denominator raises
         ``ValueError`` naming its key instead of being truncated."""
         return SweepSpec(
-            alphas=tuple(_number("key 'alphas'", a) for a in obj["alphas"]),
+            alphas=tuple(_number("key 'alphas'", a)
+                         for a in _checked(obj["alphas"], list, "key 'alphas'")),
             n_instances=_number("key 'n_instances'", obj.get("n_instances", 20),
                                 integral=True),
             k=(None if obj.get("k") is None

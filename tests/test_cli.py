@@ -1,4 +1,5 @@
 """CLI surface: exit codes, report determinism, file round-trips, sweep log."""
+import csv
 import json
 import re
 from fractions import Fraction as F
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from gsteiner import SolverConfig, cli, fileio
-from gsteiner.sweep import SweepSpec, _cell, run_sweep
+from gsteiner import SolverConfig, cli, fileio, svg
+from gsteiner.currents import PolyhedralChain, Segment, make_boundary
+from gsteiner.sweep import SweepSpec, _cell, append_log, run_sweep
 
 SQUARE = {
     "dim": 2, "alpha": 0.95,
@@ -533,3 +535,111 @@ def test_theta_refused_with_its_key(tmp_path, capsys, value, why):
     assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
     assert capsys.readouterr().err.count(f"key 'theta' {why}") == 2
     assert not log.exists()
+
+
+# JSON of the wrong shape where an object or a list is read: (command,
+# file contents, key the message names)
+REPORT = {"alpha": 0.95, "boundary": SQUARE, "minimizers": 5}
+
+
+@pytest.mark.parametrize("command,body,key", [
+    ("solve", dict(SQUARE, config=5), "key 'config' must be an object"),
+    ("solve", dict(SQUARE, config=[["value_tol", 1]]),
+     "key 'config' must be an object"),
+    ("solve", dict(SQUARE, atoms=5), "key 'atoms' must be a list"),
+    ("solve", dict(SQUARE, atoms=[5, 6]),
+     "an entry of key 'atoms' must be an object"),
+    ("solve", [SQUARE], "must be an object, not a list"),
+    ("local4", [FOUR], "must be an object, not a list"),
+    ("flat-norm", [SQUARE], "must be an object, not a list"),
+    ("sweep", dict(SWEEP, alphas=0.5), "key 'alphas' must be a list"),
+    ("plot", REPORT, "key 'minimizers' must be a list"),
+], ids=["config-number", "config-pairs", "atoms-number", "atoms-numbers",
+        "solve-list", "local4-list", "flat-norm-list", "sweep-alphas",
+        "plot-minimizers"])
+def test_json_of_the_wrong_shape_exit_code(tmp_path, capsys, command, body,
+                                           key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    out = str(tmp_path / "out")
+    argv = {"solve": ["solve", "--input", str(path)],
+            "local4": ["local4", "--input", str(path), "--alpha", "0.5"],
+            "flat-norm": ["flat-norm", str(path)],
+            "sweep": ["sweep", str(path), "--out", out],
+            "plot": ["plot", str(path), "--svg", out]}[command]
+    assert cli.main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("exc", [
+    cli.InternalConsistencyError("two minimizers share their support"),
+    AssertionError("degree-1 branch vertex with nonzero flow")])
+def test_internal_invariant_failure_exit_code(monkeypatch, capsys, exc):
+    def failing(args):
+        raise exc
+    monkeypatch.setitem(cli._DISPATCH, "estimate-k0", failing)
+    assert cli.main(["estimate-k0", "--alpha", "0.5"]) == 2
+    assert capsys.readouterr().err == f"internal invariant failure: {exc}\n"
+
+
+def read_rows(path):
+    """The CSV log's rows without their timestamps."""
+    with open(path, newline="") as fh:
+        return [{k: v for k, v in row.items() if k != "timestamp"}
+                for row in csv.DictReader(fh)]
+
+
+def test_sweep_seed_flag_overrides_the_spec(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(SWEEP, n_instances=2)))
+    flagged, want, plain = (tmp_path / f"{name}.csv"
+                            for name in ("flagged", "want", "plain"))
+    assert cli.main(["sweep", str(spec), "--out", str(flagged),
+                     "--seed", "7"]) == 0
+    append_log(run_sweep(SweepSpec.from_obj(dict(SWEEP, n_instances=2,
+                                                 seed=7))), str(want))
+    assert cli.main(["sweep", str(spec), "--out", str(plain)]) == 0
+    assert read_rows(flagged) == read_rows(want)
+    assert read_rows(flagged) != read_rows(plain)
+
+
+def test_plot_index_draws_one_minimizer(square_file, tmp_path):
+    # README's square has two minimizers of two segments each
+    report = tmp_path / "report.json"
+    assert cli.main(["solve", "--input", square_file,
+                     "--report", str(report)]) == 0
+    counts = []
+    for index in ([], ["--index", "1"]):
+        svg = tmp_path / "plot.svg"
+        assert cli.main(["plot", str(report), "--svg", str(svg), *index]) == 0
+        counts.append(svg.read_text().count("<line"))
+    assert counts == [4, 2]
+    assert cli.main(["plot", str(report), "--svg", str(tmp_path / "no.svg"),
+                     "--index", "2"]) == 1
+    assert not (tmp_path / "no.svg").exists()
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: fileio.parse_rational("3/x"), "must be strings like '3/4'"),
+    (lambda: fileio.obj_to_boundary(dict(SQUARE, dim=3)),
+     "atom coordinates disagree with the declared dim"),
+    (lambda: fileio.parse_instance(dict(SQUARE, alpha=1.5)),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: fileio.parse_instance(dict(SQUARE, alpha=0)),
+     r"alpha must lie in \(0, 1\]"),
+], ids=["rational", "dim", "alpha-1.5", "alpha-0"])
+def test_fileio_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: svg.render_svg(
+        [PolyhedralChain((Segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), F(1)),))],
+        make_boundary([((0.0, 0.0, 0.0), F(-1)), ((1.0, 0.0, 0.0), F(1))]),
+        0.5), "dimension 2 only"),
+], ids=["3-D"])
+def test_svg_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

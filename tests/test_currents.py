@@ -352,3 +352,27 @@ def test_three_dimensional_chain():
     assert len(c.segments) == 1
     assert alpha_mass(c, 0.5) == pytest.approx(math.sqrt(2) * 6.0)
     assert boundary(c).as_dict() == {(0.0, 0.0, 0.0): F(-2), (2.0, 4.0, 4.0): F(2)}
+
+
+UNIT = canonicalize(chain_of([seg((0, 0), (1, 0), 1)]))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: currents.Segment((0.0, 0.0), (1.0, 0.0, 0.0), F(1)),
+     "mismatched dimension"),
+    (lambda: currents.Segment((1.0, 0.0), (1.0, 0.0), F(1)),
+     r"degenerate segment \(start == end\)"),
+    (lambda: currents.Segment((0.0, 0.0), (1.0, 0.0), F(0)),
+     "zero multiplicity"),
+    (lambda: chain_of([seg((0, 0), (1, 0), 1), seg((0, 0, 0), (0, 1, 0), 1)]),
+     "mixed dimensions in chain"),
+    (lambda: currents.Boundary((((0.0, 0.0), F(1)), ((0.0, 0.0), F(-1)))),
+     "duplicate atom points"),
+    (lambda: currents.Boundary((((0.0, 0.0), F(0)),)), "zero-mass atom"),
+    (lambda: alpha_mass(UNIT, 0.0), r"alpha must lie in \(0, 1\]"),
+    (lambda: alpha_mass(UNIT, 1.5), r"alpha must lie in \(0, 1\]"),
+], ids=["segment-dims", "segment-degenerate", "segment-zero", "chain-dims",
+        "boundary-duplicate", "boundary-zero", "alpha-0", "alpha-1.5"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

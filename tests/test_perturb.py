@@ -292,3 +292,41 @@ def test_end_to_end_records_an_inadmissible_radius(square_boundary):
     assert exp.final_unique()
     assert not end_to_end_uniqueness(square_boundary, 0.6, k,
                                      radii=[2.0]).final_unique()
+
+
+def y_chain_beside_a_segment():
+    """A segment on the x-axis, and a Y whose branch point lies 0.05 above
+    the segment's midpoint."""
+    return canonicalize(chain_of([
+        ((0.0, 0.0), (4.0, 0.0), F(1)), ((2.0, 2.0), (2.0, 0.05), F(2)),
+        ((2.0, 0.05), (1.0, 1.0), F(1)), ((2.0, 0.05), (3.0, 1.0), F(1))]))
+
+
+def two_segments():
+    """A segment on the x-axis, and one that starts 0.05 above its midpoint."""
+    return canonicalize(chain_of([((0.0, 0.0), (4.0, 0.0), F(1)),
+                                  ((2.0, 0.05), (2.0, 1.0), F(1))]))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: PerturbationSpec(unit_segment_chain(), ((0.5, 0.0),), 0, 0.1),
+     "k must be a positive integer"),
+    (lambda: PerturbationSpec(chain_of([((0.0, 0.0), (1.0, 0.0), F(1))]),
+                              ((0.5, 0.0),), 2, 0.1), "chain must be canonical"),
+    (lambda: PerturbationSpec(two_segments(), ((2.0, 0.0),), 2, 0.1),
+     "ball meets supp"),
+    (lambda: PerturbationSpec(y_chain_beside_a_segment(), ((2.0, 0.0),), 2,
+                              0.1), "ball meets a branch point"),
+    (lambda: LocalFourPointInstance((-4.0, 0.0), (-1.0, 0.0), (1.0, 0.0),
+                                    (4.0, 0.0), F(1), 1), "k must be at least 2"),
+    (lambda: LocalFourPointInstance((-4.0, 0.0), (-1.0, 0.0), (-1.0, 0.0),
+                                    (4.0, 0.0), F(1), 6),
+     "the four points must be distinct"),
+    (lambda: estimate_k0(0.0), r"alpha must lie in \(0, 1\)"),
+    (lambda: estimate_k0(1.0), r"alpha must lie in \(0, 1\)"),
+], ids=["spec-k", "spec-not-canonical", "ball-meets-atom",
+        "ball-meets-branch-point", "four-point-k", "four-point-repeated",
+        "k0-alpha-0", "k0-alpha-1"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

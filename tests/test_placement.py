@@ -10,15 +10,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsteiner import placement
-from gsteiner.currents import make_boundary, support_difference_mass
-from gsteiner.perturb import (_local4_candidates, four_point_instance,
-                              local4_solve)
+from gsteiner.currents import (canonicalize, make_boundary,
+                               support_difference_mass)
+from gsteiner.perturb import (PerturbationSpec, _local4_candidates,
+                              estimate_k0, four_point_instance, local4_solve,
+                              perturb)
 from gsteiner.placement import (TOL_COLLAPSE, TOL_GRAD, OptimizedTopology,
                                 Placement, _settled_stars, detect_collapse,
                                 dual_bound, energy, lower_bounds, minimize,
                                 optimize_topology, realize_chain,
                                 stationarity_residual)
-from gsteiner.solver import SolverConfig, solve
+from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
 from gsteiner.topology import (SteinerTopology, assign_flows, contract,
                                enumerate_topologies)
@@ -179,7 +181,7 @@ def test_collapsed_residual_uses_ball_reduction():
 def test_detect_collapse_noop_when_separated(v_boundary):
     ft = y_topology(v_boundary)
     res = minimize(ft, v_boundary, 0.75)
-    assert detect_collapse(ft, res.placement) is ft
+    assert detect_collapse(ft, res.placement)[0] is ft
 
 
 def test_detect_collapse_leaves_a_cycle_to_canonicalization():
@@ -194,7 +196,7 @@ def test_detect_collapse_leaves_a_cycle_to_canonicalization():
     assert all(ft.edge_flows)
     pl = Placement(tuple(p for p, _ in b.atoms),
                    ((1.0, 1.0), (2.5, 1.5), (0.0, 0.0)))
-    assert detect_collapse(ft, pl) is ft
+    assert detect_collapse(ft, pl)[0] is ft
 
 
 def test_detect_collapse_keeps_two_close_atoms_apart():
@@ -206,7 +208,7 @@ def test_detect_collapse_keeps_two_close_atoms_apart():
     pl = Placement(tuple(p for p, _ in b.atoms), ((7.5e-8, 0.0),))
     assert all(math.dist(p, pl.branch[0]) <= TOL_COLLAPSE
                for p in pl.terminals[:2])
-    out = detect_collapse(ft, pl)
+    out, _ = detect_collapse(ft, pl)
     assert out.topology.n_branch == 0
     assert out.topology.edges == ((0, 1), (0, 2))
     assert out.edge_flows == (F(1), F(-2))
@@ -486,7 +488,7 @@ def test_optimized_topology_is_a_fixed_point_of_detect_collapse(
     contracted = 0
     for _, _, optima, _ in six_atom_optima:
         for ft, opt in optima:
-            assert detect_collapse(opt.flowed, opt.placement) is opt.flowed
+            assert detect_collapse(opt.flowed, opt.placement)[0] is opt.flowed
             contracted += opt.flowed is not ft
     assert contracted > 0
 
@@ -505,7 +507,8 @@ def kernel_minimize(ft, b, alpha):
     pl = Placement(terminals, tuple(tuple(x) for x in pos))
     res = stationarity_residual(ft, pl, alpha)
     return OptimizedTopology(ft, pl, energy(ft, pl, alpha), res, iters,
-                             res <= TOL_GRAD)
+                             res <= TOL_GRAD, tuple(range(len(terminals)
+                                                          + len(pos))))
 
 
 def kernel_only_optimize(ft, b, alpha):
@@ -514,7 +517,7 @@ def kernel_only_optimize(ft, b, alpha):
     returns its input."""
     while True:
         res = kernel_minimize(ft, b, alpha)
-        contracted = detect_collapse(ft, res.placement)
+        contracted, _ = detect_collapse(ft, res.placement)
         if contracted is ft:
             return replace(res, flowed=ft)
         ft = contracted
@@ -850,6 +853,81 @@ def test_lab_cells_settle_without_the_kernel(monkeypatch):
     assert len(tried) >= 2 * len(cells)
 
 
+def test_dented_square_collinear_tie_settles_on_its_merged_star(
+        square_boundary, monkeypatch):
+    # the square dented at radius 0.05, as in the uniqueness-square
+    # benchmark: atoms 0-3 lie on the line x = 0.  Merging the branch
+    # vertices of this topology gives a star over those four atoms with a
+    # tie along the line, which Newton gives up to the kernel.  The settle
+    # optimizes that star like any topology, lifts it and certifies it, so
+    # the kernel runs once, on the star, and never on the topology itself
+    cfg = SolverConfig(alpha=0.6)
+    base = solve(square_boundary, cfg)
+    _, b = perturb(PerturbationSpec(base.minimizers[0].chain,
+                                    magic_points(base, 0),
+                                    estimate_k0(0.6) + 1, 0.05))
+    assert all(p[0] == 0.0 for p, _ in b.atoms[:4])
+    (ft,) = [ft for ft in two_branch(enumerate_topologies(b))
+             if ft.topology.edges == ((0, 6), (1, 7), (2, 6), (3, 7), (4, 5),
+                                      (6, 7))]
+    kernel_runs, settles = [], []
+    real_kernel, real_settle = placement._run_kernel, placement._settle_two_branch
+
+    def kernel(ft, *args):
+        kernel_runs.append(ft)
+        return real_kernel(ft, *args)
+
+    def settle(ft, *args):
+        settles.append((ft, real_settle(ft, *args)))
+        return settles[-1][1]
+    with monkeypatch.context() as patch:
+        patch.setattr(placement, "_run_kernel", kernel)
+        patch.setattr(placement, "_settle_two_branch", settle)
+        got = optimize_topology(ft, b, cfg.alpha)
+    assert [k.topology.n_branch for k in kernel_runs] == [1]
+    assert [found is not None for f, found in settles if f is ft] == [True]
+    want = kernel_only_optimize(ft, b, cfg.alpha)
+    assert got.flowed == want.flowed
+    assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+
+
+def assert_lifts(ft, res, alpha):
+    """``res.lift`` realizes ``res`` on ``ft``: the terminals stay, and every
+    vertex at its image's position gives the result's chain, at an energy
+    not below its value (parallel edges that combined may cost more apart).
+    Returns whether any branch vertex moved to another label."""
+    n = ft.topology.n_terminals
+    assert len(res.lift) == n + ft.topology.n_branch
+    assert res.lift[:n] == tuple(range(n))
+    pl = res.placement
+    lifted = Placement(pl.terminals,
+                       tuple(pl.position(c) for c in res.lift[n:]))
+    tol = SolverConfig(alpha=alpha).distinct_tol
+    assert support_difference_mass(
+        canonicalize(realize_chain(ft, lifted)),
+        canonicalize(realize_chain(res.flowed, pl)), tol) <= tol
+    assert energy(ft, lifted, alpha) >= res.value - 1e-12 * (1.0 + res.value)
+    return res.lift != tuple(range(len(res.lift)))
+
+
+def test_lift_realizes_the_result_on_the_given_topology(six_atom_optima):
+    cells = build_cells(SweepSpec(alphas=(0.5, 0.6, 0.75), n_instances=4,
+                                  rho=0.05, seed=3))
+    assert len(cells) == 12
+    contracted = 0
+    for alpha, k, _, _, _, disp, theta in cells:
+        b = four_point_instance(k, disp, theta).boundary()
+        memo = {}
+        for _, ft in _local4_candidates(tuple(m for _, m in b.atoms),
+                                        ("A", "B", "C", "D")):
+            contracted += assert_lifts(
+                ft, optimize_topology(ft, b, alpha, memo=memo), alpha)
+    for _, alpha, optima, _ in six_atom_optima:
+        for ft, res in optima:
+            contracted += assert_lifts(ft, res, alpha)
+    assert contracted > 0
+
+
 # the stage solver of d != 2 before the Newton steps, kept as their reference
 def _sweeps_nd(pos, incident, e2, budget, tol):
     """Gauss-Seidel Weiszfeld sweeps in any dimension: each branch vertex in
@@ -923,3 +1001,31 @@ def test_newton_solve_matches_reference_sweep_solve(bench_instances,
                 got.chain, want.chain, cfg.distinct_tol) <= cfg.distinct_tol
         assert new.gap == pytest.approx(ref.gap, rel=1e-7, abs=1e-7)
     assert stages
+
+
+V = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)),
+                   ((1.0, -0.3), F(1))])
+SQUARE = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
+                        ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: minimize(y_topology(V), V, 0.0), r"alpha must lie in \(0, 1\]"),
+    (lambda: minimize(y_topology(V), V, 1.5), r"alpha must lie in \(0, 1\]"),
+    (lambda: minimize(y_topology(V), SQUARE, 0.5),
+     "boundary does not match topology terminal count"),
+    (lambda: lower_bounds([y_topology(V)], V, 0.0),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: lower_bounds([y_topology(V)], V, 1.5),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: lower_bounds([y_topology(V)], SQUARE, 0.5),
+     "boundary does not match topology terminal count"),
+    (lambda: dual_bound(y_topology(V), Placement(
+        tuple(p for p, _ in V.atoms), ((0.0, 0.0),)), 0.5),
+     "a zero-length edge needs eps > 0"),
+], ids=["minimize-alpha-0", "minimize-alpha-1.5", "minimize-terminals",
+        "bounds-alpha-0", "bounds-alpha-1.5", "bounds-terminals",
+        "dual-zero-length"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

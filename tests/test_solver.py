@@ -381,3 +381,29 @@ def test_brute_force_guard():
         [((float(i), 0.0), F(1)) for i in range(1, 5)] + [((0.0, 0.0), F(-4))])
     with pytest.raises(ValueError):
         brute_force_value(b, 0.5)
+
+
+SQUARE = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
+                        ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SolverConfig(alpha=0.0), r"alpha must lie in \(0, 1\]"),
+    (lambda: SolverConfig(alpha=1.5), r"alpha must lie in \(0, 1\]"),
+    (lambda: SolverConfig(alpha=0.5, value_tol=0.0),
+     "tolerances must be positive"),
+    (lambda: SolverConfig(alpha=0.5, distinct_tol=-1e-5),
+     "tolerances must be positive"),
+    (lambda: solve(make_boundary([((0.0, 0.0), F(1))]),
+                   SolverConfig(alpha=0.5)), "at least 2 atoms"),
+    (lambda: magic_points(SolveReport(SQUARE, 0.5, 2.0, (), math.inf, 1e-5,
+                                      {})), "report has no minimizers"),
+    (lambda: quantize_chain(chain_of([((0.0, 0.0), (1.0, 0.0), F(1))]), 0),
+     "eta must be positive"),
+    (lambda: quantize_chain(chain_of([((0.0, 0.0), (1.0, 0.0), F(1))]),
+                            F(-1, 2)), "eta must be positive"),
+], ids=["alpha-0", "alpha-1.5", "value-tol", "distinct-tol", "one-atom",
+        "no-minimizers", "eta-0", "eta-negative"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

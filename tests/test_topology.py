@@ -689,3 +689,25 @@ def test_cycles_are_rejected(masses, m, edges):
     for flows in (assign_flows, leaf_stripping_flows):
         with pytest.raises(AssertionError, match="cycle"):
             flows(t, b)
+
+
+TRIANGLE = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)),
+                          ((1.0, -0.3), F(1))])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SteinerTopology(3, 2, ((0, 3), (1, 3), (2, 4), (3, 4)),
+                             (F(-2), F(1), F(1))),
+     r"too many branch vertices \(bound is n - 2\)"),
+    (lambda: SteinerTopology(3, 1, ((3, 0), (1, 3), (2, 3)),
+                             (F(-2), F(1), F(1))),
+     "edge endpoints out of range or unordered"),
+    (lambda: list(enumerate_topologies(make_boundary([((0.0, 0.0), F(1))]))),
+     "at least 2 atoms"),
+    (lambda: assign_flows(SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)),
+                                          (F(-1), F(1), F(0))), TRIANGLE),
+     "terminal masses do not match"),
+], ids=["branch-count", "unordered-edge", "one-atom", "masses"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
