@@ -309,10 +309,16 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassificat
     values: dict[str, float] = {}
     evaluated: list[tuple[float, str, PolyhedralChain]] = []
     memo: dict = {}
+    # several candidates contract onto one result, and ``memo`` fixes the
+    # placement of a result's edges and flows, so its chain is evaluated once
+    results: dict = {}
     for case, ft in _local4_candidates(tuple(m for _, m in b.atoms), roles):
         opt = optimize_topology(ft, b, alpha, memo=memo)
-        chain = canonicalize(realize_chain(opt.flowed, opt.placement))
-        value = alpha_mass(chain, alpha)
+        key = (opt.flowed.topology.edges, opt.flowed.edge_flows)
+        if key not in results:
+            chain = canonicalize(realize_chain(opt.flowed, opt.placement))
+            results[key] = (alpha_mass(chain, alpha), chain)
+        value, chain = results[key]
         if case not in values or value < values[case]:
             values[case] = value
         evaluated.append((value, case, chain))

@@ -9,8 +9,8 @@ the mass on the higher endpoint's side.
 One generator, :func:`_flowed_forests`, builds every flowed forest: it
 splits the atoms into *balanced* blocks (total mass zero, at least two
 atoms), gives each block a tree from a per-size shape table, and reads each
-edge's flow from the block's subset sums.  A shape with a zero-flow edge is
-not built.  Two shape tables feed it:
+edge's flow from the boundary's subset sums.  A shape with a zero-flow edge
+is not built.  Two shape tables feed it:
 
 * :func:`_full_shapes`, the full trees (terminals are leaves, s - 2 branch
   vertices of degree 3 on a block of s terminals).  The (2s - 5)!! full
@@ -36,6 +36,28 @@ splits-equivalence theorem: P. Buneman 1971; Semple & Steel,
 a canonical key that needs no search over branch relabelings; the flows
 follow from the masses.
 
+Everything the generator reads is an exact table over integer bitmasks
+(bit i for terminal slot or atom i), built on first use and kept:
+
+* per block size s, each shape with, per edge, the mask of the terminal
+  slots on its side away from slot 0 (its split) and which endpoint lies on
+  that side.  Full shapes carry these through Smith's insertion
+  (:func:`_full_splits`).  Inserting terminal s - 1, with bit b, on an edge
+  whose far side holds the slot set f puts a new branch vertex on that
+  edge: the far half keeps f, the near half gets f | b, the new leaf edge
+  gets b alone, and every other edge whose far mask contains f gets b as
+  well (those edges lie between slot 0 and the insertion).  Forest shapes
+  get their splits from one DFS per shape (:func:`_splits`).
+* per atom count, the partitions into blocks of two or more
+  (:func:`_partitions`), with each block's atom mask.
+* per call, the total mass of every subset of the atoms, one exact
+  Fraction per atom mask.  A block is balanced, and an edge flowless,
+  exactly when its mask's sum is zero, and an edge's flow is the sum of
+  its higher endpoint's side.  A block's slot masks map to atom masks in
+  increasing atom order, so its root, the lowest atom, is slot 0, and its
+  shapes' splits map straight into the forest's signature, which every
+  generated forest carries.
+
 One routine, :func:`contract`, merges vertices of a flowed forest, for the
 forest shapes, :func:`assign_flows` and collapse handling alike.  Gilbert's
 "at most one minimum network per topology" holds once degenerate vertices
@@ -48,7 +70,7 @@ instance size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -90,6 +112,9 @@ class FlowedTopology:
     """
     topology: SteinerTopology
     edge_flows: tuple[Fraction, ...]
+    # the signature as :func:`_flowed_forests` read it from its tables; no
+    # part of equality, hashing or repr
+    _signature: tuple | None = field(default=None, compare=False, repr=False)
 
     def signature(self) -> tuple:
         """Canonical key, invariant under branch-vertex relabeling.
@@ -97,8 +122,12 @@ class FlowedTopology:
         ``(n, m, component masks, split masks)``, both mask tuples sorted
         (see :func:`_splits`).  The masks determine the forest, and the
         masses its flows; ``m`` is implied too, but kept second so that
-        ``repr`` of the key orders topologies by branch count first.
+        ``repr`` of the key orders topologies by branch count first.  A
+        forest from :func:`_flowed_forests` carries its key; any other one
+        gets it from one DFS.
         """
+        if self._signature is not None:
+            return self._signature
         t = self.topology
         components, splits, _ = _splits(t.n_terminals, t.edges)
         return (t.n_terminals, t.n_branch, tuple(sorted(components)),
@@ -163,24 +192,45 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
 
 
 @lru_cache(maxsize=None)
-def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
-    """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots.
+def _full_splits(s: int) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...],
+                                         tuple[int, ...]], ...]:
+    """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots,
+    each as (edges, far masks, signs): per edge, the mask of the terminal
+    slots on its side away from slot 0, and +1 when that side holds the
+    edge's higher endpoint, -1 when it holds the lower one, as
+    :func:`_splits` returns them.
 
     Smith insertion: each full tree on the first s - 1 terminals has its
-    branch slots shifted up by one, and terminal s - 1 is attached to a new
-    branch slot 2s - 3 that subdivides one of its 2s - 5 edges.
+    branch slots shifted up by one, which keeps every edge's orientation,
+    and terminal s - 1 is attached to a new branch slot w = 2s - 3 that
+    subdivides one of its 2s - 5 edges, (x, y) with far mask f and x on the
+    far side.  The far half (x, w) keeps f, the near half (y, w) gets f plus
+    the new bit, the leaf edge only the bit, and every other edge whose far
+    side holds f's terminals gets the bit too: in a full tree every far
+    side holds a terminal, so such an edge lies between slot 0 and (x, y).
     """
     if s == 2:
-        return (((0, 1),),)
-    w = 2 * s - 3
-    shapes = []
-    for shape in _full_shapes(s - 1):
-        shifted = [(u if u < s - 1 else u + 1, v if v < s - 1 else v + 1)
-                   for u, v in shape]
-        for i, (u, v) in enumerate(shifted):
-            shapes.append(tuple(sorted(
-                shifted[:i] + shifted[i + 1:] + [(u, w), (v, w), (s - 1, w)])))
-    return tuple(shapes)
+        return ((((0, 1),), (0b10,), (1,)),)
+    t, w, bit = s - 1, 2 * s - 3, 1 << (s - 1)
+    out = []
+    for shape, far, signs in _full_splits(s - 1):
+        rows = [((u if u < t else u + 1, v if v < t else v + 1), f, sign)
+                for (u, v), f, sign in zip(shape, far, signs)]
+        for i, ((u, v), fi, sign) in enumerate(rows):
+            x, y = (v, u) if sign > 0 else (u, v)
+            new = [(e, f | bit if f & fi == fi else f, g)
+                   for j, (e, f, g) in enumerate(rows) if j != i]
+            new += [((x, w), fi, -1), ((y, w), fi | bit, 1), ((t, w), bit, -1)]
+            new.sort()
+            out.append(tuple(zip(*new)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
+    """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots,
+    the edges of :func:`_full_splits`."""
+    return tuple(shape for shape, _, _ in _full_splits(s))
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +246,7 @@ def _forest_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
     they were, so each contraction's key is known before it is built.
     """
     shapes: dict[tuple[int, ...], tuple[Edge, ...]] = {}
-    for full in _full_shapes(s):
-        splits = _splits(s, full)[1]
+    for full, splits, _ in _full_splits(s):
         unit = FlowedTopology(SteinerTopology(s, s - 2, full, (0,) * s),
                               (1,) * len(full))
         for bits in range(1 << len(full)):
@@ -213,40 +262,15 @@ def _forest_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _sides(shapes, s: int
-           ) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...]], ...]:
-    """Per shape of ``shapes(s)`` (full or forest shapes), the shape and, per
-    edge, the bitmask of the terminal slots on its higher endpoint's side."""
-    full = (1 << s) - 1
-    out = []
-    for shape in shapes(s):
-        _, splits, signs = _splits(s, shape)
-        out.append((shape, tuple(side if sign > 0 else full ^ side
-                                 for side, sign in zip(splits, signs))))
-    return tuple(out)
-
-
-def _flowing_shapes(masses: tuple[Fraction, ...], shapes
-                    ) -> list[tuple[tuple[Edge, ...], tuple[Fraction, ...]]]:
-    """The shapes of ``shapes(len(masses))`` on a balanced block in which
-    every edge carries flow, each with its flows in edge order.
-
-    The flow from an edge's lower endpoint to its higher one is the total
-    mass on the higher endpoint's side (:func:`_sides`), so an edge is
-    flowless exactly when it splits the block into two balanced parts.  A
-    leaf edge carries its atom's nonzero mass.
-    """
-    s = len(masses)
-    sums = [Fraction(0)] * (1 << s)
-    for mask in range(1, 1 << s):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
-    out = []
-    for shape, sides in _sides(shapes, s):
-        flows = tuple(sums[side] for side in sides)
-        if all(flows):
-            out.append((shape, flows))
-    return out
+def _sides(shapes, s: int) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...],
+                                          tuple[int, ...]], ...]:
+    """Per shape of ``shapes(s)`` (full or forest shapes), (edges, far
+    masks, signs) as :func:`_full_splits` gives them.  Full shapes carry
+    theirs from insertion; a forest shape gets them from one DFS."""
+    if shapes is _full_shapes:
+        return _full_splits(s)
+    return tuple((shape, *map(tuple, _splits(s, shape)[1:]))
+                 for shape in shapes(s))
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +294,80 @@ def _join(n: int, blocks, shapes) -> tuple[int, list[Edge]]:
     return next_branch - n, edges
 
 
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...],
+                                       tuple[int, ...]], ...]:
+    """The partitions of the atoms 0..n-1 into blocks of two or more, in
+    :func:`_set_partitions` order, each as its blocks (sorted tuples, in
+    sorted order) and their atom masks, sorted."""
+    out = []
+    for partition in _set_partitions(tuple(range(n))):
+        if all(len(blk) >= 2 for blk in partition):
+            blocks = tuple(sorted(tuple(sorted(blk)) for blk in partition))
+            out.append((blocks, tuple(sorted(sum(1 << i for i in blk)
+                                             for blk in blocks))))
+    return tuple(out)
+
+
 def _flowed_forests(masses: tuple[Fraction, ...], shapes
                     ) -> Iterator[FlowedTopology]:
     """Every forest over a balanced partition of the atoms whose blocks
-    span shapes of ``shapes`` with flow on every edge, with its flows.
+    span shapes of ``shapes`` with flow on every edge, with its flows and
+    its signature.
 
-    Terminal i carries ``masses[i]``.  Partitions with a block of nonzero
-    total mass, or a singleton block, are skipped before any tree is built,
-    and so is every shape with a zero-flow edge (:func:`_flowing_shapes`).
-    Partitions come in :func:`_set_partitions` order, and per partition the
-    shape combinations in product order.  The stream is deterministic.
+    Terminal i carries ``masses[i]``.  One table holds the total mass of
+    every subset of the atoms, by bitmask.  Partitions with a block of
+    nonzero total mass, or a singleton block, are skipped before any tree
+    is built.  A block's terminal slots map to its atoms in increasing
+    order, so a slot mask maps to an atom mask, and the flow from an edge's
+    lower endpoint to its higher one is the table's entry for the higher
+    endpoint's side (:func:`_sides`).  A shape with a zero-flow edge, one
+    that splits its block into two balanced parts, is not built; the
+    flowing shapes of a block are found once per call.  A block's root is
+    its lowest atom, slot 0, so its shapes' splits map over into the
+    forest's signature.  Partitions come in :func:`_set_partitions` order,
+    and per partition the shape combinations in product order.  The stream
+    is deterministic.  Raises ``ValueError`` when the masses do not sum to
+    zero.
     """
     n = len(masses)
-    for partition in _set_partitions(tuple(range(n))):
-        blocks = sorted(tuple(sorted(blk)) for blk in partition)
-        if any(len(blk) < 2 or sum(masses[i] for i in blk) != 0
-               for blk in blocks):
+    sums = [Fraction(0)] * (1 << n)  # atom mask -> total mass
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
+    balanced = {mask for mask, total in enumerate(sums) if not total}
+    if len(sums) - 1 not in balanced:
+        raise ValueError(
+            "boundary has nonzero total mass; no transport path exists")
+    flowing: dict[tuple[int, ...], list] = {}
+
+    def shapes_of(blk: tuple[int, ...]) -> list:
+        if blk not in flowing:
+            atom = [0] * (1 << len(blk))  # slot mask -> atom mask
+            for mask in range(1, len(atom)):
+                low = mask & -mask
+                atom[mask] = atom[mask ^ low] | 1 << blk[low.bit_length() - 1]
+            full = len(atom) - 1
+            flowless = {side for side, mask in enumerate(atom)
+                        if mask in balanced}
+            flowing[blk] = [
+                (shape, tuple(sums[atom[far if sign > 0 else full ^ far]]
+                              for far, sign in zip(splits, signs)),
+                 [atom[far] for far in splits])
+                for shape, splits, signs in _sides(shapes, len(blk))
+                if flowless.isdisjoint(splits)]
+        return flowing[blk]
+
+    for blocks, components in _partitions(n):
+        if not balanced.issuperset(components):
             continue
-        for combo in itertools.product(*(
-                _flowing_shapes(tuple(masses[i] for i in blk), shapes)
-                for blk in blocks)):
-            block_shapes, flows = zip(*combo)
+        for combo in itertools.product(*map(shapes_of, blocks)):
+            block_shapes, flows, splits = zip(*combo)
             m, edges = _join(n, blocks, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
-            yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows)
+            yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows,
+                                 (n, m, components,
+                                  tuple(sorted(itertools.chain(*splits)))))
 
 
 def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
@@ -305,7 +379,8 @@ def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
     block into two balanced parts, and dropping it leaves a full topology
     of that finer partition, which is yielded on its own.  Every yielded
     topology is therefore what :func:`assign_flows` makes of it, and no two
-    share a signature.
+    share a signature.  Raises ``ValueError`` when ``b`` has fewer than two
+    atoms or a nonzero total mass.
     """
     if len(b.atoms) < 2:
         raise ValueError("boundary must have at least 2 atoms")

@@ -1,15 +1,21 @@
-"""The unflowed forest stream, the tests' reference for the flowed generator.
+"""References for the flowed generator ``topology._flowed_forests``.
 
-``all_forests`` builds every forest from the same partitions, shapes and
-joins as ``topology._flowed_forests`` over ``_forest_shapes``, but skips no
-block and no shape for its masses: flows come afterwards, one forest at a
-time, from ``assign_flows``, which rejects unbalanced components and drops
-zero-flow edges.
+``all_forests`` is the unflowed forest stream: every forest from the same
+partitions, shapes and joins as ``_flowed_forests`` over ``_forest_shapes``,
+but skipping no block and no shape for its masses.  Flows come afterwards,
+one forest at a time, from ``assign_flows``, which rejects unbalanced
+components and drops zero-flow edges.
+
+``flowed_forests`` is the per-block generator that the mask tables replaced:
+each block re-sums its masses, and each shape's sides come from one DFS
+(``_splits``).  Its forests carry no signature.
 """
 import itertools
+from fractions import Fraction
 
-from gsteiner.topology import (SteinerTopology, _forest_shapes, _join,
-                               _set_partitions)
+from gsteiner.topology import (FlowedTopology, SteinerTopology,
+                               _forest_shapes, _join, _set_partitions,
+                               _splits)
 
 
 def all_forests(b):
@@ -41,3 +47,39 @@ def shrank(topo, ft):
     support."""
     return (len(ft.topology.edges), ft.topology.n_branch) != \
         (len(topo.edges), topo.n_branch)
+
+
+def _flowing_shapes(masses, shapes):
+    """The shapes of ``shapes(len(masses))`` with flow on every edge on a
+    balanced block of ``masses``, each with its flows in edge order: the
+    flow on an edge is the mass on its higher endpoint's side."""
+    s = len(masses)
+    full = (1 << s) - 1
+    out = []
+    for shape in shapes(s):
+        _, splits, signs = _splits(s, shape)
+        flows = tuple(sum((m for i, m in enumerate(masses)
+                           if (side if sign > 0 else full ^ side) >> i & 1),
+                          Fraction(0))
+                      for side, sign in zip(splits, signs))
+        if all(flows):
+            out.append((shape, flows))
+    return out
+
+
+def flowed_forests(masses, shapes):
+    """Every forest over a balanced partition whose blocks span shapes of
+    ``shapes`` with flow on every edge, in ``_flowed_forests``' order."""
+    n = len(masses)
+    for partition in _set_partitions(tuple(range(n))):
+        blocks = sorted(tuple(sorted(blk)) for blk in partition)
+        if any(len(blk) < 2 or sum(masses[i] for i in blk) != 0
+               for blk in blocks):
+            continue
+        for combo in itertools.product(*(
+                _flowing_shapes(tuple(masses[i] for i in blk), shapes)
+                for blk in blocks)):
+            block_shapes, flows = zip(*combo)
+            m, edges = _join(n, blocks, block_shapes)
+            edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
+            yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows)

@@ -279,6 +279,19 @@ def test_unbalanced_exit_code(tmp_path):
     assert cli.main(["solve", "--input", str(inst)]) == 1
 
 
+def test_enumerate_topologies_refuses_an_unbalanced_boundary(tmp_path,
+                                                              capsys):
+    inst = tmp_path / "ub.json"
+    inst.write_text(json.dumps({
+        "dim": 2,
+        "atoms": [{"p": [0.0, 0.0], "m": "-1"}, {"p": [1.0, 0.0], "m": "2"},
+                  {"p": [0.0, 1.0], "m": "-1"}, {"p": [1.0, 1.0], "m": "1"}]}))
+    assert cli.main(["enumerate-topologies", "--input", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert "boundary has nonzero total mass" in captured.err
+    assert not captured.out
+
+
 def test_flag_precedence_over_file_config(monkeypatch):
     monkeypatch.setenv("GSTEINER_VALUE_TOL", "0.25")
     cfg = fileio.build_solver_config(0.5, {}, {})

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from forest_oracle import all_forests, shrank
+from forest_oracle import all_forests, flowed_forests, shrank
 from gsteiner.currents import boundary, make_boundary
 from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
                                SteinerTopology, _flowed_forests, _forest_shapes,
-                               _full_shapes, _set_partitions, _splits,
-                               assign_flows, contract, enumerate_topologies)
+                               _full_shapes, _full_splits, _set_partitions,
+                               _splits, assign_flows, contract,
+                               enumerate_topologies)
 
 
 def line_boundary(n):
@@ -270,10 +271,10 @@ def test_zero_flow_skip_loses_no_flowed_topology():
 
 
 @st.composite
-def balanced_masses(draw):
-    """2 to 5 nonzero masses summing to zero: random fractions, or repeated
-    +-1 that make balanced sub-blocks and so zero-flow edges."""
-    n = draw(st.integers(2, 5))
+def balanced_masses(draw, max_n=5):
+    """2 to ``max_n`` nonzero masses summing to zero: random fractions, or
+    repeated +-1 that make balanced sub-blocks and so zero-flow edges."""
+    n = draw(st.integers(2, max_n))
     unit = st.sampled_from((F(-1), F(1)))
     fraction = st.fractions(-3, 3, max_denominator=4).filter(bool)
     head = draw(st.lists(draw(st.sampled_from((unit, fraction))),
@@ -297,6 +298,41 @@ def test_flowed_forests_match_assigned_unflowed_stream(masses):
             want.append(ft)
     assert list(_flowed_forests(masses, _forest_shapes)) == want
     assert list(_flowed_forests(masses, _full_shapes)) == \
+        list(enumerate_topologies(b))
+
+
+# the mask tables against the paths they replaced
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_insertion_splits_match_dfs(s):
+    for shape, splits, signs in _full_splits(s):
+        assert (list(splits), list(signs)) == _splits(s, shape)[1:]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_flowed_forests_match_per_block_generator(data):
+    for shapes, max_n in ((_full_shapes, 7), (_forest_shapes, 5)):
+        masses = data.draw(balanced_masses(max_n))
+        fts = list(_flowed_forests(masses, shapes))
+        assert fts == list(flowed_forests(masses, shapes))
+        for ft in fts:
+            assert ft._signature is not None
+            assert ft.signature() == \
+                FlowedTopology(ft.topology, ft.edge_flows).signature()
+
+
+def test_carried_signature_leaves_equality_hash_and_repr():
+    masses = (F(-1), F(1), F(-1), F(1))
+    for ft in _flowed_forests(masses, _forest_shapes):
+        bare = FlowedTopology(ft.topology, ft.edge_flows)
+        assert ft._signature is not None and bare._signature is None
+        assert ft == bare and hash(ft) == hash(bare) and repr(ft) == repr(bare)
+
+
+def test_unbalanced_boundary_is_refused():
+    b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(2))])
+    with pytest.raises(ValueError, match="nonzero total mass"):
         list(enumerate_topologies(b))
 
 
