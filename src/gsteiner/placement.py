@@ -32,6 +32,18 @@ branch vertex is snapped onto its nearest vertex whenever that strictly
 lowers the exact energy, which accelerates convergence onto collapsed
 configurations (the non-smooth minimizers these instances actually visit).
 
+The kernel ends at the first collapse it can certify.  After every stage
+but the last, the topology that :func:`detect_collapse` contracts the
+snapped placement to, the first time the run sees it, is optimized by
+:func:`optimize_topology` (with the caller's ``memo`` and ``trace``) and
+its optimum lifted back, every vertex at its image's position
+(:func:`_lift`).  When the dual bound of the kernel's own topology
+certifies the lift (:func:`_settles`, below), the schedule stops there:
+its remaining stages would only close in on that collapse.  Otherwise the
+schedule goes on.  This is the active-set view of sums of norms (Calamai &
+Conn above): a collapsed optimum is settled by contracting it and checking
+the collapsed edges' multipliers.
+
 One kernel, :func:`_run_kernel`, runs this in every dimension: the eps
 schedule, the per-stage iteration budgets, the snap and the trace records.
 Only the stage solver is chosen by the dimension of the terminals.  Planar
@@ -54,10 +66,12 @@ contracts what :func:`detect_collapse` finds coincident, and minimizes the
 contracted topology afresh, until :func:`detect_collapse` returns its input.
 Each round removes a branch vertex, so the loop ends, and the cluster maps
 of its rounds compose into one map from the input's vertices to the
-result's.  Minimizations depend on the flowed topology alone, so a caller
-that optimizes many topologies of one boundary passes one ``memo`` dict to
-all of them, and a topology that several others contract onto is
-minimized once.
+result's.  A kernel run that ended early returns coincident vertices,
+which contract to the topology it optimized, then a memo hit.
+Minimizations depend on the flowed topology alone, so a caller that
+optimizes many topologies of one boundary passes one ``memo`` dict to all
+of them, and a topology that several others contract onto is minimized
+once.
 
 Before each minimization the loop settles *star* branch vertices whose
 optimum is an atom, without minimizing.  A star's terms
@@ -80,13 +94,12 @@ tests before it is minimized, one per collapsed shape its minimizer can
 take: both on atoms, each on one of its atom neighbors (screened first by
 Kuhn's test at each with the other fixed on its atom), or b1-b2 merged
 into a star.  The star is optimized like any topology, the kernel
-allowed, and lifted back through the collapse loop's cluster map (every
-vertex at its image's position).  A candidate stands only when
-:func:`dual_bound` of the two-branch topology itself certifies its
-value to ``_STAR_GAP``: with zero-length edges smoothed by a tiny eps, its
-divergence projection is the multiplier test of the collapsed edges
-(Calamai & Conn above).  When neither certifies, the topology is
-minimized as any other.
+allowed, and lifted back by :func:`_lift`, as in the kernel's early exit.
+A candidate stands only when :func:`dual_bound` of the two-branch topology
+itself certifies its value to ``_STAR_GAP`` (:func:`_settles`): with
+zero-length edges smoothed by ``_SETTLE_EPS``, its divergence projection
+is the multiplier test of the collapsed edges (Calamai & Conn above).
+When neither certifies, the topology is minimized as any other.
 
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
@@ -131,7 +144,10 @@ EPS_MIN = 2e-7
 # receives one JSON-serializable record per smoothing stage (iteration count,
 # eps, current energy) plus a final one with the stationarity residual (the
 # star path sends the final one alone, and so does a settled two-branch
-# topology, at iteration 0); lower_bounds sends one record with
+# topology, at iteration 0); a kernel run that ends early sends a record with
+# "stage": "collapse" (iteration count, the lift's energy) before the final
+# one, and the optimization it nested sends its records before that, as does
+# the merged star of a two-branch settle; lower_bounds sends one record with
 # "stage": "bound" per topology instead
 Trace = Callable[[dict], None]
 
@@ -253,8 +269,9 @@ def _barycentric_init(ft: FlowedTopology, terminals: tuple[Point, ...]) -> list[
 
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
-                w: list[float], trace: Trace | None
-                ) -> tuple[list[list[float]], int]:
+                w: list[float], trace: Trace | None,
+                settle: Callable[[Placement], Placement | None] | None = None
+                ) -> tuple[Sequence[Sequence[float]], int]:
     """The smoothing schedule from the barycentric start, for the edge
     weights ``w``.
 
@@ -262,8 +279,10 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     dimension: planar Gauss-Seidel sweeps (:func:`_sweeps_2d`) or Newton
     steps (:func:`_newton_steps`).  Everything else is shared: the eps
     schedule, the stage budgets and move tolerances, the snap and the trace.
-    Returns the branch positions and the number of iterations (sweeps or
-    Newton steps).
+    After every stage but the last, ``settle`` (when given) receives the
+    snapped placement; a placement it returns ends the schedule, with a
+    "collapse" trace record.  Returns the branch positions and the number
+    of iterations (sweeps or Newton steps).
     """
     t = ft.topology
     n = t.n_terminals
@@ -292,8 +311,11 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
         final = eps <= eps_floor
         iters += stage(pos, graph, eps * eps, 400 if final else 200,
                        move_tol if final else max(2e-2 * eps, move_tol))
-        # snap to the nearest vertex when that strictly improves exact F
+        # snap to the nearest vertex when that strictly improves exact F;
+        # whether a branch vertex ends within TOL_COLLAPSE of another
+        # vertex, as detect_collapse would find, is known on the way
         current = exact_energy()
+        collapsed = False
         for b in range(n, nv):
             here = pos[b]
             nearest = min((v for v in range(nv) if v != b),
@@ -302,13 +324,22 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
             trial = exact_energy()
             if trial < current - 1e-15 * (1.0 + abs(current)):
                 current = trial
+                collapsed = True
             else:
                 pos[b] = here
+                collapsed |= math.dist(here, pos[nearest]) <= TOL_COLLAPSE
         if trace is not None:
             trace({"stage": "eps", "iteration": iters, "eps": eps,
                    "value": current})
         if final:
             return pos[n:], iters
+        if collapsed and settle is not None and (found := settle(Placement(
+                terminals, tuple(map(tuple, pos[n:]))))) is not None:
+            if trace is not None:
+                pos[n:] = found.branch
+                trace({"stage": "collapse", "iteration": iters,
+                       "value": exact_energy()})
+            return found.branch, iters
         eps = max(eps * EPS_DECAY, eps_floor)
 
 
@@ -637,7 +668,8 @@ def _done(trace: Trace | None, res: OptimizedTopology) -> OptimizedTopology:
 
 
 def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
-             trace: Trace | None = None) -> OptimizedTopology:
+             trace: Trace | None = None,
+             memo: dict | None = None) -> OptimizedTopology:
     """Minimize the location energy for a flowed topology over ``b``.
 
     Deterministic.  When every branch vertex is a star, damped Newton on the
@@ -647,10 +679,17 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     barycentric initialization, a geometric eps schedule whose stages run
     planar Weiszfeld sweeps or, in other dimensions, Newton steps on the
     smoothed energy, nearest-vertex snapping when it strictly improves the
-    exact energy.  ``trace`` receives the kernel's per-stage records, and
-    one final record from either path.  The edge weights
-    (:func:`_weights`) are computed once and passed to every step.
-    The result is for ``ft`` itself: no collapse is resolved.
+    exact energy.  After each stage but the last, the topology that
+    :func:`detect_collapse` contracts the placement to, when it is new to
+    the run, is optimized by :func:`optimize_topology` with ``memo`` (a
+    fresh dict when None) and lifted (:func:`_lift`); when the lift is
+    certified on ``ft`` the schedule stops there, and the rest of it would
+    only have closed in on that collapse.  ``trace`` receives the kernel's
+    per-stage records, the nested optimizations' records and one final
+    record from either path.  The edge weights (:func:`_weights`) are
+    computed once and passed to every step.  The result is for ``ft``
+    itself, at a placement that may hold coincident vertices:
+    :func:`optimize_topology` contracts them.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -661,7 +700,17 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
 
     found = _place_stars(ft, terminals, alpha, w)
     if found is None:
-        pos, iters = _run_kernel(ft, terminals, w, trace)
+        memo = {} if memo is None else memo
+        tried = set()
+
+        def settle(pl: Placement) -> Placement | None:
+            contracted, cluster = detect_collapse(ft, pl)
+            key = (contracted.topology.edges, contracted.edge_flows)
+            if contracted is ft or key in tried:
+                return None
+            tried.add(key)
+            return _lift(ft, b, alpha, w, contracted, cluster, memo, trace)
+        pos, iters = _run_kernel(ft, terminals, w, trace, settle)
         found = Placement(terminals, tuple(tuple(x) for x in pos)), iters
     pl, iters = found
     return _done(trace, _optimized(ft, pl, alpha, w, iters))
@@ -885,8 +934,51 @@ def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
 _SETTLE_EPS = 1e-14
 
 
+def _settles(ft: FlowedTopology, pl: Placement, alpha: float,
+             w: list[float]) -> bool:
+    """Whether ``pl``, a placement of ``ft`` with collapsed (zero-length)
+    edges, is certified optimal.
+
+    Kuhn's test comes first, which costs less than the bound: at every
+    branch vertex on a collapsed edge, with the others fixed, the
+    subdifferential (collapsed edges as balls, :func:`_subgradient`) holds
+    0; necessary, not sufficient.  Then :func:`_certified` must hold with
+    zero-length edges smoothed by ``_SETTLE_EPS``: the bound is the
+    multiplier test of the collapsed edges, and it certifies the value of
+    ``ft`` itself, wherever ``pl`` came from.
+    """
+    where = pl.terminals + pl.branch
+    for v in range(ft.topology.n_terminals, len(where)):
+        g, ball = _subgradient(where[v], [(wi, where[o]) for wi, o in
+                                          _incident(ft, w, v)], 0.0)
+        if g > ball > 0.0:
+            return False
+    return _certified(ft, pl, alpha, w, _SETTLE_EPS * _scale(pl.terminals))
+
+
+def _lift(ft: FlowedTopology, b: Boundary, alpha: float, w: list[float],
+          contracted: FlowedTopology, cluster: tuple[int, ...], memo: dict,
+          trace: Trace | None) -> Placement | None:
+    """The optimum of ``contracted``, a contraction of ``ft`` with the
+    cluster map of :func:`~gsteiner.topology.contract`, as a placement of
+    ``ft`` when :func:`_settles` certifies it there, else None.
+
+    ``contracted`` is optimized like any topology, by
+    :func:`optimize_topology` with ``memo`` and ``trace``, and vertex v of
+    ``ft`` goes to the position of its image under ``cluster`` and then the
+    result's ``lift``.  The certificate is taken on ``ft``: one on the
+    contraction would not bound ``ft``'s minimum.
+    """
+    res = optimize_topology(contracted, b, alpha, trace, memo)
+    lifted = Placement(res.placement.terminals, tuple(
+        res.placement.position(res.lift[c])
+        for c in cluster[ft.topology.n_terminals:]))
+    return lifted if _settles(ft, lifted, alpha, w) else None
+
+
 def _settle_two_branch(ft: FlowedTopology, b: Boundary, alpha: float,
-                       w: list[float], memo: dict) -> OptimizedTopology | None:
+                       w: list[float], memo: dict,
+                       trace: Trace | None) -> OptimizedTopology | None:
     """The certified optimum of a topology with two adjacent branch
     vertices b1, b2 when it collapses, at a placement lifted from the
     topology it collapses to, or None.
@@ -896,16 +988,11 @@ def _settle_two_branch(ft: FlowedTopology, b: Boundary, alpha: float,
     * both branch vertices on atoms, each on one of its atom neighbors, a
       placement of ``ft`` as it stands;
     * the edge b1-b2 contracted.  The merged star is optimized like any
-      topology, by :func:`optimize_topology` with the same ``memo``, and
-      lifts to ``ft`` through the cluster map of
-      :func:`~gsteiner.topology.contract` and then the result's ``lift``.
+      topology and lifted to ``ft`` by :func:`_lift`, with ``memo`` and
+      ``trace``.
 
-    A candidate must first pass Kuhn's test at b1 and at b2, each with the
-    other fixed (:func:`_subgradient`, in flat Python; necessary, not
-    sufficient), and then stands only when :func:`_certified` holds with
-    zero-length edges smoothed by ``_SETTLE_EPS``.  The bound is the
-    multiplier test of the collapsed edges: it certifies the value of
-    ``ft`` itself, whatever placed the star.
+    A candidate stands only when :func:`_settles` certifies it on ``ft``,
+    whatever placed the star.
     """
     t = ft.topology
     n = t.n_terminals
@@ -914,34 +1001,13 @@ def _settle_two_branch(ft: FlowedTopology, b: Boundary, alpha: float,
         return None
     (b1, b2), = inner
     terminals = _terminals_for(ft, b)
-    eps = _SETTLE_EPS * _scale(terminals)
-
-    incident = {v: _incident(ft, w, v) for v in (b1, b2)}
-
-    def certified(branch: tuple[Point, ...]) -> OptimizedTopology | None:
-        # Kuhn's test first, which costs less than the bound: at b1 and at
-        # b2, with the other fixed, the subdifferential (collapsed edges as
-        # balls) holds 0
-        where = terminals + branch
-        if not all(g <= ball for g, ball in (
-                _subgradient(where[v], [(wi, where[o]) for wi, o in incident[v]],
-                             0.0) for v in (b1, b2))):
-            return None
-        lifted = Placement(terminals, branch)
-        if not _certified(ft, lifted, alpha, w, eps):
-            return None
-        return _optimized(ft, lifted, alpha, w, 0)
-
-    for _, t1 in incident[b1]:
-        for _, t2 in incident[b2]:
-            if max(t1, t2) < n and (found := certified(
-                    (terminals[t1], terminals[t2]))) is not None:
-                return found
-
-    star, cluster = contract(ft, [(b1, b2)])
-    res = optimize_topology(star, b, alpha, memo=memo)
-    return certified(tuple(res.placement.position(res.lift[c])
-                           for c in cluster[n:]))
+    for _, t1 in _incident(ft, w, b1):
+        for _, t2 in _incident(ft, w, b2):
+            if max(t1, t2) < n and _settles(ft, pl := Placement(
+                    terminals, (terminals[t1], terminals[t2])), alpha, w):
+                return _optimized(ft, pl, alpha, w, 0)
+    pl = _lift(ft, b, alpha, w, *contract(ft, [(b1, b2)]), memo, trace)
+    return None if pl is None else _optimized(ft, pl, alpha, w, 0)
 
 
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
@@ -959,18 +1025,22 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     A topology with two adjacent branch vertices then gets the two exact
     tests of :func:`_settle_two_branch`: both on atoms, or merged into a
     star.  A certified candidate stands in for the minimization (with no
-    iterations, and one "done" trace record), and the loop goes on as
-    after one: :func:`detect_collapse` contracts it.
+    iterations, and one "done" trace record after the merged star's), and
+    the loop goes on as after one: :func:`detect_collapse` contracts it.
+    So does a minimization whose kernel run ended at a certified collapse.
+    The settle and the early exit optimize their contractions by calling
+    this function with the same ``memo`` and ``trace``.
 
     This ends: every contraction removes a branch vertex, since a cluster
     never holds two terminals.  The result's ``lift`` composes the cluster
     maps of every contraction: vertex v of ``ft`` lifts to
     ``placement.position(lift[v])``.  A minimization starts afresh from the
-    barycentric start, and a settle depends on its star's optimum alone, so
-    every result is a function of its flowed topology alone, and ``memo``
-    may keep it: a dict shared by calls with the same boundary and alpha
-    (several topologies can contract onto one), keyed on edges and flows
-    only.  The reported iterations include reused ones.
+    barycentric start, and a settle or an early exit depends on its
+    contraction's optimum alone, so every result is a function of its
+    flowed topology alone, and ``memo`` may keep it: a dict shared by calls
+    with the same boundary and alpha (several topologies can contract onto
+    one), keyed on edges and flows only.  The reported iterations include
+    reused ones.
     """
     if memo is None:
         memo = {}
@@ -984,9 +1054,9 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
         if contracted is ft:
             key = (ft.topology.edges, ft.edge_flows)
             if key not in memo:
-                found = _settle_two_branch(ft, b, alpha, w, memo)
-                memo[key] = (minimize(ft, b, alpha, trace) if found is None
-                             else _done(trace, found))
+                found = _settle_two_branch(ft, b, alpha, w, memo, trace)
+                memo[key] = (minimize(ft, b, alpha, trace, memo)
+                             if found is None else _done(trace, found))
             res = memo[key]
             iters += res.iterations
             contracted, cluster = detect_collapse(ft, res.placement)

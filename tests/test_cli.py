@@ -85,6 +85,25 @@ def test_solve_verbose_stream(square_file, tmp_path, capsys):
     assert "done" in stages and set(stages) <= {"bound", "eps", "done"}
 
 
+def test_solve_verbose_shows_early_exits(tmp_path, capsys):
+    # the distinct-mass 6-atom instance of the benchmark in its seed-0 pose:
+    # its kernel runs end at a certified collapse, each with a record
+    masses = ("-3", "-1/2", "2", "1", "3/2", "-1")
+    points = ((3.726285925, -2.137424928), (4.660813101, -2.945303605),
+              (2.952986398, -2.866990444), (4.470335556, -3.171352946),
+              (3.417930057, -2.44000989), (3.749000378, -2.471655468))
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"dim": 2, "alpha": 0.5, "atoms": [
+        {"p": list(p), "m": m} for p, m in zip(points, masses)]}))
+    report = tmp_path / "r.json"
+    assert cli.main(["solve", "--input", str(path), "--verbose",
+                     "--report", str(report)]) == 0
+    stages = [json.loads(ln)["stage"]
+              for ln in capsys.readouterr().err.splitlines()]
+    assert "collapse" in stages
+    assert len(json.loads(report.read_text())["minimizers"]) == 1
+
+
 def test_flat_norm_cli(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

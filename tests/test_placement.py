@@ -511,12 +511,18 @@ def kernel_minimize(ft, b, alpha):
                                                           + len(pos))))
 
 
-def kernel_only_optimize(ft, b, alpha):
-    """``optimize_topology`` without the star test and the star path, the
-    reference: minimize by the kernel and contract until ``detect_collapse``
-    returns its input."""
+def kernel_only_optimize(ft, b, alpha, memo=None):
+    """``optimize_topology`` without the star test, the star path and the
+    kernel's early exit, the reference: minimize by the kernel's full
+    schedule and contract until ``detect_collapse`` returns its input.
+    ``memo``, a dict shared by calls on one boundary and alpha, keeps the
+    minimizations."""
+    memo = {} if memo is None else memo
     while True:
-        res = kernel_minimize(ft, b, alpha)
+        key = (ft.topology.edges, ft.edge_flows)
+        if key not in memo:
+            memo[key] = kernel_minimize(ft, b, alpha)
+        res = memo[key]
         contracted, _ = detect_collapse(ft, res.placement)
         if contracted is ft:
             return replace(res, flowed=ft)
@@ -525,24 +531,69 @@ def kernel_only_optimize(ft, b, alpha):
 
 def newton_placed(records):
     """The number of minimizations in a trace that the star path placed:
-    the kernel sends "eps" records before its "done" record, the star path
-    only the "done" record."""
+    the kernel sends "eps" records before its "done" record, with a
+    "collapse" record right before it when the run ends early; the star
+    path only the "done" record."""
     return sum(r["stage"] == "done"
-               and (i == 0 or records[i - 1]["stage"] != "eps")
+               and (i == 0 or records[i - 1]["stage"] not in ("eps", "collapse"))
                for i, r in enumerate(records))
+
+
+def exited(records):
+    """Whether the minimization whose own trace is ``records`` ended its
+    kernel run early: a "collapse" record right before its "done" record
+    (the records of the optimization it nested come before)."""
+    return len(records) > 1 and records[-2]["stage"] == "collapse"
+
+
+def minimizations(run):
+    """``run(trace)`` with every ``minimize`` call on the way recorded,
+    nested ones included: returns its result, its trace and the
+    (topology, result, the call's own trace) of each call."""
+    calls, records = [], []
+    real = placement.minimize
+
+    def recording(ft, b, alpha, trace=None, memo=None):
+        own = []
+
+        def tee(record):
+            own.append(record)
+            if trace is not None:
+                trace(record)
+        res = real(ft, b, alpha, tee, memo)
+        calls.append((ft, res, own))
+        return res
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(placement, "minimize", recording)
+        return run(records.append), records, calls
+
+
+def assert_certified_lift(ft, pl, alpha):
+    """An early exit's placement ``pl`` of ``ft``: collapsed, and its value
+    certified on ``ft`` itself by the dual bound with zero-length edges
+    smoothed by ``_SETTLE_EPS``."""
+    assert detect_collapse(ft, pl)[0] is not ft
+    v = energy(ft, pl, alpha)
+    eps = placement._SETTLE_EPS * placement._scale(pl.terminals)
+    assert v - dual_bound(ft, pl, alpha, eps) <= 1e-12 * (1.0 + v)
 
 
 def assert_star_path_sound(ft, b, alpha):
     """``minimize`` against the kernel: where Newton placed the stars, not
-    above the kernel and certified by the dual bound; where it fell back,
-    the kernel's result bit for bit.  Returns whether Newton placed them."""
+    above the kernel and certified by the dual bound; where the kernel ran,
+    its full schedule's result bit for bit, or a certified lift not above
+    it when the run ended early.  Returns whether Newton placed them."""
     records = []
     got = minimize(ft, b, alpha, trace=records.append)
     want = kernel_minimize(ft, b, alpha)
+    v = got.value
+    if exited(records):
+        assert v <= want.value + 1e-12 * (1.0 + v)
+        assert_certified_lift(ft, got.placement, alpha)
+        return False
     if not newton_placed(records):
         assert got == want
         return False
-    v = got.value
     assert records == [{"stage": "done", "iteration": got.iterations,
                         "value": v, "residual": got.residual}]
     assert v <= want.value + 1e-12 * (1.0 + v)
@@ -550,17 +601,35 @@ def assert_star_path_sound(ft, b, alpha):
     return True
 
 
-def assert_matches_kernel_only(ft, b, alpha):
-    """``optimize_topology`` against :func:`kernel_only_optimize`: the same
-    flowed topology, not above it, and bit for bit when no minimization
-    took the star path.  Returns the number that did."""
-    records = []
-    got = optimize_topology(ft, b, alpha, trace=records.append)
-    want = kernel_only_optimize(ft, b, alpha)
+def assert_exits_certified(calls, alpha):
+    """Every minimization of ``calls`` (from :func:`minimizations`) whose
+    kernel run ended early returned a certified lift.  Returns their
+    number."""
+    exits = [(ft, res) for ft, res, own in calls if exited(own)]
+    for ft, res in exits:
+        assert_certified_lift(ft, res.placement, alpha)
+    return len(exits)
+
+
+def assert_not_above(got, want):
+    """``got`` has the flowed topology of the reference ``want``, at a value
+    not above it beyond rounding."""
     assert got.flowed == want.flowed
     assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+
+
+def assert_matches_kernel_only(ft, b, alpha):
+    """``optimize_topology`` against :func:`kernel_only_optimize`: the same
+    flowed topology and not above it.  Every kernel run that ended early
+    returned a certified lift, and when none did and no minimization took
+    the star path, the result is the reference's bit for bit.  Returns the
+    number of minimizations that took the star path."""
+    got, records, calls = minimizations(
+        lambda trace: optimize_topology(ft, b, alpha, trace))
+    want = kernel_only_optimize(ft, b, alpha)
+    assert_not_above(got, want)
     placed = newton_placed(records)
-    if not placed:
+    if not assert_exits_certified(calls, alpha) and not placed:
         assert got.placement == want.placement
         assert got.value == want.value
     return placed
@@ -860,7 +929,8 @@ def test_dented_square_collinear_tie_settles_on_its_merged_star(
     # vertices of this topology gives a star over those four atoms with a
     # tie along the line, which Newton gives up to the kernel.  The settle
     # optimizes that star like any topology, lifts it and certifies it, so
-    # the kernel runs once, on the star, and never on the topology itself
+    # the kernel runs once, on the star, and never on the topology itself.
+    # The trace shows that run: its stages, its "done" and the settle's
     cfg = SolverConfig(alpha=0.6)
     base = solve(square_boundary, cfg)
     _, b = perturb(PerturbationSpec(base.minimizers[0].chain,
@@ -883,12 +953,98 @@ def test_dented_square_collinear_tie_settles_on_its_merged_star(
     with monkeypatch.context() as patch:
         patch.setattr(placement, "_run_kernel", kernel)
         patch.setattr(placement, "_settle_two_branch", settle)
-        got = optimize_topology(ft, b, cfg.alpha)
+        records = []
+        got = optimize_topology(ft, b, cfg.alpha, trace=records.append)
     assert [k.topology.n_branch for k in kernel_runs] == [1]
+    assert [r["stage"] for r in records] == ["eps"] * 9 + ["done"] * 2
     assert [found is not None for f, found in settles if f is ft] == [True]
     want = kernel_only_optimize(ft, b, cfg.alpha)
     assert got.flowed == want.flowed
     assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's early exit at a certified collapse, against the full schedule
+# ---------------------------------------------------------------------------
+
+def kernel_attempts(run):
+    """``run()`` with the kernel's early-exit attempts recorded: returns its
+    result and, per attempt, whether the lift was certified.  A kernel run
+    attempts a contraction the first time it sees it, and never again."""
+    attempts = []
+    real = placement._run_kernel
+
+    def kernel(ft, terminals, w, trace, settle=None):
+        seen = set()
+
+        def watched(pl):
+            contracted = detect_collapse(ft, pl)[0]
+            found = settle(pl)
+            if contracted is not ft and contracted not in seen:
+                seen.add(contracted)
+                attempts.append(found is not None)
+            return found
+        return real(ft, terminals, w, trace, settle and watched)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(placement, "_run_kernel", kernel)
+        return run(), attempts
+
+
+def lifted_to_3d(b):
+    """The planar boundary ``b`` at z = 0."""
+    return make_boundary((p + (0.0,), m) for p, m in b.atoms)
+
+
+@pytest.mark.parametrize("family", ["solve-n6", "solve-n6 at z = 0",
+                                    "solve-3d"])
+def test_early_exits_match_the_full_schedule(family, bench_instances):
+    # every topology with 3 or more branch vertices of the solve workloads:
+    # solve-n6 at seeds 0-2, planar and lifted to z = 0, and solve-3d at
+    # seeds 0-9.  Some kernel runs end early, and some lifts are refused
+    if family == "solve-3d":
+        cases = [case for seed in range(10)
+                 for case in bench_instances("solve-3d", seed)]
+    else:
+        cases = [(lifted_to_3d(b) if family.endswith("z = 0") else b, alpha)
+                 for seed in range(3)
+                 for b, alpha in bench_instances("solve-n6", seed)]
+    certified = refused = 0
+    for b, alpha in cases:
+        memo, reference = {}, {}
+        for ft in enumerate_topologies(b):
+            if ft.topology.n_branch < 3:
+                continue
+            (got, _, calls), attempts = kernel_attempts(
+                lambda: minimizations(
+                    lambda trace: optimize_topology(ft, b, alpha, trace, memo)))
+            if assert_exits_certified(calls, alpha):
+                assert_not_above(got, kernel_only_optimize(ft, b, alpha,
+                                                           reference))
+            certified += sum(attempts)
+            refused += len(attempts) - sum(attempts)
+    assert certified > 0 and refused > 0
+
+
+SIX_MASSES = [(-1, -1, 1, 1, -1, 1), (-3, F(-1, 2), 2, 1, F(3, 2), -1),
+              (-2, 1, 1, -1, F(1, 2), F(1, 2)), (-4, 1, 1, 1, 1),
+              (-2, -1, 1, 1, 1), (-3, F(1, 2), 2, F(-1, 2), 1)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10 ** 6), masses=st.sampled_from(SIX_MASSES),
+       dim=st.sampled_from([2, 3]), alpha=st.floats(0.05, 1.0),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+def test_early_exit_is_not_above_the_full_schedule(seed, masses, dim, alpha,
+                                                   picks):
+    # random 5- and 6-atom instances: a few of their topologies with 3 or
+    # more branch vertices
+    rng = random.Random(seed)
+    b = make_boundary((tuple(rng.uniform(0.0, 2.0) for _ in range(dim)),
+                       F(m)) for m in masses)
+    fts = [ft for ft in enumerate_topologies(b) if ft.topology.n_branch >= 3]
+    for i in picks:
+        assert_matches_kernel_only(fts[i % len(fts)], b, alpha)
 
 
 def assert_lifts(ft, res, alpha):
@@ -971,7 +1127,7 @@ def test_newton_never_above_planar_sweep_on_lifted_topologies(bench_instances):
     # collapsing topology, and never higher beyond rounding
     checked = lower = 0
     for b, alpha in bench_instances("solve-n6", 0):
-        lifted = make_boundary((p + (0.0,), m) for p, m in b.atoms)
+        lifted = lifted_to_3d(b)
         assert [m for _, m in lifted.atoms] == [m for _, m in b.atoms]
         for ft in enumerate_topologies(b):
             if ft.topology.n_branch == 0:

@@ -217,8 +217,9 @@ def test_line_instance_in_1d_and_3d(xs, masses):
 def test_tracing_leaves_the_report_body_unchanged(case, square_boundary,
                                                   bench_instances):
     # the 3-D instance runs the Newton steps' trace hook, the distinct-mass
-    # 6-atom one the planar sweep's; the square's two-branch topologies
-    # settle without the kernel, so it sends no "eps" record
+    # 6-atom one the planar sweep's, and both end kernel runs early at a
+    # certified collapse; the square's two-branch topologies settle without
+    # the kernel, so it sends no "eps" record
     b, alpha = ((square_boundary, 0.6) if case == "square"
                 else bench_instances(case, 0)[case == "solve-n6"])
     records = []
@@ -226,7 +227,8 @@ def test_tracing_leaves_the_report_body_unchanged(case, square_boundary,
     traced = fileio.report_to_obj(solve(b, cfg(alpha, trace=records.append)))
     assert json.dumps(traced, sort_keys=True) == json.dumps(plain, sort_keys=True)
     assert {r["stage"] for r in records} == (
-        {"bound", "done"} if case == "square" else {"bound", "eps", "done"})
+        {"bound", "done"} if case == "square"
+        else {"bound", "eps", "collapse", "done"})
 
 
 # ---------------------------------------------------------------------------
