@@ -310,11 +310,12 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassificat
     evaluated: list[tuple[float, str, PolyhedralChain]] = []
     memo: dict = {}
     # several candidates contract onto one result, and ``memo`` fixes the
-    # placement of a result's edges and flows, so its chain is evaluated once
+    # placement of a result's edges (which fix its flows on this boundary),
+    # so its chain is evaluated once
     results: dict = {}
     for case, ft in _local4_candidates(tuple(m for _, m in b.atoms), roles):
         opt = optimize_topology(ft, b, alpha, memo=memo)
-        key = (opt.flowed.topology.edges, opt.flowed.edge_flows)
+        key = opt.flowed.topology.edges
         if key not in results:
             chain = canonicalize(realize_chain(opt.flowed, opt.placement))
             results[key] = (alpha_mass(chain, alpha), chain)

@@ -182,7 +182,9 @@ def _identity(ft: FlowedTopology) -> tuple[int, ...]:
 
 
 def _weights(ft: FlowedTopology, alpha: float) -> list[float]:
-    return [abs(float(f)) ** alpha for f in ft.edge_flows]
+    # the int true division float() makes of a Fraction, without the call
+    return [abs(f.numerator / f.denominator) ** alpha
+            for f in ft.edge_flows]
 
 
 def energy(ft: FlowedTopology, pl: Placement, alpha: float,
@@ -705,7 +707,7 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
 
         def settle(pl: Placement) -> Placement | None:
             contracted, cluster = detect_collapse(ft, pl)
-            key = (contracted.topology.edges, contracted.edge_flows)
+            key = contracted.topology.edges
             if contracted is ft or key in tried:
                 return None
             tried.add(key)
@@ -1039,8 +1041,9 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     contraction's optimum alone, so every result is a function of its
     flowed topology alone, and ``memo`` may keep it: a dict shared by calls
     with the same boundary and alpha (several topologies can contract onto
-    one), keyed on edges and flows only.  The reported iterations include
-    reused ones.
+    one), keyed on edges only; on one boundary the edges fix the flows,
+    since a forest carries a boundary by one conservative flow at most.
+    The reported iterations include reused ones.
     """
     if memo is None:
         memo = {}
@@ -1052,7 +1055,7 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
         settled = _settled_stars(ft, terminals, w)
         contracted, cluster = contract(ft, settled) if settled else (ft, None)
         if contracted is ft:
-            key = (ft.topology.edges, ft.edge_flows)
+            key = ft.topology.edges
             if key not in memo:
                 found = _settle_two_branch(ft, b, alpha, w, memo, trace)
                 memo[key] = (minimize(ft, b, alpha, trace, memo)

@@ -45,19 +45,33 @@ class SweepSpec:
         """The spec of a sweep file; every number is converted by
         :func:`fileio._number`, and theta by :func:`fileio.parse_rational`,
         so a fractional count, a boolean or a zero denominator raises
-        ``ValueError`` naming its key instead of being truncated."""
+        ``ValueError`` naming its key instead of being truncated.  So does
+        a negative count, rho or rho_safety, and a k below 2: each would
+        run a sweep that reports nothing, a mirrored band, or only failed
+        cells."""
         return SweepSpec(
             alphas=tuple(_number("key 'alphas'", a)
                          for a in _checked(obj["alphas"], list, "key 'alphas'")),
-            n_instances=_number("key 'n_instances'", obj.get("n_instances", 20),
-                                integral=True),
+            n_instances=_at_least("key 'n_instances'",
+                                  obj.get("n_instances", 20), 0, integral=True),
             k=(None if obj.get("k") is None
-               else _number("key 'k'", obj["k"], integral=True)),
-            rho=None if obj.get("rho") is None else _number("key 'rho'", obj["rho"]),
-            rho_safety=_number("key 'rho_safety'", obj.get("rho_safety", 0.5)),
+               else _at_least("key 'k'", obj["k"], 2, integral=True)),
+            rho=(None if obj.get("rho") is None
+                 else _at_least("key 'rho'", obj["rho"], 0)),
+            rho_safety=_at_least("key 'rho_safety'", obj.get("rho_safety", 0.5),
+                                 0),
             theta=parse_rational(obj.get("theta", 1), "key 'theta'"),
             seed=_number("key 'seed'", obj.get("seed", 0), integral=True),
         )
+
+
+def _at_least(name: str, value, low: int, integral: bool = False
+              ) -> float | int:
+    """:func:`fileio._number` of ``value``, refused below ``low``."""
+    number = _number(name, value, integral)
+    if number < low:
+        raise ValueError(f"{name} must be at least {low}, not {value!r}")
+    return number
 
 
 def _cell(args: tuple) -> dict:

@@ -536,6 +536,32 @@ def test_bad_sweep_spec_exit_code(tmp_path, capsys):
     assert not log.exists()
 
 
+# each ran before: a header-only log, the negative rho in every row of a
+# band mirrored about 0, or every cell failed; each exited 0
+@pytest.mark.parametrize("key,value,low", [
+    ("n_instances", -1, 0),
+    ("rho", -0.05, 0),
+    ("rho_safety", -0.5, 0),
+    ("k", 1, 2),
+    ("k", -3, 2),
+])
+def test_sweep_spec_out_of_range_exit_code(tmp_path, capsys, key, value, low):
+    spec = tmp_path / "spec.json"
+    log = tmp_path / "log.csv"
+    spec.write_text(json.dumps(dict(SWEEP, **{key: value})))
+    assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
+    assert (f"key {key!r} must be at least {low}, not {value!r}"
+            in capsys.readouterr().err)
+    assert not log.exists()
+
+
+def test_sweep_spec_range_edges_accepted():
+    spec = SweepSpec.from_obj(dict(SWEEP, n_instances=0, k=2, rho=0,
+                                   rho_safety=0))
+    assert (spec.n_instances, spec.k, spec.rho, spec.rho_safety) == (0, 2, 0, 0)
+    assert run_sweep(spec) == []
+
+
 # masses and theta are exact rationals, but the solver computes in floats
 @pytest.mark.parametrize("masses,message", [
     (("1/0", "-1"), "rational masses must have a nonzero denominator, got '1/0'"),

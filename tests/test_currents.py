@@ -4,10 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import canonical_oracle
 from gsteiner import currents
-from gsteiner.currents import (alpha_mass, boundary, branch_points,
-                               canonicalize, chain_of, has_loop,
+from gsteiner.currents import (GEOM_TOL, alpha_mass, boundary, branch_points,
+                               canonicalize, chain_of, has_loop, lerp,
                                make_boundary, mass, restrict_ball,
                                restrict_outside, scale_chain)
 
@@ -195,6 +198,102 @@ def test_canonicalize_opposite_orientations_subtract():
     assert len(c.segments) == 1
     s = c.segments[0]
     assert abs(s.mult) == F(2) and s.length == pytest.approx(2.0)
+
+
+def collinear_chain(rng, dim):
+    """Segments between random points of a few random lines, with some
+    repeated and some reversed, so that line groups overlap and cancel."""
+    segs = []
+    for _ in range(rng.randint(1, 3)):
+        a, b = (tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in "ab")
+        pts = [lerp(a, b, rng.choice((0.0, 1.0, rng.uniform(-1, 2))))
+               for _ in range(rng.randint(2, 5))]
+        for _ in range(rng.randint(1, 5)):
+            p, q = rng.sample(pts, 2)
+            if p != q:
+                segs.append((p, q, F(rng.randint(-3, 3) or 1, rng.randint(1, 3))))
+    for p, q, m in list(segs):
+        copy = rng.choice(((p, q, m), (q, p, m), (q, p, -m), None))
+        if copy:
+            segs.append(copy)
+    return chain_of(segs)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_canonicalize_matches_generic_reference(dim):
+    rng = random.Random(60 + dim)
+    for _ in range(150):
+        c = collinear_chain(rng, dim) + random_chain(rng, rng.randint(0, 3), dim)
+        for tol in (GEOM_TOL, 1e-5):
+            assert canonicalize(c, tol) == canonical_oracle.canonicalize(c, tol)
+
+
+# ---------------------------------------------------------------------------
+# planar branches of the vector helpers, bit for bit
+# ---------------------------------------------------------------------------
+
+# signed zeros, subnormals and magnitudes up to 1e+-150, whose squares and
+# their sums stay finite
+COORDINATE = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e150, -1e-150)),
+    st.floats(-4.0, 4.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.9, 9.9),
+              st.integers(-150, 149)),
+)
+POINT = st.tuples(COORDINATE, COORDINATE)
+
+
+def hexed(*xs):
+    return [float.hex(x) for x in xs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(POINT, POINT, st.booleans())
+# a pair where math.dist differs from the sum formula
+@example((1.049120329831768, -1.9915757865955572),
+         (-0.2184512237807943, 0.8861601293631303), False)
+def test_planar_dist_and_vnorm_match_the_generic_sums(p, q, same):
+    q = p if same else q
+    assert hexed(currents.dist(p, q), currents.vnorm(p)) == hexed(
+        math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q))),
+        math.sqrt(sum(a * a for a in p)))
+
+
+class _RecordedSqrt:
+    """A stand-in for ``currents.math`` that records each ``sqrt``
+    argument."""
+
+    def __init__(self):
+        self.args = []
+
+    def sqrt(self, x):
+        self.args.append(x)
+        return math.sqrt(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(POINT, POINT, POINT, st.booleans(), st.floats(1.0, 1e150),
+       st.sampled_from((GEOM_TOL, 1e-5, 0.5)))
+def test_planar_off_line_matches_the_generic_sums(origin, direction, p, same,
+                                                  scale, tol):
+    p = origin if same else p
+    g = currents._LineGroup(currents.Segment((0.0, 0.0), (1.0, 0.0), F(1)))
+    g.origin, g.direction, g.scale = origin, direction, scale
+    ref = canonical_oracle._LineGroup(g.members[0])
+    ref.origin, ref.direction, ref.scale = origin, direction, scale
+    sqrt = _RecordedSqrt()
+    saved, currents.math = currents.math, sqrt
+    try:
+        off = g._off_line(p, tol)
+    finally:
+        currents.math = saved
+    v = canonical_oracle.vsub(p, origin)
+    t = canonical_oracle.vdot(v, direction)
+    perp = tuple(a - t * b for a, b in zip(v, direction))
+    assert hexed(*sqrt.args) == hexed(sum(a * a for a in v),
+                                      sum(a * a for a in perp))
+    assert off == ref._off_line(p, tol)
 
 
 # ---------------------------------------------------------------------------

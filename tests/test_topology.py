@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from forest_oracle import all_forests, flowed_forests, shrank
@@ -299,6 +299,21 @@ def test_flowed_forests_match_assigned_unflowed_stream(masses):
     assert list(_flowed_forests(masses, _forest_shapes)) == want
     assert list(_flowed_forests(masses, _full_shapes)) == \
         list(enumerate_topologies(b))
+
+
+# the placement memos key a topology of one boundary by its edges alone
+@settings(max_examples=10, deadline=None)
+@given(balanced_masses())
+@example((F(1), F(1), F(1), F(-1), F(-2)))
+@example((F(1, 2), F(1, 3), F(-1), F(1, 4), F(-1, 12)))
+def test_edges_fix_flows(masses):
+    flows = {}
+    for ft in _flowed_forests(masses, _forest_shapes):
+        size = ft.topology.n_terminals + ft.topology.n_branch
+        for g in [ft] + [contract(ft, [pair])[0]
+                         for pair in itertools.combinations(range(size), 2)]:
+            assert flows.setdefault(g.topology.edges, g.edge_flows) == \
+                g.edge_flows
 
 
 # the mask tables against the paths they replaced
