@@ -40,9 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stream optimizer diagnostics as JSON lines on stderr: "
                         'one "stage": "bound" record per topology from the '
                         'batched bounding pass, then "eps" and "done" '
-                        "records from each run of the smoothing kernel and "
-                        'a "done" record alone from each topology of stars '
-                        "that Newton places")
+                        "records from each run of the smoothing kernel, "
+                        'with a "collapse" record before the "done" of a '
+                        'run that ends early, and a "done" record alone '
+                        "from each topology of stars that Newton places")
 
     e = sub.add_parser("enumerate-topologies",
                        help="emit one JSON line per candidate topology")

@@ -474,9 +474,12 @@ def end_to_end_uniqueness(b: Boundary, alpha: float, k: int,
     For each radius in the (decreasing) schedule, reports whether the
     perturbed problem's minimizer set is the singleton containing the dented
     target and the uniqueness gap.  Running with k below the quantization
-    threshold is allowed but flagged.
+    threshold is allowed but flagged.  Raises ``ValueError`` when ``cfg``
+    solves at another alpha than ``alpha``, at which k0 is estimated.
     """
     cfg = cfg or SolverConfig(alpha=alpha)
+    if cfg.alpha != alpha:
+        raise ValueError(f"cfg.alpha {cfg.alpha} differs from alpha {alpha}")
     base = solve(b, cfg)
     target = base.minimizers[0].chain
     points = magic_points(base, 0)

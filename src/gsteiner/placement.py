@@ -24,8 +24,7 @@ An iterate near an atom (where F is not smooth), a singular Hessian or
 step-off (1-D, collinear atoms, a tie), a spent step budget or a failed
 certificate hands the whole topology to the smoothing kernel below.
 
-Every other topology that the two-branch tests below do not settle runs
-the kernel.  It minimizes the smoothed energy F_eps = sum of
+Every other topology runs the kernel.  It minimizes the smoothed energy F_eps = sum of
 w_e sqrt(len^2 + eps^2), while eps decreases geometrically (Smith,
 Algorithmica 7, 1992).  At the end of every smoothing stage each
 branch vertex is snapped onto its nearest vertex whenever that strictly
@@ -61,20 +60,20 @@ near-zero length contribute a ball of radius w_e to the subdifferential, so
 the residual at a collapsed vertex is max(0, |g| - sum of collapsed w_e).
 
 A minimizer often collapses: branch points land on each other or on an
-atom.  :func:`optimize_topology` resolves that in one loop: it minimizes,
-contracts what :func:`detect_collapse` finds coincident, and minimizes the
-contracted topology afresh, until :func:`detect_collapse` returns its input.
-Each round removes a branch vertex, so the loop ends, and the cluster maps
-of its rounds compose into one map from the input's vertices to the
+atom.  :func:`optimize_topology` resolves that: it minimizes, contracts
+what :func:`detect_collapse` finds coincident, and optimizes the
+contracted topology the same way, until :func:`detect_collapse` returns
+its input.  Each contraction removes a branch vertex, so this ends, and
+the cluster maps compose into one map from the input's vertices to the
 result's.  A kernel run that ended early returns coincident vertices,
-which contract to the topology it optimized, then a memo hit.
-Minimizations depend on the flowed topology alone, so a caller that
-optimizes many topologies of one boundary passes one ``memo`` dict to all
-of them, and a topology that several others contract onto is minimized
-once.
+which contract to the topology it optimized, then a memo hit.  Results
+depend on the flowed topology alone, so a caller that optimizes many
+topologies of one boundary passes one ``memo`` dict to all of them: it
+keeps every finished result, and a topology that several others contract
+onto is optimized once.
 
-Before each minimization the loop settles *star* branch vertices whose
-optimum is an atom, without minimizing.  A star's terms
+Before each minimization :func:`optimize_topology` settles *star* branch
+vertices whose optimum is an atom, without minimizing.  A star's terms
 sum_j w_j |x - p_j| share no variable with the rest of the energy, so the
 weighted Fermat-Weber vertex criterion (Kuhn, Math. Programming 4, 1973)
 decides exactly whether its optimum is atom t:
@@ -87,19 +86,8 @@ optimal position is unknown before the minimization, and a test vertex by
 vertex at a placement is necessary but not sufficient: on a 4-branch
 topology of a 6-atom instance collapsed vertices pass it one at a time
 (residual 8.3e-10) while the value sits 1.8e-5 (relative) above the
-minimum.  Both paths contract through :func:`~gsteiner.topology.contract`.
-
-A topology with two adjacent branch vertices b1, b2 gets two more exact
-tests before it is minimized, one per collapsed shape its minimizer can
-take: both on atoms, each on one of its atom neighbors (screened first by
-Kuhn's test at each with the other fixed on its atom), or b1-b2 merged
-into a star.  The star is optimized like any topology, the kernel
-allowed, and lifted back by :func:`_lift`, as in the kernel's early exit.
-A candidate stands only when :func:`dual_bound` of the two-branch topology
-itself certifies its value to ``_STAR_GAP`` (:func:`_settles`): with
-zero-length edges smoothed by ``_SETTLE_EPS``, its divergence projection
-is the multiplier test of the collapsed edges (Calamai & Conn above).
-When neither certifies, the topology is minimized as any other.
+minimum.  Both this and a collapse contract through
+:func:`~gsteiner.topology.contract`.
 
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
@@ -143,12 +131,11 @@ EPS_MIN = 2e-7
 
 # receives one JSON-serializable record per smoothing stage (iteration count,
 # eps, current energy) plus a final one with the stationarity residual (the
-# star path sends the final one alone, and so does a settled two-branch
-# topology, at iteration 0); a kernel run that ends early sends a record with
-# "stage": "collapse" (iteration count, the lift's energy) before the final
-# one, and the optimization it nested sends its records before that, as does
-# the merged star of a two-branch settle; lower_bounds sends one record with
-# "stage": "bound" per topology instead
+# star path sends the final one alone); a kernel run that ends early sends a
+# record with "stage": "collapse" (iteration count, the lift's energy) before
+# the final one, and the optimization it nested sends its records before
+# that; lower_bounds sends one record with "stage": "bound" per topology
+# instead
 Trace = Callable[[dict], None]
 
 
@@ -929,7 +916,7 @@ def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
     return pairs
 
 
-# the two-branch certificate smooths zero-length edges by this share of the
+# the early exit's certificate smooths zero-length edges by this share of the
 # largest terminal distance: the dual gap grows with it, and at 1e-12
 # optimal collapsed placements certify only to 1.5e-12-4.4e-12 (relative),
 # above _STAR_GAP, while at 1e-14 they certify to 2.2e-14
@@ -939,7 +926,8 @@ _SETTLE_EPS = 1e-14
 def _settles(ft: FlowedTopology, pl: Placement, alpha: float,
              w: list[float]) -> bool:
     """Whether ``pl``, a placement of ``ft`` with collapsed (zero-length)
-    edges, is certified optimal.
+    edges, is certified optimal: the test of the kernel's early exit on
+    each lift (:func:`_lift`).
 
     Kuhn's test comes first, which costs less than the bound: at every
     branch vertex on a collapsed edge, with the others fixed, the
@@ -978,91 +966,51 @@ def _lift(ft: FlowedTopology, b: Boundary, alpha: float, w: list[float],
     return lifted if _settles(ft, lifted, alpha, w) else None
 
 
-def _settle_two_branch(ft: FlowedTopology, b: Boundary, alpha: float,
-                       w: list[float], memo: dict,
-                       trace: Trace | None) -> OptimizedTopology | None:
-    """The certified optimum of a topology with two adjacent branch
-    vertices b1, b2 when it collapses, at a placement lifted from the
-    topology it collapses to, or None.
-
-    Two collapsed shapes are tried:
-
-    * both branch vertices on atoms, each on one of its atom neighbors, a
-      placement of ``ft`` as it stands;
-    * the edge b1-b2 contracted.  The merged star is optimized like any
-      topology and lifted to ``ft`` by :func:`_lift`, with ``memo`` and
-      ``trace``.
-
-    A candidate stands only when :func:`_settles` certifies it on ``ft``,
-    whatever placed the star.
-    """
-    t = ft.topology
-    n = t.n_terminals
-    inner = [e for e in t.edges if min(e) >= n]
-    if t.n_branch != 2 or len(inner) != 1:
-        return None
-    (b1, b2), = inner
-    terminals = _terminals_for(ft, b)
-    for _, t1 in _incident(ft, w, b1):
-        for _, t2 in _incident(ft, w, b2):
-            if max(t1, t2) < n and _settles(ft, pl := Placement(
-                    terminals, (terminals[t1], terminals[t2])), alpha, w):
-                return _optimized(ft, pl, alpha, w, 0)
-    pl = _lift(ft, b, alpha, w, *contract(ft, [(b1, b2)]), memo, trace)
-    return None if pl is None else _optimized(ft, pl, alpha, w, 0)
-
-
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
                       trace: Trace | None = None,
                       memo: dict | None = None) -> OptimizedTopology:
-    """Minimize, then contract the collapsed vertices and minimize again,
-    until :func:`detect_collapse` returns its input.
+    """Minimize, contract the vertices :func:`detect_collapse` finds
+    coincident, and optimize the contraction the same way, until a
+    minimization collapses nothing.
 
-    Before each minimization, every star branch vertex (all of its
-    neighbors atoms) that :func:`_settled_stars` proves to sit on an atom
-    is contracted onto it without minimizing: the star's Newton run would
+    Before minimizing, every star branch vertex (all of its neighbors
+    atoms) that :func:`_settled_stars` proves to sit on an atom is
+    contracted onto it without minimizing: the star's Newton run would
     stop short of the atom, and the kernel would only snap it there.  The
-    module docstring says why the test is exact for stars alone.
-
-    A topology with two adjacent branch vertices then gets the two exact
-    tests of :func:`_settle_two_branch`: both on atoms, or merged into a
-    star.  A certified candidate stands in for the minimization (with no
-    iterations, and one "done" trace record after the merged star's), and
-    the loop goes on as after one: :func:`detect_collapse` contracts it.
-    So does a minimization whose kernel run ended at a certified collapse.
-    The settle and the early exit optimize their contractions by calling
-    this function with the same ``memo`` and ``trace``.
+    module docstring says why the test is exact for stars alone.  A kernel
+    run that ended at a certified collapse returns coincident vertices,
+    and their contraction, which the early exit optimized by calling this
+    function with the same ``memo`` and ``trace``, is a memo hit.
 
     This ends: every contraction removes a branch vertex, since a cluster
     never holds two terminals.  The result's ``lift`` composes the cluster
     maps of every contraction: vertex v of ``ft`` lifts to
-    ``placement.position(lift[v])``.  A minimization starts afresh from the
-    barycentric start, and a settle or an early exit depends on its
+    ``placement.position(lift[v])``; its iterations add those of every
+    minimization on the way, reused ones included.  A minimization starts
+    afresh from the barycentric start, and an early exit depends on its
     contraction's optimum alone, so every result is a function of its
-    flowed topology alone, and ``memo`` may keep it: a dict shared by calls
-    with the same boundary and alpha (several topologies can contract onto
-    one), keyed on edges only; on one boundary the edges fix the flows,
-    since a forest carries a boundary by one conservative flow at most.
-    The reported iterations include reused ones.
+    flowed topology alone, and ``memo`` keeps the finished result of every
+    topology optimized: a dict shared by calls with the same boundary and
+    alpha (several topologies can contract onto one), keyed on edges only;
+    on one boundary the edges fix the flows, since a forest carries a
+    boundary by one conservative flow at most.  A repeat call returns the
+    stored result.
     """
     if memo is None:
         memo = {}
-    terminals = _terminals_for(ft, b)
-    lift = _identity(ft)
+    key = ft.topology.edges
+    if key in memo:
+        return memo[key]
+    settled = _settled_stars(ft, _terminals_for(ft, b), _weights(ft, alpha))
+    contracted, cluster = contract(ft, settled) if settled else (ft, None)
     iters = 0
-    while True:
-        w = _weights(ft, alpha)
-        settled = _settled_stars(ft, terminals, w)
-        contracted, cluster = contract(ft, settled) if settled else (ft, None)
-        if contracted is ft:
-            key = ft.topology.edges
-            if key not in memo:
-                found = _settle_two_branch(ft, b, alpha, w, memo, trace)
-                memo[key] = (minimize(ft, b, alpha, trace, memo)
-                             if found is None else _done(trace, found))
-            res = memo[key]
-            iters += res.iterations
-            contracted, cluster = detect_collapse(ft, res.placement)
-            if contracted is ft:
-                return replace(res, flowed=ft, iterations=iters, lift=lift)
-        ft, lift = contracted, tuple(cluster[v] for v in lift)
+    if contracted is ft:
+        res = minimize(ft, b, alpha, trace, memo)
+        iters = res.iterations
+        contracted, cluster = detect_collapse(ft, res.placement)
+    if contracted is not ft:
+        res = optimize_topology(contracted, b, alpha, trace, memo)
+        res = replace(res, iterations=iters + res.iterations,
+                      lift=tuple(res.lift[c] for c in cluster))
+    memo[key] = res
+    return res

@@ -86,8 +86,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.value_tol <= 0 or self.distinct_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # a NaN compares false both ways, so the bounds are written to fail
+        # on it
+        if not (0 < self.value_tol < math.inf
+                and 0 < self.distinct_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)

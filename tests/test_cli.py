@@ -80,9 +80,10 @@ def test_solve_verbose_stream(square_file, tmp_path, capsys):
     stages = [r["stage"] for r in records]
     stats = json.loads(report.read_text())["stats"]
     # one bounding record per topology with branch points or not; the full
-    # runs of the optimized ones end with "done" (none for m = 0)
+    # runs of the optimized ones end with "done" (none for m = 0), and the
+    # square's two-branch kernel runs end early at a certified collapse
     assert stages.count("bound") == stats["optimized"] + stats["pruned"]
-    assert "done" in stages and set(stages) <= {"bound", "eps", "done"}
+    assert set(stages) == {"bound", "eps", "collapse", "done"}
 
 
 def test_solve_verbose_shows_early_exits(tmp_path, capsys):

@@ -12,6 +12,7 @@ from gsteiner.perturb import (LocalFourPointInstance, PerturbationSpec,
                               build_wz, end_to_end_uniqueness, estimate_k0,
                               estimate_rho, four_point_instance, local4_solve,
                               perturb, verify_perturbation_bounds)
+from gsteiner.solver import SolverConfig
 
 
 def unit_segment_chain():
@@ -292,6 +293,14 @@ def test_end_to_end_records_an_inadmissible_radius(square_boundary):
     assert exp.final_unique()
     assert not end_to_end_uniqueness(square_boundary, 0.6, k,
                                      radii=[2.0]).final_unique()
+
+
+def test_end_to_end_refuses_a_config_at_another_alpha(square_boundary):
+    # solving at 0.9 while k0 is estimated at 0.6 (10, against 365617 at
+    # 0.9) would measure below_k0 against the wrong alpha
+    with pytest.raises(ValueError, match="differs from alpha"):
+        end_to_end_uniqueness(square_boundary, 0.6, 11, radii=[0.05],
+                              cfg=SolverConfig(alpha=0.9))
 
 
 def y_chain_beside_a_segment():

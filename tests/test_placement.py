@@ -493,6 +493,51 @@ def test_optimized_topology_is_a_fixed_point_of_detect_collapse(
     assert contracted > 0
 
 
+def assert_memo_keeps_finished_results(b, alpha, optima, memo):
+    """``optima``, the (topology, result) pairs of ``optimize_topology``
+    calls that shared ``memo``: each result equals the topology's
+    fresh-memo result, and a repeat call with ``memo`` returns it, the
+    stored object, without settling a star, minimizing or contracting.
+    Returns how many results contracted."""
+    for ft, res in optima:
+        fresh = optimize_topology(ft, b, alpha)
+        assert (res.flowed, res.placement, res.value, res.lift,
+                res.iterations) == (fresh.flowed, fresh.placement,
+                                    fresh.value, fresh.lift, fresh.iterations)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_settled_stars", "minimize", "detect_collapse"):
+            real = getattr(placement, name)
+            patch.setattr(placement, name, lambda *args, name=name, real=real:
+                          calls.append(name) or real(*args))
+        for ft, res in optima:
+            assert optimize_topology(ft, b, alpha, memo=memo) is res
+    assert calls == []
+    return sum(res.flowed is not ft for ft, res in optima)
+
+
+def test_memo_keeps_finished_results(six_atom_optima, bench_instances):
+    # the local4 candidates of the seed-0 lab cells, and every topology of
+    # the solve-n6 and solve-3d instances at seed 0
+    contracted = 0
+    for alpha, k, disp, theta in lab_cells():
+        b = four_point_instance(k, disp, theta).boundary()
+        memo = {}
+        contracted += assert_memo_keeps_finished_results(b, alpha, [
+            (ft, optimize_topology(ft, b, alpha, memo=memo))
+            for _, ft in _local4_candidates(tuple(m for _, m in b.atoms),
+                                            ("A", "B", "C", "D"))], memo)
+    for b, alpha in bench_instances("solve-3d", 0):
+        memo = {}
+        contracted += assert_memo_keeps_finished_results(b, alpha, [
+            (ft, optimize_topology(ft, b, alpha, memo=memo))
+            for ft in enumerate_topologies(b)], memo)
+    for b, alpha, optima, memo in six_atom_optima:
+        contracted += assert_memo_keeps_finished_results(b, alpha, optima,
+                                                         memo)
+    assert contracted > 0
+
+
 # ---------------------------------------------------------------------------
 # stars: settled by Kuhn's criterion, or placed by Newton, against the kernel
 # ---------------------------------------------------------------------------
@@ -675,9 +720,8 @@ def test_settled_stars_match_kernel_on_local4_candidates(monkeypatch):
                                                       monkeypatch)
         newton += placed
         fallback += fell_back
-    # one star still falls back; the two-branch cases that settle are held
-    # to the kernel-only value by assert_matches_kernel_only, the others run
-    # the kernel
+    # one star still falls back; the two-branch cases run the kernel, held
+    # to the kernel-only value by assert_matches_kernel_only
     assert fired > 0 and newton > 0 and fallback > 0
 
 
@@ -696,14 +740,16 @@ def test_two_star_forest_of_the_distinct_mass_six_atom_instance(
 
 def test_every_star_of_the_six_atom_instances_matches_kernel(
         six_atom_optima):
-    # every star topology that optimize_topology minimizes on the way, as
-    # given or after a contraction
+    # every star topology that an optimize_topology call ends at, as given
+    # or after a contraction
     newton = 0
     for b, alpha, _, memo in six_atom_optima:
         n = len(b.atoms)
-        stars = [res.flowed for res in memo.values()
+        stars = {res.flowed.topology.edges: res.flowed
+                 for res in memo.values()
                  if res.flowed.topology.n_branch
-                 and all(min(e) < n for e in res.flowed.topology.edges)]
+                 and all(min(e) < n for e in res.flowed.topology.edges)
+                 }.values()
         newton += sum(assert_star_path_sound(ft, b, alpha) for ft in stars)
     assert newton > 0
 
@@ -855,7 +901,8 @@ def test_collinear_star_at_a_tied_atom_returns_without_raising():
 
 
 # ---------------------------------------------------------------------------
-# two-branch topologies: settled by exact tests, against the kernel
+# two-branch topologies: settled by the kernel's early exit, against the
+# full schedule
 # ---------------------------------------------------------------------------
 
 def two_branch(fts):
@@ -869,68 +916,85 @@ FOUR_MASSES = [(-1, -1, 1, 1), (-3, 1, 1, 1), (-2, F(1, 2), 1, F(1, 2)),
                (-1, F(1, 6), F(-1, 6), 1), (-2, 1, -1, 2)]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 10 ** 6), masses=st.sampled_from(FOUR_MASSES),
-       source=st.sampled_from(["2-D", "3-D", "lab"]),
-       alpha=st.floats(0.05, 1.0, exclude_min=True))
-def test_two_branch_topology_is_not_above_the_kernel(seed, masses, source,
-                                                     alpha):
+def test_two_branch_topology_is_not_above_the_kernel():
     # random 4-atom instances, and four-point cells whose two-branch
-    # topologies are the lab's cases 3a, 3b and 3c
-    rng = random.Random(seed)
-    if source == "lab":
-        k, theta = rng.choice([(6, 1), (11, 1), (83, F(3, 2))])
-        b = four_point_instance(k, tuple(rng.uniform(-0.15, 0.15)
-                                         for _ in range(4)), theta).boundary()
-        fts = [ft for _, ft in _local4_candidates(
-            tuple(m for _, m in b.atoms), ("A", "B", "C", "D"))]
-    else:
-        dim = 2 if source == "2-D" else 3
-        b = make_boundary((tuple(rng.uniform(0.0, 2.0) for _ in range(dim)),
-                           F(m)) for m in masses)
-        fts = enumerate_topologies(b)
-    for ft in two_branch(fts):
-        got = optimize_topology(ft, b, alpha)
-        want = kernel_only_optimize(ft, b, alpha)
-        assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+    # topologies are the lab's cases 3a, 3b and 3c; across the examples
+    # some kernel runs end at a certified collapse
+    exits = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10 ** 6), masses=st.sampled_from(FOUR_MASSES),
+           source=st.sampled_from(["2-D", "3-D", "lab"]),
+           alpha=st.floats(0.05, 1.0, exclude_min=True))
+    def check(seed, masses, source, alpha):
+        rng = random.Random(seed)
+        if source == "lab":
+            k, theta = rng.choice([(6, 1), (11, 1), (83, F(3, 2))])
+            b = four_point_instance(k, tuple(rng.uniform(-0.15, 0.15)
+                                             for _ in range(4)),
+                                    theta).boundary()
+            fts = [ft for _, ft in _local4_candidates(
+                tuple(m for _, m in b.atoms), ("A", "B", "C", "D"))]
+        else:
+            dim = 2 if source == "2-D" else 3
+            b = make_boundary((tuple(rng.uniform(0.0, 2.0)
+                                     for _ in range(dim)), F(m))
+                              for m in masses)
+            fts = enumerate_topologies(b)
+        for ft in two_branch(fts):
+            got, _, calls = minimizations(
+                lambda trace: optimize_topology(ft, b, alpha, trace))
+            want = kernel_only_optimize(ft, b, alpha)
+            assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+            exits.append(assert_exits_certified(calls, alpha))
+    check()
+    assert sum(exits) > 0
 
 
-def test_lab_cells_settle_without_the_kernel(monkeypatch):
-    # seed-0 cells at the smallest benchmark rho, and the cell whose star
-    # trapped Newton (TRAPPED_STAR): every two-branch case settles and
-    # every star is placed by Kuhn's test or Newton
-    def kernel(*args):
-        raise AssertionError("the smoothing kernel ran")
+def lab_cells():
+    """Seed-0 cells at the smallest benchmark rho, and the cell whose star
+    trapped Newton (TRAPPED_STAR), as (alpha, k, displacements, theta)."""
     cells = [(alpha, k, disp, theta) for alpha, k, _, _, _, disp, theta in
              build_cells(SweepSpec(alphas=(0.5, 0.6, 0.75), n_instances=8,
                                    rho=0.0117, seed=0))]
     cells.append((0.5, 6, (0.05707428195588432, 0.0823184323261594,
                            -0.11095528102423688, 0.10685516499282702), 1))
-    tried = []
-    real = placement._settle_two_branch
+    return cells
 
-    def recording(ft, *args):
-        if two_branch([ft]):
-            tried.append(ft)
-        return real(ft, *args)
-    monkeypatch.setattr(placement, "_run_kernel", kernel)
-    monkeypatch.setattr(placement, "_settle_two_branch", recording)
+
+def test_lab_cells_two_branch_runs_end_at_a_certified_collapse():
+    # every star is placed by Kuhn's test or Newton, and the kernel runs
+    # only on two-branch cases; each of those runs ends after its first
+    # stage at a certified collapse
+    cells = lab_cells()
+    runs = 0
     for alpha, k, disp, theta in cells:
-        assert local4_solve(four_point_instance(k, disp, theta),
-                            alpha).label in ("W", "Z")
-    assert len(tried) >= 2 * len(cells)
+        (cls, _, calls), attempts = kernel_attempts(lambda: minimizations(
+            lambda trace: local4_solve(four_point_instance(k, disp, theta),
+                                       alpha)))
+        assert cls.label in ("W", "Z")
+        assert attempts and all(attempts)
+        kernel = [(ft, own) for ft, _, own in calls
+                  if own and own[0]["stage"] == "eps"]
+        for ft, own in kernel:
+            assert two_branch([ft])
+            assert [r["stage"] for r in own] == ["eps", "collapse", "done"]
+        assert assert_exits_certified(calls, alpha) == len(kernel)
+        runs += len(kernel)
+    assert runs >= 2 * len(cells)
 
 
-def test_dented_square_collinear_tie_settles_on_its_merged_star(
-        square_boundary, monkeypatch):
+def test_dented_square_collinear_tie_ends_at_a_certified_collapse(
+        square_boundary):
     # the square dented at radius 0.05, as in the uniqueness-square
     # benchmark: atoms 0-3 lie on the line x = 0.  Merging the branch
     # vertices of this topology gives a star over those four atoms with a
-    # tie along the line, which Newton gives up to the kernel.  The settle
-    # optimizes that star like any topology, lifts it and certifies it, so
-    # the kernel runs once, on the star, and never on the topology itself.
-    # The trace shows that run: its stages, its "done" and the settle's
+    # tie along the line, which Newton gives up to the kernel.  The kernel
+    # run on the topology ends after its first stage: the early exit
+    # optimizes the star like any topology, by a kernel run of 9 stages,
+    # lifts it and certifies it.  The trace shows that nested run between
+    # the first stage and the "collapse" record
     cfg = SolverConfig(alpha=0.6)
     base = solve(square_boundary, cfg)
     _, b = perturb(PerturbationSpec(base.minimizers[0].chain,
@@ -940,27 +1004,15 @@ def test_dented_square_collinear_tie_settles_on_its_merged_star(
     (ft,) = [ft for ft in two_branch(enumerate_topologies(b))
              if ft.topology.edges == ((0, 6), (1, 7), (2, 6), (3, 7), (4, 5),
                                       (6, 7))]
-    kernel_runs, settles = [], []
-    real_kernel, real_settle = placement._run_kernel, placement._settle_two_branch
-
-    def kernel(ft, *args):
-        kernel_runs.append(ft)
-        return real_kernel(ft, *args)
-
-    def settle(ft, *args):
-        settles.append((ft, real_settle(ft, *args)))
-        return settles[-1][1]
-    with monkeypatch.context() as patch:
-        patch.setattr(placement, "_run_kernel", kernel)
-        patch.setattr(placement, "_settle_two_branch", settle)
-        records = []
-        got = optimize_topology(ft, b, cfg.alpha, trace=records.append)
-    assert [k.topology.n_branch for k in kernel_runs] == [1]
-    assert [r["stage"] for r in records] == ["eps"] * 9 + ["done"] * 2
-    assert [found is not None for f, found in settles if f is ft] == [True]
-    want = kernel_only_optimize(ft, b, cfg.alpha)
-    assert got.flowed == want.flowed
-    assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+    (got, records, calls), attempts = kernel_attempts(lambda: minimizations(
+        lambda trace: optimize_topology(ft, b, cfg.alpha, trace)))
+    assert attempts == [True]
+    assert [(f.topology.n_branch, exited(own)) for f, _, own in calls] == [
+        (1, False), (2, True)]
+    assert [r["stage"] for r in records] == (
+        ["eps"] * 10 + ["done", "collapse", "done"])
+    assert assert_exits_certified(calls, cfg.alpha) == 1
+    assert_not_above(got, kernel_only_optimize(ft, b, cfg.alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -217,18 +217,16 @@ def test_line_instance_in_1d_and_3d(xs, masses):
 def test_tracing_leaves_the_report_body_unchanged(case, square_boundary,
                                                   bench_instances):
     # the 3-D instance runs the Newton steps' trace hook, the distinct-mass
-    # 6-atom one the planar sweep's, and both end kernel runs early at a
-    # certified collapse; the square's two-branch topologies settle without
-    # the kernel, so it sends no "eps" record
+    # 6-atom one and the square the planar sweep's, and all three end
+    # kernel runs early at a certified collapse
     b, alpha = ((square_boundary, 0.6) if case == "square"
                 else bench_instances(case, 0)[case == "solve-n6"])
     records = []
     plain = fileio.report_to_obj(solve(b, cfg(alpha)))
     traced = fileio.report_to_obj(solve(b, cfg(alpha, trace=records.append)))
     assert json.dumps(traced, sort_keys=True) == json.dumps(plain, sort_keys=True)
-    assert {r["stage"] for r in records} == (
-        {"bound", "done"} if case == "square"
-        else {"bound", "eps", "collapse", "done"})
+    assert {r["stage"] for r in records} == {"bound", "eps", "collapse",
+                                             "done"}
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +394,19 @@ SQUARE = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
      "tolerances must be positive"),
     (lambda: SolverConfig(alpha=0.5, distinct_tol=-1e-5),
      "tolerances must be positive"),
+    # non-finite tolerances: on the square at alpha 0.6 a NaN or infinite
+    # value_tol reported 3 minimizers with gap inf, an infinite
+    # distinct_tol 1 minimizer (the square has 2, with gap 0.8284)
+    (lambda: SolverConfig(alpha=0.6, value_tol=math.nan),
+     "tolerances must be positive and finite"),
+    (lambda: SolverConfig(alpha=0.6, value_tol=math.inf),
+     "tolerances must be positive and finite"),
+    (lambda: SolverConfig(alpha=0.6, distinct_tol=math.nan),
+     "tolerances must be positive and finite"),
+    (lambda: SolverConfig(alpha=0.6, distinct_tol=math.inf),
+     "tolerances must be positive and finite"),
+    (lambda: SolverConfig(alpha=0.6, distinct_tol=-math.inf),
+     "tolerances must be positive and finite"),
     (lambda: solve(make_boundary([((0.0, 0.0), F(1))]),
                    SolverConfig(alpha=0.5)), "at least 2 atoms"),
     (lambda: magic_points(SolveReport(SQUARE, 0.5, 2.0, (), math.inf, 1e-5,
@@ -404,7 +415,9 @@ SQUARE = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
      "eta must be positive"),
     (lambda: quantize_chain(chain_of([((0.0, 0.0), (1.0, 0.0), F(1))]),
                             F(-1, 2)), "eta must be positive"),
-], ids=["alpha-0", "alpha-1.5", "value-tol", "distinct-tol", "one-atom",
+], ids=["alpha-0", "alpha-1.5", "value-tol", "distinct-tol", "value-tol-nan",
+        "value-tol-inf", "distinct-tol-nan", "distinct-tol-inf",
+        "distinct-tol-minus-inf", "one-atom",
         "no-minimizers", "eta-0", "eta-negative"])
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
