@@ -80,6 +80,9 @@ def validate_perturbation_points(chain: PolyhedralChain,
                     f"inadmissible point {p}: ball exits its host segment")
         if host == 0:
             raise ValueError(f"inadmissible point {p}: not on the chain support")
+        if host > 1:
+            raise ValueError(
+                f"inadmissible point {p}: inside {host} segments, not one")
         for q, _ in b.atoms:
             if dist(p, q) <= radius:
                 raise ValueError(f"inadmissible point {p}: ball meets supp(b)")

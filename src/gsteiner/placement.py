@@ -7,22 +7,37 @@ branch-vertex positions, through
 
 a convex (generally non-smooth) function.
 
-When every branch vertex is a *star*, all of its neighbors atoms, each star
-is placed on its own: its terms sum_j w_j |x - p_j| share no variable with
-the rest of the energy, and away from the atoms they are smooth.
-:func:`_star_newton` runs damped Newton on that exact energy from the
+A *star* is a branch vertex whose neighbors are all atoms.  Its terms
+sum_j w_j |x - p_j| share no variable with the rest of the energy, so a
+topology without a branch-branch edge, all of whose branch vertices are
+stars, is decided star by star before any minimization, by the star pass
+:func:`_place_stars`.  First the weighted Fermat-Weber vertex criterion
+(Kuhn, Math. Programming 4, 1973) decides exactly whether a star's optimum
+is atom t: |sum_{j != t} w_j (p_t - p_j) / |p_t - p_j|| < w_t.  When that
+holds for some stars by a margin of ``_STAR_MARGIN`` times the star's total
+weight, :func:`optimize_topology` contracts them onto their atoms, where
+Newton would stop short of them and the kernel would only have snapped
+them, and optimizes the contraction.  Otherwise :func:`_star_newton`
+places each star alone: damped Newton on its exact energy from the
 weighted barycenter, with the Hessian sum_j (w_j / r_j) (I - u_j u_j^T)
 and an Armijo backtracking on F (Calamai & Conn, SIAM J. Sci. Stat.
 Comput. 1(4), 1980, for this view of sums of norms).  When an atom's value
 F(p_t) is no larger than the barycenter's, a path from there could be
 drawn onto that atom and close in on it without end, so Newton starts at
 the best atom instead and steps off it along -R/|R|, R the pull of the
-other terms, which descends because Kuhn's test (below) fails there; F
-then stays below every atom's value.  The placement stands only when
+other terms, which descends because Kuhn's test fails there; F then stays
+below every atom's value.  The placement stands only when
 :func:`dual_bound` at it certifies the value to ``_STAR_GAP`` (relative).
-An iterate near an atom (where F is not smooth), a singular Hessian or
-step-off (1-D, collinear atoms, a tie), a spent step budget or a failed
-certificate hands the whole topology to the smoothing kernel below.
+A tie in Kuhn's test, an iterate near an atom (where F is not smooth), a
+singular Hessian or step-off (1-D, collinear atoms, a tie), a spent step
+budget or a failed certificate hands the whole topology to the smoothing
+kernel below.  The test is exact for stars only, so a topology with a
+branch-branch edge runs the kernel as a whole, its stars included: a
+branch neighbor's optimal position is unknown before the minimization,
+and a test vertex by vertex at a placement is necessary but not
+sufficient; on a 4-branch topology of a 6-atom instance collapsed
+vertices pass it one at a time (residual 8.3e-10) while the value sits
+1.8e-5 (relative) above the minimum.
 
 Every other topology runs the kernel.  It minimizes the smoothed energy F_eps = sum of
 w_e sqrt(len^2 + eps^2), while eps decreases geometrically (Smith,
@@ -60,10 +75,11 @@ near-zero length contribute a ball of radius w_e to the subdifferential, so
 the residual at a collapsed vertex is max(0, |g| - sum of collapsed w_e).
 
 A minimizer often collapses: branch points land on each other or on an
-atom.  :func:`optimize_topology` resolves that: it minimizes, contracts
-what :func:`detect_collapse` finds coincident, and optimizes the
-contracted topology the same way, until :func:`detect_collapse` returns
-its input.  Each contraction removes a branch vertex, so this ends, and
+atom.  :func:`optimize_topology` resolves that: it places or minimizes,
+contracts the settled stars or what :func:`detect_collapse` finds
+coincident (both through :func:`~gsteiner.topology.contract`), and
+optimizes the contracted topology the same way, until nothing collapses.
+Each contraction removes a branch vertex, so this ends, and
 the cluster maps compose into one map from the input's vertices to the
 result's.  A kernel run that ended early returns coincident vertices,
 which contract to the topology it optimized, then a memo hit.  Results
@@ -71,23 +87,6 @@ depend on the flowed topology alone, so a caller that optimizes many
 topologies of one boundary passes one ``memo`` dict to all of them: it
 keeps every finished result, and a topology that several others contract
 onto is optimized once.
-
-Before each minimization :func:`optimize_topology` settles *star* branch
-vertices whose optimum is an atom, without minimizing.  A star's terms
-sum_j w_j |x - p_j| share no variable with the rest of the energy, so the
-weighted Fermat-Weber vertex criterion (Kuhn, Math. Programming 4, 1973)
-decides exactly whether its optimum is atom t:
-|sum_{j != t} w_j (p_t - p_j) / |p_t - p_j|| < w_t.  When that holds by a
-margin of ``_STAR_MARGIN`` times the star's total weight, the star is
-contracted onto t, where Newton would stop short of it and the kernel would
-only have snapped it; a tie is left to :func:`minimize`.  The test is
-exact for stars only.  Any other branch vertex has a branch neighbor whose
-optimal position is unknown before the minimization, and a test vertex by
-vertex at a placement is necessary but not sufficient: on a 4-branch
-topology of a 6-atom instance collapsed vertices pass it one at a time
-(residual 8.3e-10) while the value sits 1.8e-5 (relative) above the
-minimum.  Both this and a collapse contract through
-:func:`~gsteiner.topology.contract`.
 
 The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
@@ -152,9 +151,9 @@ class Placement:
 
 @dataclass(frozen=True)
 class OptimizedTopology:
-    """Result of minimizing one topology: of :func:`minimize` as given, of
-    :func:`optimize_topology` after collapse resolution.  ``lift`` maps each
-    vertex given to its vertex of ``flowed`` (for :func:`minimize`, itself)."""
+    """Result of minimizing one topology: as given, of :func:`minimize` or
+    the star pass, and of :func:`optimize_topology` after collapse
+    resolution.  ``lift`` maps each vertex given to its vertex of ``flowed``."""
     flowed: FlowedTopology
     placement: Placement
     value: float
@@ -452,12 +451,16 @@ def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
 # smooth (relative to the atoms' weighted mean distance from their
 # barycenter); a Hessian pivot at most _STAR_SINGULAR times its trace counts
 # as singular; the placement stands only when the dual bound certifies it
-# to _STAR_GAP (relative to 1 + value)
+# to _STAR_GAP (relative to 1 + value).  A star settles on an atom only
+# when Kuhn's criterion holds by _STAR_MARGIN of the star's total weight,
+# far above the rounding of its unit vectors: a tie or near-tie is left to
+# Newton or the kernel
 _STAR_STEPS = 30
 _STAR_GRAD = 1e-13
 _STAR_NEAR = 1e-12
 _STAR_SINGULAR = 1e-12
 _STAR_GAP = 1e-12
+_STAR_MARGIN = 1e-9
 
 
 def _star_newton(atoms: list[tuple[float, Point]]
@@ -478,8 +481,8 @@ def _star_newton(atoms: list[tuple[float, Point]]
     (:func:`_step_off`), one step; from there F stays below every atom's
     value, so no atom draws the iterates in and none is left twice.
 
-    None when Kuhn's test holds at that atom (its optimum, which
-    :func:`optimize_topology` settles first unless it is a near-tie), an
+    None when Kuhn's test holds at that atom (its optimum, which the star
+    pass, :func:`_place_stars`, settles first unless it is a near-tie), an
     iterate comes within ``_STAR_NEAR`` times the atoms' weighted mean
     distance from their barycenter of an atom, the Hessian or the
     step-off's curvature is singular (in 1-D, on collinear atoms, on a
@@ -605,31 +608,50 @@ def _solve_spd(a: list[list[float]], rhs: list[float]) -> list[float] | None:
 
 
 def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
-                 alpha: float, w: list[float]
-                 ) -> tuple[Placement, int] | None:
-    """The certified optimal placement of a topology whose branch vertices
-    are all stars, with the total number of Newton steps, or None.
+                 alpha: float
+                 ) -> list[tuple[int, int]] | OptimizedTopology | None:
+    """The star pass: every branch vertex of ``ft`` decided as a star, or
+    None when ``ft`` has no branch vertex or a branch-branch edge.
 
-    Each star's terms share no variable with the rest of the energy, so
-    :func:`_star_newton` places each one alone.  The placement stands only
-    when :func:`dual_bound` at it lies within ``_STAR_GAP`` (relative) of
-    its energy.  None when a branch vertex has a branch neighbor, a star's
-    Newton run gives up, or the certificate fails.  ``w`` holds the edge
-    weights (:func:`_weights`).
+    First each star gets Kuhn's test of the module docstring: atom t is its
+    unique minimizer when the ball of :func:`_subgradient` at p_t, with only
+    t's edge collapsed, holds 0 in its interior, here by ``_STAR_MARGIN``.
+    When any star passes, the (atom, star) pairs, for
+    :func:`optimize_topology` to contract.  Otherwise :func:`_star_newton`
+    places each star alone, and the result, whose iterations count Newton
+    steps, stands only when :func:`dual_bound` at it lies within
+    ``_STAR_GAP`` (relative) of its energy.  None when a star's Newton run
+    gives up or the certificate fails: the kernel then runs.
     """
     n = ft.topology.n_terminals
-    if any(min(e) >= n for e in ft.topology.edges):  # a branch-branch edge
+    # an edge's first end is its lower one, so the greatest edge starts at
+    # a branch vertex exactly when some edge joins two
+    if not ft.topology.n_branch or max(ft.topology.edges)[0] >= n:
         return None
-    branch, steps = [], 0
+    w = _weights(ft, alpha)
+    stars, settled = [], []
     for v0 in range(n, n + ft.topology.n_branch):
-        found = _star_newton([(wi, terminals[o])
-                              for wi, o in _incident(ft, w, v0)])
+        incident = _incident(ft, w, v0)
+        atoms = [(wi, terminals[o]) for wi, o in incident]
+        margin = _STAR_MARGIN * sum(wi for wi, _ in incident)
+        for _, t in incident:
+            g, ball = _subgradient(terminals[t], atoms, 0.0)
+            if g < ball - margin:
+                settled.append((t, v0))
+                break
+        stars.append(atoms)
+    if settled:
+        return settled
+    branch, steps = [], 0
+    for atoms in stars:
+        found = _star_newton(atoms)
         if found is None:
             return None
         branch.append(found[0])
         steps += found[1]
     pl = Placement(terminals, tuple(branch))
-    return (pl, steps) if _certified(ft, pl, alpha, w) else None
+    return _optimized(ft, pl, alpha, w, steps) if _certified(
+        ft, pl, alpha, w) else None
 
 
 def _certified(ft: FlowedTopology, pl: Placement, alpha: float,
@@ -659,26 +681,25 @@ def _done(trace: Trace | None, res: OptimizedTopology) -> OptimizedTopology:
 def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
              trace: Trace | None = None,
              memo: dict | None = None) -> OptimizedTopology:
-    """Minimize the location energy for a flowed topology over ``b``.
+    """Minimize the location energy for a flowed topology over ``b`` by the
+    smoothing kernel.
 
-    Deterministic.  When every branch vertex is a star, damped Newton on the
-    exact energy places each one (:func:`_place_stars`) and the dual bound
-    certifies the result; its iterations count Newton steps.  Otherwise, or
-    when that gives up, the smoothing kernel (:func:`_run_kernel`) runs:
-    barycentric initialization, a geometric eps schedule whose stages run
-    planar Weiszfeld sweeps or, in other dimensions, Newton steps on the
-    smoothed energy, nearest-vertex snapping when it strictly improves the
-    exact energy.  After each stage but the last, the topology that
+    Deterministic.  A topology without branch vertices is returned at its
+    terminals.  Otherwise the kernel (:func:`_run_kernel`) runs: barycentric
+    initialization, a geometric eps schedule whose stages run planar
+    Weiszfeld sweeps or, in other dimensions, Newton steps on the smoothed
+    energy, nearest-vertex snapping when it strictly improves the exact
+    energy.  After each stage but the last, the topology that
     :func:`detect_collapse` contracts the placement to, when it is new to
     the run, is optimized by :func:`optimize_topology` with ``memo`` (a
     fresh dict when None) and lifted (:func:`_lift`); when the lift is
     certified on ``ft`` the schedule stops there, and the rest of it would
     only have closed in on that collapse.  ``trace`` receives the kernel's
     per-stage records, the nested optimizations' records and one final
-    record from either path.  The edge weights (:func:`_weights`) are
-    computed once and passed to every step.  The result is for ``ft``
-    itself, at a placement that may hold coincident vertices:
-    :func:`optimize_topology` contracts them.
+    record.  The edge weights (:func:`_weights`) are computed once and
+    passed to every step.  The result is for ``ft`` itself, at a placement
+    that may hold coincident vertices: :func:`optimize_topology` contracts
+    them.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -686,22 +707,18 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     w = _weights(ft, alpha)
     if ft.topology.n_branch == 0:
         return _optimized(ft, Placement(terminals, ()), alpha, w, 0)
+    memo = {} if memo is None else memo
+    tried = set()
 
-    found = _place_stars(ft, terminals, alpha, w)
-    if found is None:
-        memo = {} if memo is None else memo
-        tried = set()
-
-        def settle(pl: Placement) -> Placement | None:
-            contracted, cluster = detect_collapse(ft, pl)
-            key = contracted.topology.edges
-            if contracted is ft or key in tried:
-                return None
-            tried.add(key)
-            return _lift(ft, b, alpha, w, contracted, cluster, memo, trace)
-        pos, iters = _run_kernel(ft, terminals, w, trace, settle)
-        found = Placement(terminals, tuple(tuple(x) for x in pos)), iters
-    pl, iters = found
+    def settle(pl: Placement) -> Placement | None:
+        contracted, cluster = detect_collapse(ft, pl)
+        key = contracted.topology.edges
+        if contracted is ft or key in tried:
+            return None
+        tried.add(key)
+        return _lift(ft, b, alpha, w, contracted, cluster, memo, trace)
+    pos, iters = _run_kernel(ft, terminals, w, trace, settle)
+    pl = Placement(terminals, tuple(tuple(x) for x in pos))
     return _done(trace, _optimized(ft, pl, alpha, w, iters))
 
 
@@ -884,38 +901,6 @@ def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
     return PolyhedralChain(tuple(segs), canonical=False)
 
 
-# a star settles only when Kuhn's criterion holds by this share of the
-# star's total weight, far above the rounding of its unit vectors: a tie or
-# near-tie runs the kernel
-_STAR_MARGIN = 1e-9
-
-
-def _settled_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
-                   w: list[float]) -> list[tuple[int, int]]:
-    """(atom, star) for every star branch vertex whose minimizer is an atom,
-    for the edge weights ``w``.
-
-    Kuhn's criterion of the module docstring: atom t is the star's unique
-    minimizer when the ball of :func:`_subgradient` at p_t, with only t's
-    edge collapsed, holds 0 in its interior, here by ``_STAR_MARGIN``.  A
-    vertex with a branch neighbor is never tested.
-    """
-    n = ft.topology.n_terminals
-    pairs = []
-    for v0 in range(n, n + ft.topology.n_branch):
-        incident = _incident(ft, w, v0)
-        if any(o >= n for _, o in incident):
-            continue
-        atoms = [(wi, terminals[o]) for wi, o in incident]
-        margin = _STAR_MARGIN * sum(wi for wi, _ in incident)
-        for _, t in incident:
-            g, ball = _subgradient(terminals[t], atoms, 0.0)
-            if g < ball - margin:
-                pairs.append((t, v0))
-                break
-    return pairs
-
-
 # the early exit's certificate smooths zero-length edges by this share of the
 # largest terminal distance: the dual gap grows with it, and at 1e-12
 # optimal collapsed placements certify only to 1.5e-12-4.4e-12 (relative),
@@ -969,15 +954,15 @@ def _lift(ft: FlowedTopology, b: Boundary, alpha: float, w: list[float],
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
                       trace: Trace | None = None,
                       memo: dict | None = None) -> OptimizedTopology:
-    """Minimize, contract the vertices :func:`detect_collapse` finds
-    coincident, and optimize the contraction the same way, until a
-    minimization collapses nothing.
+    """Place or minimize, contract the vertices :func:`detect_collapse`
+    finds coincident, and optimize the contraction the same way, until
+    nothing collapses.
 
-    Before minimizing, every star branch vertex (all of its neighbors
-    atoms) that :func:`_settled_stars` proves to sit on an atom is
-    contracted onto it without minimizing: the star's Newton run would
-    stop short of the atom, and the kernel would only snap it there.  The
-    module docstring says why the test is exact for stars alone.  A kernel
+    The star pass (:func:`_place_stars`) decides a topology without a
+    branch-branch edge first: the stars that Kuhn's test proves to sit on
+    an atom are contracted onto it without minimizing, and otherwise Newton
+    places every star, certified by the dual bound.  Only a topology the
+    pass refuses is minimized by the kernel (:func:`minimize`).  A kernel
     run that ended at a certified collapse returns coincident vertices,
     and their contraction, which the early exit optimized by calling this
     function with the same ``memo`` and ``trace``, is a memo hit.
@@ -986,26 +971,31 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     never holds two terminals.  The result's ``lift`` composes the cluster
     maps of every contraction: vertex v of ``ft`` lifts to
     ``placement.position(lift[v])``; its iterations add those of every
-    minimization on the way, reused ones included.  A minimization starts
-    afresh from the barycentric start, and an early exit depends on its
-    contraction's optimum alone, so every result is a function of its
-    flowed topology alone, and ``memo`` keeps the finished result of every
-    topology optimized: a dict shared by calls with the same boundary and
-    alpha (several topologies can contract onto one), keyed on edges only;
-    on one boundary the edges fix the flows, since a forest carries a
-    boundary by one conservative flow at most.  A repeat call returns the
-    stored result.
+    placement and minimization on the way, reused ones included.  A
+    minimization starts afresh from the barycentric start, and an early
+    exit depends on its contraction's optimum alone, so every result is a
+    function of its flowed topology alone, and ``memo`` keeps the finished
+    result of every topology optimized: a dict shared by calls with the
+    same boundary and alpha (several topologies can contract onto one),
+    keyed on edges only; on one boundary the edges fix the flows, since a
+    forest carries a boundary by one conservative flow at most.  A repeat
+    call returns the stored result.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
     if memo is None:
         memo = {}
     key = ft.topology.edges
     if key in memo:
         return memo[key]
-    settled = _settled_stars(ft, _terminals_for(ft, b), _weights(ft, alpha))
-    contracted, cluster = contract(ft, settled) if settled else (ft, None)
+    found = _place_stars(ft, _terminals_for(ft, b), alpha)
     iters = 0
-    if contracted is ft:
-        res = minimize(ft, b, alpha, trace, memo)
+    if isinstance(found, list):
+        # a star merged into its atom closes no cycle: a new topology
+        contracted, cluster = contract(ft, found)
+    else:
+        res = (minimize(ft, b, alpha, trace, memo) if found is None
+               else _done(trace, found))
         iters = res.iterations
         contracted, cluster = detect_collapse(ft, res.placement)
     if contracted is not ft:

@@ -130,6 +130,7 @@ def build_cells(spec: SweepSpec) -> list[tuple]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     """All sweep rows, deterministically ordered by (alpha, index)."""
     cells = build_cells(spec)
+    workers = min(workers, len(cells))  # the pool forks them all up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell, cells, chunksize=4))

@@ -254,6 +254,31 @@ def test_sweep_process_pool_matches_serial():
     assert rows == run_sweep(spec)
 
 
+def test_sweep_starts_no_more_processes_than_cells(monkeypatch):
+    # a recorder that maps serially stands in for the pool, which would
+    # fork every one of its max_workers up front
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("gsteiner.sweep.ProcessPoolExecutor", SerialPool)
+    spec = SweepSpec(alphas=(0.5,), n_instances=2, rho=0.05, seed=11)
+    rows = run_sweep(spec, workers=64)
+    assert started == [2]
+    assert rows == run_sweep(spec)
+
+
 def test_instance_round_trip(square_file):
     inst = fileio.parse_instance(fileio.load_json(square_file))
     assert inst.boundary.as_dict() == {

@@ -367,6 +367,33 @@ def test_has_loop_through_crossing():
     assert not _cycle_oracle(no_close)
 
 
+def test_has_loop_skew_segments_in_3d():
+    # the least-squares meet of two skew lines lies inside both segments,
+    # 1 apart: no crossing, so the third segment closes no circuit
+    skew = [seg((0, 0, 0), (2, 0, 0), 1), seg((1, -1, 1), (1, 1, 1), 1)]
+    assert not has_loop(canonicalize(chain_of(skew)))
+    assert not has_loop(canonicalize(chain_of(
+        skew + [seg((0, 0, 0), (1, -1, 1), 1)])))
+
+
+def test_has_loop_through_a_t_junction():
+    # each stem ends inside the bar, which sorts first: its end is the cut
+    # of the bar, at the stem's start (above) or end (below)
+    bar = seg((0.1, 0.2), (2.3, 0.7), 1)
+    foot = (0.1 + 0.3 * 2.2, 0.2 + 0.3 * 0.5)
+    above = seg(foot, (foot[0], 1.5), 1)
+    below = seg((foot[0], -1.0), foot, 1)
+    for stem in (above, below):
+        chain = canonicalize(chain_of([bar, stem]))
+        assert chain.segments[0].start == bar[0]
+        assert not has_loop(chain)
+    # a triangle closed through the T: the bar's first piece, the stem and
+    # a side back to the bar's start
+    tri = canonicalize(chain_of([bar, above, seg(above[1], bar[0], 1)]))
+    assert has_loop(tri)
+    assert _cycle_oracle(tri)
+
+
 def _cycle_oracle(chain):
     """Independent check with networkx on the subdivided arrangement."""
     import itertools

@@ -72,6 +72,18 @@ def test_perturb_inadmissible_points():
         PerturbationSpec(y, ((1.02, 0.02),), k=2, radius=0.1)
 
 
+def test_perturb_refuses_a_point_at_a_crossing():
+    # two segments crossing at (1, 1) without a vertex there: the point lies
+    # inside both, and a dent there would add four atoms, not two
+    x = canonicalize(chain_of([((0.0, 0.0), (2.0, 2.0), F(1)),
+                               ((0.0, 2.0), (2.0, 0.0), F(1))]))
+    with pytest.raises(ValueError, match=r"\(1\.0, 1\.0\): inside 2 segments"):
+        PerturbationSpec(x, ((1.0, 1.0),), 10, 0.1)
+    # a point inside one of them still dents it
+    _, b = perturb(PerturbationSpec(x, ((0.5, 0.5),), 10, 0.1))
+    assert len(b.atoms) == 6
+
+
 @pytest.mark.parametrize("radius", [0.0, math.nan, math.inf])
 def test_perturbation_spec_refuses_a_radius_not_positive_and_finite(radius):
     with pytest.raises(ValueError, match="radius must be positive and finite"):

@@ -16,7 +16,7 @@ from gsteiner.perturb import (PerturbationSpec, _local4_candidates,
                               estimate_k0, four_point_instance, local4_solve,
                               perturb)
 from gsteiner.placement import (TOL_COLLAPSE, TOL_GRAD, OptimizedTopology,
-                                Placement, _settled_stars, detect_collapse,
+                                Placement, detect_collapse,
                                 dual_bound, energy, lower_bounds, minimize,
                                 optimize_topology, realize_chain,
                                 stationarity_residual)
@@ -497,7 +497,7 @@ def assert_memo_keeps_finished_results(b, alpha, optima, memo):
     """``optima``, the (topology, result) pairs of ``optimize_topology``
     calls that shared ``memo``: each result equals the topology's
     fresh-memo result, and a repeat call with ``memo`` returns it, the
-    stored object, without settling a star, minimizing or contracting.
+    stored object, without the star pass, minimizing or contracting.
     Returns how many results contracted."""
     for ft, res in optima:
         fresh = optimize_topology(ft, b, alpha)
@@ -506,7 +506,7 @@ def assert_memo_keeps_finished_results(b, alpha, optima, memo):
                                     fresh.value, fresh.lift, fresh.iterations)
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_settled_stars", "minimize", "detect_collapse"):
+        for name in ("_place_stars", "minimize", "detect_collapse"):
             real = getattr(placement, name)
             patch.setattr(placement, name, lambda *args, name=name, real=real:
                           calls.append(name) or real(*args))
@@ -543,7 +543,7 @@ def test_memo_keeps_finished_results(six_atom_optima, bench_instances):
 # ---------------------------------------------------------------------------
 
 def kernel_minimize(ft, b, alpha):
-    """``minimize`` by the smoothing kernel alone, the star path's reference."""
+    """``minimize`` without the early exit, the star pass's reference."""
     if not ft.topology.n_branch:
         return minimize(ft, b, alpha)
     terminals = tuple(p for p, _ in b.atoms)
@@ -557,8 +557,8 @@ def kernel_minimize(ft, b, alpha):
 
 
 def kernel_only_optimize(ft, b, alpha, memo=None):
-    """``optimize_topology`` without the star test, the star path and the
-    kernel's early exit, the reference: minimize by the kernel's full
+    """``optimize_topology`` without the star pass and the kernel's early
+    exit, the reference: minimize by the kernel's full
     schedule and contract until ``detect_collapse`` returns its input.
     ``memo``, a dict shared by calls on one boundary and alpha, keeps the
     minimizations."""
@@ -575,10 +575,10 @@ def kernel_only_optimize(ft, b, alpha, memo=None):
 
 
 def newton_placed(records):
-    """The number of minimizations in a trace that the star path placed:
-    the kernel sends "eps" records before its "done" record, with a
+    """The number of topologies in a trace that the star pass placed by
+    Newton: the kernel sends "eps" records before its "done" record, with a
     "collapse" record right before it when the run ends early; the star
-    path only the "done" record."""
+    pass only the "done" record."""
     return sum(r["stage"] == "done"
                and (i == 0 or records[i - 1]["stage"] not in ("eps", "collapse"))
                for i, r in enumerate(records))
@@ -623,27 +623,47 @@ def assert_certified_lift(ft, pl, alpha):
     assert v - dual_bound(ft, pl, alpha, eps) <= 1e-12 * (1.0 + v)
 
 
-def assert_star_path_sound(ft, b, alpha):
-    """``minimize`` against the kernel: where Newton placed the stars, not
-    above the kernel and certified by the dual bound; where the kernel ran,
-    its full schedule's result bit for bit, or a certified lift not above
-    it when the run ended early.  Returns whether Newton placed them."""
-    records = []
-    got = minimize(ft, b, alpha, trace=records.append)
+def star_pass(ft, b, alpha):
+    """The star pass (``_place_stars``) on ``ft``: the settled (atom, star)
+    pairs, the Newton placement's result or None."""
+    return placement._place_stars(ft, tuple(p for p, _ in b.atoms), alpha)
+
+
+def assert_star_pass_sound(ft, b, alpha):
+    """The star pass on ``ft`` against the kernel's full schedule.  A star
+    it settles, moved onto its atom in the kernel's placement, is not above
+    the kernel; a Newton placement is not above it, certified by the dual
+    bound, and ``optimize_topology`` sends its "done" record first.  A
+    topology it refuses, ``minimize`` places: the full schedule's result bit
+    for bit, or a certified lift not above it when the run ended early.
+    Returns "settled", "newton" or "kernel"."""
+    found = star_pass(ft, b, alpha)
     want = kernel_minimize(ft, b, alpha)
-    v = got.value
-    if exited(records):
-        assert v <= want.value + 1e-12 * (1.0 + v)
-        assert_certified_lift(ft, got.placement, alpha)
-        return False
-    if not newton_placed(records):
-        assert got == want
-        return False
-    assert records == [{"stage": "done", "iteration": got.iterations,
-                        "value": v, "residual": got.residual}]
+    if found is None:
+        records = []
+        got = minimize(ft, b, alpha, trace=records.append)
+        if exited(records):
+            assert got.value <= want.value + 1e-12 * (1.0 + got.value)
+            assert_certified_lift(ft, got.placement, alpha)
+        else:
+            assert got == want
+        return "kernel"
+    if isinstance(found, list):
+        terminals, n = want.placement.terminals, ft.topology.n_terminals
+        for t, star_vertex in found:
+            branch = list(want.placement.branch)
+            branch[star_vertex - n] = terminals[t]
+            at_atom = energy(ft, Placement(terminals, tuple(branch)), alpha)
+            assert at_atom <= want.value + 1e-12 * (1.0 + want.value)
+        return "settled"
+    v = found.value
     assert v <= want.value + 1e-12 * (1.0 + v)
-    assert v >= dual_bound(ft, got.placement, alpha) - 1e-12 * (1.0 + v)
-    return True
+    assert v >= dual_bound(ft, found.placement, alpha) - 1e-12 * (1.0 + v)
+    records = []
+    optimize_topology(ft, b, alpha, trace=records.append)
+    assert records[0] == {"stage": "done", "iteration": found.iterations,
+                          "value": v, "residual": found.residual}
+    return "newton"
 
 
 def assert_exits_certified(calls, alpha):
@@ -666,9 +686,9 @@ def assert_not_above(got, want):
 def assert_matches_kernel_only(ft, b, alpha):
     """``optimize_topology`` against :func:`kernel_only_optimize`: the same
     flowed topology and not above it.  Every kernel run that ended early
-    returned a certified lift, and when none did and no minimization took
-    the star path, the result is the reference's bit for bit.  Returns the
-    number of minimizations that took the star path."""
+    returned a certified lift, and when none did and the star pass placed
+    no topology by Newton, the result is the reference's bit for bit.
+    Returns the number of topologies the star pass placed by Newton."""
     got, records, calls = minimizations(
         lambda trace: optimize_topology(ft, b, alpha, trace))
     want = kernel_only_optimize(ft, b, alpha)
@@ -682,28 +702,23 @@ def assert_matches_kernel_only(ft, b, alpha):
 
 def assert_stars_match_kernel(fts, b, alpha, monkeypatch):
     """:func:`assert_matches_kernel_only` on every topology of ``fts``, and
-    :func:`assert_star_path_sound` on every topology that
-    ``optimize_topology`` minimizes on the way.  Returns how many of those
-    Newton placed and how many fell back to the kernel."""
-    minimized = {}
-    real = placement.minimize
+    :func:`assert_star_pass_sound` on every topology with a branch vertex
+    that the star pass sees on the way.  Returns how many of those it
+    settled stars of, placed by Newton and left to the kernel."""
+    seen = {}
+    real = placement._place_stars
 
     def recording(ft, *args):
-        minimized.setdefault((ft.topology.edges, ft.edge_flows), ft)
+        seen.setdefault(ft.topology.edges, ft)
         return real(ft, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(placement, "minimize", recording)
+        patch.setattr(placement, "_place_stars", recording)
         for ft in fts:
             assert_matches_kernel_only(ft, b, alpha)
-    placed = [assert_star_path_sound(ft, b, alpha)
-              for ft in minimized.values() if ft.topology.n_branch]
-    return sum(placed), len(placed) - sum(placed)
-
-
-def settled(ft, b, alpha):
-    return _settled_stars(ft, tuple(p for p, _ in b.atoms),
-                          placement._weights(ft, alpha))
+    outcomes = [assert_star_pass_sound(ft, b, alpha)
+                for ft in seen.values() if ft.topology.n_branch]
+    return tuple(map(outcomes.count, ("settled", "newton", "kernel")))
 
 
 def test_settled_stars_match_kernel_on_local4_candidates(monkeypatch):
@@ -715,9 +730,9 @@ def test_settled_stars_match_kernel_on_local4_candidates(monkeypatch):
         fts = [ft for _, ft in _local4_candidates(
             tuple(m for _, m in b.atoms), ("A", "B", "C", "D"))
             if ft.topology.n_branch]
-        fired += sum(bool(settled(ft, b, alpha)) for ft in fts)
-        placed, fell_back = assert_stars_match_kernel(fts, b, alpha,
-                                                      monkeypatch)
+        settled, placed, fell_back = assert_stars_match_kernel(
+            fts, b, alpha, monkeypatch)
+        fired += settled
         newton += placed
         fallback += fell_back
     # one star still falls back; the two-branch cases run the kernel, held
@@ -732,10 +747,11 @@ def test_two_star_forest_of_the_distinct_mass_six_atom_instance(
              if ft.topology.n_branch == 2
              and all(min(e) < 6 for e in ft.topology.edges)]
     assert len(stars) == 1
-    # one block's star settles on an atom, Newton places the other's
-    assert len(settled(stars[0], b, alpha)) == 1
+    # one block's star settles on an atom, then Newton places the other's
+    found = star_pass(stars[0], b, alpha)
+    assert isinstance(found, list) and len(found) == 1
     assert assert_matches_kernel_only(stars[0], b, alpha) == 1
-    assert assert_stars_match_kernel(stars, b, alpha, monkeypatch) == (1, 0)
+    assert assert_stars_match_kernel(stars, b, alpha, monkeypatch) == (1, 1, 0)
 
 
 def test_every_star_of_the_six_atom_instances_matches_kernel(
@@ -750,7 +766,8 @@ def test_every_star_of_the_six_atom_instances_matches_kernel(
                  if res.flowed.topology.n_branch
                  and all(min(e) < n for e in res.flowed.topology.edges)
                  }.values()
-        newton += sum(assert_star_path_sound(ft, b, alpha) for ft in stars)
+        newton += sum(assert_star_pass_sound(ft, b, alpha) == "newton"
+                      for ft in stars)
     assert newton > 0
 
 
@@ -758,9 +775,10 @@ def test_settled_stars_match_kernel_on_3d_instances(bench_instances,
                                                    monkeypatch):
     fired = newton = 0
     for b, alpha in bench_instances("solve-3d", 0):
-        fts = list(enumerate_topologies(b))
-        fired += sum(bool(settled(ft, b, alpha)) for ft in fts)
-        newton += assert_stars_match_kernel(fts, b, alpha, monkeypatch)[0]
+        settled, placed, _ = assert_stars_match_kernel(
+            list(enumerate_topologies(b)), b, alpha, monkeypatch)
+        fired += settled
+        newton += placed
     assert fired > 0 and newton > 0
 
 
@@ -788,7 +806,8 @@ def random_star(seed, masses, dim):
 def test_settled_star_atom_is_not_above_the_kernel(seed, masses, dim, alpha):
     ft, b = random_star(seed, masses, dim)
     n = len(masses)
-    for t, star_vertex in settled(ft, b, alpha):
+    found = star_pass(ft, b, alpha)
+    for t, star_vertex in found if isinstance(found, list) else ():
         assert star_vertex == n
         terminals = tuple(p for p, _ in b.atoms)
         at_atom = energy(ft, Placement(terminals, (terminals[t],)), alpha)
@@ -803,7 +822,7 @@ def test_settled_star_atom_is_not_above_the_kernel(seed, masses, dim, alpha):
 def test_newton_star_is_certified_and_not_above_the_kernel(seed, masses, dim,
                                                           alpha):
     ft, b = random_star(seed, masses, dim)
-    assert_star_path_sound(ft, b, alpha)
+    assert_star_pass_sound(ft, b, alpha)
 
 
 def _near_atom_star():
@@ -834,8 +853,17 @@ FALLBACK_STARS = {
 
 @pytest.mark.parametrize("case", sorted(FALLBACK_STARS))
 def test_star_falls_back_to_the_kernel(case):
+    # Newton gives each star up; the star pass settles the collinear ones on
+    # their middle atom by Kuhn's test first, and hands the others to the
+    # kernel
     (ft, b), alpha = FALLBACK_STARS[case]()
-    assert not assert_star_path_sound(ft, b, alpha)
+    w = placement._weights(ft, alpha)
+    assert placement._star_newton([
+        (wi, b.atoms[o][0])
+        for wi, o in placement._incident(ft, w, ft.topology.n_terminals)
+    ]) is None
+    assert assert_star_pass_sound(ft, b, alpha) == (
+        "settled" if case in ("1-D", "collinear 2-D") else "kernel")
 
 
 def test_certificate_refuses_a_star_off_its_optimum(monkeypatch, v_boundary):
@@ -845,14 +873,15 @@ def test_certificate_refuses_a_star_off_its_optimum(monkeypatch, v_boundary):
     monkeypatch.setattr(placement, "_star_newton", lambda atoms: (tuple(
         sum(w * p[i] for w, p in atoms) / sum(w for w, _ in atoms)
         for i in range(2)), 0))
-    assert not assert_star_path_sound(ft, v_boundary, 0.75)
+    assert assert_star_pass_sound(ft, v_boundary, 0.75) == "kernel"
 
 
 def test_tied_star_falls_through_to_the_kernel(monkeypatch):
     # atoms of masses -1, -1, 2 at 0, 1 and 2 on a line: at alpha = 1 the
     # criterion holds with equality at the last two, and every point
     # between them minimizes.  On tilted and scaled lines the unit vectors
-    # round, and the tie must not settle either way
+    # round, and the star pass must neither settle the tie either way nor
+    # place it by Newton
     rng = random.Random(7)
     calls = []
     real = placement.minimize
@@ -865,7 +894,7 @@ def test_tied_star_falls_through_to_the_kernel(monkeypatch):
         b = make_boundary(((o[0] + s * u[0], o[1] + s * u[1]), F(m))
                           for s, m in ((0, -1), (1, -1), (2, 2)))
         ft = y_topology(b)
-        assert settled(ft, b, 1.0) == []
+        assert star_pass(ft, b, 1.0) is None
     calls.clear()
     records = []
     optimize_topology(ft, b, 1.0, trace=records.append)
@@ -882,8 +911,8 @@ TRAPPED_STAR = (((-4.0, 0.0570743), -1), ((-1.0, 0.0823184), F(1, 6)),
 
 def test_newton_steps_off_the_atom_that_traps_its_path():
     ft, b = star(TRAPPED_STAR)
-    assert assert_star_path_sound(ft, b, 0.5)
-    assert minimize(ft, b, 0.5).value < 8.8204666 - 1e-8
+    assert assert_star_pass_sound(ft, b, 0.5) == "newton"
+    assert optimize_topology(ft, b, 0.5).value < 8.8204666 - 1e-8
 
 
 def test_collinear_star_at_a_tied_atom_returns_without_raising():
@@ -898,6 +927,42 @@ def test_collinear_star_at_a_tied_atom_returns_without_raising():
         assert placement._star_newton(
             [(w, (o[0] + s * u[0], o[1] + s * u[1]))
              for s, w in ((0, 1.0), (1, 1.0), (2, 2.0))]) is None
+
+
+def test_spent_newton_budget_falls_back_to_the_kernel(monkeypatch,
+                                                      v_boundary):
+    # one Newton step does not reach the V's branch point: the star pass
+    # refuses the star and the kernel places it
+    monkeypatch.setattr(placement, "_STAR_STEPS", 1)
+    ft = y_topology(v_boundary)
+    assert assert_star_pass_sound(ft, v_boundary, 0.5) == "kernel"
+    got, records, calls = minimizations(
+        lambda trace: optimize_topology(ft, v_boundary, 0.5, trace))
+    assert calls[-1][0] is ft and not newton_placed(records)
+    assert_not_above(got, kernel_only_optimize(ft, v_boundary, 0.5))
+
+
+def test_star_beside_a_branch_branch_edge_runs_the_kernel():
+    # a wide V (sinks at 63 degrees off the axis) whose star alone settles
+    # on its source, and an H whose two branch vertices are joined: the star
+    # pass refuses the whole forest, and the kernel places the star with
+    # the H's branch vertices
+    b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 2.0), F(1)),
+                       ((1.0, -2.0), F(1)), ((5.0, 0.0), F(-1)),
+                       ((5.0, 1.0), F(-1)), ((7.0, 0.0), F(1)),
+                       ((7.0, 1.0), F(1))])
+    alpha = 0.5
+    ft = assign_flows(SteinerTopology(
+        7, 3, ((0, 7), (1, 7), (2, 7), (3, 8), (4, 8), (5, 9), (6, 9),
+               (8, 9)), tuple(m for _, m in b.atoms)), b)
+    v, v_boundary = star(b.atoms[:3])
+    assert star_pass(v, v_boundary, alpha) == [(0, 3)]
+    assert star_pass(ft, b, alpha) is None
+    got, records, calls = minimizations(
+        lambda trace: optimize_topology(ft, b, alpha, trace))
+    assert calls[-1][0] is ft and records[0]["stage"] == "eps"
+    assert_exits_certified(calls, alpha)
+    assert_not_above(got, kernel_only_optimize(ft, b, alpha))
 
 
 # ---------------------------------------------------------------------------

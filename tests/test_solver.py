@@ -14,7 +14,8 @@ from gsteiner.currents import (boundary, branch_points, canonicalize,
                                chain_of, has_loop, make_boundary,
                                support_difference_mass)
 from gsteiner.solver import (MinimizerRecord, SolverConfig, SolveReport,
-                             magic_points, quantize_chain, solve)
+                             _uncovered_intervals, magic_points,
+                             quantize_chain, solve)
 from grid_oracle import brute_force_value
 
 
@@ -278,6 +279,17 @@ def test_magic_points_off_a_shared_collinear_piece():
         q for r in records for q in branch_points(r.chain, b)]
     # the nearest is the other's corner (4.25, -0.5)
     assert min(math.dist(p, q) for q in exceptional) > 0.45
+
+
+def test_uncovered_intervals_around_a_covered_middle():
+    # the other chain covers the middle third of the segment: the gaps
+    # before and after it stay, each shortened by the tolerance
+    (s,) = canonicalize(chain_of([((0.0, 0.0), (3.0, 0.0), F(1))])).segments
+    other = canonicalize(chain_of([((1.0, 0.0), (2.0, 0.0), F(1))]))
+    (lo1, hi1), (lo2, hi2) = _uncovered_intervals(s, other, 1e-6)
+    assert lo1 == 0.0 and hi2 == 1.0
+    assert hi1 == pytest.approx(1.0 / 3.0 - 1e-6 / 3.0, abs=1e-15)
+    assert lo2 == pytest.approx(2.0 / 3.0 + 1e-6 / 3.0, abs=1e-15)
 
 
 def _dist_to_chain(p, chain):
