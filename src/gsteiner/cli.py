@@ -213,6 +213,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, not {args.workers}")
     obj = fileio.load_json(args.spec)
     if args.seed is not None:
         obj["seed"] = args.seed

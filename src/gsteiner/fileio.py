@@ -229,7 +229,7 @@ def report_to_obj(report: SolveReport) -> dict:
         "minimizers": [
             {
                 "value": m.value,
-                "residual": m.residual,
+                "lower": m.lower,
                 "n_branch": m.flowed.topology.n_branch,
                 "chain": chain_to_obj(m.chain),
             }

@@ -36,8 +36,8 @@ branch-branch edge runs the kernel as a whole, its stars included: a
 branch neighbor's optimal position is unknown before the minimization,
 and a test vertex by vertex at a placement is necessary but not
 sufficient; on a 4-branch topology of a 6-atom instance collapsed
-vertices pass it one at a time (residual 8.3e-10) while the value sits
-1.8e-5 (relative) above the minimum.
+vertices pass it one at a time (subgradient norm 8.3e-10) while the value
+sits 1.8e-5 (relative) above the minimum.
 
 Every other topology runs the kernel.  It minimizes the smoothed energy F_eps = sum of
 w_e sqrt(len^2 + eps^2), while eps decreases geometrically (Smith,
@@ -50,9 +50,9 @@ The kernel ends at the first collapse it can certify.  After every stage
 but the last, the topology that :func:`detect_collapse` contracts the
 snapped placement to, the first time the run sees it, is optimized by
 :func:`optimize_topology` (with the caller's ``memo`` and ``trace``) and
-its optimum lifted back, every vertex at its image's position
-(:func:`_lift`).  When the dual bound of the kernel's own topology
-certifies the lift (:func:`_settles`, below), the schedule stops there:
+its optimum lifted back, every vertex at its image's position.  When the
+dual bound of the kernel's own topology certifies the lift
+(:func:`_settles`, below), the schedule stops there:
 its remaining stages would only close in on that collapse.  Otherwise the
 schedule goes on.  This is the active-set view of sums of norms (Calamai &
 Conn above): a collapsed optimum is settled by contracting it and checking
@@ -70,9 +70,14 @@ planar sweep stays because most planar calls (the four-point lab's) have
 one or two branch points, where a sweep in flat Python costs less than the
 numpy calls of a Newton step.
 
-Optimality is certified by the minimal-norm subgradient residual: edges of
-near-zero length contribute a ball of radius w_e to the subdifferential, so
-the residual at a collapsed vertex is max(0, |g| - sum of collapsed w_e).
+Every result carries ``lower``, a :func:`dual_bound` on the minimum of the
+location energy of the topology given, and is ``converged`` when its value
+lies within ``_STAR_GAP`` (relative) of it.  Newton stars and early exits
+stand only when so certified; settled stars carry their contraction's
+bound (Kuhn's test is exact); a kernel run that reaches the end of its
+schedule carries the bound at its placement, zero-length edges smoothed by
+``_SETTLE_EPS``, and may stay uncertified.  A contraction that merges
+parallel edges can realize a value below the bound.
 
 A minimizer often collapses: branch points land on each other or on an
 atom.  :func:`optimize_topology` resolves that: it places or minimizes,
@@ -92,9 +97,8 @@ The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
 shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
 the largest terminal distance).  Every stage runs at most 200 iterations
 and the final one, at ``EPS_MIN``, at most 400, so a run has at most 2000.
-Edges not longer than ``TOL_COLLAPSE`` (instance units) count as collapsed,
-in the residual and in :func:`detect_collapse`, and :func:`minimize`
-reports convergence when the residual is at most ``TOL_GRAD``.
+Vertices not farther apart than ``TOL_COLLAPSE`` (instance units) count as
+coincident, in the snap and in :func:`detect_collapse`.
 
 A lower bound on the minimum comes from weak duality (Xue & Ye, SIAM J.
 Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
@@ -105,10 +109,10 @@ smoothed Weiszfeld steps of Smith's form (one stacked weighted-Laplacian
 solve per step moves all branch points of a group of topologies), eps
 falling geometrically from ``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the
 dual projection as one more stacked solve.  :func:`dual_bound` is its
-one-topology evaluation.  The solver prunes topologies with these bounds;
-they are not a stopping rule for :func:`minimize`, because on some
-collapsing topologies the bound stays up to about 2e-2 (relative) below
-the value even at the smallest eps.
+one-topology evaluation.  The solver prunes topologies with these bounds.
+Taken at the bounding pass's smoothed placements they seldom certify an
+optimum: on some collapsing topologies the bound stays up to about 2e-2
+(relative) below the value even at the smallest eps.
 """
 from __future__ import annotations
 
@@ -122,19 +126,18 @@ from .currents import Point, PolyhedralChain, Segment, Boundary, dist
 from .topology import FlowedTopology, SteinerTopology, contract
 
 
-TOL_GRAD = 1e-8
 TOL_COLLAPSE = 1e-7
 EPS_INIT = 2e-2
 EPS_DECAY = 0.2
 EPS_MIN = 2e-7
 
 # receives one JSON-serializable record per smoothing stage (iteration count,
-# eps, current energy) plus a final one with the stationarity residual (the
-# star path sends the final one alone); a kernel run that ends early sends a
-# record with "stage": "collapse" (iteration count, the lift's energy) before
-# the final one, and the optimization it nested sends its records before
-# that; lower_bounds sends one record with "stage": "bound" per topology
-# instead
+# eps, current energy) plus a final "done" one with the iteration count, the
+# value and its lower bound (the star path sends the final one alone); a
+# kernel run that ends early sends a record with "stage": "collapse"
+# (iteration count, the lift's energy) before the final one, and the
+# optimization it nested sends its records before that; lower_bounds sends
+# one record with "stage": "bound" per topology instead
 Trace = Callable[[dict], None]
 
 
@@ -153,14 +156,21 @@ class Placement:
 class OptimizedTopology:
     """Result of minimizing one topology: as given, of :func:`minimize` or
     the star pass, and of :func:`optimize_topology` after collapse
-    resolution.  ``lift`` maps each vertex given to its vertex of ``flowed``."""
+    resolution.  ``lift`` maps each vertex given to its vertex of
+    ``flowed``.  ``lower`` is a dual lower bound on the minimum of the
+    location energy of the topology given (module docstring)."""
     flowed: FlowedTopology
     placement: Placement
     value: float
-    residual: float
+    lower: float
     iterations: int
-    converged: bool
     lift: tuple[int, ...]
+
+    @property
+    def converged(self) -> bool:
+        """Whether ``lower`` certifies ``value`` to ``_STAR_GAP``
+        (relative)."""
+        return self.value - self.lower <= _STAR_GAP * (1.0 + self.value)
 
 
 def _identity(ft: FlowedTopology) -> tuple[int, ...]:
@@ -184,19 +194,19 @@ def energy(ft: FlowedTopology, pl: Placement, alpha: float,
         for wi, (u, v) in zip(w, ft.topology.edges))
 
 
-def _subgradient(here: Point, incident: list[tuple[float, Point]],
-                 tol: float) -> tuple[float, float]:
+def _subgradient(here: Point, incident: list[tuple[float, Point]]
+                 ) -> tuple[float, float]:
     """The subdifferential at ``here`` of sum_e w_e |x - there_e|, over the
     ``incident`` (w_e, there_e), as a ball: (|g|, radius).
 
-    An edge longer than ``tol`` adds its gradient w_e (here - there) / len
-    to g; a shorter one is collapsed and adds w_e to the radius.
+    An edge of positive length adds its gradient w_e (here - there) / len
+    to g; a zero-length one is collapsed and adds w_e to the radius.
     """
     g = [0.0] * len(here)
     ball = 0.0
     for wi, there in incident:
         length = dist(here, there)
-        if length <= tol:
+        if not length:
             ball += wi
         else:
             for i in range(len(g)):
@@ -208,27 +218,6 @@ def _incident(ft: FlowedTopology, w: list[float], v0: int) -> list[tuple[float, 
     """(w_e, other end) of every edge of vertex ``v0``, in edge order."""
     return [(wi, v if u == v0 else u)
             for wi, (u, v) in zip(w, ft.topology.edges) if v0 in (u, v)]
-
-
-def stationarity_residual(ft: FlowedTopology, pl: Placement, alpha: float,
-                          w: list[float] | None = None) -> float:
-    """Max over branch vertices of the minimal-norm subgradient norm.
-
-    Edges not longer than ``TOL_COLLAPSE`` are treated as collapsed: they
-    contribute a ball of radius w_e rather than a unit direction.  ``w`` as
-    in :func:`energy`.
-    """
-    n = ft.topology.n_terminals
-    if w is None:
-        w = _weights(ft, alpha)
-    worst = 0.0
-    for v0 in range(n, n + ft.topology.n_branch):
-        g, ball = _subgradient(
-            pl.position(v0),
-            [(wi, pl.position(o)) for wi, o in _incident(ft, w, v0)],
-            TOL_COLLAPSE)
-        worst = max(worst, max(0.0, g - ball))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +233,12 @@ def _incidence(t: SteinerTopology) -> np.ndarray:
     return a
 
 
-def _barycentric_init(ft: FlowedTopology, terminals: tuple[Point, ...]) -> list[list[float]]:
-    """Each branch vertex at the fixed point of neighborhood averaging.
-
-    With A the incidence matrix split into branch rows A_b and terminal rows
-    A_t, the branch positions solve (A_b A_b^T) x = -(A_b A_t^T) p.
-    """
-    n = ft.topology.n_terminals
-    a = _incidence(ft.topology)
-    x = np.linalg.solve(a[n:] @ a[n:].T, -(a[n:] @ a[:n].T) @ np.asarray(terminals))
-    return [list(row) for row in x]
-
-
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
                 w: list[float], trace: Trace | None,
-                settle: Callable[[Placement], Placement | None] | None = None
-                ) -> tuple[Sequence[Sequence[float]], int]:
+                settle: Callable[[Placement], OptimizedTopology | None]
+                | None = None
+                ) -> tuple[Sequence[Sequence[float]], int,
+                           OptimizedTopology | None]:
     """The smoothing schedule from the barycentric start, for the edge
     weights ``w``.
 
@@ -267,23 +246,29 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     dimension: planar Gauss-Seidel sweeps (:func:`_sweeps_2d`) or Newton
     steps (:func:`_newton_steps`).  Everything else is shared: the eps
     schedule, the stage budgets and move tolerances, the snap and the trace.
-    After every stage but the last, ``settle`` (when given) receives the
-    snapped placement; a placement it returns ends the schedule, with a
-    "collapse" trace record.  Returns the branch positions and the number
-    of iterations (sweeps or Newton steps).
+    The barycentric start puts the branch vertices where
+    sum_e |x_u - x_v|^2 is least (:func:`_branch_positions` with unit
+    weights).  After every stage but the last, ``settle`` (when given)
+    receives the snapped placement; a result it returns, a certified one of
+    ``ft``, ends the schedule, with a "collapse" trace record.  Returns the
+    branch positions, the number of iterations (sweeps or Newton steps) and
+    ``settle``'s result or None.
     """
     t = ft.topology
     n = t.n_terminals
     scale = _scale(terminals)
+    a = _incidence(t)
+    start = _branch_positions(a[None, n:], np.ones((1, len(t.edges))),
+                              a[None, :n].transpose(0, 2, 1)
+                              @ np.asarray(terminals, dtype=float))[0]
     # every vertex, terminals first; the stages write only branch entries
-    pos = [list(p) for p in terminals] + _barycentric_init(ft, terminals)
+    pos = [list(p) for p in terminals] + start.tolist()
     nv = len(pos)
     if len(terminals[0]) == 2:
         # each branch vertex with its incident edges: (weight, other vertex)
         graph = [(b, _incident(ft, w, b)) for b in range(n, nv)]
         stage = _sweeps_2d
     else:
-        a = _incidence(t)
         graph = (a[:n], a[n:], np.array(w))
         stage = _newton_steps
 
@@ -320,14 +305,14 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
             trace({"stage": "eps", "iteration": iters, "eps": eps,
                    "value": current})
         if final:
-            return pos[n:], iters
+            return pos[n:], iters, None
         if collapsed and settle is not None and (found := settle(Placement(
                 terminals, tuple(map(tuple, pos[n:]))))) is not None:
             if trace is not None:
-                pos[n:] = found.branch
+                pos[n:] = found.placement.branch
                 trace({"stage": "collapse", "iteration": iters,
                        "value": exact_energy()})
-            return found.branch, iters
+            return found.placement.branch, iters, found
         eps = max(eps * EPS_DECAY, eps_floor)
 
 
@@ -619,9 +604,9 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
     When any star passes, the (atom, star) pairs, for
     :func:`optimize_topology` to contract.  Otherwise :func:`_star_newton`
     places each star alone, and the result, whose iterations count Newton
-    steps, stands only when :func:`dual_bound` at it lies within
-    ``_STAR_GAP`` (relative) of its energy.  None when a star's Newton run
-    gives up or the certificate fails: the kernel then runs.
+    steps, stands only when :func:`dual_bound` at it certifies it
+    (``converged``).  None when a star's Newton run gives up or the
+    certificate fails: the kernel then runs.
     """
     n = ft.topology.n_terminals
     # an edge's first end is its lower one, so the greatest edge starts at
@@ -635,7 +620,7 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
         atoms = [(wi, terminals[o]) for wi, o in incident]
         margin = _STAR_MARGIN * sum(wi for wi, _ in incident)
         for _, t in incident:
-            g, ball = _subgradient(terminals[t], atoms, 0.0)
+            g, ball = _subgradient(terminals[t], atoms)
             if g < ball - margin:
                 settled.append((t, v0))
                 break
@@ -649,32 +634,26 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
             return None
         branch.append(found[0])
         steps += found[1]
-    pl = Placement(terminals, tuple(branch))
-    return _optimized(ft, pl, alpha, w, steps) if _certified(
-        ft, pl, alpha, w) else None
-
-
-def _certified(ft: FlowedTopology, pl: Placement, alpha: float,
-               w: list[float], eps: float = 0.0) -> bool:
-    """Whether :func:`dual_bound` at ``pl``, smoothed by ``eps``, certifies
-    the energy there to ``_STAR_GAP`` (relative), wherever ``pl`` came from."""
-    value = energy(ft, pl, alpha, w)
-    return value - dual_bound(ft, pl, alpha, eps, w) <= _STAR_GAP * (1.0 + value)
+    res = _optimized(ft, Placement(terminals, tuple(branch)), alpha, w, steps)
+    return res if res.converged else None
 
 
 def _optimized(ft: FlowedTopology, pl: Placement, alpha: float,
-               w: list[float], iters: int) -> OptimizedTopology:
-    """``ft`` at ``pl``, with its value and stationarity residual."""
-    res = stationarity_residual(ft, pl, alpha, w)
-    return OptimizedTopology(ft, pl, energy(ft, pl, alpha, w), res, iters,
-                             res <= TOL_GRAD, _identity(ft))
+               w: list[float], iters: int, eps: float = 0.0
+               ) -> OptimizedTopology:
+    """``ft`` at ``pl``, with its value and :func:`dual_bound` there,
+    smoothed by ``eps``: the value itself without branch vertices."""
+    value = energy(ft, pl, alpha, w)
+    lower = (dual_bound(ft, pl, alpha, eps, w) if ft.topology.n_branch
+             else value)
+    return OptimizedTopology(ft, pl, value, lower, iters, _identity(ft))
 
 
 def _done(trace: Trace | None, res: OptimizedTopology) -> OptimizedTopology:
     """Send ``res``'s final trace record, if tracing; returns ``res``."""
     if trace is not None:
         trace({"stage": "done", "iteration": res.iterations,
-               "value": res.value, "residual": res.residual})
+               "value": res.value, "lower": res.lower})
     return res
 
 
@@ -692,14 +671,18 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     energy.  After each stage but the last, the topology that
     :func:`detect_collapse` contracts the placement to, when it is new to
     the run, is optimized by :func:`optimize_topology` with ``memo`` (a
-    fresh dict when None) and lifted (:func:`_lift`); when the lift is
-    certified on ``ft`` the schedule stops there, and the rest of it would
-    only have closed in on that collapse.  ``trace`` receives the kernel's
-    per-stage records, the nested optimizations' records and one final
-    record.  The edge weights (:func:`_weights`) are computed once and
-    passed to every step.  The result is for ``ft`` itself, at a placement
-    that may hold coincident vertices: :func:`optimize_topology` contracts
-    them.
+    fresh dict when None) and lifted: vertex v of ``ft`` at the position of
+    its image under the cluster map and then the result's ``lift``.  When
+    :func:`_settles` certifies the lift on ``ft`` (one on the contraction
+    would not bound ``ft``'s minimum) the schedule stops there, and the
+    rest of it would only have closed in on that collapse.  ``trace``
+    receives the kernel's per-stage records, the nested optimizations'
+    records and one final record.  The edge weights (:func:`_weights`) are
+    computed once and passed to every step.  The result is for ``ft``
+    itself, at a placement that may hold coincident vertices:
+    :func:`optimize_topology` contracts them.  Its ``lower`` is an early
+    exit's certificate, else the dual bound at the final placement
+    (smoothed by ``_SETTLE_EPS``).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -709,17 +692,23 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
         return _optimized(ft, Placement(terminals, ()), alpha, w, 0)
     memo = {} if memo is None else memo
     tried = set()
+    n = ft.topology.n_terminals
 
-    def settle(pl: Placement) -> Placement | None:
+    def settle(pl: Placement) -> OptimizedTopology | None:
         contracted, cluster = detect_collapse(ft, pl)
         key = contracted.topology.edges
         if contracted is ft or key in tried:
             return None
         tried.add(key)
-        return _lift(ft, b, alpha, w, contracted, cluster, memo, trace)
-    pos, iters = _run_kernel(ft, terminals, w, trace, settle)
-    pl = Placement(terminals, tuple(tuple(x) for x in pos))
-    return _done(trace, _optimized(ft, pl, alpha, w, iters))
+        res = optimize_topology(contracted, b, alpha, trace, memo)
+        return _settles(ft, Placement(terminals, tuple(
+            res.placement.position(res.lift[c]) for c in cluster[n:])),
+            alpha, w)
+    pos, iters, found = _run_kernel(ft, terminals, w, trace, settle)
+    if found is None:
+        found = _optimized(ft, Placement(terminals, tuple(map(tuple, pos))),
+                           alpha, w, 0, _SETTLE_EPS * _scale(terminals))
+    return _done(trace, replace(found, iterations=iters))
 
 
 # ---------------------------------------------------------------------------
@@ -909,46 +898,26 @@ _SETTLE_EPS = 1e-14
 
 
 def _settles(ft: FlowedTopology, pl: Placement, alpha: float,
-             w: list[float]) -> bool:
-    """Whether ``pl``, a placement of ``ft`` with collapsed (zero-length)
-    edges, is certified optimal: the test of the kernel's early exit on
-    each lift (:func:`_lift`).
+             w: list[float]) -> OptimizedTopology | None:
+    """``ft`` at ``pl``, a placement with collapsed (zero-length) edges,
+    when that is certified optimal, else None: the test of the kernel's
+    early exit on each lift.
 
     Kuhn's test comes first, which costs less than the bound: at every
     branch vertex on a collapsed edge, with the others fixed, the
     subdifferential (collapsed edges as balls, :func:`_subgradient`) holds
-    0; necessary, not sufficient.  Then :func:`_certified` must hold with
-    zero-length edges smoothed by ``_SETTLE_EPS``: the bound is the
-    multiplier test of the collapsed edges, and it certifies the value of
-    ``ft`` itself, wherever ``pl`` came from.
+    0; necessary, not sufficient.  Then :func:`dual_bound`, zero-length
+    edges smoothed by ``_SETTLE_EPS``, must certify the value: the bound is
+    the multiplier test of the collapsed edges, wherever ``pl`` came from.
     """
     where = pl.terminals + pl.branch
     for v in range(ft.topology.n_terminals, len(where)):
         g, ball = _subgradient(where[v], [(wi, where[o]) for wi, o in
-                                          _incident(ft, w, v)], 0.0)
+                                          _incident(ft, w, v)])
         if g > ball > 0.0:
-            return False
-    return _certified(ft, pl, alpha, w, _SETTLE_EPS * _scale(pl.terminals))
-
-
-def _lift(ft: FlowedTopology, b: Boundary, alpha: float, w: list[float],
-          contracted: FlowedTopology, cluster: tuple[int, ...], memo: dict,
-          trace: Trace | None) -> Placement | None:
-    """The optimum of ``contracted``, a contraction of ``ft`` with the
-    cluster map of :func:`~gsteiner.topology.contract`, as a placement of
-    ``ft`` when :func:`_settles` certifies it there, else None.
-
-    ``contracted`` is optimized like any topology, by
-    :func:`optimize_topology` with ``memo`` and ``trace``, and vertex v of
-    ``ft`` goes to the position of its image under ``cluster`` and then the
-    result's ``lift``.  The certificate is taken on ``ft``: one on the
-    contraction would not bound ``ft``'s minimum.
-    """
-    res = optimize_topology(contracted, b, alpha, trace, memo)
-    lifted = Placement(res.placement.terminals, tuple(
-        res.placement.position(res.lift[c])
-        for c in cluster[ft.topology.n_terminals:]))
-    return lifted if _settles(ft, lifted, alpha, w) else None
+            return None
+    res = _optimized(ft, pl, alpha, w, 0, _SETTLE_EPS * _scale(pl.terminals))
+    return res if res.converged else None
 
 
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
@@ -971,15 +940,16 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     never holds two terminals.  The result's ``lift`` composes the cluster
     maps of every contraction: vertex v of ``ft`` lifts to
     ``placement.position(lift[v])``; its iterations add those of every
-    placement and minimization on the way, reused ones included.  A
-    minimization starts afresh from the barycentric start, and an early
-    exit depends on its contraction's optimum alone, so every result is a
-    function of its flowed topology alone, and ``memo`` keeps the finished
-    result of every topology optimized: a dict shared by calls with the
-    same boundary and alpha (several topologies can contract onto one),
-    keyed on edges only; on one boundary the edges fix the flows, since a
-    forest carries a boundary by one conservative flow at most.  A repeat
-    call returns the stored result.
+    placement and minimization on the way, reused ones included; its
+    ``lower`` bounds ``ft``'s minimum (module docstring).  A minimization
+    starts afresh from the barycentric start, and an early exit depends on
+    its contraction's optimum alone, so every result is a function of its
+    flowed topology alone, and ``memo`` keeps the finished result of every
+    topology optimized: a dict shared by calls with the same boundary and
+    alpha (several topologies can contract onto one), keyed on edges only;
+    on one boundary the edges fix the flows, since a forest carries a
+    boundary by one conservative flow at most.  A repeat call returns the
+    stored result.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -991,16 +961,19 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     found = _place_stars(ft, _terminals_for(ft, b), alpha)
     iters = 0
     if isinstance(found, list):
-        # a star merged into its atom closes no cycle: a new topology
+        # a star merged into its atom closes no cycle: a new topology.
+        # Kuhn's test is exact, so the contraction's lower bound is ft's
         contracted, cluster = contract(ft, found)
+        res = None
     else:
         res = (minimize(ft, b, alpha, trace, memo) if found is None
                else _done(trace, found))
         iters = res.iterations
         contracted, cluster = detect_collapse(ft, res.placement)
     if contracted is not ft:
-        res = optimize_topology(contracted, b, alpha, trace, memo)
-        res = replace(res, iterations=iters + res.iterations,
-                      lift=tuple(res.lift[c] for c in cluster))
+        sub = optimize_topology(contracted, b, alpha, trace, memo)
+        res = replace(sub, lower=sub.lower if res is None else res.lower,
+                      iterations=iters + sub.iterations,
+                      lift=tuple(sub.lift[c] for c in cluster))
     memo[key] = res
     return res

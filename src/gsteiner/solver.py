@@ -95,9 +95,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MinimizerRecord:
+    """One minimizer: its canonical chain, its alpha-mass ``value`` and
+    ``lower``, the dual bound of the topology it was optimized from, which
+    overlapping edges merged by canonicalization can put ``value`` below."""
     chain: PolyhedralChain
     value: float
-    residual: float
+    lower: float
     placement: Placement
     flowed: FlowedTopology
 
@@ -157,7 +160,7 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
         if boundary(chain) != b:
             raise InternalConsistencyError(
                 "realized chain boundary differs from the input boundary")
-        record = MinimizerRecord(chain, value, opt.residual, opt.placement,
+        record = MinimizerRecord(chain, value, opt.lower, opt.placement,
                                  opt.flowed)
         candidates.append((value, key, record))
         threshold = margin(min(v for v, _, _ in candidates))

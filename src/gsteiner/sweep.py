@@ -128,7 +128,10 @@ def build_cells(spec: SweepSpec) -> list[tuple]:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
-    """All sweep rows, deterministically ordered by (alpha, index)."""
+    """All sweep rows, deterministically ordered by (alpha, index).  Raises
+    ``ValueError`` when ``workers`` is below 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     cells = build_cells(spec)
     workers = min(workers, len(cells))  # the pool forks them all up front
     if workers > 1:

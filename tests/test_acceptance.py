@@ -143,9 +143,10 @@ def test_criterion_4_structural_invariants():
                 failures.append(f"corpus {idx}: support contains a loop")
             if len(branch_points(m.chain, b)) > n - 2:
                 failures.append(f"corpus {idx}: too many branch points")
-            if m.residual > 1e-6:
-                failures.append(f"corpus {idx}: residual {m.residual}")
-    _finish(4, "boundary/acyclicity/branch-count/stationarity on corpus",
+            if m.value - m.lower > 1e-12 * (1.0 + m.value):
+                failures.append(f"corpus {idx}: value {m.value} above its "
+                                f"lower bound {m.lower}")
+    _finish(4, "boundary/acyclicity/branch-count/certificate on corpus",
             failures, started, 60.0)
 
 

@@ -35,6 +35,10 @@ def test_solve_report(square_file, tmp_path):
     assert obj["schema"] == "1"
     assert len(obj["minimizers"]) == 2
     assert obj["best_value"] == pytest.approx(2.0)
+    # each minimizer carries its topology's lower bound, which certifies it
+    for m in obj["minimizers"]:
+        assert "residual" not in m
+        assert m["value"] - m["lower"] <= 1e-12 * (1.0 + m["value"])
     assert svg.read_text().startswith("<svg")
 
 
@@ -99,9 +103,12 @@ def test_solve_verbose_shows_early_exits(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert cli.main(["solve", "--input", str(path), "--verbose",
                      "--report", str(report)]) == 0
-    stages = [json.loads(ln)["stage"]
-              for ln in capsys.readouterr().err.splitlines()]
+    records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+    stages = [r["stage"] for r in records]
     assert "collapse" in stages
+    # every "done" record carries the value's lower bound
+    assert all(set(r) == {"stage", "iteration", "value", "lower"}
+               for r in records if r["stage"] == "done")
     assert len(json.loads(report.read_text())["minimizers"]) == 1
 
 
@@ -225,6 +232,21 @@ def test_sweep_cli(tmp_path, capsys):
     # append-only: a second run grows the log without a second header
     assert cli.main(["sweep", str(spec), "--out", str(log)]) == 0
     assert len(log.read_text().strip().splitlines()) == 7
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    spec = SweepSpec(alphas=(0.5,), n_instances=2, rho=0.05, seed=11)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_sweep(spec, workers=workers)
+    path = tmp_path / "spec.json"
+    log = tmp_path / "log.csv"
+    path.write_text(json.dumps({"alphas": [0.5], "n_instances": 2,
+                                "rho": 0.05, "seed": 11}))
+    assert cli.main(["sweep", str(path), "--out", str(log),
+                     "--workers", str(workers)]) == 1
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not log.exists()
 
 
 def test_sweep_cell_isolation():

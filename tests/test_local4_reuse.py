@@ -158,7 +158,7 @@ def assert_same_optimized(shared, fresh):
     assert shared.flowed == fresh.flowed
     assert shared.placement == fresh.placement
     assert shared.value == fresh.value
-    assert shared.residual == fresh.residual
+    assert shared.lower == fresh.lower
     assert shared.iterations == fresh.iterations
     assert shared.converged == fresh.converged
 

@@ -82,7 +82,7 @@ def test_structural_invariants_on_outputs(square_boundary, v_boundary):
             assert boundary(m.chain).as_dict() == b.as_dict()
             assert not has_loop(m.chain)
             assert len(branch_points(m.chain, b)) <= n - 2
-            assert m.residual <= 1e-6
+            assert m.value - m.lower <= 1e-12 * (1.0 + m.value)
 
 
 def test_no_duplicate_supports_reported(square_boundary):
