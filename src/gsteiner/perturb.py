@@ -33,7 +33,7 @@ from .currents import (Boundary, PolyhedralChain, Point, Segment, alpha_mass,
 from .flat import flat_distance
 from .placement import optimize_topology, realize_chain
 from .solver import SolveReport, SolverConfig, magic_points, solve
-from .topology import FlowedTopology, _flowed_forests, _forest_shapes
+from .topology import FlowedTopology, _forests
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +282,14 @@ def _local4_candidates(masses: tuple[Fraction, ...], roles: tuple[str, ...]
     """Every forest whose forced flows carry the boundary with every
     segment active, as (case, flowed topology).
 
-    These are :func:`_flowed_forests` over :func:`_forest_shapes`: a forest
-    with an unbalanced component or a zero forced flow is not a current
-    with that support.  Forests and flows depend on the atom masses alone,
-    in atom order, and the case on the roles, so the list is built once per
-    (masses, roles).
+    These are :func:`_forests`, the contractions of the full topologies
+    that merge no two atoms: a forest with an unbalanced component or a
+    zero forced flow is not a current with that support.  Forests and flows
+    depend on the atom masses alone, in atom order, and the case on the
+    roles, so the list is built once per (masses, roles).
     """
     return tuple((_case_label(ft.topology, roles), ft)
-                 for ft in _flowed_forests(masses, _forest_shapes))
+                 for ft in _forests(masses))
 
 
 # overlap tolerance of the W/Z support match, relative to 1 + theta

@@ -198,10 +198,16 @@ def magic_points(report: SolveReport, target_index: int = 0) -> tuple[Point, ...
     points, boundary atoms and transversal crossings of all minimizers, with
     the report's ``distinct_tol`` as the overlap tolerance.  Raises
     :class:`InternalConsistencyError` when two reported minimizers share
-    their support (they would then be the same current).
+    their support (they would then be the same current), and
+    ``ValueError`` when ``target_index`` is not an index in
+    ``range(len(report.minimizers))``: a negative one would compare the
+    target with itself.
     """
     if not report.minimizers:
         raise ValueError("report has no minimizers")
+    if not 0 <= target_index < len(report.minimizers):
+        raise ValueError(f"target_index {target_index} is out of range for "
+                         f"{len(report.minimizers)} minimizers")
     tol = report.distinct_tol
     target = report.minimizers[target_index].chain
     others = [m.chain for i, m in enumerate(report.minimizers)

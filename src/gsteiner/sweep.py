@@ -46,9 +46,13 @@ class SweepSpec:
         :func:`fileio._number`, and theta by :func:`fileio.parse_rational`,
         so a fractional count, a boolean or a zero denominator raises
         ``ValueError`` naming its key instead of being truncated.  So does
-        a negative count, rho or rho_safety, and a k below 2: each would
-        run a sweep that reports nothing, a mirrored band, or only failed
-        cells."""
+        a negative count, rho or rho_safety, a k below 2, and a theta that
+        is not positive: each would run a sweep that reports nothing, a
+        mirrored band, or only failed cells."""
+        theta = parse_rational(obj.get("theta", 1), "key 'theta'")
+        if theta <= 0:
+            raise ValueError(
+                f"key 'theta' must be positive, not {obj.get('theta', 1)!r}")
         return SweepSpec(
             alphas=tuple(_number("key 'alphas'", a)
                          for a in _checked(obj["alphas"], list, "key 'alphas'")),
@@ -60,7 +64,7 @@ class SweepSpec:
                  else _at_least("key 'rho'", obj["rho"], 0)),
             rho_safety=_at_least("key 'rho_safety'", obj.get("rho_safety", 0.5),
                                  0),
-            theta=parse_rational(obj.get("theta", 1), "key 'theta'"),
+            theta=theta,
             seed=_number("key 'seed'", obj.get("seed", 0), integral=True),
         )
 

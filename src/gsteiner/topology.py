@@ -6,27 +6,25 @@ uniquely determined by mass conservation: each edge splits its component's
 terminals in two, and the flow from its lower endpoint to its higher one is
 the mass on the higher endpoint's side.
 
-One generator, :func:`_flowed_forests`, builds every flowed forest: it
-splits the atoms into *balanced* blocks (total mass zero, at least two
-atoms), gives each block a tree from a per-size shape table, and reads each
-edge's flow from the boundary's subset sums.  A shape with a zero-flow edge
-is not built.  Two shape tables feed it:
+One generator, :func:`_flowed_forests`, builds every flowed full forest:
+it splits the atoms into *balanced* blocks (total mass zero, at least two
+atoms), gives each block a full tree (terminals are leaves, s - 2 branch
+vertices of degree 3 on a block of s terminals) from one per-size table,
+and reads each edge's flow from the boundary's subset sums.  A tree with a
+zero-flow edge is not built.  The (2s - 5)!! full trees of a block come
+from Smith's insertion scheme (W. D. Smith, Algorithmica 7, 1992): terminal
+i is inserted on every edge of each full tree on the terminals before it,
+which yields every full tree exactly once up to branch relabeling.  They
+make the solver's candidate set, :func:`enumerate_topologies`.
 
-* :func:`_full_shapes`, the full trees (terminals are leaves, s - 2 branch
-  vertices of degree 3 on a block of s terminals).  The (2s - 5)!! full
-  trees of a block come from Smith's insertion scheme (W. D. Smith,
-  Algorithmica 7, 1992): terminal i is inserted on every edge of each full
-  tree on the terminals before it, which yields every full tree exactly
-  once up to branch relabeling.  They make the solver's candidate set,
-  :func:`enumerate_topologies`.  Any other forest is a contraction of a
-  full one, whose location-energy domain contains the contracted
-  configuration, so the full optimum is never larger and collapses onto the
-  same chain.
-* :func:`_forest_shapes`, every tree whose branch vertices have degree
-  >= 3, each once: the contractions of the full trees that merge no two
-  terminals.  They serve the 4-point local classification, which needs
-  the non-full supports; a forest with a zero-flow edge is not a current
-  with that support, so skipping it is what the classification wants.
+Any other forest is a contraction of a full one, whose location-energy
+domain contains the contracted configuration, so the full optimum is never
+larger and collapses onto the same chain.  The 4-point local
+classification needs the non-full supports themselves: :func:`_forests`
+gives every forest whose branch vertices have degree >= 3, with flow on
+every edge, each once, as the contractions of the full forests that merge
+no two atoms.  A forest with a zero-flow edge is not a current with that
+support, so skipping it is what the classification wants.
 
 Topologies are identified by their splits.  Each edge of a forest splits
 its component's terminals in two, and a tree whose unlabeled vertices all
@@ -39,27 +37,25 @@ follow from the masses.
 Everything the generator reads is an exact table over integer bitmasks
 (bit i for terminal slot or atom i), built on first use and kept:
 
-* per block size s, each shape with, per edge, the mask of the terminal
-  slots on its side away from slot 0 (its split) and which endpoint lies on
-  that side.  Full shapes carry these through Smith's insertion
+* per block size s, each full tree with, per edge, the mask of the
+  terminal slots on its side away from slot 0 (its split) and which
+  endpoint lies on that side, carried through Smith's insertion
   (:func:`_full_splits`).  Inserting terminal s - 1, with bit b, on an edge
   whose far side holds the slot set f puts a new branch vertex on that
   edge: the far half keeps f, the near half gets f | b, the new leaf edge
   gets b alone, and every other edge whose far mask contains f gets b as
-  well (those edges lie between slot 0 and the insertion).  Forest shapes
-  get their splits from one DFS per shape (:func:`_splits`).
-* per atom count, the partitions into blocks of two or more
-  (:func:`_partitions`), with each block's atom mask.
+  well (those edges lie between slot 0 and the insertion).
 * per call, the total mass of every subset of the atoms, one exact
   Fraction per atom mask.  A block is balanced, and an edge flowless,
   exactly when its mask's sum is zero, and an edge's flow is the sum of
-  its higher endpoint's side.  A block's slot masks map to atom masks in
+  its higher endpoint's side.  The partitions are walked from its balanced
+  masks, block by block.  A block's slot masks map to atom masks in
   increasing atom order, so its root, the lowest atom, is slot 0, and its
-  shapes' splits map straight into the forest's signature, which every
-  generated forest carries.
+  trees' splits map straight into the forest's signature, which every
+  generated full forest carries.
 
-One routine, :func:`contract`, merges vertices of a flowed forest, for the
-forest shapes, :func:`assign_flows` and collapse handling alike.  Gilbert's
+One routine, :func:`contract`, merges vertices of a flowed forest, for
+:func:`_forests`, :func:`assign_flows` and collapse handling alike.  Gilbert's
 "at most one minimum network per topology" holds once degenerate vertices
 are merged away: a forest and its contraction realize the same current, and
 the contraction's cluster map lifts a placement of it back onto the forest.
@@ -178,19 +174,6 @@ def _splits(n: int, edges: tuple[Edge, ...]
 # combinatorial generators
 # ---------------------------------------------------------------------------
 
-def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
-    """All set partitions, each exactly once, in a deterministic order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + [list(b) for b in part]
-        for i in range(len(part)):
-            yield [list(b) for b in part[:i]] + [[first] + list(part[i])] + \
-                [list(b) for b in part[i + 1:]]
-
-
 @lru_cache(maxsize=None)
 def _full_splits(s: int) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...],
                                          tuple[int, ...]], ...]:
@@ -226,53 +209,6 @@ def _full_splits(s: int) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...],
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _full_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
-    """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots,
-    the edges of :func:`_full_splits`."""
-    return tuple(shape for shape, _, _ in _full_splits(s))
-
-
-@lru_cache(maxsize=None)
-def _forest_shapes(s: int) -> tuple[tuple[Edge, ...], ...]:
-    """Trees on s >= 2 terminal slots (0..s-1) and branch slots s.. of
-    degree >= 3, one per split key, ordered by edge count.
-
-    Every such tree is a contraction of a full shape: expanding each
-    terminal of degree >= 2 into a leaf on a new branch vertex, and
-    splitting each branch vertex of degree > 3, gives a full tree back.  So
-    the contractions of the full shapes that merge no two terminals are all
-    of them.  Contracting edges leaves the splits of the other edges as
-    they were, so each contraction's key is known before it is built.
-    """
-    shapes: dict[tuple[int, ...], tuple[Edge, ...]] = {}
-    for full, splits, _ in _full_splits(s):
-        unit = FlowedTopology(SteinerTopology(s, s - 2, full, (0,) * s),
-                              (1,) * len(full))
-        for bits in range(1 << len(full)):
-            key = tuple(sorted(side for i, side in enumerate(splits)
-                               if not bits >> i & 1))
-            if key not in shapes:
-                pairs = [e for i, e in enumerate(full) if bits >> i & 1]
-                shape, cluster = contract(unit, pairs)
-                # contract skips a pair that would merge two terminals
-                if all(cluster[u] == cluster[v] for u, v in pairs):
-                    shapes[key] = shape.topology.edges
-    return tuple(sorted(shapes.values(), key=lambda sh: (len(sh), sh)))
-
-
-@lru_cache(maxsize=None)
-def _sides(shapes, s: int) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...],
-                                          tuple[int, ...]], ...]:
-    """Per shape of ``shapes(s)`` (full or forest shapes), (edges, far
-    masks, signs) as :func:`_full_splits` gives them.  Full shapes carry
-    theirs from insertion; a forest shape gets them from one DFS."""
-    if shapes is _full_shapes:
-        return _full_splits(s)
-    return tuple((shape, *map(tuple, _splits(s, shape)[1:]))
-                 for shape in shapes(s))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -294,52 +230,48 @@ def _join(n: int, blocks, shapes) -> tuple[int, list[Edge]]:
     return next_branch - n, edges
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...],
-                                       tuple[int, ...]], ...]:
-    """The partitions of the atoms 0..n-1 into blocks of two or more, in
-    :func:`_set_partitions` order, each as its blocks (sorted tuples, in
-    sorted order) and their atom masks, sorted."""
-    out = []
-    for partition in _set_partitions(tuple(range(n))):
-        if all(len(blk) >= 2 for blk in partition):
-            blocks = tuple(sorted(tuple(sorted(blk)) for blk in partition))
-            out.append((blocks, tuple(sorted(sum(1 << i for i in blk)
-                                             for blk in blocks))))
-    return tuple(out)
-
-
-def _flowed_forests(masses: tuple[Fraction, ...], shapes
+def _flowed_forests(masses: tuple[Fraction, ...]
                     ) -> Iterator[FlowedTopology]:
-    """Every forest over a balanced partition of the atoms whose blocks
-    span shapes of ``shapes`` with flow on every edge, with its flows and
-    its signature.
+    """Every full forest over a balanced partition of the atoms with flow
+    on every edge, with its flows and its signature.
 
     Terminal i carries ``masses[i]``.  One table holds the total mass of
-    every subset of the atoms, by bitmask.  Partitions with a block of
-    nonzero total mass, or a singleton block, are skipped before any tree
-    is built.  A block's terminal slots map to its atoms in increasing
-    order, so a slot mask maps to an atom mask, and the flow from an edge's
-    lower endpoint to its higher one is the table's entry for the higher
-    endpoint's side (:func:`_sides`).  A shape with a zero-flow edge, one
-    that splits its block into two balanced parts, is not built; the
-    flowing shapes of a block are found once per call.  A block's root is
-    its lowest atom, slot 0, so its shapes' splits map over into the
-    forest's signature.  Partitions come in :func:`_set_partitions` order,
-    and per partition the shape combinations in product order.  The stream
-    is deterministic.  Raises ``ValueError`` when the masses do not sum to
-    zero.
+    every subset of the atoms, by bitmask, and its zero entries of two or
+    more atoms are the blocks.  The partitions are walked from it: each
+    next block holds the lowest atom that the blocks before it leave, so no
+    partition with a singleton or unbalanced block is met.  A block's
+    terminal slots map to its atoms in increasing order, so a slot mask
+    maps to an atom mask, and the flow from an edge's lower endpoint to its
+    higher one is the table's entry for the higher endpoint's side
+    (:func:`_full_splits`).  A full tree with a zero-flow edge, one that
+    splits its block into two balanced parts, is not built; the flowing
+    trees of a block are found once per call.  A block's root is its
+    lowest atom, slot 0, so its trees' splits map over into the forest's
+    signature.  Partitions come in walk order, and per partition the tree
+    combinations in product order.  The stream is deterministic.  Raises
+    ``ValueError`` when the masses do not sum to zero.
     """
     n = len(masses)
     sums = [Fraction(0)] * (1 << n)  # atom mask -> total mass
     for mask in range(1, 1 << n):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
-    balanced = {mask for mask, total in enumerate(sums) if not total}
-    if len(sums) - 1 not in balanced:
+    if sums[-1]:
         raise ValueError(
             "boundary has nonzero total mass; no transport path exists")
+    balanced = {mask for mask, total in enumerate(sums) if not total}
+    blocks = sorted(mask for mask in balanced if mask & (mask - 1))
     flowing: dict[tuple[int, ...], list] = {}
+
+    def partitions(rest: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield ()
+            return
+        low = rest & -rest
+        for blk in blocks:
+            if blk & low and blk & rest == blk:
+                for tail in partitions(rest ^ blk):
+                    yield (blk, *tail)
 
     def shapes_of(blk: tuple[int, ...]) -> list:
         if blk not in flowing:
@@ -354,25 +286,56 @@ def _flowed_forests(masses: tuple[Fraction, ...], shapes
                 (shape, tuple(sums[atom[far if sign > 0 else full ^ far]]
                               for far, sign in zip(splits, signs)),
                  [atom[far] for far in splits])
-                for shape, splits, signs in _sides(shapes, len(blk))
+                for shape, splits, signs in _full_splits(len(blk))
                 if flowless.isdisjoint(splits)]
         return flowing[blk]
 
-    for blocks, components in _partitions(n):
-        if not balanced.issuperset(components):
-            continue
-        for combo in itertools.product(*map(shapes_of, blocks)):
+    for partition in partitions(len(sums) - 1):
+        # blocks holding successive lowest atoms are in sorted tuple order
+        atoms = [tuple(i for i in range(n) if blk >> i & 1)
+                 for blk in partition]
+        components = tuple(sorted(partition))
+        for combo in itertools.product(*map(shapes_of, atoms)):
             block_shapes, flows, splits = zip(*combo)
-            m, edges = _join(n, blocks, block_shapes)
+            m, edges = _join(n, atoms, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
             yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows,
                                  (n, m, components,
                                   tuple(sorted(itertools.chain(*splits)))))
 
 
+def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
+    """Every forest over a balanced partition of the atoms whose branch
+    vertices have degree >= 3, with flow on every edge, each once, with its
+    flows: the contractions of the forests of :func:`_flowed_forests` that
+    merge no two atoms, ordered by edge count, then edges.  So every
+    contraction of a forest comes before it, and a placement memo shared
+    along the list already holds the contractions a collapse meets.
+
+    Every such forest is one of them: expanding each terminal of degree
+    >= 2 into a leaf on a new branch vertex, and splitting a pair of sides
+    with nonzero total mass off each branch vertex of degree > 3 (the
+    sides' masses are nonzero and sum to zero, so some pair has one), gives
+    a full forest with flow on every edge back.  Contracting edges leaves
+    the flows of the others as they were.  Raises ``ValueError`` when the
+    masses do not sum to zero.
+    """
+    out: dict[tuple[Edge, ...], FlowedTopology] = {}
+    for ft in _flowed_forests(masses):
+        edges = ft.topology.edges
+        for bits in range(1 << len(edges)):
+            # contract skips a pair that would merge two terminals, which
+            # leaves the contraction by the other pairs, met on its own
+            forest, _ = contract(ft, [e for i, e in enumerate(edges)
+                                      if bits >> i & 1])
+            out.setdefault(forest.topology.edges, forest)
+    return sorted(out.values(),
+                  key=lambda ft: (len(ft.topology.edges), ft.topology.edges))
+
+
 def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
     """Every full topology over a balanced partition of ``b``'s atoms, with
-    its flows: :func:`_flowed_forests` over :func:`_full_shapes`.
+    its flows: :func:`_flowed_forests`.
 
     Terminals are indexed by the canonical (sorted) atom order of ``b``.  A
     full tree with a zero-flow edge is not built: that edge splits its
@@ -384,7 +347,7 @@ def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
     """
     if len(b.atoms) < 2:
         raise ValueError("boundary must have at least 2 atoms")
-    yield from _flowed_forests(tuple(m for _, m in b.atoms), _full_shapes)
+    yield from _flowed_forests(tuple(m for _, m in b.atoms))
 
 
 # ---------------------------------------------------------------------------

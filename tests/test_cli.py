@@ -592,13 +592,16 @@ def test_bad_sweep_spec_exit_code(tmp_path, capsys):
     ("rho_safety", -0.5, 0),
     ("k", 1, 2),
     ("k", -3, 2),
+    ("theta", "-1", None),   # None: theta must be positive
+    ("theta", "0", None),
 ])
 def test_sweep_spec_out_of_range_exit_code(tmp_path, capsys, key, value, low):
     spec = tmp_path / "spec.json"
     log = tmp_path / "log.csv"
     spec.write_text(json.dumps(dict(SWEEP, **{key: value})))
     assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
-    assert (f"key {key!r} must be at least {low}, not {value!r}"
+    bound = "positive" if low is None else f"at least {low}"
+    assert (f"key {key!r} must be {bound}, not {value!r}"
             in capsys.readouterr().err)
     assert not log.exists()
 

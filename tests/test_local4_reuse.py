@@ -6,6 +6,7 @@ the atom masses and roles, and shares minimizations between its
 last first.  None of this may change a reported number, so the results are
 compared with ``==`` against the per-call loop they replace.
 """
+import random
 import sys
 from fractions import Fraction as F
 
@@ -152,6 +153,31 @@ def test_cached_candidates_infeasible_cases(k, theta):
     feasible = {case for case, _ in cands}
     assert _CASES - feasible == set(INFEASIBLE_CASES)
     assert len(_CASES) == 27
+
+
+@pytest.mark.parametrize("theta", [F(1), F(3, 2)])
+@pytest.mark.parametrize("k", [2, 83, 365618])
+def test_cached_candidates_match_oracle(k, theta):
+    # A right of D, in seeded poses: any atom order
+    rng = random.Random(k)
+    for _ in range(3):
+        a, b, c, d = ((rng.uniform(-5, 5), rng.uniform(-5, 5))
+                      for _ in range(4))
+        a, d = (a, d) if a[0] > d[0] else (d, a)
+        bd = LocalFourPointInstance(a, b, c, d, theta, k).boundary()
+        where = {a: "A", b: "B", c: "C", d: "D"}
+        roles = tuple(where[p] for p, _ in bd.atoms)
+        want = []
+        for topo in all_forests(bd):
+            try:
+                ft = assign_flows(topo, bd)
+            except InfeasibleTopologyError:
+                continue
+            if not shrank(topo, ft):
+                want.append((_case_label(topo, roles), ft))
+        got = _local4_candidates(tuple(m for _, m in bd.atoms), roles)
+        assert len(got) == 24
+        assert sorted(map(repr, got)) == sorted(map(repr, want))
 
 
 def assert_same_optimized(shared, fresh):

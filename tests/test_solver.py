@@ -247,6 +247,15 @@ def test_magic_points_square(square_boundary):
         min(_dist_to_chain(p, other) for p in pts) > 0.4 for p in pts)
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_magic_points_index_out_of_range(square_boundary, index):
+    # -1 once compared the target with itself, 2 raised a bare IndexError
+    r = solve(square_boundary, cfg(0.6))
+    assert len(r.minimizers) == 2
+    with pytest.raises(ValueError, match="out of range"):
+        magic_points(r, index)
+
+
 def test_magic_points_unique_minimizer_empty(v_boundary):
     r = solve(v_boundary, cfg(0.75))
     assert magic_points(r, 0) == ()

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from forest_oracle import all_forests, flowed_forests, shrank
+from forest_oracle import (all_forests, flowed_forests, forest_shapes,
+                           full_shapes, set_partitions, shrank)
 from gsteiner.currents import boundary, make_boundary
 from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
-                               SteinerTopology, _flowed_forests, _forest_shapes,
-                               _full_shapes, _full_splits, _set_partitions,
-                               _splits, assign_flows, contract,
+                               SteinerTopology, _flowed_forests, _forests,
+                               _full_splits, _splits, assign_flows, contract,
                                enumerate_topologies)
 
 
@@ -131,12 +131,12 @@ def test_stream_deterministic():
 
 @pytest.mark.parametrize("s,expected", [(2, 1), (3, 4), (4, 32), (5, 396)])
 def test_forest_shape_counts(s, expected):
-    assert len(_forest_shapes(s)) == expected
+    assert len(forest_shapes(s)) == expected
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_forest_shapes_are_distinct_trees(s):
-    shapes = _forest_shapes(s)
+    shapes = forest_shapes(s)
     canonical, keys = set(), set()
     for shape in shapes:
         m = len(shape) + 1 - s  # a tree on s + m vertices
@@ -180,23 +180,23 @@ def _is_full_tree(shape, s):
 @pytest.mark.parametrize("s,expected",
                          [(2, 1), (3, 1), (4, 3), (5, 15), (6, 105), (7, 945)])
 def test_full_shape_counts(s, expected):
-    assert len(_full_shapes(s)) == expected
+    assert len(full_shapes(s)) == expected
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
 def test_full_shapes_are_full_trees(s):
-    assert all(_is_full_tree(shape, s) for shape in _full_shapes(s))
+    assert all(_is_full_tree(shape, s) for shape in full_shapes(s))
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
 def test_full_shapes_distinct_up_to_branch_relabeling(s):
-    keys = {_canonical(shape, s, s - 2) for shape in _full_shapes(s)}
-    assert len(keys) == len(_full_shapes(s))
+    keys = {_canonical(shape, s, s - 2) for shape in full_shapes(s)}
+    assert len(keys) == len(full_shapes(s))
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_full_shapes_match_brute_force(s):
-    assert len(_full_shapes(s)) == brute_force_count(s, full=True)
+    assert len(full_shapes(s)) == brute_force_count(s, full=True)
 
 
 def test_full_topologies_cover_balanced_partitions(square_boundary):
@@ -245,12 +245,12 @@ def _unskipped_full_topologies(b):
     """Every full tree over every balanced partition, zero-flow ones too."""
     masses = tuple(m for _, m in b.atoms)
     n = len(masses)
-    for partition in _set_partitions(tuple(range(n))):
+    for partition in set_partitions(tuple(range(n))):
         blocks = sorted(tuple(sorted(blk)) for blk in partition)
         if any(len(blk) < 2 or sum(masses[i] for i in blk) != 0
                for blk in blocks):
             continue
-        for combo in itertools.product(*(_full_shapes(len(blk))
+        for combo in itertools.product(*(full_shapes(len(blk))
                                          for blk in blocks)):
             edges, nxt = [], n
             for blk, shape in zip(blocks, combo):
@@ -283,22 +283,47 @@ def balanced_masses(draw, max_n=5):
     return tuple(head) + (-sum(head),)
 
 
-@settings(max_examples=50, deadline=None)
-@given(balanced_masses())
-def test_flowed_forests_match_assigned_unflowed_stream(masses):
-    # atoms at 0, 1, 2, ... keep the masses in atom order
-    b = make_boundary(((float(i),), m) for i, m in enumerate(masses))
-    want = []
-    for t in all_forests(b):
+def _by_repr(fts):
+    """Flowed forests as a list sorted by ``repr`` (edges and flows), for
+    streams that hold the same forests in another order."""
+    return sorted(map(repr, fts))
+
+
+def _assigned_unshrunk(b, topologies):
+    """The flowed forests of ``topologies`` that ``assign_flows`` keeps
+    whole: each one a current on its own support."""
+    out = []
+    for t in topologies:
         try:
             ft = assign_flows(t, b)
         except InfeasibleTopologyError:
             continue
         if not shrank(t, ft):
-            want.append(ft)
-    assert list(_flowed_forests(masses, _forest_shapes)) == want
-    assert list(_flowed_forests(masses, _full_shapes)) == \
-        list(enumerate_topologies(b))
+            out.append(ft)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(balanced_masses())
+def test_flowed_forests_match_assigned_unflowed_stream(masses):
+    # atoms at 0, 1, 2, ... keep the masses in atom order
+    b = make_boundary(((float(i),), m) for i, m in enumerate(masses))
+    fts = list(_flowed_forests(masses))
+    assert fts == list(enumerate_topologies(b))
+    assert _by_repr(fts) == \
+        _by_repr(_assigned_unshrunk(b, _unskipped_full_topologies(b)))
+
+
+# the lab's forests are the contractions of the full topologies
+@settings(max_examples=50, deadline=None)
+@given(balanced_masses(5))
+@example((F(1), F(1), F(1), F(-1), F(-2)))
+@example((F(1, 2), F(1, 3), F(-1), F(1, 4), F(-1, 12)))
+def test_forests_match_assigned_unflowed_stream(masses):
+    b = make_boundary(((float(i),), m) for i, m in enumerate(masses))
+    fts = _forests(masses)
+    assert len({ft.topology.edges for ft in fts}) == len(fts)
+    assert _by_repr(fts) == _by_repr(_assigned_unshrunk(b, all_forests(b)))
 
 
 # the placement memos key a topology of one boundary by its edges alone
@@ -308,7 +333,7 @@ def test_flowed_forests_match_assigned_unflowed_stream(masses):
 @example((F(1, 2), F(1, 3), F(-1), F(1, 4), F(-1, 12)))
 def test_edges_fix_flows(masses):
     flows = {}
-    for ft in _flowed_forests(masses, _forest_shapes):
+    for ft in _forests(masses):
         size = ft.topology.n_terminals + ft.topology.n_branch
         for g in [ft] + [contract(ft, [pair])[0]
                          for pair in itertools.combinations(range(size), 2)]:
@@ -325,21 +350,21 @@ def test_insertion_splits_match_dfs(s):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_flowed_forests_match_per_block_generator(data):
-    for shapes, max_n in ((_full_shapes, 7), (_forest_shapes, 5)):
-        masses = data.draw(balanced_masses(max_n))
-        fts = list(_flowed_forests(masses, shapes))
-        assert fts == list(flowed_forests(masses, shapes))
-        for ft in fts:
-            assert ft._signature is not None
-            assert ft.signature() == \
-                FlowedTopology(ft.topology, ft.edge_flows).signature()
+@given(balanced_masses(7))
+def test_flowed_forests_match_per_block_generator(masses):
+    # the block walk meets the partitions in another order than
+    # set_partitions
+    fts = list(_flowed_forests(masses))
+    assert _by_repr(fts) == _by_repr(flowed_forests(masses))
+    for ft in fts:
+        assert ft._signature is not None
+        assert ft.signature() == \
+            FlowedTopology(ft.topology, ft.edge_flows).signature()
 
 
 def test_carried_signature_leaves_equality_hash_and_repr():
     masses = (F(-1), F(1), F(-1), F(1))
-    for ft in _flowed_forests(masses, _forest_shapes):
+    for ft in _flowed_forests(masses):
         bare = FlowedTopology(ft.topology, ft.edge_flows)
         assert ft._signature is not None and bare._signature is None
         assert ft == bare and hash(ft) == hash(bare) and repr(ft) == repr(bare)
@@ -458,7 +483,7 @@ def test_split_key_ignores_branch_labels_and_edge_order(data):
                                     (6, 203), (7, 877)])
 def test_set_partitions_each_once(n, bell):
     parts = [frozenset(frozenset(blk) for blk in p)
-             for p in _set_partitions(tuple(range(n)))]
+             for p in set_partitions(tuple(range(n)))]
     assert len(parts) == bell == len(set(parts))
     assert all(set().union(*p) == set(range(n)) for p in parts)
 
