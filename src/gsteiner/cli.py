@@ -19,7 +19,7 @@ from .perturb import (LocalFourPointInstance, PerturbationSpec, build_wz,
                       verify_perturbation_bounds)
 from .solver import InternalConsistencyError, magic_points, solve
 from .sweep import SweepSpec, append_log, run_sweep
-from .svg import render_report_svg, render_svg
+from .svg import check_planar, render_report_svg, render_svg
 from .topology import enumerate_topologies
 
 
@@ -39,11 +39,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--verbose", action="store_true",
                    help="stream optimizer diagnostics as JSON lines on stderr: "
                         'one "stage": "bound" record per topology from the '
-                        'batched bounding pass, then "eps" and "done" '
-                        "records from each run of the smoothing kernel, "
-                        'with a "collapse" record before the "done" of a '
-                        'run that ends early, and a "done" record alone '
-                        "from each topology of stars that Newton places")
+                        'batched bounding pass, then from each run of the '
+                        'smoothing kernel one "eps" record per stage it '
+                        'runs, three at most, and a "done" record, with a '
+                        '"collapse" record before the "done" of a run that '
+                        'ends early, and a "done" record alone from each '
+                        "topology of stars that Newton places")
 
     e = sub.add_parser("enumerate-topologies",
                        help="emit one JSON line per candidate topology")
@@ -98,6 +99,8 @@ def _cmd_solve(args) -> int:
         "distinct_tol": args.distinct_tol,
         "max_terminals": args.max_terminals,
     })
+    if args.svg:
+        check_planar([p for p, _ in inst.boundary.atoms])
     if args.verbose:
         def trace(rec):
             print(json.dumps(rec, sort_keys=True), file=sys.stderr)
@@ -179,6 +182,8 @@ def _cmd_local4(args) -> int:
         theta=fileio.parse_rational(obj.get("theta", 1), "key 'theta'"),
         k=fileio._number("key 'k'", obj["k"], integral=True),
     )
+    if args.svg:
+        check_planar((a, b, c, d))
     cls = local4_solve(inst, args.alpha)
     out = {
         "schema": fileio.SCHEMA_VERSION,

@@ -402,14 +402,15 @@ def four_point_instance(k: int, displacements: tuple[float, float, float, float]
         theta=theta, k=k)
 
 
-# the largest displacement estimate_rho tries
+# the largest displacement estimate_rho tries, and its bisection steps
 _RHO_MAX = 0.5
+_RHO_STEPS = 10
 
 
-def estimate_rho(alpha: float, k: int, iters: int = 10) -> float:
+def estimate_rho(alpha: float, k: int) -> float:
     """Largest sampled off-axis displacement, at most ``_RHO_MAX``, for which
     every canonical four-point instance still classifies as W or Z, found by
-    ``iters`` bisection steps.
+    ``_RHO_STEPS`` bisection steps.
 
     Each step tries first the sample that failed last: near the threshold
     one sample tends to fail step after step, and trying it first spares
@@ -432,7 +433,7 @@ def estimate_rho(alpha: float, k: int, iters: int = 10) -> float:
     lo, hi = 0.0, _RHO_MAX
     if ok(_RHO_MAX):
         return _RHO_MAX
-    for _ in range(iters):
+    for _ in range(_RHO_STEPS):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

@@ -39,43 +39,43 @@ sufficient; on a 4-branch topology of a 6-atom instance collapsed
 vertices pass it one at a time (subgradient norm 8.3e-10) while the value
 sits 1.8e-5 (relative) above the minimum.
 
-Every other topology runs the kernel.  It minimizes the smoothed energy F_eps = sum of
-w_e sqrt(len^2 + eps^2), while eps decreases geometrically (Smith,
-Algorithmica 7, 1992).  At the end of every smoothing stage each
+Every other topology runs the kernel.  It minimizes the smoothed energy
+F_eps = sum of w_e sqrt(len^2 + eps^2) (Smith, Algorithmica 7, 1992) in
+three stages: two smoothing stages at eps ``EPS_INIT`` and ``EPS_INIT *
+EPS_DECAY``, then the floor at ``EPS_MIN``.  At the end of every stage each
 branch vertex is snapped onto its nearest vertex whenever that strictly
 lowers the exact energy, which accelerates convergence onto collapsed
 configurations (the non-smooth minimizers these instances actually visit).
 
-The kernel ends at the first collapse it can certify.  After every stage
-but the last, the topology that :func:`detect_collapse` contracts the
+The kernel ends at the first collapse it can certify.  After every stage,
+the last included, the topology that :func:`detect_collapse` contracts the
 snapped placement to, the first time the run sees it, is optimized by
 :func:`optimize_topology` (with the caller's ``memo`` and ``trace``) and
 its optimum lifted back, every vertex at its image's position.  When the
 dual bound of the kernel's own topology certifies the lift
-(:func:`_settles`, below), the schedule stops there:
+(:func:`_settles`, below), the run stops there:
 its remaining stages would only close in on that collapse.  Otherwise the
-schedule goes on.  This is the active-set view of sums of norms (Calamai &
+run goes on.  This is the active-set view of sums of norms (Calamai &
 Conn above): a collapsed optimum is settled by contracting it and checking
 the collapsed edges' multipliers.
 
 One kernel, :func:`_run_kernel`, runs this in every dimension: the eps
-schedule, the per-stage iteration budgets, the snap and the trace records.
-Only the stage solver is chosen by the dimension of the terminals.  Planar
-instances run Weiszfeld's fixed point as Gauss-Seidel sweeps,
-:func:`_sweeps_2d`: each branch vertex moves to the weighted barycenter of
-its neighbors with weights w_e / sqrt(len^2 + eps^2).  Every other
-dimension runs damped Newton steps on F_eps, :func:`_newton_steps`, which
-need an order of magnitude fewer iterations than the sweeps.  The
-planar sweep stays because most planar calls (the four-point lab's) have
-one or two branch points, where a sweep in flat Python costs less than the
-numpy calls of a Newton step.
+stages, their iteration budgets, the snap and the trace records.  The floor
+runs damped Newton steps on F_eps, :func:`_newton_steps`, in every
+dimension; only the smoothing stages' solver is chosen by the dimension of
+the terminals.  Planar instances smooth by Weiszfeld's fixed point as
+Gauss-Seidel sweeps, :func:`_sweeps_2d`: each branch vertex moves to the
+weighted barycenter of its neighbors with weights w_e / sqrt(len^2 +
+eps^2).  Most planar calls (the four-point lab's) have one or two branch
+points and end at a collapse after the first stage, where a sweep in flat
+Python costs less than the numpy calls of a Newton step.
 
 Every result carries ``lower``, a :func:`dual_bound` on the minimum of the
 location energy of the topology given, and is ``converged`` when its value
 lies within ``_STAR_GAP`` (relative) of it.  Newton stars and early exits
 stand only when so certified; settled stars carry their contraction's
-bound (Kuhn's test is exact); a kernel run that reaches the end of its
-schedule carries the bound at its placement, zero-length edges smoothed by
+bound (Kuhn's test is exact); a kernel run that ends on its floor carries
+the bound at its placement, zero-length edges smoothed by
 ``_SETTLE_EPS``, and may stay uncertified.  A contraction that merges
 parallel edges can realize a value below the bound.
 
@@ -93,10 +93,10 @@ topologies of one boundary passes one ``memo`` dict to all of them: it
 keeps every finished result, and a topology that several others contract
 onto is optimized once.
 
-The kernel's constants: the smoothing parameter starts at ``EPS_INIT`` and
-shrinks by ``EPS_DECAY`` per stage down to ``EPS_MIN`` (both relative to
-the largest terminal distance).  Every stage runs at most 200 iterations
-and the final one, at ``EPS_MIN``, at most 400, so a run has at most 2000.
+The kernel's constants: the smoothing parameter is ``EPS_INIT``, then
+``EPS_INIT * EPS_DECAY``, then ``EPS_MIN`` (all relative to the largest
+terminal distance).  Each smoothing stage runs at most 200 iterations and
+the floor at most 400, so a run has at most 800.
 Vertices not farther apart than ``TOL_COLLAPSE`` (instance units) count as
 coincident, in the snap and in :func:`detect_collapse`.
 
@@ -118,6 +118,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,7 +132,7 @@ EPS_INIT = 2e-2
 EPS_DECAY = 0.2
 EPS_MIN = 2e-7
 
-# receives one JSON-serializable record per smoothing stage (iteration count,
+# receives one JSON-serializable record per kernel stage (iteration count,
 # eps, current energy) plus a final "done" one with the iteration count, the
 # value and its lower bound (the star path sends the final one alone); a
 # kernel run that ends early sends a record with "stage": "collapse"
@@ -239,20 +240,21 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
                 | None = None
                 ) -> tuple[Sequence[Sequence[float]], int,
                            OptimizedTopology | None]:
-    """The smoothing schedule from the barycentric start, for the edge
+    """The kernel's three stages from the barycentric start, for the edge
     weights ``w``.
 
-    Each eps stage minimizes F_eps with the stage solver of the terminals'
+    The two smoothing stages, at eps ``EPS_INIT`` and ``EPS_INIT *
+    EPS_DECAY``, minimize F_eps with the stage solver of the terminals'
     dimension: planar Gauss-Seidel sweeps (:func:`_sweeps_2d`) or Newton
-    steps (:func:`_newton_steps`).  Everything else is shared: the eps
-    schedule, the stage budgets and move tolerances, the snap and the trace.
-    The barycentric start puts the branch vertices where
-    sum_e |x_u - x_v|^2 is least (:func:`_branch_positions` with unit
-    weights).  After every stage but the last, ``settle`` (when given)
-    receives the snapped placement; a result it returns, a certified one of
-    ``ft``, ends the schedule, with a "collapse" trace record.  Returns the
-    branch positions, the number of iterations (sweeps or Newton steps) and
-    ``settle``'s result or None.
+    steps (:func:`_newton_steps`).  The floor, at ``EPS_MIN``, runs Newton
+    steps in every dimension.  Everything else is shared: the stage budgets
+    and move tolerances, the snap and the trace.  The barycentric start puts
+    the branch vertices where sum_e |x_u - x_v|^2 is least
+    (:func:`_branch_positions` with unit weights).  After every stage,
+    ``settle`` (when given) receives the snapped placement; a result it
+    returns, a certified one of ``ft``, ends the run, with a "collapse"
+    trace record.  Returns the branch positions, the number of iterations
+    (sweeps or Newton steps) and ``settle``'s result or None.
     """
     t = ft.topology
     n = t.n_terminals
@@ -264,26 +266,24 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     # every vertex, terminals first; the stages write only branch entries
     pos = [list(p) for p in terminals] + start.tolist()
     nv = len(pos)
-    if len(terminals[0]) == 2:
-        # each branch vertex with its incident edges: (weight, other vertex)
-        graph = [(b, _incident(ft, w, b)) for b in range(n, nv)]
-        stage = _sweeps_2d
-    else:
-        graph = (a[:n], a[n:], np.array(w))
-        stage = _newton_steps
+    newton = partial(_newton_steps, pos, (a[:n], a[n:], np.array(w)))
+    # planar: each branch vertex with its incident edges (weight, other vertex)
+    smooth = (partial(_sweeps_2d, pos,
+                      [(b, _incident(ft, w, b)) for b in range(n, nv)])
+              if len(terminals[0]) == 2 else newton)
 
     def exact_energy() -> float:
         return sum(wi * math.dist(pos[u], pos[v])
                    for wi, (u, v) in zip(w, t.edges))
 
     iters = 0
-    eps = EPS_INIT * scale
-    eps_floor = EPS_MIN * scale
     move_tol = 1e-11 * scale
-    while True:
-        final = eps <= eps_floor
-        iters += stage(pos, graph, eps * eps, 400 if final else 200,
-                       move_tol if final else max(2e-2 * eps, move_tol))
+    # (stage solver, eps, budget, move tolerance relative to eps)
+    for run, eps, budget, rel_tol in (
+            (smooth, EPS_INIT * scale, 200, 2e-2),
+            (smooth, EPS_INIT * scale * EPS_DECAY, 200, 2e-2),
+            (newton, EPS_MIN * scale, 400, 0.0)):
+        iters += run(eps * eps, budget, max(rel_tol * eps, move_tol))
         # snap to the nearest vertex when that strictly improves exact F;
         # whether a branch vertex ends within TOL_COLLAPSE of another
         # vertex, as detect_collapse would find, is known on the way
@@ -304,8 +304,6 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
         if trace is not None:
             trace({"stage": "eps", "iteration": iters, "eps": eps,
                    "value": current})
-        if final:
-            return pos[n:], iters, None
         if collapsed and settle is not None and (found := settle(Placement(
                 terminals, tuple(map(tuple, pos[n:]))))) is not None:
             if trace is not None:
@@ -313,7 +311,7 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
                 trace({"stage": "collapse", "iteration": iters,
                        "value": exact_energy()})
             return found.placement.branch, iters, found
-        eps = max(eps * EPS_DECAY, eps_floor)
+    return pos[n:], iters, None
 
 
 def _sweeps_2d(pos, incident, e2: float, budget: int, tol: float) -> int:
@@ -665,16 +663,16 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
 
     Deterministic.  A topology without branch vertices is returned at its
     terminals.  Otherwise the kernel (:func:`_run_kernel`) runs: barycentric
-    initialization, a geometric eps schedule whose stages run planar
-    Weiszfeld sweeps or, in other dimensions, Newton steps on the smoothed
-    energy, nearest-vertex snapping when it strictly improves the exact
-    energy.  After each stage but the last, the topology that
+    initialization, two smoothing stages of planar Weiszfeld sweeps or, in
+    other dimensions, Newton steps on the smoothed energy, a floor of Newton
+    steps, nearest-vertex snapping when it strictly improves the exact
+    energy.  After each stage, the topology that
     :func:`detect_collapse` contracts the placement to, when it is new to
     the run, is optimized by :func:`optimize_topology` with ``memo`` (a
     fresh dict when None) and lifted: vertex v of ``ft`` at the position of
     its image under the cluster map and then the result's ``lift``.  When
     :func:`_settles` certifies the lift on ``ft`` (one on the contraction
-    would not bound ``ft``'s minimum) the schedule stops there, and the
+    would not bound ``ft``'s minimum) the run stops there, and the
     rest of it would only have closed in on that collapse.  ``trace``
     receives the kernel's per-stage records, the nested optimizations'
     records and one final record.  The edge weights (:func:`_weights`) are

@@ -19,6 +19,14 @@ def _bbox(points):
     return min(xs), min(ys), max(xs), max(ys)
 
 
+def check_planar(points) -> None:
+    """Raise ``ValueError`` unless every point is planar: what
+    :func:`render_svg` can draw.  The CLI calls it before any work, so that
+    a refused picture leaves its file as it was."""
+    if any(len(p) != 2 for p in points):
+        raise ValueError("SVG rendering supports dimension 2 only")
+
+
 def render_svg(chains: list[PolyhedralChain], b: Boundary, alpha: float) -> str:
     """Render 2-D chains over their boundary atoms."""
     pts = [p for p, _ in b.atoms]
@@ -27,8 +35,7 @@ def render_svg(chains: list[PolyhedralChain], b: Boundary, alpha: float) -> str:
             pts.extend([s.start, s.end])
     if not pts:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_W}"/>'
-    if len(pts[0]) != 2:
-        raise ValueError("SVG rendering supports dimension 2 only")
+    check_planar(pts)
     x0, y0, x1, y1 = _bbox(pts)
     span = max(x1 - x0, y1 - y0) or 1.0
     scale = (_W - 2 * _PAD) / span

@@ -545,6 +545,37 @@ def test_local4_integral_numbers_accepted(tmp_path):
     assert reports[0].read_text() == reports[1].read_text()
 
 
+V_3D = {"dim": 3, "alpha": 0.5,
+        "atoms": [{"p": [0.0, 0.0, 0.0], "m": "-2"},
+                  {"p": [1.0, 0.3, 0.2], "m": "1"},
+                  {"p": [1.0, -0.3, 0.0], "m": "1"}]}
+LINE = {"dim": 1, "alpha": 0.5,
+        "atoms": [{"p": [0.0], "m": "-1"}, {"p": [1.0], "m": "1"}]}
+FOUR_AT_Z0 = {key: value + [0.0] if key in "ABCD" else value
+              for key, value in FOUR.items()}
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("solve", V_3D), ("solve", LINE), ("local4", FOUR_AT_Z0)],
+    ids=["solve-3-D", "solve-1-D", "local4-3-D"])
+def test_svg_of_a_non_planar_boundary_is_refused_first(tmp_path, capsys,
+                                                      command, obj):
+    # refused before any work: the old picture survives, and no report is
+    # written, to the file or to stdout
+    path, report, picture = (tmp_path / "in.json", tmp_path / "report.json",
+                             tmp_path / "old.svg")
+    path.write_text(json.dumps(obj))
+    picture.write_text("<svg/>")
+    argv = [command, "--input", str(path), "--svg", str(picture)]
+    argv += ["--alpha", "0.5"] if command == "local4" else []
+    assert cli.main(argv + ["--report", str(report)]) == 1
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "SVG rendering supports dimension 2 only" in err and not out
+    assert picture.read_text() == "<svg/>"
+    assert not report.exists()
+
+
 SWEEP = {"alphas": [0.5], "n_instances": 1, "rho": 0.05, "seed": 2}
 
 

@@ -249,7 +249,7 @@ def test_shared_minimizations_match_fresh_calls_dented_square(
 # estimate_rho sample order
 # ---------------------------------------------------------------------------
 
-def reference_estimate_rho(alpha, k, iters, rho_max=0.5):
+def reference_estimate_rho(alpha, k, iters=10, rho_max=0.5):
     """Bisection that solves the samples in their plain order."""
     def ok(rho):
         return all(perturb_module.local4_solve(four_point_instance(k, d),
@@ -278,7 +278,7 @@ def test_estimate_rho_matches_plain_order(alpha, monkeypatch):
         return real(inst, alpha)
     monkeypatch.setattr(perturb_module, "local4_solve", counted)
     k = estimate_k0(alpha) + 1
-    want = reference_estimate_rho(alpha, k, 6)
+    want = reference_estimate_rho(alpha, k)
     n_plain = len(calls)
-    assert estimate_rho(alpha, k, iters=6) == want
+    assert estimate_rho(alpha, k) == want
     assert len(calls) - n_plain <= n_plain

@@ -264,7 +264,7 @@ def test_k0_monotone_in_alpha():
 
 
 def test_rho_positive_and_contains_dichotomy():
-    rho = estimate_rho(0.5, estimate_k0(0.5) + 1, iters=6)
+    rho = estimate_rho(0.5, estimate_k0(0.5) + 1)
     assert rho > 0.01
 
 
