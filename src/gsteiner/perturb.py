@@ -286,7 +286,9 @@ def _local4_candidates(masses: tuple[Fraction, ...], roles: tuple[str, ...]
     that merge no two atoms: a forest with an unbalanced component or a
     zero forced flow is not a current with that support.  Forests and flows
     depend on the atom masses alone, in atom order, and the case on the
-    roles, so the list is built once per (masses, roles).
+    roles, so the list is built once per (masses, roles), and every call
+    with those masses reads the contractions and edge weights that earlier
+    calls left in its topologies' memos (:func:`~gsteiner.topology.contract`).
     """
     return tuple((_case_label(ft.topology, roles), ft)
                  for ft in _forests(masses))

@@ -178,14 +178,26 @@ def _identity(ft: FlowedTopology) -> tuple[int, ...]:
     return tuple(range(ft.topology.n_terminals + ft.topology.n_branch))
 
 
-def _weights(ft: FlowedTopology, alpha: float) -> list[float]:
+def _weights(ft: FlowedTopology, alpha: float) -> tuple[float, ...]:
+    """The edge weights |flow|^alpha (:func:`_flow_weights`), made once per
+    alpha and kept in ``ft``'s memo
+    (:class:`~gsteiner.topology.FlowedTopology`)."""
+    w = ft._memo.get(alpha)
+    if w is None:
+        w = ft._memo[alpha] = _flow_weights(ft, alpha)
+    return w
+
+
+def _flow_weights(ft: FlowedTopology, alpha: float) -> tuple[float, ...]:
+    """:func:`_weights` without the memo, for a topology that is bounded
+    once and most likely pruned (:func:`lower_bounds`)."""
     # the int true division float() makes of a Fraction, without the call
-    return [abs(f.numerator / f.denominator) ** alpha
-            for f in ft.edge_flows]
+    return tuple(abs(f.numerator / f.denominator) ** alpha
+                 for f in ft.edge_flows)
 
 
 def energy(ft: FlowedTopology, pl: Placement, alpha: float,
-           w: list[float] | None = None) -> float:
+           w: Sequence[float] | None = None) -> float:
     """Exact location energy; zero-length edges contribute zero.  ``w``, when
     given, holds the edge weights |flow|^alpha (:func:`_weights`)."""
     if w is None:
@@ -215,7 +227,8 @@ def _subgradient(here: Point, incident: list[tuple[float, Point]]
     return math.sqrt(sum(x * x for x in g)), ball
 
 
-def _incident(ft: FlowedTopology, w: list[float], v0: int) -> list[tuple[float, int]]:
+def _incident(ft: FlowedTopology, w: Sequence[float], v0: int
+              ) -> list[tuple[float, int]]:
     """(w_e, other end) of every edge of vertex ``v0``, in edge order."""
     return [(wi, v if u == v0 else u)
             for wi, (u, v) in zip(w, ft.topology.edges) if v0 in (u, v)]
@@ -235,7 +248,7 @@ def _incidence(t: SteinerTopology) -> np.ndarray:
 
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
-                w: list[float], trace: Trace | None,
+                w: Sequence[float], trace: Trace | None,
                 settle: Callable[[Placement], OptimizedTopology | None]
                 | None = None
                 ) -> tuple[Sequence[Sequence[float]], int,
@@ -637,7 +650,7 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
 
 
 def _optimized(ft: FlowedTopology, pl: Placement, alpha: float,
-               w: list[float], iters: int, eps: float = 0.0
+               w: Sequence[float], iters: int, eps: float = 0.0
                ) -> OptimizedTopology:
     """``ft`` at ``pl``, with its value and :func:`dual_bound` there,
     smoothed by ``eps``: the value itself without branch vertices."""
@@ -763,7 +776,7 @@ def _dual_values(ab: np.ndarray, w: np.ndarray, diff: np.ndarray,
 
 
 def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
-               eps: float = 0.0, w: list[float] | None = None) -> float:
+               eps: float = 0.0, w: Sequence[float] | None = None) -> float:
     """Lower bound on the minimum of the location energy, by weak duality.
 
     Since |z| = max over |y| <= 1 of y.z, the energy is
@@ -829,7 +842,7 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
     for (m, _), idx in groups.items():
         a = np.stack([_incidence(fts[i].topology) for i in idx])
         ab, ab_t = a[:, n:], a[:, n:].transpose(0, 2, 1)
-        w = np.array([_weights(fts[i], alpha) for i in idx])
+        w = np.array([_flow_weights(fts[i], alpha) for i in idx])
         # the terminals' part of x_u - x_v; the branch part is ab_t @ x
         fixed = a[:, :n].transpose(0, 2, 1) @ p
         eps = 0.0
@@ -896,7 +909,7 @@ _SETTLE_EPS = 1e-14
 
 
 def _settles(ft: FlowedTopology, pl: Placement, alpha: float,
-             w: list[float]) -> OptimizedTopology | None:
+             w: Sequence[float]) -> OptimizedTopology | None:
     """``ft`` at ``pl``, a placement with collapsed (zero-length) edges,
     when that is certified optimal, else None: the test of the kernel's
     early exit on each lift.
@@ -948,6 +961,15 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     on one boundary the edges fix the flows, since a forest carries a
     boundary by one conservative flow at most.  A repeat call returns the
     stored result.
+
+    That memo holds results, which depend on the geometry.  What depends on
+    the flowed topology alone, its contractions by given pairs and its edge
+    weights (:func:`_weights`), ``ft`` keeps in its own memo
+    (:func:`~gsteiner.topology.contract`), for as long as the caller keeps
+    ``ft``: the four-point lab hands the same candidates to every call with
+    the same masses, and each contraction it meets is derived once.  Every
+    entry is what a fresh copy of ``ft`` would compute, so a result cannot
+    depend on which earlier calls filled it.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")

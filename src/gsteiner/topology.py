@@ -59,6 +59,18 @@ One routine, :func:`contract`, merges vertices of a flowed forest, for
 "at most one minimum network per topology" holds once degenerate vertices
 are merged away: a forest and its contraction realize the same current, and
 the contraction's cluster map lifts a placement of it back onto the forest.
+A contraction depends on the forest's topology and flows and on the merged
+pairs alone, so each :class:`FlowedTopology` keeps a private memo, made on
+first use: every contraction of it, keyed by the tuple of merged pairs, and
+its edge weights |flow|^alpha (``placement._weights``), keyed by alpha.  A
+repeat call returns the same objects, whose own memos hold what was derived
+from them, so a caller that keeps its topologies, as the four-point lab's
+candidate cache does, derives each contraction once.  Since each entry is
+that pure function's value, no result can depend on which calls filled the
+memo.  The memo is not a field: equality, hashing, ``repr``, ``replace``,
+the signature and pickles do not see it.  :func:`_forests` meets each pair
+set once, and :func:`assign_flows` contracts a forest it has just made, so
+both call the routine without the memo, :func:`_contract`.
 
 Enumeration is exhaustive by design and intended for small n; callers guard
 instance size.
@@ -68,7 +80,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .currents import Boundary
@@ -111,6 +123,19 @@ class FlowedTopology:
     # the signature as :func:`_flowed_forests` read it from its tables; no
     # part of equality, hashing or repr
     _signature: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """What this object's topology and flows alone determine, made on
+        first use: :func:`contract`'s results, keyed by the tuple of merged
+        pairs, and :func:`~gsteiner.placement._weights`' by alpha (a tuple
+        never equals a number).  Not a field, so no part of equality,
+        hashing, repr, ``replace`` or the signature; a copy or a pickle
+        starts without it."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
 
     def signature(self) -> tuple:
         """Canonical key, invariant under branch-vertex relabeling.
@@ -325,9 +350,10 @@ def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
         edges = ft.topology.edges
         for bits in range(1 << len(edges)):
             # contract skips a pair that would merge two terminals, which
-            # leaves the contraction by the other pairs, met on its own
-            forest, _ = contract(ft, [e for i, e in enumerate(edges)
-                                      if bits >> i & 1])
+            # leaves the contraction by the other pairs, met on its own;
+            # each pair set is met once, so no memo keeps it
+            forest, _ = _contract(ft, [e for i, e in enumerate(edges)
+                                       if bits >> i & 1])
             out.setdefault(forest.topology.edges, forest)
     return sorted(out.values(),
                   key=lambda ft: (len(ft.topology.edges), ft.topology.edges))
@@ -375,8 +401,9 @@ def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
 
     if any(mass(c) != 0 for c in components):
         raise InfeasibleTopologyError("component masses do not balance")
-    return contract(FlowedTopology(t, tuple(
-        sign * mass(side) for side, sign in zip(splits, signs))))[0]
+    # a new topology, so no memo would be read again
+    return _contract(FlowedTopology(t, tuple(
+        sign * mass(side) for side, sign in zip(splits, signs))), ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +425,23 @@ def contract(ft: FlowedTopology, pairs: Iterable[Edge] = ()
     neighbor, and one of a component without terminals onto terminal 0.
     Placing every vertex of ``ft`` at its image lifts a placement of the
     result to ``ft``, with the same energy unless parallel edges combined.
+
+    The result depends on ``ft``'s topology and flows and on the pairs
+    alone, so it is made once (:func:`_contract`): ``ft``'s memo keeps it,
+    keyed by ``tuple(pairs)``, and a repeat call returns the same objects,
+    whose own memos then keep what is derived from them.  Whichever calls
+    filled the memo, an entry is the value a fresh copy of ``ft`` would get.
     """
+    key = tuple(pairs)
+    found = ft._memo.get(key)
+    if found is None:
+        found = ft._memo[key] = _contract(ft, key)
+    return found
+
+
+def _contract(ft: FlowedTopology, pairs: Iterable[Edge]
+              ) -> tuple[FlowedTopology, tuple[int, ...]]:
+    """:func:`contract` without the memo: a new result on every call."""
     t = ft.topology
     n = t.n_terminals
     # union-find whose root is the lowest vertex of its class, so a class
