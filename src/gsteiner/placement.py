@@ -182,10 +182,10 @@ def _weights(ft: FlowedTopology, alpha: float) -> tuple[float, ...]:
     """The edge weights |flow|^alpha (:func:`_flow_weights`), made once per
     alpha and kept in ``ft``'s memo
     (:class:`~gsteiner.topology.FlowedTopology`)."""
-    w = ft._memo.get(alpha)
-    if w is None:
-        w = ft._memo[alpha] = _flow_weights(ft, alpha)
-    return w
+    found = ft._memo.get(alpha)
+    if found is None:
+        found = ft._memo[alpha] = _flow_weights(ft, alpha)
+    return found
 
 
 def _flow_weights(ft: FlowedTopology, alpha: float) -> tuple[float, ...]:
@@ -196,15 +196,11 @@ def _flow_weights(ft: FlowedTopology, alpha: float) -> tuple[float, ...]:
                  for f in ft.edge_flows)
 
 
-def energy(ft: FlowedTopology, pl: Placement, alpha: float,
-           w: Sequence[float] | None = None) -> float:
-    """Exact location energy; zero-length edges contribute zero.  ``w``, when
-    given, holds the edge weights |flow|^alpha (:func:`_weights`)."""
-    if w is None:
-        w = _weights(ft, alpha)
+def energy(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
+    """Exact location energy; zero-length edges contribute zero."""
     return sum(
         wi * dist(pl.position(u), pl.position(v))
-        for wi, (u, v) in zip(w, ft.topology.edges))
+        for wi, (u, v) in zip(_weights(ft, alpha), ft.topology.edges))
 
 
 def _subgradient(here: Point, incident: list[tuple[float, Point]]
@@ -227,11 +223,12 @@ def _subgradient(here: Point, incident: list[tuple[float, Point]]
     return math.sqrt(sum(x * x for x in g)), ball
 
 
-def _incident(ft: FlowedTopology, w: Sequence[float], v0: int
+def _incident(ft: FlowedTopology, alpha: float, v0: int
               ) -> list[tuple[float, int]]:
     """(w_e, other end) of every edge of vertex ``v0``, in edge order."""
     return [(wi, v if u == v0 else u)
-            for wi, (u, v) in zip(w, ft.topology.edges) if v0 in (u, v)]
+            for wi, (u, v) in zip(_weights(ft, alpha), ft.topology.edges)
+            if v0 in (u, v)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +245,13 @@ def _incidence(t: SteinerTopology) -> np.ndarray:
 
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
-                w: Sequence[float], trace: Trace | None,
+                alpha: float, trace: Trace | None,
                 settle: Callable[[Placement], OptimizedTopology | None]
                 | None = None
                 ) -> tuple[Sequence[Sequence[float]], int,
                            OptimizedTopology | None]:
     """The kernel's three stages from the barycentric start, for the edge
-    weights ``w``.
+    weights |flow|^alpha (:func:`_weights`).
 
     The two smoothing stages, at eps ``EPS_INIT`` and ``EPS_INIT *
     EPS_DECAY``, minimize F_eps with the stage solver of the terminals'
@@ -271,6 +268,7 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     """
     t = ft.topology
     n = t.n_terminals
+    w = _weights(ft, alpha)
     scale = _scale(terminals)
     a = _incidence(t)
     start = _branch_positions(a[None, n:], np.ones((1, len(t.edges))),
@@ -282,7 +280,7 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     newton = partial(_newton_steps, pos, (a[:n], a[n:], np.array(w)))
     # planar: each branch vertex with its incident edges (weight, other vertex)
     smooth = (partial(_sweeps_2d, pos,
-                      [(b, _incident(ft, w, b)) for b in range(n, nv)])
+                      [(b, _incident(ft, alpha, b)) for b in range(n, nv)])
               if len(terminals[0]) == 2 else newton)
 
     def exact_energy() -> float:
@@ -624,10 +622,9 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
     # a branch vertex exactly when some edge joins two
     if not ft.topology.n_branch or max(ft.topology.edges)[0] >= n:
         return None
-    w = _weights(ft, alpha)
     stars, settled = [], []
     for v0 in range(n, n + ft.topology.n_branch):
-        incident = _incident(ft, w, v0)
+        incident = _incident(ft, alpha, v0)
         atoms = [(wi, terminals[o]) for wi, o in incident]
         margin = _STAR_MARGIN * sum(wi for wi, _ in incident)
         for _, t in incident:
@@ -645,18 +642,16 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
             return None
         branch.append(found[0])
         steps += found[1]
-    res = _optimized(ft, Placement(terminals, tuple(branch)), alpha, w, steps)
+    res = _optimized(ft, Placement(terminals, tuple(branch)), alpha, steps)
     return res if res.converged else None
 
 
 def _optimized(ft: FlowedTopology, pl: Placement, alpha: float,
-               w: Sequence[float], iters: int, eps: float = 0.0
-               ) -> OptimizedTopology:
+               iters: int, eps: float = 0.0) -> OptimizedTopology:
     """``ft`` at ``pl``, with its value and :func:`dual_bound` there,
     smoothed by ``eps``: the value itself without branch vertices."""
-    value = energy(ft, pl, alpha, w)
-    lower = (dual_bound(ft, pl, alpha, eps, w) if ft.topology.n_branch
-             else value)
+    value = energy(ft, pl, alpha)
+    lower = dual_bound(ft, pl, alpha, eps) if ft.topology.n_branch else value
     return OptimizedTopology(ft, pl, value, lower, iters, _identity(ft))
 
 
@@ -688,9 +683,9 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     would not bound ``ft``'s minimum) the run stops there, and the
     rest of it would only have closed in on that collapse.  ``trace``
     receives the kernel's per-stage records, the nested optimizations'
-    records and one final record.  The edge weights (:func:`_weights`) are
-    computed once and passed to every step.  The result is for ``ft``
-    itself, at a placement that may hold coincident vertices:
+    records and one final record.  Every step reads the edge weights from
+    ``ft``'s memo (:func:`_weights`), made once per alpha.  The result is
+    for ``ft`` itself, at a placement that may hold coincident vertices:
     :func:`optimize_topology` contracts them.  Its ``lower`` is an early
     exit's certificate, else the dual bound at the final placement
     (smoothed by ``_SETTLE_EPS``).
@@ -698,9 +693,8 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     terminals = _terminals_for(ft, b)
-    w = _weights(ft, alpha)
     if ft.topology.n_branch == 0:
-        return _optimized(ft, Placement(terminals, ()), alpha, w, 0)
+        return _optimized(ft, Placement(terminals, ()), alpha, 0)
     memo = {} if memo is None else memo
     tried = set()
     n = ft.topology.n_terminals
@@ -714,11 +708,11 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
         res = optimize_topology(contracted, b, alpha, trace, memo)
         return _settles(ft, Placement(terminals, tuple(
             res.placement.position(res.lift[c]) for c in cluster[n:])),
-            alpha, w)
-    pos, iters, found = _run_kernel(ft, terminals, w, trace, settle)
+            alpha)
+    pos, iters, found = _run_kernel(ft, terminals, alpha, trace, settle)
     if found is None:
         found = _optimized(ft, Placement(terminals, tuple(map(tuple, pos))),
-                           alpha, w, 0, _SETTLE_EPS * _scale(terminals))
+                           alpha, 0, _SETTLE_EPS * _scale(terminals))
     return _done(trace, replace(found, iterations=iters))
 
 
@@ -757,26 +751,26 @@ def _branch_positions(ab: np.ndarray, c: np.ndarray, fixed: np.ndarray
     return -np.linalg.solve(lap, cab @ fixed)
 
 
-def _dual_values(ab: np.ndarray, w: np.ndarray, diff: np.ndarray,
+def _dual_values(ab: np.ndarray, weights: np.ndarray, diff: np.ndarray,
                  eps: float) -> np.ndarray:
     """:func:`dual_bound` for T topologies at once, from their edge vectors
     x_u - x_v (T, E, d), weights (T, E) and incidence branch rows (T, m, E)."""
     length = np.sqrt(np.einsum("tij,tij->ti", diff, diff) + eps * eps)
     if not length.all():
         raise ValueError("a zero-length edge needs eps > 0")
-    c = w / length
+    c = weights / length
     y = c[..., None] * diff
     if ab.shape[1]:
         cab, lap = _weighted_laplacian(ab, c)
         y -= cab.transpose(0, 2, 1) @ np.linalg.solve(lap, ab @ y)
         norm = np.sqrt(np.einsum("tij,tij->ti", y, y))
-        y *= np.divide(w, norm, out=np.ones_like(w),
-                       where=norm > w).min(axis=1)[:, None, None]
+        y *= np.divide(weights, norm, out=np.ones_like(weights),
+                       where=norm > weights).min(axis=1)[:, None, None]
     return np.einsum("tij,tij->t", y, diff)
 
 
 def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
-               eps: float = 0.0, w: Sequence[float] | None = None) -> float:
+               eps: float = 0.0) -> float:
     """Lower bound on the minimum of the location energy, by weak duality.
 
     Since |z| = max over |y| <= 1 of y.z, the energy is
@@ -796,16 +790,14 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
 
     The bound is tight at an optimum without collapsed edges as eps -> 0,
     and equals the energy when the topology has no branch vertex.  A
-    zero-length edge needs ``eps`` > 0.  ``w`` as in :func:`energy`.  This
-    is the one-topology case of the batched evaluation behind
-    :func:`lower_bounds`.
+    zero-length edge needs ``eps`` > 0.  The weights w_e = |flow_e|^alpha
+    come from ``ft``'s memo (:func:`_weights`).  This is the one-topology
+    case of the batched evaluation behind :func:`lower_bounds`.
     """
     n = ft.topology.n_terminals
     a = _incidence(ft.topology)[None]
     x = np.asarray(pl.terminals + pl.branch, dtype=float)
-    if w is None:
-        w = _weights(ft, alpha)
-    return float(_dual_values(a[:, n:], np.array([w]),
+    return float(_dual_values(a[:, n:], np.array([_weights(ft, alpha)]),
                               a.transpose(0, 2, 1) @ x, eps)[0])
 
 
@@ -908,8 +900,8 @@ def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
 _SETTLE_EPS = 1e-14
 
 
-def _settles(ft: FlowedTopology, pl: Placement, alpha: float,
-             w: Sequence[float]) -> OptimizedTopology | None:
+def _settles(ft: FlowedTopology, pl: Placement, alpha: float
+             ) -> OptimizedTopology | None:
     """``ft`` at ``pl``, a placement with collapsed (zero-length) edges,
     when that is certified optimal, else None: the test of the kernel's
     early exit on each lift.
@@ -924,10 +916,10 @@ def _settles(ft: FlowedTopology, pl: Placement, alpha: float,
     where = pl.terminals + pl.branch
     for v in range(ft.topology.n_terminals, len(where)):
         g, ball = _subgradient(where[v], [(wi, where[o]) for wi, o in
-                                          _incident(ft, w, v)])
+                                          _incident(ft, alpha, v)])
         if g > ball > 0.0:
             return None
-    res = _optimized(ft, pl, alpha, w, 0, _SETTLE_EPS * _scale(pl.terminals))
+    res = _optimized(ft, pl, alpha, 0, _SETTLE_EPS * _scale(pl.terminals))
     return res if res.converged else None
 
 

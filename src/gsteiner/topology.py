@@ -94,11 +94,11 @@ class InfeasibleTopologyError(Exception):
 
 @dataclass(frozen=True)
 class SteinerTopology:
-    """Forest over terminals 0..n-1 and branch vertices n..n+m-1."""
+    """Forest over terminals 0..n-1 and branch vertices n..n+m-1; the
+    boundary's masses enter through the flows (:class:`FlowedTopology`)."""
     n_terminals: int
     n_branch: int
     edges: tuple[Edge, ...]
-    terminal_masses: tuple[Fraction, ...]
 
     def __post_init__(self):
         if self.n_branch > max(0, self.n_terminals - 2):
@@ -114,9 +114,11 @@ class FlowedTopology:
 
     ``edge_flows[i]`` is the signed rational flow on ``topology.edges[i]``,
     positive when flowing from the lower-indexed endpoint to the higher.
-    The generators yield nonzero flows only; :func:`assign_flows` and
-    collapse contraction rewrite a forest whose flows vanish on some edge
-    into the smaller forest without it (:func:`contract`).
+    The boundary's masses enter here alone, and so do the edge weights
+    |flow|^alpha (``placement._weights``).  The generators yield nonzero
+    flows only; :func:`assign_flows` and collapse contraction rewrite a
+    forest whose flows vanish on some edge into the smaller forest without
+    it (:func:`contract`).
     """
     topology: SteinerTopology
     edge_flows: tuple[Fraction, ...]
@@ -324,7 +326,7 @@ def _flowed_forests(masses: tuple[Fraction, ...]
             block_shapes, flows, splits = zip(*combo)
             m, edges = _join(n, atoms, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
-            yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows,
+            yield FlowedTopology(SteinerTopology(n, m, edges), flows,
                                  (n, m, components,
                                   tuple(sorted(itertools.chain(*splits)))))
 
@@ -384,15 +386,16 @@ def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
     """Unique conservative flows, exact rationals.
 
     The flow from an edge's lower endpoint to its higher one is the mass on
-    the higher endpoint's side of its split (:func:`_splits`).  Raises
-    :class:`InfeasibleTopologyError` when some component's terminal masses
-    do not sum to zero, and ``AssertionError`` when the edges contain a
-    cycle.  Zero-flow edges are removed, and branch vertices falling below
-    degree 3 are spliced out.
+    the higher endpoint's side of its split (:func:`_splits`), terminal i
+    carrying the mass of ``b``'s atom i.  Raises ``ValueError`` when ``b``
+    has another number of atoms, :class:`InfeasibleTopologyError` when some
+    component's terminal masses do not sum to zero, and ``AssertionError``
+    when the edges contain a cycle.  Zero-flow edges are removed, and branch
+    vertices falling below degree 3 are spliced out.
     """
     masses = tuple(m for _, m in b.atoms)
-    if masses != t.terminal_masses:
-        raise ValueError("topology terminal masses do not match boundary")
+    if len(masses) != t.n_terminals:
+        raise ValueError("boundary does not match topology terminal count")
     components, splits, signs = _splits(t.n_terminals, t.edges)
 
     def mass(side: int) -> Fraction:
@@ -494,8 +497,7 @@ def _contract(ft: FlowedTopology, pairs: Iterable[Edge]
         sorted(r for r in nbrs if r >= n)))
     edges = sorted(((label[a], label[c]), f) for (a, c), f in flows.items())
     contracted = FlowedTopology(
-        SteinerTopology(n, len(label) - n, tuple(e for e, _ in edges),
-                        t.terminal_masses),
+        SteinerTopology(n, len(label) - n, tuple(e for e, _ in edges)),
         tuple(f for _, f in edges))
     while lifts := {x: label[y] for e in merged for x, y in (e, e[::-1])
                     if x not in label and y in label}:

@@ -54,7 +54,7 @@ def forest_shapes(s):
     """
     shapes = {}
     for full, splits, _ in _full_splits(s):
-        unit = FlowedTopology(SteinerTopology(s, s - 2, full, (0,) * s),
+        unit = FlowedTopology(SteinerTopology(s, s - 2, full),
                               (1,) * len(full))
         for bits in range(1 << len(full)):
             key = tuple(sorted(side for i, side in enumerate(splits)
@@ -80,7 +80,6 @@ def all_forests(b):
     n = len(b.atoms)
     if n < 2:
         raise ValueError("boundary must have at least 2 atoms")
-    masses = tuple(m for _, m in b.atoms)
     for partition in set_partitions(tuple(range(n))):
         blocks = sorted(tuple(sorted(blk)) for blk in partition)
         if any(len(blk) < 2 for blk in blocks):
@@ -88,7 +87,7 @@ def all_forests(b):
         for combo in itertools.product(*(forest_shapes(len(blk))
                                          for blk in blocks)):
             m, edges = _join(n, blocks, combo)
-            yield SteinerTopology(n, m, tuple(sorted(edges)), masses)
+            yield SteinerTopology(n, m, tuple(sorted(edges)))
 
 
 def shrank(topo, ft):
@@ -132,4 +131,4 @@ def flowed_forests(masses):
             block_shapes, flows = zip(*combo)
             m, edges = _join(n, blocks, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
-            yield FlowedTopology(SteinerTopology(n, m, edges, masses), flows)
+            yield FlowedTopology(SteinerTopology(n, m, edges), flows)

@@ -125,10 +125,9 @@ def test_minimize_two_terminal_trivial():
 def star_subgradient(ft, pl, alpha):
     """The subdifferential of the energy at the one branch vertex of
     ``ft``, as the ball (|g|, radius) of ``placement._subgradient``."""
-    w = placement._weights(ft, alpha)
     v = ft.topology.n_terminals
     return placement._subgradient(pl.position(v), [
-        (wi, pl.position(o)) for wi, o in placement._incident(ft, w, v)])
+        (wi, pl.position(o)) for wi, o in placement._incident(ft, alpha, v)])
 
 
 def test_dual_gap_positive_away_from_optimum(v_boundary):
@@ -204,7 +203,7 @@ def test_detect_collapse_leaves_a_cycle_to_canonicalization():
                        ((2.0, 3.0), F(1)), ((3.0, 2.0), F(-1)),
                        ((4.0, 0.0), F(2))])
     t = SteinerTopology(5, 3, ((0, 5), (1, 5), (2, 6), (3, 7), (4, 7),
-                               (5, 6), (6, 7)), tuple(m for _, m in b.atoms))
+                               (5, 6), (6, 7)))
     ft = assign_flows(t, b)
     assert all(ft.edge_flows)
     pl = Placement(tuple(p for p, _ in b.atoms),
@@ -275,8 +274,7 @@ def test_cluster_map_lifts_a_spliced_vertex_onto_a_neighbor():
     # 0-4 and 4-5 then combine, 4 keeps two neighbors and is spliced out
     b = make_boundary([((0.0, 0.0), F(1)), ((0.0, 1.0), F(1)),
                        ((3.0, 0.0), F(-1)), ((3.0, 1.0), F(-1))])
-    t = SteinerTopology(4, 2, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)),
-                        tuple(m for _, m in b.atoms))
+    t = SteinerTopology(4, 2, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)))
     ft = assign_flows(t, b)
     contracted, cluster = contract(ft, [(0, 5)])
     assert contracted.topology.n_branch == 0
@@ -653,8 +651,7 @@ def kernel_minimize(ft, b, alpha):
     if not ft.topology.n_branch:
         return minimize(ft, b, alpha)
     terminals = tuple(p for p, _ in b.atoms)
-    pos, iters, _ = placement._run_kernel(ft, terminals,
-                                          placement._weights(ft, alpha), None)
+    pos, iters, _ = placement._run_kernel(ft, terminals, alpha, None)
     pl = Placement(terminals, tuple(tuple(x) for x in pos))
     eps = placement._SETTLE_EPS * placement._scale(terminals)
     return OptimizedTopology(ft, pl, energy(ft, pl, alpha),
@@ -896,8 +893,8 @@ def star(atoms):
     """The one-branch star over the (point, mass) ``atoms``, and its boundary."""
     b = make_boundary((p, F(m)) for p, m in atoms)
     n = len(b.atoms)
-    return assign_flows(SteinerTopology(n, 1, tuple((i, n) for i in range(n)),
-                                        tuple(m for _, m in b.atoms)), b), b
+    t = SteinerTopology(n, 1, tuple((i, n) for i in range(n)))
+    return assign_flows(t, b), b
 
 
 def random_star(seed, masses, dim):
@@ -963,10 +960,9 @@ def test_star_falls_back_to_the_kernel(case):
     # their middle atom by Kuhn's test first, and hands the others to the
     # kernel
     (ft, b), alpha = FALLBACK_STARS[case]()
-    w = placement._weights(ft, alpha)
     assert placement._star_newton([
         (wi, b.atoms[o][0])
-        for wi, o in placement._incident(ft, w, ft.topology.n_terminals)
+        for wi, o in placement._incident(ft, alpha, ft.topology.n_terminals)
     ]) is None
     assert assert_star_pass_sound(ft, b, alpha) == (
         "settled" if case in ("1-D", "collinear 2-D") else "kernel")
@@ -1060,7 +1056,7 @@ def test_star_beside_a_branch_branch_edge_runs_the_kernel():
     alpha = 0.5
     ft = assign_flows(SteinerTopology(
         7, 3, ((0, 7), (1, 7), (2, 7), (3, 8), (4, 8), (5, 9), (6, 9),
-               (8, 9)), tuple(m for _, m in b.atoms)), b)
+               (8, 9))), b)
     v, v_boundary = star(b.atoms[:3])
     assert star_pass(v, v_boundary, alpha) == [(0, 3)]
     assert star_pass(ft, b, alpha) is None
@@ -1197,7 +1193,7 @@ def kernel_attempts(run):
     attempts = []
     real = placement._run_kernel
 
-    def kernel(ft, terminals, w, trace, settle=None):
+    def kernel(ft, terminals, alpha, trace, settle=None):
         seen = set()
 
         def watched(pl):
@@ -1207,7 +1203,7 @@ def kernel_attempts(run):
                 seen.add(contracted)
                 attempts.append(found is not None)
             return found
-        return real(ft, terminals, w, trace, settle and watched)
+        return real(ft, terminals, alpha, trace, settle and watched)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(placement, "_run_kernel", kernel)
         return run(), attempts
@@ -1344,7 +1340,7 @@ def _reference_stage(pos, graph, e2, budget, tol):
 
 
 # the smoothing schedule before the three-stage kernel, kept as its reference
-def _continuation_kernel(ft, terminals, w, trace, settle=None):
+def _continuation_kernel(ft, terminals, alpha, trace, settle=None):
     """:func:`placement._run_kernel` as a continuation: eps from
     ``EPS_INIT`` shrinking by ``EPS_DECAY`` per stage down to ``EPS_MIN``,
     nine stages, each by the dimension's stage solver, the planar floor by
@@ -1352,6 +1348,7 @@ def _continuation_kernel(ft, terminals, w, trace, settle=None):
     last."""
     t = ft.topology
     n = t.n_terminals
+    w = placement._weights(ft, alpha)
     scale = placement._scale(terminals)
     a = placement._incidence(t)
     start = placement._branch_positions(
@@ -1360,7 +1357,7 @@ def _continuation_kernel(ft, terminals, w, trace, settle=None):
     pos = [list(p) for p in terminals] + start.tolist()
     nv = len(pos)
     if len(terminals[0]) == 2:
-        graph = [(b, placement._incident(ft, w, b)) for b in range(n, nv)]
+        graph = [(b, placement._incident(ft, alpha, b)) for b in range(n, nv)]
         stage = placement._sweeps_2d
     else:
         graph = (a[:n], a[n:], np.array(w))
@@ -1536,6 +1533,12 @@ SQUARE = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
     (lambda: minimize(y_topology(V), V, 1.5), r"alpha must lie in \(0, 1\]"),
     (lambda: minimize(y_topology(V), SQUARE, 0.5),
      "boundary does not match topology terminal count"),
+    (lambda: optimize_topology(y_topology(V), V, 0.0),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: optimize_topology(y_topology(V), V, 1.5),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: optimize_topology(y_topology(V), SQUARE, 0.5),
+     "boundary does not match topology terminal count"),
     (lambda: lower_bounds([y_topology(V)], V, 0.0),
      r"alpha must lie in \(0, 1\]"),
     (lambda: lower_bounds([y_topology(V)], V, 1.5),
@@ -1546,6 +1549,7 @@ SQUARE = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
         tuple(p for p, _ in V.atoms), ((0.0, 0.0),)), 0.5),
      "a zero-length edge needs eps > 0"),
 ], ids=["minimize-alpha-0", "minimize-alpha-1.5", "minimize-terminals",
+        "optimize-alpha-0", "optimize-alpha-1.5", "optimize-terminals",
         "bounds-alpha-0", "bounds-alpha-1.5", "bounds-terminals",
         "dual-zero-length"])
 def test_input_checks(build, message):

@@ -8,11 +8,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsteiner import fileio
 from gsteiner.currents import (boundary, branch_points, canonicalize,
                                chain_of, has_loop, make_boundary,
                                support_difference_mass)
+from gsteiner.flat import flat_norm
 from gsteiner.solver import (MinimizerRecord, SolverConfig, SolveReport,
                              _uncovered_intervals, magic_points,
                              quantize_chain, solve)
@@ -112,6 +115,58 @@ def test_cluster_subadditivity_flagged_not_asserted():
     if abs(r.best_value - expected) > 1e-7 * (1 + expected):
         warnings.warn(f"cluster subadditivity violated: {r.best_value} vs {expected}")
     assert r.best_value <= expected + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle and the stability invariant, on random instances
+# ---------------------------------------------------------------------------
+
+def random_atoms(rng, n, dim):
+    """n atoms in [0, 2]^dim with nonzero integer masses summing to zero."""
+    masses = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(n - 1)]
+    if not sum(masses):
+        masses[0] += 1 if masses[0] > 0 else -1
+    return [(tuple(rng.uniform(0.0, 2.0) for _ in range(dim)), F(m))
+            for m in masses + [-sum(masses)]]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([3, 4, 5, 6]),
+       dim=st.sampled_from([2, 3]))
+def test_alpha_one_value_is_the_flat_norm(seed, n, dim):
+    # at alpha = 1 the cost is the mass, and the least mass of a 1-current
+    # with boundary b is the transport distance W1(b+, b-).  The flat norm
+    # equals it once every atom distance is at most 1 (moving a unit then
+    # costs less than dropping a pair), so b is scaled by s to that size
+    atoms = random_atoms(random.Random(seed), n, dim)
+    s = 1.0 / max(math.dist(p, q) for p, _ in atoms for q, _ in atoms)
+    w1 = flat_norm(make_boundary((tuple(s * c for c in p), m)
+                                 for p, m in atoms))[0] / s
+    value = solve(make_boundary(atoms), cfg(1.0)).best_value
+    assert abs(value - w1) <= 1e-12 * w1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([3, 4, 5, 6]),
+       dim=st.sampled_from([2, 3]),
+       alpha=st.sampled_from([0.3, 0.5, 0.7, 0.95]))
+def test_value_moves_no_more_than_the_atoms(seed, n, dim, alpha):
+    # moving atom i from p_i to q_i, mass kept, changes the best value by at
+    # most sum_i |m_i|^alpha |q_i - p_i|: a network of either boundary plus
+    # the segments p_i q_i carrying m_i has the other's boundary, and by
+    # subadditivity costs no more than the two summed
+    rng = random.Random(seed)
+    atoms = random_atoms(rng, n, dim)
+    moved, budget = [], 0.0
+    for p, m in atoms:
+        u = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        r = rng.uniform(0.0, 0.5) / math.hypot(*u)
+        q = tuple(a + r * c for a, c in zip(p, u))
+        moved.append((q, m))
+        budget += abs(float(m)) ** alpha * math.dist(p, q)
+    value, value_moved = (solve(make_boundary(x), cfg(alpha)).best_value
+                          for x in (atoms, moved))
+    assert abs(value_moved - value) <= budget + 1e-9 * (1.0 + value)
 
 
 # ---------------------------------------------------------------------------

@@ -20,3 +20,26 @@ def test_every_imported_name_is_used(path):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_used(path):
+    # a parameter that is passed along but never read is a second source for
+    # a value its function already has; self and cls are bound by the call
+    tree = ast.parse(path.read_text(), str(path))
+    unused = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        args = fn.args
+        params = {a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None} - {"self", "cls"}
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += [(getattr(fn, "name", "<lambda>"), fn.lineno, p)
+                   for p in sorted(params - read)]
+    assert unused == []

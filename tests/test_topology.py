@@ -257,8 +257,7 @@ def _unskipped_full_topologies(b):
                 slot = list(blk) + list(range(nxt, nxt + len(blk) - 2))
                 nxt += len(blk) - 2
                 edges += [tuple(sorted((slot[u], slot[v]))) for u, v in shape]
-            yield SteinerTopology(n, n - 2 * len(blocks), tuple(sorted(edges)),
-                                  masses)
+            yield SteinerTopology(n, n - 2 * len(blocks), tuple(sorted(edges)))
 
 
 def test_zero_flow_skip_loses_no_flowed_topology():
@@ -475,7 +474,7 @@ def test_split_key_ignores_branch_labels_and_edge_order(data):
         edges.append((min(a, c), max(a, c)))
         flows.append(f if a < c else -f)
     moved = FlowedTopology(
-        SteinerTopology(n, m, tuple(edges), t.terminal_masses), tuple(flows))
+        SteinerTopology(n, m, tuple(edges)), tuple(flows))
     assert moved.signature() == ft.signature()
 
 
@@ -507,8 +506,7 @@ def test_no_infeasible_topologies_with_unbalanced_blocks():
 def test_star_flows():
     b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 1.0), F(1)),
                        ((1.0, -1.0), F(1))])
-    star = SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)),
-                           tuple(m for _, m in b.atoms))
+    star = SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)))
     ft = assign_flows(star, b)
     flows = dict(zip(ft.topology.edges, ft.edge_flows))
     # atoms sort as (0,0):-2, (1,-1):+1, (1,1):+1; positive flow runs from
@@ -519,22 +517,20 @@ def test_star_flows():
 
 def test_two_terminal_flow():
     b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(1))])
-    t = SteinerTopology(2, 0, ((0, 1),), tuple(m for _, m in b.atoms))
+    t = SteinerTopology(2, 0, ((0, 1),))
     ft = assign_flows(t, b)
     assert ft.edge_flows == (F(1),)
 
 
 def test_matching_forest_flows(square_boundary):
     # atoms sort: (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1
-    t = SteinerTopology(4, 0, ((0, 1), (2, 3)),
-                        tuple(m for _, m in square_boundary.atoms))
+    t = SteinerTopology(4, 0, ((0, 1), (2, 3)))
     ft = assign_flows(t, square_boundary)
     assert ft.edge_flows == (F(1), F(-1))
 
 
 def test_unbalanced_component_infeasible(square_boundary):
-    t = SteinerTopology(4, 0, ((0, 3), (1, 2)),
-                        tuple(m for _, m in square_boundary.atoms))
+    t = SteinerTopology(4, 0, ((0, 3), (1, 2)))
     with pytest.raises(InfeasibleTopologyError):
         assign_flows(t, square_boundary)
 
@@ -560,8 +556,7 @@ def test_zero_flow_edge_degenerates():
     # path t0 - t1 - t2 where t1's mass forces zero flow beyond it
     b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(1)),
                        ((2.0, 0.0), F(-1)), ((3.0, 0.0), F(1))])
-    t = SteinerTopology(4, 0, ((0, 1), (1, 2), (2, 3)),
-                        tuple(m for _, m in b.atoms))
+    t = SteinerTopology(4, 0, ((0, 1), (1, 2), (2, 3)))
     ft = assign_flows(t, b)
     assert shrank(t, ft)
     assert len(ft.topology.edges) == 2  # middle edge carried zero
@@ -571,11 +566,8 @@ def test_zero_flow_edge_degenerates():
 # contraction
 # ---------------------------------------------------------------------------
 
-MASSES4 = (F(1), F(-1), F(1), F(-1))
-
-
 def _on_four(n_branch, edges, flows):
-    return FlowedTopology(SteinerTopology(4, n_branch, edges, MASSES4),
+    return FlowedTopology(SteinerTopology(4, n_branch, edges),
                           tuple(F(f) for f in flows))
 
 
@@ -591,15 +583,14 @@ def test_contract_splices_a_chain_of_degree_2_branch_vertices():
 def test_contract_splices_a_branch_vertex_below_both_neighbors():
     # b6 carries 2 from b8's side to b7's: the edge b7-b8 that replaces it
     # has flow -2 from b7 to b8, and then the labels 6, 7
-    masses = (F(1), F(1), F(-1), F(-1), F(1), F(-1))
     ft = FlowedTopology(
         SteinerTopology(6, 3, ((0, 7), (1, 7), (2, 8), (3, 8), (4, 5),
-                               (6, 7), (6, 8)), masses),
+                               (6, 7), (6, 8))),
         (F(-1), F(-1), F(1), F(1), F(-1), F(2), F(-2)))
     contracted, cluster = contract(ft)
     assert contracted == FlowedTopology(
         SteinerTopology(6, 2, ((0, 6), (1, 6), (2, 7), (3, 7), (4, 5),
-                               (6, 7)), masses),
+                               (6, 7))),
         (F(-1), F(-1), F(1), F(1), F(-1), F(-2)))
     assert cluster[6] in (6, 7) and cluster[7:] == (6, 7)
 
@@ -624,9 +615,8 @@ def test_contract_refuses_a_degree_1_branch_vertex():
 def test_assign_flows_drops_a_component_without_terminals(square_boundary):
     # atoms sort: (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1; the edge 4-5
     # carries no flow, and its branch vertices lift onto terminal 0
-    masses = tuple(m for _, m in square_boundary.atoms)
-    t = SteinerTopology(4, 2, ((0, 2), (1, 3), (4, 5)), masses)
-    want = FlowedTopology(SteinerTopology(4, 0, ((0, 2), (1, 3)), masses),
+    t = SteinerTopology(4, 2, ((0, 2), (1, 3), (4, 5)))
+    want = FlowedTopology(SteinerTopology(4, 0, ((0, 2), (1, 3))),
                           (F(1), F(-1)))
     assert assign_flows(t, square_boundary) == want
     assert contract(FlowedTopology(t, (F(1), F(-1), F(0)))) == (
@@ -657,8 +647,8 @@ def leaf_stripping_flows(t, b):
     leaf passes its demand to its neighbour across its edge and is removed,
     then the flows are normalized like :func:`assign_flows` does."""
     masses = tuple(m for _, m in b.atoms)
-    if masses != t.terminal_masses:
-        raise ValueError("topology terminal masses do not match boundary")
+    if len(masses) != t.n_terminals:
+        raise ValueError("boundary does not match topology terminal count")
     nv = t.n_terminals + t.n_branch
     adj = {v: set() for v in range(nv)}
     edge_index = {}
@@ -668,7 +658,7 @@ def leaf_stripping_flows(t, b):
         edge_index[(u, v)] = i
 
     # required net inflow at each vertex
-    demand = [t.terminal_masses[v] if v < t.n_terminals else F(0)
+    demand = [masses[v] if v < t.n_terminals else F(0)
               for v in range(nv)]
     flows = [None] * len(t.edges)
     for v in range(t.n_terminals):
@@ -759,7 +749,7 @@ def test_assign_flows_matches_leaf_stripping():
 ])
 def test_cycles_are_rejected(masses, m, edges):
     b = make_boundary(((float(i), 0.0), F(x)) for i, x in enumerate(masses))
-    t = SteinerTopology(len(masses), m, edges, tuple(x for _, x in b.atoms))
+    t = SteinerTopology(len(masses), m, edges)
     with pytest.raises(AssertionError, match="cycle"):
         FlowedTopology(t, (F(1),) * len(edges)).signature()
     for flows in (assign_flows, leaf_stripping_flows):
@@ -772,18 +762,16 @@ TRIANGLE = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)),
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: SteinerTopology(3, 2, ((0, 3), (1, 3), (2, 4), (3, 4)),
-                             (F(-2), F(1), F(1))),
+    (lambda: SteinerTopology(3, 2, ((0, 3), (1, 3), (2, 4), (3, 4))),
      r"too many branch vertices \(bound is n - 2\)"),
-    (lambda: SteinerTopology(3, 1, ((3, 0), (1, 3), (2, 3)),
-                             (F(-2), F(1), F(1))),
+    (lambda: SteinerTopology(3, 1, ((3, 0), (1, 3), (2, 3))),
      "edge endpoints out of range or unordered"),
     (lambda: list(enumerate_topologies(make_boundary([((0.0, 0.0), F(1))]))),
      "at least 2 atoms"),
-    (lambda: assign_flows(SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)),
-                                          (F(-1), F(1), F(0))), TRIANGLE),
-     "terminal masses do not match"),
-], ids=["branch-count", "unordered-edge", "one-atom", "masses"])
+    (lambda: assign_flows(SteinerTopology(4, 2, ((0, 4), (1, 4), (2, 5),
+                                                 (3, 5), (4, 5))), TRIANGLE),
+     "boundary does not match topology terminal count"),
+], ids=["branch-count", "unordered-edge", "one-atom", "terminal-count"])
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
         build()
