@@ -120,11 +120,10 @@ def _cmd_enumerate(args) -> int:
     if n > args.max_terminals:
         raise ValueError(f"{n} atoms exceeds --max-terminals {args.max_terminals}")
     for ft in enumerate_topologies(inst.boundary):
-        topo = ft.topology
         sys.stdout.write(json.dumps({
-            "n_terminals": topo.n_terminals,
-            "n_branch": topo.n_branch,
-            "edges": [list(e) for e in topo.edges],
+            "n_terminals": ft.n_terminals,
+            "n_branch": ft.n_branch,
+            "edges": [list(e) for e in ft.edges],
         }, sort_keys=True) + "\n")
     return 0
 

@@ -230,7 +230,7 @@ def report_to_obj(report: SolveReport) -> dict:
             {
                 "value": m.value,
                 "lower": m.lower,
-                "n_branch": m.flowed.topology.n_branch,
+                "n_branch": m.flowed.n_branch,
                 "chain": chain_to_obj(m.chain),
             }
             for m in report.minimizers

@@ -94,15 +94,20 @@ def validate_perturbation_points(chain: PolyhedralChain,
                 raise ValueError("inadmissible points: balls overlap")
 
 
-def _param_on_segment(p: Point, s: Segment, tol: float = 1e-9) -> float | None:
+# how far off its segment a point may lie: in the segment parameter, and
+# in distance relative to 1 + the segment's length
+_ON_SEGMENT_TOL = 1e-9
+
+
+def _param_on_segment(p: Point, s: Segment) -> float | None:
     d = tuple(b - a for a, b in zip(s.start, s.end))
     v = tuple(b - a for a, b in zip(s.start, p))
     l2 = sum(x * x for x in d)
     t = sum(a * b for a, b in zip(v, d)) / l2
-    if t < -tol or t > 1.0 + tol:
+    if t < -_ON_SEGMENT_TOL or t > 1.0 + _ON_SEGMENT_TOL:
         return None
     q = tuple(a + t * b for a, b in zip(s.start, d))
-    if dist(p, q) > tol * (1.0 + math.sqrt(l2)):
+    if dist(p, q) > _ON_SEGMENT_TOL * (1.0 + math.sqrt(l2)):
         return None
     return t
 
@@ -257,21 +262,21 @@ class LocalClassification:
     infeasible: tuple[str, ...]     # cases admitting no all-active current
 
 
-def _case_label(t, roles: tuple[str, ...]) -> str:
-    n = t.n_terminals
-    if t.n_branch == 0:
+def _case_label(ft: FlowedTopology, roles: tuple[str, ...]) -> str:
+    n = ft.n_terminals
+    if ft.n_branch == 0:
         pairs = tuple(sorted(
-            "".join(sorted((roles[u], roles[v]))) for u, v in t.edges))
+            "".join(sorted((roles[u], roles[v]))) for u, v in ft.edges))
         return _CASE1[pairs]
-    if t.n_branch == 1:
+    if ft.n_branch == 1:
         nbrs = frozenset(roles[u if v >= n else v]
-                         for u, v in t.edges if u >= n or v >= n)
+                         for u, v in ft.edges if u >= n or v >= n)
         return _CASE2[nbrs]
     groups = []
     for bv in range(n, n + 2):
         groups.append(frozenset(
             roles[u if v == bv else v]
-            for u, v in t.edges
+            for u, v in ft.edges
             if (u == bv or v == bv) and min(u, v) < n))
     return _CASE3[frozenset(groups)]
 
@@ -290,8 +295,7 @@ def _local4_candidates(masses: tuple[Fraction, ...], roles: tuple[str, ...]
     with those masses reads the contractions and edge weights that earlier
     calls left in its topologies' memos (:func:`~gsteiner.topology.contract`).
     """
-    return tuple((_case_label(ft.topology, roles), ft)
-                 for ft in _forests(masses))
+    return tuple((_case_label(ft, roles), ft) for ft in _forests(masses))
 
 
 # overlap tolerance of the W/Z support match, relative to 1 + theta
@@ -320,7 +324,7 @@ def local4_solve(inst: LocalFourPointInstance, alpha: float) -> LocalClassificat
     results: dict = {}
     for case, ft in _local4_candidates(tuple(m for _, m in b.atoms), roles):
         opt = optimize_topology(ft, b, alpha, memo=memo)
-        key = opt.flowed.topology.edges
+        key = opt.flowed.edges
         if key not in results:
             chain = canonicalize(realize_chain(opt.flowed, opt.placement))
             results[key] = (alpha_mass(chain, alpha), chain)

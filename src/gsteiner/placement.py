@@ -124,7 +124,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .currents import Point, PolyhedralChain, Segment, Boundary, dist
-from .topology import FlowedTopology, SteinerTopology, contract
+from .topology import FlowedTopology, contract
 
 
 TOL_COLLAPSE = 1e-7
@@ -175,32 +175,25 @@ class OptimizedTopology:
 
 
 def _identity(ft: FlowedTopology) -> tuple[int, ...]:
-    return tuple(range(ft.topology.n_terminals + ft.topology.n_branch))
+    return tuple(range(ft.n_terminals + ft.n_branch))
 
 
 def _weights(ft: FlowedTopology, alpha: float) -> tuple[float, ...]:
-    """The edge weights |flow|^alpha (:func:`_flow_weights`), made once per
-    alpha and kept in ``ft``'s memo
-    (:class:`~gsteiner.topology.FlowedTopology`)."""
+    """The edge weights |flow|^alpha, made once per alpha and kept in
+    ``ft``'s memo (:class:`~gsteiner.topology.FlowedTopology`)."""
     found = ft._memo.get(alpha)
     if found is None:
-        found = ft._memo[alpha] = _flow_weights(ft, alpha)
+        # the int true division float() makes of a Fraction, without the call
+        found = ft._memo[alpha] = tuple(
+            abs(f.numerator / f.denominator) ** alpha for f in ft.edge_flows)
     return found
-
-
-def _flow_weights(ft: FlowedTopology, alpha: float) -> tuple[float, ...]:
-    """:func:`_weights` without the memo, for a topology that is bounded
-    once and most likely pruned (:func:`lower_bounds`)."""
-    # the int true division float() makes of a Fraction, without the call
-    return tuple(abs(f.numerator / f.denominator) ** alpha
-                 for f in ft.edge_flows)
 
 
 def energy(ft: FlowedTopology, pl: Placement, alpha: float) -> float:
     """Exact location energy; zero-length edges contribute zero."""
     return sum(
         wi * dist(pl.position(u), pl.position(v))
-        for wi, (u, v) in zip(_weights(ft, alpha), ft.topology.edges))
+        for wi, (u, v) in zip(_weights(ft, alpha), ft.edges))
 
 
 def _subgradient(here: Point, incident: list[tuple[float, Point]]
@@ -227,7 +220,7 @@ def _incident(ft: FlowedTopology, alpha: float, v0: int
               ) -> list[tuple[float, int]]:
     """(w_e, other end) of every edge of vertex ``v0``, in edge order."""
     return [(wi, v if u == v0 else u)
-            for wi, (u, v) in zip(_weights(ft, alpha), ft.topology.edges)
+            for wi, (u, v) in zip(_weights(ft, alpha), ft.edges)
             if v0 in (u, v)]
 
 
@@ -235,10 +228,10 @@ def _incident(ft: FlowedTopology, alpha: float, v0: int
 # optimizer
 # ---------------------------------------------------------------------------
 
-def _incidence(t: SteinerTopology) -> np.ndarray:
+def _incidence(ft: FlowedTopology) -> np.ndarray:
     """Vertex/edge incidence matrix: +1 at an edge's low end, -1 at its high end."""
-    a = np.zeros((t.n_terminals + t.n_branch, len(t.edges)))
-    for i, (u, v) in enumerate(t.edges):
+    a = np.zeros((ft.n_terminals + ft.n_branch, len(ft.edges)))
+    for i, (u, v) in enumerate(ft.edges):
         a[u, i] = 1.0
         a[v, i] = -1.0
     return a
@@ -266,12 +259,11 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     trace record.  Returns the branch positions, the number of iterations
     (sweeps or Newton steps) and ``settle``'s result or None.
     """
-    t = ft.topology
-    n = t.n_terminals
+    n = ft.n_terminals
     w = _weights(ft, alpha)
     scale = _scale(terminals)
-    a = _incidence(t)
-    start = _branch_positions(a[None, n:], np.ones((1, len(t.edges))),
+    a = _incidence(ft)
+    start = _branch_positions(a[None, n:], np.ones((1, len(ft.edges))),
                               a[None, :n].transpose(0, 2, 1)
                               @ np.asarray(terminals, dtype=float))[0]
     # every vertex, terminals first; the stages write only branch entries
@@ -285,7 +277,7 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
 
     def exact_energy() -> float:
         return sum(wi * math.dist(pos[u], pos[v])
-                   for wi, (u, v) in zip(w, t.edges))
+                   for wi, (u, v) in zip(w, ft.edges))
 
     iters = 0
     move_tol = 1e-11 * scale
@@ -433,7 +425,7 @@ def _scale(terminals) -> float:
 
 def _terminals_for(ft: FlowedTopology, b: Boundary) -> tuple[Point, ...]:
     terminals = tuple(p for p, _ in b.atoms)
-    if len(terminals) != ft.topology.n_terminals:
+    if len(terminals) != ft.n_terminals:
         raise ValueError("boundary does not match topology terminal count")
     return terminals
 
@@ -617,13 +609,13 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
     (``converged``).  None when a star's Newton run gives up or the
     certificate fails: the kernel then runs.
     """
-    n = ft.topology.n_terminals
+    n = ft.n_terminals
     # an edge's first end is its lower one, so the greatest edge starts at
     # a branch vertex exactly when some edge joins two
-    if not ft.topology.n_branch or max(ft.topology.edges)[0] >= n:
+    if not ft.n_branch or max(ft.edges)[0] >= n:
         return None
     stars, settled = [], []
-    for v0 in range(n, n + ft.topology.n_branch):
+    for v0 in range(n, n + ft.n_branch):
         incident = _incident(ft, alpha, v0)
         atoms = [(wi, terminals[o]) for wi, o in incident]
         margin = _STAR_MARGIN * sum(wi for wi, _ in incident)
@@ -651,7 +643,7 @@ def _optimized(ft: FlowedTopology, pl: Placement, alpha: float,
     """``ft`` at ``pl``, with its value and :func:`dual_bound` there,
     smoothed by ``eps``: the value itself without branch vertices."""
     value = energy(ft, pl, alpha)
-    lower = dual_bound(ft, pl, alpha, eps) if ft.topology.n_branch else value
+    lower = dual_bound(ft, pl, alpha, eps) if ft.n_branch else value
     return OptimizedTopology(ft, pl, value, lower, iters, _identity(ft))
 
 
@@ -693,15 +685,15 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     terminals = _terminals_for(ft, b)
-    if ft.topology.n_branch == 0:
+    if ft.n_branch == 0:
         return _optimized(ft, Placement(terminals, ()), alpha, 0)
     memo = {} if memo is None else memo
     tried = set()
-    n = ft.topology.n_terminals
+    n = ft.n_terminals
 
     def settle(pl: Placement) -> OptimizedTopology | None:
         contracted, cluster = detect_collapse(ft, pl)
-        key = contracted.topology.edges
+        key = contracted.edges
         if contracted is ft or key in tried:
             return None
         tried.add(key)
@@ -794,8 +786,8 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
     come from ``ft``'s memo (:func:`_weights`).  This is the one-topology
     case of the batched evaluation behind :func:`lower_bounds`.
     """
-    n = ft.topology.n_terminals
-    a = _incidence(ft.topology)[None]
+    n = ft.n_terminals
+    a = _incidence(ft)[None]
     x = np.asarray(pl.terminals + pl.branch, dtype=float)
     return float(_dual_values(a[:, n:], np.array([_weights(ft, alpha)]),
                               a.transpose(0, 2, 1) @ x, eps)[0])
@@ -826,15 +818,14 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
         np.arange(_BOUND_STEPS) / (_BOUND_STEPS - 1))
     groups: dict[tuple[int, int], list[int]] = {}
     for i, ft in enumerate(fts):
-        t = ft.topology
-        if t.n_terminals != n:
+        if ft.n_terminals != n:
             raise ValueError("boundary does not match topology terminal count")
-        groups.setdefault((t.n_branch, len(t.edges)), []).append(i)
+        groups.setdefault((ft.n_branch, len(ft.edges)), []).append(i)
     bounds = np.empty(len(fts))
     for (m, _), idx in groups.items():
-        a = np.stack([_incidence(fts[i].topology) for i in idx])
+        a = np.stack([_incidence(fts[i]) for i in idx])
         ab, ab_t = a[:, n:], a[:, n:].transpose(0, 2, 1)
-        w = np.array([_flow_weights(fts[i], alpha) for i in idx])
+        w = np.array([_weights(fts[i], alpha) for i in idx])
         # the terminals' part of x_u - x_v; the branch part is ab_t @ x
         fixed = a[:, :n].transpose(0, 2, 1) @ p
         eps = 0.0
@@ -853,7 +844,7 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
     if trace is not None:
         for ft, bound in zip(fts, bounds):
             trace({"stage": "bound",
-                   "iteration": _BOUND_STEPS if ft.topology.n_branch else 0,
+                   "iteration": _BOUND_STEPS if ft.n_branch else 0,
                    "bound": float(bound)})
     return bounds.tolist()
 
@@ -873,9 +864,9 @@ def detect_collapse(ft: FlowedTopology, pl: Placement
     :func:`~gsteiner.topology.contract` returns ``ft`` (that configuration
     is left to geometric canonicalization).
     """
-    n = ft.topology.n_terminals
+    n = ft.n_terminals
     close = sorted(
-        (d, u, v) for v in range(n, n + ft.topology.n_branch) for u in range(v)
+        (d, u, v) for v in range(n, n + ft.n_branch) for u in range(v)
         if (d := dist(pl.position(u), pl.position(v))) <= TOL_COLLAPSE)
     # the first pair merges, if any: each holds a branch vertex
     return contract(ft, [(u, v) for _, u, v in close]) if close else (
@@ -885,7 +876,7 @@ def detect_collapse(ft: FlowedTopology, pl: Placement
 def realize_chain(ft: FlowedTopology, pl: Placement) -> PolyhedralChain:
     """Geometric chain for a flowed topology at given positions (raw form)."""
     segs = []
-    for (u, v), f in zip(ft.topology.edges, ft.edge_flows):
+    for (u, v), f in zip(ft.edges, ft.edge_flows):
         pu, pv = pl.position(u), pl.position(v)
         if pu == pv:
             continue
@@ -914,7 +905,7 @@ def _settles(ft: FlowedTopology, pl: Placement, alpha: float
     the multiplier test of the collapsed edges, wherever ``pl`` came from.
     """
     where = pl.terminals + pl.branch
-    for v in range(ft.topology.n_terminals, len(where)):
+    for v in range(ft.n_terminals, len(where)):
         g, ball = _subgradient(where[v], [(wi, where[o]) for wi, o in
                                           _incident(ft, alpha, v)])
         if g > ball > 0.0:
@@ -967,7 +958,7 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
         raise ValueError("alpha must lie in (0, 1]")
     if memo is None:
         memo = {}
-    key = ft.topology.edges
+    key = ft.edges
     if key in memo:
         return memo[key]
     found = _place_stars(ft, _terminals_for(ft, b), alpha)

@@ -64,8 +64,7 @@ from fractions import Fraction
 from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
                        branch_points, canonicalize, dist, lerp,
                        support_difference_mass, vdot, vsub)
-from .placement import (Placement, Trace, lower_bounds, optimize_topology,
-                        realize_chain)
+from .placement import Trace, lower_bounds, optimize_topology, realize_chain
 from .topology import FlowedTopology, enumerate_topologies
 
 
@@ -101,7 +100,6 @@ class MinimizerRecord:
     chain: PolyhedralChain
     value: float
     lower: float
-    placement: Placement
     flowed: FlowedTopology
 
 
@@ -160,8 +158,7 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
         if boundary(chain) != b:
             raise InternalConsistencyError(
                 "realized chain boundary differs from the input boundary")
-        record = MinimizerRecord(chain, value, opt.lower, opt.placement,
-                                 opt.flowed)
+        record = MinimizerRecord(chain, value, opt.lower, opt.flowed)
         candidates.append((value, key, record))
         threshold = margin(min(v for v, _, _ in candidates))
         second = min((v for v, _, _ in candidates if v > threshold),

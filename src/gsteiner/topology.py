@@ -59,18 +59,19 @@ One routine, :func:`contract`, merges vertices of a flowed forest, for
 "at most one minimum network per topology" holds once degenerate vertices
 are merged away: a forest and its contraction realize the same current, and
 the contraction's cluster map lifts a placement of it back onto the forest.
-A contraction depends on the forest's topology and flows and on the merged
-pairs alone, so each :class:`FlowedTopology` keeps a private memo, made on
-first use: every contraction of it, keyed by the tuple of merged pairs, and
-its edge weights |flow|^alpha (``placement._weights``), keyed by alpha.  A
-repeat call returns the same objects, whose own memos hold what was derived
-from them, so a caller that keeps its topologies, as the four-point lab's
+A contraction depends on the forest and its flows and on the merged pairs
+alone, so each :class:`FlowedTopology` keeps a private memo, made with it:
+every contraction of it, keyed by the tuple of merged pairs, and its edge
+weights |flow|^alpha (``placement._weights``), keyed by alpha.  A repeat
+call returns the same objects, whose own memos hold what was derived from
+them, so a caller that keeps its topologies, as the four-point lab's
 candidate cache does, derives each contraction once.  Since each entry is
 that pure function's value, no result can depend on which calls filled the
-memo.  The memo is not a field: equality, hashing, ``repr``, ``replace``,
-the signature and pickles do not see it.  :func:`_forests` meets each pair
-set once, and :func:`assign_flows` contracts a forest it has just made, so
-both call the routine without the memo, :func:`_contract`.
+memo.  The memo takes no part in equality, hashing, ``repr`` or the
+signature, and ``replace``, copies and pickles start with an empty one.
+:func:`_forests` meets each pair set once, and :func:`assign_flows`
+contracts a forest it has just made, so both call the routine without the
+memo, :func:`_contract`.
 
 Enumeration is exhaustive by design and intended for small n; callers guard
 instance size.
@@ -80,7 +81,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .currents import Boundary
@@ -92,52 +93,51 @@ class InfeasibleTopologyError(Exception):
     """Raised when a forest component is incompatible with the boundary."""
 
 
-@dataclass(frozen=True)
-class SteinerTopology:
-    """Forest over terminals 0..n-1 and branch vertices n..n+m-1; the
-    boundary's masses enter through the flows (:class:`FlowedTopology`)."""
-    n_terminals: int
-    n_branch: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.n_branch > max(0, self.n_terminals - 2):
-            raise ValueError("too many branch vertices (bound is n - 2)")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n_terminals + self.n_branch):
-                raise ValueError("edge endpoints out of range or unordered")
+def _check_forest(n: int, m: int, edges: tuple[Edge, ...]) -> None:
+    """Raise ``ValueError`` unless m <= n - 2 (or m = 0) and every edge
+    (u, v) has 0 <= u < v < n + m."""
+    if m > max(0, n - 2):
+        raise ValueError("too many branch vertices (bound is n - 2)")
+    for u, v in edges:
+        if not (0 <= u < v < n + m):
+            raise ValueError("edge endpoints out of range or unordered")
 
 
 @dataclass(frozen=True)
 class FlowedTopology:
-    """Topology with the unique conservative edge flows.
+    """Forest over terminals 0..n-1 and branch vertices n..n+m-1, with the
+    unique conservative edge flows.
 
-    ``edge_flows[i]`` is the signed rational flow on ``topology.edges[i]``,
-    positive when flowing from the lower-indexed endpoint to the higher.
-    The boundary's masses enter here alone, and so do the edge weights
+    ``edge_flows[i]`` is the signed rational flow on ``edges[i]``, positive
+    when flowing from the lower-indexed endpoint to the higher.  The
+    boundary's masses enter here alone, and so do the edge weights
     |flow|^alpha (``placement._weights``).  The generators yield nonzero
     flows only; :func:`assign_flows` and collapse contraction rewrite a
     forest whose flows vanish on some edge into the smaller forest without
-    it (:func:`contract`).
+    it (:func:`contract`).  Raises ``ValueError`` for an edge out of range
+    or unordered, or for more than n - 2 branch vertices.
     """
-    topology: SteinerTopology
+    n_terminals: int
+    n_branch: int
+    edges: tuple[Edge, ...]
     edge_flows: tuple[Fraction, ...]
     # the signature as :func:`_flowed_forests` read it from its tables; no
     # part of equality, hashing or repr
     _signature: tuple | None = field(default=None, compare=False, repr=False)
+    # :func:`contract`'s results by the tuple of merged pairs and
+    # ``placement._weights``' by alpha (module docstring); no part of
+    # equality, hashing or repr, and empty in a ``replace``, copy or pickle
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
-    @cached_property
-    def _memo(self) -> dict:
-        """What this object's topology and flows alone determine, made on
-        first use: :func:`contract`'s results, keyed by the tuple of merged
-        pairs, and :func:`~gsteiner.placement._weights`' by alpha (a tuple
-        never equals a number).  Not a field, so no part of equality,
-        hashing, repr, ``replace`` or the signature; a copy or a pickle
-        starts without it."""
-        return {}
+    def __post_init__(self):
+        _check_forest(self.n_terminals, self.n_branch, self.edges)
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _memo={})
 
     def signature(self) -> tuple:
         """Canonical key, invariant under branch-vertex relabeling.
@@ -151,9 +151,8 @@ class FlowedTopology:
         """
         if self._signature is not None:
             return self._signature
-        t = self.topology
-        components, splits, _ = _splits(t.n_terminals, t.edges)
-        return (t.n_terminals, t.n_branch, tuple(sorted(components)),
+        components, splits, _ = _splits(self.n_terminals, self.edges)
+        return (self.n_terminals, self.n_branch, tuple(sorted(components)),
                 tuple(sorted(splits)))
 
 
@@ -326,9 +325,8 @@ def _flowed_forests(masses: tuple[Fraction, ...]
             block_shapes, flows, splits = zip(*combo)
             m, edges = _join(n, atoms, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
-            yield FlowedTopology(SteinerTopology(n, m, edges), flows,
-                                 (n, m, components,
-                                  tuple(sorted(itertools.chain(*splits)))))
+            yield FlowedTopology(n, m, edges, flows, (
+                n, m, components, tuple(sorted(itertools.chain(*splits)))))
 
 
 def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
@@ -349,16 +347,15 @@ def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
     """
     out: dict[tuple[Edge, ...], FlowedTopology] = {}
     for ft in _flowed_forests(masses):
-        edges = ft.topology.edges
+        edges = ft.edges
         for bits in range(1 << len(edges)):
             # contract skips a pair that would merge two terminals, which
             # leaves the contraction by the other pairs, met on its own;
             # each pair set is met once, so no memo keeps it
             forest, _ = _contract(ft, [e for i, e in enumerate(edges)
                                        if bits >> i & 1])
-            out.setdefault(forest.topology.edges, forest)
-    return sorted(out.values(),
-                  key=lambda ft: (len(ft.topology.edges), ft.topology.edges))
+            out.setdefault(forest.edges, forest)
+    return sorted(out.values(), key=lambda ft: (len(ft.edges), ft.edges))
 
 
 def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
@@ -382,21 +379,24 @@ def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
 # flow assignment
 # ---------------------------------------------------------------------------
 
-def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
-    """Unique conservative flows, exact rationals.
+def assign_flows(n_branch: int, edges: tuple[Edge, ...], b: Boundary
+                 ) -> FlowedTopology:
+    """Unique conservative flows, exact rationals, on the forest with
+    ``n_branch`` branch vertices and ``edges`` over ``b``'s atoms.
 
     The flow from an edge's lower endpoint to its higher one is the mass on
     the higher endpoint's side of its split (:func:`_splits`), terminal i
-    carrying the mass of ``b``'s atom i.  Raises ``ValueError`` when ``b``
-    has another number of atoms, :class:`InfeasibleTopologyError` when some
-    component's terminal masses do not sum to zero, and ``AssertionError``
-    when the edges contain a cycle.  Zero-flow edges are removed, and branch
+    carrying the mass of ``b``'s atom i.  Raises ``ValueError`` when the
+    forest is malformed (as :class:`FlowedTopology` does), before any flow
+    is computed, :class:`InfeasibleTopologyError` when some component's
+    terminal masses do not sum to zero, and ``AssertionError`` when the
+    edges contain a cycle.  Zero-flow edges are removed, and branch
     vertices falling below degree 3 are spliced out.
     """
     masses = tuple(m for _, m in b.atoms)
-    if len(masses) != t.n_terminals:
-        raise ValueError("boundary does not match topology terminal count")
-    components, splits, signs = _splits(t.n_terminals, t.edges)
+    n = len(masses)
+    _check_forest(n, n_branch, edges)
+    components, splits, signs = _splits(n, edges)
 
     def mass(side: int) -> Fraction:
         return sum((m for i, m in enumerate(masses) if side >> i & 1),
@@ -405,7 +405,7 @@ def assign_flows(t: SteinerTopology, b: Boundary) -> FlowedTopology:
     if any(mass(c) != 0 for c in components):
         raise InfeasibleTopologyError("component masses do not balance")
     # a new topology, so no memo would be read again
-    return _contract(FlowedTopology(t, tuple(
+    return _contract(FlowedTopology(n, n_branch, edges, tuple(
         sign * mass(side) for side, sign in zip(splits, signs))), ())[0]
 
 
@@ -429,7 +429,7 @@ def contract(ft: FlowedTopology, pairs: Iterable[Edge] = ()
     Placing every vertex of ``ft`` at its image lifts a placement of the
     result to ``ft``, with the same energy unless parallel edges combined.
 
-    The result depends on ``ft``'s topology and flows and on the pairs
+    The result depends on ``ft``'s forest and flows and on the pairs
     alone, so it is made once (:func:`_contract`): ``ft``'s memo keeps it,
     keyed by ``tuple(pairs)``, and a repeat call returns the same objects,
     whose own memos then keep what is derived from them.  Whichever calls
@@ -445,11 +445,10 @@ def contract(ft: FlowedTopology, pairs: Iterable[Edge] = ()
 def _contract(ft: FlowedTopology, pairs: Iterable[Edge]
               ) -> tuple[FlowedTopology, tuple[int, ...]]:
     """:func:`contract` without the memo: a new result on every call."""
-    t = ft.topology
-    n = t.n_terminals
+    n = ft.n_terminals
     # union-find whose root is the lowest vertex of its class, so a class
     # holds a terminal exactly when its root is below n
-    parent = list(range(n + t.n_branch))
+    parent = list(range(n + ft.n_branch))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -464,7 +463,7 @@ def _contract(ft: FlowedTopology, pairs: Iterable[Edge]
     roots = [find(v) for v in range(len(parent))]
 
     merged: dict[Edge, Fraction] = {}
-    for (u, v), f in zip(t.edges, ft.edge_flows):
+    for (u, v), f in zip(ft.edges, ft.edge_flows):
         a, c = roots[u], roots[v]
         if a != c:
             e, f = ((a, c), f) if a < c else ((c, a), -f)
@@ -496,9 +495,8 @@ def _contract(ft: FlowedTopology, pairs: Iterable[Edge]
     label.update((r, n + i) for i, r in enumerate(
         sorted(r for r in nbrs if r >= n)))
     edges = sorted(((label[a], label[c]), f) for (a, c), f in flows.items())
-    contracted = FlowedTopology(
-        SteinerTopology(n, len(label) - n, tuple(e for e, _ in edges)),
-        tuple(f for _, f in edges))
+    contracted = FlowedTopology(n, len(label) - n, tuple(e for e, _ in edges),
+                                tuple(f for _, f in edges))
     while lifts := {x: label[y] for e in merged for x, y in (e, e[::-1])
                     if x not in label and y in label}:
         label.update(lifts)

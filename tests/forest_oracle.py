@@ -3,8 +3,9 @@
 
 ``all_forests`` is the unflowed forest stream: every forest over every
 partition into blocks of two or more, one ``forest_shapes`` tree per block,
-skipping no block and no shape for its masses.  Flows come afterwards, one
-forest at a time, from ``assign_flows``, which rejects unbalanced
+skipping no block and no shape for its masses, each as a plain
+``(n_branch, edges)`` tuple.  Flows come afterwards, one forest at a time,
+from ``assign_flows(n_branch, edges, b)``, which rejects unbalanced
 components and drops zero-flow edges.
 
 ``forest_shapes`` is the table of trees whose branch vertices have degree
@@ -20,8 +21,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from gsteiner.topology import (FlowedTopology, SteinerTopology, _full_splits,
-                               _join, _splits, contract)
+from gsteiner.topology import (FlowedTopology, _full_splits, _join, _splits,
+                               contract)
 
 
 def set_partitions(items):
@@ -54,8 +55,7 @@ def forest_shapes(s):
     """
     shapes = {}
     for full, splits, _ in _full_splits(s):
-        unit = FlowedTopology(SteinerTopology(s, s - 2, full),
-                              (1,) * len(full))
+        unit = FlowedTopology(s, s - 2, full, (1,) * len(full))
         for bits in range(1 << len(full)):
             key = tuple(sorted(side for i, side in enumerate(splits)
                                if not bits >> i & 1))
@@ -64,12 +64,13 @@ def forest_shapes(s):
                 shape, cluster = contract(unit, pairs)
                 # contract skips a pair that would merge two terminals
                 if all(cluster[u] == cluster[v] for u, v in pairs):
-                    shapes[key] = shape.topology.edges
+                    shapes[key] = shape.edges
     return tuple(sorted(shapes.values(), key=lambda sh: (len(sh), sh)))
 
 
 def all_forests(b):
-    """Every forest topology for the atoms of ``b``, deterministically.
+    """Every forest topology for the atoms of ``b``, deterministically, as
+    ``(n_branch, edges)``.
 
     Terminals are indexed by the canonical (sorted) atom order of ``b``.
     Components with unbalanced mass are still emitted.  Singleton
@@ -87,15 +88,15 @@ def all_forests(b):
         for combo in itertools.product(*(forest_shapes(len(blk))
                                          for blk in blocks)):
             m, edges = _join(n, blocks, combo)
-            yield SteinerTopology(n, m, tuple(sorted(edges)))
+            yield m, tuple(sorted(edges))
 
 
 def shrank(topo, ft):
-    """Whether flow assignment took an edge or a branch vertex from
-    ``topo``: ``ft`` is then a smaller forest, not a current on ``topo``'s
-    support."""
-    return (len(ft.topology.edges), ft.topology.n_branch) != \
-        (len(topo.edges), topo.n_branch)
+    """Whether flow assignment took an edge or a branch vertex from the
+    ``(n_branch, edges)`` forest ``topo``: ``ft`` is then a smaller forest,
+    not a current on ``topo``'s support."""
+    m, edges = topo
+    return (len(ft.edges), ft.n_branch) != (len(edges), m)
 
 
 def _flowing_shapes(masses):
@@ -131,4 +132,4 @@ def flowed_forests(masses):
             block_shapes, flows = zip(*combo)
             m, edges = _join(n, blocks, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
-            yield FlowedTopology(SteinerTopology(n, m, edges), flows)
+            yield FlowedTopology(n, m, edges, flows)

@@ -40,9 +40,9 @@ def brute_force_value(b: Boundary, alpha: float) -> float:
 
     best = math.inf
     seen: set = set()
-    for topo in all_forests(b):
+    for m, edges in all_forests(b):
         try:
-            ft = assign_flows(topo, b)
+            ft = assign_flows(m, edges, b)
         except InfeasibleTopologyError:
             continue
         sig = ft.signature()
@@ -55,13 +55,12 @@ def brute_force_value(b: Boundary, alpha: float) -> float:
 
 def _grid_minimum(ft: FlowedTopology, terminals: list[Point],
                   los: list[float], his: list[float], alpha: float) -> float:
-    t = ft.topology
-    n, m = t.n_terminals, t.n_branch
+    n, m = ft.n_terminals, ft.n_branch
     dim = len(terminals[0])
     weights = [abs(float(f)) ** alpha for f in ft.edge_flows]
     if m == 0:
         return sum(w * dist(terminals[u], terminals[v])
-                   for w, (u, v) in zip(weights, t.edges))
+                   for w, (u, v) in zip(weights, ft.edges))
 
     nv = m * dim
 
@@ -72,7 +71,7 @@ def _grid_minimum(ft: FlowedTopology, terminals: list[Point],
             i = (v - n) * dim
             return x[i:i + dim]
         total = 0.0
-        for w, (u, v) in zip(weights, t.edges):
+        for w, (u, v) in zip(weights, ft.edges):
             pu, pv = pos(u), pos(v)
             total += w * math.sqrt(sum((a - c) ** 2 for a, c in zip(pu, pv)))
         return total
@@ -86,7 +85,7 @@ def _grid_minimum(ft: FlowedTopology, terminals: list[Point],
     at = [np.asarray(p) for p in terminals] + [
         grid[:, i:i + dim] for i in range(0, nv, dim)]
     total = 0.0
-    for w, (u, v) in zip(weights, t.edges):
+    for w, (u, v) in zip(weights, ft.edges):
         total = total + w * np.sqrt(((at[u] - at[v]) ** 2).sum(axis=-1))
     best = int(np.argmin(total))
     best_v = float(total[best])

@@ -23,7 +23,8 @@ from gsteiner.perturb import (_CASES, LocalFourPointInstance,
 from gsteiner.placement import optimize_topology, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
-from gsteiner.topology import InfeasibleTopologyError, assign_flows
+from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
+                               assign_flows)
 
 perturb_module = sys.modules["gsteiner.perturb"]
 
@@ -35,6 +36,13 @@ INFEASIBLE_CASES = ("1d", "1i", "1j", "1n", "1q", "1r", "3c")
 SWEEP_RHO = {0.5: 0.28, 0.6: 0.16, 0.75: 0.023}
 
 
+def _forest_case(topo, roles):
+    """The lab case of the four-atom ``(n_branch, edges)`` forest ``topo``:
+    ``_case_label`` reads the forest alone, so its flows are left zero."""
+    m, edges = topo
+    return _case_label(FlowedTopology(4, m, edges, (0,) * len(edges)), roles)
+
+
 def reference_local4_solve(inst, alpha, match_tol=1e-5):
     """The per-call loop: every forest enumerated, flowed and optimized on
     its own, with no candidate cache and no shared minimizations."""
@@ -43,9 +51,9 @@ def reference_local4_solve(inst, alpha, match_tol=1e-5):
              for i, (p, _) in enumerate(b.atoms)}
     values, infeasible, evaluated = {}, [], []
     for topo in all_forests(b):
-        case = _case_label(topo, roles)
+        case = _forest_case(topo, roles)
         try:
-            ft = assign_flows(topo, b)
+            ft = assign_flows(*topo, b)
         except InfeasibleTopologyError:
             ft = None
         if ft is None or shrank(topo, ft):
@@ -170,11 +178,11 @@ def test_cached_candidates_match_oracle(k, theta):
         want = []
         for topo in all_forests(bd):
             try:
-                ft = assign_flows(topo, bd)
+                ft = assign_flows(*topo, bd)
             except InfeasibleTopologyError:
                 continue
             if not shrank(topo, ft):
-                want.append((_case_label(topo, roles), ft))
+                want.append((_forest_case(topo, roles), ft))
         got = _local4_candidates(tuple(m for _, m in bd.atoms), roles)
         assert len(got) == 24
         assert sorted(map(repr, got)) == sorted(map(repr, want))

@@ -22,14 +22,13 @@ from gsteiner.placement import (TOL_COLLAPSE, OptimizedTopology, Placement,
                                 realize_chain)
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
-from gsteiner.topology import (SteinerTopology, assign_flows, contract,
-                               enumerate_topologies)
+from gsteiner.topology import assign_flows, contract, enumerate_topologies
 
 
 def y_topology(b):
     """The single-branch star for a 3-atom boundary."""
     for ft in enumerate_topologies(b):
-        if ft.topology.n_branch == 1:
+        if ft.n_branch == 1:
             return ft
     raise AssertionError("no star topology found")
 
@@ -104,8 +103,8 @@ def test_minimize_steep_v_collapses():
                        ((1.0, -1.1), F(1))])
     ft = y_topology(b)
     opt = optimize_topology(ft, b, 0.5)
-    assert opt.flowed.topology.n_branch == 0
-    assert len(opt.flowed.topology.edges) == 2  # the source's edge went
+    assert opt.flowed.n_branch == 0
+    assert len(opt.flowed.edges) == 2  # the source's edge went
     assert opt.value == pytest.approx(2.0 * math.sqrt(1 + 1.21), abs=1e-9)
 
 
@@ -125,7 +124,7 @@ def test_minimize_two_terminal_trivial():
 def star_subgradient(ft, pl, alpha):
     """The subdifferential of the energy at the one branch vertex of
     ``ft``, as the ball (|g|, radius) of ``placement._subgradient``."""
-    v = ft.topology.n_terminals
+    v = ft.n_terminals
     return placement._subgradient(pl.position(v), [
         (wi, pl.position(o)) for wi, o in placement._incident(ft, alpha, v)])
 
@@ -202,9 +201,8 @@ def test_detect_collapse_leaves_a_cycle_to_canonicalization():
     b = make_boundary([((0.0, 0.0), F(-3)), ((1.0, 2.0), F(1)),
                        ((2.0, 3.0), F(1)), ((3.0, 2.0), F(-1)),
                        ((4.0, 0.0), F(2))])
-    t = SteinerTopology(5, 3, ((0, 5), (1, 5), (2, 6), (3, 7), (4, 7),
-                               (5, 6), (6, 7)))
-    ft = assign_flows(t, b)
+    ft = assign_flows(3, ((0, 5), (1, 5), (2, 6), (3, 7), (4, 7), (5, 6),
+                          (6, 7)), b)
     assert all(ft.edge_flows)
     pl = Placement(tuple(p for p, _ in b.atoms),
                    ((1.0, 1.0), (2.5, 1.5), (0.0, 0.0)))
@@ -221,8 +219,8 @@ def test_detect_collapse_keeps_two_close_atoms_apart():
     assert all(math.dist(p, pl.branch[0]) <= TOL_COLLAPSE
                for p in pl.terminals[:2])
     out, _ = detect_collapse(ft, pl)
-    assert out.topology.n_branch == 0
-    assert out.topology.edges == ((0, 1), (0, 2))
+    assert out.n_branch == 0
+    assert out.edges == ((0, 1), (0, 2))
     assert out.edge_flows == (F(1), F(-2))
 
 
@@ -231,11 +229,11 @@ def test_detect_collapse_merges_cross():
                        ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
     merged = 0
     for ft in enumerate_topologies(b):
-        if ft.topology.n_branch != 2:
+        if ft.n_branch != 2:
             continue
         opt = optimize_topology(ft, b, 0.5)
-        assert opt.flowed.topology.n_branch == 1
-        assert sum(4 in e for e in opt.flowed.topology.edges) == 4  # degree
+        assert opt.flowed.n_branch == 1
+        assert sum(4 in e for e in opt.flowed.edges) == 4  # degree
         assert opt.placement.branch[0] == pytest.approx((0.0, 0.0), abs=1e-6)
         merged += 1
     assert merged >= 1
@@ -251,7 +249,7 @@ def test_cluster_map_lifts_contracted_placements(bench_instances):
     for b, alpha in bench_instances("solve-n6", 0):
         terminals = tuple(p for p, _ in b.atoms)
         for ft in enumerate_topologies(b):
-            edges = [e for e in ft.topology.edges if max(e) >= 6]
+            edges = [e for e in ft.edges if max(e) >= 6]
             for e in edges:
                 pairs = [e] + [f for f in edges
                                if f > e and not set(e) & set(f)][:1]
@@ -260,7 +258,7 @@ def test_cluster_map_lifts_contracted_placements(bench_instances):
                 assert all(cluster[u] == cluster[v] for u, v in pairs)
                 pl = Placement(terminals, tuple(
                     (rng.uniform(0, 2), rng.uniform(0, 2))
-                    for _ in range(contracted.topology.n_branch)))
+                    for _ in range(contracted.n_branch)))
                 lifted = Placement(terminals, tuple(
                     pl.position(c) for c in cluster[6:]))
                 assert energy(ft, lifted, alpha) == pytest.approx(
@@ -274,10 +272,9 @@ def test_cluster_map_lifts_a_spliced_vertex_onto_a_neighbor():
     # 0-4 and 4-5 then combine, 4 keeps two neighbors and is spliced out
     b = make_boundary([((0.0, 0.0), F(1)), ((0.0, 1.0), F(1)),
                        ((3.0, 0.0), F(-1)), ((3.0, 1.0), F(-1))])
-    t = SteinerTopology(4, 2, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)))
-    ft = assign_flows(t, b)
+    ft = assign_flows(2, ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)), b)
     contracted, cluster = contract(ft, [(0, 5)])
-    assert contracted.topology.n_branch == 0
+    assert contracted.n_branch == 0
     assert cluster[5] == 0 and cluster[4] in (0, 1)
 
 
@@ -373,10 +370,10 @@ def test_bound_below_minimum(seed, n, dim, alpha, pick, eps):
     # the bound holds at any placement and smoothing, not just near optima
     terminals = tuple(p for p, _ in b.atoms)
     branch = tuple(tuple(rng.uniform(-1.0, 3.0) for _ in range(dim))
-                   for _ in range(ft.topology.n_branch))
+                   for _ in range(ft.n_branch))
     anywhere = dual_bound(ft, Placement(terminals, branch), alpha, eps)
     assert anywhere <= value + 1e-12 * (1.0 + value)
-    if ft.topology.n_branch == 0:
+    if ft.n_branch == 0:
         assert bound == pytest.approx(value, rel=1e-12)
 
 
@@ -411,7 +408,7 @@ def lifted_placement(ft, res):
     """Every vertex of ``ft`` at its image's position under ``res.lift``."""
     pl = res.placement
     return Placement(pl.terminals, tuple(
-        pl.position(c) for c in res.lift[ft.topology.n_terminals:]))
+        pl.position(c) for c in res.lift[ft.n_terminals:]))
 
 
 def test_every_result_bounds_its_topology_below():
@@ -463,11 +460,11 @@ def test_four_branch_result_of_the_six_atom_instance_is_uncertified(
     # that the planar sweep floor stopped short on.  The result carries the
     # bound at the kernel's placement, 3.552180, which does not certify it
     b, alpha = bench_instances("solve-n6", 0)[0]
-    (ft,) = [ft for ft in enumerate_topologies(b) if ft.topology.edges == (
+    (ft,) = [ft for ft in enumerate_topologies(b) if ft.edges == (
         (0, 6), (1, 7), (2, 6), (3, 9), (4, 8), (5, 9), (6, 7), (7, 8),
         (8, 9))]
     res = optimize_topology(ft, b, alpha)
-    assert res.flowed.topology.edges == ((0, 6), (1, 7), (2, 6), (3, 7),
+    assert res.flowed.edges == ((0, 6), (1, 7), (2, 6), (3, 7),
                                          (4, 7), (5, 7), (6, 7))
     assert res.value == pytest.approx(3.552184, abs=1e-6)
     assert res.value < 3.552249
@@ -485,7 +482,7 @@ def test_dent_kernel_run_at_the_floor_is_uncertified(bench_dent):
     # topology's minimum: the result carries the kernel's bound, 3.033432,
     # which that merged value lies under, so it reads converged
     _, b, alpha = bench_dent(0)
-    (ft,) = [ft for ft in enumerate_topologies(b) if ft.topology.edges == (
+    (ft,) = [ft for ft in enumerate_topologies(b) if ft.edges == (
         (0, 9), (1, 6), (2, 8), (3, 7), (4, 8), (5, 9), (6, 7), (6, 9),
         (7, 8))]
     kernel = minimize(ft, b, alpha)
@@ -537,7 +534,7 @@ BATCH_CASES = {
 def test_batched_bounds_equal_single_bounds(case):
     b, alpha = BATCH_CASES[case]()
     fts = list(enumerate_topologies(b))
-    assert len({ft.topology.n_branch for ft in fts}) > 1
+    assert len({ft.n_branch for ft in fts}) > 1
     together = lower_bounds(fts, b, alpha)
     alone = [lower_bounds([ft], b, alpha)[0] for ft in fts]
     assert together == pytest.approx(alone, rel=1e-12, abs=0.0)
@@ -548,15 +545,15 @@ def test_mixed_batch_bounds_below_minimum():
     # listed out of branch-count order
     b = _random_atoms(5, (-1, -1, -1, 1, 1, 1), 2)
     fts = sorted(enumerate_topologies(b),
-                 key=lambda ft: (ft.topology.n_branch % 4, ft.topology.edges))
-    assert {ft.topology.n_branch for ft in fts} == {0, 2, 4}
+                 key=lambda ft: (ft.n_branch % 4, ft.edges))
+    assert {ft.n_branch for ft in fts} == {0, 2, 4}
     records = []
     bounds = lower_bounds(fts, b, 0.6, trace=records.append)
     assert [r["bound"] for r in records] == bounds
     for ft, bound, record in zip(fts, bounds, records):
         value = minimize(ft, b, 0.6).value
         assert bound <= value + 1e-12 * (1.0 + value)
-        if ft.topology.n_branch == 0:
+        if ft.n_branch == 0:
             assert bound == pytest.approx(value, rel=1e-12)
             assert record["iteration"] == 0
         else:
@@ -648,7 +645,7 @@ def test_memo_keeps_finished_results(six_atom_optima, bench_instances):
 
 def kernel_minimize(ft, b, alpha):
     """``minimize`` without the early exit, the star pass's reference."""
-    if not ft.topology.n_branch:
+    if not ft.n_branch:
         return minimize(ft, b, alpha)
     terminals = tuple(p for p, _ in b.atoms)
     pos, iters, _ = placement._run_kernel(ft, terminals, alpha, None)
@@ -667,7 +664,7 @@ def kernel_only_optimize(ft, b, alpha, memo=None):
     minimizations."""
     memo = {} if memo is None else memo
     while True:
-        key = (ft.topology.edges, ft.edge_flows)
+        key = (ft.edges, ft.edge_flows)
         if key not in memo:
             memo[key] = kernel_minimize(ft, b, alpha)
         res = memo[key]
@@ -752,7 +749,7 @@ def assert_star_pass_sound(ft, b, alpha):
             assert got == want
         return "kernel"
     if isinstance(found, list):
-        terminals, n = want.placement.terminals, ft.topology.n_terminals
+        terminals, n = want.placement.terminals, ft.n_terminals
         for t, star_vertex in found:
             branch = list(want.placement.branch)
             branch[star_vertex - n] = terminals[t]
@@ -812,7 +809,7 @@ def assert_stars_match_kernel(fts, b, alpha, monkeypatch):
     real = placement._place_stars
 
     def recording(ft, *args):
-        seen.setdefault(ft.topology.edges, ft)
+        seen.setdefault(ft.edges, ft)
         return real(ft, *args)
 
     with monkeypatch.context() as patch:
@@ -820,7 +817,7 @@ def assert_stars_match_kernel(fts, b, alpha, monkeypatch):
         for ft in fts:
             assert_matches_kernel_only(ft, b, alpha)
     outcomes = [assert_star_pass_sound(ft, b, alpha)
-                for ft in seen.values() if ft.topology.n_branch]
+                for ft in seen.values() if ft.n_branch]
     return tuple(map(outcomes.count, ("settled", "newton", "kernel")))
 
 
@@ -832,7 +829,7 @@ def test_settled_stars_match_kernel_on_local4_candidates(monkeypatch):
         b = four_point_instance(k, disp, theta).boundary()
         fts = [ft for _, ft in _local4_candidates(
             tuple(m for _, m in b.atoms), ("A", "B", "C", "D"))
-            if ft.topology.n_branch]
+            if ft.n_branch]
         settled, placed, fell_back = assert_stars_match_kernel(
             fts, b, alpha, monkeypatch)
         fired += settled
@@ -847,8 +844,8 @@ def test_two_star_forest_of_the_distinct_mass_six_atom_instance(
         bench_instances, monkeypatch):
     b, alpha = bench_instances("solve-n6", 0)[1]
     stars = [ft for ft in enumerate_topologies(b)
-             if ft.topology.n_branch == 2
-             and all(min(e) < 6 for e in ft.topology.edges)]
+             if ft.n_branch == 2
+             and all(min(e) < 6 for e in ft.edges)]
     assert len(stars) == 1
     # one block's star settles on an atom, then Newton places the other's
     found = star_pass(stars[0], b, alpha)
@@ -864,10 +861,10 @@ def test_every_star_of_the_six_atom_instances_matches_kernel(
     newton = 0
     for b, alpha, _, memo in six_atom_optima:
         n = len(b.atoms)
-        stars = {res.flowed.topology.edges: res.flowed
+        stars = {res.flowed.edges: res.flowed
                  for res in memo.values()
-                 if res.flowed.topology.n_branch
-                 and all(min(e) < n for e in res.flowed.topology.edges)
+                 if res.flowed.n_branch
+                 and all(min(e) < n for e in res.flowed.edges)
                  }.values()
         newton += sum(assert_star_pass_sound(ft, b, alpha) == "newton"
                       for ft in stars)
@@ -893,8 +890,7 @@ def star(atoms):
     """The one-branch star over the (point, mass) ``atoms``, and its boundary."""
     b = make_boundary((p, F(m)) for p, m in atoms)
     n = len(b.atoms)
-    t = SteinerTopology(n, 1, tuple((i, n) for i in range(n)))
-    return assign_flows(t, b), b
+    return assign_flows(1, tuple((i, n) for i in range(n)), b), b
 
 
 def random_star(seed, masses, dim):
@@ -962,7 +958,7 @@ def test_star_falls_back_to_the_kernel(case):
     (ft, b), alpha = FALLBACK_STARS[case]()
     assert placement._star_newton([
         (wi, b.atoms[o][0])
-        for wi, o in placement._incident(ft, alpha, ft.topology.n_terminals)
+        for wi, o in placement._incident(ft, alpha, ft.n_terminals)
     ]) is None
     assert assert_star_pass_sound(ft, b, alpha) == (
         "settled" if case in ("1-D", "collinear 2-D") else "kernel")
@@ -1054,9 +1050,8 @@ def test_star_beside_a_branch_branch_edge_runs_the_kernel():
                        ((5.0, 1.0), F(-1)), ((7.0, 0.0), F(1)),
                        ((7.0, 1.0), F(1))])
     alpha = 0.5
-    ft = assign_flows(SteinerTopology(
-        7, 3, ((0, 7), (1, 7), (2, 7), (3, 8), (4, 8), (5, 9), (6, 9),
-               (8, 9))), b)
+    ft = assign_flows(3, ((0, 7), (1, 7), (2, 7), (3, 8), (4, 8), (5, 9),
+                          (6, 9), (8, 9)), b)
     v, v_boundary = star(b.atoms[:3])
     assert star_pass(v, v_boundary, alpha) == [(0, 3)]
     assert star_pass(ft, b, alpha) is None
@@ -1074,9 +1069,9 @@ def test_star_beside_a_branch_branch_edge_runs_the_kernel():
 
 def two_branch(fts):
     """The topologies of ``fts`` with two branch vertices joined by an edge."""
-    return [ft for ft in fts if ft.topology.n_branch == 2
-            and sum(min(e) >= ft.topology.n_terminals
-                    for e in ft.topology.edges) == 1]
+    return [ft for ft in fts if ft.n_branch == 2
+            and sum(min(e) >= ft.n_terminals
+                    for e in ft.edges) == 1]
 
 
 FOUR_MASSES = [(-1, -1, 1, 1), (-3, 1, 1, 1), (-2, F(1, 2), 1, F(1, 2)),
@@ -1169,12 +1164,12 @@ def test_dented_square_collinear_tie_ends_at_a_certified_collapse(
                                     estimate_k0(0.6) + 1, 0.05))
     assert all(p[0] == 0.0 for p, _ in b.atoms[:4])
     (ft,) = [ft for ft in two_branch(enumerate_topologies(b))
-             if ft.topology.edges == ((0, 6), (1, 7), (2, 6), (3, 7), (4, 5),
+             if ft.edges == ((0, 6), (1, 7), (2, 6), (3, 7), (4, 5),
                                       (6, 7))]
     (got, records, calls), attempts = kernel_attempts(lambda: minimizations(
         lambda trace: optimize_topology(ft, b, cfg.alpha, trace)))
     assert attempts == [True]
-    assert [(f.topology.n_branch, exited(own)) for f, _, own in calls] == [
+    assert [(f.n_branch, exited(own)) for f, _, own in calls] == [
         (1, False), (2, True)]
     assert [r["stage"] for r in records] == (
         ["eps"] * 4 + ["done", "collapse", "done"])
@@ -1231,7 +1226,7 @@ def test_early_exits_match_the_full_schedule(family, bench_instances):
     for b, alpha in cases:
         memo, reference = {}, {}
         for ft in enumerate_topologies(b):
-            if ft.topology.n_branch < 3:
+            if ft.n_branch < 3:
                 continue
             (got, _, calls), attempts = kernel_attempts(
                 lambda: minimizations(
@@ -1261,7 +1256,7 @@ def test_early_exit_is_not_above_the_full_schedule(seed, masses, dim, alpha,
     rng = random.Random(seed)
     b = make_boundary((tuple(rng.uniform(0.0, 2.0) for _ in range(dim)),
                        F(m)) for m in masses)
-    fts = [ft for ft in enumerate_topologies(b) if ft.topology.n_branch >= 3]
+    fts = [ft for ft in enumerate_topologies(b) if ft.n_branch >= 3]
     for i in picks:
         assert_matches_kernel_only(fts[i % len(fts)], b, alpha)
 
@@ -1271,8 +1266,8 @@ def assert_lifts(ft, res, alpha):
     vertex at its image's position gives the result's chain, at an energy
     not below its value (parallel edges that combined may cost more apart).
     Returns whether any branch vertex moved to another label."""
-    n = ft.topology.n_terminals
-    assert len(res.lift) == n + ft.topology.n_branch
+    n = ft.n_terminals
+    assert len(res.lift) == n + ft.n_branch
     assert res.lift[:n] == tuple(range(n))
     pl = res.placement
     lifted = lifted_placement(ft, res)
@@ -1346,13 +1341,12 @@ def _continuation_kernel(ft, terminals, alpha, trace, settle=None):
     nine stages, each by the dimension's stage solver, the planar floor by
     up to 400 sweeps, and a collapse attempt after every stage but the
     last."""
-    t = ft.topology
-    n = t.n_terminals
+    n = ft.n_terminals
     w = placement._weights(ft, alpha)
     scale = placement._scale(terminals)
-    a = placement._incidence(t)
+    a = placement._incidence(ft)
     start = placement._branch_positions(
-        a[None, n:], np.ones((1, len(t.edges))),
+        a[None, n:], np.ones((1, len(ft.edges))),
         a[None, :n].transpose(0, 2, 1) @ np.asarray(terminals, dtype=float))[0]
     pos = [list(p) for p in terminals] + start.tolist()
     nv = len(pos)
@@ -1365,7 +1359,7 @@ def _continuation_kernel(ft, terminals, alpha, trace, settle=None):
 
     def exact_energy():
         return sum(wi * math.dist(pos[u], pos[v])
-                   for wi, (u, v) in zip(w, t.edges))
+                   for wi, (u, v) in zip(w, ft.edges))
 
     iters = 0
     eps = placement.EPS_INIT * scale
@@ -1413,7 +1407,7 @@ def solve_recorded(b, alpha, every):
 
     def recording(ft, b, alpha, trace=None, memo=None):
         res = real(ft, b, alpha, trace, memo)
-        results[ft.topology.edges] = res
+        results[ft.edges] = res
         return res
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(placement, "optimize_topology", recording)
@@ -1472,14 +1466,14 @@ def test_floor_stops_short_of_a_collapse_the_continuation_certifies():
          (1.8802007358491206, 1.8215161121568442)],
         (F(1, 2), F(-1), F(1), F(1), F(1, 2), F(-2))))
     alpha = 0.10029077827283747
-    (ft,) = [ft for ft in enumerate_topologies(b) if ft.topology.edges == (
+    (ft,) = [ft for ft in enumerate_topologies(b) if ft.edges == (
         (0, 7), (1, 9), (2, 6), (3, 8), (4, 8), (5, 9), (6, 7), (6, 9),
         (7, 8))]
     res = optimize_topology(ft, b, alpha)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(placement, "_run_kernel", _continuation_kernel)
         ref = optimize_topology(ft, b, alpha)
-    assert ref.flowed.topology.n_branch == 0 and ref.converged
+    assert ref.flowed.n_branch == 0 and ref.converged
     assert ref.value == pytest.approx(4.016292880, abs=1e-9)
     assert res.value == pytest.approx(4.016293007, abs=1e-9)
     assert not res.converged
@@ -1494,7 +1488,7 @@ def test_newton_never_above_planar_sweep_on_lifted_topologies(bench_instances):
         lifted = lifted_to_3d(b)
         assert [m for _, m in lifted.atoms] == [m for _, m in b.atoms]
         for ft in enumerate_topologies(b):
-            if ft.topology.n_branch == 0:
+            if ft.n_branch == 0:
                 continue
             flat, space = minimize(ft, b, alpha), minimize(ft, lifted, alpha)
             assert space.value == pytest.approx(flat.value, rel=1e-11, abs=0.0)

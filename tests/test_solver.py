@@ -169,6 +169,55 @@ def test_value_moves_no_more_than_the_atoms(seed, n, dim, alpha):
     assert abs(value_moved - value) <= budget + 1e-9 * (1.0 + value)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([4, 5, 6]),
+       dim=st.sampled_from([2, 3]),
+       alpha=st.sampled_from([0.3, 0.5, 0.7, 0.85, 0.95]))
+def test_value_lies_between_the_transport_bounds(seed, n, dim, alpha):
+    # every edge carries at most the positive mass M+, so f^alpha >=
+    # M+^(alpha - 1) f, and a network's mass sum f |e| is at least W1: the
+    # value is at least M+^(alpha - 1) W1.  The arcs of an optimal transport
+    # plan, each carrying its flow, form a network with boundary b, so the
+    # value is at most their cost.  Both come from the flat norm's witness
+    # on b scaled to diameter at most 1, where it drops no mass
+    atoms = random_atoms(random.Random(seed), n, dim)
+    s = 1.0 / max(math.dist(p, q) for p, _ in atoms for q, _ in atoms)
+    w1, witness = flat_norm(make_boundary((tuple(s * c for c in p), m)
+                                          for p, m in atoms))
+    assert not witness.dropped_mass
+    m_plus = float(sum(m for _, m in atoms if m > 0))
+    lower = m_plus ** (alpha - 1.0) * w1 / s
+    upper = sum(float(f) ** alpha * math.dist(p, q)
+                for p, q, f in witness.transport_arcs) / s
+    value = solve(make_boundary(atoms), cfg(alpha)).best_value
+    assert lower <= value * (1.0 + 1e-12)
+    assert value <= upper * (1.0 + 1e-12)
+
+
+# Gilbert: a flowed topology has at most one minimum network, so co-minimal
+# minimizers come from pairwise distinct topologies
+_HEXAGON = make_boundary(
+    ((math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)), F((-1) ** k))
+    for k in range(6))
+_SYMMETRIC_TETRAHEDRON = make_boundary(
+    [((1.0, 0.0, -math.sqrt(0.5)), F(1)), ((-1.0, 0.0, -math.sqrt(0.5)), F(1)),
+     ((0.0, 1.0, math.sqrt(0.5)), F(-1)), ((0.0, -1.0, math.sqrt(0.5)), F(-1))])
+
+
+@pytest.mark.parametrize("b,alpha", [
+    ("square", 0.3), ("square", 0.6), ("square", 0.95),
+    (_HEXAGON, 0.6), (_HEXAGON, 0.9), (_SYMMETRIC_TETRAHEDRON, 0.6),
+], ids=["square-0.3", "square-0.6", "square-0.95", "hexagon-0.6",
+        "hexagon-0.9", "tetrahedron-0.6"])
+def test_co_minimal_minimizers_have_distinct_topologies(b, alpha,
+                                                        square_boundary):
+    b = square_boundary if b == "square" else b
+    minimizers = solve(b, cfg(alpha)).minimizers
+    assert len(minimizers) >= 2  # symmetric instances: not vacuous
+    keys = [m.flowed.signature() for m in minimizers]
+    assert len(set(keys)) == len(keys)
+
+
 # ---------------------------------------------------------------------------
 # solve in 3-D
 # ---------------------------------------------------------------------------
@@ -331,7 +380,7 @@ def test_magic_points_off_a_shared_collinear_piece():
                       ((3.5, 0.0), (4.25, -0.5), F(1)),
                       ((4.25, -0.5), (5.0, 0.0), F(1)),
                       ((3.5, 0.0), (2.0, 0.5), F(1))])
-    records = tuple(MinimizerRecord(canonicalize(c), 0.0, 0.0, None, None)
+    records = tuple(MinimizerRecord(canonicalize(c), 0.0, 0.0, None)
                     for c in (target, other))
     report = SolveReport(b, 0.5, 0.0, records, math.inf, 1e-5, {})
     (p,) = magic_points(report, 0)

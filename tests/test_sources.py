@@ -1,11 +1,13 @@
 """Static checks on the package's modules."""
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).resolve().parent.parent / "src"
-                             / "gsteiner").glob("*.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "gsteiner").glob("*.py")
                  if p.name != "__init__.py")
 
 
@@ -43,3 +45,21 @@ def test_every_parameter_is_used(path):
         unused += [(getattr(fn, "name", "<lambda>"), fn.lineno, p)
                    for p in sorted(params - read)]
     assert unused == []
+
+
+def test_imports_are_stdlib_or_declared():
+    # a test-only extra (scipy) on the import path would break an install
+    # without it; pyproject.toml is read by regex, as tomllib needs 3.11
+    (deps,) = re.findall(r"^dependencies = \[(.*?)\]",
+                         (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    allowed = (set(sys.stdlib_module_names) | {"gsteiner"}
+               | set(re.findall(r'"([A-Za-z0-9_]+)', deps)))
+    imported = set()
+    for path in (ROOT / "src" / "gsteiner").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert sorted(imported - allowed) == []

@@ -15,8 +15,8 @@ from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
-                               SteinerTopology, _flowed_forests, _forests,
-                               _full_splits, _splits, assign_flows, contract,
+                               _flowed_forests, _forests, _full_splits,
+                               _splits, assign_flows, contract,
                                enumerate_topologies)
 
 
@@ -25,8 +25,8 @@ def line_boundary(n):
     return make_boundary([((float(i), 0.0), m) for i, m in enumerate(masses)])
 
 
-def degree(t, v):
-    return sum(1 for u, w in t.edges if u == v or w == v)
+def degree(edges, v):
+    return sum(1 for u, w in edges if u == v or w == v)
 
 
 def _canonical(edges, n, m):
@@ -106,26 +106,26 @@ def test_counts_match_brute_force(n):
 
 def test_three_atom_structure():
     tops = list(all_forests(line_boundary(3)))
-    stars = [t for t in tops if t.n_branch == 1]
-    paths = [t for t in tops if t.n_branch == 0]
+    stars = [edges for m, edges in tops if m == 1]
+    paths = [edges for m, edges in tops if m == 0]
     assert len(stars) == 1 and len(paths) == 3
     assert degree(stars[0], 3) == 3
 
 
 def test_four_atom_double_y_present():
     tops = list(all_forests(line_boundary(4)))
-    assert max(t.n_branch for t in tops) == 2  # n - 2
-    double_y = [t for t in tops if t.n_branch == 2]
+    assert max(m for m, _ in tops) == 2  # n - 2
+    double_y = [edges for m, edges in tops if m == 2]
     assert len(double_y) == 3  # the three terminal pairings
-    for t in double_y:
-        assert degree(t, 4) == 3 and degree(t, 5) == 3
-    matchings = [t for t in tops if t.n_branch == 0 and len(t.edges) == 2]
+    for edges in double_y:
+        assert degree(edges, 4) == 3 and degree(edges, 5) == 3
+    matchings = [edges for m, edges in tops if m == 0 and len(edges) == 2]
     assert len(matchings) == 3
 
 
 def test_stream_deterministic():
-    a = [t.edges for t in all_forests(line_boundary(4))]
-    b = [t.edges for t in all_forests(line_boundary(4))]
+    a = list(all_forests(line_boundary(4)))
+    b = list(all_forests(line_boundary(4)))
     assert a == b
 
 
@@ -206,15 +206,15 @@ def test_full_topologies_cover_balanced_partitions(square_boundary):
     # matching each, and {0,3}{1,2} is unbalanced and never built
     fts = list(enumerate_topologies(square_boundary))
     assert fts == list(enumerate_topologies(square_boundary))
-    tops = [ft.topology for ft in fts]
-    assert len(tops) == 3
-    assert sorted(t.edges for t in tops if t.n_branch == 0) == [
+    assert len(fts) == 3
+    assert sorted(ft.edges for ft in fts if ft.n_branch == 0) == [
         ((0, 1), (2, 3)), ((0, 2), (1, 3))]
-    (tree,) = [t for t in tops if t.n_branch == 2]
+    (tree,) = [ft for ft in fts if ft.n_branch == 2]
     assert {(0, 3), (1, 2)} == {
         tuple(u for u, v in tree.edges if v == b and u < 4) for b in (4, 5)}
     for ft in fts:
-        assert assign_flows(ft.topology, square_boundary) == ft  # feasible
+        # feasible
+        assert assign_flows(ft.n_branch, ft.edges, square_boundary) == ft
 
 
 def _zero_flow_instances():
@@ -237,12 +237,13 @@ def _zero_flow_instances():
 def test_no_topology_with_a_zero_flow_edge():
     for b in _zero_flow_instances():
         for ft in enumerate_topologies(b):
-            assert assign_flows(ft.topology, b) == ft
+            assert assign_flows(ft.n_branch, ft.edges, b) == ft
             assert all(f != 0 for f in ft.edge_flows)
 
 
 def _unskipped_full_topologies(b):
-    """Every full tree over every balanced partition, zero-flow ones too."""
+    """Every full tree over every balanced partition, zero-flow ones too, as
+    ``(n_branch, edges)``."""
     masses = tuple(m for _, m in b.atoms)
     n = len(masses)
     for partition in set_partitions(tuple(range(n))):
@@ -257,13 +258,13 @@ def _unskipped_full_topologies(b):
                 slot = list(blk) + list(range(nxt, nxt + len(blk) - 2))
                 nxt += len(blk) - 2
                 edges += [tuple(sorted((slot[u], slot[v]))) for u, v in shape]
-            yield SteinerTopology(n, n - 2 * len(blocks), tuple(sorted(edges)))
+            yield n - 2 * len(blocks), tuple(sorted(edges))
 
 
 def test_zero_flow_skip_loses_no_flowed_topology():
     for b in _zero_flow_instances():
         kept = [ft.signature() for ft in enumerate_topologies(b)]
-        every = {assign_flows(t, b).signature()
+        every = {assign_flows(*t, b).signature()
                  for t in _unskipped_full_topologies(b)}
         assert len(kept) == len(set(kept)) == len(every)
         assert set(kept) == every
@@ -294,7 +295,7 @@ def _assigned_unshrunk(b, topologies):
     out = []
     for t in topologies:
         try:
-            ft = assign_flows(t, b)
+            ft = assign_flows(*t, b)
         except InfeasibleTopologyError:
             continue
         if not shrank(t, ft):
@@ -321,7 +322,7 @@ def test_flowed_forests_match_assigned_unflowed_stream(masses):
 def test_forests_match_assigned_unflowed_stream(masses):
     b = make_boundary(((float(i),), m) for i, m in enumerate(masses))
     fts = _forests(masses)
-    assert len({ft.topology.edges for ft in fts}) == len(fts)
+    assert len({ft.edges for ft in fts}) == len(fts)
     assert _by_repr(fts) == _by_repr(_assigned_unshrunk(b, all_forests(b)))
 
 
@@ -333,10 +334,10 @@ def test_forests_match_assigned_unflowed_stream(masses):
 def test_edges_fix_flows(masses):
     flows = {}
     for ft in _forests(masses):
-        size = ft.topology.n_terminals + ft.topology.n_branch
+        size = ft.n_terminals + ft.n_branch
         for g in [ft] + [contract(ft, [pair])[0]
                          for pair in itertools.combinations(range(size), 2)]:
-            assert flows.setdefault(g.topology.edges, g.edge_flows) == \
+            assert flows.setdefault(g.edges, g.edge_flows) == \
                 g.edge_flows
 
 
@@ -357,14 +358,15 @@ def test_flowed_forests_match_per_block_generator(masses):
     assert _by_repr(fts) == _by_repr(flowed_forests(masses))
     for ft in fts:
         assert ft._signature is not None
-        assert ft.signature() == \
-            FlowedTopology(ft.topology, ft.edge_flows).signature()
+        assert ft.signature() == FlowedTopology(
+            ft.n_terminals, ft.n_branch, ft.edges, ft.edge_flows).signature()
 
 
 def test_carried_signature_leaves_equality_hash_and_repr():
     masses = (F(-1), F(1), F(-1), F(1))
     for ft in _flowed_forests(masses):
-        bare = FlowedTopology(ft.topology, ft.edge_flows)
+        bare = FlowedTopology(ft.n_terminals, ft.n_branch, ft.edges,
+                              ft.edge_flows)
         assert ft._signature is not None and bare._signature is None
         assert ft == bare and hash(ft) == hash(bare) and repr(ft) == repr(bare)
 
@@ -383,12 +385,11 @@ def relabeling_signature(ft):
     """The key the split key replaced, kept as its reference: the smallest
     sorted (u, v, flow) edge list over all relabelings of the branch
     vertices."""
-    t = ft.topology
-    n, m = t.n_terminals, t.n_branch
+    n, m = ft.n_terminals, ft.n_branch
     best = None
     for perm in itertools.permutations(range(m)):
         rows = []
-        for (u, v), f in zip(t.edges, ft.edge_flows):
+        for (u, v), f in zip(ft.edges, ft.edge_flows):
             a, c = (x if x < n else n + perm[x - n] for x in (u, v))
             rows.append((a, c, f) if a < c else (c, a, -f))
         key = tuple(sorted(rows))
@@ -422,7 +423,7 @@ def _flowed(b, topologies):
     out = []
     for t in topologies:
         try:
-            out.append(assign_flows(t, b))
+            out.append(assign_flows(*t, b))
         except InfeasibleTopologyError:
             pass
     return out
@@ -463,18 +464,16 @@ def test_split_key_classes_match_relabeling_key_full(masses):
 def test_split_key_ignores_branch_labels_and_edge_order(data):
     b = data.draw(st.sampled_from(KEY_BOUNDARIES))
     ft = data.draw(st.sampled_from(_assigned_forests(b)))
-    t = ft.topology
-    n, m = t.n_terminals, t.n_branch
+    n, m = ft.n_terminals, ft.n_branch
     label = list(range(n)) + [n + p for p in
                               data.draw(st.permutations(range(m)))]
     edges, flows = [], []
-    for i in data.draw(st.permutations(range(len(t.edges)))):
-        (u, v), f = t.edges[i], ft.edge_flows[i]
+    for i in data.draw(st.permutations(range(len(ft.edges)))):
+        (u, v), f = ft.edges[i], ft.edge_flows[i]
         a, c = label[u], label[v]
         edges.append((min(a, c), max(a, c)))
         flows.append(f if a < c else -f)
-    moved = FlowedTopology(
-        SteinerTopology(n, m, tuple(edges)), tuple(flows))
+    moved = FlowedTopology(n, m, tuple(edges), tuple(flows))
     assert moved.signature() == ft.signature()
 
 
@@ -489,8 +488,8 @@ def test_set_partitions_each_once(n, bell):
 
 def test_no_infeasible_topologies_with_unbalanced_blocks():
     b = line_boundary(5)  # the lone source balances no proper block
-    tops = [ft.topology for ft in enumerate_topologies(b)]
-    assert len(tops) == 15 and all(t.n_branch == 3 for t in tops)
+    fts = list(enumerate_topologies(b))
+    assert len(fts) == 15 and all(ft.n_branch == 3 for ft in fts)
     b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.2), F(1)),
                        ((2.0, -0.1), F(-2)), ((0.5, 1.0), F(2)),
                        ((1.5, 1.3), F(1)), ((0.3, 2.0), F(-1))])
@@ -506,9 +505,8 @@ def test_no_infeasible_topologies_with_unbalanced_blocks():
 def test_star_flows():
     b = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 1.0), F(1)),
                        ((1.0, -1.0), F(1))])
-    star = SteinerTopology(3, 1, ((0, 3), (1, 3), (2, 3)))
-    ft = assign_flows(star, b)
-    flows = dict(zip(ft.topology.edges, ft.edge_flows))
+    ft = assign_flows(1, ((0, 3), (1, 3), (2, 3)), b)
+    flows = dict(zip(ft.edges, ft.edge_flows))
     # atoms sort as (0,0):-2, (1,-1):+1, (1,1):+1; positive flow runs from
     # the lower-indexed vertex to the higher one
     assert flows[(0, 3)] == F(2)       # source feeds the branch vertex
@@ -517,22 +515,19 @@ def test_star_flows():
 
 def test_two_terminal_flow():
     b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(1))])
-    t = SteinerTopology(2, 0, ((0, 1),))
-    ft = assign_flows(t, b)
+    ft = assign_flows(0, ((0, 1),), b)
     assert ft.edge_flows == (F(1),)
 
 
 def test_matching_forest_flows(square_boundary):
     # atoms sort: (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1
-    t = SteinerTopology(4, 0, ((0, 1), (2, 3)))
-    ft = assign_flows(t, square_boundary)
+    ft = assign_flows(0, ((0, 1), (2, 3)), square_boundary)
     assert ft.edge_flows == (F(1), F(-1))
 
 
 def test_unbalanced_component_infeasible(square_boundary):
-    t = SteinerTopology(4, 0, ((0, 3), (1, 2)))
     with pytest.raises(InfeasibleTopologyError):
-        assign_flows(t, square_boundary)
+        assign_flows(0, ((0, 3), (1, 2)), square_boundary)
 
 
 def test_realized_boundary_exact():
@@ -542,12 +537,12 @@ def test_realized_boundary_exact():
         terminals = tuple(p for p, _ in b.atoms)
         for t in all_forests(b):
             try:
-                ft = assign_flows(t, b)
+                ft = assign_flows(*t, b)
             except InfeasibleTopologyError:
                 continue
             branch = tuple(
                 (rng.uniform(-1, 1), rng.uniform(-1, 1))
-                for _ in range(ft.topology.n_branch))
+                for _ in range(ft.n_branch))
             chain = realize_chain(ft, Placement(terminals, branch))
             assert boundary(chain).as_dict() == b.as_dict()
 
@@ -556,10 +551,10 @@ def test_zero_flow_edge_degenerates():
     # path t0 - t1 - t2 where t1's mass forces zero flow beyond it
     b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(1)),
                        ((2.0, 0.0), F(-1)), ((3.0, 0.0), F(1))])
-    t = SteinerTopology(4, 0, ((0, 1), (1, 2), (2, 3)))
-    ft = assign_flows(t, b)
+    t = (0, ((0, 1), (1, 2), (2, 3)))
+    ft = assign_flows(*t, b)
     assert shrank(t, ft)
-    assert len(ft.topology.edges) == 2  # middle edge carried zero
+    assert len(ft.edges) == 2  # middle edge carried zero
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +562,7 @@ def test_zero_flow_edge_degenerates():
 # ---------------------------------------------------------------------------
 
 def _on_four(n_branch, edges, flows):
-    return FlowedTopology(SteinerTopology(4, n_branch, edges),
-                          tuple(F(f) for f in flows))
+    return FlowedTopology(4, n_branch, edges, tuple(F(f) for f in flows))
 
 
 def test_contract_splices_a_chain_of_degree_2_branch_vertices():
@@ -584,13 +578,11 @@ def test_contract_splices_a_branch_vertex_below_both_neighbors():
     # b6 carries 2 from b8's side to b7's: the edge b7-b8 that replaces it
     # has flow -2 from b7 to b8, and then the labels 6, 7
     ft = FlowedTopology(
-        SteinerTopology(6, 3, ((0, 7), (1, 7), (2, 8), (3, 8), (4, 5),
-                               (6, 7), (6, 8))),
+        6, 3, ((0, 7), (1, 7), (2, 8), (3, 8), (4, 5), (6, 7), (6, 8)),
         (F(-1), F(-1), F(1), F(1), F(-1), F(2), F(-2)))
     contracted, cluster = contract(ft)
     assert contracted == FlowedTopology(
-        SteinerTopology(6, 2, ((0, 6), (1, 6), (2, 7), (3, 7), (4, 5),
-                               (6, 7))),
+        6, 2, ((0, 6), (1, 6), (2, 7), (3, 7), (4, 5), (6, 7)),
         (F(-1), F(-1), F(1), F(1), F(-1), F(-2)))
     assert cluster[6] in (6, 7) and cluster[7:] == (6, 7)
 
@@ -615,11 +607,10 @@ def test_contract_refuses_a_degree_1_branch_vertex():
 def test_assign_flows_drops_a_component_without_terminals(square_boundary):
     # atoms sort: (0,0):-1, (0,1):+1, (1,0):+1, (1,1):-1; the edge 4-5
     # carries no flow, and its branch vertices lift onto terminal 0
-    t = SteinerTopology(4, 2, ((0, 2), (1, 3), (4, 5)))
-    want = FlowedTopology(SteinerTopology(4, 0, ((0, 2), (1, 3))),
-                          (F(1), F(-1)))
-    assert assign_flows(t, square_boundary) == want
-    assert contract(FlowedTopology(t, (F(1), F(-1), F(0)))) == (
+    edges = ((0, 2), (1, 3), (4, 5))
+    want = FlowedTopology(4, 0, ((0, 2), (1, 3)), (F(1), F(-1)))
+    assert assign_flows(2, edges, square_boundary) == want
+    assert contract(FlowedTopology(4, 2, edges, (F(1), F(-1), F(0)))) == (
         want, (0, 1, 2, 3, 0, 0))
 
 
@@ -642,26 +633,24 @@ def _random_balanced_boundary(rng, n, dim=2):
 # flows by leaf stripping, the reference of the split sums
 # ---------------------------------------------------------------------------
 
-def leaf_stripping_flows(t, b):
+def leaf_stripping_flows(n_branch, edges, b):
     """The flow rule the split sums replaced, kept as their reference: each
     leaf passes its demand to its neighbour across its edge and is removed,
     then the flows are normalized like :func:`assign_flows` does."""
     masses = tuple(m for _, m in b.atoms)
-    if len(masses) != t.n_terminals:
-        raise ValueError("boundary does not match topology terminal count")
-    nv = t.n_terminals + t.n_branch
+    n = len(masses)
+    nv = n + n_branch
     adj = {v: set() for v in range(nv)}
     edge_index = {}
-    for i, (u, v) in enumerate(t.edges):
+    for i, (u, v) in enumerate(edges):
         adj[u].add(v)
         adj[v].add(u)
         edge_index[(u, v)] = i
 
     # required net inflow at each vertex
-    demand = [masses[v] if v < t.n_terminals else F(0)
-              for v in range(nv)]
-    flows = [None] * len(t.edges)
-    for v in range(t.n_terminals):
+    demand = [masses[v] if v < n else F(0) for v in range(nv)]
+    flows = [None] * len(edges)
+    for v in range(n):
         if not adj[v]:
             raise InfeasibleTopologyError(f"terminal {v} is isolated")
 
@@ -692,7 +681,7 @@ def leaf_stripping_flows(t, b):
             raise InfeasibleTopologyError("component masses do not balance")
 
     assert all(f is not None for f in flows)
-    return contract(FlowedTopology(t, tuple(flows)))[0]
+    return contract(FlowedTopology(n, n_branch, edges, tuple(flows)))[0]
 
 
 def _dented_square(radius, alpha=0.6):
@@ -723,7 +712,7 @@ def test_enumerated_flows_match_leaf_stripping():
         fts = list(enumerate_topologies(b))
         assert fts
         for ft in fts:
-            assert leaf_stripping_flows(ft.topology, b) == ft
+            assert leaf_stripping_flows(ft.n_branch, ft.edges, b) == ft
 
 
 def test_assign_flows_matches_leaf_stripping():
@@ -731,13 +720,13 @@ def test_assign_flows_matches_leaf_stripping():
     for b in KEY_BOUNDARIES:
         for t in all_forests(b):
             try:
-                want = leaf_stripping_flows(t, b)
+                want = leaf_stripping_flows(*t, b)
             except InfeasibleTopologyError:
                 with pytest.raises(InfeasibleTopologyError):
-                    assign_flows(t, b)
+                    assign_flows(*t, b)
                 infeasible += 1
                 continue
-            assert assign_flows(t, b) == want
+            assert assign_flows(*t, b) == want
             flowed += 1
     assert flowed and infeasible
 
@@ -749,12 +738,11 @@ def test_assign_flows_matches_leaf_stripping():
 ])
 def test_cycles_are_rejected(masses, m, edges):
     b = make_boundary(((float(i), 0.0), F(x)) for i, x in enumerate(masses))
-    t = SteinerTopology(len(masses), m, edges)
     with pytest.raises(AssertionError, match="cycle"):
-        FlowedTopology(t, (F(1),) * len(edges)).signature()
+        FlowedTopology(len(masses), m, edges, (F(1),) * len(edges)).signature()
     for flows in (assign_flows, leaf_stripping_flows):
         with pytest.raises(AssertionError, match="cycle"):
-            flows(t, b)
+            flows(m, edges, b)
 
 
 TRIANGLE = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)),
@@ -762,16 +750,24 @@ TRIANGLE = make_boundary([((0.0, 0.0), F(-2)), ((1.0, 0.3), F(1)),
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: SteinerTopology(3, 2, ((0, 3), (1, 3), (2, 4), (3, 4))),
+    (lambda: FlowedTopology(3, 2, ((0, 3), (1, 3), (2, 4), (3, 4)),
+                            (F(-2), F(1), F(1), F(0))),
      r"too many branch vertices \(bound is n - 2\)"),
-    (lambda: SteinerTopology(3, 1, ((3, 0), (1, 3), (2, 3))),
+    (lambda: FlowedTopology(3, 1, ((3, 0), (1, 3), (2, 3)),
+                            (F(-2), F(-1), F(-1))),
      "edge endpoints out of range or unordered"),
     (lambda: list(enumerate_topologies(make_boundary([((0.0, 0.0), F(1))]))),
      "at least 2 atoms"),
-    (lambda: assign_flows(SteinerTopology(4, 2, ((0, 4), (1, 4), (2, 5),
-                                                 (3, 5), (4, 5))), TRIANGLE),
-     "boundary does not match topology terminal count"),
-], ids=["branch-count", "unordered-edge", "one-atom", "terminal-count"])
+    # a malformed forest is refused before any flow is computed: each of
+    # these leaves a terminal alone, an unbalanced component
+    (lambda: assign_flows(2, ((0, 3), (1, 4)), TRIANGLE),
+     r"too many branch vertices \(bound is n - 2\)"),
+    (lambda: assign_flows(1, ((3, 0), (1, 3)), TRIANGLE),
+     "edge endpoints out of range or unordered"),
+    (lambda: assign_flows(1, ((0, 3), (1, 3), (2, 5)), TRIANGLE),
+     "edge endpoints out of range or unordered"),
+], ids=["branch-count", "unordered-edge", "one-atom", "assign-branch-count",
+        "assign-unordered-edge", "assign-out-of-range"])
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
         build()
