@@ -7,9 +7,13 @@ branch-and-bound over them:
 
 1. every topology T gets a lower bound LB(T) <= E(T), the minimum of its
    location energy, by weak duality.  :func:`placement.lower_bounds`
-   bounds all topologies of the solve in one batched pass.  A dual point
-   built from *any* placement gives a valid bound, so the pass's fixed step
-   count and smoothing decide only how tight the bounds are, never whether
+   bounds all topologies of the solve in one batched pass, screened with
+   the solver's margin: a topology whose bound after a few steps already
+   lies above the margin of an upper estimate of ``second`` (below) keeps
+   that looser bound, and only the others take every step.  A dual point
+   built from *any* placement gives a valid bound, so the bounds' two
+   tightnesses, like the pass's step counts and smoothing, decide only how
+   tight the bounds are and which topologies get optimized, never whether
    the pruning below is exact;
 2. topologies are visited in (LB, repr(signature)) order; the key breaks
    ties, here and between equal values, towards fewer branch vertices.
@@ -139,7 +143,8 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     # the two zero counters keep the report's stats keys stable
     stats = {"enumerated": len(fts), "infeasible": 0, "duplicates": 0,
              "optimized": 0, "pruned": 0}
-    queue = sorted(zip(lower_bounds(fts, b, cfg.alpha, cfg.trace), keys, fts),
+    queue = sorted(zip(lower_bounds(fts, b, cfg.alpha, cfg.trace, margin),
+                       keys, fts),
                    key=lambda q: (q[0], q[1]))
 
     candidates: list[tuple[float, str, MinimizerRecord]] = []

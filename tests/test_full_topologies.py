@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from gsteiner.currents import (alpha_mass, canonicalize, make_boundary,
                                support_difference_mass)
 from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
-from gsteiner.placement import optimize_topology, realize_chain
+from gsteiner import solver
+from gsteiner.placement import (_SCREEN_STEPS, lower_bounds,
+                                optimize_topology, realize_chain)
 from gsteiner.solver import SolverConfig, magic_points, solve
 from forest_oracle import all_forests
 from gsteiner.topology import (InfeasibleTopologyError, assign_flows,
@@ -140,6 +142,57 @@ def test_pruned_solve_matches_unpruned_solve(cases):
                                        + stats["optimized"] + stats["pruned"])
         pruned += stats["pruned"]
     assert pruned > 0  # the comparison must exercise pruning
+
+
+def _unscreened_solve(b, cfg):
+    """``solve`` with every topology's bound taken over the whole schedule:
+    the margin it passes to the bounding pass is dropped."""
+    def full_bounds(fts, b, alpha, trace=None, margin=None):
+        return lower_bounds(fts, b, alpha, trace)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "lower_bounds", full_bounds)
+        return solve(b, cfg)
+
+
+def _co_minimal_cases():
+    # random instances on which co-minimal topologies still differ in
+    # energy after the screen's 4 steps: a cut at the margin of the
+    # smallest energy above the least one, instead of at the smallest energy
+    # of the topologies ruled out as minimizers, lies below the second-best
+    # value here, and the solver then optimizes 10 and 6 topologies instead
+    # of 6 and 4
+    yield "6 atoms", make_boundary(
+        ((x, y), F(m)) for x, y, m in [
+            (0.082, 1.125, -2), (0.84, 1.165, 5), (1.199, 1.1, -1),
+            (1.254, 0.612, -2), (1.515, 0.076, -4), (1.676, 0.235, 4)]), 0.95
+    yield "5 atoms", make_boundary(
+        ((x, y), F(m)) for x, y, m in [
+            (0.068, 0.676, 1), (0.396, 1.594, 1), (0.515, 1.335, -4),
+            (0.841, 1.365, -1), (1.85, 0.454, 3)]), 0.3
+
+
+@pytest.mark.parametrize("cases", ["random", "degenerate", "co-minimal",
+                                   "solve-n6"])
+def test_screened_bounds_change_no_report(cases, bench_instances):
+    # minimizers, best value and gap cannot change, since both kinds of
+    # bound are dual bounds; on these instances the screened solve also
+    # optimizes the same topologies, so stats agree too
+    if cases == "solve-n6":
+        instances = [("solve-n6", b, alpha) for seed in range(3)
+                     for b, alpha in bench_instances("solve-n6", seed)]
+    else:
+        instances = list({"random": _random_cases,
+                          "degenerate": _degenerate_cases,
+                          "co-minimal": _co_minimal_cases}[cases]())
+    screened = 0
+    for where, b, alpha in instances:
+        records = []
+        report = solve(b, SolverConfig(alpha=alpha, trace=records.append))
+        assert report == _unscreened_solve(b, SolverConfig(alpha=alpha)), \
+            f"{where} alpha={alpha} atoms={b.atoms}"
+        screened += sum(r["stage"] == "bound"
+                        and r["iteration"] == _SCREEN_STEPS for r in records)
+    assert screened > 0  # the comparison must exercise the screen
 
 
 def test_co_minimal_tie_breaks_to_fewest_branch_vertices():

@@ -342,6 +342,12 @@ def test_energy_equals_alpha_mass_when_disjoint(v_boundary):
 # lower bound by weak duality
 # ---------------------------------------------------------------------------
 
+def solver_margin(v):
+    """The margin ``solve`` screens the bounding pass with, at its default
+    ``value_tol``."""
+    return v + SolverConfig.value_tol * (1.0 + abs(v))
+
+
 BOUND_MASSES = {
     3: [(-2, 1, 1), (-3, 1, 2)],
     4: [(-1, -1, 1, 1), (-3, F(1, 2), 2, F(1, 2))],
@@ -367,6 +373,10 @@ def test_bound_below_minimum(seed, n, dim, alpha, pick, eps):
     value = minimize(ft, b, alpha).value
     bound, = lower_bounds([ft], b, alpha)
     assert bound <= value + 1e-12 * (1.0 + value)
+    # screened among all topologies of the instance, with the solver's margin
+    screened = lower_bounds(topologies, b, alpha,
+                            margin=solver_margin)[pick % len(topologies)]
+    assert screened <= value + 1e-12 * (1.0 + value)
     # the bound holds at any placement and smoothing, not just near optima
     terminals = tuple(p for p, _ in b.atoms)
     branch = tuple(tuple(rng.uniform(-1.0, 3.0) for _ in range(dim))
@@ -375,6 +385,7 @@ def test_bound_below_minimum(seed, n, dim, alpha, pick, eps):
     assert anywhere <= value + 1e-12 * (1.0 + value)
     if ft.n_branch == 0:
         assert bound == pytest.approx(value, rel=1e-12)
+        assert screened == bound
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
@@ -558,6 +569,32 @@ def test_mixed_batch_bounds_below_minimum():
             assert record["iteration"] == 0
         else:
             assert record["iteration"] > 0
+
+
+def test_screen_keeps_the_contenders_bounds_bit_for_bit(bench_instances,
+                                                        bench_dent):
+    # the seed-0 topology sets of the solve workloads and of the dented
+    # square: a topology the screen keeps takes the rest of the schedule
+    # from where the screen stopped it, so its bound is the unscreened one
+    _, *dent = bench_dent(0)
+    cases = (bench_instances("solve-n6", 0) + bench_instances("solve-3d", 0)
+             + [tuple(dent)])
+    retired = 0
+    for b, alpha in cases:
+        fts = list(enumerate_topologies(b))
+        records = []
+        screened = lower_bounds(fts, b, alpha, records.append, solver_margin)
+        full = lower_bounds(fts, b, alpha)
+        assert [r["bound"] for r in records] == screened
+        for ft, got, want, record in zip(fts, screened, full, records):
+            if not ft.n_branch:
+                assert record["iteration"] == 0 and got == want
+            elif record["iteration"] == placement._BOUND_STEPS:
+                assert got == want
+            else:
+                assert record["iteration"] == placement._SCREEN_STEPS
+                retired += 1
+    assert retired > 0
 
 
 def test_non_finite_bound_raises():
