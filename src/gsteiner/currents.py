@@ -13,18 +13,18 @@ adjacent pieces of equal multiplicity merged.  Canonicalization reuses the
 original endpoint coordinates, so the boundary of the output equals the
 boundary of the input as exact rational atoms.
 
-Planar points take a branch of :func:`dist`, :func:`vnorm` and the
-collinearity test written in flat float arithmetic, which the four-point
-lab calls tens of thousands of times per pass.  Each branch does the
-operations of the generic ``sum`` expression in its order: ``sum`` starts
-from the int 0, so a leading ``0.0 +``, then the terms left to right, with
-``** 2`` where the generic code squares by ``** 2``.  Python 3.12's ``sum``
-compensates its float additions, but for two terms the compensated result
-is the rounded sum, so every value has the same bits on every supported
-Python.  ``math.dist``, ``math.hypot`` and ``math.fsum`` would be faster
-still, but they round differently from that formula (on about 17% of
-random planar inputs), which would change reported values and the
-canonical forms built on them.  Other dimensions keep the generic code.
+Every length and norm is one call in every dimension: :func:`dist` is
+``math.dist`` and :func:`vnorm` is ``math.hypot``.  Both round the same on
+Python 3.10 to 3.13 (checked over 600k 2-D and 3-D inputs at scales 1e-8 to
+1e3), and neither underflows nor overflows where the squares would.  The
+built-in ``sum`` of three or more floats is not stable across versions:
+Python 3.12's compensates its additions, so a value summed over three or
+more segments, like :func:`alpha_mass`, may differ in its last bits from
+3.10 and 3.11.  :func:`project` is the one projection of a point on a line.
+Only the collinearity test of a line group keeps a planar branch in flat
+float arithmetic, which the four-point lab calls tens of thousands of times
+per pass (0.35 against 2.2 us a call); it does the operations of the generic
+code in its order, so both branches give the same bits.
 
 All objects are immutable and all functions are pure.
 """
@@ -55,21 +55,22 @@ def vdot(p: Point, q: Point) -> float:
 
 
 def vnorm(p: Point) -> float:
-    if len(p) == 2:
-        x, y = p
-        return math.sqrt(0.0 + x * x + y * y)
-    return math.sqrt(sum(a * a for a in p))
+    return math.hypot(*p)
 
 
-def dist(p: Point, q: Point) -> float:
-    if len(p) == 2:
-        (a, b), (c, d) = p, q
-        return math.sqrt(0.0 + (a - c) ** 2 + (b - d) ** 2)
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+dist = math.dist
 
 
 def lerp(a: Point, b: Point, t: float) -> Point:
     return tuple(x + t * (y - x) for x, y in zip(a, b))
+
+
+def project(p: Point, a: Point, b: Point) -> tuple[float, float]:
+    """``(t, distance)``: the foot of ``p`` on the line through ``a != b``
+    is ``lerp(a, b, t)``, and ``distance`` is how far ``p`` lies from it."""
+    d = vsub(b, a)
+    t = vdot(vsub(p, a), d) / vdot(d, d)
+    return t, dist(p, lerp(a, b, t))
 
 
 def _canonical_dir(d: Point) -> Point:
@@ -280,8 +281,8 @@ class _LineGroup:
             vx, vy = x - ox, y - oy
             t = 0.0 + vx * dx + vy * dy
             px, py = vx - t * dx, vy - t * dy
-            lim = tol * (1.0 + math.sqrt(0.0 + vx * vx + vy * vy) + self.scale)
-            return math.sqrt(0.0 + px * px + py * py) > lim
+            lim = tol * (1.0 + math.hypot(vx, vy) + self.scale)
+            return math.hypot(px, py) > lim
         v = vsub(p, self.origin)
         t = vdot(v, self.direction)
         perp = tuple(a - t * b for a, b in zip(v, self.direction))

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .currents import (Boundary, PolyhedralChain, Point, Segment, alpha_mass,
                        boundary, branch_points, canonicalize, dist,
-                       make_boundary, restrict_ball, scale_chain,
+                       make_boundary, project, restrict_ball, scale_chain,
                        support_difference_mass)
 from .flat import flat_distance
 from .placement import optimize_topology, realize_chain
@@ -100,14 +100,10 @@ _ON_SEGMENT_TOL = 1e-9
 
 
 def _param_on_segment(p: Point, s: Segment) -> float | None:
-    d = tuple(b - a for a, b in zip(s.start, s.end))
-    v = tuple(b - a for a, b in zip(s.start, p))
-    l2 = sum(x * x for x in d)
-    t = sum(a * b for a, b in zip(v, d)) / l2
+    t, off = project(p, s.start, s.end)
     if t < -_ON_SEGMENT_TOL or t > 1.0 + _ON_SEGMENT_TOL:
         return None
-    q = tuple(a + t * b for a, b in zip(s.start, d))
-    if dist(p, q) > _ON_SEGMENT_TOL * (1.0 + math.sqrt(l2)):
+    if off > _ON_SEGMENT_TOL * (1.0 + s.length):
         return None
     return t
 

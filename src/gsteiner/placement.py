@@ -217,7 +217,7 @@ def _subgradient(here: Point, incident: list[tuple[float, Point]]
         else:
             for i in range(len(g)):
                 g[i] += wi * (here[i] - there[i]) / length
-    return math.sqrt(sum(x * x for x in g)), ball
+    return math.hypot(*g), ball
 
 
 def _incident(ft: FlowedTopology, alpha: float, v0: int

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
-                       branch_points, canonicalize, dist, lerp,
-                       support_difference_mass, vdot, vsub)
+                       branch_points, canonicalize, lerp, project,
+                       support_difference_mass)
 from .placement import Trace, lower_bounds, optimize_topology, realize_chain
 from .topology import FlowedTopology, enumerate_topologies
 
@@ -196,9 +196,11 @@ def magic_points(report: SolveReport, target_index: int = 0) -> tuple[Point, ...
     """Interior points of the target minimizer that no other minimizer hits.
 
     For each other minimizer, returns the midpoint of the longest maximal
-    sub-segment of supp(target) \\ supp(other), nudged away from branch
-    points, boundary atoms and transversal crossings of all minimizers, with
-    the report's ``distinct_tol`` as the overlap tolerance.  Raises
+    sub-segment of supp(target) \\ supp(other), after cutting out a
+    ``2 distinct_tol`` margin around each boundary atom and each branch
+    point of every minimizer that lies on the target's support, with the
+    report's ``distinct_tol`` as the overlap tolerance.  Crossings of two
+    minimizers that are branch points of neither are not cut out.  Raises
     :class:`InternalConsistencyError` when two reported minimizers share
     their support (they would then be the same current), and
     ``ValueError`` when ``target_index`` is not an index in
@@ -247,18 +249,14 @@ def magic_points(report: SolveReport, target_index: int = 0) -> tuple[Point, ...
 def _uncovered_intervals(seg, other: PolyhedralChain, tol: float
                          ) -> list[tuple[float, float]]:
     """Parameter intervals of ``seg`` not covered by collinear parts of ``other``."""
-    d = vsub(seg.end, seg.start)
-    l2 = vdot(d, d)
-    length = math.sqrt(l2)
+    pad = tol / seg.length
     covered: list[tuple[float, float]] = []
     for o in other.segments:
-        if _point_line_dist(o.start, seg) > tol or _point_line_dist(o.end, seg) > tol:
+        (ta, da), (tb, db) = (project(p, seg.start, seg.end)
+                              for p in (o.start, o.end))
+        if da > tol or db > tol:
             continue
-        ta = vdot(vsub(o.start, seg.start), d) / l2
-        tb = vdot(vsub(o.end, seg.start), d) / l2
-        lo, hi = min(ta, tb), max(ta, tb)
-        pad = tol / length
-        lo, hi = max(0.0, lo - pad), min(1.0, hi + pad)
+        lo, hi = max(0.0, min(ta, tb) - pad), min(1.0, max(ta, tb) + pad)
         if hi > lo:
             covered.append((lo, hi))
     covered.sort()
@@ -273,32 +271,19 @@ def _uncovered_intervals(seg, other: PolyhedralChain, tol: float
     return [(lo, hi) for lo, hi in out if hi > lo]
 
 
-def _point_line_dist(p: Point, seg) -> float:
-    d = vsub(seg.end, seg.start)
-    v = vsub(p, seg.start)
-    t = vdot(v, d) / vdot(d, d)
-    q = lerp(seg.start, seg.end, t)
-    return dist(p, q)
-
-
 def _split_at_exceptional(seg, lo: float, hi: float, exceptional: list[Point],
                           tol: float) -> list[tuple[float, float]]:
     """Split (lo, hi) at parameters of exceptional points on the segment."""
-    d = vsub(seg.end, seg.start)
-    l2 = vdot(d, d)
-    length = math.sqrt(l2)
+    on = [t for t, off in (project(p, seg.start, seg.end) for p in exceptional)
+          if off <= tol]
+    pad = 2.0 * tol / seg.length
     cuts = [lo, hi]
-    pad = 2.0 * tol / length
-    for p in exceptional:
-        if _point_line_dist(p, seg) > tol:
-            continue
-        t = vdot(vsub(p, seg.start), d) / l2
+    for t in on:
         if lo + pad < t < hi - pad:
             cuts.extend([t - pad, t + pad])
     cuts.sort()
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a and
-            not any(a < vdot(vsub(p, seg.start), d) / l2 < b
-                    for p in exceptional if _point_line_dist(p, seg) <= tol)]
+    return [(a, b) for a, b in zip(cuts, cuts[1:])
+            if b > a and not any(a < t < b for t in on)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Reference for ``currents.canonicalize``: the canonical form in the
 dimension-generic vector arithmetic alone.
 
-``currents`` computes planar lengths, norms and the collinearity test in
-flat float arithmetic, meant to give the bits of the generic ``sum``
-expressions below.  This module keeps those expressions, and the grouping
-and sweep built on them, so that tests can compare the two bit for bit.
+``currents`` tests collinearity of planar points in flat float arithmetic,
+meant to give the bits of the generic expressions below.  This module keeps
+the generic test, and the grouping and sweep built on it, so that tests can
+compare ``_LineGroup._off_line``'s planar branch with it bit for bit.
+Lengths and norms are ``math.hypot`` here as in ``currents``.
 Every line group is swept, one-member groups too:
 ``test_lone_segment_fast_path_equals_sweep`` holds ``currents``' shortcut
 for those to the sweep.
@@ -25,7 +26,7 @@ def vdot(p, q):
 
 
 def vnorm(p):
-    return math.sqrt(sum(a * a for a in p))
+    return math.hypot(*p)
 
 
 def _canonical_dir(d):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonical_oracle
@@ -229,8 +229,45 @@ def test_canonicalize_matches_generic_reference(dim):
 
 
 # ---------------------------------------------------------------------------
-# planar branches of the vector helpers, bit for bit
+# lengths and projection
 # ---------------------------------------------------------------------------
+
+def test_lengths_keep_their_bits_on_every_python():
+    # every Python the suite runs on checks these bits: math.dist rounds
+    # both alike on 3.10 to 3.13, where the square root of a sum of squares
+    # rounds the first to ...f9p+0 on 3.10 and 3.11 and the second
+    # differently on every version
+    assert currents.dist((1.961, 0.795, 0.146),
+                         (1.259, 1.557, 0.54)).hex() == "0x1.1bc40c16e35fap+0"
+    assert currents.dist((1.049120329831768, -1.9915757865955572),
+                         (-0.2184512237807943, 0.8861601293631303)
+                         ).hex() == "0x1.92802129e5c45p+1"
+
+
+def test_lengths_neither_underflow_nor_overflow():
+    # squares of 1e-170 underflow to 0 and squares of 1e200 overflow
+    s = ((0.0, 0.0), (1e-170, 0.0), F(1))
+    assert canonicalize(chain_of([s])).segments == chain_of([s]).segments
+    for p, q in (((1e200, 1e200), (-1e200, 0.0)),
+                 ((1e200, 0.0, -1e200), (0.0, 1e200, 1e200))):
+        assert math.isfinite(currents.dist(p, q))
+        assert math.isfinite(currents.vnorm(p))
+    big = math.ldexp(1.0, 660)  # about 4.8e198
+    assert currents.vnorm((3.0 * big, 4.0 * big)) == 5.0 * big
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_project_gives_the_foot_and_its_distance(dim):
+    rng = random.Random(70 + dim)
+    for _ in range(200):
+        p, a, b = (tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in "pab")
+        t, off = currents.project(p, a, b)
+        foot = lerp(a, b, t)
+        assert off == currents.dist(p, foot)
+        d, v = currents.vsub(b, a), currents.vsub(p, foot)
+        assert abs(currents.vdot(v, d)) <= 1e-12 * (1.0 + off) * currents.vnorm(d)
+    assert currents.project((1.0, 2.0), (0.0, 0.0), (4.0, 0.0)) == (0.25, 2.0)
+
 
 # signed zeros, subnormals and magnitudes up to 1e+-150, whose squares and
 # their sums stay finite
@@ -248,28 +285,16 @@ def hexed(*xs):
     return [float.hex(x) for x in xs]
 
 
-@settings(max_examples=400, deadline=None)
-@given(POINT, POINT, st.booleans())
-# a pair where math.dist differs from the sum formula
-@example((1.049120329831768, -1.9915757865955572),
-         (-0.2184512237807943, 0.8861601293631303), False)
-def test_planar_dist_and_vnorm_match_the_generic_sums(p, q, same):
-    q = p if same else q
-    assert hexed(currents.dist(p, q), currents.vnorm(p)) == hexed(
-        math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q))),
-        math.sqrt(sum(a * a for a in p)))
-
-
-class _RecordedSqrt:
-    """A stand-in for ``currents.math`` that records each ``sqrt``
+class _RecordedHypot:
+    """A stand-in for ``currents.math`` that records each ``hypot``
     argument."""
 
     def __init__(self):
         self.args = []
 
-    def sqrt(self, x):
-        self.args.append(x)
-        return math.sqrt(x)
+    def hypot(self, *xs):
+        self.args.extend(xs)
+        return math.hypot(*xs)
 
 
 @settings(max_examples=400, deadline=None)
@@ -282,8 +307,8 @@ def test_planar_off_line_matches_the_generic_sums(origin, direction, p, same,
     g.origin, g.direction, g.scale = origin, direction, scale
     ref = canonical_oracle._LineGroup(g.members[0])
     ref.origin, ref.direction, ref.scale = origin, direction, scale
-    sqrt = _RecordedSqrt()
-    saved, currents.math = currents.math, sqrt
+    hypot = _RecordedHypot()
+    saved, currents.math = currents.math, hypot
     try:
         off = g._off_line(p, tol)
     finally:
@@ -291,8 +316,7 @@ def test_planar_off_line_matches_the_generic_sums(origin, direction, p, same,
     v = canonical_oracle.vsub(p, origin)
     t = canonical_oracle.vdot(v, direction)
     perp = tuple(a - t * b for a, b in zip(v, direction))
-    assert hexed(*sqrt.args) == hexed(sum(a * a for a in v),
-                                      sum(a * a for a in perp))
+    assert hexed(*hypot.args) == hexed(*v, *perp)
     assert off == ref._off_line(p, tol)
 
 
