@@ -21,6 +21,10 @@ built-in ``sum`` of three or more floats is not stable across versions:
 Python 3.12's compensates its additions, so a value summed over three or
 more segments, like :func:`alpha_mass`, may differ in its last bits from
 3.10 and 3.11.  :func:`project` is the one projection of a point on a line.
+It and :func:`restrict_ball` divide by a squared length, which loses bits
+below a length of about 1e-154 and underflows to 0 below about 1e-162;
+only there do they measure the segment in units of its length, so that
+ordinary segments keep their bits.
 Only the collinearity test of a line group keeps a planar branch in flat
 float arithmetic, which the four-point lab calls tens of thousands of times
 per pass (0.35 against 2.2 us a call); it does the operations of the generic
@@ -31,6 +35,7 @@ All objects are immutable and all functions are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -68,9 +73,24 @@ def lerp(a: Point, b: Point, t: float) -> Point:
 def project(p: Point, a: Point, b: Point) -> tuple[float, float]:
     """``(t, distance)``: the foot of ``p`` on the line through ``a != b``
     is ``lerp(a, b, t)``, and ``distance`` is how far ``p`` lies from it."""
-    d = vsub(b, a)
-    t = vdot(vsub(p, a), d) / vdot(d, d)
+    d, w = vsub(b, a), vsub(p, a)
+    dd = vdot(d, d)
+    if dd < _NORMAL_MIN:
+        d, w = _in_units_of(d, d, w)
+        dd = vdot(d, d)
+    t = vdot(w, d) / dd
     return t, dist(p, lerp(a, b, t))
+
+
+# squares below the smallest normal float have lost bits or underflowed to 0
+_NORMAL_MIN = sys.float_info.min
+
+
+def _in_units_of(d: Point, *vs: Point) -> list[Point]:
+    """``vs`` divided by |d|: a segment shorter than about 1e-154, along
+    ``d``, measured where its squares neither underflow nor lose bits."""
+    size = vnorm(d)
+    return [tuple(x / size for x in v) for v in vs]
 
 
 def _canonical_dir(d: Point) -> Point:
@@ -386,6 +406,10 @@ def _ball_params(s: Segment, center: Point, radius: float) -> tuple[float, float
     d = vsub(s.end, s.start)
     w = vsub(s.start, center)
     a = vdot(d, d)
+    if a < _NORMAL_MIN:
+        # the parameters are those of the segment in units of its length
+        d, w, (radius,) = _in_units_of(d, d, w, (radius,))
+        a = vdot(d, d)
     b = 2.0 * vdot(d, w)
     c = vdot(w, w) - radius * radius
     disc = b * b - 4.0 * a * c

@@ -106,14 +106,15 @@ placement into a feasible point of the dual problem, so the bound is valid
 wherever the placement comes from.  :func:`lower_bounds` evaluates it for
 many topologies at once, in numpy and in any dimension: ``_BOUND_STEPS``
 smoothed Weiszfeld steps of Smith's form (one stacked weighted-Laplacian
-solve per step moves all branch points of a group of topologies), eps
-falling geometrically from ``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the
-dual projection as one more stacked solve.  :func:`dual_bound` is its
-one-topology evaluation.  The solver prunes topologies with these bounds,
-and screens the pass with its own margin: every topology takes the first
-``_SCREEN_STEPS`` steps, and only those whose bound there does not already
-exceed the margin of an upper estimate of the second-best value take all
-``_BOUND_STEPS``.  Both kinds of bound are dual bounds.
+solve per step moves all branch points of all topologies of the call,
+padded to one shape by :func:`_stack`), eps falling geometrically from
+``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the dual projection as one more
+stacked solve.  :func:`dual_bound` is its one-topology evaluation.  The
+solver prunes topologies with these bounds, and screens the pass with its
+own margin: every topology takes the first ``_SCREEN_STEPS`` steps, and
+only those whose bound there does not already exceed the margin of an
+upper estimate of the second-best value take all ``_BOUND_STEPS``.  Both
+kinds of bound are dual bounds.
 Taken at the bounding pass's smoothed placements they seldom certify an
 optimum: on some collapsing topologies the bound stays up to about 2e-2
 (relative) below the value even at the smallest eps.
@@ -733,7 +734,8 @@ def _weighted_laplacian(ab: np.ndarray, c: np.ndarray
 
     ``ab`` (T, m, E) holds the branch rows of the incidence matrices and
     ``c`` (T, E) positive edge coefficients.  The Laplacian is nonsingular,
-    since every branch vertex is joined to a terminal.
+    since every branch vertex is joined to a terminal and a padding row of
+    :func:`_stack` has a private edge of its own.
     """
     cab = ab * c[:, None, :]
     return cab, cab @ ab.transpose(0, 2, 1)
@@ -819,23 +821,63 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
                               a.transpose(0, 2, 1) @ x, eps)[0])
 
 
+def _stack(fts: Sequence[FlowedTopology], alpha: float, p: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The topologies ``fts`` over the terminals ``p`` (n, d) as one stack:
+    branch rows of the incidence matrices (T, M, E), edge weights (T, E)
+    and the terminals' part of every x_u - x_v (T, E, d).
+
+    Every topology is padded to the largest branch count M and E, the
+    largest edge count after padding.  A padding branch row gets a private
+    edge of weight 1 with no other end, so its Laplacian entry stays
+    positive, its own part of the system is decoupled and solves to 0, and
+    the private edge has length 0 and adds nothing to an energy or a dual
+    value.  Padding edges without ends get weight 0.  Each topology's own
+    rows and edges thus compute what they would compute alone.
+    """
+    n, size = len(p), len(fts)
+    # one branch row at least, so that no solve is of an empty system
+    m = max([ft.n_branch for ft in fts] + [1])
+    e = max((len(ft.edges) - ft.n_branch for ft in fts), default=0) + m
+    # (u, v) of every edge, -1 for no vertex, with its weight: the
+    # topology's own edges, the private edges of its padding rows, then
+    # edges without ends
+    ends, w = [], []
+    for ft in fts:
+        pad = range(n + ft.n_branch, n + m)
+        rest = e - len(ft.edges) - len(pad)
+        ends.append(ft.edges + tuple((v, -1) for v in pad) + ((-1, -1),) * rest)
+        w.append(_weights(ft, alpha) + (1.0,) * len(pad) + (0.0,) * rest)
+    ends = np.array(ends, dtype=np.intp).reshape(size, e, 2)
+    w = np.array(w).reshape(size, e)
+    # branch vertices and -1 sit at the origin: only terminals are fixed
+    at = np.concatenate([p, np.zeros((m + 1, p.shape[1]))])
+    fixed = at[ends[..., 0]] - at[ends[..., 1]]
+    # +1 at an edge's low end, -1 at its high end, branch rows only
+    t, j, side = np.nonzero(ends >= n)
+    ab = np.zeros((size, m, e))
+    ab[t, ends[t, j, side] - n, j] = 1.0 - 2.0 * side
+    return ab, w, fixed
+
+
 def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
                  trace: Trace | None = None,
                  margin: Callable[[float], float] | None = None
                  ) -> list[float]:
     """:func:`dual_bound` of every topology in ``fts``, computed together.
 
-    Topologies are grouped by their numbers of branch vertices and edges.
-    Each group runs ``_BOUND_STEPS`` smoothed Weiszfeld steps at once (Smith,
-    Algorithmica 7, 1992): with c_e = w_e / sqrt(l_e^2 + eps^2) at the
-    current positions, all branch positions move to the minimizer of
-    sum_e c_e |x_u - x_v|^2, one stacked weighted-Laplacian solve.  The
-    bound is taken at the last eps.  A topology without branch vertices
-    gets its exact energy.  Any placement gives a valid bound, so the
-    number of steps a topology takes affects only how tight its bound is.
+    All topologies run in one padded stack (:func:`_stack`), whatever
+    their numbers of branch vertices and edges: ``_BOUND_STEPS`` smoothed
+    Weiszfeld steps at once (Smith, Algorithmica 7, 1992), where with
+    c_e = w_e / sqrt(l_e^2 + eps^2) at the current positions all branch
+    positions move to the minimizer of sum_e c_e |x_u - x_v|^2, one
+    stacked weighted-Laplacian solve.  The bound is taken at the last eps.
+    A topology without branch vertices gets its exact energy.  Any
+    placement gives a valid bound, so the number of steps a topology takes
+    affects only how tight its bound is.
 
     With ``margin`` (the solver's v -> v + value_tol (1 + |v|)) the pass is
-    screened.  Every group first takes the schedule's first
+    screened.  The stack first takes the schedule's first
     ``_SCREEN_STEPS`` steps, and each topology gets its bound there, still
     at the last eps, and its energy sum_e w_e |x_u - x_v| at that
     placement, which is at least its minimum.  Let ``runner`` be the
@@ -844,14 +886,16 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
     overlapping edges aside, ``runner`` is at least the solver's
     second-best value, and a topology whose screen bound exceeds
     margin(runner) already lies above the solver's final cut: it keeps that
-    bound.  The others take the remaining steps from where they are, so
-    their bounds are the unscreened ones exactly; the retired topologies'
-    arrays are dropped.  Every bound returned is a dual bound either way,
-    so the screen changes only which bounds are tightened.  (Taking
-    ``runner`` over all energies above margin(smallest energy) instead cuts
-    lower, at a topology whose unconverged energy lies just above a
-    co-minimal one's: on two random 5- and 6-atom instances the solver
-    then optimized 2 and 4 more topologies.)
+    bound.  The others, sliced out of the same stack, take the remaining
+    steps from where they are, so their bounds are the unscreened ones
+    exactly.  Every bound returned is a dual bound either way, so the
+    screen changes only which bounds are tightened.  A call thus makes at
+    most ``_BOUND_STEPS`` + 1 stacked solves for the steps and two for
+    the dual projections.  (Taking ``runner`` over all energies above
+    margin(smallest energy) instead cuts lower, at a topology whose
+    unconverged energy lies just above a co-minimal one's: on two random
+    5- and 6-atom instances the solver then optimized 2 and 4 more
+    topologies.)
 
     Why 4 steps: on the seed-0 solves of the benchmark's
     ``uniqueness-square``, ``solve-n6`` and ``solve-3d`` workloads, timed
@@ -869,54 +913,31 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     terminals = tuple(p for p, _ in b.atoms)
-    n = len(terminals)
-    p = np.asarray(terminals, dtype=float)
+    if any(ft.n_terminals != len(terminals) for ft in fts):
+        raise ValueError("boundary does not match topology terminal count")
     scale = _scale(terminals)
     schedule = EPS_INIT * scale * (_BOUND_EPS_LAST / EPS_INIT) ** (
         np.arange(_BOUND_STEPS) / (_BOUND_STEPS - 1))
     first = _BOUND_STEPS if margin is None else _SCREEN_STEPS
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, ft in enumerate(fts):
-        if ft.n_terminals != n:
-            raise ValueError("boundary does not match topology terminal count")
-        groups.setdefault((ft.n_branch, len(ft.edges)), []).append(i)
-    bounds = np.empty(len(fts))
-    energies = np.empty(len(fts))
-    steps = np.zeros(len(fts), dtype=int)
-    # (indices, incidence, weights, terminal part, positions) of each group
-    # with branch vertices, for the steps after the screen
-    moving = []
-    for (m, _), idx in groups.items():
-        idx = np.array(idx)
-        a = np.stack([_incidence(fts[i]) for i in idx])
-        w = np.array([_weights(fts[i], alpha) for i in idx])
-        # the terminals' part of x_u - x_v; the branch part is A_b^T x
-        fixed = a[:, :n].transpose(0, 2, 1) @ p
-        eps = 0.0
-        diff = fixed
-        if m:
-            x, diff = _smoothed_steps(
-                a[:, n:], w, fixed,
-                _branch_positions(a[:, n:], np.ones_like(w), fixed),
-                schedule[:first])
-            eps = schedule[-1]
-            steps[idx] = first
-            moving.append((idx, a, w, fixed, x))
-        bounds[idx] = _dual_values(a[:, n:], w, diff, eps)
-        energies[idx] = np.einsum(
-            "ti,ti->t", w, np.sqrt(np.einsum("tij,tij->ti", diff, diff)))
-    if margin is not None and moving:
+    ab, w, fixed = _stack(fts, alpha, np.asarray(terminals, dtype=float))
+    branched = np.array([ft.n_branch > 0 for ft in fts], dtype=bool)
+    x, diff = _smoothed_steps(
+        ab, w, fixed, _branch_positions(ab, np.ones_like(w), fixed),
+        schedule[:first])
+    energies = np.einsum(
+        "ti,ti->t", w, np.sqrt(np.einsum("tij,tij->ti", diff, diff)))
+    bounds = np.where(branched, _dual_values(ab, w, diff, schedule[-1]),
+                      energies)
+    steps = np.where(branched, first, 0)
+    if margin is not None and branched.any():
         worse = bounds > margin(energies.min())
         cut = margin(min(energies[worse], default=math.inf))
-        while moving:
-            idx, a, w, fixed, x = moving.pop()
-            keep = bounds[idx] <= cut
-            if keep.any():
-                idx, a, w, fixed, x = (v[keep] for v in (idx, a, w, fixed, x))
-                x, diff = _smoothed_steps(a[:, n:], w, fixed, x,
-                                          schedule[first:])
-                bounds[idx] = _dual_values(a[:, n:], w, diff, schedule[-1])
-                steps[idx] = _BOUND_STEPS
+        keep = np.flatnonzero(branched & (bounds <= cut))
+        if len(keep):
+            ab, w, fixed, x = (v[keep] for v in (ab, w, fixed, x))
+            x, diff = _smoothed_steps(ab, w, fixed, x, schedule[first:])
+            bounds[keep] = _dual_values(ab, w, diff, schedule[-1])
+            steps[keep] = _BOUND_STEPS
     if not np.isfinite(bounds).all():
         raise ValueError("a lower bound is not finite")
     if trace is not None:

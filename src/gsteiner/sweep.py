@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -139,6 +138,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
     cells = build_cells(spec)
     workers = min(workers, len(cells))  # the pool forks them all up front
     if workers > 1:
+        # imported here: the pool's modules load only for a sweep that forks
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell, cells, chunksize=4))
     else:

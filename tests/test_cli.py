@@ -2,11 +2,14 @@
 import csv
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import gsteiner
 from gsteiner import SolverConfig, cli, fileio, svg
 from gsteiner.currents import PolyhedralChain, Segment, make_boundary
 from gsteiner.sweep import SweepSpec, _cell, append_log, run_sweep
@@ -294,11 +297,20 @@ def test_sweep_starts_no_more_processes_than_cells(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("gsteiner.sweep.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     spec = SweepSpec(alphas=(0.5,), n_instances=2, rho=0.05, seed=11)
     rows = run_sweep(spec, workers=64)
     assert started == [2]
     assert rows == run_sweep(spec)
+
+
+def test_import_leaves_the_process_pool_out():
+    # a sweep imports the pool when it forks, not when gsteiner loads
+    code = ("import sys, gsteiner, gsteiner.sweep; "
+            "assert 'multiprocessing' not in sys.modules")
+    # python -c puts its working directory first on sys.path
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   cwd=Path(gsteiner.__file__).resolve().parents[1])
 
 
 def test_instance_round_trip(square_file):

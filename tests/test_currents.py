@@ -256,6 +256,16 @@ def test_lengths_neither_underflow_nor_overflow():
     assert currents.vnorm((3.0 * big, 4.0 * big)) == 5.0 * big
 
 
+def test_ball_keeps_a_segment_whose_square_underflows():
+    # |d|^2 of a 1e-170 segment underflows to 0; the ball of radius 1e-171
+    # at its start holds its first tenth, and project finds its middle
+    chain = canonicalize(chain_of([((0.0, 0.0), (1e-170, 0.0), F(1))]))
+    got, = restrict_ball(chain, (0.0, 0.0), 1e-171).segments
+    assert (got.start, got.end) == ((0.0, 0.0), (1e-171, 0.0))
+    assert currents.project((5e-171, 1e-171), (0.0, 0.0),
+                            (1e-170, 0.0)) == (0.5, 1e-171)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_project_gives_the_foot_and_its_distance(dim):
     rng = random.Random(70 + dim)

@@ -5,11 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from gsteiner.currents import (alpha_mass, boundary, canonicalize, chain_of,
-                               restrict_ball, support_difference_mass)
+from gsteiner.currents import (Segment, alpha_mass, boundary, canonicalize,
+                               chain_of, restrict_ball,
+                               support_difference_mass)
 from gsteiner.flat import flat_distance
 from gsteiner.perturb import (LocalFourPointInstance, PerturbationSpec,
-                              build_wz, end_to_end_uniqueness, estimate_k0,
+                              _param_on_segment, build_wz,
+                              end_to_end_uniqueness, estimate_k0,
                               estimate_rho, four_point_instance, local4_solve,
                               perturb, verify_perturbation_bounds)
 from gsteiner.solver import SolverConfig
@@ -33,6 +35,13 @@ def test_perturb_unit_segment_exact():
     atoms = {(round(p[0], 9), p[1]): m for p, m in b_pert.atoms}
     assert atoms[(0.4, 0.0)] == F(1, 4) and atoms[(0.6, 0.0)] == F(-1, 4)
     assert atoms[(0.0, 0.0)] == F(-1) and atoms[(1.0, 0.0)] == F(1)
+
+
+def test_point_found_on_a_segment_whose_square_underflows():
+    # |d|^2 of a 1e-170 segment underflows to 0, where the projection
+    # divided by it
+    s = Segment((0.0, 0.0), (1e-170, 0.0), F(1))
+    assert _param_on_segment((5e-171, 0.0), s) == 0.5
 
 
 def test_perturb_boundary_identity():

@@ -529,26 +529,54 @@ def _dented_square(radius, alpha=0.6):
 
 
 # the kinds of instance the solver bounds most: random 6-atom planar ones with
-# repeated and with distinct masses, random 5-atom ones in 3-D, dented squares
+# repeated and with distinct masses, random 5-atom ones in 3-D, dented
+# squares, and the benchmark's seed-0 sets (given ``bench_instances``): a
+# solve-3d one with 1 and 3 branch vertices, and the solve-n6 forest instance
+# with 0, 2 and 4
 BATCH_CASES = {
-    "6 repeated": lambda: (_random_atoms(1, (-1, -1, -1, 1, 1, 1), 2), 0.85),
-    "6 distinct": lambda: (_random_atoms(
+    "6 repeated": lambda _: (
+        _random_atoms(1, (-1, -1, -1, 1, 1, 1), 2), 0.85),
+    "6 distinct": lambda _: (_random_atoms(
         2, ("-3", "-1/2", "2", "1", "3/2", "-1"), 2), 0.5),
-    "5 in 3-D": lambda: (_random_atoms(3, (-2, 1, 1, -1, 1), 3), 0.65),
-    "5 distinct in 3-D": lambda: (_random_atoms(
+    "5 in 3-D": lambda _: (_random_atoms(3, (-2, 1, 1, -1, 1), 3), 0.65),
+    "5 distinct in 3-D": lambda _: (_random_atoms(
         4, ("-3", "-1/2", "2", "1", "1/2"), 3), 0.8),
-    "dented square": lambda: (_dented_square(0.05), 0.6),
+    "dented square": lambda _: (_dented_square(0.05), 0.6),
+    "solve-3d i0": lambda instances: instances("solve-3d", 0)[0],
+    "solve-n6 i0": lambda instances: instances("solve-n6", 0)[0],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-def test_batched_bounds_equal_single_bounds(case):
-    b, alpha = BATCH_CASES[case]()
+def test_batched_bounds_equal_single_bounds(case, bench_instances):
+    b, alpha = BATCH_CASES[case](bench_instances)
     fts = list(enumerate_topologies(b))
     assert len({ft.n_branch for ft in fts}) > 1
     together = lower_bounds(fts, b, alpha)
     alone = [lower_bounds([ft], b, alpha)[0] for ft in fts]
     assert together == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("screened", [False, True])
+@pytest.mark.parametrize("case, classes", [("solve-3d i0", {1, 3}),
+                                           ("solve-n6 i0", {0, 2, 4})])
+def test_bound_pass_solves_one_stack(case, classes, screened,
+                                     bench_instances, monkeypatch):
+    # every topology takes the same stacked solves, whatever its numbers of
+    # branch vertices and edges: the start, the steps and two projections
+    b, alpha = BATCH_CASES[case](bench_instances)
+    fts = list(enumerate_topologies(b))
+    assert {ft.n_branch for ft in fts} == classes
+    stacks = []
+    solve = np.linalg.solve
+
+    def counted(a, rhs):
+        stacks.append(len(a))
+        return solve(a, rhs)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    lower_bounds(fts, b, alpha, margin=solver_margin if screened else None)
+    assert stacks[0] == len(fts)
+    assert len(stacks) <= placement._BOUND_STEPS + 3
 
 
 def test_mixed_batch_bounds_below_minimum():
