@@ -103,13 +103,15 @@ coincident, in the snap and in :func:`detect_collapse`.
 A lower bound on the minimum comes from weak duality (Xue & Ye, SIAM J.
 Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
 placement into a feasible point of the dual problem, so the bound is valid
-wherever the placement comes from.  :func:`lower_bounds` evaluates it for
-many topologies at once, in numpy and in any dimension: ``_BOUND_STEPS``
-smoothed Weiszfeld steps of Smith's form (one stacked weighted-Laplacian
-solve per step moves all branch points of all topologies of the call,
-padded to one shape by :func:`_stack`), eps falling geometrically from
-``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the dual projection as one more
-stacked solve.  :func:`dual_bound` is its one-topology evaluation.  The
+wherever the placement comes from.  :func:`bound_rows` evaluates it for
+many topologies at once, in numpy and in any dimension, straight from the
+array rows of the topology table (``topology.forest_rows``):
+``_BOUND_STEPS`` smoothed Weiszfeld steps of Smith's form (one stacked
+weighted-Laplacian solve per step moves all branch points of a chunk of
+rows, padded to one shape by :func:`_stack`), eps falling geometrically
+from ``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the dual projection as one
+more stacked solve.  :func:`lower_bounds` runs it on a list of flowed
+topologies, and :func:`dual_bound` is its one-topology evaluation.  The
 solver prunes topologies with these bounds, and screens the pass with its
 own margin: every topology takes the first ``_SCREEN_STEPS`` steps, and
 only those whose bound there does not already exceed the margin of an
@@ -142,7 +144,7 @@ EPS_MIN = 2e-7
 # value and its lower bound (the star path sends the final one alone); a
 # kernel run that ends early sends a record with "stage": "collapse"
 # (iteration count, the lift's energy) before the final one, and the
-# optimization it nested sends its records before that; lower_bounds sends
+# optimization it nested sends its records before that; bound_rows sends
 # one record with "stage": "bound" per topology instead
 Trace = Callable[[dict], None]
 
@@ -812,7 +814,7 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
     and equals the energy when the topology has no branch vertex.  A
     zero-length edge needs ``eps`` > 0.  The weights w_e = |flow_e|^alpha
     come from ``ft``'s memo (:func:`_weights`).  This is the one-topology
-    case of the batched evaluation behind :func:`lower_bounds`.
+    case of the batched evaluation behind :func:`bound_rows`.
     """
     n = ft.n_terminals
     a = _incidence(ft)[None]
@@ -821,81 +823,100 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
                               a.transpose(0, 2, 1) @ x, eps)[0])
 
 
-def _stack(fts: Sequence[FlowedTopology], alpha: float, p: np.ndarray
+def _stack(ends: np.ndarray, n_branch: np.ndarray, weights: np.ndarray,
+           p: np.ndarray, m: int, e: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The topologies ``fts`` over the terminals ``p`` (n, d) as one stack:
-    branch rows of the incidence matrices (T, M, E), edge weights (T, E)
-    and the terminals' part of every x_u - x_v (T, E, d).
+    """Rows of topologies over the terminals ``p`` (n, d) as one stack:
+    branch rows of the incidence matrices (T, m, e), edge weights (T, e)
+    and the terminals' part of every x_u - x_v (T, e, d).
 
-    Every topology is padded to the largest branch count M and E, the
-    largest edge count after padding.  A padding branch row gets a private
-    edge of weight 1 with no other end, so its Laplacian entry stays
-    positive, its own part of the system is decoupled and solves to 0, and
-    the private edge has length 0 and adds nothing to an energy or a dual
-    value.  Padding edges without ends get weight 0.  Each topology's own
-    rows and edges thus compute what they would compute alone.
+    A row's edges ``ends`` (T, E, 2) come first, padded with (-1, -1), and
+    ``weights`` (T, E) are 0 on the padding.  Each row is padded to m
+    branch rows and e edges, at least its edge count plus its missing
+    branch rows.  A padding branch row gets a private edge of weight 1
+    with no other end, right after the row's own edges, so its Laplacian
+    entry stays positive, its own part of the system is decoupled and
+    solves to 0, and the private edge has length 0 and adds nothing to an
+    energy or a dual value.  Padding edges without ends get weight 0.  Each
+    row's own rows and edges thus compute what they would compute alone.
     """
-    n, size = len(p), len(fts)
-    # one branch row at least, so that no solve is of an empty system
-    m = max([ft.n_branch for ft in fts] + [1])
-    e = max((len(ft.edges) - ft.n_branch for ft in fts), default=0) + m
-    # (u, v) of every edge, -1 for no vertex, with its weight: the
-    # topology's own edges, the private edges of its padding rows, then
-    # edges without ends
-    ends, w = [], []
-    for ft in fts:
-        pad = range(n + ft.n_branch, n + m)
-        rest = e - len(ft.edges) - len(pad)
-        ends.append(ft.edges + tuple((v, -1) for v in pad) + ((-1, -1),) * rest)
-        w.append(_weights(ft, alpha) + (1.0,) * len(pad) + (0.0,) * rest)
-    ends = np.array(ends, dtype=np.intp).reshape(size, e, 2)
-    w = np.array(w).reshape(size, e)
+    n, size = len(p), len(ends)
+    own = (ends[..., 0] >= 0).sum(axis=1)[:, None]
+    col = np.arange(e)
+    private = (col >= own) & (col < own + m - n_branch[:, None])
+    full = np.full((size, e, 2), -1, np.intp)
+    full[:, :ends.shape[1]] = ends
+    full[..., 0] = np.where(private, n + n_branch[:, None] + col - own,
+                            full[..., 0])
+    w = np.zeros((size, e))
+    w[:, :ends.shape[1]] = weights
+    w[private] = 1.0
     # branch vertices and -1 sit at the origin: only terminals are fixed
     at = np.concatenate([p, np.zeros((m + 1, p.shape[1]))])
-    fixed = at[ends[..., 0]] - at[ends[..., 1]]
+    fixed = at[full[..., 0]] - at[full[..., 1]]
     # +1 at an edge's low end, -1 at its high end, branch rows only
-    t, j, side = np.nonzero(ends >= n)
+    t, j, side = np.nonzero(full >= n)
     ab = np.zeros((size, m, e))
-    ab[t, ends[t, j, side] - n, j] = 1.0 - 2.0 * side
+    ab[t, full[t, j, side] - n, j] = 1.0 - 2.0 * side
     return ab, w, fixed
 
 
-def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
-                 trace: Trace | None = None,
-                 margin: Callable[[float], float] | None = None
-                 ) -> list[float]:
-    """:func:`dual_bound` of every topology in ``fts``, computed together.
+# the bounding pass stacks at most this many rows at once
+_BOUND_CHUNK = 4096
 
-    All topologies run in one padded stack (:func:`_stack`), whatever
-    their numbers of branch vertices and edges: ``_BOUND_STEPS`` smoothed
+
+def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
+               side_weights: np.ndarray, b: Boundary, alpha: float,
+               trace: Trace | None = None,
+               margin: Callable[[float], float] | None = None) -> np.ndarray:
+    """:func:`dual_bound` of every row of topologies over ``b``'s atoms,
+    computed together.
+
+    Row r has ``n_branch[r]`` branch vertices and the edges ``ends[r]``
+    (E, 2), sorted and padded with (-1, -1); its edge weights are
+    ``side_weights[sides[r]]``, 0 on the padding (the topology table's
+    |flow|^alpha per atom mask, :class:`~gsteiner.topology.ForestRows`).
+
+    The rows run in padded stacks (:func:`_stack`), whatever their
+    numbers of branch vertices and edges: ``_BOUND_STEPS`` smoothed
     Weiszfeld steps at once (Smith, Algorithmica 7, 1992), where with
     c_e = w_e / sqrt(l_e^2 + eps^2) at the current positions all branch
     positions move to the minimizer of sum_e c_e |x_u - x_v|^2, one
     stacked weighted-Laplacian solve.  The bound is taken at the last eps.
-    A topology without branch vertices gets its exact energy.  Any
-    placement gives a valid bound, so the number of steps a topology takes
-    affects only how tight its bound is.
+    A row without branch vertices gets its exact energy.  Any placement
+    gives a valid bound, so the number of steps a row takes affects only
+    how tight its bound is.
+
+    The stack is built and stepped ``_BOUND_CHUNK`` rows at a time, every
+    chunk padded to the whole call's largest branch and edge counts, so a
+    row's bound does not depend on the chunk it lands in; only the branch
+    positions of every row are kept between the chunks.  On the 9-atom
+    instance (ROADMAP item 5, 116881 rows) a chunk of 4096 rows takes about
+    17 MB, and the solve peaks at about 100 MB RSS, against about 500 MB
+    with every row in one stack, which is also slower; chunks of 256 to
+    8192 rows solve it in the same time within the runs' noise.
+    The benchmark's calls have at most a few hundred rows, so each runs as
+    one chunk of its own size.
 
     With ``margin`` (the solver's v -> v + value_tol (1 + |v|)) the pass is
-    screened.  The stack first takes the schedule's first
-    ``_SCREEN_STEPS`` steps, and each topology gets its bound there, still
-    at the last eps, and its energy sum_e w_e |x_u - x_v| at that
-    placement, which is at least its minimum.  Let ``runner`` be the
-    smallest energy of the topologies whose screen bound exceeds
-    margin(smallest energy).  None of them can realize a minimizer, so,
-    overlapping edges aside, ``runner`` is at least the solver's
-    second-best value, and a topology whose screen bound exceeds
-    margin(runner) already lies above the solver's final cut: it keeps that
-    bound.  The others, sliced out of the same stack, take the remaining
-    steps from where they are, so their bounds are the unscreened ones
-    exactly.  Every bound returned is a dual bound either way, so the
-    screen changes only which bounds are tightened.  A call thus makes at
-    most ``_BOUND_STEPS`` + 1 stacked solves for the steps and two for
-    the dual projections.  (Taking ``runner`` over all energies above
-    margin(smallest energy) instead cuts lower, at a topology whose
-    unconverged energy lies just above a co-minimal one's: on two random
-    5- and 6-atom instances the solver then optimized 2 and 4 more
-    topologies.)
+    screened.  Every row first takes the schedule's first
+    ``_SCREEN_STEPS`` steps, and gets its bound there, still at the last
+    eps, and its energy sum_e w_e |x_u - x_v| at that placement, which is
+    at least its minimum.  Let ``runner`` be the smallest energy of the
+    rows whose screen bound exceeds margin(smallest energy).  None of them
+    can realize a minimizer, so, overlapping edges aside, ``runner`` is at
+    least the solver's second-best value, and a row whose screen bound
+    exceeds margin(runner) already lies above the solver's final cut: it
+    keeps that bound.  The cut is taken over every row before any row
+    goes on.  The others, restacked, take the remaining steps from where
+    they are, so their bounds are the unscreened ones exactly.  Every bound
+    returned is a dual bound either way, so the screen changes only which
+    bounds are tightened.  A chunk thus makes at most ``_BOUND_STEPS`` + 1
+    stacked solves for the steps and two for the dual projections.
+    (Taking ``runner`` over all energies above margin(smallest energy)
+    instead cuts lower, at a row whose unconverged energy lies just above a
+    co-minimal one's: on two random 5- and 6-atom instances the solver then
+    optimized 2 and 4 more topologies.)
 
     Why 4 steps: on the seed-0 solves of the benchmark's
     ``uniqueness-square``, ``solve-n6`` and ``solve-3d`` workloads, timed
@@ -905,46 +926,77 @@ def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
     instead of the last one read -19%, -16% and -1%, no more than the runs'
     noise, so both kinds of bound are taken at the same eps.
 
-    ``trace`` receives one record with ``"stage": "bound"`` per topology, in
-    input order: its bound and the number of steps it took (0 without branch
+    ``trace`` receives one record with ``"stage": "bound"`` per row, in
+    row order: its bound and the number of steps it took (0 without branch
     vertices, else ``_SCREEN_STEPS`` or ``_BOUND_STEPS``).  Raises
     ``ValueError`` when a bound is not finite.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    terminals = tuple(p for p, _ in b.atoms)
-    if any(ft.n_terminals != len(terminals) for ft in fts):
-        raise ValueError("boundary does not match topology terminal count")
-    scale = _scale(terminals)
-    schedule = EPS_INIT * scale * (_BOUND_EPS_LAST / EPS_INIT) ** (
+    terminals = tuple(q for q, _ in b.atoms)
+    p = np.asarray(terminals, dtype=float)
+    schedule = EPS_INIT * _scale(terminals) * (_BOUND_EPS_LAST / EPS_INIT) ** (
         np.arange(_BOUND_STEPS) / (_BOUND_STEPS - 1))
     first = _BOUND_STEPS if margin is None else _SCREEN_STEPS
-    ab, w, fixed = _stack(fts, alpha, np.asarray(terminals, dtype=float))
-    branched = np.array([ft.n_branch > 0 for ft in fts], dtype=bool)
-    x, diff = _smoothed_steps(
-        ab, w, fixed, _branch_positions(ab, np.ones_like(w), fixed),
-        schedule[:first])
-    energies = np.einsum(
-        "ti,ti->t", w, np.sqrt(np.einsum("tij,tij->ti", diff, diff)))
-    bounds = np.where(branched, _dual_values(ab, w, diff, schedule[-1]),
-                      energies)
+    size = len(ends)
+    # one branch row at least, so that no solve is of an empty system
+    m = max(int(n_branch.max(initial=0)), 1)
+    e = int(((ends[..., 0] >= 0).sum(axis=1) - n_branch).max(initial=0)) + m
+
+    def chunks(rows: np.ndarray):
+        for lo in range(0, len(rows), _BOUND_CHUNK):
+            chunk = rows[lo:lo + _BOUND_CHUNK]
+            yield (chunk, *_stack(ends[chunk], n_branch[chunk],
+                                  side_weights[sides[chunk]], p, m, e))
+
+    branched = n_branch > 0
+    x = np.empty((size, m, p.shape[1]))
+    energies, bounds = np.empty(size), np.empty(size)
+    for rows, ab, w, fixed in chunks(np.arange(size)):
+        x[rows], diff = _smoothed_steps(
+            ab, w, fixed, _branch_positions(ab, np.ones_like(w), fixed),
+            schedule[:first])
+        energies[rows] = np.einsum(
+            "ti,ti->t", w, np.sqrt(np.einsum("tij,tij->ti", diff, diff)))
+        bounds[rows] = np.where(branched[rows],
+                                _dual_values(ab, w, diff, schedule[-1]),
+                                energies[rows])
     steps = np.where(branched, first, 0)
     if margin is not None and branched.any():
         worse = bounds > margin(energies.min())
-        cut = margin(min(energies[worse], default=math.inf))
+        cut = margin(energies.min(initial=math.inf, where=worse))
         keep = np.flatnonzero(branched & (bounds <= cut))
-        if len(keep):
-            ab, w, fixed, x = (v[keep] for v in (ab, w, fixed, x))
-            x, diff = _smoothed_steps(ab, w, fixed, x, schedule[first:])
-            bounds[keep] = _dual_values(ab, w, diff, schedule[-1])
-            steps[keep] = _BOUND_STEPS
+        for rows, ab, w, fixed in chunks(keep):
+            _, diff = _smoothed_steps(ab, w, fixed, x[rows], schedule[first:])
+            bounds[rows] = _dual_values(ab, w, diff, schedule[-1])
+        steps[keep] = _BOUND_STEPS
     if not np.isfinite(bounds).all():
         raise ValueError("a lower bound is not finite")
     if trace is not None:
-        for bound, iteration in zip(bounds, steps):
-            trace({"stage": "bound", "iteration": int(iteration),
-                   "bound": float(bound)})
-    return bounds.tolist()
+        for bound, iteration in zip(bounds.tolist(), steps.tolist()):
+            trace({"stage": "bound", "iteration": iteration, "bound": bound})
+    return bounds
+
+
+def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
+                 trace: Trace | None = None,
+                 margin: Callable[[float], float] | None = None
+                 ) -> list[float]:
+    """:func:`bound_rows` of the topologies ``fts``, one row each, in
+    order, their weights from :func:`_weights`.  Raises ``ValueError`` when
+    a topology's terminal count is not ``b``'s atom count, and as
+    :func:`bound_rows` does."""
+    if any(ft.n_terminals != len(b.atoms) for ft in fts):
+        raise ValueError("boundary does not match topology terminal count")
+    width = max((len(ft.edges) for ft in fts), default=0)
+    ends = np.full((len(fts), width, 2), -1, np.intp)
+    weights = np.zeros((len(fts), width))
+    for t, ft in enumerate(fts):
+        ends[t, :len(ft.edges)] = ft.edges
+        weights[t, :len(ft.edges)] = _weights(ft, alpha)
+    n_branch = np.array([ft.n_branch for ft in fts], dtype=np.intp)
+    return bound_rows(ends, n_branch, np.arange(weights.size).reshape(
+        weights.shape), weights.ravel(), b, alpha, trace, margin).tolist()
 
 
 # ---------------------------------------------------------------------------

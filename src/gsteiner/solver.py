@@ -2,23 +2,26 @@
 
 Exhaustively enumerates the full topologies over balanced partitions of
 the atoms, each with its unique conservative flows (every other forest is a
-contraction of one of them, so no minimum is lost), and then runs a
-branch-and-bound over them:
+contraction of one of them, so no minimum is lost), as the rows of
+:func:`topology.forest_rows`, and then runs a branch-and-bound over them:
 
 1. every topology T gets a lower bound LB(T) <= E(T), the minimum of its
-   location energy, by weak duality.  :func:`placement.lower_bounds`
-   bounds all topologies of the solve in one batched pass, screened with
-   the solver's margin: a topology whose bound after a few steps already
-   lies above the margin of an upper estimate of ``second`` (below) keeps
-   that looser bound, and only the others take every step.  A dual point
-   built from *any* placement gives a valid bound, so the bounds' two
-   tightnesses, like the pass's step counts and smoothing, decide only how
-   tight the bounds are and which topologies get optimized, never whether
-   the pruning below is exact;
+   location energy, by weak duality.  :func:`placement.bound_rows` bounds
+   all rows of the solve in one batched pass, screened with the solver's
+   margin: a topology whose bound after a few steps already lies above the
+   margin of an upper estimate of ``second`` (below) keeps that looser
+   bound, and only the others take every step.  A dual point built from
+   *any* placement gives a valid bound, so the bounds' two tightnesses,
+   like the pass's step counts and smoothing, decide only how tight the
+   bounds are and which topologies get optimized, never whether the
+   pruning below is exact;
 2. topologies are visited in (LB, repr(signature)) order; the key breaks
    ties, here and between equal values, towards fewer branch vertices.
-   Each visited one is minimized, its realized chain canonicalized, and its
-   value v(T), the alpha-mass of that chain, recorded.  The solver keeps ``second``, the
+   The rows are sorted by bound, stably, and the keys are made only for
+   the rows tied at the bound of a visited row, which are then visited in
+   key order.  Each visited row is made a :class:`FlowedTopology`,
+   minimized, its realized chain canonicalized, and its value v(T), the
+   alpha-mass of that chain, recorded.  The solver keeps ``second``, the
    smallest recorded value above the current threshold
    best + value_tol (1 + |best|);
 3. the first topology with LB(T) > second + value_tol (1 + |second|) is
@@ -61,15 +64,18 @@ The enumeration is the point, not scalability: a guard refuses more than
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .currents import (Boundary, PolyhedralChain, Point, alpha_mass, boundary,
                        branch_points, canonicalize, lerp, project,
                        support_difference_mass)
-from .placement import Trace, lower_bounds, optimize_topology, realize_chain
-from .topology import FlowedTopology, enumerate_topologies
+from .placement import Trace, bound_rows, optimize_topology, realize_chain
+from .topology import FlowedTopology, forest_rows
 
 
 class InternalConsistencyError(AssertionError):
@@ -79,7 +85,7 @@ class InternalConsistencyError(AssertionError):
 @dataclass(frozen=True)
 class SolverConfig:
     """``trace`` receives the placement kernel's diagnostic records (see
-    :func:`placement.minimize` and :func:`placement.lower_bounds`)."""
+    :func:`placement.minimize` and :func:`placement.bound_rows`)."""
     alpha: float
     value_tol: float = 1e-7
     distinct_tol: float = 1e-5
@@ -137,25 +143,34 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     def margin(v: float) -> float:
         return v + cfg.value_tol * (1.0 + abs(v))
 
-    fts = list(enumerate_topologies(b))
-    keys = [repr(ft.signature()) for ft in fts]
-    # the generator yields only feasible topologies with distinct signatures;
+    rows = forest_rows(tuple(m for _, m in b.atoms))
+    # the table holds only flowing topologies with distinct signatures;
     # the two zero counters keep the report's stats keys stable
-    stats = {"enumerated": len(fts), "infeasible": 0, "duplicates": 0,
+    stats = {"enumerated": len(rows), "infeasible": 0, "duplicates": 0,
              "optimized": 0, "pruned": 0}
-    queue = sorted(zip(lower_bounds(fts, b, cfg.alpha, cfg.trace, margin),
-                       keys, fts),
-                   key=lambda q: (q[0], q[1]))
+    bounds = bound_rows(rows.ends, rows.n_branch, rows.sides,
+                        rows.side_weights(cfg.alpha), b, cfg.alpha,
+                        trace=cfg.trace, margin=margin)
+    order = np.argsort(bounds, kind="stable")
+    order, bounds = order.tolist(), bounds[order].tolist()
 
     candidates: list[tuple[float, str, MinimizerRecord]] = []
     second = math.inf
     memo: dict = {}
-    for i, (bound, key, ft) in enumerate(queue):
-        if bound > margin(second):
-            # the queue is in bound order and ``second`` changes only when
-            # a topology is optimized, so every later topology goes too
-            stats["pruned"] = len(queue) - i
-            break
+    ties: list[int] = []
+    visited = 0
+    # ``second`` changes only when a topology is optimized and the rows are
+    # in bound order, so the first row above the cut retires every later one
+    while visited < len(order) and not bounds[visited] > margin(second):
+        if not ties:
+            # the rows tied at this bound, last key first
+            end = bisect.bisect_right(bounds, bounds[visited], visited)
+            ties = order[visited:end]
+            if len(ties) > 1:
+                ties.sort(key=lambda r: repr(rows.signature(r)), reverse=True)
+        ft = rows.topology(ties.pop())
+        key = repr(ft.signature())
+        visited += 1
         opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo)
         stats["optimized"] += 1
         chain = canonicalize(realize_chain(opt.flowed, opt.placement))
@@ -168,6 +183,7 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
         threshold = margin(min(v for v, _, _ in candidates))
         second = min((v for v, _, _ in candidates if v > threshold),
                      default=math.inf)
+    stats["pruned"] = len(order) - visited
 
     candidates.sort(key=lambda c: (c[0], c[1]))
     best = candidates[0][0]

@@ -6,16 +6,19 @@ uniquely determined by mass conservation: each edge splits its component's
 terminals in two, and the flow from its lower endpoint to its higher one is
 the mass on the higher endpoint's side.
 
-One generator, :func:`_flowed_forests`, builds every flowed full forest:
-it splits the atoms into *balanced* blocks (total mass zero, at least two
-atoms), gives each block a full tree (terminals are leaves, s - 2 branch
-vertices of degree 3 on a block of s terminals) from one per-size table,
-and reads each edge's flow from the boundary's subset sums.  A tree with a
-zero-flow edge is not built.  The (2s - 5)!! full trees of a block come
-from Smith's insertion scheme (W. D. Smith, Algorithmica 7, 1992): terminal
-i is inserted on every edge of each full tree on the terminals before it,
-which yields every full tree exactly once up to branch relabeling.  They
-make the solver's candidate set, :func:`enumerate_topologies`.
+One table, :func:`forest_rows`, holds every flowed full forest as a row
+of numpy arrays: it splits the atoms into *balanced* blocks (total mass
+zero, at least two atoms), gives each block a full tree (terminals are
+leaves, s - 2 branch vertices of degree 3 on a block of s terminals) from
+one per-size table, and reads each edge's flow from the boundary's subset
+sums.  A tree with a zero-flow edge is not kept.  The (2s - 5)!! full trees
+of a block come from Smith's insertion scheme (W. D. Smith, Algorithmica 7,
+1992): terminal i is inserted on every edge of each full tree on the
+terminals before it, which yields every full tree exactly once up to branch
+relabeling.  The rows make the solver's candidate set; the solver bounds
+them as arrays and makes a :class:`FlowedTopology` only for the rows it
+optimizes (:meth:`ForestRows.topology`).  :func:`enumerate_topologies`
+yields every row as an object, for the CLI and the tests.
 
 Any other forest is a contraction of a full one, whose location-energy
 domain contains the contracted configuration, so the full optimum is never
@@ -34,25 +37,32 @@ splits-equivalence theorem: P. Buneman 1971; Semple & Steel,
 a canonical key that needs no search over branch relabelings; the flows
 follow from the masses.
 
-Everything the generator reads is an exact table over integer bitmasks
-(bit i for terminal slot or atom i), built on first use and kept:
+Everything the table is made of is exact and indexed by integer bitmasks
+(bit i for terminal slot or atom i):
 
-* per block size s, each full tree with, per edge, the mask of the
-  terminal slots on its side away from slot 0 (its split) and which
-  endpoint lies on that side, carried through Smith's insertion
-  (:func:`_full_splits`).  Inserting terminal s - 1, with bit b, on an edge
-  whose far side holds the slot set f puts a new branch vertex on that
-  edge: the far half keeps f, the near half gets f | b, the new leaf edge
-  gets b alone, and every other edge whose far mask contains f gets b as
-  well (those edges lie between slot 0 and the insertion).
-* per call, the total mass of every subset of the atoms, one exact
-  Fraction per atom mask.  A block is balanced, and an edge flowless,
-  exactly when its mask's sum is zero, and an edge's flow is the sum of
-  its higher endpoint's side.  The partitions are walked from its balanced
-  masks, block by block.  A block's slot masks map to atom masks in
-  increasing atom order, so its root, the lowest atom, is slot 0, and its
-  trees' splits map straight into the forest's signature, which every
-  generated full forest carries.
+* per block size s, built on first use and kept, each full tree as a row
+  of three arrays (:func:`_full_splits`): its edges, and per edge the mask
+  of the terminal slots on its side away from slot 0 (its split) and which
+  endpoint lies on that side, carried through Smith's insertion.
+  Inserting terminal s - 1, with bit b, on an edge whose far side holds
+  the slot set f puts a new branch vertex on that edge: the far half keeps
+  f, the near half gets f | b, the new leaf edge gets b alone, and every
+  other edge whose far mask contains f gets b as well (those edges lie
+  between slot 0 and the insertion).  One level of insertion is a few
+  array operations over all trees and edges at once.
+* per call, the total mass of every subset of the atoms, one integer over
+  the masses' common denominator per atom mask.  A block is balanced, and
+  an edge flowless, exactly when its mask's sum is zero, and an edge's
+  flow is the sum of its higher endpoint's side; a row keeps that side's
+  mask per edge, and the weights |flow|^alpha of all rows come from one
+  value per mask (:meth:`ForestRows.side_weights`).  The partitions are
+  walked from the balanced masks, block by block.  A block's slot masks
+  map to atom masks in increasing atom order, so its root, the lowest
+  atom, is slot 0, and its trees' splits map straight into the forest's
+  signature (:meth:`ForestRows.signature`), which every object made from
+  a row carries.  The flowing trees of every block are found by fancy
+  indexing, and a partition's rows are the product of its blocks' trees,
+  concatenated.
 
 One routine, :func:`contract`, merges vertices of a flowed forest, for
 :func:`_forests`, :func:`assign_flows` and collapse handling alike.  Gilbert's
@@ -69,7 +79,7 @@ candidate cache does, derives each contraction once.  Since each entry is
 that pure function's value, no result can depend on which calls filled the
 memo.  The memo takes no part in equality, hashing, ``repr`` or the
 signature, and ``replace``, copies and pickles start with an empty one.
-:func:`_forests` meets each pair set once, and :func:`assign_flows`
+:func:`_forests` meets each forest once, and :func:`assign_flows`
 contracts a forest it has just made, so both call the routine without the
 memo, :func:`_contract`.
 
@@ -79,10 +89,13 @@ instance size.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .currents import Boundary
 
@@ -121,7 +134,7 @@ class FlowedTopology:
     n_branch: int
     edges: tuple[Edge, ...]
     edge_flows: tuple[Fraction, ...]
-    # the signature as :func:`_flowed_forests` read it from its tables; no
+    # the signature as :func:`forest_rows` read it from its tables; no
     # part of equality, hashing or repr
     _signature: tuple | None = field(default=None, compare=False, repr=False)
     # :func:`contract`'s results by the tuple of merged pairs and
@@ -146,8 +159,8 @@ class FlowedTopology:
         (see :func:`_splits`).  The masks determine the forest, and the
         masses its flows; ``m`` is implied too, but kept second so that
         ``repr`` of the key orders topologies by branch count first.  A
-        forest from :func:`_flowed_forests` carries its key; any other one
-        gets it from one DFS.
+        forest made from a row of :func:`forest_rows` carries its key; any
+        other one gets it from one DFS.
         """
         if self._signature is not None:
             return self._signature
@@ -197,170 +210,344 @@ def _splits(n: int, edges: tuple[Edge, ...]
 
 
 # ---------------------------------------------------------------------------
-# combinatorial generators
+# the shape table
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _full_splits(s: int) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...],
-                                         tuple[int, ...]], ...]:
-    """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots,
-    each as (edges, far masks, signs): per edge, the mask of the terminal
-    slots on its side away from slot 0, and +1 when that side holds the
-    edge's higher endpoint, -1 when it holds the lower one, as
-    :func:`_splits` returns them.
+# the tables are built this many rows (parent trees, pooled trees, forests)
+# at a time, which bounds the temporaries of a build: at s = 10 the 135135
+# parent trees make 2027025 trees
+_ROW_CHUNK = 8192
 
-    Smith insertion: each full tree on the first s - 1 terminals has its
-    branch slots shifted up by one, which keeps every edge's orientation,
-    and terminal s - 1 is attached to a new branch slot w = 2s - 3 that
-    subdivides one of its 2s - 5 edges, (x, y) with far mask f and x on the
-    far side.  The far half (x, w) keeps f, the near half (y, w) gets f plus
-    the new bit, the leaf edge only the bit, and every other edge whose far
-    side holds f's terminals gets the bit too: in a full tree every far
-    side holds a terminal, so such an edge lies between slot 0 and (x, y).
+
+@lru_cache(maxsize=None)
+def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots,
+    one per row of three arrays: the edges (S, 2s - 3, 2), each (lower,
+    higher) and sorted; per edge the mask of the terminal slots on its side
+    away from slot 0; and +1 when that side holds the edge's higher
+    endpoint, -1 when it holds the lower one, as :func:`_splits` returns
+    them.  Ends and signs are int8, masks int32 (s <= 31).
+
+    Smith insertion, vectorized: each full tree on the first s - 1 terminals
+    has its branch slots shifted up by one, which keeps every edge's
+    orientation, and terminal s - 1 is attached to a new branch slot
+    w = 2s - 3 that subdivides one of its 2s - 5 edges, (x, y) with far mask
+    f and x on the far side.  The far half (x, w) keeps f, the near half
+    (y, w) gets f plus the new bit, the leaf edge only the bit, and every
+    other edge whose far side holds f's terminals gets the bit too: in a
+    full tree every far side holds a terminal, so such an edge lies between
+    slot 0 and (x, y).  Tree a's insertion on its edge i is row
+    a (2s - 5) + i.
     """
     if s == 2:
-        return ((((0, 1),), (0b10,), (1,)),)
+        return (np.array([[[0, 1]]], np.int8), np.array([[0b10]], np.int32),
+                np.array([[1]], np.int8))
     t, w, bit = s - 1, 2 * s - 3, 1 << (s - 1)
-    out = []
-    for shape, far, signs in _full_splits(s - 1):
-        rows = [((u if u < t else u + 1, v if v < t else v + 1), f, sign)
-                for (u, v), f, sign in zip(shape, far, signs)]
-        for i, ((u, v), fi, sign) in enumerate(rows):
-            x, y = (v, u) if sign > 0 else (u, v)
-            new = [(e, f | bit if f & fi == fi else f, g)
-                   for j, (e, f, g) in enumerate(rows) if j != i]
-            new += [((x, w), fi, -1), ((y, w), fi | bit, 1), ((t, w), bit, -1)]
-            new.sort()
-            out.append(tuple(zip(*new)))
-    return tuple(out)
+    ends, far, signs = _full_splits(s - 1)
+    ends = ends + (ends >= t)
+    size, e = far.shape
+    out = (np.empty((size * e, e + 2, 2), np.int8),
+           np.empty((size * e, e + 2), np.int32),
+           np.empty((size * e, e + 2), np.int8))
+    split = np.eye(e, dtype=bool)  # [i, j]: child i subdivides edge j
+    for lo in range(0, size, _ROW_CHUNK):
+        en, fa, sg = (v[lo:lo + _ROW_CHUNK] for v in (ends, far, signs))
+        c = len(fa)
+        u, v, fi, fj = en[:, None, :, 0], en[:, None, :, 1], fa[..., None], \
+            fa[:, None]
+        x = np.where(sg > 0, en[..., 1], en[..., 0])[..., None]
+        # child i's edges: the parent's, edge i turned into the far half
+        # (x, w), then the near half (y, w) and the leaf edge (t, w)
+        child_u = np.concatenate([np.where(split, x, u), en.sum(
+            axis=2, keepdims=True, dtype=np.int8) - x,
+            np.full((c, e, 1), t, np.int8)], axis=2)
+        child_v = np.concatenate([np.where(split, np.int8(w), v),
+                                  np.full((c, e, 2), w, np.int8)], axis=2)
+        child_far = np.concatenate([
+            np.where(split, fi, np.where(fj & fi == fi, fj | bit, fj)),
+            fi | bit, np.full((c, e, 1), bit, np.int32)], axis=2)
+        child_signs = np.concatenate([
+            np.where(split, np.int8(-1), sg[:, None]),
+            np.ones((c, e, 1), np.int8), np.full((c, e, 1), -1, np.int8)],
+            axis=2)
+        # sorted by edge; float keys are exact here, and the stable float
+        # sort is the one the solver's queue uses
+        at = (np.arange(c)[:, None, None], np.arange(e)[:, None],
+              np.argsort(child_u * (w + 1.0) + child_v, axis=2,
+                         kind="stable"))
+        rows = slice(lo * e, (lo + c) * e)
+        for got, child in zip((out[0][..., 0], out[0][..., 1], *out[1:]),
+                              (child_u, child_v, child_far, child_signs)):
+            got[rows] = child[at].reshape(-1, e + 2)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _join(n: int, blocks, shapes) -> tuple[int, list[Edge]]:
-    """The branch count and the edges of one shape per block, in block order.
+@dataclass(frozen=True, eq=False)
+class ForestRows:
+    """Every full forest over a balanced partition of the atoms with flow on
+    every edge, one per row, in the order of :func:`forest_rows`.
 
-    Terminal slots map to the block's atoms, branch slots to fresh branch
-    vertices in block order.  Both maps increase, so every edge keeps the
-    orientation of its slots.
+    Row r's edges are ``ends[r]``, sorted and padded with (-1, -1) to the
+    table's width, and ``sides[r]`` holds per edge the atom mask of its
+    higher endpoint's side, 0 on padding: the flow from the edge's lower
+    endpoint to its higher one is that side's total mass,
+    ``sums[side] / den``.  ``partitions`` holds each partition's block masks
+    in walk order, ``part`` each row's partition and ``n_branch`` its branch
+    count.  The bounding pass reads the arrays, a row's weights |flow|^alpha
+    being :meth:`side_weights` at its sides; objects are made only for the
+    rows asked for (:meth:`topology`).
     """
-    edges: list[Edge] = []
-    next_branch = n
-    for blk, shape in zip(blocks, shapes):
-        m = len(shape) + 1 - len(blk)
-        mapping = list(blk) + list(range(next_branch, next_branch + m))
-        next_branch += m
-        edges.extend((mapping[u], mapping[v]) for u, v in shape)
-    return next_branch - n, edges
+    n: int
+    den: int
+    sums: tuple[int, ...]
+    partitions: tuple[tuple[int, ...], ...]
+    part: np.ndarray
+    n_branch: np.ndarray
+    ends: np.ndarray
+    sides: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.part)
+
+    def side_weights(self, alpha: float) -> np.ndarray:
+        """|total mass|^alpha of every atom mask.  int / int true division
+        rounds correctly, as ``float`` of a Fraction does, so these are the
+        bits of ``placement._weights``."""
+        return np.array([abs(total / self.den) ** alpha
+                         for total in self.sums])
+
+    def _own(self, r: int) -> tuple[list, list[int]]:
+        """Row ``r``'s edges and sides without the padding: k blocks of n
+        atoms have 2n - 3k edges and n - 2k branch vertices."""
+        e = (self.n + 3 * int(self.n_branch[r])) // 2
+        return self.ends[r, :e].tolist(), self.sides[r, :e].tolist()
+
+    def splits(self, r: int) -> list[int]:
+        """Per edge of row ``r``, the atom mask of its side away from its
+        block's lowest atom."""
+        blocks = [(blk, blk & -blk) for blk in self.partitions[self.part[r]]]
+        return [blk ^ side if side & root else side
+                for side in self._own(r)[1]
+                for blk, root in blocks if blk & side]
+
+    def signature(self, r: int) -> tuple:
+        """:meth:`FlowedTopology.signature` of row ``r``, without the
+        object."""
+        return (self.n, int(self.n_branch[r]),
+                tuple(sorted(self.partitions[self.part[r]])),
+                tuple(sorted(self.splits(r))))
+
+    def topology(self, r: int) -> FlowedTopology:
+        """Row ``r`` as a flowed topology, carrying its signature."""
+        edges, sides = self._own(r)
+        return FlowedTopology(
+            self.n, int(self.n_branch[r]), tuple(map(tuple, edges)),
+            tuple(Fraction(self.sums[side], self.den) for side in sides),
+            self.signature(r))
 
 
-def _flowed_forests(masses: tuple[Fraction, ...]
-                    ) -> Iterator[FlowedTopology]:
+def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
     """Every full forest over a balanced partition of the atoms with flow
-    on every edge, with its flows and its signature.
+    on every edge, terminal i carrying ``masses[i]``.
 
-    Terminal i carries ``masses[i]``.  One table holds the total mass of
-    every subset of the atoms, by bitmask, and its zero entries of two or
-    more atoms are the blocks.  The partitions are walked from it: each
-    next block holds the lowest atom that the blocks before it leave, so no
-    partition with a singleton or unbalanced block is met.  A block's
-    terminal slots map to its atoms in increasing order, so a slot mask
-    maps to an atom mask, and the flow from an edge's lower endpoint to its
-    higher one is the table's entry for the higher endpoint's side
-    (:func:`_full_splits`).  A full tree with a zero-flow edge, one that
-    splits its block into two balanced parts, is not built; the flowing
-    trees of a block are found once per call.  A block's root is its
-    lowest atom, slot 0, so its trees' splits map over into the forest's
-    signature.  Partitions come in walk order, and per partition the tree
-    combinations in product order.  The stream is deterministic.  Raises
+    One table holds the total mass of every subset of the atoms, by
+    bitmask, as an integer over the masses' common denominator, and its zero
+    entries of two or more atoms are the blocks.  The partitions are walked
+    from it: each next block holds the lowest atom that the blocks before
+    it leave, so no partition with a singleton or unbalanced block is met.
+    A block's terminal slots map to its atoms in increasing order, so a
+    slot mask maps to an atom mask, and the flow on an edge is the table's
+    entry for its higher endpoint's side (:func:`_full_splits`).  A full
+    tree with a zero-flow edge, one that splits its block into two balanced
+    parts, is not kept.  The flowing trees of all blocks of one size come
+    from one round of fancy indexing, into one pool.  A partition's rows are
+    the product of its blocks' trees, concatenated, with each block's
+    branch vertices numbered on from the blocks before it and the edges
+    sorted, and all rows are gathered from the pool together,
+    ``_ROW_CHUNK`` at a time.  Rows come in walk order of the partitions
+    and, per partition, in product order of the blocks' trees.  Raises
     ``ValueError`` when the masses do not sum to zero.
     """
     n = len(masses)
-    sums = [Fraction(0)] * (1 << n)  # atom mask -> total mass
+    den = math.lcm(*(m.denominator for m in masses))
+    scaled = [m.numerator * (den // m.denominator) for m in masses]
+    sums = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
-        sums[mask] = sums[mask ^ low] + masses[low.bit_length() - 1]
+        sums[mask] = sums[mask ^ low] + scaled[low.bit_length() - 1]
     if sums[-1]:
         raise ValueError(
             "boundary has nonzero total mass; no transport path exists")
-    balanced = {mask for mask, total in enumerate(sums) if not total}
-    blocks = sorted(mask for mask in balanced if mask & (mask - 1))
-    flowing: dict[tuple[int, ...], list] = {}
+    blocks = sorted(mask for mask, total in enumerate(sums)
+                    if not total and mask & (mask - 1))
 
-    def partitions(rest: int) -> Iterator[tuple[int, ...]]:
+    def walk(rest: int) -> Iterator[tuple[int, ...]]:
         if not rest:
             yield ()
             return
         low = rest & -rest
         for blk in blocks:
             if blk & low and blk & rest == blk:
-                for tail in partitions(rest ^ blk):
+                for tail in walk(rest ^ blk):
                     yield (blk, *tail)
 
-    def shapes_of(blk: tuple[int, ...]) -> list:
-        if blk not in flowing:
-            atom = [0] * (1 << len(blk))  # slot mask -> atom mask
-            for mask in range(1, len(atom)):
-                low = mask & -mask
-                atom[mask] = atom[mask ^ low] | 1 << blk[low.bit_length() - 1]
-            full = len(atom) - 1
-            flowless = {side for side, mask in enumerate(atom)
-                        if mask in balanced}
-            flowing[blk] = [
-                (shape, tuple(sums[atom[far if sign > 0 else full ^ far]]
-                              for far, sign in zip(splits, signs)),
-                 [atom[far] for far in splits])
-                for shape, splits, signs in _full_splits(len(blk))
-                if flowless.isdisjoint(splits)]
-        return flowing[blk]
+    partitions = tuple(walk(len(sums) - 1))
+    # the flowing trees of every block in one pool, block by block, padded
+    # to the widest block: branch slot s + j of a block of s atoms becomes
+    # vertex n + j
+    zero = np.array([not total for total in sums])
+    used = sorted({blk for p in partitions for blk in p},
+                  key=lambda blk: (blk.bit_count(), blk))
+    groups, start, count, atoms_of, size = [], {}, {}, {}, 0
+    for s, group in itertools.groupby(used, int.bit_count):
+        group = list(group)
+        atoms = [[a for a in range(n) if blk >> a & 1] for blk in group]
+        atoms_of.update(zip(group, atoms))
+        slot_atoms = []  # per block, slot mask -> atom mask
+        for block_atoms in atoms:
+            masks = [0]
+            for a in block_atoms:
+                masks += [mask | 1 << a for mask in masks]
+            slot_atoms.append(masks)
+        atom = np.array(slot_atoms, np.int32)
+        # slot -> vertex: the block's atoms, then its branch vertices
+        vertex = np.array([a + list(range(n, n + s - 2)) for a in atoms],
+                          np.int8)
+        far = _full_splits(s)[1]
+        g, tree = np.nonzero(np.concatenate([
+            ~zero[atom[:, far[lo:lo + _ROW_CHUNK]]].any(axis=2)
+            for lo in range(0, len(far), _ROW_CHUNK)], axis=1))
+        groups.append((s, atom, vertex, g, tree))
+        for blk, c in zip(group, np.bincount(g, minlength=len(group)).tolist()):
+            start[blk], count[blk] = size, c
+            size += c
+    # the last pool entry is an empty block, for missing block positions
+    pool_width = 2 * used[-1].bit_count() - 3
+    pool_ends = np.full((size + 1, pool_width, 2), -1, np.int8)
+    pool_sides = np.zeros((size + 1, pool_width), np.int32)
+    first = 0
+    for s, atom, vertex, g, tree in groups:
+        ends, far, signs = _full_splits(s)
+        for lo in range(0, len(g), _ROW_CHUNK):
+            gg, tt = g[lo:lo + _ROW_CHUNK], tree[lo:lo + _ROW_CHUNK]
+            rows = slice(first + lo, first + lo + len(gg))
+            pool_ends[rows, :2 * s - 3] = vertex[gg[:, None, None], ends[tt]]
+            pool_sides[rows, :2 * s - 3] = atom[gg[:, None], np.where(
+                signs[tt] > 0, far[tt], (1 << s) - 1 ^ far[tt])]
+        first += len(g)
 
-    for partition in partitions(len(sums) - 1):
-        # blocks holding successive lowest atoms are in sorted tuple order
-        atoms = [tuple(i for i in range(n) if blk >> i & 1)
-                 for blk in partition]
-        components = tuple(sorted(partition))
-        for combo in itertools.product(*map(shapes_of, atoms)):
-            block_shapes, flows, splits = zip(*combo)
-            m, edges = _join(n, atoms, block_shapes)
-            edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
-            yield FlowedTopology(n, m, edges, flows, (
-                n, m, components, tuple(sorted(itertools.chain(*splits)))))
+    # per partition and block (empty blocks pad): the block's first pool
+    # entry, its number of trees and of branch vertices, then the stride of
+    # its tree index in the product and the branch vertices before it
+    kmax = max(map(len, partitions))
+    first, tree_count, branch = np.array([
+        [(start[blk], count[blk], blk.bit_count() - 2) for blk in p]
+        + [(size, 1, 0)] * (kmax - len(p)) for p in partitions]).transpose(
+        2, 0, 1)
+    stride = np.cumprod(tree_count[:, ::-1], axis=1)[:, ::-1] // tree_count
+    branch = np.cumsum(branch, axis=1) - branch
+    # each partition's column for every pool edge.  A full tree on s >= 3
+    # slots has its leaf edges first, by slot, and its branch edges after,
+    # so in a row sorted by edge the leaf edges of all blocks come first, by
+    # atom, and the blocks' branch edges follow, block by block: a column
+    # does not depend on the trees, and the partition's first row, sorted,
+    # gives it.  Column ``width`` takes the padding
+    width = 2 * n - 3 * min(map(len, partitions))
+    e = pool_ends[first]
+    e = np.where(e >= n, e + branch[..., None, None], e).reshape(
+        len(partitions), -1, 2)
+    order = np.argsort(np.where(e[..., 0] < 0, 4.0 * n * n,
+                                e[..., 0] * 2.0 * n + e[..., 1]),
+                       axis=1, kind="stable")
+    columns = np.empty_like(order)
+    columns[np.arange(len(partitions))[:, None], order] = np.minimum(
+        np.arange(order.shape[1]), width)
+    table = np.stack([first, tree_count, stride, branch], axis=-1)
+    rows_of = [math.prod(count[blk] for blk in p) for p in partitions]
+    part = np.repeat(np.arange(len(partitions)), rows_of)
+    first_row = np.array([0, *itertools.accumulate(rows_of)][:-1])
+    blocks_of = np.array([len(p) for p in partitions])
+    ends = np.full((len(part), width + 1, 2), -1, np.int8)
+    sides = np.zeros((len(part), width + 1), np.int32)
+    for lo in range(0, len(part), _ROW_CHUNK):
+        rows = np.arange(lo, min(lo + _ROW_CHUNK, len(part)))
+        p = part[rows]
+        k = blocks_of[p].max()  # block positions this chunk uses
+        start_of, count_of, stride_of, branch_of = table[p, :k].transpose(
+            2, 0, 1)
+        idx = (rows - first_row[p])[:, None] // stride_of % count_of + start_of
+        e = pool_ends[idx]
+        e = np.where(e >= n, e + branch_of[:, :, None, None], e)
+        at = rows[:, None], columns[p, :k * pool_width]
+        ends[at] = e.reshape(len(rows), -1, 2)
+        sides[at] = pool_sides[idx].reshape(len(rows), -1)
+    return ForestRows(n, den, tuple(sums), partitions, part,
+                      n - 2 * blocks_of[part], ends[:, :width],
+                      sides[:, :width])
+
+
+def _flowed_forests(masses: tuple[Fraction, ...]
+                    ) -> Iterator[FlowedTopology]:
+    """The rows of :func:`forest_rows`, in order, as flowed topologies that
+    carry their signatures."""
+    rows = forest_rows(masses)
+    return map(rows.topology, range(len(rows)))
 
 
 def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
     """Every forest over a balanced partition of the atoms whose branch
     vertices have degree >= 3, with flow on every edge, each once, with its
-    flows: the contractions of the forests of :func:`_flowed_forests` that
-    merge no two atoms, ordered by edge count, then edges.  So every
-    contraction of a forest comes before it, and a placement memo shared
-    along the list already holds the contractions a collapse meets.
+    flows: the contractions of the rows of :func:`forest_rows` that merge
+    no two atoms, ordered by edge count, then edges.  So every contraction
+    of a forest comes before it, and a placement memo shared along the list
+    already holds the contractions a collapse meets.
 
     Every such forest is one of them: expanding each terminal of degree
     >= 2 into a leaf on a new branch vertex, and splitting a pair of sides
     with nonzero total mass off each branch vertex of degree > 3 (the
     sides' masses are nonzero and sum to zero, so some pair has one), gives
     a full forest with flow on every edge back.  Contracting edges leaves
-    the flows of the others as they were.  Raises ``ValueError`` when the
-    masses do not sum to zero.
+    the flows and splits of the others as they were, and the splits of a
+    forest and its components determine it (module docstring), so a
+    contraction's key is known before it is built: each forest is
+    contracted once, from the first edge subset with its key, and a subset
+    whose kept splits leave two atoms of a block together is skipped.
+    Raises ``ValueError`` when the masses do not sum to zero.
     """
-    out: dict[tuple[Edge, ...], FlowedTopology] = {}
-    for ft in _flowed_forests(masses):
-        edges = ft.edges
-        for bits in range(1 << len(edges)):
-            # contract skips a pair that would merge two terminals, which
-            # leaves the contraction by the other pairs, met on its own;
-            # each pair set is met once, so no memo keeps it
-            forest, _ = _contract(ft, [e for i, e in enumerate(edges)
-                                       if bits >> i & 1])
-            out.setdefault(forest.edges, forest)
-    return sorted(out.values(), key=lambda ft: (len(ft.edges), ft.edges))
+    rows = forest_rows(masses)
+    out: list[FlowedTopology] = []
+    met: set[tuple] = set()
+    for r in range(len(rows)):
+        blocks = rows.partitions[rows.part[r]]
+        splits, ft = rows.splits(r), None
+        for bits in range(1 << len(splits)):
+            kept = [side for i, side in enumerate(splits) if not bits >> i & 1]
+            key = (blocks, tuple(sorted(kept)))
+            if key in met:
+                continue
+            met.add(key)
+            # two atoms of a block that no kept split separates would
+            # merge: contract skips such a pair, which leaves the
+            # contraction by fewer edges, met under its own key
+            codes = {(blk, tuple(side >> i & 1 for side in kept))
+                     for blk in blocks for i in range(rows.n) if blk >> i & 1}
+            if len(codes) < rows.n:
+                continue
+            if ft is None:
+                ft = rows.topology(r)
+            # each forest is met once, so no memo keeps it
+            out.append(_contract(ft, [e for i, e in enumerate(ft.edges)
+                                      if bits >> i & 1])[0])
+    return sorted(out, key=lambda ft: (len(ft.edges), ft.edges))
 
 
 def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
     """Every full topology over a balanced partition of ``b``'s atoms, with
-    its flows: :func:`_flowed_forests`.
+    its flows: :func:`forest_rows`, row by row.
 
     Terminals are indexed by the canonical (sorted) atom order of ``b``.  A
     full tree with a zero-flow edge is not built: that edge splits its

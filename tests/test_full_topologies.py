@@ -21,7 +21,7 @@ from gsteiner.currents import (alpha_mass, canonicalize, make_boundary,
                                support_difference_mass)
 from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner import solver
-from gsteiner.placement import (_SCREEN_STEPS, lower_bounds,
+from gsteiner.placement import (_SCREEN_STEPS, bound_rows,
                                 optimize_topology, realize_chain)
 from gsteiner.solver import SolverConfig, magic_points, solve
 from forest_oracle import all_forests
@@ -147,10 +147,10 @@ def test_pruned_solve_matches_unpruned_solve(cases):
 def _unscreened_solve(b, cfg):
     """``solve`` with every topology's bound taken over the whole schedule:
     the margin it passes to the bounding pass is dropped."""
-    def full_bounds(fts, b, alpha, trace=None, margin=None):
-        return lower_bounds(fts, b, alpha, trace)
+    def full_bounds(*args, trace=None, margin=None):
+        return bound_rows(*args, trace)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "lower_bounds", full_bounds)
+        patch.setattr(solver, "bound_rows", full_bounds)
         return solve(b, cfg)
 
 

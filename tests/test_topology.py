@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from forest_oracle import (all_forests, flowed_forests, forest_shapes,
-                           full_shapes, set_partitions, shrank)
+                           full_shapes, full_splits, set_partitions, shrank)
 from gsteiner.currents import boundary, make_boundary
 from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
@@ -345,8 +345,16 @@ def test_edges_fix_flows(masses):
 
 @pytest.mark.parametrize("s", range(2, 9))
 def test_insertion_splits_match_dfs(s):
-    for shape, splits, signs in _full_splits(s):
-        assert (list(splits), list(signs)) == _splits(s, shape)[1:]
+    for shape, splits, signs in zip(*(a.tolist() for a in _full_splits(s))):
+        assert (splits, signs) == _splits(s, tuple(map(tuple, shape)))[1:]
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_vectorized_insertion_matches_tuple_construction(s):
+    # the same trees in the same order, edges, far masks and signs alike
+    ends, far, signs = (a.tolist() for a in _full_splits(s))
+    assert [(tuple(map(tuple, e)), tuple(f), tuple(g))
+            for e, f, g in zip(ends, far, signs)] == list(full_splits(s))
 
 
 @settings(max_examples=25, deadline=None)

@@ -58,8 +58,9 @@ def test_memoized_contractions_match_fresh_copies(contractions, monkeypatch,
     for disp in _rho_samples(0.15):
         local4_solve(four_point_instance(k, disp), 0.6)
     for name in ("solve-n6", "solve-3d"):
-        for b, alpha in bench_instances(name, 0):
-            solve(b, SolverConfig(alpha=alpha))
+        for seed in range(3):
+            for b, alpha in bench_instances(name, seed):
+                solve(b, SolverConfig(alpha=alpha))
 
     monkeypatch.undo()
     assert len(contractions) > 200
