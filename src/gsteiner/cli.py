@@ -179,7 +179,8 @@ def _cmd_local4(args) -> int:
     inst = LocalFourPointInstance(
         a=a, b=b, c=c, d=d,
         theta=fileio.parse_rational(obj.get("theta", 1), "key 'theta'"),
-        k=fileio._number("key 'k'", obj["k"], integral=True),
+        k=fileio._number("key 'k'", fileio._required(obj, "k"),
+                         integral=True),
     )
     if args.svg:
         check_planar((a, b, c, d))

@@ -68,7 +68,8 @@ def boundary_to_obj(b: Boundary) -> dict:
 
 
 def obj_to_boundary(obj: dict) -> Boundary:
-    atoms = [(_point(a, "p", "an atom coordinate"), parse_rational(a["m"]))
+    atoms = [(_point(a, "p", "an atom coordinate"),
+              parse_rational(_required(a, "m")))
              for a in _entries(obj, "atoms")]
     b = make_boundary(atoms)
     if "dim" in obj:
@@ -89,7 +90,8 @@ def chain_to_obj(chain: PolyhedralChain) -> dict:
 def obj_to_chain(obj: dict) -> PolyhedralChain:
     segs = tuple(
         Segment(_point(s, "a", "a segment coordinate"),
-                _point(s, "b", "a segment coordinate"), parse_rational(s["m"]))
+                _point(s, "b", "a segment coordinate"),
+                parse_rational(_required(s, "m")))
         for s in _entries(obj, "segments"))
     return PolyhedralChain(segs, canonical=False)
 
@@ -198,16 +200,23 @@ def _checked(value, kind: type, name: str):
     return value
 
 
+def _required(obj: dict, key: str):
+    """``obj[key]``, else a ``ValueError`` that names the missing key."""
+    if key not in obj:
+        raise ValueError(f"key {key!r} is missing")
+    return obj[key]
+
+
 def _entries(obj: dict, key: str) -> list[dict]:
     """``obj[key]``, a list of objects."""
     return [_checked(e, dict, f"an entry of key {key!r}")
-            for e in _checked(obj[key], list, f"key {key!r}")]
+            for e in _checked(_required(obj, key), list, f"key {key!r}")]
 
 
 def _point(obj: dict, key: str, name: str) -> tuple[float, ...]:
     """``obj[key]`` as a point: a list of numbers, each read by
     :func:`_number` under ``name``."""
-    value = obj[key]
+    value = _required(obj, key)
     if not isinstance(value, list):
         raise ValueError(f"key {key!r} must be a list of numbers, not {value!r}")
     return tuple(_number(name, x) for x in value)

@@ -110,16 +110,15 @@ array rows of the topology table (``topology.forest_rows``):
 weighted-Laplacian solve per step moves all branch points of a chunk of
 rows, padded to one shape by :func:`_stack`), eps falling geometrically
 from ``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the dual projection as one
-more stacked solve.  :func:`lower_bounds` runs it on a list of flowed
-topologies, and :func:`dual_bound` is its one-topology evaluation.  The
-solver prunes topologies with these bounds, and screens the pass with its
-own margin: every topology takes the first ``_SCREEN_STEPS`` steps, and
-only those whose bound there does not already exceed the margin of an
-upper estimate of the second-best value take all ``_BOUND_STEPS``.  Both
-kinds of bound are dual bounds.
-Taken at the bounding pass's smoothed placements they seldom certify an
-optimum: on some collapsing topologies the bound stays up to about 2e-2
-(relative) below the value even at the smallest eps.
+more stacked solve.  It is the one bounding pass, and :func:`dual_bound`
+is its one-topology evaluation.  The solver prunes topologies with these
+bounds, and screens the pass with its own margin: every topology takes the
+first ``_SCREEN_STEPS`` steps, and only those whose bound there does not
+already exceed the margin of an upper estimate of the second-best value
+take all ``_BOUND_STEPS``.  Both kinds of bound are dual bounds.  Taken at
+the bounding pass's smoothed placements they seldom certify an optimum: on
+some collapsing topologies the bound stays up to about 2e-2 (relative)
+below the value even at the smallest eps.
 """
 from __future__ import annotations
 
@@ -976,27 +975,6 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
         for bound, iteration in zip(bounds.tolist(), steps.tolist()):
             trace({"stage": "bound", "iteration": iteration, "bound": bound})
     return bounds
-
-
-def lower_bounds(fts: Sequence[FlowedTopology], b: Boundary, alpha: float,
-                 trace: Trace | None = None,
-                 margin: Callable[[float], float] | None = None
-                 ) -> list[float]:
-    """:func:`bound_rows` of the topologies ``fts``, one row each, in
-    order, their weights from :func:`_weights`.  Raises ``ValueError`` when
-    a topology's terminal count is not ``b``'s atom count, and as
-    :func:`bound_rows` does."""
-    if any(ft.n_terminals != len(b.atoms) for ft in fts):
-        raise ValueError("boundary does not match topology terminal count")
-    width = max((len(ft.edges) for ft in fts), default=0)
-    ends = np.full((len(fts), width, 2), -1, np.intp)
-    weights = np.zeros((len(fts), width))
-    for t, ft in enumerate(fts):
-        ends[t, :len(ft.edges)] = ft.edges
-        weights[t, :len(ft.edges)] = _weights(ft, alpha)
-    n_branch = np.array([ft.n_branch for ft in fts], dtype=np.intp)
-    return bound_rows(ends, n_branch, np.arange(weights.size).reshape(
-        weights.shape), weights.ravel(), b, alpha, trace, margin).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ contraction of one of them, so no minimum is lost), as the rows of
    pruning below is exact;
 2. topologies are visited in (LB, repr(signature)) order; the key breaks
    ties, here and between equal values, towards fewer branch vertices.
-   The rows are sorted by bound, stably, and the keys are made only for
-   the rows tied at the bound of a visited row, which are then visited in
-   key order.  Each visited row is made a :class:`FlowedTopology`,
-   minimized, its realized chain canonicalized, and its value v(T), the
-   alpha-mass of that chain, recorded.  The solver keeps ``second``, the
-   smallest recorded value above the current threshold
-   best + value_tol (1 + |best|);
+   The rows are sorted by bound, stably, and the keys are read from the
+   table (:meth:`topology.ForestRows.signature`) only for the rows tied at
+   the bound of a visited row, which are then visited in key order.  Each
+   visited row is made a :class:`FlowedTopology`, minimized, its realized
+   chain canonicalized, and its value v(T), the alpha-mass of that chain,
+   recorded.  The solver keeps ``second``, the smallest recorded value
+   above the current threshold best + value_tol (1 + |best|);
 3. the first topology with LB(T) > second + value_tol (1 + |second|) is
    retired unoptimized, and with it every later one (their bounds are no
    smaller).  ``stats["pruned"]`` counts them; ``stats["optimized"]``
@@ -157,19 +157,18 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     candidates: list[tuple[float, str, MinimizerRecord]] = []
     second = math.inf
     memo: dict = {}
-    ties: list[int] = []
+    ties: list[tuple[str, int]] = []
     visited = 0
     # ``second`` changes only when a topology is optimized and the rows are
     # in bound order, so the first row above the cut retires every later one
     while visited < len(order) and not bounds[visited] > margin(second):
         if not ties:
-            # the rows tied at this bound, last key first
+            # the rows tied at this bound with their keys, last key first
             end = bisect.bisect_right(bounds, bounds[visited], visited)
-            ties = order[visited:end]
-            if len(ties) > 1:
-                ties.sort(key=lambda r: repr(rows.signature(r)), reverse=True)
-        ft = rows.topology(ties.pop())
-        key = repr(ft.signature())
+            ties = sorted(((repr(rows.signature(r)), r)
+                           for r in order[visited:end]), reverse=True)
+        key, r = ties.pop()
+        ft = rows.topology(r)
         visited += 1
         opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo)
         stats["optimized"] += 1

@@ -7,7 +7,8 @@ report.
 from __future__ import annotations
 
 from .currents import Boundary, PolyhedralChain
-from .fileio import _checked, _entries, _number, obj_to_boundary, obj_to_chain
+from .fileio import (_checked, _entries, _number, _required, obj_to_boundary,
+                     obj_to_chain)
 
 _W = 640
 _PAD = 40.0
@@ -80,13 +81,15 @@ def render_svg(chains: list[PolyhedralChain], b: Boundary, alpha: float) -> str:
 
 def render_report_svg(report_obj: dict, index: int | None = None) -> str:
     """Render minimizers from a report JSON object (all, or a single index)."""
-    b = obj_to_boundary(_checked(report_obj["boundary"], dict, "key 'boundary'"))
+    b = obj_to_boundary(_checked(_required(report_obj, "boundary"), dict,
+                                 "key 'boundary'"))
     minis = _entries(report_obj, "minimizers")
     if index is not None:
         if not -len(minis) <= index < len(minis):
             raise ValueError(f"index {index} is out of range for "
                              f"{len(minis)} minimizers")
         minis = [minis[index]]
-    chains = [obj_to_chain(_checked(m["chain"], dict, "key 'chain'"))
+    chains = [obj_to_chain(_checked(_required(m, "chain"), dict, "key 'chain'"))
               for m in minis]
-    return render_svg(chains, b, _number("key 'alpha'", report_obj["alpha"]))
+    return render_svg(chains, b,
+                      _number("key 'alpha'", _required(report_obj, "alpha")))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .fileio import _checked, _number, parse_rational
+from .fileio import _checked, _number, _required, parse_rational
 from .perturb import (_scalar_margins, estimate_k0, estimate_rho,
                       four_point_instance, local4_solve)
 
@@ -54,7 +54,8 @@ class SweepSpec:
                 f"key 'theta' must be positive, not {obj.get('theta', 1)!r}")
         return SweepSpec(
             alphas=tuple(_number("key 'alphas'", a)
-                         for a in _checked(obj["alphas"], list, "key 'alphas'")),
+                         for a in _checked(_required(obj, "alphas"), list,
+                                           "key 'alphas'")),
             n_instances=_at_least("key 'n_instances'",
                                   obj.get("n_instances", 20), 0, integral=True),
             k=(None if obj.get("k") is None

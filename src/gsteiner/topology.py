@@ -16,9 +16,10 @@ of a block come from Smith's insertion scheme (W. D. Smith, Algorithmica 7,
 1992): terminal i is inserted on every edge of each full tree on the
 terminals before it, which yields every full tree exactly once up to branch
 relabeling.  The rows make the solver's candidate set; the solver bounds
-them as arrays and makes a :class:`FlowedTopology` only for the rows it
-optimizes (:meth:`ForestRows.topology`).  :func:`enumerate_topologies`
-yields every row as an object, for the CLI and the tests.
+them as arrays, keys them by their signatures read from the tables
+(:meth:`ForestRows.signature`), and makes a :class:`FlowedTopology` only
+for the rows it optimizes (:meth:`ForestRows.topology`).
+:func:`enumerate_topologies` yields every row as an object, for the CLI.
 
 Any other forest is a contraction of a full one, whose location-energy
 domain contains the contracted configuration, so the full optimum is never
@@ -40,10 +41,11 @@ follow from the masses.
 Everything the table is made of is exact and indexed by integer bitmasks
 (bit i for terminal slot or atom i):
 
-* per block size s, built on first use and kept, each full tree as a row
-  of three arrays (:func:`_full_splits`): its edges, and per edge the mask
-  of the terminal slots on its side away from slot 0 (its split) and which
-  endpoint lies on that side, carried through Smith's insertion.
+* per block size s, built on first use and kept up to s = 9, each full
+  tree as a row of three arrays (:func:`_full_splits`): its edges, and per
+  edge the mask of the terminal slots on its side away from slot 0 (its
+  split) and which endpoint lies on that side, carried through Smith's
+  insertion.
   Inserting terminal s - 1, with bit b, on an edge whose far side holds
   the slot set f puts a new branch vertex on that edge: the far half keeps
   f, the near half gets f | b, the new leaf edge gets b alone, and every
@@ -59,8 +61,8 @@ Everything the table is made of is exact and indexed by integer bitmasks
   walked from the balanced masks, block by block.  A block's slot masks
   map to atom masks in increasing atom order, so its root, the lowest
   atom, is slot 0, and its trees' splits map straight into the forest's
-  signature (:meth:`ForestRows.signature`), which every object made from
-  a row carries.  The flowing trees of every block are found by fancy
+  signature (:meth:`ForestRows.signature`), the one a DFS finds on the
+  row's object.  The flowing trees of every block are found by fancy
   indexing, and a partition's rows are the product of its blocks' trees,
   concatenated.
 
@@ -92,7 +94,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -134,9 +135,6 @@ class FlowedTopology:
     n_branch: int
     edges: tuple[Edge, ...]
     edge_flows: tuple[Fraction, ...]
-    # the signature as :func:`forest_rows` read it from its tables; no
-    # part of equality, hashing or repr
-    _signature: tuple | None = field(default=None, compare=False, repr=False)
     # :func:`contract`'s results by the tuple of merged pairs and
     # ``placement._weights``' by alpha (module docstring); no part of
     # equality, hashing or repr, and empty in a ``replace``, copy or pickle
@@ -158,12 +156,10 @@ class FlowedTopology:
         ``(n, m, component masks, split masks)``, both mask tuples sorted
         (see :func:`_splits`).  The masks determine the forest, and the
         masses its flows; ``m`` is implied too, but kept second so that
-        ``repr`` of the key orders topologies by branch count first.  A
-        forest made from a row of :func:`forest_rows` carries its key; any
-        other one gets it from one DFS.
+        ``repr`` of the key orders topologies by branch count first.  One
+        DFS finds the masks; a row of :func:`forest_rows` has the same key
+        without the object (:meth:`ForestRows.signature`).
         """
-        if self._signature is not None:
-            return self._signature
         components, splits, _ = _splits(self.n_terminals, self.edges)
         return (self.n_terminals, self.n_branch, tuple(sorted(components)),
                 tuple(sorted(splits)))
@@ -218,8 +214,13 @@ def _splits(n: int, edges: tuple[Edge, ...]
 # parent trees make 2027025 trees
 _ROW_CHUNK = 8192
 
+# the shape tables up to this block size, about 16 MB together, are kept
+# once built; a larger one (241 MB at s = 10) is built again on every call,
+# so that no process carries it after the solve that needed it
+_KEPT_SIZE = 9
+_kept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-@lru_cache(maxsize=None)
+
 def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots,
     one per row of three arrays: the edges (S, 2s - 3, 2), each (lower,
@@ -237,8 +238,10 @@ def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     other edge whose far side holds f's terminals gets the bit too: in a
     full tree every far side holds a terminal, so such an edge lies between
     slot 0 and (x, y).  Tree a's insertion on its edge i is row
-    a (2s - 5) + i.
+    a (2s - 5) + i.  Tables up to s = ``_KEPT_SIZE`` are kept in ``_kept``.
     """
+    if s in _kept:
+        return _kept[s]
     if s == 2:
         return (np.array([[[0, 1]]], np.int8), np.array([[0b10]], np.int32),
                 np.array([[1]], np.int8))
@@ -279,6 +282,8 @@ def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for got, child in zip((out[0][..., 0], out[0][..., 1], *out[1:]),
                               (child_u, child_v, child_far, child_signs)):
             got[rows] = child[at].reshape(-1, e + 2)
+    if s <= _KEPT_SIZE:
+        _kept[s] = out
     return out
 
 
@@ -342,12 +347,11 @@ class ForestRows:
                 tuple(sorted(self.splits(r))))
 
     def topology(self, r: int) -> FlowedTopology:
-        """Row ``r`` as a flowed topology, carrying its signature."""
+        """Row ``r`` as a flowed topology."""
         edges, sides = self._own(r)
         return FlowedTopology(
             self.n, int(self.n_branch[r]), tuple(map(tuple, edges)),
-            tuple(Fraction(self.sums[side], self.den) for side in sides),
-            self.signature(r))
+            tuple(Fraction(self.sums[side], self.den) for side in sides))
 
 
 def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
@@ -402,11 +406,10 @@ def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
     zero = np.array([not total for total in sums])
     used = sorted({blk for p in partitions for blk in p},
                   key=lambda blk: (blk.bit_count(), blk))
-    groups, start, count, atoms_of, size = [], {}, {}, {}, 0
+    groups, start, count, size = [], {}, {}, 0
     for s, group in itertools.groupby(used, int.bit_count):
         group = list(group)
         atoms = [[a for a in range(n) if blk >> a & 1] for blk in group]
-        atoms_of.update(zip(group, atoms))
         slot_atoms = []  # per block, slot mask -> atom mask
         for block_atoms in atoms:
             masks = [0]
@@ -417,11 +420,11 @@ def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
         # slot -> vertex: the block's atoms, then its branch vertices
         vertex = np.array([a + list(range(n, n + s - 2)) for a in atoms],
                           np.int8)
-        far = _full_splits(s)[1]
+        table = _full_splits(s)
         g, tree = np.nonzero(np.concatenate([
-            ~zero[atom[:, far[lo:lo + _ROW_CHUNK]]].any(axis=2)
-            for lo in range(0, len(far), _ROW_CHUNK)], axis=1))
-        groups.append((s, atom, vertex, g, tree))
+            ~zero[atom[:, table[1][lo:lo + _ROW_CHUNK]]].any(axis=2)
+            for lo in range(0, len(table[1]), _ROW_CHUNK)], axis=1))
+        groups.append((s, table, atom, vertex, g, tree))
         for blk, c in zip(group, np.bincount(g, minlength=len(group)).tolist()):
             start[blk], count[blk] = size, c
             size += c
@@ -430,8 +433,7 @@ def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
     pool_ends = np.full((size + 1, pool_width, 2), -1, np.int8)
     pool_sides = np.zeros((size + 1, pool_width), np.int32)
     first = 0
-    for s, atom, vertex, g, tree in groups:
-        ends, far, signs = _full_splits(s)
+    for s, (ends, far, signs), atom, vertex, g, tree in groups:
         for lo in range(0, len(g), _ROW_CHUNK):
             gg, tt = g[lo:lo + _ROW_CHUNK], tree[lo:lo + _ROW_CHUNK]
             rows = slice(first + lo, first + lo + len(gg))
@@ -488,14 +490,6 @@ def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
     return ForestRows(n, den, tuple(sums), partitions, part,
                       n - 2 * blocks_of[part], ends[:, :width],
                       sides[:, :width])
-
-
-def _flowed_forests(masses: tuple[Fraction, ...]
-                    ) -> Iterator[FlowedTopology]:
-    """The rows of :func:`forest_rows`, in order, as flowed topologies that
-    carry their signatures."""
-    rows = forest_rows(masses)
-    return map(rows.topology, range(len(rows)))
 
 
 def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
@@ -559,7 +553,8 @@ def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
     """
     if len(b.atoms) < 2:
         raise ValueError("boundary must have at least 2 atoms")
-    yield from _flowed_forests(tuple(m for _, m in b.atoms))
+    rows = forest_rows(tuple(m for _, m in b.atoms))
+    yield from map(rows.topology, range(len(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -795,3 +795,25 @@ def test_fileio_input_checks(build, message):
 def test_svg_input_checks(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("command,obj,key", [
+    ("solve", {"dim": 2}, "atoms"),
+    ("local4", {k: v for k, v in FOUR.items() if k != "A"}, "A"),
+    ("sweep", {k: v for k, v in SWEEP.items() if k != "alphas"}, "alphas"),
+    ("plot", {"alpha": 0.95, "minimizers": []}, "boundary"),
+], ids=["solve", "local4", "sweep", "plot"])
+def test_missing_required_key_is_named(tmp_path, capsys, command, obj, key):
+    # each once printed only the bare KeyError, e.g. "error: 'atoms'"
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps(obj))
+    argv = {"solve": ["--input", str(path), "--alpha", "0.5",
+                      "--report", str(out)],
+            "local4": ["--input", str(path), "--alpha", "0.5",
+                       "--report", str(out)],
+            "sweep": [str(path), "--out", str(out)],
+            "plot": [str(path), "--svg", str(out)]}[command]
+    assert cli.main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"key {key!r} is missing" in captured.err and not captured.out
+    assert not out.exists()

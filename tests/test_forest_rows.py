@@ -5,20 +5,25 @@ the solver bounds those rows (``placement.bound_rows``) and makes objects
 only for the rows it visits.  Here the rows are compared with the
 per-block generator of ``forest_oracle`` as sets of (edges, flows,
 signature), and their bounds with those of the flowed topologies the rows
-stand for, bit for bit.
+stand for (``topology_bounds.lower_bounds``), bit for bit.  The rows'
+signatures, which the solver keys them by, are compared with their
+objects', and the rows and bounds with the same ones built in small chunks.
 """
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forest_oracle import flowed_forests
+from gsteiner import placement, topology
 from gsteiner.currents import make_boundary
-from gsteiner.placement import bound_rows, lower_bounds
+from gsteiner.placement import bound_rows
 from gsteiner.topology import enumerate_topologies, forest_rows
 from random_set import random_set
+from topology_bounds import lower_bounds
 
 
 def solver_margin(v):
@@ -95,3 +100,56 @@ def instances(draw):
 @given(instances())
 def test_row_bounds_match_topology_bounds(case):
     _same_bounds(*case)
+
+
+def test_row_signatures_match_topology_signatures_on_the_random_set():
+    # the solver keys a row by the table's signature, and a row's object
+    # finds its own by a DFS
+    for b, _ in random_set():
+        rows = forest_rows(tuple(m for _, m in b.atoms))
+        for r in range(len(rows)):
+            assert rows.signature(r) == rows.topology(r).signature()
+
+
+def _rows_and_bounds(b, alpha):
+    """The table of ``b`` and its screened bounds with their trace."""
+    rows = forest_rows(tuple(m for _, m in b.atoms))
+    records = []
+    bounds = bound_rows(rows.ends, rows.n_branch, rows.sides,
+                        rows.side_weights(alpha), b, alpha, records.append,
+                        solver_margin)
+    return rows, bounds.tolist(), records
+
+
+def _same_rows(got, want):
+    assert (got.n, got.den, got.sums, got.partitions) == \
+        (want.n, want.den, want.sums, want.partitions)
+    for name in ("part", "n_branch", "ends", "sides"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_chunks_change_no_row_bound_or_record(monkeypatch, bench_instances):
+    # the tables, pooled trees and rows are built _ROW_CHUNK rows at a time
+    # and the bounds taken _BOUND_CHUNK rows at a time; chunks of 3 and 5
+    # split every loop here, the shape tables' included
+    cases = random_set() + bench_instances("solve-n6", 0)
+    want = [_rows_and_bounds(*case) for case in cases]
+    monkeypatch.setattr(topology, "_ROW_CHUNK", 3)
+    monkeypatch.setattr(placement, "_BOUND_CHUNK", 5)
+    monkeypatch.setattr(topology, "_kept", {})
+    for case, (rows, bounds, records) in zip(cases, want):
+        got_rows, got_bounds, got_records = _rows_and_bounds(*case)
+        _same_rows(got_rows, rows)
+        assert got_bounds == bounds
+        assert got_records == records
+
+
+def test_shape_tables_above_the_kept_size_are_not_kept(monkeypatch):
+    # one balanced block of six atoms needs the s = 6 table
+    masses = tuple(map(F, (1, 1, 1, 1, 1, -5)))
+    want = forest_rows(masses)
+    monkeypatch.setattr(topology, "_KEPT_SIZE", 4)
+    monkeypatch.setattr(topology, "_kept", {})
+    _same_rows(forest_rows(masses), want)
+    assert sorted(topology._kept) == [3, 4]

@@ -17,12 +17,12 @@ from gsteiner.perturb import (PerturbationSpec, _local4_candidates,
                               estimate_k0, four_point_instance, local4_solve,
                               perturb)
 from gsteiner.placement import (TOL_COLLAPSE, OptimizedTopology, Placement,
-                                detect_collapse, dual_bound, energy,
-                                lower_bounds, minimize, optimize_topology,
-                                realize_chain)
+                                detect_collapse, dual_bound, energy, minimize,
+                                optimize_topology, realize_chain)
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
 from gsteiner.topology import assign_flows, contract, enumerate_topologies
+from topology_bounds import lower_bounds
 
 
 def y_topology(b):

@@ -15,9 +15,8 @@ from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
-                               _flowed_forests, _forests, _full_splits,
-                               _splits, assign_flows, contract,
-                               enumerate_topologies)
+                               _forests, _full_splits, _splits, assign_flows,
+                               contract, enumerate_topologies, forest_rows)
 
 
 def line_boundary(n):
@@ -308,7 +307,8 @@ def _assigned_unshrunk(b, topologies):
 def test_flowed_forests_match_assigned_unflowed_stream(masses):
     # atoms at 0, 1, 2, ... keep the masses in atom order
     b = make_boundary(((float(i),), m) for i, m in enumerate(masses))
-    fts = list(_flowed_forests(masses))
+    rows = forest_rows(masses)
+    fts = list(map(rows.topology, range(len(rows))))
     assert fts == list(enumerate_topologies(b))
     assert _by_repr(fts) == \
         _by_repr(_assigned_unshrunk(b, _unskipped_full_topologies(b)))
@@ -362,21 +362,11 @@ def test_vectorized_insertion_matches_tuple_construction(s):
 def test_flowed_forests_match_per_block_generator(masses):
     # the block walk meets the partitions in another order than
     # set_partitions
-    fts = list(_flowed_forests(masses))
+    rows = forest_rows(masses)
+    fts = list(map(rows.topology, range(len(rows))))
     assert _by_repr(fts) == _by_repr(flowed_forests(masses))
-    for ft in fts:
-        assert ft._signature is not None
-        assert ft.signature() == FlowedTopology(
-            ft.n_terminals, ft.n_branch, ft.edges, ft.edge_flows).signature()
-
-
-def test_carried_signature_leaves_equality_hash_and_repr():
-    masses = (F(-1), F(1), F(-1), F(1))
-    for ft in _flowed_forests(masses):
-        bare = FlowedTopology(ft.n_terminals, ft.n_branch, ft.edges,
-                              ft.edge_flows)
-        assert ft._signature is not None and bare._signature is None
-        assert ft == bare and hash(ft) == hash(bare) and repr(ft) == repr(bare)
+    for r, ft in enumerate(fts):
+        assert rows.signature(r) == ft.signature()
 
 
 def test_unbalanced_boundary_is_refused():
