@@ -42,7 +42,11 @@ sits 1.8e-5 (relative) above the minimum.
 Every other topology runs the kernel.  It minimizes the smoothed energy
 F_eps = sum of w_e sqrt(len^2 + eps^2) (Smith, Algorithmica 7, 1992) in
 three stages: two smoothing stages at eps ``EPS_INIT`` and ``EPS_INIT *
-EPS_DECAY``, then the floor at ``EPS_MIN``.  At the end of every stage each
+EPS_DECAY``, then the floor at ``EPS_MIN``.  It starts at the barycentric
+start, unless the caller hands it branch positions: the solver starts each
+topology it optimizes where :func:`bound_rows` took its bound, a smoothed
+placement already near the optimum (on the seed-0 ``solve-3d`` pass that
+cuts the Newton steps from 174 to 125).  At the end of every stage each
 branch vertex is snapped onto its nearest vertex whenever that strictly
 lowers the exact energy, which accelerates convergence onto collapsed
 configurations (the non-smooth minimizers these instances actually visit).
@@ -91,7 +95,13 @@ which contract to the topology it optimized, then a memo hit.  Results
 depend on the flowed topology alone, so a caller that optimizes many
 topologies of one boundary passes one ``memo`` dict to all of them: it
 keeps every finished result, and a topology that several others contract
-onto is optimized once.
+onto is optimized once.  The one exception is a topology given a start:
+its result depends on the start too.  The solver gives one only to the
+full topologies of its table, each once, and every other call, a
+contraction's included, starts at the barycentric start.  None of those
+looks up a full topology: a full forest over k blocks of n atoms has
+n - 2k branch vertices, and a contraction keeps its blocks with fewer, so
+no full topology is another's contraction.
 
 The kernel's constants: the smoothing parameter is ``EPS_INIT``, then
 ``EPS_INIT * EPS_DECAY``, then ``EPS_MIN`` (all relative to the largest
@@ -111,9 +121,11 @@ weighted-Laplacian solve per step moves all branch points of a chunk of
 rows, padded to one shape by :func:`_stack`), eps falling geometrically
 from ``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the dual projection as one
 more stacked solve.  It is the one bounding pass, and :func:`dual_bound`
-is its one-topology evaluation.  The solver prunes topologies with these
-bounds, and screens the pass with its own margin: every topology takes the
-first ``_SCREEN_STEPS`` steps, and only those whose bound there does not
+is its one-topology evaluation.  The pass returns the branch positions
+its bounds were taken at with the bounds, and the solver starts its
+kernel runs there.  The solver prunes topologies with these bounds, and
+screens the pass with its own margin: every topology takes the first
+``_SCREEN_STEPS`` steps, and only those whose bound there does not
 already exceed the margin of an upper estimate of the second-best value
 take all ``_BOUND_STEPS``.  Both kinds of bound are dual bounds.  Taken at
 the bounding pass's smoothed placements they seldom certify an optimum: on
@@ -246,11 +258,13 @@ def _incidence(ft: FlowedTopology) -> np.ndarray:
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
                 alpha: float, trace: Trace | None,
                 settle: Callable[[Placement], OptimizedTopology | None]
-                | None = None
+                | None = None,
+                start: Sequence[Sequence[float]] | None = None
                 ) -> tuple[Sequence[Sequence[float]], int,
                            OptimizedTopology | None]:
-    """The kernel's three stages from the barycentric start, for the edge
-    weights |flow|^alpha (:func:`_weights`).
+    """The kernel's three stages from ``start``, the branch positions in
+    vertex order, or from the barycentric start, for the edge weights
+    |flow|^alpha (:func:`_weights`).
 
     The two smoothing stages, at eps ``EPS_INIT`` and ``EPS_INIT *
     EPS_DECAY``, minimize F_eps with the stage solver of the terminals'
@@ -259,7 +273,8 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     steps in every dimension.  Everything else is shared: the stage budgets
     and move tolerances, the snap and the trace.  The barycentric start puts
     the branch vertices where sum_e |x_u - x_v|^2 is least
-    (:func:`_branch_positions` with unit weights).  After every stage,
+    (:func:`_branch_positions` with unit weights); only the solver gives a
+    ``start``, the placement its bound was taken at.  After every stage,
     ``settle`` (when given) receives the snapped placement; a result it
     returns, a certified one of ``ft``, ends the run, with a "collapse"
     trace record.  Returns the branch positions, the number of iterations
@@ -269,9 +284,10 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     w = _weights(ft, alpha)
     scale = _scale(terminals)
     a = _incidence(ft)
-    start = _branch_positions(a[None, n:], np.ones((1, len(ft.edges))),
-                              a[None, :n].transpose(0, 2, 1)
-                              @ np.asarray(terminals, dtype=float))[0]
+    start = (_branch_positions(a[None, n:], np.ones((1, len(ft.edges))),
+                               a[None, :n].transpose(0, 2, 1)
+                               @ np.asarray(terminals, dtype=float))[0]
+             if start is None else np.asarray(start, dtype=float))
     # every vertex, terminals first; the stages write only branch entries
     pos = [list(p) for p in terminals] + start.tolist()
     nv = len(pos)
@@ -662,21 +678,24 @@ def _done(trace: Trace | None, res: OptimizedTopology) -> OptimizedTopology:
 
 
 def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
-             trace: Trace | None = None,
-             memo: dict | None = None) -> OptimizedTopology:
+             trace: Trace | None = None, memo: dict | None = None,
+             start: Sequence[Sequence[float]] | None = None
+             ) -> OptimizedTopology:
     """Minimize the location energy for a flowed topology over ``b`` by the
     smoothing kernel.
 
     Deterministic.  A topology without branch vertices is returned at its
-    terminals.  Otherwise the kernel (:func:`_run_kernel`) runs: barycentric
-    initialization, two smoothing stages of planar Weiszfeld sweeps or, in
-    other dimensions, Newton steps on the smoothed energy, a floor of Newton
-    steps, nearest-vertex snapping when it strictly improves the exact
-    energy.  After each stage, the topology that
+    terminals.  Otherwise the kernel (:func:`_run_kernel`) runs: from
+    ``start`` (branch positions in vertex order) when given, else from the
+    barycentric initialization, two smoothing stages of planar Weiszfeld
+    sweeps or, in other dimensions, Newton steps on the smoothed energy, a
+    floor of Newton steps, nearest-vertex snapping when it strictly
+    improves the exact energy.  After each stage, the topology that
     :func:`detect_collapse` contracts the placement to, when it is new to
     the run, is optimized by :func:`optimize_topology` with ``memo`` (a
-    fresh dict when None) and lifted: vertex v of ``ft`` at the position of
-    its image under the cluster map and then the result's ``lift``.  When
+    fresh dict when None) and no start, and lifted: vertex v of ``ft`` at
+    the position of its image under the cluster map and then the result's
+    ``lift``.  When
     :func:`_settles` certifies the lift on ``ft`` (one on the contraction
     would not bound ``ft``'s minimum) the run stops there, and the
     rest of it would only have closed in on that collapse.  ``trace``
@@ -707,7 +726,8 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
         return _settles(ft, Placement(terminals, tuple(
             res.placement.position(res.lift[c]) for c in cluster[n:])),
             alpha)
-    pos, iters, found = _run_kernel(ft, terminals, alpha, trace, settle)
+    pos, iters, found = _run_kernel(ft, terminals, alpha, trace, settle,
+                                    start)
     if found is None:
         found = _optimized(ft, Placement(terminals, tuple(map(tuple, pos))),
                            alpha, 0, _SETTLE_EPS * _scale(terminals))
@@ -867,9 +887,10 @@ _BOUND_CHUNK = 4096
 def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
                side_weights: np.ndarray, b: Boundary, alpha: float,
                trace: Trace | None = None,
-               margin: Callable[[float], float] | None = None) -> np.ndarray:
+               margin: Callable[[float], float] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`dual_bound` of every row of topologies over ``b``'s atoms,
-    computed together.
+    computed together, with the branch positions each was taken at.
 
     Row r has ``n_branch[r]`` branch vertices and the edges ``ends[r]``
     (E, 2), sorted and padded with (-1, -1); its edge weights are
@@ -925,6 +946,12 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     instead of the last one read -19%, -16% and -1%, no more than the runs'
     noise, so both kinds of bound are taken at the same eps.
 
+    Returns the bounds (T,) and the branch positions (T, m, d), m the
+    largest branch count: row r's own are ``x[r, :n_branch[r]]``, in vertex
+    order, after the last step the row took, so :func:`dual_bound` there,
+    at the schedule's last eps, is its bound.  The solver starts the
+    kernel of every row it optimizes at them.
+
     ``trace`` receives one record with ``"stage": "bound"`` per row, in
     row order: its bound and the number of steps it took (0 without branch
     vertices, else ``_SCREEN_STEPS`` or ``_BOUND_STEPS``).  Raises
@@ -966,7 +993,8 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
         cut = margin(energies.min(initial=math.inf, where=worse))
         keep = np.flatnonzero(branched & (bounds <= cut))
         for rows, ab, w, fixed in chunks(keep):
-            _, diff = _smoothed_steps(ab, w, fixed, x[rows], schedule[first:])
+            x[rows], diff = _smoothed_steps(ab, w, fixed, x[rows],
+                                            schedule[first:])
             bounds[rows] = _dual_values(ab, w, diff, schedule[-1])
         steps[keep] = _BOUND_STEPS
     if not np.isfinite(bounds).all():
@@ -974,7 +1002,7 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     if trace is not None:
         for bound, iteration in zip(bounds.tolist(), steps.tolist()):
             trace({"stage": "bound", "iteration": iteration, "bound": bound})
-    return bounds
+    return bounds, x
 
 
 # ---------------------------------------------------------------------------
@@ -1043,8 +1071,9 @@ def _settles(ft: FlowedTopology, pl: Placement, alpha: float
 
 
 def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
-                      trace: Trace | None = None,
-                      memo: dict | None = None) -> OptimizedTopology:
+                      trace: Trace | None = None, memo: dict | None = None,
+                      start: Sequence[Sequence[float]] | None = None
+                      ) -> OptimizedTopology:
     """Place or minimize, contract the vertices :func:`detect_collapse`
     finds coincident, and optimize the contraction the same way, until
     nothing collapses.
@@ -1053,10 +1082,12 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     branch-branch edge first: the stars that Kuhn's test proves to sit on
     an atom are contracted onto it without minimizing, and otherwise Newton
     places every star, certified by the dual bound.  Only a topology the
-    pass refuses is minimized by the kernel (:func:`minimize`).  A kernel
-    run that ended at a certified collapse returns coincident vertices,
-    and their contraction, which the early exit optimized by calling this
-    function with the same ``memo`` and ``trace``, is a memo hit.
+    pass refuses is minimized by the kernel (:func:`minimize`), from
+    ``start`` when given; the star pass and every contraction on the way
+    ignore it.  A kernel run that ended at a certified collapse returns
+    coincident vertices, and their contraction, which the early exit
+    optimized by calling this function with the same ``memo`` and
+    ``trace``, is a memo hit.
 
     This ends: every contraction removes a branch vertex, since a cluster
     never holds two terminals.  The result's ``lift`` composes the cluster
@@ -1064,14 +1095,18 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     ``placement.position(lift[v])``; its iterations add those of every
     placement and minimization on the way, reused ones included; its
     ``lower`` bounds ``ft``'s minimum (module docstring).  A minimization
-    starts afresh from the barycentric start, and an early exit depends on
-    its contraction's optimum alone, so every result is a function of its
-    flowed topology alone, and ``memo`` keeps the finished result of every
-    topology optimized: a dict shared by calls with the same boundary and
-    alpha (several topologies can contract onto one), keyed on edges only;
-    on one boundary the edges fix the flows, since a forest carries a
-    boundary by one conservative flow at most.  A repeat call returns the
-    stored result.
+    without ``start`` starts afresh from the barycentric start, and an
+    early exit depends on its contraction's optimum alone, so every result
+    of a call without ``start`` is a function of its flowed topology alone,
+    and ``memo`` keeps the finished result of every topology optimized: a
+    dict shared by calls with the same boundary and alpha (several
+    topologies can contract onto one), keyed on edges only; on one boundary
+    the edges fix the flows, since a forest carries a boundary by one
+    conservative flow at most.  A repeat call returns the stored result.
+    A result from a ``start`` depends on the start as well, and the memo
+    keeps it too; that stays exact because the solver gives a start only
+    to full topologies, each optimized once, and no lookup reaches a full
+    topology (module docstring).
 
     That memo holds results, which depend on the geometry.  What depends on
     the flowed topology alone, its contractions by given pairs and its edge
@@ -1097,7 +1132,7 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
         contracted, cluster = contract(ft, found)
         res = None
     else:
-        res = (minimize(ft, b, alpha, trace, memo) if found is None
+        res = (minimize(ft, b, alpha, trace, memo, start) if found is None
                else _done(trace, found))
         iters = res.iterations
         contracted, cluster = detect_collapse(ft, res.placement)

@@ -20,10 +20,16 @@ contraction of one of them, so no minimum is lost), as the rows of
    The rows are sorted by bound, stably, and the keys are read from the
    table (:meth:`topology.ForestRows.signature`) only for the rows tied at
    the bound of a visited row, which are then visited in key order.  Each
-   visited row is made a :class:`FlowedTopology`, minimized, its realized
-   chain canonicalized, and its value v(T), the alpha-mass of that chain,
-   recorded.  The solver keeps ``second``, the smallest recorded value
-   above the current threshold best + value_tol (1 + |best|);
+   visited row is made a :class:`FlowedTopology` and minimized, its kernel
+   starting at the branch positions the bounding pass took its bound at
+   (``start`` of :func:`placement.optimize_topology`), its realized chain
+   canonicalized, and its value v(T), the alpha-mass of that chain,
+   recorded.  The start changes only where the kernel begins: the
+   argument below reads nothing but bounds and recorded values, and the
+   memo stays exact, since no row is the contraction of another (a full
+   forest over k blocks of n atoms has n - 2k branch vertices, a
+   contraction fewer).  The solver keeps ``second``, the smallest
+   recorded value above the current threshold best + value_tol (1 + |best|);
 3. the first topology with LB(T) > second + value_tol (1 + |second|) is
    retired unoptimized, and with it every later one (their bounds are no
    smaller).  ``stats["pruned"]`` counts them; ``stats["optimized"]``
@@ -64,7 +70,6 @@ The enumeration is the point, not scalability: a guard refuses more than
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,11 +153,11 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     # the two zero counters keep the report's stats keys stable
     stats = {"enumerated": len(rows), "infeasible": 0, "duplicates": 0,
              "optimized": 0, "pruned": 0}
-    bounds = bound_rows(rows.ends, rows.n_branch, rows.sides,
-                        rows.side_weights(cfg.alpha), b, cfg.alpha,
-                        trace=cfg.trace, margin=margin)
+    bounds, x = bound_rows(rows.ends, rows.n_branch, rows.sides,
+                           rows.side_weights(cfg.alpha), b, cfg.alpha,
+                           trace=cfg.trace, margin=margin)
     order = np.argsort(bounds, kind="stable")
-    order, bounds = order.tolist(), bounds[order].tolist()
+    bounds = bounds[order]
 
     candidates: list[tuple[float, str, MinimizerRecord]] = []
     second = math.inf
@@ -164,13 +169,15 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     while visited < len(order) and not bounds[visited] > margin(second):
         if not ties:
             # the rows tied at this bound with their keys, last key first
-            end = bisect.bisect_right(bounds, bounds[visited], visited)
+            end = np.searchsorted(bounds, bounds[visited], side="right")
             ties = sorted(((repr(rows.signature(r)), r)
-                           for r in order[visited:end]), reverse=True)
+                           for r in order[visited:end].tolist()), reverse=True)
         key, r = ties.pop()
         ft = rows.topology(r)
         visited += 1
-        opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo)
+        # the kernel starts where the row's bound was taken
+        opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo,
+                                start=x[r, :ft.n_branch])
         stats["optimized"] += 1
         chain = canonicalize(realize_chain(opt.flowed, opt.placement))
         value = alpha_mass(chain, cfg.alpha)

@@ -354,6 +354,56 @@ class ForestRows:
             tuple(Fraction(self.sums[side], self.den) for side in sides))
 
 
+def _pool(n: int, sums: list[int], used: list[int]
+          ) -> tuple[np.ndarray, np.ndarray, dict[int, int], dict[int, int]]:
+    """The flowing trees of every block in ``used`` (sorted by size) in one
+    pool, block by block, padded to the widest block: each tree's edges
+    between vertices of all n atoms and its sides as atom masks (the
+    layout of :class:`ForestRows`), then one empty entry for missing block
+    positions; with each block's first entry and its number of trees.
+    Branch slot s + j of a block of s atoms becomes vertex n + j.  Only the
+    pool outlives the call, so the shape tables and the trees' indices are
+    freed before :func:`forest_rows` gathers its rows: at s = 10 the table,
+    the pool and the rows take about 240 MB each.
+    """
+    zero = np.array([not total for total in sums])
+    groups, start, count, size = [], {}, {}, 0
+    for s, group in itertools.groupby(used, int.bit_count):
+        group = list(group)
+        atoms = [[a for a in range(n) if blk >> a & 1] for blk in group]
+        slot_atoms = []  # per block, slot mask -> atom mask
+        for block_atoms in atoms:
+            masks = [0]
+            for a in block_atoms:
+                masks += [mask | 1 << a for mask in masks]
+            slot_atoms.append(masks)
+        atom = np.array(slot_atoms, np.int32)
+        # slot -> vertex: the block's atoms, then its branch vertices
+        vertex = np.array([a + list(range(n, n + s - 2)) for a in atoms],
+                          np.int8)
+        table = _full_splits(s)
+        g, tree = np.nonzero(np.concatenate([
+            ~zero[atom[:, table[1][lo:lo + _ROW_CHUNK]]].any(axis=2)
+            for lo in range(0, len(table[1]), _ROW_CHUNK)], axis=1))
+        groups.append((s, table, atom, vertex, g, tree))
+        for blk, c in zip(group, np.bincount(g, minlength=len(group)).tolist()):
+            start[blk], count[blk] = size, c
+            size += c
+    pool_width = 2 * used[-1].bit_count() - 3
+    pool_ends = np.full((size + 1, pool_width, 2), -1, np.int8)
+    pool_sides = np.zeros((size + 1, pool_width), np.int32)
+    first = 0
+    for s, (ends, far, signs), atom, vertex, g, tree in groups:
+        for lo in range(0, len(g), _ROW_CHUNK):
+            gg, tt = g[lo:lo + _ROW_CHUNK], tree[lo:lo + _ROW_CHUNK]
+            rows = slice(first + lo, first + lo + len(gg))
+            pool_ends[rows, :2 * s - 3] = vertex[gg[:, None, None], ends[tt]]
+            pool_sides[rows, :2 * s - 3] = atom[gg[:, None], np.where(
+                signs[tt] > 0, far[tt], (1 << s) - 1 ^ far[tt])]
+        first += len(g)
+    return pool_ends, pool_sides, start, count
+
+
 def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
     """Every full forest over a balanced partition of the atoms with flow
     on every edge, terminal i carrying ``masses[i]``.
@@ -400,47 +450,11 @@ def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
                     yield (blk, *tail)
 
     partitions = tuple(walk(len(sums) - 1))
-    # the flowing trees of every block in one pool, block by block, padded
-    # to the widest block: branch slot s + j of a block of s atoms becomes
-    # vertex n + j
-    zero = np.array([not total for total in sums])
     used = sorted({blk for p in partitions for blk in p},
                   key=lambda blk: (blk.bit_count(), blk))
-    groups, start, count, size = [], {}, {}, 0
-    for s, group in itertools.groupby(used, int.bit_count):
-        group = list(group)
-        atoms = [[a for a in range(n) if blk >> a & 1] for blk in group]
-        slot_atoms = []  # per block, slot mask -> atom mask
-        for block_atoms in atoms:
-            masks = [0]
-            for a in block_atoms:
-                masks += [mask | 1 << a for mask in masks]
-            slot_atoms.append(masks)
-        atom = np.array(slot_atoms, np.int32)
-        # slot -> vertex: the block's atoms, then its branch vertices
-        vertex = np.array([a + list(range(n, n + s - 2)) for a in atoms],
-                          np.int8)
-        table = _full_splits(s)
-        g, tree = np.nonzero(np.concatenate([
-            ~zero[atom[:, table[1][lo:lo + _ROW_CHUNK]]].any(axis=2)
-            for lo in range(0, len(table[1]), _ROW_CHUNK)], axis=1))
-        groups.append((s, table, atom, vertex, g, tree))
-        for blk, c in zip(group, np.bincount(g, minlength=len(group)).tolist()):
-            start[blk], count[blk] = size, c
-            size += c
-    # the last pool entry is an empty block, for missing block positions
-    pool_width = 2 * used[-1].bit_count() - 3
-    pool_ends = np.full((size + 1, pool_width, 2), -1, np.int8)
-    pool_sides = np.zeros((size + 1, pool_width), np.int32)
-    first = 0
-    for s, (ends, far, signs), atom, vertex, g, tree in groups:
-        for lo in range(0, len(g), _ROW_CHUNK):
-            gg, tt = g[lo:lo + _ROW_CHUNK], tree[lo:lo + _ROW_CHUNK]
-            rows = slice(first + lo, first + lo + len(gg))
-            pool_ends[rows, :2 * s - 3] = vertex[gg[:, None, None], ends[tt]]
-            pool_sides[rows, :2 * s - 3] = atom[gg[:, None], np.where(
-                signs[tt] > 0, far[tt], (1 << s) - 1 ^ far[tt])]
-        first += len(g)
+    pool_ends, pool_sides, start, count = _pool(n, sums, used)
+    size, pool_width = pool_sides.shape
+    size -= 1
 
     # per partition and block (empty blocks pad): the block's first pool
     # entry, its number of trees and of branch vertices, then the stride of

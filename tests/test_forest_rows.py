@@ -8,8 +8,12 @@ signature), and their bounds with those of the flowed topologies the rows
 stand for (``topology_bounds.lower_bounds``), bit for bit.  The rows'
 signatures, which the solver keys them by, are compared with their
 objects', and the rows and bounds with the same ones built in small chunks.
+Every row is a full forest, the branch positions the bounding pass returns
+reproduce its bounds (the solver starts its kernel runs there), and a
+one-block table is freed before the rows are gathered.
 """
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from forest_oracle import flowed_forests
 from gsteiner import placement, topology
 from gsteiner.currents import make_boundary
-from gsteiner.placement import bound_rows
+from gsteiner.placement import Placement, bound_rows, dual_bound
 from gsteiner.topology import enumerate_topologies, forest_rows
 from random_set import random_set
 from topology_bounds import lower_bounds
@@ -66,9 +70,9 @@ def _same_bounds(b, alpha):
     fts = list(enumerate_topologies(b))
     for margin in (None, solver_margin):
         got, want = [], []
-        bounds = bound_rows(rows.ends, rows.n_branch, rows.sides,
-                            rows.side_weights(alpha), b, alpha, got.append,
-                            margin)
+        bounds, _ = bound_rows(rows.ends, rows.n_branch, rows.sides,
+                               rows.side_weights(alpha), b, alpha, got.append,
+                               margin)
         assert bounds.tolist() == lower_bounds(fts, b, alpha, want.append,
                                                margin)
         assert got == want
@@ -112,13 +116,14 @@ def test_row_signatures_match_topology_signatures_on_the_random_set():
 
 
 def _rows_and_bounds(b, alpha):
-    """The table of ``b`` and its screened bounds with their trace."""
+    """The table of ``b``, its screened bounds and branch positions, and
+    their trace."""
     rows = forest_rows(tuple(m for _, m in b.atoms))
     records = []
-    bounds = bound_rows(rows.ends, rows.n_branch, rows.sides,
-                        rows.side_weights(alpha), b, alpha, records.append,
-                        solver_margin)
-    return rows, bounds.tolist(), records
+    bounds, x = bound_rows(rows.ends, rows.n_branch, rows.sides,
+                           rows.side_weights(alpha), b, alpha, records.append,
+                           solver_margin)
+    return rows, bounds.tolist(), x, records
 
 
 def _same_rows(got, want):
@@ -138,11 +143,63 @@ def test_chunks_change_no_row_bound_or_record(monkeypatch, bench_instances):
     monkeypatch.setattr(topology, "_ROW_CHUNK", 3)
     monkeypatch.setattr(placement, "_BOUND_CHUNK", 5)
     monkeypatch.setattr(topology, "_kept", {})
-    for case, (rows, bounds, records) in zip(cases, want):
-        got_rows, got_bounds, got_records = _rows_and_bounds(*case)
+    for case, (rows, bounds, x, records) in zip(cases, want):
+        got_rows, got_bounds, got_x, got_records = _rows_and_bounds(*case)
         _same_rows(got_rows, rows)
         assert got_bounds == bounds
+        assert np.array_equal(got_x, x)
         assert got_records == records
+
+
+def test_rows_are_full_forests(bench_instances, bench_dent):
+    # a row over k blocks of n atoms has n - 2k branch vertices, and a
+    # contraction keeps its row's blocks with fewer: no row is another's
+    # contraction, which the solver's warm starts rely on
+    cases = (random_set() + bench_instances("solve-n6", 0)
+             + bench_instances("solve-3d", 0) + [bench_dent(0)[1:]])
+    for b, _ in cases:
+        rows = forest_rows(tuple(m for _, m in b.atoms))
+        blocks = np.array([len(p) for p in rows.partitions])[rows.part]
+        assert np.array_equal(rows.n_branch, rows.n - 2 * blocks)
+
+
+@pytest.mark.parametrize("margin", [None, solver_margin],
+                         ids=["unscreened", "screened"])
+def test_row_positions_reproduce_their_bounds(margin):
+    # the solver starts each row's kernel at the branch positions
+    # bound_rows returns: they are the ones its bound was taken at
+    for b, alpha in random_set():
+        rows = forest_rows(tuple(m for _, m in b.atoms))
+        bounds, x = bound_rows(rows.ends, rows.n_branch, rows.sides,
+                               rows.side_weights(alpha), b, alpha,
+                               margin=margin)
+        terminals = tuple(p for p, _ in b.atoms)
+        eps = placement._BOUND_EPS_LAST * placement._scale(terminals)
+        for r, bound in enumerate(bounds.tolist()):
+            ft = rows.topology(r)
+            pl = Placement(terminals, tuple(map(tuple, x[r, :ft.n_branch])))
+            got = dual_bound(ft, pl, alpha, eps if ft.n_branch else 0.0)
+            assert abs(got - bound) <= 1e-12 * abs(bound)
+
+
+def test_one_block_table_is_dropped_before_the_rows_are_gathered(
+        monkeypatch):
+    # nine atoms in one balanced block: the s = 9 shape table (not kept
+    # here), the pool of flowing trees and the gathered rows, each about
+    # the size of the trees, must not all be live at once
+    masses = tuple(map(F, (1, 2, 4, 8, 16, 32, 64, 128, -255)))
+    monkeypatch.setattr(topology, "_KEPT_SIZE", 8)
+    monkeypatch.setattr(topology, "_ROW_CHUNK", 1024)
+    monkeypatch.setattr(topology, "_kept", {})
+    tracemalloc.start()
+    try:
+        rows = forest_rows(masses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = sum(a.nbytes for a in topology._full_splits(9))
+    trees = rows.ends.nbytes + rows.sides.nbytes
+    assert peak < table + 2 * trees
 
 
 def test_shape_tables_above_the_kept_size_are_not_kept(monkeypatch):

@@ -237,9 +237,9 @@ def test_shared_minimizations_match_fresh_calls_dented_square(
     _, b = perturb(spec)
     seen = []
 
-    def recording(ft, b, alpha, trace=None, memo=None):
-        out = optimize_topology(ft, b, alpha, trace, memo)
-        seen.append((ft, out))
+    def recording(ft, b, alpha, trace=None, memo=None, start=None):
+        out = optimize_topology(ft, b, alpha, trace, memo, start)
+        seen.append((ft, start, out))
         return out
     monkeypatch.setattr(sys.modules["gsteiner.solver"], "optimize_topology",
                         recording)
@@ -247,9 +247,11 @@ def test_shared_minimizations_match_fresh_calls_dented_square(
     report = solve(b, cfg)
     assert len(report.minimizers) == 1 and len(seen) >= 2
     n_solve = len(calls)
-    for ft, shared in seen:
+    # each row's kernel starts where its bound was taken, and so does the
+    # fresh call
+    for ft, start, shared in seen:
         assert_same_optimized(shared,
-                              optimize_topology(ft, b, cfg.alpha))
+                              optimize_topology(ft, b, cfg.alpha, start=start))
     assert n_solve <= len(calls) - n_solve
 
 

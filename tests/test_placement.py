@@ -763,14 +763,14 @@ def minimizations(run):
     calls, records = [], []
     real = placement.minimize
 
-    def recording(ft, b, alpha, trace=None, memo=None):
+    def recording(ft, b, alpha, trace=None, memo=None, start=None):
         own = []
 
         def tee(record):
             own.append(record)
             if trace is not None:
                 trace(record)
-        res = real(ft, b, alpha, tee, memo)
+        res = real(ft, b, alpha, tee, memo, start)
         calls.append((ft, res, own))
         return res
     with pytest.MonkeyPatch.context() as patch:
@@ -1253,7 +1253,7 @@ def kernel_attempts(run):
     attempts = []
     real = placement._run_kernel
 
-    def kernel(ft, terminals, alpha, trace, settle=None):
+    def kernel(ft, terminals, alpha, trace, settle=None, start=None):
         seen = set()
 
         def watched(pl):
@@ -1263,7 +1263,7 @@ def kernel_attempts(run):
                 seen.add(contracted)
                 attempts.append(found is not None)
             return found
-        return real(ft, terminals, alpha, trace, settle and watched)
+        return real(ft, terminals, alpha, trace, settle and watched, start)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(placement, "_run_kernel", kernel)
         return run(), attempts
@@ -1400,20 +1400,23 @@ def _reference_stage(pos, graph, e2, budget, tol):
 
 
 # the smoothing schedule before the three-stage kernel, kept as its reference
-def _continuation_kernel(ft, terminals, alpha, trace, settle=None):
+def _continuation_kernel(ft, terminals, alpha, trace, settle=None,
+                         start=None):
     """:func:`placement._run_kernel` as a continuation: eps from
     ``EPS_INIT`` shrinking by ``EPS_DECAY`` per stage down to ``EPS_MIN``,
     nine stages, each by the dimension's stage solver, the planar floor by
     up to 400 sweeps, and a collapse attempt after every stage but the
-    last."""
+    last.  It starts at ``start`` when given, as the kernel does."""
     n = ft.n_terminals
     w = placement._weights(ft, alpha)
     scale = placement._scale(terminals)
     a = placement._incidence(ft)
-    start = placement._branch_positions(
-        a[None, n:], np.ones((1, len(ft.edges))),
-        a[None, :n].transpose(0, 2, 1) @ np.asarray(terminals, dtype=float))[0]
-    pos = [list(p) for p in terminals] + start.tolist()
+    if start is None:
+        start = placement._branch_positions(
+            a[None, n:], np.ones((1, len(ft.edges))),
+            a[None, :n].transpose(0, 2, 1)
+            @ np.asarray(terminals, dtype=float))[0]
+    pos = [list(p) for p in terminals] + np.asarray(start, float).tolist()
     nv = len(pos)
     if len(terminals[0]) == 2:
         graph = [(b, placement._incident(ft, alpha, b)) for b in range(n, nv)]
@@ -1470,8 +1473,8 @@ def solve_recorded(b, alpha, every):
     results = {}
     real = placement.optimize_topology
 
-    def recording(ft, b, alpha, trace=None, memo=None):
-        res = real(ft, b, alpha, trace, memo)
+    def recording(ft, b, alpha, trace=None, memo=None, start=None):
+        res = real(ft, b, alpha, trace, memo, start)
         results[ft.edges] = res
         return res
     with pytest.MonkeyPatch.context() as patch:

@@ -20,4 +20,4 @@ def lower_bounds(fts, b, alpha, trace=None, margin=None):
         weights[t, :len(ft.edges)] = _weights(ft, alpha)
     n_branch = np.array([ft.n_branch for ft in fts], dtype=np.intp)
     return bound_rows(ends, n_branch, np.arange(weights.size).reshape(
-        weights.shape), weights.ravel(), b, alpha, trace, margin).tolist()
+        weights.shape), weights.ravel(), b, alpha, trace, margin)[0].tolist()
