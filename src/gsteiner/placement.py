@@ -51,15 +51,15 @@ branch vertex is snapped onto its nearest vertex whenever that strictly
 lowers the exact energy, which accelerates convergence onto collapsed
 configurations (the non-smooth minimizers these instances actually visit).
 
-The kernel ends at the first collapse it can certify.  After every stage,
-the last included, the topology that :func:`detect_collapse` contracts the
-snapped placement to, the first time the run sees it, is optimized by
+The kernel ends at the first collapse it can certify, and keeps no
+collapse test of its own.  After every stage, the last included, the
+topology that :func:`detect_collapse` contracts the snapped placement to,
+when it is not the kernel's own and new to the run, is optimized by
 :func:`optimize_topology` (with the caller's ``memo`` and ``trace``) and
 its optimum lifted back, every vertex at its image's position.  When the
 dual bound of the kernel's own topology certifies the lift
-(:func:`_settles`, below), the run stops there:
-its remaining stages would only close in on that collapse.  Otherwise the
-run goes on.  This is the active-set view of sums of norms (Calamai &
+(:func:`_settles`, below), the run stops there: its remaining stages
+would only close in on that collapse.  Otherwise the run goes on.  This is the active-set view of sums of norms (Calamai &
 Conn above): a collapsed optimum is settled by contracting it and checking
 the collapsed edges' multipliers.
 
@@ -91,24 +91,21 @@ optimizes the contracted topology the same way, until nothing collapses.
 Each contraction removes a branch vertex, so this ends, and
 the cluster maps compose into one map from the input's vertices to the
 result's.  A kernel run that ended early returns coincident vertices,
-which contract to the topology it optimized, then a memo hit.  Results
-depend on the flowed topology alone, so a caller that optimizes many
-topologies of one boundary passes one ``memo`` dict to all of them: it
-keeps every finished result, and a topology that several others contract
-onto is optimized once.  The one exception is a topology given a start:
-its result depends on the start too.  The solver gives one only to the
-full topologies of its table, each once, and every other call, a
-contraction's included, starts at the barycentric start.  None of those
-looks up a full topology: a full forest over k blocks of n atoms has
-n - 2k branch vertices, and a contraction keeps its blocks with fewer, so
-no full topology is another's contraction.
+which contract to the topology it optimized, then a memo hit.  A result
+from the barycentric start depends on the flowed topology alone, so a
+caller that optimizes many topologies of one boundary passes one ``memo``
+dict to all of them: it keeps every such result, and a topology that
+several others contract onto is optimized once.  A result from a given
+start is not kept, and every contraction on its way starts at the
+barycentric start.
 
 The kernel's constants: the smoothing parameter is ``EPS_INIT``, then
 ``EPS_INIT * EPS_DECAY``, then ``EPS_MIN`` (all relative to the largest
 terminal distance).  Each smoothing stage runs at most 200 iterations and
 the floor at most 400, so a run has at most 800.
 Vertices not farther apart than ``TOL_COLLAPSE`` (instance units) count as
-coincident, in the snap and in :func:`detect_collapse`.
+coincident; :func:`detect_collapse` alone applies that test, for the
+kernel's exit as for :func:`optimize_topology`.
 
 A lower bound on the minimum comes from weak duality (Xue & Ye, SIAM J.
 Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
@@ -257,8 +254,7 @@ def _incidence(ft: FlowedTopology) -> np.ndarray:
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
                 alpha: float, trace: Trace | None,
-                settle: Callable[[Placement], OptimizedTopology | None]
-                | None = None,
+                settle: Callable[[Placement], OptimizedTopology | None],
                 start: Sequence[Sequence[float]] | None = None
                 ) -> tuple[Sequence[Sequence[float]], int,
                            OptimizedTopology | None]:
@@ -275,9 +271,10 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     the branch vertices where sum_e |x_u - x_v|^2 is least
     (:func:`_branch_positions` with unit weights); only the solver gives a
     ``start``, the placement its bound was taken at.  After every stage,
-    ``settle`` (when given) receives the snapped placement; a result it
-    returns, a certified one of ``ft``, ends the run, with a "collapse"
-    trace record.  Returns the branch positions, the number of iterations
+    ``settle`` receives the snapped placement and decides, by
+    :func:`detect_collapse`, whether it collapsed; a result it returns, a
+    certified one of ``ft``, ends the run, with a "collapse" trace record
+    of its value.  Returns the branch positions, the number of iterations
     (sweeps or Newton steps) and ``settle``'s result or None.
     """
     n = ft.n_terminals
@@ -309,11 +306,8 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
             (smooth, EPS_INIT * scale * EPS_DECAY, 200, 2e-2),
             (newton, EPS_MIN * scale, 400, 0.0)):
         iters += run(eps * eps, budget, max(rel_tol * eps, move_tol))
-        # snap to the nearest vertex when that strictly improves exact F;
-        # whether a branch vertex ends within TOL_COLLAPSE of another
-        # vertex, as detect_collapse would find, is known on the way
+        # snap to the nearest vertex when that strictly improves exact F
         current = exact_energy()
-        collapsed = False
         for b in range(n, nv):
             here = pos[b]
             nearest = min((v for v in range(nv) if v != b),
@@ -322,19 +316,16 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
             trial = exact_energy()
             if trial < current - 1e-15 * (1.0 + abs(current)):
                 current = trial
-                collapsed = True
             else:
                 pos[b] = here
-                collapsed |= math.dist(here, pos[nearest]) <= TOL_COLLAPSE
         if trace is not None:
             trace({"stage": "eps", "iteration": iters, "eps": eps,
                    "value": current})
-        if collapsed and settle is not None and (found := settle(Placement(
-                terminals, tuple(map(tuple, pos[n:]))))) is not None:
+        found = settle(Placement(terminals, tuple(map(tuple, pos[n:]))))
+        if found is not None:
             if trace is not None:
-                pos[n:] = found.placement.branch
                 trace({"stage": "collapse", "iteration": iters,
-                       "value": exact_energy()})
+                       "value": found.value})
             return found.placement.branch, iters, found
     return pos[n:], iters, None
 
@@ -691,11 +682,11 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     sweeps or, in other dimensions, Newton steps on the smoothed energy, a
     floor of Newton steps, nearest-vertex snapping when it strictly
     improves the exact energy.  After each stage, the topology that
-    :func:`detect_collapse` contracts the placement to, when it is new to
-    the run, is optimized by :func:`optimize_topology` with ``memo`` (a
-    fresh dict when None) and no start, and lifted: vertex v of ``ft`` at
-    the position of its image under the cluster map and then the result's
-    ``lift``.  When
+    :func:`detect_collapse` contracts the snapped placement to, when it is
+    not ``ft`` and new to the run, is optimized by
+    :func:`optimize_topology` with ``memo`` (a fresh dict when None) and
+    no start, and lifted: vertex v of ``ft`` at the position of its image
+    under the cluster map and then the result's ``lift``.  When
     :func:`_settles` certifies the lift on ``ft`` (one on the contraction
     would not bound ``ft``'s minimum) the run stops there, and the
     rest of it would only have closed in on that collapse.  ``trace``
@@ -886,8 +877,7 @@ _BOUND_CHUNK = 4096
 
 def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
                side_weights: np.ndarray, b: Boundary, alpha: float,
-               trace: Trace | None = None,
-               margin: Callable[[float], float] | None = None
+               margin: Callable[[float], float], trace: Trace | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`dual_bound` of every row of topologies over ``b``'s atoms,
     computed together, with the branch positions each was taken at.
@@ -918,21 +908,23 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     The benchmark's calls have at most a few hundred rows, so each runs as
     one chunk of its own size.
 
-    With ``margin`` (the solver's v -> v + value_tol (1 + |v|)) the pass is
-    screened.  Every row first takes the schedule's first
-    ``_SCREEN_STEPS`` steps, and gets its bound there, still at the last
-    eps, and its energy sum_e w_e |x_u - x_v| at that placement, which is
-    at least its minimum.  Let ``runner`` be the smallest energy of the
+    The pass is screened with ``margin`` (the solver's
+    v -> v + value_tol (1 + |v|)).  Every row first takes the schedule's
+    first ``_SCREEN_STEPS`` steps, and gets its bound there, still at the
+    last eps, and its energy sum_e w_e |x_u - x_v| at that placement, which
+    is at least its minimum.  Let ``runner`` be the smallest energy of the
     rows whose screen bound exceeds margin(smallest energy).  None of them
     can realize a minimizer, so, overlapping edges aside, ``runner`` is at
     least the solver's second-best value, and a row whose screen bound
     exceeds margin(runner) already lies above the solver's final cut: it
     keeps that bound.  The cut is taken over every row before any row
     goes on.  The others, restacked, take the remaining steps from where
-    they are, so their bounds are the unscreened ones exactly.  Every bound
-    returned is a dual bound either way, so the screen changes only which
-    bounds are tightened.  A chunk thus makes at most ``_BOUND_STEPS`` + 1
-    stacked solves for the steps and two for the dual projections.
+    they are, so their bounds are those of all ``_BOUND_STEPS`` steps in
+    one go, bit for bit; a margin that never cuts (v -> inf) gives every
+    row with branch vertices all of them.  Every bound returned is a dual
+    bound either way, so the screen changes only which bounds are
+    tightened.  A chunk thus makes at most ``_BOUND_STEPS`` + 1 stacked
+    solves for the steps and two for the dual projections.
     (Taking ``runner`` over all energies above margin(smallest energy)
     instead cuts lower, at a row whose unconverged energy lies just above a
     co-minimal one's: on two random 5- and 6-atom instances the solver then
@@ -963,7 +955,6 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     p = np.asarray(terminals, dtype=float)
     schedule = EPS_INIT * _scale(terminals) * (_BOUND_EPS_LAST / EPS_INIT) ** (
         np.arange(_BOUND_STEPS) / (_BOUND_STEPS - 1))
-    first = _BOUND_STEPS if margin is None else _SCREEN_STEPS
     size = len(ends)
     # one branch row at least, so that no solve is of an empty system
     m = max(int(n_branch.max(initial=0)), 1)
@@ -981,20 +972,20 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     for rows, ab, w, fixed in chunks(np.arange(size)):
         x[rows], diff = _smoothed_steps(
             ab, w, fixed, _branch_positions(ab, np.ones_like(w), fixed),
-            schedule[:first])
+            schedule[:_SCREEN_STEPS])
         energies[rows] = np.einsum(
             "ti,ti->t", w, np.sqrt(np.einsum("tij,tij->ti", diff, diff)))
         bounds[rows] = np.where(branched[rows],
                                 _dual_values(ab, w, diff, schedule[-1]),
                                 energies[rows])
-    steps = np.where(branched, first, 0)
-    if margin is not None and branched.any():
+    steps = np.where(branched, _SCREEN_STEPS, 0)
+    if branched.any():
         worse = bounds > margin(energies.min())
         cut = margin(energies.min(initial=math.inf, where=worse))
         keep = np.flatnonzero(branched & (bounds <= cut))
         for rows, ab, w, fixed in chunks(keep):
             x[rows], diff = _smoothed_steps(ab, w, fixed, x[rows],
-                                            schedule[first:])
+                                            schedule[_SCREEN_STEPS:])
             bounds[rows] = _dual_values(ab, w, diff, schedule[-1])
         steps[keep] = _BOUND_STEPS
     if not np.isfinite(bounds).all():
@@ -1098,15 +1089,13 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     without ``start`` starts afresh from the barycentric start, and an
     early exit depends on its contraction's optimum alone, so every result
     of a call without ``start`` is a function of its flowed topology alone,
-    and ``memo`` keeps the finished result of every topology optimized: a
-    dict shared by calls with the same boundary and alpha (several
-    topologies can contract onto one), keyed on edges only; on one boundary
-    the edges fix the flows, since a forest carries a boundary by one
-    conservative flow at most.  A repeat call returns the stored result.
-    A result from a ``start`` depends on the start as well, and the memo
-    keeps it too; that stays exact because the solver gives a start only
-    to full topologies, each optimized once, and no lookup reaches a full
-    topology (module docstring).
+    and ``memo`` keeps the finished result of every such call: a dict
+    shared by calls with the same boundary and alpha (several topologies
+    can contract onto one), keyed on edges only; on one boundary the edges
+    fix the flows, since a forest carries a boundary by one conservative
+    flow at most.  A repeat call returns the stored result.  A result from
+    a ``start`` depends on the start as well, so it is not stored; the
+    contractions on its way are.
 
     That memo holds results, which depend on the geometry.  What depends on
     the flowed topology alone, its contractions by given pairs and its edge
@@ -1141,5 +1130,6 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
         res = replace(sub, lower=sub.lower if res is None else res.lower,
                       iterations=iters + sub.iterations,
                       lift=tuple(sub.lift[c] for c in cluster))
-    memo[key] = res
+    if start is None:
+        memo[key] = res
     return res

@@ -25,11 +25,9 @@ contraction of one of them, so no minimum is lost), as the rows of
    (``start`` of :func:`placement.optimize_topology`), its realized chain
    canonicalized, and its value v(T), the alpha-mass of that chain,
    recorded.  The start changes only where the kernel begins: the
-   argument below reads nothing but bounds and recorded values, and the
-   memo stays exact, since no row is the contraction of another (a full
-   forest over k blocks of n atoms has n - 2k branch vertices, a
-   contraction fewer).  The solver keeps ``second``, the smallest
-   recorded value above the current threshold best + value_tol (1 + |best|);
+   argument below reads nothing but bounds and recorded values.  The
+   solver keeps ``second``, the smallest recorded value above the
+   current threshold best + value_tol (1 + |best|);
 3. the first topology with LB(T) > second + value_tol (1 + |second|) is
    retired unoptimized, and with it every later one (their bounds are no
    smaller).  ``stats["pruned"]`` counts them; ``stats["optimized"]``

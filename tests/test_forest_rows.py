@@ -27,7 +27,7 @@ from gsteiner.currents import make_boundary
 from gsteiner.placement import Placement, bound_rows, dual_bound
 from gsteiner.topology import enumerate_topologies, forest_rows
 from random_set import random_set
-from topology_bounds import lower_bounds
+from topology_bounds import lower_bounds, unscreened
 
 
 def solver_margin(v):
@@ -68,11 +68,11 @@ def _same_bounds(b, alpha):
     same bounds and trace records, with and without the solver's margin."""
     rows = forest_rows(tuple(m for _, m in b.atoms))
     fts = list(enumerate_topologies(b))
-    for margin in (None, solver_margin):
+    for margin in (unscreened, solver_margin):
         got, want = [], []
         bounds, _ = bound_rows(rows.ends, rows.n_branch, rows.sides,
-                               rows.side_weights(alpha), b, alpha, got.append,
-                               margin)
+                               rows.side_weights(alpha), b, alpha, margin,
+                               got.append)
         assert bounds.tolist() == lower_bounds(fts, b, alpha, want.append,
                                                margin)
         assert got == want
@@ -121,8 +121,8 @@ def _rows_and_bounds(b, alpha):
     rows = forest_rows(tuple(m for _, m in b.atoms))
     records = []
     bounds, x = bound_rows(rows.ends, rows.n_branch, rows.sides,
-                           rows.side_weights(alpha), b, alpha, records.append,
-                           solver_margin)
+                           rows.side_weights(alpha), b, alpha, solver_margin,
+                           records.append)
     return rows, bounds.tolist(), x, records
 
 
@@ -154,7 +154,7 @@ def test_chunks_change_no_row_bound_or_record(monkeypatch, bench_instances):
 def test_rows_are_full_forests(bench_instances, bench_dent):
     # a row over k blocks of n atoms has n - 2k branch vertices, and a
     # contraction keeps its row's blocks with fewer: no row is another's
-    # contraction, which the solver's warm starts rely on
+    # contraction, so no lookup in the solver's memo is ever for a row
     cases = (random_set() + bench_instances("solve-n6", 0)
              + bench_instances("solve-3d", 0) + [bench_dent(0)[1:]])
     for b, _ in cases:
@@ -163,7 +163,7 @@ def test_rows_are_full_forests(bench_instances, bench_dent):
         assert np.array_equal(rows.n_branch, rows.n - 2 * blocks)
 
 
-@pytest.mark.parametrize("margin", [None, solver_margin],
+@pytest.mark.parametrize("margin", [unscreened, solver_margin],
                          ids=["unscreened", "screened"])
 def test_row_positions_reproduce_their_bounds(margin):
     # the solver starts each row's kernel at the branch positions

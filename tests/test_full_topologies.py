@@ -27,6 +27,7 @@ from gsteiner.solver import SolverConfig, magic_points, solve
 from forest_oracle import all_forests
 from gsteiner.topology import (InfeasibleTopologyError, assign_flows,
                                enumerate_topologies)
+from topology_bounds import unscreened
 
 # repeated and distinct masses for every size
 MASSES = {
@@ -146,9 +147,10 @@ def test_pruned_solve_matches_unpruned_solve(cases):
 
 def _unscreened_solve(b, cfg):
     """``solve`` with every topology's bound taken over the whole schedule:
-    the margin it passes to the bounding pass is dropped."""
+    the margin it passes to the bounding pass is replaced by one that
+    never cuts."""
     def full_bounds(*args, trace=None, margin=None):
-        return bound_rows(*args, trace)
+        return bound_rows(*args, unscreened, trace)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "bound_rows", full_bounds)
         return solve(b, cfg)

@@ -24,7 +24,7 @@ from gsteiner.placement import optimize_topology, realize_chain
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
-                               assign_flows)
+                               assign_flows, forest_rows)
 
 perturb_module = sys.modules["gsteiner.perturb"]
 
@@ -253,6 +253,39 @@ def test_shared_minimizations_match_fresh_calls_dented_square(
         assert_same_optimized(shared,
                               optimize_topology(ft, b, cfg.alpha, start=start))
     assert n_solve <= len(calls) - n_solve
+
+
+@pytest.mark.parametrize("case", ["dent", "solve-3d"])
+def test_solver_memo_keeps_start_free_results_only(case, bench_instances,
+                                                   bench_dent):
+    # after the seed-0 solves the solver's memo holds no row, each of which
+    # the solver optimized from the placement of its bound, and every entry
+    # is what a fresh call without a start returns
+    cases = ([tuple(bench_dent(0)[1:])] if case == "dent"
+             else bench_instances("solve-3d", 0))
+    real = placement.optimize_topology
+    entries = 0
+    for b, alpha in cases:
+        memos, topologies = [], {}
+
+        def recording(ft, b, alpha, trace=None, memo=None, start=None):
+            memos.append(memo)
+            topologies[ft.edges] = ft
+            return real(ft, b, alpha, trace, memo, start)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(placement, "optimize_topology", recording)
+            patch.setattr(sys.modules["gsteiner.solver"], "optimize_topology",
+                          recording)
+            solve(b, SolverConfig(alpha=alpha))
+        memo = memos[0]
+        assert all(m is memo for m in memos)
+        rows = forest_rows(tuple(m for _, m in b.atoms))
+        assert not memo.keys() & {rows.topology(r).edges
+                                  for r in range(len(rows))}
+        for key, res in memo.items():
+            assert_same_optimized(res, real(topologies[key], b, alpha))
+        entries += len(memo)
+    assert entries > 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from gsteiner.placement import (TOL_COLLAPSE, OptimizedTopology, Placement,
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
 from gsteiner.topology import assign_flows, contract, enumerate_topologies
-from topology_bounds import lower_bounds
+from topology_bounds import lower_bounds, unscreened
 
 
 def y_topology(b):
@@ -574,14 +574,16 @@ def test_bound_pass_solves_one_stack(case, classes, screened,
         stacks.append(len(a))
         return solve(a, rhs)
     monkeypatch.setattr(np.linalg, "solve", counted)
-    lower_bounds(fts, b, alpha, margin=solver_margin if screened else None)
+    lower_bounds(fts, b, alpha,
+                 margin=solver_margin if screened else unscreened)
     assert stacks[0] == len(fts)
     assert len(stacks) <= placement._BOUND_STEPS + 3
 
 
 def test_mixed_batch_bounds_below_minimum():
     # 6 atoms: full topologies with 4, 2 and 0 branch vertices in one batch,
-    # listed out of branch-count order
+    # listed out of branch-count order, bounded with a margin that never
+    # cuts: every topology with branch vertices takes the whole schedule
     b = _random_atoms(5, (-1, -1, -1, 1, 1, 1), 2)
     fts = sorted(enumerate_topologies(b),
                  key=lambda ft: (ft.n_branch % 4, ft.edges))
@@ -596,7 +598,7 @@ def test_mixed_batch_bounds_below_minimum():
             assert bound == pytest.approx(value, rel=1e-12)
             assert record["iteration"] == 0
         else:
-            assert record["iteration"] > 0
+            assert record["iteration"] == placement._BOUND_STEPS
 
 
 def test_screen_keeps_the_contenders_bounds_bit_for_bit(bench_instances,
@@ -713,7 +715,8 @@ def kernel_minimize(ft, b, alpha):
     if not ft.n_branch:
         return minimize(ft, b, alpha)
     terminals = tuple(p for p, _ in b.atoms)
-    pos, iters, _ = placement._run_kernel(ft, terminals, alpha, None)
+    pos, iters, _ = placement._run_kernel(ft, terminals, alpha, None,
+                                          lambda pl: None)
     pl = Placement(terminals, tuple(tuple(x) for x in pos))
     eps = placement._SETTLE_EPS * placement._scale(terminals)
     return OptimizedTopology(ft, pl, energy(ft, pl, alpha),
@@ -1253,7 +1256,7 @@ def kernel_attempts(run):
     attempts = []
     real = placement._run_kernel
 
-    def kernel(ft, terminals, alpha, trace, settle=None, start=None):
+    def kernel(ft, terminals, alpha, trace, settle, start=None):
         seen = set()
 
         def watched(pl):
@@ -1263,7 +1266,7 @@ def kernel_attempts(run):
                 seen.add(contracted)
                 attempts.append(found is not None)
             return found
-        return real(ft, terminals, alpha, trace, settle and watched, start)
+        return real(ft, terminals, alpha, trace, watched, start)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(placement, "_run_kernel", kernel)
         return run(), attempts
@@ -1302,6 +1305,78 @@ def test_early_exits_match_the_full_schedule(family, bench_instances):
             certified += sum(attempts)
             refused += len(attempts) - sum(attempts)
     assert certified > 0 and refused > 0
+
+
+def settle_calls(run):
+    """``run()`` with every ``settle`` call of every kernel run recorded:
+    returns its result and, per run, one (contracted, exited) pair per call
+    in order: whether ``detect_collapse`` contracts the placement the
+    kernel handed over, and whether ``settle`` ended the run there."""
+    runs = []
+    real = placement._run_kernel
+
+    def kernel(ft, terminals, alpha, trace, settle, start=None):
+        calls = []
+        runs.append(calls)
+
+        def watched(pl):
+            found = settle(pl)
+            calls.append((detect_collapse(ft, pl)[0] is not ft,
+                          found is not None))
+            return found
+        return real(ft, terminals, alpha, trace, watched, start)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(placement, "_run_kernel", kernel)
+        return run(), runs
+
+
+def seed_zero_cases(case, bench_instances, bench_dent):
+    """The seed-0 (boundary, alpha) pairs of ``case``: a solve workload's
+    instances, or the dented square ("dent")."""
+    if case == "dent":
+        return [tuple(bench_dent(0)[1:])]
+    return bench_instances(case, 0)
+
+
+@pytest.mark.parametrize("case", ["solve-n6", "solve-3d", "dent"])
+def test_full_schedule_settles_once_per_stage(case, bench_instances,
+                                              bench_dent):
+    # a settle that never ends the run receives the snapped placement after
+    # each of the three stages, once, the last one where the run ends
+    runs = 0
+    for b, alpha in seed_zero_cases(case, bench_instances, bench_dent):
+        terminals = tuple(p for p, _ in b.atoms)
+        for ft in enumerate_topologies(b):
+            if not ft.n_branch:
+                continue
+            seen, records = [], []
+            pos, _, found = placement._run_kernel(
+                ft, terminals, alpha, records.append, seen.append)
+            assert found is None
+            assert [r["stage"] for r in records] == ["eps"] * 3
+            assert len(seen) == 3
+            assert all(pl.terminals == terminals for pl in seen)
+            assert seen[-1].branch == tuple(map(tuple, pos))
+            runs += 1
+    assert runs > 0
+
+
+@pytest.mark.parametrize("case", ["solve-n6", "solve-3d", "dent"])
+def test_runs_exit_only_where_detect_collapse_contracts(case, bench_instances,
+                                                        bench_dent):
+    # the seed-0 solves with the real settle: a run ends at the first stage
+    # whose lift settle certifies, only where detect_collapse contracts the
+    # snapped placement, and otherwise settles once per stage
+    exits = 0
+    for b, alpha in seed_zero_cases(case, bench_instances, bench_dent):
+        _, runs = settle_calls(lambda: solve(b, SolverConfig(alpha=alpha)))
+        for calls in runs:
+            *before, (contracted, exited) = calls
+            assert not any(e for _, e in before)
+            assert exited or len(calls) == 3
+            assert contracted or not exited
+            exits += exited
+    assert exits > 0
 
 
 SIX_MASSES = [(-1, -1, 1, 1, -1, 1), (-3, F(-1, 2), 2, 1, F(3, 2), -1),

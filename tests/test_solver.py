@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gsteiner import fileio
@@ -180,14 +180,20 @@ def test_value_moves_no_more_than_the_atoms(seed, n, dim, alpha):
        dim=st.sampled_from([2, 3]),
        alpha=st.sampled_from([0.3, 0.5, 0.7, 0.85, 0.95]))
 def test_value_lies_between_the_transport_bounds(seed, n, dim, alpha):
-    # every edge carries at most the positive mass M+, so f^alpha >=
-    # M+^(alpha - 1) f, and a network's mass sum f |e| is at least W1: the
-    # value is at least M+^(alpha - 1) W1.  The arcs of an optimal transport
-    # plan, each carrying its flow, form a network with boundary b, so the
-    # value is at most their cost.  Both come from the flat norm's witness
-    # on b scaled to diameter at most 1, where it drops no mass
+    # b scaled to diameter at most 1
     atoms = random_atoms(random.Random(seed), n, dim)
     s = 1.0 / max(math.dist(p, q) for p, _ in atoms for q, _ in atoms)
+    assert_between_transport_bounds(atoms, alpha, s)
+
+
+def assert_between_transport_bounds(atoms, alpha, s=1.0):
+    """Every edge carries at most the positive mass M+, so f^alpha >=
+    M+^(alpha - 1) f, and a network's mass sum f |e| is at least W1: the
+    value is at least M+^(alpha - 1) W1.  The arcs of an optimal transport
+    plan, each carrying its flow, form a network with boundary b, so the
+    value is at most their cost.  Both come from the flat norm's witness on
+    the ``atoms`` scaled by ``s``, which must drop no mass there: moving a
+    unit costs less than dropping both ends when no two atoms lie 2 apart."""
     w1, witness = flat_norm(make_boundary((tuple(s * c for c in p), m)
                                           for p, m in atoms))
     assert not witness.dropped_mass
@@ -198,6 +204,30 @@ def test_value_lies_between_the_transport_bounds(seed, n, dim, alpha):
     value = solve(make_boundary(atoms), cfg(alpha)).best_value
     assert lower <= value * (1.0 + 1e-12)
     assert value <= upper * (1.0 + 1e-12)
+
+
+@st.composite
+def unit_box_atoms(draw):
+    """4 to 6 atoms in the unit square or cube with nonzero integer masses
+    summing to zero."""
+    n = draw(st.integers(4, 6))
+    dim = draw(st.sampled_from([2, 3]))
+    masses = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n - 1,
+                           max_size=n - 1).filter(sum))
+    coordinate = st.floats(0.0, 1.0, allow_nan=False)
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=n,
+                           max_size=n, unique=True))
+    return list(zip(points, map(F, masses + [-sum(masses)])))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(atoms=unit_box_atoms(), alpha=st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+def test_unit_box_value_lies_between_the_transport_bounds(atoms, alpha):
+    # no two atoms of the unit box lie 2 apart, so the witness drops nothing
+    # and its value is W1 as drawn
+    assert_between_transport_bounds(atoms, alpha)
 
 
 # Gilbert: a flowed topology has at most one minimum network, so co-minimal
