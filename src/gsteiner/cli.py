@@ -174,7 +174,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_local4(args) -> int:
-    obj = fileio.load_json(args.input)
+    obj = fileio._known_keys(fileio.load_json(args.input),
+                             ("A", "B", "C", "D", "theta", "k"))
     a, b, c, d = (fileio._point(obj, key, f"key {key!r}") for key in "ABCD")
     inst = LocalFourPointInstance(
         a=a, b=b, c=c, d=d,

@@ -2,8 +2,8 @@
 
 Rational masses travel as strings "num/den" (or "num" when integral) so
 that files round-trip without float drift.  Instance files carry the
-boundary plus optional solver overrides (these three keys only; any other
-is rejected):
+boundary plus optional solver overrides; a key outside the five top-level
+ones, or outside the three of ``config``, is refused:
 
     {"dim": 2, "alpha": 0.6,
      "atoms": [{"p": [0.0, 0.0], "m": "-1"}, ...],
@@ -123,15 +123,13 @@ _CONFIG_KEYS = {"value_tol": float, "distinct_tol": float, "max_terminals": int}
 
 
 def parse_instance(obj: dict) -> InstanceFile:
+    _known_keys(obj, ("dim", "alpha", "atoms", "config", "seed"))
     b = obj_to_boundary(obj)
     alpha = _number("key 'alpha'", obj["alpha"]) if "alpha" in obj else None
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     config = dict(_checked(obj.get("config", {}), dict, "key 'config'"))
-    unknown = sorted(set(config) - _CONFIG_KEYS.keys())
-    if unknown:
-        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}"
-                         f"; the keys are {', '.join(_CONFIG_KEYS)}")
+    _known_keys(config, _CONFIG_KEYS, "config ")
     return InstanceFile(b, alpha, config,
                         _number("key 'seed'", obj.get("seed", 0), integral=True))
 
@@ -198,6 +196,16 @@ def _checked(value, kind: type, name: str):
         got = _KINDS.get(type(value), type(value).__name__)
         raise ValueError(f"{name} must be {_KINDS[kind]}, not {got}")
     return value
+
+
+def _known_keys(obj: dict, keys, kind: str = "") -> dict:
+    """``obj`` when all its keys are among ``keys``, else a ``ValueError``
+    naming the others and ``keys``, after ``kind`` ("config ", say)."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {kind}key(s) {', '.join(map(repr, unknown))}"
+                         f"; the keys are {', '.join(keys)}")
+    return obj
 
 
 def _required(obj: dict, key: str):

@@ -52,16 +52,17 @@ lowers the exact energy, which accelerates convergence onto collapsed
 configurations (the non-smooth minimizers these instances actually visit).
 
 The kernel ends at the first collapse it can certify, and keeps no
-collapse test of its own.  After every stage, the last included, the
-topology that :func:`detect_collapse` contracts the snapped placement to,
-when it is not the kernel's own and new to the run, is optimized by
+collapse test and no record of its own.  After every stage, the last
+included, the topology that :func:`detect_collapse` contracts the snapped
+placement to, when it is not the kernel's own, is optimized by
 :func:`optimize_topology` (with the caller's ``memo`` and ``trace``) and
-its optimum lifted back, every vertex at its image's position.  When the
-dual bound of the kernel's own topology certifies the lift
-(:func:`_settles`, below), the run stops there: its remaining stages
-would only close in on that collapse.  Otherwise the run goes on.  This is the active-set view of sums of norms (Calamai &
-Conn above): a collapsed optimum is settled by contracting it and checking
-the collapsed edges' multipliers.
+its optimum lifted back, every vertex at its image's position.  A
+contraction met again in the run is a memo hit.  When the dual bound of
+the kernel's own topology certifies the lift (:func:`_settles`, below),
+the run stops there: its remaining stages would only close in on that
+collapse.  Otherwise the run goes on.  This is the active-set view of sums
+of norms (Calamai & Conn above): a collapsed optimum is settled by
+contracting it and checking the collapsed edges' multipliers.
 
 One kernel, :func:`_run_kernel`, runs this in every dimension: the eps
 stages, their iteration budgets, the snap and the trace records.  The floor
@@ -683,9 +684,9 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     floor of Newton steps, nearest-vertex snapping when it strictly
     improves the exact energy.  After each stage, the topology that
     :func:`detect_collapse` contracts the snapped placement to, when it is
-    not ``ft`` and new to the run, is optimized by
-    :func:`optimize_topology` with ``memo`` (a fresh dict when None) and
-    no start, and lifted: vertex v of ``ft`` at the position of its image
+    not ``ft``, is optimized by :func:`optimize_topology` with ``memo`` (a
+    fresh dict when None) and no start, a memo hit when the run met it
+    before, and lifted: vertex v of ``ft`` at the position of its image
     under the cluster map and then the result's ``lift``.  When
     :func:`_settles` certifies the lift on ``ft`` (one on the contraction
     would not bound ``ft``'s minimum) the run stops there, and the
@@ -704,15 +705,12 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     if ft.n_branch == 0:
         return _optimized(ft, Placement(terminals, ()), alpha, 0)
     memo = {} if memo is None else memo
-    tried = set()
     n = ft.n_terminals
 
     def settle(pl: Placement) -> OptimizedTopology | None:
         contracted, cluster = detect_collapse(ft, pl)
-        key = contracted.edges
-        if contracted is ft or key in tried:
+        if contracted is ft:
             return None
-        tried.add(key)
         res = optimize_topology(contracted, b, alpha, trace, memo)
         return _settles(ft, Placement(terminals, tuple(
             res.placement.position(res.lift[c]) for c in cluster[n:])),
@@ -1098,13 +1096,9 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     contractions on its way are.
 
     That memo holds results, which depend on the geometry.  What depends on
-    the flowed topology alone, its contractions by given pairs and its edge
-    weights (:func:`_weights`), ``ft`` keeps in its own memo
-    (:func:`~gsteiner.topology.contract`), for as long as the caller keeps
-    ``ft``: the four-point lab hands the same candidates to every call with
-    the same masses, and each contraction it meets is derived once.  Every
-    entry is what a fresh copy of ``ft`` would compute, so a result cannot
-    depend on which earlier calls filled it.
+    the flowed topology alone, its contractions and its edge weights
+    (:func:`_weights`), ``ft`` keeps in its own memo
+    (:func:`~gsteiner.topology.contract`).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")

@@ -55,7 +55,8 @@ def render_svg(chains: list[PolyhedralChain], b: Boundary, alpha: float) -> str:
     max_mult = max((abs(float(s.mult)) for c in chains for s in c.segments),
                    default=1.0)
     for c in chains:
-        supp = {p for p, _ in b.atoms}
+        # the atoms and the branch points marked so far in this chain
+        marked = {p for p, _ in b.atoms}
         for s in c.segments:
             width = 1.0 + 5.0 * (abs(float(s.mult)) / max_mult) ** alpha
             parts.append(
@@ -64,7 +65,8 @@ def render_svg(chains: list[PolyhedralChain], b: Boundary, alpha: float) -> str:
                 f'stroke="#555" stroke-width="{width:.2f}" stroke-linecap="round"/>')
         for s in c.segments:
             for p in (s.start, s.end):
-                if p not in supp:
+                if p not in marked:
+                    marked.add(p)
                     parts.append(
                         f'<rect x="{sx(p) - 3:.2f}" y="{sy(p) - 3:.2f}" '
                         f'width="6" height="6" fill="#222"/>')

@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from random import Random
 
-from .fileio import _checked, _number, _required, parse_rational
+from .fileio import _checked, _known_keys, _number, _required, parse_rational
 from .perturb import (_scalar_margins, estimate_k0, estimate_rho,
                       four_point_instance, local4_solve)
 
@@ -47,7 +47,9 @@ class SweepSpec:
         ``ValueError`` naming its key instead of being truncated.  So does
         a negative count, rho or rho_safety, a k below 2, and a theta that
         is not positive: each would run a sweep that reports nothing, a
-        mirrored band, or only failed cells."""
+        mirrored band, or only failed cells.  A key that is not a field is
+        refused too."""
+        _known_keys(obj, [f.name for f in fields(SweepSpec)])
         theta = parse_rational(obj.get("theta", 1), "key 'theta'")
         if theta <= 0:
             raise ValueError(
@@ -80,11 +82,11 @@ def _at_least(name: str, value, low: int, integral: bool = False
 
 def _cell(args: tuple) -> dict:
     alpha, k, k0, rho, index, disp, theta = args
-    row = {
-        "command": "sweep", "alpha": alpha, "k": k, "k0": k0, "rho": rho,
-        "index": index, "ya": disp[0], "yb": disp[1], "yc": disp[2],
-        "yd": disp[3], "error": "",
-    }
+    # every field but the log's timestamp, blank unless the cell sets it
+    row = {**dict.fromkeys((f for f in CSV_FIELDS if f != "timestamp"), ""),
+           "command": "sweep", "alpha": alpha, "k": k, "k0": k0, "rho": rho,
+           "index": index, "ya": disp[0], "yb": disp[1], "yc": disp[2],
+           "yd": disp[3]}
     try:
         inst = four_point_instance(k, disp, theta)
         cls = local4_solve(inst, alpha)
@@ -109,11 +111,7 @@ def _cell(args: tuple) -> dict:
             "in_wz": cls.label in ("W", "Z"),
         })
     except Exception as exc:  # cell isolation: record and continue
-        row.update({"label": "", "winner_case": "", "value": "",
-                    "margin_1c_vs_w": "", "margin_1h_vs_w": "",
-                    "margin_1e_vs_z": "", "margin_1a_vs_z": "",
-                    "scalar_margin_half": "", "scalar_margin_quarter": "",
-                    "in_wz": False, "error": str(exc)})
+        row.update(in_wz=False, error=str(exc))
     return row
 
 

@@ -79,11 +79,9 @@ call returns the same objects, whose own memos hold what was derived from
 them, so a caller that keeps its topologies, as the four-point lab's
 candidate cache does, derives each contraction once.  Since each entry is
 that pure function's value, no result can depend on which calls filled the
-memo.  The memo takes no part in equality, hashing, ``repr`` or the
-signature, and ``replace``, copies and pickles start with an empty one.
-:func:`_forests` meets each forest once, and :func:`assign_flows`
-contracts a forest it has just made, so both call the routine without the
-memo, :func:`_contract`.
+memo, and a copy or a pickle may carry it.  The memo takes no part in
+equality, hashing, ``repr`` or the signature, and ``replace`` starts with
+an empty one.
 
 Enumeration is exhaustive by design and intended for small n; callers guard
 instance size.
@@ -137,18 +135,12 @@ class FlowedTopology:
     edge_flows: tuple[Fraction, ...]
     # :func:`contract`'s results by the tuple of merged pairs and
     # ``placement._weights``' by alpha (module docstring); no part of
-    # equality, hashing or repr, and empty in a ``replace``, copy or pickle
+    # equality, hashing or repr, and empty in a ``replace``
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
     def __post_init__(self):
         _check_forest(self.n_terminals, self.n_branch, self.edges)
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _memo={})
 
     def signature(self) -> tuple:
         """Canonical key, invariant under branch-vertex relabeling.
@@ -547,9 +539,8 @@ def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
                 continue
             if ft is None:
                 ft = rows.topology(r)
-            # each forest is met once, so no memo keeps it
-            out.append(_contract(ft, [e for i, e in enumerate(ft.edges)
-                                      if bits >> i & 1])[0])
+            out.append(contract(ft, [e for i, e in enumerate(ft.edges)
+                                     if bits >> i & 1])[0])
     return sorted(out, key=lambda ft: (len(ft.edges), ft.edges))
 
 
@@ -600,8 +591,7 @@ def assign_flows(n_branch: int, edges: tuple[Edge, ...], b: Boundary
 
     if any(mass(c) != 0 for c in components):
         raise InfeasibleTopologyError("component masses do not balance")
-    # a new topology, so no memo would be read again
-    return _contract(FlowedTopology(n, n_branch, edges, tuple(
+    return contract(FlowedTopology(n, n_branch, edges, tuple(
         sign * mass(side) for side, sign in zip(splits, signs))), ())[0]
 
 

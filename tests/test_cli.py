@@ -222,6 +222,29 @@ def test_plot_cli(square_file, tmp_path):
     assert text.startswith("<svg") and "<line" in text
 
 
+V = {"dim": 2, "alpha": 0.5,
+     "atoms": [{"p": [0.0, 0.0], "m": "-2"}, {"p": [1.0, 0.3], "m": "1"},
+               {"p": [1.0, -0.3], "m": "1"}]}
+
+
+def test_plot_marks_each_branch_point_once(tmp_path):
+    # the V's minimizer meets its three segments at one branch point
+    path, report, picture = (tmp_path / name for name in
+                             ("v.json", "report.json", "plot.svg"))
+    path.write_text(json.dumps(V))
+    assert cli.main(["solve", "--input", str(path),
+                     "--report", str(report)]) == 0
+    assert cli.main(["plot", str(report), "--svg", str(picture)]) == 0
+    minimizers = json.loads(report.read_text())["minimizers"]
+    assert [m["n_branch"] for m in minimizers] == [1]
+    assert picture.read_text().count('width="6" height="6"') == 1
+
+
+def test_empty_picture():
+    assert svg.render_svg([], make_boundary([]), 0.5) == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640"/>')
+
+
 def test_sweep_cli(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     log = tmp_path / "log.csv"
@@ -399,6 +422,17 @@ def test_config_keys_outside_the_three_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["distinct_tol"] == 1e-4
 
 
+def test_unknown_instance_key_exit_code(tmp_path, capsys):
+    # a misspelled "config" was dropped, and the solve ran on the defaults
+    path, report = tmp_path / "inst.json", tmp_path / "report.json"
+    path.write_text(json.dumps(dict(SQUARE, confg={"max_terminals": 9})))
+    assert cli.main(["solve", "--input", str(path),
+                     "--report", str(report)]) == 1
+    assert ("unknown key(s) 'confg'; the keys are dim, alpha, atoms, config, "
+            "seed" in capsys.readouterr().err)
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("key,value,why", [
     ("max_terminals", 3.9, "must be an integer"),
     ("max_terminals", "4.5", "must be an integer"),
@@ -546,6 +580,16 @@ def test_local4_numbers_not_converted_silently(tmp_path, capsys, key, value,
     assert f"key {key!r} {why}" in capsys.readouterr().err
 
 
+def test_unknown_local4_key_exit_code(tmp_path, capsys):
+    path, report = tmp_path / "four.json", tmp_path / "report.json"
+    path.write_text(json.dumps(dict(FOUR, kappa=7)))
+    assert cli.main(["local4", "--input", str(path), "--alpha", "0.5",
+                     "--report", str(report)]) == 1
+    assert ("unknown key(s) 'kappa'; the keys are A, B, C, D, theta, k"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
 def test_local4_integral_numbers_accepted(tmp_path):
     path = tmp_path / "four.json"
     reports = []
@@ -624,6 +668,16 @@ def test_bad_sweep_spec_exit_code(tmp_path, capsys):
         spec.write_text(json.dumps(dict(SWEEP, **{key: value})))
         assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
         assert f"key {key!r} must be" in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_unknown_sweep_spec_key_exit_code(tmp_path, capsys):
+    # a misspelled "n_instances" left the default 20 cells per alpha
+    spec, log = tmp_path / "spec.json", tmp_path / "log.csv"
+    spec.write_text(json.dumps({"alphas": [0.5], "n_instance": 3}))
+    assert cli.main(["sweep", str(spec), "--out", str(log)]) == 1
+    assert ("unknown key(s) 'n_instance'; the keys are alphas, n_instances, "
+            "k, rho, rho_safety, theta, seed" in capsys.readouterr().err)
     assert not log.exists()
 
 

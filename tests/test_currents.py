@@ -34,6 +34,18 @@ def random_chain(rng, n_segments=5, dim=2, denom=6):
 # boundary
 # ---------------------------------------------------------------------------
 
+def test_segment_multiplicity_becomes_a_fraction():
+    s = currents.Segment((0.0, 0.0), (1.0, 0.0), 2)
+    assert type(s.mult) is F and s.mult == 2
+
+
+def test_boundary_scaled():
+    b = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 0.0), F(1))])
+    assert b.scaled(0) == make_boundary([]) and not b.scaled(0).atoms
+    assert b.scaled(F(-3, 2)) == make_boundary(
+        [((0.0, 0.0), F(3, 2)), ((1.0, 0.0), F(-3, 2))])
+
+
 def test_boundary_single_segment():
     b = boundary(chain_of([seg((0, 0), (3, 4), 1)]))
     assert b.as_dict() == {(3.0, 4.0): F(1), (0.0, 0.0): F(-1)}

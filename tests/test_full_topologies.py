@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from gsteiner.currents import (alpha_mass, canonicalize, make_boundary,
                                support_difference_mass)
-from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner import solver
 from gsteiner.placement import (_SCREEN_STEPS, bound_rows,
                                 optimize_topology, realize_chain)
-from gsteiner.solver import SolverConfig, magic_points, solve
+from gsteiner.solver import SolverConfig, solve
+from dented_square import dented_square
 from forest_oracle import all_forests
 from gsteiner.topology import (InfeasibleTopologyError, assign_flows,
                                enumerate_topologies)
@@ -107,13 +107,6 @@ def _square():
                           ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
 
 
-def _dented_square(radius, alpha=0.6):
-    base = solve(_square(), SolverConfig(alpha=alpha))
-    spec = PerturbationSpec(base.minimizers[0].chain, magic_points(base, 0),
-                            estimate_k0(alpha) + 1, radius)
-    return perturb(spec)[1]
-
-
 def _degenerate_cases():
     for alpha in (0.3, 0.6, 0.9):
         yield f"square alpha={alpha}", _square(), alpha
@@ -122,7 +115,7 @@ def _degenerate_cases():
     yield "2x3 grid", make_boundary(
         ((float(i % 3), float(i // 3)), F((-1) ** (i + 1))) for i in range(6)), 0.6
     for radius in (0.1, 0.05, 0.02):
-        yield f"dented square r={radius}", _dented_square(radius), 0.6
+        yield f"dented square r={radius}", dented_square(radius), 0.6
 
 
 @pytest.mark.parametrize("cases", [_random_cases, _degenerate_cases])
@@ -202,7 +195,7 @@ def test_co_minimal_tie_breaks_to_fewest_branch_vertices():
     # one minimizer at equal value; the signature keeps the branch count
     # second, so repr order ties to a 0-branch topology, whose record
     # has no branch vertex
-    report = solve(_dented_square(0.1), SolverConfig(alpha=0.6))
+    report = solve(dented_square(0.1), SolverConfig(alpha=0.6))
     (record,) = report.minimizers
     assert record.flowed.n_branch == 0
 

@@ -9,8 +9,8 @@ from gsteiner.currents import (Segment, alpha_mass, boundary, canonicalize,
                                chain_of, restrict_ball,
                                support_difference_mass)
 from gsteiner.flat import flat_distance
-from gsteiner.perturb import (LocalFourPointInstance, PerturbationSpec,
-                              _param_on_segment, build_wz,
+from gsteiner.perturb import (_RHO_MAX, LocalFourPointInstance,
+                              PerturbationSpec, _param_on_segment, build_wz,
                               end_to_end_uniqueness, estimate_k0,
                               estimate_rho, four_point_instance, local4_solve,
                               perturb, verify_perturbation_bounds)
@@ -275,6 +275,12 @@ def test_k0_monotone_in_alpha():
 def test_rho_positive_and_contains_dichotomy():
     rho = estimate_rho(0.5, estimate_k0(0.5) + 1)
     assert rho > 0.01
+
+
+def test_rho_stops_at_its_cap_when_the_largest_samples_classify():
+    # at alpha 0.3 and k 3 every sample at the largest displacement tried
+    # classifies as W or Z, so no bisection step runs
+    assert estimate_rho(0.3, 3) == _RHO_MAX == 0.5
 
 
 # ---------------------------------------------------------------------------

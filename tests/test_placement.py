@@ -1,6 +1,7 @@
 """Location-energy optimizer: analytic optima, lower bounds, collapses."""
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -21,7 +22,10 @@ from gsteiner.placement import (TOL_COLLAPSE, OptimizedTopology, Placement,
                                 optimize_topology, realize_chain)
 from gsteiner.solver import SolverConfig, magic_points, solve
 from gsteiner.sweep import SweepSpec, build_cells
-from gsteiner.topology import assign_flows, contract, enumerate_topologies
+from gsteiner.topology import (assign_flows, contract, enumerate_topologies,
+                               forest_rows)
+from dented_square import dented_square
+from random_set import random_set
 from topology_bounds import lower_bounds, unscreened
 
 
@@ -517,17 +521,6 @@ def _random_atoms(seed, masses, dim):
     return make_boundary(zip(pts, (F(m) for m in masses)))
 
 
-def _dented_square(radius, alpha=0.6):
-    from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
-    from gsteiner.solver import SolverConfig, magic_points, solve
-    square = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
-                            ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
-    base = solve(square, SolverConfig(alpha=alpha))
-    spec = PerturbationSpec(base.minimizers[0].chain, magic_points(base, 0),
-                            estimate_k0(alpha) + 1, radius)
-    return perturb(spec)[1]
-
-
 # the kinds of instance the solver bounds most: random 6-atom planar ones with
 # repeated and with distinct masses, random 5-atom ones in 3-D, dented
 # squares, and the benchmark's seed-0 sets (given ``bench_instances``): a
@@ -541,7 +534,7 @@ BATCH_CASES = {
     "5 in 3-D": lambda _: (_random_atoms(3, (-2, 1, 1, -1, 1), 3), 0.65),
     "5 distinct in 3-D": lambda _: (_random_atoms(
         4, ("-3", "-1/2", "2", "1", "1/2"), 3), 0.8),
-    "dented square": lambda _: (_dented_square(0.05), 0.6),
+    "dented square": lambda _: (dented_square(0.05), 0.6),
     "solve-3d i0": lambda instances: instances("solve-3d", 0)[0],
     "solve-n6 i0": lambda instances: instances("solve-n6", 0)[0],
 }
@@ -1377,6 +1370,55 @@ def test_runs_exit_only_where_detect_collapse_contracts(case, bench_instances,
             assert contracted or not exited
             exits += exited
     assert exits > 0
+
+
+def test_a_contraction_met_again_is_optimized_once():
+    # row 13 of the random set's third instance (6 atoms in 3-D, alpha 0.7):
+    # its kernel run contracts to one topology after each of its three
+    # stages and certifies none of the lifts.  Each settle asks for the
+    # contraction's optimum, and so does the contraction of the result, but
+    # it is optimized once, by the first settle, and then found in the
+    # memo; the run ends as one that skips the repeats ends, with the same
+    # records
+    b, alpha = random_set()[2]
+    ft = forest_rows(tuple(m for _, m in b.atoms)).topology(13)
+    real_kernel, real_place = placement._run_kernel, placement._place_stars
+    real_optimize = placement.optimize_topology
+
+    def run(skip_repeats):
+        met, asked, placed, records = [], Counter(), Counter(), []
+
+        def kernel(g, terminals, alpha, trace, settle, start=None):
+            def watched(pl):
+                if g is ft:
+                    met.append(detect_collapse(g, pl)[0])
+                    if skip_repeats and met.count(met[-1]) > 1:
+                        return None
+                return settle(pl)
+            return real_kernel(g, terminals, alpha, trace, watched, start)
+
+        def optimize(g, *args):
+            asked[g.edges] += 1
+            return real_optimize(g, *args)
+
+        def place(g, terminals, alpha):
+            placed[g.edges] += 1
+            return real_place(g, terminals, alpha)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(placement, "_run_kernel", kernel)
+            patch.setattr(placement, "optimize_topology", optimize)
+            patch.setattr(placement, "_place_stars", place)
+            res = optimize_topology(ft, b, alpha, records.append, {})
+        return res, met, asked, placed, records
+
+    res, met, asked, placed, records = run(skip_repeats=False)
+    assert len(met) == 3 and met[0] is not ft
+    assert all(c is met[0] for c in met)
+    assert asked[met[0].edges] == 4 and placed[met[0].edges] == 1
+    stages = [r["stage"] for r in records]
+    assert stages.count("done") == 2 and "collapse" not in stages
+    skipped = run(skip_repeats=True)
+    assert skipped[0] == res and skipped[-1] == records
 
 
 SIX_MASSES = [(-1, -1, 1, 1, -1, 1), (-3, F(-1, 2), 2, 1, F(3, 2), -1),

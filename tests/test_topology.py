@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dented_square import dented_square
 from forest_oracle import (all_forests, flowed_forests, forest_shapes,
                            full_shapes, full_splits, set_partitions, shrank)
 from gsteiner.currents import boundary, make_boundary
-from gsteiner.perturb import PerturbationSpec, estimate_k0, perturb
 from gsteiner.placement import Placement, realize_chain
-from gsteiner.solver import SolverConfig, magic_points, solve
+from gsteiner.solver import SolverConfig, solve
 from gsteiner.topology import (FlowedTopology, InfeasibleTopologyError,
                                _forests, _full_splits, _splits, assign_flows,
                                contract, enumerate_topologies, forest_rows)
@@ -682,15 +682,6 @@ def leaf_stripping_flows(n_branch, edges, b):
     return contract(FlowedTopology(n, n_branch, edges, tuple(flows)))[0]
 
 
-def _dented_square(radius, alpha=0.6):
-    square = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
-                            ((1.0, 0.0), F(1)), ((0.0, 1.0), F(1))])
-    base = solve(square, SolverConfig(alpha=alpha))
-    spec = PerturbationSpec(base.minimizers[0].chain, magic_points(base, 0),
-                            estimate_k0(alpha) + 1, radius)
-    return perturb(spec)[1]
-
-
 def _flow_instances():
     """The zero-flow instances, both 6-atom mass vectors of the benchmark,
     random 3-D instances and the dented square's 1/k masses."""
@@ -702,7 +693,7 @@ def _flow_instances():
                             for m in masses)
     for n in (3, 4, 5, 6):
         yield _random_balanced_boundary(rng, n, dim=3)
-    yield _dented_square(0.05)
+    yield dented_square(0.05)
 
 
 def test_enumerated_flows_match_leaf_stripping():

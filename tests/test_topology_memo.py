@@ -6,7 +6,7 @@ there, keyed by alpha.  The four-point lab hands the same candidate objects
 to every call with the same masses, so a wrong key would make a result
 depend on which calls came before it.  Each memoized result is compared with
 ``==`` against the same work on a fresh copy, and whole classifications
-against runs whose memos start cold.
+against runs whose memos start cold.  Copies and pickles carry the memo.
 """
 import copy
 import pickle
@@ -122,7 +122,27 @@ def test_memo_is_not_part_of_the_value():
     assert hash(ft) == hash(plain)
     assert repr(ft) == repr(plain)
     assert ft.signature() == plain.signature()
-    for other in (replace(ft), pickle.loads(pickle.dumps(ft)), copy.copy(ft),
-                  copy.deepcopy(ft)):
+    assert replace(ft) == ft and replace(ft)._memo == {}
+
+
+def test_copies_carry_the_memo_of_a_fresh_topology():
+    # a copy, a deep copy and a pickle may carry the memo: every entry is
+    # what an equal topology with an empty memo computes for the same pairs
+    # or alpha
+    rows = forest_rows((F(1), F(-1), F(2), F(-1), F(-1)))
+    ft = next(ft for ft in map(rows.topology, range(len(rows)))
+              if ft.n_branch == 3)
+    n = ft.n_terminals
+    for pairs in ([(0, n)], [(n, n + 1)], [(n, n + 1), (1, n + 2)], ()):
+        contract(ft, pairs)
+    for alpha in (0.3, 0.85):
+        _weights(ft, alpha)
+    for other in (copy.copy(ft), copy.deepcopy(ft),
+                  pickle.loads(pickle.dumps(ft))):
         assert other == ft
-        assert other._memo == {} and other._memo is not ft._memo
+        assert other._memo.keys() == ft._memo.keys() and len(other._memo) == 6
+        for key, entry in other._memo.items():
+            if isinstance(key, float):
+                assert entry == _weights(fresh(ft), key)
+            else:
+                assert entry == contract(fresh(ft), key)
