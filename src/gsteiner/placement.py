@@ -113,7 +113,8 @@ Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
 placement into a feasible point of the dual problem, so the bound is valid
 wherever the placement comes from.  :func:`bound_rows` evaluates it for
 many topologies at once, in numpy and in any dimension, straight from the
-array rows of the topology table (``topology.forest_rows``):
+array rows of the topology table (``topology.forest_rows``, full trees
+whose zero-flow edges weigh 0):
 ``_BOUND_STEPS`` smoothed Weiszfeld steps of Smith's form (one stacked
 weighted-Laplacian solve per step moves all branch points of a chunk of
 rows, padded to one shape by :func:`_stack`), eps falling geometrically
@@ -884,6 +885,8 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     (E, 2), sorted and padded with (-1, -1); its edge weights are
     ``side_weights[sides[r]]``, 0 on the padding (the topology table's
     |flow|^alpha per atom mask, :class:`~gsteiner.topology.ForestRows`).
+    An edge of weight 0 (the table's zero-flow edges) takes no part; each
+    branch vertex needs a path of positive weights to a terminal.
 
     The rows run in padded stacks (:func:`_stack`), whatever their
     numbers of branch vertices and edges: ``_BOUND_STEPS`` smoothed

@@ -6,7 +6,8 @@ contraction of one of them, so no minimum is lost), as the rows of
 :func:`topology.forest_rows`, and then runs a branch-and-bound over them:
 
 1. every topology T gets a lower bound LB(T) <= E(T), the minimum of its
-   location energy, by weak duality.  :func:`placement.bound_rows` bounds
+   location energy, by weak duality, on its row's full tree, whose
+   zero-flow edges weigh nothing.  :func:`placement.bound_rows` bounds
    all rows of the solve in one batched pass, screened with the solver's
    margin: a topology whose bound after a few steps already lies above the
    margin of an upper estimate of ``second`` (below) keeps that looser
@@ -20,14 +21,14 @@ contraction of one of them, so no minimum is lost), as the rows of
    The rows are sorted by bound, stably, and the keys are read from the
    table (:meth:`topology.ForestRows.signature`) only for the rows tied at
    the bound of a visited row, which are then visited in key order.  Each
-   visited row is made a :class:`FlowedTopology` and minimized, its kernel
-   starting at the branch positions the bounding pass took its bound at
-   (``start`` of :func:`placement.optimize_topology`), its realized chain
-   canonicalized, and its value v(T), the alpha-mass of that chain,
-   recorded.  The start changes only where the kernel begins: the
-   argument below reads nothing but bounds and recorded values.  The
-   solver keeps ``second``, the smallest recorded value above the
-   current threshold best + value_tol (1 + |best|);
+   visited row's forest is made a :class:`FlowedTopology` and minimized,
+   its kernel starting at the branch positions the bounding pass took its
+   bound at (``start`` of :func:`placement.optimize_topology`), its
+   realized chain canonicalized, and its value v(T), the alpha-mass of
+   that chain, recorded.  The start changes only where the kernel begins:
+   the argument below reads nothing but bounds and recorded values.  The
+   solver keeps ``second``, the smallest recorded value above the current
+   threshold best + value_tol (1 + |best|);
 3. the first topology with LB(T) > second + value_tol (1 + |second|) is
    retired unoptimized, and with it every later one (their bounds are no
    smaller).  ``stats["pruned"]`` counts them; ``stats["optimized"]``
@@ -151,9 +152,9 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     # the two zero counters keep the report's stats keys stable
     stats = {"enumerated": len(rows), "infeasible": 0, "duplicates": 0,
              "optimized": 0, "pruned": 0}
-    bounds, x = bound_rows(rows.ends, rows.n_branch, rows.sides,
-                           rows.side_weights(cfg.alpha), b, cfg.alpha,
-                           trace=cfg.trace, margin=margin)
+    bounds, x = bound_rows(rows.ends, np.full(len(rows), n - 2),
+                           rows.sides, rows.side_weights(cfg.alpha), b,
+                           cfg.alpha, trace=cfg.trace, margin=margin)
     order = np.argsort(bounds, kind="stable")
     bounds = bounds[order]
 
@@ -175,7 +176,7 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
         visited += 1
         # the kernel starts where the row's bound was taken
         opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo,
-                                start=x[r, :ft.n_branch])
+                                start=x[r, rows.live(r)])
         stats["optimized"] += 1
         chain = canonicalize(realize_chain(opt.flowed, opt.placement))
         value = alpha_mass(chain, cfg.alpha)

@@ -6,20 +6,20 @@ uniquely determined by mass conservation: each edge splits its component's
 terminals in two, and the flow from its lower endpoint to its higher one is
 the mass on the higher endpoint's side.
 
-One table, :func:`forest_rows`, holds every flowed full forest as a row
-of numpy arrays: it splits the atoms into *balanced* blocks (total mass
-zero, at least two atoms), gives each block a full tree (terminals are
-leaves, s - 2 branch vertices of degree 3 on a block of s terminals) from
-one per-size table, and reads each edge's flow from the boundary's subset
-sums.  A tree with a zero-flow edge is not kept.  The (2s - 5)!! full trees
-of a block come from Smith's insertion scheme (W. D. Smith, Algorithmica 7,
-1992): terminal i is inserted on every edge of each full tree on the
-terminals before it, which yields every full tree exactly once up to branch
-relabeling.  The rows make the solver's candidate set; the solver bounds
-them as arrays, keys them by their signatures read from the tables
+One table, :func:`forest_rows`, holds every flowed full forest over a
+balanced partition of the atoms (blocks of total mass zero, each spanning
+a full tree: terminals are leaves, s - 2 branch vertices of degree 3 on s
+terminals), each once, as a row of numpy arrays: one of the (2n - 5)!!
+full trees on all n atoms of Smith's insertion scheme (W. D. Smith,
+Algorithmica 7, 1992), which inserts terminal i on every edge of each full
+tree on the terminals before it.  An edge whose sides are balanced carries
+no flow, and a tree with such edges is a forest in disguise: drop them and
+splice out the branch vertices they leave with two edges.  A zero-flow
+edge weighs nothing, so the tree costs what its forest costs.  The solver
+bounds the rows as arrays, keys them by their forests' signatures
 (:meth:`ForestRows.signature`), and makes a :class:`FlowedTopology` only
-for the rows it optimizes (:meth:`ForestRows.topology`).
-:func:`enumerate_topologies` yields every row as an object, for the CLI.
+for the rows it optimizes (:meth:`ForestRows.topology`);
+:func:`enumerate_topologies` yields every row's forest, for the CLI.
 
 Any other forest is a contraction of a full one, whose location-energy
 domain contains the contracted configuration, so the full optimum is never
@@ -39,32 +39,17 @@ a canonical key that needs no search over branch relabelings; the flows
 follow from the masses.
 
 Everything the table is made of is exact and indexed by integer bitmasks
-(bit i for terminal slot or atom i):
-
-* per block size s, built on first use and kept up to s = 9, each full
-  tree as a row of three arrays (:func:`_full_splits`): its edges, and per
-  edge the mask of the terminal slots on its side away from slot 0 (its
-  split) and which endpoint lies on that side, carried through Smith's
-  insertion.
-  Inserting terminal s - 1, with bit b, on an edge whose far side holds
-  the slot set f puts a new branch vertex on that edge: the far half keeps
-  f, the near half gets f | b, the new leaf edge gets b alone, and every
-  other edge whose far mask contains f gets b as well (those edges lie
-  between slot 0 and the insertion).  One level of insertion is a few
-  array operations over all trees and edges at once.
-* per call, the total mass of every subset of the atoms, one integer over
-  the masses' common denominator per atom mask.  A block is balanced, and
-  an edge flowless, exactly when its mask's sum is zero, and an edge's
-  flow is the sum of its higher endpoint's side; a row keeps that side's
-  mask per edge, and the weights |flow|^alpha of all rows come from one
-  value per mask (:meth:`ForestRows.side_weights`).  The partitions are
-  walked from the balanced masks, block by block.  A block's slot masks
-  map to atom masks in increasing atom order, so its root, the lowest
-  atom, is slot 0, and its trees' splits map straight into the forest's
-  signature (:meth:`ForestRows.signature`), the one a DFS finds on the
-  row's object.  The flowing trees of every block are found by fancy
-  indexing, and a partition's rows are the product of its blocks' trees,
-  concatenated.
+(bit i for terminal slot or atom i): per tree size s, built on first use
+and kept up to s = 9, the full trees as two arrays (:func:`_full_splits`),
+their edges and per edge the slot mask of its higher endpoint's side,
+carried through Smith's insertion a few array operations per level; and
+per call the total mass of every subset of the atoms, one integer over the
+masses' common denominator per atom mask.  Slot i of the table of size n
+is atom i, so an edge's flow is the sum of its side's mask, and the
+weights |flow|^alpha of all rows come from one value per mask
+(:meth:`ForestRows.side_weights`).  A forest is keyed from the masks alone
+(:func:`_components`), by the signature a DFS finds on the row's object
+(:meth:`FlowedTopology.signature`).
 
 One routine, :func:`contract`, merges vertices of a flowed forest, for
 :func:`_forests`, :func:`assign_flows` and collapse handling alike.  Gilbert's
@@ -124,9 +109,9 @@ class FlowedTopology:
     when flowing from the lower-indexed endpoint to the higher.  The
     boundary's masses enter here alone, and so do the edge weights
     |flow|^alpha (``placement._weights``).  The generators yield nonzero
-    flows only; :func:`assign_flows` and collapse contraction rewrite a
-    forest whose flows vanish on some edge into the smaller forest without
-    it (:func:`contract`).  Raises ``ValueError`` for an edge out of range
+    flows only (a row's full tree, :meth:`ForestRows.tree`, keeps its zero
+    flows); :func:`assign_flows` and :func:`contract` rewrite a forest
+    whose flows vanish on some edge into the smaller forest without it.  Raises ``ValueError`` for an edge out of range
     or unordered, or for more than n - 2 branch vertices.
     """
     n_terminals: int
@@ -201,56 +186,52 @@ def _splits(n: int, edges: tuple[Edge, ...]
 # the shape table
 # ---------------------------------------------------------------------------
 
-# the tables are built this many rows (parent trees, pooled trees, forests)
-# at a time, which bounds the temporaries of a build: at s = 10 the 135135
-# parent trees make 2027025 trees
+# the tables are built and keyed this many trees at a time, which bounds
+# the temporaries: at s = 10 the 135135 parent trees make 2027025 trees
 _ROW_CHUNK = 8192
 
-# the shape tables up to this block size, about 16 MB together, are kept
-# once built; a larger one (241 MB at s = 10) is built again on every call,
-# so that no process carries it after the solve that needed it
+# the shape tables up to this size, about 13 MB together, are kept, shared
+# by the rows; a larger one (207 MB at s = 10) is built for its call and
+# becomes its rows, so no process carries it after the solve that needed it
 _KEPT_SIZE = 9
-_kept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray]:
     """Full trees on s >= 2 terminal slots (0..s-1) and s - 2 branch slots,
-    one per row of three arrays: the edges (S, 2s - 3, 2), each (lower,
-    higher) and sorted; per edge the mask of the terminal slots on its side
-    away from slot 0; and +1 when that side holds the edge's higher
-    endpoint, -1 when it holds the lower one, as :func:`_splits` returns
-    them.  Ends and signs are int8, masks int32 (s <= 31).
+    one per row of two arrays: the edges (S, 2s - 3, 2), each (lower,
+    higher) and sorted, int8, and per edge the mask of the terminal slots
+    on its higher endpoint's side, int32 (s <= 31).
 
     Smith insertion, vectorized: each full tree on the first s - 1 terminals
     has its branch slots shifted up by one, which keeps every edge's
     orientation, and terminal s - 1 is attached to a new branch slot
     w = 2s - 3 that subdivides one of its 2s - 5 edges, (x, y) with far mask
-    f and x on the far side.  The far half (x, w) keeps f, the near half
-    (y, w) gets f plus the new bit, the leaf edge only the bit, and every
-    other edge whose far side holds f's terminals gets the bit too: in a
-    full tree every far side holds a terminal, so such an edge lies between
-    slot 0 and (x, y).  Tree a's insertion on its edge i is row
-    a (2s - 5) + i.  Tables up to s = ``_KEPT_SIZE`` are kept in ``_kept``.
+    f (its side away from slot 0) and x on the far side.  The far half
+    (x, w) and the leaf edge have w's side away from x and from the new
+    terminal, the near half (y, w) has f plus the new bit, and every other
+    edge gets the bit on its side that holds (x, y), the far one exactly
+    when its far mask contains f.  Tree a's insertion on its edge i is row
+    a (2s - 5) + i.  Tables up to s = ``_KEPT_SIZE`` are kept, read-only.
     """
     if s in _kept:
         return _kept[s]
     if s == 2:
-        return (np.array([[[0, 1]]], np.int8), np.array([[0b10]], np.int32),
-                np.array([[1]], np.int8))
-    t, w, bit = s - 1, 2 * s - 3, 1 << (s - 1)
-    ends, far, signs = _full_splits(s - 1)
+        return np.array([[[0, 1]]], np.int8), np.array([[0b10]], np.int32)
+    t, w, bit, full = s - 1, 2 * s - 3, 1 << (s - 1), (1 << s) - 1
+    ends, sides = _full_splits(s - 1)
     ends = ends + (ends >= t)
-    size, e = far.shape
+    size, e = sides.shape
     out = (np.empty((size * e, e + 2, 2), np.int8),
-           np.empty((size * e, e + 2), np.int32),
-           np.empty((size * e, e + 2), np.int8))
+           np.empty((size * e, e + 2), np.int32))
     split = np.eye(e, dtype=bool)  # [i, j]: child i subdivides edge j
     for lo in range(0, size, _ROW_CHUNK):
-        en, fa, sg = (v[lo:lo + _ROW_CHUNK] for v in (ends, far, signs))
-        c = len(fa)
-        u, v, fi, fj = en[:, None, :, 0], en[:, None, :, 1], fa[..., None], \
-            fa[:, None]
-        x = np.where(sg > 0, en[..., 1], en[..., 0])[..., None]
+        en, sd = ends[lo:lo + _ROW_CHUNK], sides[lo:lo + _ROW_CHUNK]
+        c, up = len(sd), sd & 1 == 0  # up: the far side is the higher one
+        far = np.where(up, sd, full ^ bit ^ sd)
+        u, v, fi, fj = en[:, None, :, 0], en[:, None, :, 1], far[..., None], \
+            far[:, None]
+        x = np.where(up, en[..., 1], en[..., 0])[..., None]
         # child i's edges: the parent's, edge i turned into the far half
         # (x, w), then the near half (y, w) and the leaf edge (t, w)
         child_u = np.concatenate([np.where(split, x, u), en.sum(
@@ -258,23 +239,23 @@ def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.full((c, e, 1), t, np.int8)], axis=2)
         child_v = np.concatenate([np.where(split, np.int8(w), v),
                                   np.full((c, e, 2), w, np.int8)], axis=2)
-        child_far = np.concatenate([
-            np.where(split, fi, np.where(fj & fi == fi, fj | bit, fj)),
-            fi | bit, np.full((c, e, 1), bit, np.int32)], axis=2)
-        child_signs = np.concatenate([
-            np.where(split, np.int8(-1), sg[:, None]),
-            np.ones((c, e, 1), np.int8), np.full((c, e, 1), -1, np.int8)],
-            axis=2)
+        child_sides = np.concatenate([
+            np.where(split, full ^ fi, np.where(
+                up[:, None] == (fj & fi == fi), sd[:, None] | bit,
+                sd[:, None])),
+            fi | bit, np.full((c, e, 1), full ^ bit, np.int32)], axis=2)
         # sorted by edge; float keys are exact here, and the stable float
         # sort is the one the solver's queue uses
         at = (np.arange(c)[:, None, None], np.arange(e)[:, None],
               np.argsort(child_u * (w + 1.0) + child_v, axis=2,
                          kind="stable"))
         rows = slice(lo * e, (lo + c) * e)
-        for got, child in zip((out[0][..., 0], out[0][..., 1], *out[1:]),
-                              (child_u, child_v, child_far, child_signs)):
+        for got, child in zip((out[0][..., 0], out[0][..., 1], out[1]),
+                              (child_u, child_v, child_sides)):
             got[rows] = child[at].reshape(-1, e + 2)
     if s <= _KEPT_SIZE:
+        for a in out:
+            a.flags.writeable = False
         _kept[s] = out
     return out
 
@@ -286,29 +267,28 @@ def _full_splits(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class ForestRows:
     """Every full forest over a balanced partition of the atoms with flow on
-    every edge, one per row, in the order of :func:`forest_rows`.
+    every edge, once, each as a full tree on all n atoms, one per row, in
+    the order of :func:`forest_rows`.
 
-    Row r's edges are ``ends[r]``, sorted and padded with (-1, -1) to the
-    table's width, and ``sides[r]`` holds per edge the atom mask of its
-    higher endpoint's side, 0 on padding: the flow from the edge's lower
-    endpoint to its higher one is that side's total mass,
-    ``sums[side] / den``.  ``partitions`` holds each partition's block masks
-    in walk order, ``part`` each row's partition and ``n_branch`` its branch
-    count.  The bounding pass reads the arrays, a row's weights |flow|^alpha
-    being :meth:`side_weights` at its sides; objects are made only for the
-    rows asked for (:meth:`topology`).
+    Row r's edges are ``ends[r]``, 2n - 3 of them, sorted, between the atoms
+    0..n-1 and the branch vertices n..2n-3, and ``sides[r]`` holds per edge
+    the atom mask of its higher endpoint's side: the flow from the edge's
+    lower endpoint to its higher one is that side's total mass,
+    ``sums[side] / den``.  Dropping the edges without flow and splicing out
+    the branch vertices they leave gives the row's forest
+    (:meth:`topology`).  Every row has n - 2 branch vertices, none with
+    only zero-flow edges, so flowing edges tie each to an atom, and the
+    bounding pass, which reads the arrays, gives zero-flow edges weight 0
+    (:meth:`side_weights`).
     """
     n: int
     den: int
     sums: tuple[int, ...]
-    partitions: tuple[tuple[int, ...], ...]
-    part: np.ndarray
-    n_branch: np.ndarray
     ends: np.ndarray
     sides: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.part)
+        return len(self.sides)
 
     def side_weights(self, alpha: float) -> np.ndarray:
         """|total mass|^alpha of every atom mask.  int / int true division
@@ -317,105 +297,107 @@ class ForestRows:
         return np.array([abs(total / self.den) ** alpha
                          for total in self.sums])
 
-    def _own(self, r: int) -> tuple[list, list[int]]:
-        """Row ``r``'s edges and sides without the padding: k blocks of n
-        atoms have 2n - 3k edges and n - 2k branch vertices."""
-        e = (self.n + 3 * int(self.n_branch[r])) // 2
-        return self.ends[r, :e].tolist(), self.sides[r, :e].tolist()
-
-    def splits(self, r: int) -> list[int]:
-        """Per edge of row ``r``, the atom mask of its side away from its
-        block's lowest atom."""
-        blocks = [(blk, blk & -blk) for blk in self.partitions[self.part[r]]]
-        return [blk ^ side if side & root else side
-                for side in self._own(r)[1]
-                for blk, root in blocks if blk & side]
-
-    def signature(self, r: int) -> tuple:
-        """:meth:`FlowedTopology.signature` of row ``r``, without the
-        object."""
-        return (self.n, int(self.n_branch[r]),
-                tuple(sorted(self.partitions[self.part[r]])),
-                tuple(sorted(self.splits(r))))
+    def tree(self, r: int) -> FlowedTopology:
+        """Row ``r``'s full tree, its zero flows kept."""
+        return FlowedTopology(
+            self.n, self.n - 2, tuple(map(tuple, self.ends[r].tolist())),
+            tuple(Fraction(self.sums[side], self.den)
+                  for side in self.sides[r].tolist()))
 
     def topology(self, r: int) -> FlowedTopology:
-        """Row ``r`` as a flowed topology."""
-        edges, sides = self._own(r)
-        return FlowedTopology(
-            self.n, int(self.n_branch[r]), tuple(map(tuple, edges)),
-            tuple(Fraction(self.sums[side], self.den) for side in sides))
+        """Row ``r``'s forest: its tree contracted, which drops the
+        zero-flow edges and splices out the branch vertices they leave; a
+        tree with flow on every edge is its own forest."""
+        tree = self.tree(r)
+        return tree if all(tree.edge_flows) else contract(tree, ())[0]
+
+    def live(self, r: int) -> list[int]:
+        """The i of row ``r``'s branch vertices n + i that its forest keeps,
+        in order: those without a zero-flow edge."""
+        cut = {v for edge, side in zip(self.ends[r].tolist(),
+                                       self.sides[r].tolist())
+               if not self.sums[side] for v in edge}
+        return [i for i in range(self.n - 2) if self.n + i not in cut]
+
+    def signature(self, r: int) -> tuple:
+        """:meth:`FlowedTopology.signature` of row ``r``'s forest, without
+        the object (:func:`_components`).  A forest of k components has
+        k - 1 zero-flow edges in its row, each between two vertices it
+        splices out, so n - 2k branch vertices."""
+        cut = np.array([[not self.sums[side]
+                         for side in self.sides[r].tolist()]])
+        comp, split = (a[0, ~cut[0]].tolist() for a in _components(
+            self.sides[r:r + 1], cut, self.n))
+        return (self.n, self.n - 2 - 2 * int(cut.sum()),
+                tuple(sorted(set(comp))), tuple(sorted(set(split))))
 
 
-def _pool(n: int, sums: list[int], used: list[int]
-          ) -> tuple[np.ndarray, np.ndarray, dict[int, int], dict[int, int]]:
-    """The flowing trees of every block in ``used`` (sorted by size) in one
-    pool, block by block, padded to the widest block: each tree's edges
-    between vertices of all n atoms and its sides as atom masks (the
-    layout of :class:`ForestRows`), then one empty entry for missing block
-    positions; with each block's first entry and its number of trees.
-    Branch slot s + j of a block of s atoms becomes vertex n + j.  Only the
-    pool outlives the call, so the shape tables and the trees' indices are
-    freed before :func:`forest_rows` gathers its rows: at s = 10 the table,
-    the pool and the rows take about 240 MB each.
+def _components(sides: np.ndarray, cut: np.ndarray, n: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge of rows of full trees, their ``sides`` as in
+    :class:`ForestRows` and ``cut`` their zero-flow edges: its component
+    once the cut edges are dropped, the intersection of the sides of the
+    cut edges that hold it, and its split there, its atoms away from the
+    component's lowest atom.  An edge's far mask, its side away from atom
+    0, lies in a cut edge's exactly when it lies on that edge's far side.
     """
-    zero = np.array([not total for total in sums])
-    groups, start, count, size = [], {}, {}, 0
-    for s, group in itertools.groupby(used, int.bit_count):
-        group = list(group)
-        atoms = [[a for a in range(n) if blk >> a & 1] for blk in group]
-        slot_atoms = []  # per block, slot mask -> atom mask
-        for block_atoms in atoms:
-            masks = [0]
-            for a in block_atoms:
-                masks += [mask | 1 << a for mask in masks]
-            slot_atoms.append(masks)
-        atom = np.array(slot_atoms, np.int32)
-        # slot -> vertex: the block's atoms, then its branch vertices
-        vertex = np.array([a + list(range(n, n + s - 2)) for a in atoms],
-                          np.int8)
-        table = _full_splits(s)
-        g, tree = np.nonzero(np.concatenate([
-            ~zero[atom[:, table[1][lo:lo + _ROW_CHUNK]]].any(axis=2)
-            for lo in range(0, len(table[1]), _ROW_CHUNK)], axis=1))
-        groups.append((s, table, atom, vertex, g, tree))
-        for blk, c in zip(group, np.bincount(g, minlength=len(group)).tolist()):
-            start[blk], count[blk] = size, c
-            size += c
-    pool_width = 2 * used[-1].bit_count() - 3
-    pool_ends = np.full((size + 1, pool_width, 2), -1, np.int8)
-    pool_sides = np.zeros((size + 1, pool_width), np.int32)
-    first = 0
-    for s, (ends, far, signs), atom, vertex, g, tree in groups:
-        for lo in range(0, len(g), _ROW_CHUNK):
-            gg, tt = g[lo:lo + _ROW_CHUNK], tree[lo:lo + _ROW_CHUNK]
-            rows = slice(first + lo, first + lo + len(gg))
-            pool_ends[rows, :2 * s - 3] = vertex[gg[:, None, None], ends[tt]]
-            pool_sides[rows, :2 * s - 3] = atom[gg[:, None], np.where(
-                signs[tt] > 0, far[tt], (1 << s) - 1 ^ far[tt])]
-        first += len(g)
-    return pool_ends, pool_sides, start, count
+    full = (1 << n) - 1
+    far = np.where(sides & 1, full ^ sides, sides)
+    near = far[:, :, None]
+    held = np.where(near & far[:, None] == near, far[:, None],
+                    full ^ far[:, None])
+    comp = np.bitwise_and.reduce(np.where(cut[:, None], held, full), axis=2)
+    split = far & comp
+    return comp, np.where(split & comp & -comp, comp ^ split, split)
+
+
+def _representatives(ends: np.ndarray, sides: np.ndarray, zero: np.ndarray,
+                     n: int) -> np.ndarray:
+    """Which of the full trees ``ends`` and ``sides`` :func:`forest_rows`
+    keeps, ``zero`` holding per atom mask whether its mass is zero: every
+    tree without a zero-flow edge, and of the others, keyed by the set of
+    (component, split) pairs of their flowing edges (:func:`_components`),
+    the first of each key without a lone branch vertex, one whose three
+    edges carry no flow.  Every forest has such a tree: chain its blocks,
+    each joined to the next by a zero-flow edge between two flowing ones.
+    """
+    keep = ~zero[sides].any(axis=1)
+    rows, keys = np.flatnonzero(~keep), []
+    for lo in range(0, len(rows), _ROW_CHUNK):
+        chunk = rows[lo:lo + _ROW_CHUNK]
+        cut = zero[sides[chunk]]
+        comp, split = _components(sides[chunk], cut, n)
+        # a forest edge subdivided by zero-flow edges is several tree
+        # edges with one pair: each pair counts once
+        key = np.where(cut, -1, comp.astype(np.int64) << n | split)
+        key.sort(axis=1)
+        key[:, 1:][key[:, 1:] == key[:, :-1]] = -1
+        key.sort(axis=1)
+        at = np.where(cut[..., None], ends[chunk], -1)
+        key[(at[..., None] == np.arange(n, 2 * n - 2)).sum(axis=(1, 2)).max(
+            axis=1, initial=0) == 3] = -2  # lone: a key of its own
+        keys.append(key)
+    # the first tree of each key, after a stable sort of the keys: on the
+    # 9-atom instance's 19467 keys, np.unique over rows took 40 ms, this 5
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    keep[rows[order[first & (keys[:, 0] != -2)]]] = True
+    return keep
 
 
 def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
     """Every full forest over a balanced partition of the atoms with flow
-    on every edge, terminal i carrying ``masses[i]``.
+    on every edge, each once as a full tree on all n atoms, terminal i
+    carrying ``masses[i]``.
 
     One table holds the total mass of every subset of the atoms, by
-    bitmask, as an integer over the masses' common denominator, and its zero
-    entries of two or more atoms are the blocks.  The partitions are walked
-    from it: each next block holds the lowest atom that the blocks before
-    it leave, so no partition with a singleton or unbalanced block is met.
-    A block's terminal slots map to its atoms in increasing order, so a
-    slot mask maps to an atom mask, and the flow on an edge is the table's
-    entry for its higher endpoint's side (:func:`_full_splits`).  A full
-    tree with a zero-flow edge, one that splits its block into two balanced
-    parts, is not kept.  The flowing trees of all blocks of one size come
-    from one round of fancy indexing, into one pool.  A partition's rows are
-    the product of its blocks' trees, concatenated, with each block's
-    branch vertices numbered on from the blocks before it and the edges
-    sorted, and all rows are gathered from the pool together,
-    ``_ROW_CHUNK`` at a time.  Rows come in walk order of the partitions
-    and, per partition, in product order of the blocks' trees.  Raises
+    bitmask, as an integer over the masses' common denominator.  The trees
+    are those of :func:`_full_splits` ``(n)``, slot i being atom i, so an
+    edge's flow is the table's entry for its side mask; the rows are the
+    shape table's arrays when the atoms have no balanced proper subset, and
+    the trees :func:`_representatives` keeps otherwise.  Raises
     ``ValueError`` when the masses do not sum to zero.
     """
     n = len(masses)
@@ -428,83 +410,21 @@ def forest_rows(masses: tuple[Fraction, ...]) -> ForestRows:
     if sums[-1]:
         raise ValueError(
             "boundary has nonzero total mass; no transport path exists")
-    blocks = sorted(mask for mask, total in enumerate(sums)
-                    if not total and mask & (mask - 1))
-
-    def walk(rest: int) -> Iterator[tuple[int, ...]]:
-        if not rest:
-            yield ()
-            return
-        low = rest & -rest
-        for blk in blocks:
-            if blk & low and blk & rest == blk:
-                for tail in walk(rest ^ blk):
-                    yield (blk, *tail)
-
-    partitions = tuple(walk(len(sums) - 1))
-    used = sorted({blk for p in partitions for blk in p},
-                  key=lambda blk: (blk.bit_count(), blk))
-    pool_ends, pool_sides, start, count = _pool(n, sums, used)
-    size, pool_width = pool_sides.shape
-    size -= 1
-
-    # per partition and block (empty blocks pad): the block's first pool
-    # entry, its number of trees and of branch vertices, then the stride of
-    # its tree index in the product and the branch vertices before it
-    kmax = max(map(len, partitions))
-    first, tree_count, branch = np.array([
-        [(start[blk], count[blk], blk.bit_count() - 2) for blk in p]
-        + [(size, 1, 0)] * (kmax - len(p)) for p in partitions]).transpose(
-        2, 0, 1)
-    stride = np.cumprod(tree_count[:, ::-1], axis=1)[:, ::-1] // tree_count
-    branch = np.cumsum(branch, axis=1) - branch
-    # each partition's column for every pool edge.  A full tree on s >= 3
-    # slots has its leaf edges first, by slot, and its branch edges after,
-    # so in a row sorted by edge the leaf edges of all blocks come first, by
-    # atom, and the blocks' branch edges follow, block by block: a column
-    # does not depend on the trees, and the partition's first row, sorted,
-    # gives it.  Column ``width`` takes the padding
-    width = 2 * n - 3 * min(map(len, partitions))
-    e = pool_ends[first]
-    e = np.where(e >= n, e + branch[..., None, None], e).reshape(
-        len(partitions), -1, 2)
-    order = np.argsort(np.where(e[..., 0] < 0, 4.0 * n * n,
-                                e[..., 0] * 2.0 * n + e[..., 1]),
-                       axis=1, kind="stable")
-    columns = np.empty_like(order)
-    columns[np.arange(len(partitions))[:, None], order] = np.minimum(
-        np.arange(order.shape[1]), width)
-    table = np.stack([first, tree_count, stride, branch], axis=-1)
-    rows_of = [math.prod(count[blk] for blk in p) for p in partitions]
-    part = np.repeat(np.arange(len(partitions)), rows_of)
-    first_row = np.array([0, *itertools.accumulate(rows_of)][:-1])
-    blocks_of = np.array([len(p) for p in partitions])
-    ends = np.full((len(part), width + 1, 2), -1, np.int8)
-    sides = np.zeros((len(part), width + 1), np.int32)
-    for lo in range(0, len(part), _ROW_CHUNK):
-        rows = np.arange(lo, min(lo + _ROW_CHUNK, len(part)))
-        p = part[rows]
-        k = blocks_of[p].max()  # block positions this chunk uses
-        start_of, count_of, stride_of, branch_of = table[p, :k].transpose(
-            2, 0, 1)
-        idx = (rows - first_row[p])[:, None] // stride_of % count_of + start_of
-        e = pool_ends[idx]
-        e = np.where(e >= n, e + branch_of[:, :, None, None], e)
-        at = rows[:, None], columns[p, :k * pool_width]
-        ends[at] = e.reshape(len(rows), -1, 2)
-        sides[at] = pool_sides[idx].reshape(len(rows), -1)
-    return ForestRows(n, den, tuple(sums), partitions, part,
-                      n - 2 * blocks_of[part], ends[:, :width],
-                      sides[:, :width])
+    ends, sides = _full_splits(n)
+    zero = np.array([not total for total in sums])
+    if zero[1:-1].any():
+        keep = _representatives(ends, sides, zero, n)
+        if not keep.all():
+            ends, sides = ends[keep], sides[keep]
+    return ForestRows(n, den, tuple(sums), ends, sides)
 
 
 def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
     """Every forest over a balanced partition of the atoms whose branch
-    vertices have degree >= 3, with flow on every edge, each once, with its
-    flows: the contractions of the rows of :func:`forest_rows` that merge
-    no two atoms, ordered by edge count, then edges.  So every contraction
-    of a forest comes before it, and a placement memo shared along the list
-    already holds the contractions a collapse meets.
+    vertices have degree >= 3, with flow on every edge, each once: the
+    contractions of the forests of :func:`forest_rows` that merge no two
+    atoms, ordered by edge count, then edges, so a placement memo shared
+    along the list already holds the contractions a collapse meets.
 
     Every such forest is one of them: expanding each terminal of degree
     >= 2 into a leaf on a new branch vertex, and splitting a pair of sides
@@ -515,46 +435,42 @@ def _forests(masses: tuple[Fraction, ...]) -> list[FlowedTopology]:
     forest and its components determine it (module docstring), so a
     contraction's key is known before it is built: each forest is
     contracted once, from the first edge subset with its key, and a subset
-    whose kept splits leave two atoms of a block together is skipped.
+    whose kept splits leave two atoms of a component together is skipped.
     Raises ``ValueError`` when the masses do not sum to zero.
     """
     rows = forest_rows(masses)
     out: list[FlowedTopology] = []
     met: set[tuple] = set()
-    for r in range(len(rows)):
-        blocks = rows.partitions[rows.part[r]]
-        splits, ft = rows.splits(r), None
+    for ft in map(rows.topology, range(len(rows))):
+        components, splits, _ = _splits(rows.n, ft.edges)
+        blocks = tuple(sorted(components))
         for bits in range(1 << len(splits)):
             kept = [side for i, side in enumerate(splits) if not bits >> i & 1]
             key = (blocks, tuple(sorted(kept)))
             if key in met:
                 continue
             met.add(key)
-            # two atoms of a block that no kept split separates would
+            # two atoms of a component that no kept split separates would
             # merge: contract skips such a pair, which leaves the
             # contraction by fewer edges, met under its own key
             codes = {(blk, tuple(side >> i & 1 for side in kept))
                      for blk in blocks for i in range(rows.n) if blk >> i & 1}
             if len(codes) < rows.n:
                 continue
-            if ft is None:
-                ft = rows.topology(r)
             out.append(contract(ft, [e for i, e in enumerate(ft.edges)
                                      if bits >> i & 1])[0])
     return sorted(out, key=lambda ft: (len(ft.edges), ft.edges))
 
 
 def enumerate_topologies(b: Boundary) -> Iterator[FlowedTopology]:
-    """Every full topology over a balanced partition of ``b``'s atoms, with
-    its flows: :func:`forest_rows`, row by row.
+    """Every full forest over a balanced partition of ``b``'s atoms with
+    flow on every edge, with its flows: the forests of :func:`forest_rows`,
+    row by row.
 
-    Terminals are indexed by the canonical (sorted) atom order of ``b``.  A
-    full tree with a zero-flow edge is not built: that edge splits its
-    block into two balanced parts, and dropping it leaves a full topology
-    of that finer partition, which is yielded on its own.  Every yielded
-    topology is therefore what :func:`assign_flows` makes of it, and no two
-    share a signature.  Raises ``ValueError`` when ``b`` has fewer than two
-    atoms or a nonzero total mass.
+    Terminals are indexed by the canonical (sorted) atom order of ``b``.
+    Every yielded topology is what :func:`assign_flows` makes of it, and no
+    two share a signature.  Raises ``ValueError`` when ``b`` has fewer than
+    two atoms or a nonzero total mass.
     """
     if len(b.atoms) < 2:
         raise ValueError("boundary must have at least 2 atoms")

@@ -16,7 +16,8 @@ of trees whose branch vertices have degree >= 3, one per split key, and
 ``flowed_forests`` is the per-block generator of full forests that the mask
 tables and the block walk replaced: it runs over ``set_partitions``, each
 block re-sums its masses, and each shape's sides come from one DFS
-(``_splits``).  Its forests carry no signature.
+(``_splits``).  Its forests carry no signature.  ``forest_key`` compares
+flowed forests whatever their branch labels.
 """
 import itertools
 from fractions import Fraction
@@ -184,3 +185,14 @@ def flowed_forests(masses):
             m, edges = join(n, blocks, block_shapes)
             edges, flows = zip(*sorted(zip(edges, itertools.chain(*flows))))
             yield FlowedTopology(n, m, edges, flows)
+
+
+def forest_key(ft):
+    """``ft``'s signature, with per split the flow out of the split's side
+    beside it, which do not depend on how the branch vertices are
+    labeled."""
+    components, splits, signs = _splits(ft.n_terminals, ft.edges)
+    return (ft.n_terminals, ft.n_branch, tuple(sorted(components)),
+            tuple(sorted((side, flow if sign > 0 else -flow)
+                         for side, sign, flow in zip(splits, signs,
+                                                     ft.edge_flows))))

@@ -1373,15 +1373,17 @@ def test_runs_exit_only_where_detect_collapse_contracts(case, bench_instances,
 
 
 def test_a_contraction_met_again_is_optimized_once():
-    # row 13 of the random set's third instance (6 atoms in 3-D, alpha 0.7):
-    # its kernel run contracts to one topology after each of its three
-    # stages and certifies none of the lifts.  Each settle asks for the
-    # contraction's optimum, and so does the contraction of the result, but
-    # it is optimized once, by the first settle, and then found in the
-    # memo; the run ends as one that skips the repeats ends, with the same
-    # records
+    # one full tree of the random set's third instance (6 atoms in 3-D,
+    # alpha 0.7): its kernel run contracts to one topology after each of
+    # its three stages and certifies none of the lifts.  Each settle asks
+    # for the contraction's optimum, and so does the contraction of the
+    # result, but it is optimized once, by the first settle, and then found
+    # in the memo; the run ends as one that skips the repeats ends, with
+    # the same records
     b, alpha = random_set()[2]
-    ft = forest_rows(tuple(m for _, m in b.atoms)).topology(13)
+    rows = forest_rows(tuple(m for _, m in b.atoms))
+    (ft,) = [rows.topology(r) for r in range(len(rows)) if rows.signature(r)
+             == (6, 4, (63,), (2, 4, 8, 16, 32, 48, 50, 54, 62))]
     real_kernel, real_place = placement._run_kernel, placement._place_stars
     real_optimize = placement.optimize_topology
 

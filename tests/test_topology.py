@@ -9,8 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dented_square import dented_square
-from forest_oracle import (all_forests, flowed_forests, forest_shapes,
-                           full_shapes, full_splits, set_partitions, shrank)
+from forest_oracle import (all_forests, flowed_forests, forest_key,
+                           forest_shapes, full_shapes, full_splits,
+                           set_partitions, shrank)
 from gsteiner.currents import boundary, make_boundary
 from gsteiner.placement import Placement, realize_chain
 from gsteiner.solver import SolverConfig, solve
@@ -343,28 +344,38 @@ def test_edges_fix_flows(masses):
 
 # the mask tables against the paths they replaced
 
+def _higher_sides(s, far, signs):
+    """Per edge, the slot mask of its higher endpoint's side, from its far
+    mask and its sign (``_splits``)."""
+    return [f if g > 0 else (1 << s) - 1 ^ f for f, g in zip(far, signs)]
+
+
 @pytest.mark.parametrize("s", range(2, 9))
 def test_insertion_splits_match_dfs(s):
-    for shape, splits, signs in zip(*(a.tolist() for a in _full_splits(s))):
-        assert (splits, signs) == _splits(s, tuple(map(tuple, shape)))[1:]
+    for shape, sides in zip(*(a.tolist() for a in _full_splits(s))):
+        _, far, signs = _splits(s, tuple(map(tuple, shape)))
+        assert sides == _higher_sides(s, far, signs)
 
 
 @pytest.mark.parametrize("s", range(2, 9))
 def test_vectorized_insertion_matches_tuple_construction(s):
-    # the same trees in the same order, edges, far masks and signs alike
-    ends, far, signs = (a.tolist() for a in _full_splits(s))
-    assert [(tuple(map(tuple, e)), tuple(f), tuple(g))
-            for e, f, g in zip(ends, far, signs)] == list(full_splits(s))
+    # the same trees in the same order, edges and sides alike
+    ends, sides = (a.tolist() for a in _full_splits(s))
+    assert [(tuple(map(tuple, e)), tuple(g)) for e, g in zip(ends, sides)] \
+        == [(shape, tuple(_higher_sides(s, far, signs)))
+            for shape, far, signs in full_splits(s)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(balanced_masses(7))
 def test_flowed_forests_match_per_block_generator(masses):
-    # the block walk meets the partitions in another order than
-    # set_partitions
+    # the rows come in the order of the full trees on all atoms, and a
+    # forest of several blocks gets its branch labels from the contraction
+    # of its row's tree: forests are compared by signature and flows
     rows = forest_rows(masses)
     fts = list(map(rows.topology, range(len(rows))))
-    assert _by_repr(fts) == _by_repr(flowed_forests(masses))
+    assert sorted(map(forest_key, fts)) == \
+        sorted(map(forest_key, flowed_forests(masses)))
     for r, ft in enumerate(fts):
         assert rows.signature(r) == ft.signature()
 
