@@ -88,17 +88,25 @@ A minimizer often collapses: branch points land on each other or on an
 atom.  :func:`optimize_topology` resolves that: it places or minimizes,
 contracts the settled stars or what :func:`detect_collapse` finds
 coincident (both through :func:`~gsteiner.topology.contract`), and
-optimizes the contracted topology the same way, until nothing collapses.
-Each contraction removes a branch vertex, so this ends, and
-the cluster maps compose into one map from the input's vertices to the
-result's.  A kernel run that ended early returns coincident vertices,
-which contract to the topology it optimized, then a memo hit.  A result
-from the barycentric start depends on the flowed topology alone, so a
-caller that optimizes many topologies of one boundary passes one ``memo``
-dict to all of them: it keeps every such result, and a topology that
-several others contract onto is optimized once.  A result from a given
-start is not kept, and every contraction on its way starts at the
-barycentric start.
+optimizes the contracted topology the same way, until nothing collapses.  A
+forest without branch vertices it takes at its terminals: nothing is
+placed, and nothing can collapse.  Each contraction removes a branch
+vertex, so this ends, and the cluster maps compose into one map from the
+input's vertices to the result's.  A kernel run that ended early returns
+coincident vertices, which contract to the topology it optimized, then a
+memo hit.  A result from the barycentric start depends on the flowed
+topology alone, so a caller that optimizes many topologies of one boundary
+passes one ``memo`` dict to all of them: it keeps every such result, and a
+topology that several others contract onto is optimized once.  A result
+from a given start is not kept, and every contraction on its way starts at
+the barycentric start.  What depends on the flowed topology alone is read
+from ``ft``'s own memo (:class:`~gsteiner.topology.FlowedTopology`), made
+once: the edge weights per alpha (:func:`_weights`), the (weight,
+neighbour) lists of the branch vertices per alpha (:func:`_incident`), for
+the star pass, the planar sweeps and the early exit's test, and the
+incidence matrix (:func:`_incidence`), for the kernel and
+:func:`dual_bound`.  The four-point lab keeps its candidate topologies, so
+it builds them once per process.
 
 The kernel's constants: the smoothing parameter is ``EPS_INIT``, then
 ``EPS_INIT * EPS_DECAY``, then ``EPS_MIN`` (all relative to the largest
@@ -234,11 +242,19 @@ def _subgradient(here: Point, incident: list[tuple[float, Point]]
 
 
 def _incident(ft: FlowedTopology, alpha: float, v0: int
-              ) -> list[tuple[float, int]]:
-    """(w_e, other end) of every edge of vertex ``v0``, in edge order."""
-    return [(wi, v if u == v0 else u)
-            for wi, (u, v) in zip(_weights(ft, alpha), ft.edges)
-            if v0 in (u, v)]
+              ) -> tuple[tuple[float, int], ...]:
+    """(w_e, other end) of every edge of branch vertex ``v0``, in edge
+    order.  The lists of all branch vertices are made once per alpha and
+    kept in ``ft``'s memo, keyed by ``("incident", alpha)``."""
+    key = ("incident", alpha)
+    found = ft._memo.get(key)
+    if found is None:
+        w = _weights(ft, alpha)
+        found = ft._memo[key] = tuple(
+            tuple((wi, v if u == b else u)
+                  for wi, (u, v) in zip(w, ft.edges) if b in (u, v))
+            for b in range(ft.n_terminals, ft.n_terminals + ft.n_branch))
+    return found[v0 - ft.n_terminals]
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +262,18 @@ def _incident(ft: FlowedTopology, alpha: float, v0: int
 # ---------------------------------------------------------------------------
 
 def _incidence(ft: FlowedTopology) -> np.ndarray:
-    """Vertex/edge incidence matrix: +1 at an edge's low end, -1 at its high end."""
-    a = np.zeros((ft.n_terminals + ft.n_branch, len(ft.edges)))
-    for i, (u, v) in enumerate(ft.edges):
-        a[u, i] = 1.0
-        a[v, i] = -1.0
-    return a
+    """Vertex/edge incidence matrix: +1 at an edge's low end, -1 at its high
+    end.  Made once, read-only, and kept in ``ft``'s memo, keyed by
+    ``"incidence"``."""
+    found = ft._memo.get("incidence")
+    if found is None:
+        found = np.zeros((ft.n_terminals + ft.n_branch, len(ft.edges)))
+        for i, (u, v) in enumerate(ft.edges):
+            found[u, i] = 1.0
+            found[v, i] = -1.0
+        found.flags.writeable = False
+        ft._memo["incidence"] = found
+    return found
 
 
 def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
@@ -611,8 +633,8 @@ def _solve_spd(a: list[list[float]], rhs: list[float]) -> list[float] | None:
 def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
                  alpha: float
                  ) -> list[tuple[int, int]] | OptimizedTopology | None:
-    """The star pass: every branch vertex of ``ft`` decided as a star, or
-    None when ``ft`` has no branch vertex or a branch-branch edge.
+    """The star pass: every branch vertex of ``ft``, which has one at
+    least, decided as a star, or None when ``ft`` has a branch-branch edge.
 
     First each star gets Kuhn's test of the module docstring: atom t is its
     unique minimizer when the ball of :func:`_subgradient` at p_t, with only
@@ -627,7 +649,7 @@ def _place_stars(ft: FlowedTopology, terminals: tuple[Point, ...],
     n = ft.n_terminals
     # an edge's first end is its lower one, so the greatest edge starts at
     # a branch vertex exactly when some edge joins two
-    if not ft.n_branch or max(ft.edges)[0] >= n:
+    if max(ft.edges)[0] >= n:
         return None
     stars, settled = [], []
     for v0 in range(n, n + ft.n_branch):
@@ -693,8 +715,9 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     would not bound ``ft``'s minimum) the run stops there, and the
     rest of it would only have closed in on that collapse.  ``trace``
     receives the kernel's per-stage records, the nested optimizations'
-    records and one final record.  Every step reads the edge weights from
-    ``ft``'s memo (:func:`_weights`), made once per alpha.  The result is
+    records and one final record.  Every step reads the edge weights, the
+    incident lists and the incidence matrix from ``ft``'s memo, made once
+    (:func:`_weights`, :func:`_incident`, :func:`_incidence`).  The result is
     for ``ft`` itself, at a placement that may hold coincident vertices:
     :func:`optimize_topology` contracts them.  Its ``lower`` is an early
     exit's certificate, else the dual bound at the final placement
@@ -1098,9 +1121,13 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     a ``start`` depends on the start as well, so it is not stored; the
     contractions on its way are.
 
+    A forest without branch vertices stands at its terminals: it skips the
+    star pass, :func:`minimize` and :func:`detect_collapse`.
+
     That memo holds results, which depend on the geometry.  What depends on
-    the flowed topology alone, its contractions and its edge weights
-    (:func:`_weights`), ``ft`` keeps in its own memo
+    the flowed topology alone, its contractions, edge weights
+    (:func:`_weights`), incident lists (:func:`_incident`) and incidence
+    matrix (:func:`_incidence`), ``ft`` keeps in its own memo
     (:func:`~gsteiner.topology.contract`).
     """
     if not 0.0 < alpha <= 1.0:
@@ -1110,9 +1137,13 @@ def optimize_topology(ft: FlowedTopology, b: Boundary, alpha: float,
     key = ft.edges
     if key in memo:
         return memo[key]
-    found = _place_stars(ft, _terminals_for(ft, b), alpha)
+    terminals = _terminals_for(ft, b)
     iters = 0
-    if isinstance(found, list):
+    if not ft.n_branch:
+        # it stands at its terminals, and nothing can collapse
+        res = _optimized(ft, Placement(terminals, ()), alpha, 0)
+        contracted = ft
+    elif isinstance(found := _place_stars(ft, terminals, alpha), list):
         # a star merged into its atom closes no cycle: a new topology.
         # Kuhn's test is exact, so the contraction's lower bound is ft's
         contracted, cluster = contract(ft, found)

@@ -58,15 +58,19 @@ are merged away: a forest and its contraction realize the same current, and
 the contraction's cluster map lifts a placement of it back onto the forest.
 A contraction depends on the forest and its flows and on the merged pairs
 alone, so each :class:`FlowedTopology` keeps a private memo, made with it:
-every contraction of it, keyed by the tuple of merged pairs, and its edge
-weights |flow|^alpha (``placement._weights``), keyed by alpha.  A repeat
-call returns the same objects, whose own memos hold what was derived from
-them, so a caller that keeps its topologies, as the four-point lab's
-candidate cache does, derives each contraction once.  Since each entry is
-that pure function's value, no result can depend on which calls filled the
-memo, and a copy or a pickle may carry it.  The memo takes no part in
-equality, hashing, ``repr`` or the signature, and ``replace`` starts with
-an empty one.
+every contraction of it, keyed by the tuple of merged pairs; its edge
+weights |flow|^alpha (``placement._weights``), keyed by alpha; the
+(weight, neighbour) lists of its branch vertices
+(``placement._incident``), keyed by ``("incident", alpha)``; and its
+incidence matrix, read-only (``placement._incidence``), keyed by
+``"incidence"``.  A repeat call returns the same objects, whose own memos
+hold what was derived from them, so a caller that keeps its topologies, as
+the four-point lab's candidate cache does, derives each of them once.
+Since each entry is that pure function's value, no result can depend on
+which calls filled the memo, and a copy or a pickle may carry it (with a
+writeable copy of the matrix).  The memo takes no part in equality,
+hashing, ``repr`` or the signature, and ``replace`` starts with an empty
+one.
 
 Enumeration is exhaustive by design and intended for small n; callers guard
 instance size.
@@ -118,9 +122,11 @@ class FlowedTopology:
     n_branch: int
     edges: tuple[Edge, ...]
     edge_flows: tuple[Fraction, ...]
-    # :func:`contract`'s results by the tuple of merged pairs and
-    # ``placement._weights``' by alpha (module docstring); no part of
-    # equality, hashing or repr, and empty in a ``replace``
+    # :func:`contract`'s results by the tuple of merged pairs,
+    # ``placement._weights``' by alpha, ``placement._incident``'s by
+    # ("incident", alpha) and ``placement._incidence``'s by "incidence"
+    # (module docstring); no part of equality, hashing or repr, and empty
+    # in a ``replace``
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 

@@ -1,14 +1,14 @@
 """Reference for ``currents.canonicalize``: the canonical form in the
-dimension-generic vector arithmetic alone.
+dimension-generic vector arithmetic alone, with the generator forms of the
+vector helpers.
 
-``currents`` tests collinearity of planar points in flat float arithmetic,
-meant to give the bits of the generic expressions below.  This module keeps
-the generic test, and the grouping and sweep built on it, so that tests can
-compare ``_LineGroup._off_line``'s planar branch with it bit for bit.
-Lengths and norms are ``math.hypot`` here as in ``currents``.
-Every line group is swept, one-member groups too:
-``test_lone_segment_fast_path_equals_sweep`` holds ``currents``' shortcut
-for those to the sweep.
+``currents`` groups planar segments by line in flat float arithmetic, meant
+to give the bits of the generic expressions below.  This module keeps the
+generic test, and the grouping and sweep built on it, so that tests can
+compare ``currents`` with it bit for bit.  Lengths and norms are
+``math.hypot`` here as in ``currents``.  Every line group is swept,
+one-member groups too: ``test_lone_segment_fast_path_equals_sweep`` holds
+``currents``' shortcut for those to the sweep.
 """
 import math
 from fractions import Fraction

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import canonical_oracle
@@ -13,6 +13,9 @@ from gsteiner.currents import (GEOM_TOL, alpha_mass, boundary, branch_points,
                                canonicalize, chain_of, has_loop, lerp,
                                make_boundary, mass, restrict_ball,
                                restrict_outside, scale_chain)
+from gsteiner.perturb import _local4_candidates, build_wz, four_point_instance
+from gsteiner.placement import optimize_topology, realize_chain
+from gsteiner.sweep import SweepSpec, build_cells
 
 
 def seg(a, b, m):
@@ -171,38 +174,41 @@ def test_canonicalize_idempotent():
         assert canonicalize(c) == c
 
 
-def swept_canonical(chain, monkeypatch):
-    """``canonicalize`` with every line group swept, lone segments too."""
-    with monkeypatch.context() as m:
-        m.setattr(currents, "_lone_segment", currents._sweep_line_group)
-        return canonicalize(chain)
-
-
 @pytest.mark.parametrize("dim", [2, 3])
-def test_lone_segment_fast_path_equals_sweep(dim, monkeypatch):
+def test_lone_segment_fast_path_equals_sweep(dim):
+    # the reference sweeps every line, one-member lines too
     rng = random.Random(40 + dim)
     for _ in range(40):
         c = random_chain(rng, n_segments=rng.randint(1, 6), dim=dim)
-        # collinear pieces of the first segment make groups of several
+        # collinear pieces of the first segment make lines of several
         for a, b, m in [(s.start, s.end, s.mult) for s in c.segments[:1]]:
             mid = tuple(0.5 * (x + y) for x, y in zip(a, b))
             c = c + chain_of([(mid, a, m), (b, mid, F(rng.randint(-2, 2) or 1))])
         # lone segments in both orientations along the axes
         c = c + chain_of([((5.0,) * dim, (6.0,) + (5.0,) * (dim - 1), 1),
                           ((7.0,) * dim, (7.0,) * (dim - 1) + (6.0,), -2)])
-        assert canonicalize(c) == swept_canonical(c, monkeypatch)
+        assert canonicalize(c) == canonical_oracle.canonicalize(c)
 
 
-def test_lone_segment_fast_path_cases():
+def test_lone_segment_fast_path_cases(monkeypatch):
     forward = currents.Segment((0.0, 0.0), (1.0, 2.0), F(3))
     backward = forward.reversed()
     for s in (forward, backward):
-        g = currents._LineGroup(s)
-        assert currents._lone_segment(g) == currents._sweep_line_group(g) \
-            == [forward]
-        # projection 0 on the group direction: both drop the segment
-        g.direction = (-g.direction[1], g.direction[0])
-        assert currents._lone_segment(g) == currents._sweep_line_group(g) == []
+        (direction, members, t), = currents._planar_lines([s], GEOM_TOL)
+        assert members == [s] and t == currents.vdot(
+            currents.vsub(s.end, s.start), direction)
+        assert canonicalize(chain_of([(s.start, s.end, s.mult)])).segments \
+            == tuple(currents._sweep_line(direction, members)) == (forward,)
+        # projection 0 on the line's direction: both drop the segment
+        normal = (-direction[1], direction[0])
+        t = currents.vdot(currents.vsub(s.end, s.start), normal)
+        assert t == 0.0
+        with monkeypatch.context() as m:
+            m.setattr(currents, "_planar_lines",
+                      lambda segs, tol: [(normal, list(segs), t)])
+            assert canonicalize(chain_of([(s.start, s.end, s.mult)])
+                                ).segments == ()
+        assert currents._sweep_line(normal, [s]) == []
 
 
 def test_canonicalize_opposite_orientations_subtract():
@@ -231,11 +237,33 @@ def collinear_chain(rng, dim):
     return chain_of(segs)
 
 
+def lab_chains():
+    """The four-point lab's chains: every candidate's realized optimum on
+    seeded instances at alpha 0.5, 0.6 and 0.75, and its differences from
+    the instance's W and Z, which the label's support match canonicalizes."""
+    cells = build_cells(SweepSpec(alphas=(0.5, 0.6, 0.75), n_instances=3,
+                                  rho=0.1, seed=5))
+    chains = []
+    for alpha, k, _, _, _, disp, theta in cells:
+        inst = four_point_instance(k, disp, theta)
+        b = inst.boundary()
+        memo = {}
+        for _, ft in _local4_candidates(tuple(m for _, m in b.atoms),
+                                        ("A", "B", "C", "D")):
+            opt = optimize_topology(ft, b, alpha, memo=memo)
+            chain = realize_chain(opt.flowed, opt.placement)
+            chains += [chain, *(chain - wz for wz in build_wz(inst))]
+    return chains
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_canonicalize_matches_generic_reference(dim):
     rng = random.Random(60 + dim)
-    for _ in range(150):
-        c = collinear_chain(rng, dim) + random_chain(rng, rng.randint(0, 3), dim)
+    chains = [collinear_chain(rng, dim)
+              + random_chain(rng, rng.randint(0, 3), dim) for _ in range(150)]
+    if dim == 2:
+        chains += lab_chains()
+    for c in chains:
         for tol in (GEOM_TOL, 1e-5):
             assert canonicalize(c, tol) == canonical_oracle.canonicalize(c, tol)
 
@@ -319,27 +347,48 @@ class _RecordedHypot:
         return math.hypot(*xs)
 
 
-@settings(max_examples=400, deadline=None)
-@given(POINT, POINT, POINT, st.booleans(), st.floats(1.0, 1e150),
-       st.sampled_from((GEOM_TOL, 1e-5, 0.5)))
-def test_planar_off_line_matches_the_generic_sums(origin, direction, p, same,
-                                                  scale, tol):
-    p = origin if same else p
-    g = currents._LineGroup(currents.Segment((0.0, 0.0), (1.0, 0.0), F(1)))
-    g.origin, g.direction, g.scale = origin, direction, scale
-    ref = canonical_oracle._LineGroup(g.members[0])
-    ref.origin, ref.direction, ref.scale = origin, direction, scale
+def recorded(lines, segs, tol):
+    """``lines(segs, tol)``, hexed, with every ``hypot`` argument it took."""
     hypot = _RecordedHypot()
     saved, currents.math = currents.math, hypot
     try:
-        off = g._off_line(p, tol)
+        found = lines(segs, tol)
     finally:
         currents.math = saved
-    v = canonical_oracle.vsub(p, origin)
-    t = canonical_oracle.vdot(v, direction)
-    perp = tuple(a - t * b for a, b in zip(v, direction))
-    assert hexed(*hypot.args) == hexed(*v, *perp)
-    assert off == ref._off_line(p, tol)
+    index = {id(s): i for i, s in enumerate(segs)}
+    return ([(hexed(*u), [index[id(s)] for s in members], hexed(t))
+             for u, members, t in found], hexed(*hypot.args))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(POINT, min_size=2, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                max_size=5),
+       st.sampled_from((GEOM_TOL, 1e-5, 0.5)))
+def test_planar_off_line_matches_the_generic_sums(points, pairs, tol):
+    # the planar grouping takes every norm, dot product and collinearity
+    # test of the generic one, in its order and to the bit; the midpoint of
+    # the first two points puts a third point near their line
+    points.append(tuple(0.5 * (a + b) for a, b in zip(*points[:2])))
+    segs = [currents.Segment(points[i % len(points)], points[j % len(points)],
+                             F(1))
+            for i, j in pairs
+            if points[i % len(points)] != points[j % len(points)]]
+    assume(segs)
+    assert recorded(currents._planar_lines, segs, tol) == recorded(
+        currents._lines, segs, tol)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda dim: st.tuples(*[st.tuples(*[COORDINATE] * dim)] * 2)))
+def test_vector_helpers_match_the_generator_forms(pq):
+    # the sum starts at int 0: a signed zero comes out as +0.0, where
+    # a hand-written a * b + c * d would give -0.0
+    p, q = pq
+    assert hexed(*currents.vsub(p, q)) == hexed(*canonical_oracle.vsub(p, q))
+    assert hexed(currents.vdot(p, q)) == hexed(canonical_oracle.vdot(p, q))
+    assert hexed(currents.vdot((-0.0, 1.0), (1.0, -0.0))) == hexed(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,20 @@ def counting_minimize(monkeypatch):
     return calls
 
 
+def counting_placements(monkeypatch):
+    """The topologies that ``optimize_topology`` calls through the module
+    place, nested calls included: every call its memo cannot answer."""
+    placed = []
+    real = placement.optimize_topology
+
+    def optimize_topology(ft, b, alpha, trace=None, memo=None, start=None):
+        if memo is None or ft.edges not in memo:
+            placed.append(ft)
+        return real(ft, b, alpha, trace, memo, start)
+    monkeypatch.setattr(placement, "optimize_topology", optimize_topology)
+    return placed
+
+
 @pytest.mark.parametrize("inst", [
     four_point_instance(11, (0.0, 0.03, -0.02, 0.0)),
     four_point_instance(6, (0.0,) * 4, F(3, 2)),
@@ -217,15 +231,17 @@ def test_shared_minimizations_match_fresh_calls_local4(inst, monkeypatch):
     where = {inst.a: "A", inst.b: "B", inst.c: "C", inst.d: "D"}
     cands = [ft for _, ft in _local4_candidates(
         tuple(m for _, m in b.atoms), tuple(where[p] for p, _ in b.atoms))]
-    calls = counting_minimize(monkeypatch)
-    fresh = [optimize_topology(ft, b, 0.6) for ft in cands]
-    n_fresh = len(calls)
+    placed = counting_placements(monkeypatch)
+    fresh = [placement.optimize_topology(ft, b, 0.6) for ft in cands]
+    n_fresh = len(placed)
     memo = {}
-    shared = [optimize_topology(ft, b, 0.6, memo=memo) for ft in cands]
+    shared = [placement.optimize_topology(ft, b, 0.6, memo=memo)
+              for ft in cands]
     for s, f in zip(shared, fresh):
         assert_same_optimized(s, f)
-    # some topology contracts onto one minimized before
-    assert len(calls) - n_fresh < n_fresh
+    # some topology contracts onto one placed before, whose result the
+    # shared memo hands back
+    assert len(placed) - n_fresh < n_fresh
 
 
 def test_shared_minimizations_match_fresh_calls_dented_square(
