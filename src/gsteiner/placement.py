@@ -121,13 +121,13 @@ Optim. 7(4), 1997): :func:`dual_bound` turns the edge directions of any
 placement into a feasible point of the dual problem, so the bound is valid
 wherever the placement comes from.  :func:`bound_rows` evaluates it for
 many topologies at once, in numpy and in any dimension, straight from the
-array rows of the topology table (``topology.forest_rows``, full trees
-whose zero-flow edges weigh 0):
+array rows of the topology table (``topology.forest_rows``, full trees on
+all the atoms, so of one shape, whose zero-flow edges weigh 0):
 ``_BOUND_STEPS`` smoothed Weiszfeld steps of Smith's form (one stacked
 weighted-Laplacian solve per step moves all branch points of a chunk of
-rows, padded to one shape by :func:`_stack`), eps falling geometrically
-from ``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the dual projection as one
-more stacked solve.  It is the one bounding pass, and :func:`dual_bound`
+rows, stacked by :func:`_stack`), eps falling geometrically from
+``EPS_INIT`` to ``_BOUND_EPS_LAST``, then the dual projection as one more
+stacked solve.  It is the one bounding pass, and :func:`dual_bound`
 is its one-topology evaluation.  The pass returns the branch positions
 its bounds were taken at with the bounds, and the solver starts its
 kernel runs there.  The solver prunes topologies with these bounds, and
@@ -767,9 +767,10 @@ def _weighted_laplacian(ab: np.ndarray, c: np.ndarray
     """A_b C and the weighted Laplacian A_b C A_b^T of each topology.
 
     ``ab`` (T, m, E) holds the branch rows of the incidence matrices and
-    ``c`` (T, E) positive edge coefficients.  The Laplacian is nonsingular,
-    since every branch vertex is joined to a terminal and a padding row of
-    :func:`_stack` has a private edge of its own.
+    ``c`` (T, E) nonnegative edge coefficients.  The Laplacian is
+    nonsingular, since every branch vertex reaches a terminal over positive
+    weights: ``topology._representatives`` keeps no row with a lone branch
+    vertex, one whose three edges all weigh 0.
     """
     cab = ab * c[:, None, :]
     return cab, cab @ ab.transpose(0, 2, 1)
@@ -855,74 +856,53 @@ def dual_bound(ft: FlowedTopology, pl: Placement, alpha: float,
                               a.transpose(0, 2, 1) @ x, eps)[0])
 
 
-def _stack(ends: np.ndarray, n_branch: np.ndarray, weights: np.ndarray,
-           p: np.ndarray, m: int, e: int
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of topologies over the terminals ``p`` (n, d) as one stack:
-    branch rows of the incidence matrices (T, m, e), edge weights (T, e)
-    and the terminals' part of every x_u - x_v (T, e, d).
-
-    A row's edges ``ends`` (T, E, 2) come first, padded with (-1, -1), and
-    ``weights`` (T, E) are 0 on the padding.  Each row is padded to m
-    branch rows and e edges, at least its edge count plus its missing
-    branch rows.  A padding branch row gets a private edge of weight 1
-    with no other end, right after the row's own edges, so its Laplacian
-    entry stays positive, its own part of the system is decoupled and
-    solves to 0, and the private edge has length 0 and adds nothing to an
-    energy or a dual value.  Padding edges without ends get weight 0.  Each
-    row's own rows and edges thus compute what they would compute alone.
-    """
-    n, size = len(p), len(ends)
-    own = (ends[..., 0] >= 0).sum(axis=1)[:, None]
-    col = np.arange(e)
-    private = (col >= own) & (col < own + m - n_branch[:, None])
-    full = np.full((size, e, 2), -1, np.intp)
-    full[:, :ends.shape[1]] = ends
-    full[..., 0] = np.where(private, n + n_branch[:, None] + col - own,
-                            full[..., 0])
-    w = np.zeros((size, e))
-    w[:, :ends.shape[1]] = weights
-    w[private] = 1.0
-    # branch vertices and -1 sit at the origin: only terminals are fixed
-    at = np.concatenate([p, np.zeros((m + 1, p.shape[1]))])
-    fixed = at[full[..., 0]] - at[full[..., 1]]
+def _stack(ends: np.ndarray, p: np.ndarray, m: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of topologies of one shape over the terminals ``p`` (n, d) as
+    one stack: the branch rows of their incidence matrices (T, m, E) and the
+    terminals' part of every x_u - x_v (T, E, d), from their edges ``ends``
+    (T, E, 2) between the terminals 0..n-1 and the branch vertices
+    n..n+m-1."""
+    n, (size, e, _) = len(p), ends.shape
+    # branch vertices sit at the origin: only terminals are fixed
+    at = np.concatenate([p, np.zeros((m, p.shape[1]))])
+    fixed = at[ends[..., 0]] - at[ends[..., 1]]
     # +1 at an edge's low end, -1 at its high end, branch rows only
-    t, j, side = np.nonzero(full >= n)
+    t, j, side = np.nonzero(ends >= n)
     ab = np.zeros((size, m, e))
-    ab[t, full[t, j, side] - n, j] = 1.0 - 2.0 * side
-    return ab, w, fixed
+    ab[t, ends[t, j, side] - n, j] = 1.0 - 2.0 * side
+    return ab, fixed
 
 
 # the bounding pass stacks at most this many rows at once
 _BOUND_CHUNK = 4096
 
 
-def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
-               side_weights: np.ndarray, b: Boundary, alpha: float,
-               margin: Callable[[float], float], trace: Trace | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`dual_bound` of every row of topologies over ``b``'s atoms,
-    computed together, with the branch positions each was taken at.
+def bound_rows(ends: np.ndarray, sides: np.ndarray, side_weights: np.ndarray,
+               b: Boundary, alpha: float, margin: Callable[[float], float],
+               trace: Trace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dual_bound` of every row of topologies of one shape over
+    ``b``'s n atoms, computed together, with the branch positions each was
+    taken at.
 
-    Row r has ``n_branch[r]`` branch vertices and the edges ``ends[r]``
-    (E, 2), sorted and padded with (-1, -1); its edge weights are
-    ``side_weights[sides[r]]``, 0 on the padding (the topology table's
-    |flow|^alpha per atom mask, :class:`~gsteiner.topology.ForestRows`).
-    An edge of weight 0 (the table's zero-flow edges) takes no part; each
-    branch vertex needs a path of positive weights to a terminal.
+    Row r has the edges ``ends[r]`` (E, 2), sorted, between the atoms
+    0..n-1 and its m branch vertices n..n+m-1; m is read from the largest
+    label, and is 0 only for a 2-atom boundary.  Its edge weights are
+    ``side_weights[sides[r]]`` (the topology table's |flow|^alpha per atom
+    mask, :class:`~gsteiner.topology.ForestRows`).  An edge of weight 0 (the
+    table's zero-flow edges) takes no part; each branch vertex needs a path
+    of positive weights to a terminal.
 
-    The rows run in padded stacks (:func:`_stack`), whatever their
-    numbers of branch vertices and edges: ``_BOUND_STEPS`` smoothed
+    The rows run in stacks (:func:`_stack`): ``_BOUND_STEPS`` smoothed
     Weiszfeld steps at once (Smith, Algorithmica 7, 1992), where with
     c_e = w_e / sqrt(l_e^2 + eps^2) at the current positions all branch
     positions move to the minimizer of sum_e c_e |x_u - x_v|^2, one
     stacked weighted-Laplacian solve.  The bound is taken at the last eps.
-    A row without branch vertices gets its exact energy.  Any placement
-    gives a valid bound, so the number of steps a row takes affects only
-    how tight its bound is.
+    Rows without branch vertices (m = 0) take no step, and each gets its
+    exact energy.  Any placement gives a valid bound, so the number of
+    steps a row takes affects only how tight its bound is.
 
-    The stack is built and stepped ``_BOUND_CHUNK`` rows at a time, every
-    chunk padded to the whole call's largest branch and edge counts, so a
+    The stack is built and stepped ``_BOUND_CHUNK`` rows at a time, and a
     row's bound does not depend on the chunk it lands in; only the branch
     positions of every row are kept between the chunks.  On the 9-atom
     instance (ROADMAP item 5, 116881 rows) a chunk of 4096 rows takes about
@@ -945,10 +925,10 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     goes on.  The others, restacked, take the remaining steps from where
     they are, so their bounds are those of all ``_BOUND_STEPS`` steps in
     one go, bit for bit; a margin that never cuts (v -> inf) gives every
-    row with branch vertices all of them.  Every bound returned is a dual
-    bound either way, so the screen changes only which bounds are
-    tightened.  A chunk thus makes at most ``_BOUND_STEPS`` + 1 stacked
-    solves for the steps and two for the dual projections.
+    row all of them when m > 0.  Every bound returned is a dual bound
+    either way, so the screen changes only which bounds are tightened.  A
+    chunk thus makes at most ``_BOUND_STEPS`` + 1 stacked solves for the
+    steps and two for the dual projections.
     (Taking ``runner`` over all energies above margin(smallest energy)
     instead cuts lower, at a row whose unconverged energy lies just above a
     co-minimal one's: on two random 5- and 6-atom instances the solver then
@@ -962,16 +942,15 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     instead of the last one read -19%, -16% and -1%, no more than the runs'
     noise, so both kinds of bound are taken at the same eps.
 
-    Returns the bounds (T,) and the branch positions (T, m, d), m the
-    largest branch count: row r's own are ``x[r, :n_branch[r]]``, in vertex
-    order, after the last step the row took, so :func:`dual_bound` there,
-    at the schedule's last eps, is its bound.  The solver starts the
+    Returns the bounds (T,) and the branch positions (T, m, d), each row's
+    in vertex order after the last step it took, so :func:`dual_bound`
+    there, at the schedule's last eps, is its bound.  The solver starts the
     kernel of every row it optimizes at them.
 
     ``trace`` receives one record with ``"stage": "bound"`` per row, in
-    row order: its bound and the number of steps it took (0 without branch
-    vertices, else ``_SCREEN_STEPS`` or ``_BOUND_STEPS``).  Raises
-    ``ValueError`` when a bound is not finite.
+    row order: its bound and the number of steps it took (0 when m = 0,
+    else ``_SCREEN_STEPS`` or ``_BOUND_STEPS``).  Raises ``ValueError`` when
+    a bound is not finite.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -979,35 +958,35 @@ def bound_rows(ends: np.ndarray, n_branch: np.ndarray, sides: np.ndarray,
     p = np.asarray(terminals, dtype=float)
     schedule = EPS_INIT * _scale(terminals) * (_BOUND_EPS_LAST / EPS_INIT) ** (
         np.arange(_BOUND_STEPS) / (_BOUND_STEPS - 1))
-    size = len(ends)
-    # one branch row at least, so that no solve is of an empty system
-    m = max(int(n_branch.max(initial=0)), 1)
-    e = int(((ends[..., 0] >= 0).sum(axis=1) - n_branch).max(initial=0)) + m
+    size, n = len(ends), len(p)
+    # 0 only for a 2-atom boundary, whose rows take no step, so that no
+    # solve is of an empty system
+    m = int(ends.max(initial=n - 1)) + 1 - n
 
     def chunks(rows: np.ndarray):
         for lo in range(0, len(rows), _BOUND_CHUNK):
             chunk = rows[lo:lo + _BOUND_CHUNK]
-            yield (chunk, *_stack(ends[chunk], n_branch[chunk],
-                                  side_weights[sides[chunk]], p, m, e))
+            yield (chunk, side_weights[sides[chunk]],
+                   *_stack(ends[chunk], p, m))
 
-    branched = n_branch > 0
     x = np.empty((size, m, p.shape[1]))
     energies, bounds = np.empty(size), np.empty(size)
-    for rows, ab, w, fixed in chunks(np.arange(size)):
-        x[rows], diff = _smoothed_steps(
-            ab, w, fixed, _branch_positions(ab, np.ones_like(w), fixed),
-            schedule[:_SCREEN_STEPS])
+    for rows, w, ab, fixed in chunks(np.arange(size)):
+        diff = fixed
+        if m:
+            x[rows], diff = _smoothed_steps(
+                ab, w, fixed, _branch_positions(ab, np.ones_like(w), fixed),
+                schedule[:_SCREEN_STEPS])
         energies[rows] = np.einsum(
             "ti,ti->t", w, np.sqrt(np.einsum("tij,tij->ti", diff, diff)))
-        bounds[rows] = np.where(branched[rows],
-                                _dual_values(ab, w, diff, schedule[-1]),
-                                energies[rows])
-    steps = np.where(branched, _SCREEN_STEPS, 0)
-    if branched.any():
+        bounds[rows] = (_dual_values(ab, w, diff, schedule[-1]) if m
+                        else energies[rows])
+    steps = np.full(size, _SCREEN_STEPS if m else 0)
+    if m:
         worse = bounds > margin(energies.min())
         cut = margin(energies.min(initial=math.inf, where=worse))
-        keep = np.flatnonzero(branched & (bounds <= cut))
-        for rows, ab, w, fixed in chunks(keep):
+        keep = np.flatnonzero(bounds <= cut)
+        for rows, w, ab, fixed in chunks(keep):
             x[rows], diff = _smoothed_steps(ab, w, fixed, x[rows],
                                             schedule[_SCREEN_STEPS:])
             bounds[rows] = _dual_values(ab, w, diff, schedule[-1])

@@ -152,9 +152,9 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     # the two zero counters keep the report's stats keys stable
     stats = {"enumerated": len(rows), "infeasible": 0, "duplicates": 0,
              "optimized": 0, "pruned": 0}
-    bounds, x = bound_rows(rows.ends, np.full(len(rows), n - 2),
-                           rows.sides, rows.side_weights(cfg.alpha), b,
-                           cfg.alpha, trace=cfg.trace, margin=margin)
+    bounds, x = bound_rows(rows.ends, rows.sides,
+                           rows.side_weights(cfg.alpha), b, cfg.alpha,
+                           trace=cfg.trace, margin=margin)
     order = np.argsort(bounds, kind="stable")
     bounds = bounds[order]
 

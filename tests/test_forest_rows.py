@@ -26,11 +26,11 @@ from hypothesis import strategies as st
 from forest_oracle import flowed_forests, forest_key
 from gsteiner import placement, topology
 from gsteiner.currents import make_boundary
-from gsteiner.placement import (Placement, bound_rows, dual_bound, energy,
+from gsteiner.placement import (Placement, dual_bound, energy,
                                 optimize_topology)
 from gsteiner.topology import forest_rows
 from random_set import random_set
-from topology_bounds import lower_bounds, unscreened
+from topology_bounds import lower_bounds, row_bounds, unscreened
 
 
 def solver_margin(v):
@@ -52,12 +52,6 @@ ROW_MASSES = [
     (F(1, 2), F(-1, 2), 1, -1, F(3, 2), F(-3, 2), 2, -2),
     (1, -1, 1, -1, 1, -1, 1, -1),
 ]
-
-
-def _bound(rows, b, alpha, margin, trace=None):
-    """``bound_rows`` of every row, each with n - 2 branch vertices."""
-    return bound_rows(rows.ends, np.full(len(rows), rows.n - 2), rows.sides,
-                      rows.side_weights(alpha), b, alpha, margin, trace)
 
 
 def _lone(rows, r):
@@ -103,7 +97,7 @@ def _same_bounds(b, alpha):
     trees = [rows.tree(r) for r in range(len(rows))]
     for margin in (unscreened, solver_margin):
         got, want = [], []
-        bounds, _ = _bound(rows, b, alpha, margin, got.append)
+        bounds, _ = row_bounds(rows, b, alpha, margin, got.append)
         assert bounds.tolist() == lower_bounds(trees, b, alpha, want.append,
                                                margin)
         assert got == want
@@ -151,7 +145,7 @@ def _rows_and_bounds(b, alpha):
     their trace."""
     rows = forest_rows(tuple(m for _, m in b.atoms))
     records = []
-    bounds, x = _bound(rows, b, alpha, solver_margin, records.append)
+    bounds, x = row_bounds(rows, b, alpha, solver_margin, records.append)
     return rows, bounds.tolist(), x, records
 
 
@@ -211,7 +205,7 @@ def test_row_positions_reproduce_their_bounds(margin):
     # row's full tree
     for b, alpha in random_set():
         rows = forest_rows(tuple(m for _, m in b.atoms))
-        bounds, x = _bound(rows, b, alpha, margin=margin)
+        bounds, x = row_bounds(rows, b, alpha, margin=margin)
         terminals = tuple(p for p, _ in b.atoms)
         eps = placement._BOUND_EPS_LAST * placement._scale(terminals)
         for r, bound in enumerate(bounds.tolist()):
@@ -250,7 +244,7 @@ def test_row_bounds_lie_below_their_forests_optima(case):
     # value below the forest's minimum, with or without zero-flow edges
     b, alpha = case
     rows = forest_rows(tuple(m for _, m in b.atoms))
-    bounds, _ = _bound(rows, b, alpha, solver_margin)
+    bounds, _ = row_bounds(rows, b, alpha, solver_margin)
     memo = {}
     for r, bound in enumerate(bounds.tolist()):
         ft = rows.topology(r)

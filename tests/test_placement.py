@@ -26,7 +26,7 @@ from gsteiner.topology import (assign_flows, contract, enumerate_topologies,
                                forest_rows)
 from dented_square import dented_square
 from random_set import random_set
-from topology_bounds import lower_bounds, unscreened
+from topology_bounds import lower_bounds, row_bounds, unscreened
 
 
 def y_topology(b):
@@ -352,6 +352,11 @@ def solver_margin(v):
     return v + SolverConfig.value_tol * (1.0 + abs(v))
 
 
+def _table(b):
+    """``b``'s topology table, the rows ``solve`` bounds."""
+    return forest_rows(tuple(m for _, m in b.atoms))
+
+
 BOUND_MASSES = {
     3: [(-2, 1, 1), (-3, 1, 2)],
     4: [(-1, -1, 1, 1), (-3, F(1, 2), 2, F(1, 2))],
@@ -372,14 +377,16 @@ def test_bound_below_minimum(seed, n, dim, alpha, pick, eps):
     b = make_boundary(
         (tuple(rng.uniform(0.0, 2.0) for _ in range(dim)), F(m))
         for m in masses)
-    topologies = list(enumerate_topologies(b))
-    ft = topologies[pick % len(topologies)]
+    rows = _table(b)
+    r = pick % len(rows)
+    ft = rows.topology(r)
     value = minimize(ft, b, alpha).value
     bound, = lower_bounds([ft], b, alpha)
     assert bound <= value + 1e-12 * (1.0 + value)
-    # screened among all topologies of the instance, with the solver's margin
-    screened = lower_bounds(topologies, b, alpha,
-                            margin=solver_margin)[pick % len(topologies)]
+    # the bound of the topology's row, a full tree whose zero-flow edges
+    # weigh nothing, screened among all rows of the instance with the
+    # solver's margin, as the solver takes it
+    screened = row_bounds(rows, b, alpha, solver_margin)[0][r]
     assert screened <= value + 1e-12 * (1.0 + value)
     # the bound holds at any placement and smoothing, not just near optima
     terminals = tuple(p for p, _ in b.atoms)
@@ -389,7 +396,6 @@ def test_bound_below_minimum(seed, n, dim, alpha, pick, eps):
     assert anywhere <= value + 1e-12 * (1.0 + value)
     if ft.n_branch == 0:
         assert bound == pytest.approx(value, rel=1e-12)
-        assert screened == bound
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
@@ -542,12 +548,18 @@ BATCH_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_bounds_equal_single_bounds(case, bench_instances):
+    # the instance's rows bounded together, as the solver bounds them,
+    # against each row's full tree bounded alone; unscreened, every row
+    # takes the whole schedule
     b, alpha = BATCH_CASES[case](bench_instances)
-    fts = list(enumerate_topologies(b))
-    assert len({ft.n_branch for ft in fts}) > 1
-    together = lower_bounds(fts, b, alpha)
-    alone = [lower_bounds([ft], b, alpha)[0] for ft in fts]
+    rows = _table(b)
+    records = []
+    together = row_bounds(rows, b, alpha, trace=records.append)[0].tolist()
+    alone = [lower_bounds([rows.tree(r)], b, alpha)[0]
+             for r in range(len(rows))]
     assert together == pytest.approx(alone, rel=1e-12, abs=0.0)
+    assert [r["bound"] for r in records] == together
+    assert {r["iteration"] for r in records} == {placement._BOUND_STEPS}
 
 
 @pytest.mark.parametrize("screened", [False, True])
@@ -555,11 +567,12 @@ def test_batched_bounds_equal_single_bounds(case, bench_instances):
                                            ("solve-n6 i0", {0, 2, 4})])
 def test_bound_pass_solves_one_stack(case, classes, screened,
                                      bench_instances, monkeypatch):
-    # every topology takes the same stacked solves, whatever its numbers of
-    # branch vertices and edges: the start, the steps and two projections
+    # every row takes the same stacked solves, whatever the numbers of
+    # branch vertices and edges of the forest it stands for: the start, the
+    # steps and two projections
     b, alpha = BATCH_CASES[case](bench_instances)
-    fts = list(enumerate_topologies(b))
-    assert {ft.n_branch for ft in fts} == classes
+    rows = _table(b)
+    assert {rows.topology(r).n_branch for r in range(len(rows))} == classes
     stacks = []
     solve = np.linalg.solve
 
@@ -567,52 +580,29 @@ def test_bound_pass_solves_one_stack(case, classes, screened,
         stacks.append(len(a))
         return solve(a, rhs)
     monkeypatch.setattr(np.linalg, "solve", counted)
-    lower_bounds(fts, b, alpha,
-                 margin=solver_margin if screened else unscreened)
-    assert stacks[0] == len(fts)
+    row_bounds(rows, b, alpha, solver_margin if screened else unscreened)
+    assert stacks[0] == len(rows)
     assert len(stacks) <= placement._BOUND_STEPS + 3
-
-
-def test_mixed_batch_bounds_below_minimum():
-    # 6 atoms: full topologies with 4, 2 and 0 branch vertices in one batch,
-    # listed out of branch-count order, bounded with a margin that never
-    # cuts: every topology with branch vertices takes the whole schedule
-    b = _random_atoms(5, (-1, -1, -1, 1, 1, 1), 2)
-    fts = sorted(enumerate_topologies(b),
-                 key=lambda ft: (ft.n_branch % 4, ft.edges))
-    assert {ft.n_branch for ft in fts} == {0, 2, 4}
-    records = []
-    bounds = lower_bounds(fts, b, 0.6, trace=records.append)
-    assert [r["bound"] for r in records] == bounds
-    for ft, bound, record in zip(fts, bounds, records):
-        value = minimize(ft, b, 0.6).value
-        assert bound <= value + 1e-12 * (1.0 + value)
-        if ft.n_branch == 0:
-            assert bound == pytest.approx(value, rel=1e-12)
-            assert record["iteration"] == 0
-        else:
-            assert record["iteration"] == placement._BOUND_STEPS
 
 
 def test_screen_keeps_the_contenders_bounds_bit_for_bit(bench_instances,
                                                         bench_dent):
-    # the seed-0 topology sets of the solve workloads and of the dented
-    # square: a topology the screen keeps takes the rest of the schedule
-    # from where the screen stopped it, so its bound is the unscreened one
+    # the seed-0 topology tables of the solve workloads and of the dented
+    # square: a row the screen keeps takes the rest of the schedule from
+    # where the screen stopped it, so its bound is the unscreened one
     _, *dent = bench_dent(0)
     cases = (bench_instances("solve-n6", 0) + bench_instances("solve-3d", 0)
              + [tuple(dent)])
     retired = 0
     for b, alpha in cases:
-        fts = list(enumerate_topologies(b))
+        rows = _table(b)
         records = []
-        screened = lower_bounds(fts, b, alpha, records.append, solver_margin)
-        full = lower_bounds(fts, b, alpha)
+        screened = row_bounds(rows, b, alpha, solver_margin,
+                              records.append)[0].tolist()
+        full = row_bounds(rows, b, alpha)[0].tolist()
         assert [r["bound"] for r in records] == screened
-        for ft, got, want, record in zip(fts, screened, full, records):
-            if not ft.n_branch:
-                assert record["iteration"] == 0 and got == want
-            elif record["iteration"] == placement._BOUND_STEPS:
+        for got, want, record in zip(screened, full, records):
+            if record["iteration"] == placement._BOUND_STEPS:
                 assert got == want
             else:
                 assert record["iteration"] == placement._SCREEN_STEPS
@@ -1726,12 +1716,15 @@ SQUARE = make_boundary([((0.0, 0.0), F(-1)), ((1.0, 1.0), F(-1)),
      r"alpha must lie in \(0, 1\]"),
     (lambda: lower_bounds([y_topology(V)], SQUARE, 0.5),
      "boundary does not match topology terminal count"),
+    (lambda: lower_bounds(list(enumerate_topologies(SQUARE)), SQUARE, 0.5),
+     "topologies of more than one shape"),
     (lambda: dual_bound(y_topology(V), Placement(
         tuple(p for p, _ in V.atoms), ((0.0, 0.0),)), 0.5),
      "a zero-length edge needs eps > 0"),
 ], ids=["minimize-alpha-0", "minimize-alpha-1.5", "minimize-terminals",
         "optimize-alpha-0", "optimize-alpha-1.5", "optimize-terminals",
         "bounds-alpha-0", "bounds-alpha-1.5", "bounds-terminals",
+        "bounds-shapes",
         "dual-zero-length"])
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=message):

@@ -31,11 +31,17 @@ def cfg(alpha, **kw):
 # ---------------------------------------------------------------------------
 
 def test_two_atom_segment():
+    # the one row has no branch vertex: the bounding pass takes no step and
+    # bounds it by its exact energy
     b = make_boundary([((0.0, 0.0), F(-1)), ((3.0, 4.0), F(1))])
-    r = solve(b, cfg(0.5))
+    records = []
+    r = solve(b, cfg(0.5, trace=records.append))
     assert r.best_value == pytest.approx(5.0)
     assert len(r.minimizers) == 1
     assert r.gap == math.inf
+    bounds = [record for record in records if record["stage"] == "bound"]
+    assert bounds == [{"stage": "bound", "iteration": 0,
+                       "bound": r.best_value}]
 
 
 def test_v_instance_matches_grid_oracle(v_boundary):
