@@ -45,24 +45,29 @@ three stages: two smoothing stages at eps ``EPS_INIT`` and ``EPS_INIT *
 EPS_DECAY``, then the floor at ``EPS_MIN``.  It starts at the barycentric
 start, unless the caller hands it branch positions: the solver starts each
 topology it optimizes where :func:`bound_rows` took its bound, a smoothed
-placement already near the optimum (on the seed-0 ``solve-3d`` pass that
-cuts the Newton steps from 174 to 125).  At the end of every stage each
-branch vertex is snapped onto its nearest vertex whenever that strictly
-lowers the exact energy, which accelerates convergence onto collapsed
-configurations (the non-smooth minimizers these instances actually visit).
+placement already near the optimum, often next to the collapse the run
+ends at.  At the end of every stage each branch vertex is snapped onto its
+nearest vertex whenever that strictly lowers the exact energy, which
+accelerates convergence onto collapsed configurations (the non-smooth
+minimizers these instances actually visit).
 
 The kernel ends at the first collapse it can certify, and keeps no
-collapse test and no record of its own.  After every stage, the last
-included, the topology that :func:`detect_collapse` contracts the snapped
-placement to, when it is not the kernel's own, is optimized by
-:func:`optimize_topology` (with the caller's ``memo`` and ``trace``) and
-its optimum lifted back, every vertex at its image's position.  A
-contraction met again in the run is a memo hit.  When the dual bound of
-the kernel's own topology certifies the lift (:func:`_settles`, below),
-the run stops there: its remaining stages would only close in on that
-collapse.  Otherwise the run goes on.  This is the active-set view of sums
-of norms (Calamai & Conn above): a collapsed optimum is settled by
-contracting it and checking the collapsed edges' multipliers.
+collapse test and no record of its own.  Its settle points are the end of
+every stage, the last included, and a given start, before any stage: at
+each, the placement is snapped, and the topology that
+:func:`detect_collapse` contracts it to, when it is not the kernel's own,
+is optimized by :func:`optimize_topology` (with the caller's ``memo`` and
+``trace``) and its optimum lifted back, every vertex at its image's
+position.  A contraction met again in the run is a memo hit.  When the
+dual bound of the kernel's own topology certifies the lift
+(:func:`_settles`, below), the run stops there: its remaining stages would
+only close in on that collapse.  Otherwise the run goes on, from a refused
+start as it was given, not from its snap.  This is the active-set view of
+sums of norms (Calamai & Conn above): a collapsed optimum is settled by
+contracting it and checking the collapsed edges' multipliers.  On the
+seed-0 ``solve-n6`` pass all 3 kernel runs end at their start, and on the
+seed-0 ``solve-3d`` pass 10 of 16 do; the warm start and its settle cut
+that pass's Newton steps from 174 to 79.
 
 One kernel, :func:`_run_kernel`, runs this in every dimension: the eps
 stages, their iteration budgets, the snap and the trace records.  The floor
@@ -162,8 +167,9 @@ EPS_MIN = 2e-7
 # value and its lower bound (the star path sends the final one alone); a
 # kernel run that ends early sends a record with "stage": "collapse"
 # (iteration count, the lift's energy) before the final one, and the
-# optimization it nested sends its records before that; bound_rows sends
-# one record with "stage": "bound" per topology instead
+# optimization it nested sends its records before that; a run that ends at
+# its start sends no stage record, and its "collapse" record has iteration
+# 0; bound_rows sends one record with "stage": "bound" per topology instead
 Trace = Callable[[dict], None]
 
 
@@ -294,17 +300,22 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     and move tolerances, the snap and the trace.  The barycentric start puts
     the branch vertices where sum_e |x_u - x_v|^2 is least
     (:func:`_branch_positions` with unit weights); only the solver gives a
-    ``start``, the placement its bound was taken at.  After every stage,
+    ``start``, the placement its bound was taken at.  A given start is the
+    first settle point, and the end of every stage is one: there
     ``settle`` receives the snapped placement and decides, by
     :func:`detect_collapse`, whether it collapsed; a result it returns, a
     certified one of ``ft``, ends the run, with a "collapse" trace record
-    of its value.  Returns the branch positions, the number of iterations
-    (sweeps or Newton steps) and ``settle``'s result or None.
+    of its value (at the start, after 0 iterations, and with no "eps"
+    record, since nothing was smoothed).  When ``settle`` refuses the
+    start, the stages run from the start as given.  Returns the branch
+    positions, the number of iterations (sweeps or Newton steps) and
+    ``settle``'s result or None.
     """
     n = ft.n_terminals
     w = _weights(ft, alpha)
     scale = _scale(terminals)
     a = _incidence(ft)
+    warm = start is not None
     start = (_branch_positions(a[None, n:], np.ones((1, len(ft.edges))),
                                a[None, :n].transpose(0, 2, 1)
                                @ np.asarray(terminals, dtype=float))[0]
@@ -322,14 +333,7 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
         return sum(wi * math.dist(pos[u], pos[v])
                    for wi, (u, v) in zip(w, ft.edges))
 
-    iters = 0
-    move_tol = 1e-11 * scale
-    # (stage solver, eps, budget, move tolerance relative to eps)
-    for run, eps, budget, rel_tol in (
-            (smooth, EPS_INIT * scale, 200, 2e-2),
-            (smooth, EPS_INIT * scale * EPS_DECAY, 200, 2e-2),
-            (newton, EPS_MIN * scale, 400, 0.0)):
-        iters += run(eps * eps, budget, max(rel_tol * eps, move_tol))
+    def snap_and_settle(eps: float | None) -> OptimizedTopology | None:
         # snap to the nearest vertex when that strictly improves exact F
         current = exact_energy()
         for b in range(n, nv):
@@ -342,14 +346,32 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
                 current = trial
             else:
                 pos[b] = here
-        if trace is not None:
+        if trace is not None and eps is not None:
             trace({"stage": "eps", "iteration": iters, "eps": eps,
                    "value": current})
         found = settle(Placement(terminals, tuple(map(tuple, pos[n:]))))
+        if found is not None and trace is not None:
+            trace({"stage": "collapse", "iteration": iters,
+                   "value": found.value})
+        return found
+
+    iters = 0
+    if warm:
+        # the start is the first settle point; refused, the stages run from
+        # the start as given, not from its snap
+        found = snap_and_settle(None)
         if found is not None:
-            if trace is not None:
-                trace({"stage": "collapse", "iteration": iters,
-                       "value": found.value})
+            return found.placement.branch, iters, found
+        pos[n:] = start.tolist()
+    move_tol = 1e-11 * scale
+    # (stage solver, eps, budget, move tolerance relative to eps)
+    for run, eps, budget, rel_tol in (
+            (smooth, EPS_INIT * scale, 200, 2e-2),
+            (smooth, EPS_INIT * scale * EPS_DECAY, 200, 2e-2),
+            (newton, EPS_MIN * scale, 400, 0.0)):
+        iters += run(eps * eps, budget, max(rel_tol * eps, move_tol))
+        found = snap_and_settle(eps)
+        if found is not None:
             return found.placement.branch, iters, found
     return pos[n:], iters, None
 
@@ -705,17 +727,18 @@ def minimize(ft: FlowedTopology, b: Boundary, alpha: float,
     barycentric initialization, two smoothing stages of planar Weiszfeld
     sweeps or, in other dimensions, Newton steps on the smoothed energy, a
     floor of Newton steps, nearest-vertex snapping when it strictly
-    improves the exact energy.  After each stage, the topology that
-    :func:`detect_collapse` contracts the snapped placement to, when it is
-    not ``ft``, is optimized by :func:`optimize_topology` with ``memo`` (a
-    fresh dict when None) and no start, a memo hit when the run met it
-    before, and lifted: vertex v of ``ft`` at the position of its image
-    under the cluster map and then the result's ``lift``.  When
-    :func:`_settles` certifies the lift on ``ft`` (one on the contraction
-    would not bound ``ft``'s minimum) the run stops there, and the
-    rest of it would only have closed in on that collapse.  ``trace``
-    receives the kernel's per-stage records, the nested optimizations'
-    records and one final record.  Every step reads the edge weights, the
+    improves the exact energy.  At a given start, before any stage, and
+    after each stage, the topology that :func:`detect_collapse` contracts
+    the snapped placement to, when it is not ``ft``, is optimized by
+    :func:`optimize_topology` with ``memo`` (a fresh dict when None) and no
+    start, a memo hit when the run met it before, and lifted: vertex v of
+    ``ft`` at the position of its image under the cluster map and then the
+    result's ``lift``.  When :func:`_settles` certifies the lift on ``ft``
+    (one on the contraction would not bound ``ft``'s minimum) the run stops
+    there, and the rest of it would only have closed in on that collapse;
+    at the start that takes 0 iterations.  ``trace`` receives the kernel's
+    per-stage records (none for a run that ends at its start), the nested
+    optimizations' records and one final record.  Every step reads the edge weights, the
     incident lists and the incidence matrix from ``ft``'s memo, made once
     (:func:`_weights`, :func:`_incident`, :func:`_incidence`).  The result is
     for ``ft`` itself, at a placement that may hold coincident vertices:

@@ -88,14 +88,19 @@ def test_solve_verbose_stream(square_file, tmp_path, capsys):
     stats = json.loads(report.read_text())["stats"]
     # one bounding record per topology with branch points or not; the full
     # runs of the optimized ones end with "done" (none for m = 0), and the
-    # square's two-branch kernel runs end early at a certified collapse
+    # square's two-branch kernel runs end at their start, a certified
+    # collapse, before any stage: no "eps" record, and every "collapse"
+    # record at iteration 0
     assert stages.count("bound") == stats["optimized"] + stats["pruned"]
-    assert set(stages) == {"bound", "eps", "collapse", "done"}
+    assert set(stages) == {"bound", "collapse", "done"}
+    assert all(r["iteration"] == 0 for r in records
+               if r["stage"] == "collapse")
 
 
 def test_solve_verbose_shows_early_exits(tmp_path, capsys):
     # the distinct-mass 6-atom instance of the benchmark in its seed-0 pose:
-    # its kernel runs end at a certified collapse, each with a record
+    # its kernel runs end at a certified collapse, each with a record, and
+    # all of them at their start, at iteration 0
     masses = ("-3", "-1/2", "2", "1", "3/2", "-1")
     points = ((3.726285925, -2.137424928), (4.660813101, -2.945303605),
               (2.952986398, -2.866990444), (4.470335556, -3.171352946),
@@ -109,6 +114,8 @@ def test_solve_verbose_shows_early_exits(tmp_path, capsys):
     records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
     stages = [r["stage"] for r in records]
     assert "collapse" in stages
+    assert all(r["iteration"] == 0 for r in records
+               if r["stage"] == "collapse")
     # every "done" record carries the value's lower bound
     assert all(set(r) == {"stage", "iteration", "value", "lower"}
                for r in records if r["stage"] == "done")

@@ -1292,15 +1292,16 @@ def test_early_exits_match_the_full_schedule(family, bench_instances):
 
 def settle_calls(run):
     """``run()`` with every ``settle`` call of every kernel run recorded:
-    returns its result and, per run, one (contracted, exited) pair per call
-    in order: whether ``detect_collapse`` contracts the placement the
-    kernel handed over, and whether ``settle`` ended the run there."""
+    returns its result and, per run, whether it was given a start and one
+    (contracted, exited) pair per call in order: whether
+    ``detect_collapse`` contracts the placement the kernel handed over, and
+    whether ``settle`` ended the run there."""
     runs = []
     real = placement._run_kernel
 
     def kernel(ft, terminals, alpha, trace, settle, start=None):
         calls = []
-        runs.append(calls)
+        runs.append((start is not None, calls))
 
         def watched(pl):
             found = settle(pl)
@@ -1347,16 +1348,17 @@ def test_full_schedule_settles_once_per_stage(case, bench_instances,
 @pytest.mark.parametrize("case", ["solve-n6", "solve-3d", "dent"])
 def test_runs_exit_only_where_detect_collapse_contracts(case, bench_instances,
                                                         bench_dent):
-    # the seed-0 solves with the real settle: a run ends at the first stage
-    # whose lift settle certifies, only where detect_collapse contracts the
-    # snapped placement, and otherwise settles once per stage
+    # the seed-0 solves with the real settle: a run ends at the first settle
+    # point whose lift settle certifies, only where detect_collapse
+    # contracts the snapped placement, and otherwise settles once per stage,
+    # and once more at its start when it was given one
     exits = 0
     for b, alpha in seed_zero_cases(case, bench_instances, bench_dent):
         _, runs = settle_calls(lambda: solve(b, SolverConfig(alpha=alpha)))
-        for calls in runs:
+        for warm, calls in runs:
             *before, (contracted, exited) = calls
             assert not any(e for _, e in before)
-            assert exited or len(calls) == 3
+            assert exited or len(calls) == 3 + warm
             assert contracted or not exited
             exits += exited
     assert exits > 0

@@ -7,10 +7,16 @@ there instead of at the barycentric start that every other caller keeps.
 Here each solve runs again with that start dropped: the reports must agree,
 no visited row may end higher warm than cold, and the warm runs must take
 fewer kernel iterations.
+
+The start is also the kernel's first settle point.  Each warm run runs
+again with that settle refused, and so from its start through the three
+stages: a run whose start is refused must end bit for bit as that one, and
+a run that ends at its start must be certified and not above it.
 """
 import pytest
 
-from gsteiner import solver
+from gsteiner import fileio, placement, solver
+from gsteiner.placement import Placement, energy
 from gsteiner.solver import SolverConfig, solve
 from random_set import random_set
 
@@ -55,7 +61,7 @@ def assert_warm_matches_cold(cases):
 def test_warm_start_matches_cold_on_the_bench_solves(workload, seeds,
                                                      bench_instances):
     # from the barycentric start these take 2078 and 480 iterations, from
-    # the bounds' placements 1587 and 439
+    # the bounds' placements 1127 and 57
     warm, cold = assert_warm_matches_cold(
         [case for seed in seeds for case in bench_instances(workload, seed)])
     assert warm < cold
@@ -68,3 +74,91 @@ def test_warm_start_matches_cold_on_the_dented_squares(bench_dent):
 def test_warm_start_matches_cold_on_the_random_set():
     warm, cold = assert_warm_matches_cold(random_set())
     assert warm < cold
+
+
+def _kernel_outcome(ft, terminals, alpha, result):
+    """A kernel run's branch positions, iterations, and the value and lower
+    bound of what it ended at: its settled result, else its placement."""
+    pos, iters, found = result
+    branch = tuple(map(tuple, pos))
+    if found is not None:
+        return branch, iters, found.placement, found.value, found.lower
+    return branch, iters, None, energy(ft, Placement(terminals, branch),
+                                       alpha), None
+
+
+def _warm_runs_paired(b, alpha):
+    """``solve`` on ``b``, each kernel run that has a start run twice, the
+    second time as it is and the first time with its start's settle refused
+    by a wrapper; returns the report and, per warm run, (whether it ended
+    at its start, its outcome, the refused run's outcome).  The refused run
+    must enter its first stage at the start as given, not at its snap."""
+    pairs, entered = [], []
+    real = placement._run_kernel
+
+    def entering(stage):
+        def run(pos, *args):
+            entered.append(tuple(map(tuple, pos)))
+            return stage(pos, *args)
+        return run
+
+    def kernel(ft, terminals, alpha, trace, settle, start=None):
+        if start is None:
+            return real(ft, terminals, alpha, trace, settle, start)
+        calls = []
+
+        def refusing(pl):
+            calls.append(pl)
+            return None if len(calls) == 1 else settle(pl)
+        entered.clear()
+        refused = real(ft, terminals, alpha, None, refusing, start)
+        assert entered[0][ft.n_terminals:] == tuple(map(tuple, start))
+        settled = []
+
+        def watched(pl):
+            settled.append(settle(pl))
+            return settled[-1]
+        got = real(ft, terminals, alpha, trace, watched, start)
+        pairs.append((settled[0] is not None,
+                      _kernel_outcome(ft, terminals, alpha, got),
+                      _kernel_outcome(ft, terminals, alpha, refused)))
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(placement, "_run_kernel", kernel)
+        for name in ("_sweeps_2d", "_newton_steps"):
+            patch.setattr(placement, name, entering(getattr(placement, name)))
+        return solve(b, SolverConfig(alpha=alpha)), pairs
+
+
+@pytest.mark.parametrize("case", ["solve-n6", "solve-3d", "dent",
+                                  "random set"])
+def test_a_settled_start_is_certified_and_a_refused_one_changes_nothing(
+        case, bench_instances, bench_dent):
+    # every warm kernel run of the seed-0 solves and of the random set.  All
+    # 3 warm runs of solve-n6 end at their start, 10 of the 13 of solve-3d,
+    # the dent's 2 and 209 of the random set's 257
+    if case == "random set":
+        cases = random_set()
+    elif case == "dent":
+        cases = [tuple(bench_dent(0)[1:])]
+    else:
+        cases = bench_instances(case, 0)
+    at_start = refused = 0
+    for b, alpha in cases:
+        report, pairs = _warm_runs_paired(b, alpha)
+        # the refused runs' own settles leave the solve as it was
+        assert (fileio.report_to_obj(report)
+                == fileio.report_to_obj(solve(b, SolverConfig(alpha=alpha))))
+        for ended, got, want in pairs:
+            if not ended:
+                assert got == want
+                refused += 1
+                continue
+            branch, iters, pl, value, lower = got
+            assert iters == 0 and pl.branch == branch
+            assert value - lower <= 1e-12 * (1.0 + value)
+            assert value <= want[3] + 1e-12 * (1.0 + value)
+            at_start += 1
+    assert at_start > 0
+    if case in ("solve-3d", "random set"):
+        assert refused > 0
