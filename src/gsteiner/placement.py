@@ -307,9 +307,11 @@ def _run_kernel(ft: FlowedTopology, terminals: tuple[Point, ...],
     certified one of ``ft``, ends the run, with a "collapse" trace record
     of its value (at the start, after 0 iterations, and with no "eps"
     record, since nothing was smoothed).  When ``settle`` refuses the
-    start, the stages run from the start as given.  Returns the branch
-    positions, the number of iterations (sweeps or Newton steps) and
-    ``settle``'s result or None.
+    start, the stages run from the start as given.  A cold run begins with
+    stage 1, because settling the barycentric start is refused often enough
+    to cost more than it saves: it can optimize a contraction that nothing
+    else asks for.  Returns the branch positions, the number of iterations
+    (sweeps or Newton steps) and ``settle``'s result or None.
     """
     n = ft.n_terminals
     w = _weights(ft, alpha)

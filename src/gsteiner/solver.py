@@ -18,17 +18,18 @@ contraction of one of them, so no minimum is lost), as the rows of
    pruning below is exact;
 2. topologies are visited in (LB, repr(signature)) order; the key breaks
    ties, here and between equal values, towards fewer branch vertices.
-   The rows are sorted by bound, stably, and the keys are read from the
-   table (:meth:`topology.ForestRows.signature`) only for the rows tied at
-   the bound of a visited row, which are then visited in key order.  Each
-   visited row's forest is made a :class:`FlowedTopology` and minimized,
-   its kernel starting at the branch positions the bounding pass took its
-   bound at (``start`` of :func:`placement.optimize_topology`), its
-   realized chain canonicalized, and its value v(T), the alpha-mass of
-   that chain, recorded.  The start changes only where the kernel begins:
-   the argument below reads nothing but bounds and recorded values.  The
-   solver keeps ``second``, the smallest recorded value above the current
-   threshold best + value_tol (1 + |best|);
+   The rows are sorted by bound, stably; the forests of the rows tied at
+   the bound of a visited row are made :class:`FlowedTopology` objects
+   (:meth:`topology.ForestRows.topology`), keyed by their signatures
+   (:meth:`FlowedTopology.signature`) and visited in key order.  Each
+   visited forest is minimized, its kernel starting at the branch
+   positions the bounding pass took its row's bound at (``start`` of
+   :func:`placement.optimize_topology`), its realized chain canonicalized,
+   and its value v(T), the alpha-mass of that chain, recorded.  The start
+   changes only where the kernel begins: the argument below reads nothing
+   but bounds and recorded values.  The solver keeps ``second``, the
+   smallest recorded value above the current threshold
+   best + value_tol (1 + |best|);
 3. the first topology with LB(T) > second + value_tol (1 + |second|) is
    retired unoptimized, and with it every later one (their bounds are no
    smaller).  ``stats["pruned"]`` counts them; ``stats["optimized"]``
@@ -161,18 +162,18 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
     candidates: list[tuple[float, str, MinimizerRecord]] = []
     second = math.inf
     memo: dict = {}
-    ties: list[tuple[str, int]] = []
+    ties: list[tuple[str, int, FlowedTopology]] = []
     visited = 0
     # ``second`` changes only when a topology is optimized and the rows are
     # in bound order, so the first row above the cut retires every later one
     while visited < len(order) and not bounds[visited] > margin(second):
         if not ties:
-            # the rows tied at this bound with their keys, last key first
+            # the forests of the rows tied at this bound, keyed, last first
             end = np.searchsorted(bounds, bounds[visited], side="right")
-            ties = sorted(((repr(rows.signature(r)), r)
-                           for r in order[visited:end].tolist()), reverse=True)
-        key, r = ties.pop()
-        ft = rows.topology(r)
+            tied = ((r, rows.topology(r)) for r in order[visited:end].tolist())
+            ties = sorted(((repr(ft.signature()), r, ft) for r, ft in tied),
+                          reverse=True)
+        key, r, ft = ties.pop()
         visited += 1
         # the kernel starts where the row's bound was taken
         opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo,

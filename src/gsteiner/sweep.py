@@ -11,7 +11,6 @@ an error produces a row with the error message and the sweep continues.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -148,12 +147,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict]:
 
 
 def append_log(rows: list[dict], path: str) -> None:
-    """Append rows to the CSV experiment log, writing a header when new."""
+    """Append rows to the CSV experiment log, writing a header when the
+    log is missing or empty."""
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    new = not os.path.exists(path)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        if new:
+        if fh.tell() == 0:  # append mode opens at the end
             writer.writeheader()
         for row in rows:
             writer.writerow({**row, "timestamp": stamp})

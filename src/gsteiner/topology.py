@@ -16,9 +16,9 @@ tree on the terminals before it.  An edge whose sides are balanced carries
 no flow, and a tree with such edges is a forest in disguise: drop them and
 splice out the branch vertices they leave with two edges.  A zero-flow
 edge weighs nothing, so the tree costs what its forest costs.  The solver
-bounds the rows as arrays, keys them by their forests' signatures
-(:meth:`ForestRows.signature`), and makes a :class:`FlowedTopology` only
-for the rows it optimizes (:meth:`ForestRows.topology`);
+bounds the rows as arrays, and makes a :class:`FlowedTopology`
+(:meth:`ForestRows.topology`) only for the rows tied at the bound of a row
+it visits, which it keys by that object's signature;
 :func:`enumerate_topologies` yields every row's forest, for the CLI.
 
 Any other forest is a contraction of a full one, whose location-energy
@@ -47,9 +47,9 @@ per call the total mass of every subset of the atoms, one integer over the
 masses' common denominator per atom mask.  Slot i of the table of size n
 is atom i, so an edge's flow is the sum of its side's mask, and the
 weights |flow|^alpha of all rows come from one value per mask
-(:meth:`ForestRows.side_weights`).  A forest is keyed from the masks alone
-(:func:`_components`), by the signature a DFS finds on the row's object
-(:meth:`FlowedTopology.signature`).
+(:meth:`ForestRows.side_weights`).  Which trees carry the same forest is
+read from the masks alone (:func:`_components`); a forest's key is the one
+its object's DFS finds (:meth:`FlowedTopology.signature`).
 
 One routine, :func:`contract`, merges vertices of a flowed forest, for
 :func:`_forests`, :func:`assign_flows` and collapse handling alike.  Gilbert's
@@ -139,9 +139,9 @@ class FlowedTopology:
         ``(n, m, component masks, split masks)``, both mask tuples sorted
         (see :func:`_splits`).  The masks determine the forest, and the
         masses its flows; ``m`` is implied too, but kept second so that
-        ``repr`` of the key orders topologies by branch count first.  One
-        DFS finds the masks; a row of :func:`forest_rows` has the same key
-        without the object (:meth:`ForestRows.signature`).
+        ``repr`` of the key orders topologies by branch count first, while
+        m < 10.  One DFS finds the masks.  The solver visits the rows tied
+        at a bound in the ``repr`` order of their forests' keys.
         """
         components, splits, _ = _splits(self.n_terminals, self.edges)
         return (self.n_terminals, self.n_branch, tuple(sorted(components)),
@@ -282,9 +282,10 @@ class ForestRows:
     lower endpoint to its higher one is that side's total mass,
     ``sums[side] / den``.  Dropping the edges without flow and splicing out
     the branch vertices they leave gives the row's forest
-    (:meth:`topology`).  Every row has n - 2 branch vertices, none with
-    only zero-flow edges, so flowing edges tie each to an atom, and the
-    bounding pass, which reads the arrays, gives zero-flow edges weight 0
+    (:meth:`topology`), whose :meth:`FlowedTopology.signature` is the row's
+    key.  Every row has n - 2 branch vertices, none with only zero-flow
+    edges, so flowing edges tie each to an atom, and the bounding pass,
+    which reads the arrays, gives zero-flow edges weight 0
     (:meth:`side_weights`).
     """
     n: int
@@ -325,27 +326,16 @@ class ForestRows:
                if not self.sums[side] for v in edge}
         return [i for i in range(self.n - 2) if self.n + i not in cut]
 
-    def signature(self, r: int) -> tuple:
-        """:meth:`FlowedTopology.signature` of row ``r``'s forest, without
-        the object (:func:`_components`).  A forest of k components has
-        k - 1 zero-flow edges in its row, each between two vertices it
-        splices out, so n - 2k branch vertices."""
-        cut = np.array([[not self.sums[side]
-                         for side in self.sides[r].tolist()]])
-        comp, split = (a[0, ~cut[0]].tolist() for a in _components(
-            self.sides[r:r + 1], cut, self.n))
-        return (self.n, self.n - 2 - 2 * int(cut.sum()),
-                tuple(sorted(set(comp))), tuple(sorted(set(split))))
-
 
 def _components(sides: np.ndarray, cut: np.ndarray, n: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge of rows of full trees, their ``sides`` as in
-    :class:`ForestRows` and ``cut`` their zero-flow edges: its component
-    once the cut edges are dropped, the intersection of the sides of the
-    cut edges that hold it, and its split there, its atoms away from the
-    component's lowest atom.  An edge's far mask, its side away from atom
-    0, lies in a cut edge's exactly when it lies on that edge's far side.
+    """:func:`_representatives`' key per edge of rows of full trees, their
+    ``sides`` as in :class:`ForestRows` and ``cut`` their zero-flow edges:
+    its component once the cut edges are dropped, the intersection of the
+    sides of the cut edges that hold it, and its split there, its atoms
+    away from the component's lowest atom.  An edge's far mask, its side
+    away from atom 0, lies in a cut edge's exactly when it lies on that
+    edge's far side.
     """
     full = (1 << n) - 1
     far = np.where(sides & 1, full ^ sides, sides)

@@ -12,7 +12,7 @@ import pytest
 import gsteiner
 from gsteiner import SolverConfig, cli, fileio, svg
 from gsteiner.currents import PolyhedralChain, Segment, make_boundary
-from gsteiner.sweep import SweepSpec, _cell, append_log, run_sweep
+from gsteiner.sweep import CSV_FIELDS, SweepSpec, _cell, append_log, run_sweep
 
 SQUARE = {
     "dim": 2, "alpha": 0.95,
@@ -815,6 +815,19 @@ def test_sweep_seed_flag_overrides_the_spec(tmp_path):
     assert cli.main(["sweep", str(spec), "--out", str(plain)]) == 0
     assert read_rows(flagged) == read_rows(want)
     assert read_rows(flagged) != read_rows(plain)
+
+
+def test_sweep_log_gets_its_header_once_when_empty(tmp_path):
+    # an existing empty log is as new as a missing one
+    log = tmp_path / "log.csv"
+    log.touch()
+    row = {"command": "sweep", "alpha": 0.5, "index": 0}
+    append_log([row], str(log))
+    append_log([dict(row, index=1)], str(log))
+    lines = log.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_FIELDS)
+    assert len(lines) == 3
+    assert [r["index"] for r in read_rows(log)] == ["0", "1"]
 
 
 def test_plot_index_draws_one_minimizer(square_file, tmp_path):

@@ -7,8 +7,7 @@ for the rows it visits.  Here the rows' forests are compared with the
 per-block generator of ``forest_oracle`` by signature and flows, and their
 bounds with those of the rows' own full trees, zero flows kept
 (``topology_bounds.lower_bounds``), bit for bit; every bound lies below the
-optimum of the row's forest.  The rows' signatures, which the solver keys
-them by, are compared with their objects', and the rows and bounds with the
+optimum of the row's forest.  The rows and bounds are compared with the
 same ones built in small chunks.  Every row is a full tree whose forest is
 full, no row has a branch vertex without flow, the branch positions the
 bounding pass returns reproduce its bounds (the solver starts its kernel
@@ -129,15 +128,6 @@ def instances(draw):
 @given(instances())
 def test_row_bounds_match_topology_bounds(case):
     _same_bounds(*case)
-
-
-def test_row_signatures_match_topology_signatures_on_the_random_set():
-    # the solver keys a row by the table's signature, and a row's object
-    # finds its own by a DFS
-    for b, _ in random_set():
-        rows = forest_rows(tuple(m for _, m in b.atoms))
-        for r in range(len(rows)):
-            assert rows.signature(r) == rows.topology(r).signature()
 
 
 def _rows_and_bounds(b, alpha):

@@ -1374,8 +1374,9 @@ def test_a_contraction_met_again_is_optimized_once():
     # the same records
     b, alpha = random_set()[2]
     rows = forest_rows(tuple(m for _, m in b.atoms))
-    (ft,) = [rows.topology(r) for r in range(len(rows)) if rows.signature(r)
-             == (6, 4, (63,), (2, 4, 8, 16, 32, 48, 50, 54, 62))]
+    key = (6, 4, (63,), (2, 4, 8, 16, 32, 48, 50, 54, 62))
+    (ft,) = [ft for ft in map(rows.topology, range(len(rows)))
+             if ft.signature() == key]
     real_kernel, real_place = placement._run_kernel, placement._place_stars
     real_optimize = placement.optimize_topology
 

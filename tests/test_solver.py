@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gsteiner import fileio
+from gsteiner import fileio, solver
 from gsteiner.currents import (boundary, branch_points, canonicalize,
                                chain_of, has_loop, make_boundary,
                                support_difference_mass)
@@ -19,6 +19,7 @@ from gsteiner.flat import flat_norm
 from gsteiner.solver import (MinimizerRecord, SolverConfig, SolveReport,
                              _uncovered_intervals, magic_points,
                              quantize_chain, solve)
+from gsteiner.topology import forest_rows
 from grid_oracle import brute_force_value
 from random_set import random_set
 
@@ -65,6 +66,30 @@ def test_square_two_distinct_minimizers(square_boundary):
                                 r.distinct_tol)
     assert d > r.distinct_tol
     assert r.gap > 0.5
+
+
+def test_rows_tied_at_a_bound_are_visited_in_key_order(square_boundary,
+                                                       monkeypatch):
+    # at alpha 0.6 the square's two matchings are its two lowest rows, and
+    # their bounds tie exactly; the table holds them against their keys'
+    # order, in which solve visits them
+    rows = forest_rows(tuple(m for _, m in square_boundary.atoms))
+    table = [repr(rows.topology(r).signature()) for r in range(len(rows))]
+    visited, real = [], solver.optimize_topology
+
+    def optimize(ft, *args, **kwargs):
+        visited.append(repr(ft.signature()))
+        return real(ft, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "optimize_topology", optimize)
+    records = []
+    solve(square_boundary, cfg(0.6, trace=records.append))
+    bounds = [r["bound"] for r in records if r["stage"] == "bound"]
+    tied = sorted(range(len(rows)), key=bounds.__getitem__)[:2]
+    assert bounds[tied[0]] == bounds[tied[1]] < min(
+        bounds[r] for r in range(len(rows)) if r not in tied)
+    assert [table[r] for r in tied] == sorted(visited[:2], reverse=True)
+    assert visited[:2] == sorted(visited[:2])
 
 
 def test_solver_guards(square_boundary):

@@ -376,8 +376,6 @@ def test_flowed_forests_match_per_block_generator(masses):
     fts = list(map(rows.topology, range(len(rows))))
     assert sorted(map(forest_key, fts)) == \
         sorted(map(forest_key, flowed_forests(masses)))
-    for r, ft in enumerate(fts):
-        assert rows.signature(r) == ft.signature()
 
 
 def test_unbalanced_boundary_is_refused():
