@@ -362,6 +362,8 @@ def estimate_k0(alpha: float) -> int:
 
     The predicate is false below a single crossing point and true above it,
     so the search doubles k until the predicate holds and then bisects.
+    Raises ``ValueError`` when alpha is outside (0, 1), or so close to 1
+    that k0 exceeds 2^62 (from about alpha 0.97 on).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -375,7 +377,7 @@ def estimate_k0(alpha: float) -> int:
     while not holds(hi):
         lo, hi = hi, hi * 2
         if hi > 2 ** 62:
-            raise ArithmeticError("k0 search exceeded 2^62")
+            raise ValueError(f"k0 exceeds 2^62 at alpha {alpha}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):

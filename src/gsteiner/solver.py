@@ -16,7 +16,7 @@ contraction of one of them, so no minimum is lost), as the rows of
    like the pass's step counts and smoothing, decide only how tight the
    bounds are and which topologies get optimized, never whether the
    pruning below is exact;
-2. topologies are visited in (LB, repr(signature)) order; the key breaks
+2. topologies are visited in (LB, signature) order; the key breaks
    ties, here and between equal values, towards fewer branch vertices.
    The rows are sorted by bound, stably; the forests of the rows tied at
    the bound of a visited row are made :class:`FlowedTopology` objects
@@ -149,20 +149,16 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
         return v + cfg.value_tol * (1.0 + abs(v))
 
     rows = forest_rows(tuple(m for _, m in b.atoms))
-    # the table holds only flowing topologies with distinct signatures;
-    # the two zero counters keep the report's stats keys stable
-    stats = {"enumerated": len(rows), "infeasible": 0, "duplicates": 0,
-             "optimized": 0, "pruned": 0}
     bounds, x = bound_rows(rows.ends, rows.sides,
                            rows.side_weights(cfg.alpha), b, cfg.alpha,
                            trace=cfg.trace, margin=margin)
     order = np.argsort(bounds, kind="stable")
     bounds = bounds[order]
 
-    candidates: list[tuple[float, str, MinimizerRecord]] = []
-    second = math.inf
+    candidates: list[tuple[float, tuple, MinimizerRecord]] = []
+    best = second = math.inf
     memo: dict = {}
-    ties: list[tuple[str, int, FlowedTopology]] = []
+    ties: list[tuple[tuple, int, FlowedTopology]] = []
     visited = 0
     # ``second`` changes only when a topology is optimized and the rows are
     # in bound order, so the first row above the cut retires every later one
@@ -171,14 +167,13 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
             # the forests of the rows tied at this bound, keyed, last first
             end = np.searchsorted(bounds, bounds[visited], side="right")
             tied = ((r, rows.topology(r)) for r in order[visited:end].tolist())
-            ties = sorted(((repr(ft.signature()), r, ft) for r, ft in tied),
+            ties = sorted(((ft.signature(), r, ft) for r, ft in tied),
                           reverse=True)
         key, r, ft = ties.pop()
         visited += 1
         # the kernel starts where the row's bound was taken
         opt = optimize_topology(ft, b, cfg.alpha, cfg.trace, memo,
                                 start=x[r, rows.live(r)])
-        stats["optimized"] += 1
         chain = canonicalize(realize_chain(opt.flowed, opt.placement))
         value = alpha_mass(chain, cfg.alpha)
         if boundary(chain) != b:
@@ -186,15 +181,12 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
                 "realized chain boundary differs from the input boundary")
         record = MinimizerRecord(chain, value, opt.lower, opt.flowed)
         candidates.append((value, key, record))
-        threshold = margin(min(v for v, _, _ in candidates))
+        best = min(best, value)
+        threshold = margin(best)
         second = min((v for v, _, _ in candidates if v > threshold),
                      default=math.inf)
-    stats["pruned"] = len(order) - visited
 
     candidates.sort(key=lambda c: (c[0], c[1]))
-    best = candidates[0][0]
-    threshold = margin(best)
-
     kept: list[MinimizerRecord] = []
     for value, _, record in candidates:
         if value > threshold:
@@ -204,9 +196,11 @@ def solve(b: Boundary, cfg: SolverConfig) -> SolveReport:
             continue
         kept.append(record)
 
-    above = [v for v, _, _ in candidates if v > threshold]
-    gap = (min(above) - best) if above else math.inf
-    return SolveReport(b, cfg.alpha, best, tuple(kept), gap,
+    # the table holds only flowing topologies with distinct signatures;
+    # the two zero counters keep the report's stats keys stable
+    stats = {"enumerated": len(rows), "infeasible": 0, "duplicates": 0,
+             "optimized": visited, "pruned": len(order) - visited}
+    return SolveReport(b, cfg.alpha, best, tuple(kept), second - best,
                        cfg.distinct_tol, stats)
 
 

@@ -139,9 +139,9 @@ class FlowedTopology:
         ``(n, m, component masks, split masks)``, both mask tuples sorted
         (see :func:`_splits`).  The masks determine the forest, and the
         masses its flows; ``m`` is implied too, but kept second so that
-        ``repr`` of the key orders topologies by branch count first, while
-        m < 10.  One DFS finds the masks.  The solver visits the rows tied
-        at a bound in the ``repr`` order of their forests' keys.
+        the key orders topologies by branch count first.  One DFS finds the
+        masks.  The solver visits the rows tied at a bound in the order of
+        their forests' keys.
         """
         components, splits, _ = _splits(self.n_terminals, self.edges)
         return (self.n_terminals, self.n_branch, tuple(sorted(components)),

@@ -159,6 +159,14 @@ def test_estimate_k0_cli(capsys):
     assert json.loads(capsys.readouterr().out)["k0"] == 5
 
 
+def test_estimate_k0_cli_near_alpha_one_is_an_error(capsys):
+    # k0 is about 5.7e16 at alpha 0.965 and exceeds the search's 2^62 at
+    # 0.97: the command exits 1 with an error line, not a traceback
+    assert cli.main(["estimate-k0", "--alpha", "0.97"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "0.97" in err, err
+
+
 def test_local4_cli(tmp_path, capsys):
     four = tmp_path / "four.json"
     four.write_text(json.dumps({

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from gsteiner.currents import (Segment, alpha_mass, boundary, canonicalize,
-                               chain_of, restrict_ball,
+                               chain_of, make_boundary, restrict_ball,
                                support_difference_mass)
 from gsteiner.flat import flat_distance
 from gsteiner.perturb import (_RHO_MAX, LocalFourPointInstance,
@@ -328,6 +328,43 @@ def test_end_to_end_refuses_a_config_at_another_alpha(square_boundary):
     with pytest.raises(ValueError, match="differs from alpha"):
         end_to_end_uniqueness(square_boundary, 0.6, 11, radii=[0.05],
                               cfg=SolverConfig(alpha=0.9))
+
+
+def alternating_polygon(n):
+    """The regular n-gon on the unit circle, atom i of mass (-1)^i."""
+    return make_boundary([
+        ((math.cos(2.0 * math.pi * i / n), math.sin(2.0 * math.pi * i / n)),
+         F((-1) ** i)) for i in range(n)])
+
+
+def signed_tetrahedron():
+    """The regular tetrahedron, masses (1, 1, -1, -1)."""
+    return make_boundary([((1.0, 1.0, 1.0), F(1)), ((1.0, -1.0, -1.0), F(1)),
+                          ((-1.0, 1.0, -1.0), F(-1)),
+                          ((-1.0, -1.0, 1.0), F(-1))])
+
+
+@pytest.mark.parametrize("instance", ["square", "hexagon", "tetrahedron"])
+def test_end_to_end_gap_is_the_dent_law(instance, square_boundary):
+    # each base has two minimizers; the first, dented with k > k0 at its one
+    # distinguishing point, is the dented problem's unique minimizer, and
+    # the gap is 2r (k^-alpha + 1 - (1 - 1/k)^alpha) (alpha 0.8 is left
+    # out: the hexagon at r 0.05 meets the law only to 9.7e-13)
+    b, radii, max_terminals = {
+        "square": (square_boundary, (0.1, 0.05, 0.02), 6),
+        "hexagon": (alternating_polygon(6), (0.1, 0.05), 8),
+        "tetrahedron": (signed_tetrahedron(), (0.1, 0.05), 6)}[instance]
+    alpha = 0.6
+    k = estimate_k0(alpha) + 1
+    assert k == 11
+    exp = end_to_end_uniqueness(
+        b, alpha, k, radii,
+        cfg=SolverConfig(alpha=alpha, max_terminals=max_terminals))
+    assert len(exp.base.minimizers) == 2 and len(exp.points) == 1
+    for out in exp.outcomes:
+        law = 2.0 * out.radius * (k ** -alpha + 1.0 - (1.0 - 1.0 / k) ** alpha)
+        assert out.error is None and out.unique and out.matches_dented_target
+        assert abs(out.gap - law) <= 1e-12 * law, (out.radius, out.gap, law)
 
 
 def y_chain_beside_a_segment():

@@ -68,28 +68,48 @@ def test_square_two_distinct_minimizers(square_boundary):
     assert r.gap > 0.5
 
 
-def test_rows_tied_at_a_bound_are_visited_in_key_order(square_boundary,
+def pentagon_boundary():
+    """The regular pentagon, masses (2, -1, -1, 2, -2): two co-minimal
+    networks, whose forests' component masks (5, 26) and (11, 20) order the
+    other way round as decimal strings."""
+    return make_boundary([
+        ((math.cos(2.0 * math.pi * i / 5), math.sin(2.0 * math.pi * i / 5)),
+         F(m)) for i, m in enumerate((2, -1, -1, 2, -2))])
+
+
+@pytest.mark.parametrize("instance", ["square", "pentagon"])
+def test_rows_tied_at_a_bound_are_visited_in_key_order(instance,
+                                                       square_boundary,
                                                        monkeypatch):
-    # at alpha 0.6 the square's two matchings are its two lowest rows, and
-    # their bounds tie exactly; the table holds them against their keys'
+    # the two lowest rows are the square's two matchings at alpha 0.6 and
+    # the pentagon's two one-branch forests at alpha 0.3, and their bounds
+    # tie exactly; the square's table holds them against their keys'
     # order, in which solve visits them
-    rows = forest_rows(tuple(m for _, m in square_boundary.atoms))
-    table = [repr(rows.topology(r).signature()) for r in range(len(rows))]
+    b, alpha = {"square": (square_boundary, 0.6),
+                "pentagon": (pentagon_boundary(), 0.3)}[instance]
+    rows = forest_rows(tuple(m for _, m in b.atoms))
+    table = [rows.topology(r).signature() for r in range(len(rows))]
     visited, real = [], solver.optimize_topology
 
     def optimize(ft, *args, **kwargs):
-        visited.append(repr(ft.signature()))
+        visited.append(ft.signature())
         return real(ft, *args, **kwargs)
 
     monkeypatch.setattr(solver, "optimize_topology", optimize)
     records = []
-    solve(square_boundary, cfg(0.6, trace=records.append))
+    report = solve(b, cfg(alpha, trace=records.append))
     bounds = [r["bound"] for r in records if r["stage"] == "bound"]
     tied = sorted(range(len(rows)), key=bounds.__getitem__)[:2]
     assert bounds[tied[0]] == bounds[tied[1]] < min(
         bounds[r] for r in range(len(rows)) if r not in tied)
-    assert [table[r] for r in tied] == sorted(visited[:2], reverse=True)
-    assert visited[:2] == sorted(visited[:2])
+    assert sorted(table[r] for r in tied) == visited[:2]
+    if instance == "square":
+        assert [table[r] for r in tied] == visited[1::-1]
+    else:
+        # equal values list their minimizers in key order too
+        first, second = report.minimizers
+        assert first.value == second.value
+        assert first.flowed.signature() < second.flowed.signature()
 
 
 def test_solver_guards(square_boundary):
